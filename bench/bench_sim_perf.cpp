@@ -1,10 +1,9 @@
 /**
  * @file
  * Simulation-core throughput benchmark: cycles/second of the compiled
- * netlist simulator (rtl::Sim) in every sweep mode — dense full
- * sweep, event-driven dirty sweep, threaded dirty sweep at 2 and 4
- * workers, and the JIT-compiled C++ kernel backend — versus the
- * reference interpreter (rtl::RefSim).
+ * netlist simulator (rtl::Sim) in every sweep mode — forced-dense
+ * full sweep, event-driven dirty sweep, and the JIT-compiled C++
+ * kernel backend — versus the reference interpreter (rtl::RefSim).
  *
  * Workloads: the dense evaluation designs of Table 1 (MMU, AXI
  * routers, AES round core, compiled Anvil encrypt) under saturating
@@ -18,8 +17,8 @@
  *                   [--farm-json farm.json] [--compiled-floor R]
  *
  * Prints a table and emits a JSON record matching BENCH_sim.json
- * (fields: ref, netlist = full sweep, dirty, threads.{2,4}, compiled
- * — 0 when no system compiler is present — observers = dirty sweep
+ * (fields: ref, netlist = full sweep, dirty, compiled — 0 when no
+ * system compiler is present — observers = dirty sweep
  * with the VCD + coverage + contract feed attached, flight = dirty
  * sweep with only the armed flight recorder attached, speedup =
  * netlist/ref, dirty_vs_full, compiled_vs_dirty, observers_vs_dirty,
@@ -301,7 +300,6 @@ struct Row
     double ref = 0;          // reference interpreter
     double full = 0;         // dense sweep ("netlist" in the JSON)
     double dirty = 0;        // event-driven sweep
-    double t2 = 0, t4 = 0;   // threaded sweep, 2 / 4 workers
     double compiled = 0;     // JIT C++ kernel (0 = no compiler)
     double observers = 0;    // dirty + VCD/coverage/contract feed
     double obs_vcd = 0;      // dirty + VCD writer only
@@ -344,12 +342,6 @@ runDesign(const std::string &name, const rtl::ModulePtr &mod,
     r.obs_cov = observed(coverageOnly);
     r.obs_con = observed(contractsOnly);
     r.flight = observed(flightOnly);
-    for (int threads : {2, 4}) {
-        rtl::Sim sim(mod);
-        sim.setSweepMode(rtl::SweepMode::Threaded, threads);
-        double v = timedRun(sim, sim_cycles, stim);
-        (threads == 2 ? r.t2 : r.t4) = v;
-    }
     if (!codegen::jitCompilerPath().empty()) {
         rtl::Sim sim(mod);
         sim.setSweepMode(rtl::SweepMode::Dirty);
@@ -392,11 +384,11 @@ timedFarm(const rtl::ModulePtr &mod, int workers, int cycles,
     double best = 0;
     for (int rep = 0; rep < reps; rep++) {
         run::FarmConfig fc;
-        fc.top = mod;
         fc.workers = workers;
-        fc.seed_base = 1;
-        fc.cycles = static_cast<uint64_t>(cycles);
-        fc.coverage = true;
+        fc.job.top = mod;
+        fc.job.seed = 1;
+        fc.job.cycles = static_cast<uint64_t>(cycles);
+        fc.job.coverage = true;
         obs::Merger merger;
         run::FarmResult fr = run::runFarm(fc, merger);
         obs::Merger::Totals t = merger.totals();
@@ -504,14 +496,13 @@ main(int argc, char **argv)
                              cycles(40000), cycles(2000),
                              tlbStim(4242)));
 
-    printf("%-14s %11s %11s %11s %10s %10s %11s %10s %7s %7s %6s\n",
-           "design", "ref cyc/s", "full cyc/s", "dirty", "thr2",
-           "thr4", "compiled", "observers", "dirty/f", "cmp/d",
-           "act%");
+    printf("%-14s %11s %11s %11s %11s %10s %7s %7s %6s\n",
+           "design", "ref cyc/s", "full cyc/s", "dirty", "compiled",
+           "observers", "dirty/f", "cmp/d", "act%");
     for (const auto &r : rows)
-        printf("%-14s %11.0f %11.0f %11.0f %10.0f %10.0f %11.0f "
-               "%10.0f %6.2fx %6.2fx %5.1f%%\n",
-               r.name.c_str(), r.ref, r.full, r.dirty, r.t2, r.t4,
+        printf("%-14s %11.0f %11.0f %11.0f %11.0f %10.0f %6.2fx %6.2fx "
+               "%5.1f%%\n",
+               r.name.c_str(), r.ref, r.full, r.dirty,
                r.compiled, r.observers, r.dirty / r.full,
                r.dirty > 0 ? r.compiled / r.dirty : 0.0,
                r.activity_pct);
@@ -539,7 +530,6 @@ main(int argc, char **argv)
         snprintf(buf, sizeof buf,
                  "    {\"name\": \"%s\", \"ref\": %.0f, "
                  "\"netlist\": %.0f, \"dirty\": %.0f, "
-                 "\"threads\": {\"2\": %.0f, \"4\": %.0f}, "
                  "\"compiled\": %.0f, \"observers\": %.0f, "
                  "\"flight\": %.0f, "
                  "\"speedup\": %.2f, \"dirty_vs_full\": %.2f, "
@@ -553,8 +543,7 @@ main(int argc, char **argv)
                  "\"jit_compile_ms\": %.1f, "
                  "\"jit_source_bytes\": %llu}%s\n",
                  rows[i].name.c_str(), rows[i].ref, rows[i].full,
-                 rows[i].dirty, rows[i].t2, rows[i].t4,
-                 rows[i].compiled, rows[i].observers,
+                 rows[i].dirty, rows[i].compiled, rows[i].observers,
                  rows[i].flight,
                  rows[i].full / rows[i].ref,
                  rows[i].dirty / rows[i].full,

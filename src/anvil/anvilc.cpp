@@ -21,10 +21,8 @@
  *                    with single-run --cov/--metrics/--stats-json)
  *     --seed-base <S> first farm worker seed (default: --seed)
  *     --events <f>   write the run's live telemetry event stream
- *                    ("anvil-events-v1" JSONL); with --farm, one
+ *                    ("anvil-events-v2" JSONL); with --farm, one
  *                    stream per worker at <f>.<worker>
- *     --sweep <m>    sweep mode: full, dirty (default), or
- *                    threaded[:N] with N worker threads
  *     --emit-cpp     dump the design's compiled-sim C++ kernel
  *                    (kernel_abi.h translation unit) to stdout, or
  *                    to -o <file> if given
@@ -164,8 +162,6 @@ usage()
             "  --seed-base <S> first farm worker seed\n"
             "  --events <f>   write the live telemetry event stream\n"
             "                 (JSONL; --farm: <f>.<worker>)\n"
-            "  --sweep <m>    sweep mode: full, dirty (default),\n"
-            "                 or threaded[:N]\n"
             "  --emit-cpp     dump the compiled-sim C++ kernel\n"
             "  --backend <b>  sim backend: interp (default) or\n"
             "                 compiled (JIT via the system compiler;\n"
@@ -244,34 +240,6 @@ resolveContracts(const std::vector<std::string> &spec_texts,
         for (const auto &s : *out)
             printf("contract %s\n", s.str().c_str());
     return true;
-}
-
-/** Parse a --sweep argument: full, dirty, or threaded[:N]. */
-bool
-parseSweepMode(const std::string &text, rtl::SweepMode *mode,
-               int *threads)
-{
-    if (text == "full") {
-        *mode = rtl::SweepMode::Full;
-        return true;
-    }
-    if (text == "dirty") {
-        *mode = rtl::SweepMode::Dirty;
-        return true;
-    }
-    if (text.rfind("threaded", 0) == 0) {
-        *mode = rtl::SweepMode::Threaded;
-        if (text.size() == 8)
-            return true;   // default worker count
-        if (text[8] == ':') {
-            int n = atoi(text.c_str() + 9);
-            if (n >= 1) {
-                *threads = n;
-                return true;
-            }
-        }
-    }
-    return false;
 }
 
 /** Observability options threaded through --sim / --replay runs. */
@@ -416,13 +384,12 @@ finishRun(tb::Testbench &bench, uint64_t cycles,
             : 0.0;
         // Always name the backend actually used: a silent JIT
         // fallback must be visible here, not just in stats-json.
-        printf("sweep: mode=%s backend=%s threads=%d strict-nodes=%zu "
+        printf("sweep: mode=%s backend=%s threads=1 strict-nodes=%zu "
                "evaluated/cycle avg=%.1f peak=%llu "
                "changed-nets/cycle avg=%.1f peak=%llu "
                "activity=%.1f%%\n",
                rtl::sweepModeName(ss.mode),
                bench.sim().kernelAttached() ? "compiled" : "interp",
-               ss.threads,
                ss.strict_nodes, ss.avgNodes(),
                (unsigned long long)ss.peak_nodes, ss.avgChanged(),
                (unsigned long long)ss.peak_changed, act);
@@ -535,7 +502,7 @@ finishRun(tb::Testbench &bench, uint64_t cycles,
             printf("stats-json {\"schema\":\"anvil-stats-v1\","
                    "\"design\":\"%s\",\"cycles\":%llu,"
                    "\"backend\":\"%s\",\"sweep\":\"%s\","
-                   "\"threads\":%d,\"activity_pct\":%.2f,"
+                   "\"threads\":1,\"activity_pct\":%.2f,"
                    "\"toggles\":%llu,\"failures\":%zu,"
                    "\"wall_ns\":%llu,\"cycles_per_sec\":%.0f,"
                    "\"coverage\":%s}\n",
@@ -543,7 +510,7 @@ finishRun(tb::Testbench &bench, uint64_t cycles,
                    (unsigned long long)result.cycles,
                    bench.sim().kernelAttached() ? "compiled"
                                                 : "interp",
-                   rtl::sweepModeName(ss.mode), ss.threads, act,
+                   rtl::sweepModeName(ss.mode), act,
                    (unsigned long long)bench.sim().totalToggles(),
                    result.failures.size(),
                    (unsigned long long)wall_ns, cps,
@@ -565,12 +532,10 @@ simulate(const rtl::ModulePtr &mod, long cycles, uint64_t seed,
          const std::string &vcd_path, bool cov, bool stats,
          bool contracts,
          const std::vector<std::string> &contract_specs,
-         const formal::ContractSet *typed,
-         rtl::SweepMode sweep_mode, int sweep_threads,
-         bool compiled_backend, const ObsOptions &oo)
+         const formal::ContractSet *typed, bool compiled_backend,
+         const ObsOptions &oo)
 {
     tb::Testbench bench(mod, seed);
-    bench.sim().setSweepMode(sweep_mode, sweep_threads);
     if (!oo.hot_path.empty())
         bench.sim().setEvalCounting(true);
     codegen::JitResult jit;
@@ -634,8 +599,7 @@ simulate(const rtl::ModulePtr &mod, long cycles, uint64_t seed,
                     /*window=*/64, sink.get())));
         sink->runBegin(bench.sim().topName(), /*worker=*/0, seed,
                        static_cast<uint64_t>(cycles),
-                       bench.sim().sweepMode(),
-                       bench.sim().sweepStats().threads);
+                       bench.sim().sweepMode());
     }
 
     // Flight recorder last: its trigger poll must see the cycle's
@@ -711,29 +675,28 @@ int
 farm(const rtl::ModulePtr &mod, long cycles, int workers,
      uint64_t seed_base, bool cov, bool stats, bool contracts,
      const std::vector<std::string> &contract_specs,
-     const formal::ContractSet *typed, rtl::SweepMode sweep_mode,
-     int sweep_threads, bool compiled_backend, const ObsOptions &oo)
+     const formal::ContractSet *typed, bool compiled_backend,
+     const ObsOptions &oo)
 {
     run::FarmConfig fc;
-    fc.top = mod;
-    fc.netlist = std::make_shared<const rtl::Netlist>(*mod);
     fc.workers = workers;
-    fc.seed_base = seed_base;
-    fc.cycles = static_cast<uint64_t>(cycles);
-    fc.sweep_mode = sweep_mode;
-    fc.sweep_threads = sweep_threads;
     fc.compiled_backend = compiled_backend;
-    fc.coverage = cov || stats ||
-                  (oo.flight && oo.coverTriggered());
-    fc.flight_pre = oo.flight ? oo.flightPre() : 0;
-    fc.flight_post = oo.flight_post;
-    fc.flight_triggers = oo.dump_on;
-    fc.flight_out = oo.flight ? oo.flight_out : "";
+    run::JobConfig &job = fc.job;
+    job.top = mod;
+    job.netlist = std::make_shared<const rtl::Netlist>(*mod);
+    job.seed = seed_base;
+    job.cycles = static_cast<uint64_t>(cycles);
+    job.coverage = cov || stats ||
+                   (oo.flight && oo.coverTriggered());
+    job.flight_pre = oo.flight ? oo.flightPre() : 0;
+    job.flight_post = oo.flight_post;
+    job.flight_triggers = oo.dump_on;
+    job.flight_out = oo.flight ? oo.flight_out : "";
 
     bool monitored = contracts || !contract_specs.empty();
     if (monitored &&
-        !resolveContracts(contract_specs, *fc.netlist, typed,
-                          contracts, &fc.contracts))
+        !resolveContracts(contract_specs, *job.netlist, typed,
+                          contracts, &job.contracts))
         return kExitUsage;
 
     obs::Merger merger;
@@ -831,9 +794,8 @@ replay(const rtl::ModulePtr &mod, const std::string &dump_path,
        long cycles_override, const std::string &vcd_path, bool cov,
        bool stats, bool contracts,
        const std::vector<std::string> &contract_specs,
-       const formal::ContractSet *typed,
-       rtl::SweepMode sweep_mode, int sweep_threads,
-       bool compiled_backend, const ObsOptions &oo)
+       const formal::ContractSet *typed, bool compiled_backend,
+       const ObsOptions &oo)
 {
     trace::Trace t;
     try {
@@ -845,7 +807,6 @@ replay(const rtl::ModulePtr &mod, const std::string &dump_path,
     }
 
     tb::Testbench bench(mod);
-    bench.sim().setSweepMode(sweep_mode, sweep_threads);
     if (!oo.hot_path.empty())
         bench.sim().setEvalCounting(true);
     codegen::JitResult jit;
@@ -990,7 +951,6 @@ proveDesign(const rtl::ModulePtr &mod,
             const std::vector<std::string> &contract_specs,
             const formal::ContractSet *typed, bool print_contracts,
             int prove_k, bool detailed, const std::string &vcd_path,
-            rtl::SweepMode sweep_mode, int sweep_threads,
             const ObsOptions &oo)
 {
     rtl::Sim sim(mod);
@@ -1009,8 +969,6 @@ proveDesign(const rtl::ModulePtr &mod,
     formal::ProveOptions opts;
     if (prove_k > 0)
         opts.k_max = prove_k;
-    opts.sweep_mode = sweep_mode;
-    opts.sweep_threads = sweep_threads;
     // The prover reports into the same telemetry spine as a
     // simulation run: per-obligation phase windows onto the profiler,
     // prove.* counters and the states/sec gauge into the registry.
@@ -1080,8 +1038,7 @@ proveDesign(const rtl::ModulePtr &mod,
                     vcd_path.c_str());
             return kExitIo;
         }
-        formal::writeCexVcd(inst, *cex, os, sweep_mode,
-                            sweep_threads);
+        formal::writeCexVcd(inst, *cex, os);
         if (!os.good()) {
             fprintf(stderr, "anvilc: error writing '%s'\n",
                     vcd_path.c_str());
@@ -1117,9 +1074,6 @@ main(int argc, char **argv)
     int farm_workers = 0;
     uint64_t seed_base = 0;
     bool seed_base_set = false;
-    rtl::SweepMode sweep_mode = rtl::SweepMode::Dirty;
-    int sweep_threads = 0;
-    bool sweep_set = false;
     bool emit_cpp = false;
     bool compiled_backend = false;
     bool backend_set = false;
@@ -1160,15 +1114,6 @@ main(int argc, char **argv)
             seed_base_set = true;
         } else if (arg == "--events" && i + 1 < argc) {
             oo.events_path = argv[++i];
-        } else if (arg == "--sweep" && i + 1 < argc) {
-            if (!parseSweepMode(argv[++i], &sweep_mode,
-                                &sweep_threads)) {
-                fprintf(stderr,
-                        "anvilc: bad --sweep mode '%s' (expected "
-                        "full, dirty, or threaded[:N])\n", argv[i]);
-                return kExitUsage;
-            }
-            sweep_set = true;
         } else if (arg == "--emit-cpp") {
             emit_cpp = true;
         } else if (arg == "--backend" && i + 1 < argc) {
@@ -1300,9 +1245,8 @@ main(int argc, char **argv)
         return kExitUsage;
     }
     bool runs_sim = sim_cycles > 0 || !replay_path.empty();
-    if (!runs_sim && !prove &&
-        (!vcd_path.empty() || seed != 1 || sweep_set)) {
-        fprintf(stderr, "anvilc: --vcd/--seed/--sweep require "
+    if (!runs_sim && !prove && (!vcd_path.empty() || seed != 1)) {
+        fprintf(stderr, "anvilc: --vcd/--seed require "
                         "--sim <N>, --replay, or --prove\n");
         return kExitUsage;
     }
@@ -1495,8 +1439,7 @@ main(int argc, char **argv)
         if (prove)
             return proveDesign(mod, contract_specs, &typed,
                                contracts, prove_k, prove_report,
-                               vcd_path, sweep_mode, sweep_threads,
-                               oo);
+                               vcd_path, oo);
         if (!check_trace_path.empty())
             return checkTraceFile(mod, check_trace_path, contracts,
                                   contract_specs, &typed, cov);
@@ -1504,18 +1447,15 @@ main(int argc, char **argv)
             return farm(mod, sim_cycles, farm_workers,
                         seed_base_set ? seed_base : seed, cov,
                         stats, contracts, contract_specs, &typed,
-                        sweep_mode, sweep_threads, compiled_backend,
-                        oo);
+                        compiled_backend, oo);
         if (!replay_path.empty())
             return replay(mod, replay_path, sim_cycles, vcd_path,
                           cov, stats, contracts, contract_specs,
-                          &typed, sweep_mode, sweep_threads,
-                          compiled_backend, oo);
+                          &typed, compiled_backend, oo);
         if (sim_cycles > 0)
             return simulate(mod, sim_cycles, seed, vcd_path, cov,
                             stats, contracts, contract_specs,
-                            &typed, sweep_mode, sweep_threads,
-                            compiled_backend, oo);
+                            &typed, compiled_backend, oo);
         // --contracts / --contract alone: print the contract set.
         rtl::Sim sim(mod);
         std::vector<trace::ContractSpec> specs;

@@ -101,7 +101,6 @@ collectRunMetrics(obs::MetricsRegistry &reg, tb::Testbench &bench,
     reg.counter("sweep.peak_nodes") = ss.peak_nodes;
     reg.counter("sweep.nets_changed") = ss.nets_changed;
     reg.counter("sweep.peak_changed") = ss.peak_changed;
-    reg.counter("sweep.sharded_levels") = ss.sharded_levels;
     reg.counter("sweep.kernel_frames") = ss.kernel_frames;
     reg.counter("sweep.dense_fallback_switches") =
         ss.dense_fallback_switches;
@@ -168,7 +167,7 @@ runJob(const JobConfig &cfg)
     // the feed's observer pointers.
     auto bench = std::make_unique<tb::Testbench>(cfg.top, cfg.netlist,
                                                 cfg.seed);
-    bench->sim().setSweepMode(cfg.sweep_mode, cfg.sweep_threads);
+    bench->sim().setSweepMode(cfg.sweep_mode);
     if (cfg.kernel.abi)
         bench->sim().attachKernel(cfg.kernel);   // false: interpreter
 
@@ -245,8 +244,7 @@ runJob(const JobConfig &cfg)
     }
 
     sink.runBegin(bench->sim().topName(), cfg.worker, cfg.seed,
-                  cfg.cycles, bench->sim().sweepMode(),
-                  bench->sim().sweepStats().threads);
+                  cfg.cycles, bench->sim().sweepMode());
 
     uint64_t wall0 = rtl::monotonicNanos();
     tb::TbResult result = bench->run(cfg.cycles);
@@ -280,9 +278,9 @@ runFarm(const FarmConfig &cfg, obs::Merger &merger)
     uint64_t wall0 = rtl::monotonicNanos();
 
     // Elaborate once: every worker rides this immutable netlist.
-    std::shared_ptr<const rtl::Netlist> netlist = cfg.netlist;
+    std::shared_ptr<const rtl::Netlist> netlist = cfg.job.netlist;
     if (!netlist)
-        netlist = std::make_shared<const rtl::Netlist>(*cfg.top);
+        netlist = std::make_shared<const rtl::Netlist>(*cfg.job.top);
 
     // JIT once; the kernel object is shared, each Sim gets its own
     // kernel context on attach.
@@ -297,25 +295,15 @@ runFarm(const FarmConfig &cfg, obs::Merger &merger)
                                             : jit.error;
     }
 
-    std::vector<JobConfig> jobs(static_cast<size_t>(cfg.workers));
+    std::vector<JobConfig> jobs(static_cast<size_t>(cfg.workers),
+                                cfg.job);
     for (int w = 0; w < cfg.workers; w++) {
         JobConfig &jc = jobs[static_cast<size_t>(w)];
-        jc.top = cfg.top;
-        jc.netlist = netlist;
-        jc.seed = cfg.seed_base + static_cast<uint64_t>(w);
+        jc.seed = cfg.job.seed + static_cast<uint64_t>(w);
         jc.worker = w;
-        jc.cycles = cfg.cycles;
-        jc.sweep_mode = cfg.sweep_mode;
-        jc.sweep_threads = cfg.sweep_threads;
+        jc.netlist = netlist;
         jc.kernel = kernel;
         jc.jit = cfg.compiled_backend ? &jit : nullptr;
-        jc.contracts = cfg.contracts;
-        jc.coverage = cfg.coverage;
-        jc.activity_window = cfg.activity_window;
-        jc.flight_pre = cfg.flight_pre;
-        jc.flight_post = cfg.flight_post;
-        jc.flight_triggers = cfg.flight_triggers;
-        jc.flight_out = cfg.flight_out;
     }
 
     fr.jobs.resize(jobs.size());

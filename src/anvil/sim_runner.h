@@ -7,10 +7,10 @@
  * backend, one JIT kernel) across N per-worker rtl::Sim instances —
  * elaboration and compilation are paid once, the per-worker state is
  * just the runtime value tables.  Each worker runs the standard
- * random testbench at its own seed (seed_base + worker) with the
+ * random testbench at its own seed (base seed + worker) with the
  * full observer stack attached — contract monitor, coverage,
  * assertion triage, rolling activity — and serializes everything it
- * observed into an "anvil-events-v1" stream (obs::EventSink).  The
+ * observed into an "anvil-events-v2" stream (obs::EventSink).  The
  * streams feed an obs::Merger, whose merged artifacts are
  * byte-compatible with single-run output; `anvilc --farm 1` and a
  * plain `anvilc --sim` at the same seed produce identical coverage,
@@ -94,6 +94,8 @@ struct JobConfig
     int worker = 0;
     uint64_t cycles = 0;
     rtl::SweepMode sweep_mode = rtl::SweepMode::Dirty;
+    /** Ignored (the sweep is single-threaded); kept so readers such
+     *  as perfbench/driver.cpp still compile. */
     int sweep_threads = 0;
     /** Shared compiled kernel (abi null: interpreter). */
     rtl::KernelRef kernel;
@@ -127,7 +129,7 @@ struct JobResult
     size_t failures = 0;
     uint64_t wall_ns = 0;
     std::string summary;   // tb::TbResult::summary()
-    std::string events;    // the full "anvil-events-v1" stream
+    std::string events;    // the full "anvil-events-v2" stream
 };
 
 /** Run one job to completion (thread-safe per job: every spine is
@@ -137,26 +139,17 @@ JobResult runJob(const JobConfig &cfg);
 /** Farm fan-out configuration. */
 struct FarmConfig
 {
-    rtl::ModulePtr top;
-    /** Prebuilt shared netlist; null elaborates one from `top`
-     *  (callers that already elaborated — contract resolution —
-     *  pass theirs to avoid doing it twice). */
-    std::shared_ptr<const rtl::Netlist> netlist;
+    /**
+     * Per-worker template.  Every worker runs a copy with seed =
+     * job.seed + worker, its own worker index, and the farm's shared
+     * netlist and kernel; every other field is used as given.  A
+     * null job.netlist elaborates one from job.top (callers that
+     * already elaborated — contract resolution — pass theirs to
+     * avoid doing it twice).
+     */
+    JobConfig job;
     int workers = 1;
-    uint64_t seed_base = 1;
-    uint64_t cycles = 0;
-    rtl::SweepMode sweep_mode = rtl::SweepMode::Dirty;
-    int sweep_threads = 0;
     bool compiled_backend = false;
-    std::vector<trace::ContractSpec> contracts;
-    bool coverage = false;
-    uint64_t activity_window = 64;
-    /** Flight-recorder knobs, forwarded to every worker (JobConfig
-     *  has the field-by-field semantics). */
-    uint64_t flight_pre = 0;
-    uint64_t flight_post = 8;
-    std::vector<std::string> flight_triggers;
-    std::string flight_out;
 };
 
 /** Farm outcome: per-worker results in worker order. */

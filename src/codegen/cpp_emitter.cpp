@@ -856,7 +856,7 @@ CppEmitter::run()
     std::ostringstream os;
     os << "// Generated by anvilc --emit-cpp; design '" << _name
        << "'.\n"
-       << "// Implements AnvilKernelV2 (see src/rtl/kernel_abi.h and "
+       << "// Implements AnvilKernel (see src/rtl/kernel_abi.h and "
           "docs/compile.md);\n"
        << "// compile with: c++ -O2 -fPIC -shared -o kernel.so "
           "<this file>\n"
@@ -871,7 +871,7 @@ CppEmitter::run()
        << "    uint64_t nodes_evaluated;\n"
        << "    uint64_t nets_changed;\n"
        << "} AnvilKernelStats;\n"
-       << "typedef struct AnvilKernelV2 {\n"
+       << "typedef struct AnvilKernel {\n"
        << "    uint32_t abi_version;\n"
        << "    uint32_t net_count;\n"
        << "    uint64_t design_hash;\n"
@@ -887,8 +887,8 @@ CppEmitter::run()
        << "    void (*stats)(void *ctx, AnvilKernelStats *out);\n"
        << "    uint32_t level_count;\n"
        << "    void (*level_stats)(void *ctx, uint64_t *out);\n"
-       << "} AnvilKernelV2;\n"
-       << "const AnvilKernelV2 *anvil_kernel_v2(void);\n"
+       << "} AnvilKernel;\n"
+       << "const AnvilKernel *anvil_kernel(void);\n"
        << "}\n\n"
        << "namespace {\n\n";
 
@@ -1071,15 +1071,15 @@ static void k_level_stats(void *ctx, uint64_t *out)
 }
 )";
 
-    os << "\nstatic const AnvilKernelV2 kKernel = {\n"
-       << "    3u, kNets, "
+    os << "\nstatic const AnvilKernel kKernel = {\n"
+       << "    " << ANVIL_KERNEL_ABI_VERSION << "u, kNets, "
        << hexU64(rtl::designHash(_nl)) << ", kStateWords,\n"
        << "    k_create, k_destroy, k_net_ptr, k_poke, k_eval, "
           "k_eval_full, k_stats,\n"
        << "    kLevels, k_level_stats,\n"
        << "};\n\n"
        << "} // namespace\n\n"
-       << "extern \"C\" const AnvilKernelV2 *\nanvil_kernel_v2(void)\n"
+       << "extern \"C\" const AnvilKernel *\nanvil_kernel(void)\n"
        << "{\n    return &kKernel;\n}\n";
     return os.str();
 }

@@ -2,7 +2,7 @@
  * @file
  * Compile-to-C++ netlist backend: lowers the strict combinational
  * portion of a levelized rtl::Netlist to a self-contained C++
- * translation unit implementing the AnvilKernelV2 ABI
+ * translation unit implementing the AnvilKernel ABI
  * (rtl/kernel_abi.h).
  *
  * Layout of the emitted unit (see docs/compile.md):
@@ -40,11 +40,11 @@ namespace codegen {
  * unchanged netlist changes (new scheduler, table layout, ABI rev) so
  * caches keyed on the design hash alone can never serve a kernel
  * built by an older emitter.  v1: block-granular dirty bitmaps;
- * v2: event-driven per-level exact occupancy bitmaps +
- * AnvilKernelV2; v3: per-level evaluation counters + level_stats()
- * (ABI version 3).
+ * v2: event-driven per-level exact occupancy bitmaps; v3: per-level
+ * evaluation counters + level_stats(); v4: the single AnvilKernel
+ * struct and `anvil_kernel` entry symbol.
  */
-constexpr int kCppEmitterVersion = 3;
+constexpr int kCppEmitterVersion = 4;
 
 /**
  * Emit `nl` as a C++ kernel translation unit.  `design_name` only

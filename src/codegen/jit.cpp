@@ -185,7 +185,7 @@ jitCompileKernel(const rtl::Netlist &nl, const JitOptions &opts)
         ::dlclose(dl);
         return res;
     }
-    const AnvilKernelV2 *abi = entry();
+    const AnvilKernel *abi = entry();
     if (!abi || abi->abi_version != ANVIL_KERNEL_ABI_VERSION) {
         res.error = "kernel ABI version mismatch";
         ::dlclose(dl);

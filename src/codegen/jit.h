@@ -3,7 +3,7 @@
  * In-process JIT for the compile-to-C++ backend: emit the netlist as
  * a kernel translation unit (codegen/cpp_emitter.h), invoke the
  * system C++ compiler to build a shared object, dlopen it, and hand
- * back a validated AnvilKernelV2 ready for rtl::Sim::attachKernel.
+ * back a validated AnvilKernel ready for rtl::Sim::attachKernel.
  *
  * Lifecycle (see docs/compile.md): the source and shared object live
  * in a mkdtemp directory that is deleted as soon as the object is
@@ -49,7 +49,7 @@ struct JitOptions
 class CompiledKernel
 {
   public:
-    CompiledKernel(void *dl, const AnvilKernelV2 *abi)
+    CompiledKernel(void *dl, const AnvilKernel *abi)
         : _dl(dl), _abi(abi)
     {
     }
@@ -57,11 +57,11 @@ class CompiledKernel
     CompiledKernel(const CompiledKernel &) = delete;
     CompiledKernel &operator=(const CompiledKernel &) = delete;
 
-    const AnvilKernelV2 *abi() const { return _abi; }
+    const AnvilKernel *abi() const { return _abi; }
 
   private:
     void *_dl = nullptr;
-    const AnvilKernelV2 *_abi = nullptr;
+    const AnvilKernel *_abi = nullptr;
 };
 
 struct JitResult

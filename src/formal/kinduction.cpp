@@ -507,9 +507,7 @@ prove(const InstrumentedDesign &design, const ProveOptions &opts)
         return result;
 
     rtl::Sim sim(design.module);
-    if (opts.sweep_mode != rtl::SweepMode::Dirty)
-        sim.setSweepMode(opts.sweep_mode, opts.sweep_threads,
-                         /*shard_min=*/64);
+    sim.setSweepMode(opts.sweep_mode);
     const rtl::Netlist &nl = sim.netlist();
     std::vector<BitVec> reset = sim.captureRegs();
 
@@ -680,11 +678,10 @@ prove(const InstrumentedDesign &design, const ProveOptions &opts)
 void
 writeCexVcd(const InstrumentedDesign &design,
             const ObligationOutcome &outcome, std::ostream &os,
-            rtl::SweepMode mode, int threads)
+            rtl::SweepMode mode)
 {
     rtl::Sim sim(design.module);
-    if (mode != rtl::SweepMode::Dirty)
-        sim.setSweepMode(mode, threads, /*shard_min=*/64);
+    sim.setSweepMode(mode);
     for (const auto &in : sim.inputNames())
         sim.setInput(in, 0);
     rtl::VcdWriter writer(sim, os);

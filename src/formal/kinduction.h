@@ -71,10 +71,10 @@ struct ProveOptions
     int max_state_bits = 22;
     /** Budget on simulation steps across base + induction. */
     uint64_t max_steps = 4000000;
-    /** Sweep strategy of the underlying simulator; all modes prove
-     *  identical verdicts (pinned by tests/test_formal_prove). */
+    /** Sweep strategy of the underlying simulator; Dirty and the
+     *  force-dense Full prove identical verdicts (pinned by
+     *  tests/test_formal_prove). */
     rtl::SweepMode sweep_mode = rtl::SweepMode::Dirty;
-    int sweep_threads = 0;
     /** Optional telemetry sinks (both may be null; the prover then
      *  takes no clock reads for them).  Each obligation's base-case
      *  and per-k induction windows land on a "prove:<name>" profiler
@@ -166,8 +166,7 @@ ProveResult prove(const InstrumentedDesign &design,
  */
 void writeCexVcd(const InstrumentedDesign &design,
                  const ObligationOutcome &outcome, std::ostream &os,
-                 rtl::SweepMode mode = rtl::SweepMode::Dirty,
-                 int threads = 0);
+                 rtl::SweepMode mode = rtl::SweepMode::Dirty);
 
 } // namespace formal
 } // namespace anvil

@@ -152,10 +152,7 @@ Merger::addStreamText(const std::string &text,
 
             if (kind == "run_begin") {
                 std::string schema = strOf(ev, "schema");
-                // v2 added the additive window_dump event; v1
-                // streams remain valid input.
-                if (schema != kEventsSchema &&
-                    schema != kEventsSchemaV1)
+                if (schema != kEventsSchema)
                     throw std::runtime_error(
                         "unknown event schema \"" + schema + "\"");
                 s->saw_begin = true;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Multi-stream telemetry merger: folds any number of
- * "anvil-events-v1" event streams (obs::EventSink output) into one
+ * "anvil-events-v2" event streams (obs::EventSink output) into one
  * unified closure report.
  *
  * The merged artifacts are byte-compatible with what a single run

@@ -64,15 +64,15 @@ EventSink::line(const std::string &s)
 void
 EventSink::runBegin(const std::string &design, int worker,
                     uint64_t seed, uint64_t cycles,
-                    rtl::SweepMode sweep, int threads)
+                    rtl::SweepMode sweep, int)
 {
     line(strfmt("{\"e\":\"run_begin\",\"schema\":\"%s\","
                 "\"design\":\"%s\",\"worker\":%d,\"seed\":%llu,"
-                "\"cycles\":%llu,\"sweep\":\"%s\",\"threads\":%d}",
+                "\"cycles\":%llu,\"sweep\":\"%s\",\"threads\":1}",
                 kEventsSchema, jsonEscape(design).c_str(), worker,
                 static_cast<unsigned long long>(seed),
                 static_cast<unsigned long long>(cycles),
-                rtl::sweepModeName(sweep), threads));
+                rtl::sweepModeName(sweep)));
 }
 
 void

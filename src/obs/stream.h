@@ -1,7 +1,7 @@
 /**
  * @file
  * Live telemetry event stream: serializes what a run observes into
- * a versioned JSONL wire format ("anvil-events-v1").
+ * a versioned JSONL wire format ("anvil-events-v2").
  *
  * An EventSink turns feed-side observations — contract violations
  * as they fire, rolling-activity windows, and the end-of-run
@@ -16,10 +16,11 @@
  * Wire format: one JSON object per line, discriminated by "e":
  *
  *   run_begin    schema, design, worker, seed, cycles, sweep, threads
+ *                (threads is always 1)
  *   violation    t, channel, rule, msg            (live, one per fire)
  *   window       t, changed, rate                 (live, every K cycles)
  *   window_dump  t, trigger, path, from, to       (flight recorder,
- *                one per flushed trigger window; v2 addition)
+ *                one per flushed trigger window)
  *   cov_signal   name, width, reg, rose[], fell[] (hex mask words)
  *   cov_bins     name, width, hits[]
  *   cov_point    name, count
@@ -54,13 +55,9 @@
 namespace anvil {
 namespace obs {
 
-/** Wire-format version tag stamped into every run_begin event.
- *  v2 adds the additive window_dump event (flight-recorder window
- *  references); obs::Merger still accepts v1 streams. */
+/** Wire-format version tag stamped into every run_begin event, and
+ *  the only one obs::Merger accepts. */
 constexpr const char *kEventsSchema = "anvil-events-v2";
-
-/** Prior wire-format version, still accepted by obs::Merger. */
-constexpr const char *kEventsSchemaV1 = "anvil-events-v1";
 
 class EventSink
 {
@@ -70,10 +67,12 @@ class EventSink
     EventSink(const EventSink &) = delete;
     EventSink &operator=(const EventSink &) = delete;
 
-    /** Stream header: identifies the design, worker, and seed. */
+    /** Stream header: identifies the design, worker, and seed.  The
+     *  unnamed int is ignored ("threads" is always written as 1); it
+     *  stays so callers such as perfbench/driver.cpp still compile. */
     void runBegin(const std::string &design, int worker,
                   uint64_t seed, uint64_t cycles,
-                  rtl::SweepMode sweep, int threads);
+                  rtl::SweepMode sweep, int = 1);
 
     /** One contract violation, streamed as it fires. */
     void violation(uint64_t cycle, const std::string &channel,
@@ -83,8 +82,7 @@ class EventSink
     void window(uint64_t cycle, uint64_t changed, double rate);
 
     /** One flushed flight-recorder window dump: the trigger that
-     *  opened it, the cycle range it covers, and where the VCD went
-     *  (v2 addition). */
+     *  opened it, the cycle range it covers, and where the VCD went. */
     void windowDump(uint64_t cycle, const std::string &trigger,
                     const std::string &path, uint64_t from,
                     uint64_t to);

@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <functional>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 
 namespace anvil {
 namespace rtl {
@@ -17,7 +13,6 @@ sweepModeName(SweepMode mode)
     switch (mode) {
       case SweepMode::Full: return "full";
       case SweepMode::Dirty: return "dirty";
-      case SweepMode::Threaded: return "threaded";
     }
     return "?";
 }
@@ -41,101 +36,6 @@ simPhaseName(SimPhase phase)
     }
     return "?";
 }
-
-/**
- * Fork/join worker pool for sharding one level's dirty worklist.
- * run() splits [0, total) into one contiguous chunk per thread; the
- * calling thread takes the first chunk and then blocks until every
- * helper has finished, so all writes made inside `fn` are ordered
- * before anything the caller does next (mutex handshake — no atomics
- * on simulation values).
- */
-class SweepPool
-{
-  public:
-    explicit SweepPool(int threads) : _threads(std::max(threads, 1))
-    {
-        for (int i = 1; i < _threads; i++)
-            _workers.emplace_back([this, i] { workerLoop(i); });
-    }
-
-    ~SweepPool()
-    {
-        {
-            std::lock_guard<std::mutex> lk(_m);
-            _stop = true;
-        }
-        _cv_start.notify_all();
-        for (auto &t : _workers)
-            t.join();
-    }
-
-    int threads() const { return _threads; }
-
-    void run(const std::function<void(size_t, size_t)> &fn,
-             size_t total)
-    {
-        if (total == 0)
-            return;
-        if (_threads == 1) {
-            fn(0, total);
-            return;
-        }
-        {
-            std::lock_guard<std::mutex> lk(_m);
-            _fn = &fn;
-            _total = total;
-            _pending = static_cast<int>(_workers.size());
-            _epoch++;
-        }
-        _cv_start.notify_all();
-        size_t end0 = total / static_cast<size_t>(_threads);
-        if (end0 > 0)
-            fn(0, end0);
-        std::unique_lock<std::mutex> lk(_m);
-        _cv_done.wait(lk, [this] { return _pending == 0; });
-        _fn = nullptr;
-    }
-
-  private:
-    void workerLoop(int index)
-    {
-        uint64_t seen = 0;
-        for (;;) {
-            const std::function<void(size_t, size_t)> *fn;
-            size_t b, e;
-            {
-                std::unique_lock<std::mutex> lk(_m);
-                _cv_start.wait(
-                    lk, [&] { return _stop || _epoch != seen; });
-                if (_stop)
-                    return;
-                seen = _epoch;
-                fn = _fn;
-                size_t t = static_cast<size_t>(_threads);
-                b = _total * static_cast<size_t>(index) / t;
-                e = _total * static_cast<size_t>(index + 1) / t;
-            }
-            if (b < e)
-                (*fn)(b, e);
-            {
-                std::lock_guard<std::mutex> lk(_m);
-                --_pending;
-            }
-            _cv_done.notify_one();
-        }
-    }
-
-    int _threads;
-    std::vector<std::thread> _workers;
-    std::mutex _m;
-    std::condition_variable _cv_start, _cv_done;
-    const std::function<void(size_t, size_t)> *_fn = nullptr;
-    size_t _total = 0;
-    int _pending = 0;
-    uint64_t _epoch = 0;
-    bool _stop = false;
-};
 
 BitVec
 applyUnop(Op op, const BitVec &a)
@@ -254,22 +154,10 @@ Sim::~Sim()
 }
 
 void
-Sim::setSweepMode(SweepMode mode, int threads, size_t shard_min)
+Sim::setSweepMode(SweepMode mode, int)
 {
     _mode = mode;
-    _shard_min = std::max<size_t>(shard_min, 1);
-    if (mode == SweepMode::Threaded) {
-        unsigned hw = std::thread::hardware_concurrency();
-        int want = threads > 0
-            ? threads
-            : static_cast<int>(std::max(2u, std::min(4u, hw)));
-        if (!_pool || _pool->threads() != want)
-            _pool = std::make_unique<SweepPool>(want);
-    } else {
-        _pool.reset();
-    }
     _stats.mode = _mode;
-    _stats.threads = _pool ? _pool->threads() : 1;
     // Re-sweep the whole table once so the new mode starts from a
     // fully consistent frame regardless of pending dirty state.
     _need_full = true;
@@ -482,9 +370,7 @@ Sim::setInput(const std::string &name, uint64_t v)
  * Compute one strict node from its already-computed operands.
  * Returns whether the node's value actually changed — the signal the
  * dirty sweep uses to cut propagation and the changed-net list uses
- * to feed observers.  Called concurrently on distinct nodes by the
- * threaded sweep: only _val[id] is written, operands are at lower
- * levels and therefore stable.
+ * to feed observers.
  */
 bool
 Sim::computeNet(NetId id)
@@ -492,9 +378,8 @@ Sim::computeNet(NetId id)
     const Net &n = _nl.net(id);
     BitVec &out = _val[static_cast<size_t>(id)];
 
-    // Attribution hook (setEvalCounting).  Safe under the threaded
-    // sweep: concurrent calls always target distinct nodes.  Nets
-    // appended after counting was enabled (evalTop) are skipped.
+    // Attribution hook (setEvalCounting).  Nets appended after
+    // counting was enabled (evalTop) are skipped.
     if (_eval_counting &&
         static_cast<size_t>(id) < _eval_count.size())
         _eval_count[static_cast<size_t>(id)]++;
@@ -740,10 +625,7 @@ Sim::sweepFull()
  * consumers of every source that changed since the last sweep, then
  * walk levels bottom-up re-evaluating only marked nodes.  A node
  * whose value is unchanged does not propagate, so the cost is the
- * size of the *changing* cone, not the design.  Wide levels are
- * sharded across the worker pool in Threaded mode; bookkeeping
- * (change records, consumer pushes) is joined back on this thread in
- * worklist order, so results and observer feeds are deterministic.
+ * size of the *changing* cone, not the design.
  */
 void
 Sim::sweepDirty()
@@ -757,30 +639,12 @@ Sim::sweepDirty()
         auto &bucket = _buckets[l];
         if (bucket.empty())
             continue;
-        if (_pool && bucket.size() >= _shard_min) {
-            _shard_changed.assign(bucket.size(), 0);
-            _pool->run(
-                [this, &bucket](size_t b, size_t e) {
-                    for (size_t k = b; k < e; k++)
-                        _shard_changed[k] =
-                            computeNet(bucket[k]) ? 1 : 0;
-                },
-                bucket.size());
-            _stats.sharded_levels++;
-            _frame_evals += bucket.size();
-            for (size_t k = 0; k < bucket.size(); k++)
-                if (_shard_changed[k]) {
-                    recordChange(bucket[k]);
-                    pushConsumers(bucket[k]);
-                }
-        } else {
-            _frame_evals += bucket.size();
-            for (NetId id : bucket)
-                if (computeNet(id)) {
-                    recordChange(id);
-                    pushConsumers(id);
-                }
-        }
+        _frame_evals += bucket.size();
+        for (NetId id : bucket)
+            if (computeNet(id)) {
+                recordChange(id);
+                pushConsumers(id);
+            }
         bucket.clear();
     }
 }
@@ -810,7 +674,7 @@ Sim::sweep()
     }
     if (_mode == SweepMode::Full || _need_full)
         sweepFull();
-    else if (_mode == SweepMode::Dirty && _prefer_dense)
+    else if (_prefer_dense)
         // Adaptive fallback: on frames where most of the design is
         // switching anyway (see rollFrame), worklist bookkeeping
         // costs more than it saves — run the dense path, which

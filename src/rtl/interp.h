@@ -20,12 +20,11 @@
  * those sources is re-evaluated, in the same levelized order as the
  * dense sweep — a node whose recomputed value is unchanged cuts
  * propagation to its consumers.  Cost is therefore proportional to
- * switching activity, not design size.  SweepMode::Full preserves the
- * dense whole-table sweep as a fallback; SweepMode::Threaded shards
- * levels whose dirty population is wide enough across a small worker
- * pool (nodes within a level are independent by construction, and
- * changed-value bookkeeping is joined deterministically on the main
- * thread, so all three modes are bit-identical).
+ * switching activity, not design size.  When most of the design
+ * switches anyway, the dirty sweep falls back to the dense
+ * whole-table path on its own (see rollFrame); SweepMode::Full forces
+ * that dense path every cycle and serves as the reference the tests
+ * and benchmarks compare against.  Both modes are bit-identical.
  *
  * The per-cycle list of changed nets is exposed (changedNets), so
  * observers — VCD tracing, coverage toggle sampling, contract
@@ -54,8 +53,6 @@
 
 namespace anvil {
 namespace rtl {
-
-class SweepPool;
 
 /**
  * Monotonic wall clock in nanoseconds — the one time source every
@@ -98,19 +95,18 @@ class SimTelemetry
  */
 struct KernelRef
 {
-    const AnvilKernelV2 *abi = nullptr;
+    const AnvilKernel *abi = nullptr;
     std::shared_ptr<void> hold;   // keeps the mapped library alive
 };
 
 /** Strategy used to recompute combinational values each cycle. */
 enum class SweepMode : uint8_t
 {
-    Full,      // dense sweep over every strict node (PR 1 behaviour)
+    Full,      // force the dense sweep over every strict node
     Dirty,     // event-driven: only the changed fan-out cone
-    Threaded,  // dirty + wide levels sharded across a worker pool
 };
 
-/** Human-readable mode name ("full", "dirty", "threaded"). */
+/** Human-readable mode name ("full", "dirty"). */
 const char *sweepModeName(SweepMode mode);
 
 /**
@@ -121,6 +117,8 @@ const char *sweepModeName(SweepMode mode);
 struct SweepStats
 {
     SweepMode mode = SweepMode::Dirty;
+    /** Always 1 (the sweep is single-threaded); kept so readers
+     *  such as perfbench/driver.cpp still compile. */
     int threads = 1;
     size_t strict_nodes = 0;      // strict comb nodes in the design
     uint64_t cycles = 0;          // committed cycles observed
@@ -128,7 +126,6 @@ struct SweepStats
     uint64_t peak_nodes = 0;      // most evaluations in one cycle
     uint64_t nets_changed = 0;    // changed-net records, total
     uint64_t peak_changed = 0;    // most changed nets in one cycle
-    uint64_t sharded_levels = 0;  // level worklists run on the pool
     uint64_t kernel_frames = 0;   // sweeps run by a compiled kernel
     /** Times the adaptive fallback switched the dirty sweep onto the
      *  dense path (rollFrame hysteresis entries). */
@@ -189,15 +186,12 @@ class Sim
     void setInput(const std::string &name, uint64_t v);
 
     /**
-     * Select the sweep strategy.  `threads` applies to
-     * SweepMode::Threaded (0 picks a small default from the hardware
-     * concurrency); `shard_min` is the dirty-population threshold at
-     * which a level is sharded across the pool.  Safe at any time;
-     * the next sweep re-evaluates the full table once so every mode
-     * starts from identical committed state.
+     * Select the sweep strategy.  Safe at any time; the next sweep
+     * re-evaluates the full table once so every mode starts from
+     * identical committed state.  The unnamed int is ignored; it
+     * stays so callers such as perfbench/driver.cpp still compile.
      */
-    void setSweepMode(SweepMode mode, int threads = 0,
-                      size_t shard_min = 256);
+    void setSweepMode(SweepMode mode, int = 0);
     SweepMode sweepMode() const { return _mode; }
 
     /** Activity counters (see SweepStats).  With a kernel attached,
@@ -207,9 +201,8 @@ class Sim
     /**
      * Toggle per-net evaluation counting (off by default: the hot
      * path then pays one predictable branch).  Counts accumulate in
-     * evalCounts() across every interpreter sweep — full, dirty,
-     * threaded (distinct nodes, so the shared counters are race-free)
-     * and lazy — and feed the hot-cone attribution report
+     * evalCounts() across every interpreter sweep — full, dirty and
+     * lazy — and feed the hot-cone attribution report
      * (obs::buildHotReport).  Strict nets run by an attached kernel
      * are not counted here; see kernelLevelEvals().
      */
@@ -225,7 +218,7 @@ class Sim
 
     /**
      * Per-level cumulative node evaluations reported by the attached
-     * compiled kernel (ABI v3 level_stats), indexed by logic level.
+     * compiled kernel (the ABI's level_stats), indexed by logic level.
      * Empty when no kernel is attached.
      */
     std::vector<uint64_t> kernelLevelEvals() const;
@@ -411,8 +404,6 @@ class Sim
 
     // Event-driven sweep state.
     SweepMode _mode = SweepMode::Dirty;
-    size_t _shard_min = 256;
-    std::unique_ptr<SweepPool> _pool;
     bool _need_full = true;            // next sweep must be dense
     bool _prefer_dense = false;        // activity too high to cut
     std::vector<int32_t> _level_of;    // flat per-net level cache
@@ -425,7 +416,6 @@ class Sim
     uint64_t _frame_id = 1;
     uint64_t _poke_tick = 0;           // source mutations, ever
     uint64_t _poke_at_roll = 0;        // _poke_tick at last edge
-    std::vector<uint8_t> _shard_changed;        // pool join scratch
     std::vector<int32_t> _wire_slot;   // net -> wireNets index or -1
     uint64_t _frame_evals = 0;
     bool _eval_counting = false;

@@ -22,22 +22,21 @@
  * normalized (bits at or above the width are zero) exactly like
  * anvil::BitVec.
  *
- * Version 2 tightens the eval() contract and adds introspection:
+ * The contract:
  *  - eval()'s changed list is EXACT — a strict net appears iff its
- *    committed value differs from the previous eval (v1 only promised
- *    value-accurate entries; scheduling was block-granular, and the
- *    host had to treat the list as approximate for costing);
+ *    committed value differs from the previous eval;
  *  - the kernel is event-driven internally (per-level exact worklists
  *    seeded by poke(), change-cutting, and an adaptive dense fallback
  *    mirroring the interpreter's hysteresis);
  *  - stats() exports the kernel's own activity counters so the host
- *    can fold them into its sweep telemetry.
- *
- * Version 3 appends per-level attribution (the struct keeps its name
- * and entry symbol; v3 is a strict prefix-compatible extension):
- *  - level_count mirrors the design's levelization;
+ *    can fold them into its sweep telemetry;
  *  - level_stats() exports cumulative node evaluations per level, so
  *    the host's hot-cone report covers the compiled backend too.
+ *
+ * Kernels only ever come from the binary that emitted them, so there
+ * is no compatibility layer: the JIT and Sim::attachKernel accept
+ * exactly ANVIL_KERNEL_ABI_VERSION, which changes with any layout
+ * change.
  */
 
 #ifndef ANVIL_RTL_KERNEL_ABI_H
@@ -62,10 +61,10 @@ typedef struct AnvilKernelStats
     uint64_t nets_changed;      /* changed-net records, total */
 } AnvilKernelStats;
 
-/** Version 2 kernel vtable.  All functions are thread-compatible:
- *  distinct contexts may be driven from distinct threads, one context
- *  must not be entered concurrently. */
-typedef struct AnvilKernelV2
+/** Kernel vtable.  All functions are thread-compatible: distinct
+ *  contexts may be driven from distinct threads, one context must not
+ *  be entered concurrently. */
+typedef struct AnvilKernel
 {
     uint32_t abi_version;   /* == ANVIL_KERNEL_ABI_VERSION */
     uint32_t net_count;     /* nets at emission time */
@@ -109,8 +108,6 @@ typedef struct AnvilKernelV2
     /** Copy the context's activity counters into *out. */
     void (*stats)(void *ctx, AnvilKernelStats *out);
 
-    /* --- v3 additions (prefix-compatible) ------------------------ */
-
     /** Logic levels in the emitted design's levelization. */
     uint32_t level_count;
 
@@ -118,12 +115,12 @@ typedef struct AnvilKernelV2
      *  level_count); caller provides level_count slots.  Counts since
      *  create(), accumulated on both sparse and dense paths. */
     void (*level_stats)(void *ctx, uint64_t *out);
-} AnvilKernelV2;
+} AnvilKernel;
 
 /** Entry point exported by every compiled kernel object. */
-typedef const AnvilKernelV2 *(*AnvilKernelEntryFn)(void);
+typedef const AnvilKernel *(*AnvilKernelEntryFn)(void);
 
-#define ANVIL_KERNEL_ENTRY_SYMBOL "anvil_kernel_v2"
+#define ANVIL_KERNEL_ENTRY_SYMBOL "anvil_kernel"
 
 #ifdef __cplusplus
 } /* extern "C" */

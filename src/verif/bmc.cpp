@@ -100,9 +100,7 @@ boundedModelCheck(const std::shared_ptr<const rtl::Module> &top,
                   const BmcOptions &opts)
 {
     rtl::Sim sim(top);
-    if (opts.sweep_mode != rtl::SweepMode::Dirty)
-        sim.setSweepMode(opts.sweep_mode, opts.sweep_threads,
-                         /*shard_min=*/64);
+    sim.setSweepMode(opts.sweep_mode);
     if (opts.kernel.abi)
         sim.attachKernel(opts.kernel);
     auto inputs = sim.inputNames();

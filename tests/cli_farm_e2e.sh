@@ -1,7 +1,7 @@
 #!/bin/sh
 # Farm end-to-end, run by ctest (cli_farm_e2e) and CI:
 #
-#  1. `--farm 4` writes one "anvil-events-v1" stream per worker, and
+#  1. `--farm 4` writes one "anvil-events-v2" stream per worker, and
 #     every stream plus the merged metrics/stats artifacts validate
 #     against the schemas under docs/schemas/,
 #  2. anvil_merge over the on-disk worker streams reproduces the

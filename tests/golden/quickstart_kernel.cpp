@@ -1,5 +1,5 @@
 // Generated by anvilc --emit-cpp; design 'ping_server'.
-// Implements AnvilKernelV2 (see src/rtl/kernel_abi.h and docs/compile.md);
+// Implements AnvilKernel (see src/rtl/kernel_abi.h and docs/compile.md);
 // compile with: c++ -O2 -fPIC -shared -o kernel.so <this file>
 #include <stdint.h>
 #include <stdlib.h>
@@ -13,7 +13,7 @@ typedef struct AnvilKernelStats {
     uint64_t nodes_evaluated;
     uint64_t nets_changed;
 } AnvilKernelStats;
-typedef struct AnvilKernelV2 {
+typedef struct AnvilKernel {
     uint32_t abi_version;
     uint32_t net_count;
     uint64_t design_hash;
@@ -27,8 +27,8 @@ typedef struct AnvilKernelV2 {
     void (*stats)(void *ctx, AnvilKernelStats *out);
     uint32_t level_count;
     void (*level_stats)(void *ctx, uint64_t *out);
-} AnvilKernelV2;
-const AnvilKernelV2 *anvil_kernel_v2(void);
+} AnvilKernel;
+const AnvilKernel *anvil_kernel(void);
 }
 
 namespace {
@@ -869,7 +869,7 @@ static void k_level_stats(void *ctx, uint64_t *out)
         out[l] = c->lvl_ev[l];
 }
 
-static const AnvilKernelV2 kKernel = {
+static const AnvilKernel kKernel = {
     3u, kNets, 0xdc86a9e7102982f5ull, kStateWords,
     k_create, k_destroy, k_net_ptr, k_poke, k_eval, k_eval_full, k_stats,
     kLevels, k_level_stats,
@@ -877,8 +877,8 @@ static const AnvilKernelV2 kKernel = {
 
 } // namespace
 
-extern "C" const AnvilKernelV2 *
-anvil_kernel_v2(void)
+extern "C" const AnvilKernel *
+anvil_kernel(void)
 {
     return &kKernel;
 }

@@ -96,7 +96,7 @@ TEST(CppEmitter, KernelAbiMatchesNetlist)
     codegen::JitResult jr =
         codegen::jitCompileKernel(sim.netlist(), jo);
     ASSERT_NE(jr.kernel, nullptr) << jr.error;
-    const AnvilKernelV2 *abi = jr.kernel->abi();
+    const AnvilKernel *abi = jr.kernel->abi();
     ASSERT_NE(abi, nullptr);
     EXPECT_EQ(abi->abi_version, ANVIL_KERNEL_ABI_VERSION);
     EXPECT_EQ(abi->net_count, sim.netlist().nets().size());
@@ -184,10 +184,10 @@ TEST(CppEmitter, KernelReportsPerLevelEvals)
     codegen::JitResult jr =
         codegen::jitCompileKernel(sim.netlist(), jo);
     ASSERT_NE(jr.kernel, nullptr) << jr.error;
-    const AnvilKernelV2 *abi = jr.kernel->abi();
+    const AnvilKernel *abi = jr.kernel->abi();
     ASSERT_NE(abi, nullptr);
-    // v3 surface: the level table is sized like the netlist's and
-    // backed by a live accessor.
+    // The level table is sized like the netlist's and backed by a
+    // live accessor.
     EXPECT_EQ(abi->level_count,
               sim.netlist().levelBegin().empty()
                   ? 0u

@@ -102,12 +102,12 @@ struct FlightRun
 };
 
 FlightRun
-runFlight(rtl::SweepMode mode, int threads, uint64_t cycles,
+runFlight(rtl::SweepMode mode, uint64_t cycles,
           const std::vector<uint64_t> &trigger_cycles,
           obs::FlightRecorder::Options fo, bool compiled = false)
 {
     rtl::Sim sim(pingModule());
-    sim.setSweepMode(mode, threads);
+    sim.setSweepMode(mode);
     if (compiled) {
         codegen::JitOptions jo;
         jo.opt_level = 1;
@@ -175,7 +175,7 @@ TEST(FlightRecorder, TriggerBeforeRingFillsClipsAtCycleZero)
     // exist, so the window starts at 0 — and a window that starts at
     // cycle 0 is byte-identical to a from-reset VcdWriter dump
     // truncated at the window's end.
-    FlightRun fr = runFlight(rtl::SweepMode::Dirty, 0, 40, {5},
+    FlightRun fr = runFlight(rtl::SweepMode::Dirty, 40, {5},
                              opts(50, 3));
     ASSERT_EQ(fr.dumps.size(), 1u);
     EXPECT_EQ(fr.dumps[0].trigger, "manual");
@@ -194,7 +194,7 @@ TEST(FlightRecorder, FinalCycleTriggerFlushesOnFinish)
 {
     // The trigger fires on the very last cycle; the post-window never
     // completes, so onFinish must flush what exists.
-    FlightRun fr = runFlight(rtl::SweepMode::Dirty, 0, 60, {59},
+    FlightRun fr = runFlight(rtl::SweepMode::Dirty, 60, {59},
                              opts(8, 16));
     ASSERT_EQ(fr.dumps.size(), 1u);
     EXPECT_EQ(fr.dumps[0].trigger_cycle, 59u);
@@ -205,7 +205,7 @@ TEST(FlightRecorder, FinalCycleTriggerFlushesOnFinish)
 
 TEST(FlightRecorder, DistinctTriggersProduceDistinctDumps)
 {
-    FlightRun fr = runFlight(rtl::SweepMode::Dirty, 0, 120, {30, 80},
+    FlightRun fr = runFlight(rtl::SweepMode::Dirty, 120, {30, 80},
                              opts(8, 4));
     ASSERT_EQ(fr.dumps.size(), 2u);
     EXPECT_EQ(fr.dumps[0].index, 0);
@@ -224,7 +224,7 @@ TEST(FlightRecorder, CoalescedTriggersExtendOneWindow)
     // Two triggers three cycles apart with post = 8: the second lands
     // inside the open window and extends it instead of opening a
     // second dump.
-    FlightRun fr = runFlight(rtl::SweepMode::Dirty, 0, 80, {40, 43},
+    FlightRun fr = runFlight(rtl::SweepMode::Dirty, 80, {40, 43},
                              opts(8, 8));
     ASSERT_EQ(fr.dumps.size(), 1u);
     EXPECT_EQ(fr.dumps[0].trigger_cycle, 40u);
@@ -238,7 +238,7 @@ TEST(FlightRecorder, WrapAroundKeepsExactlyTheConfiguredContext)
     // exactly [trigger - pre, trigger + post], and its content
     // matches the values a full-run recording holds on those cycles
     // (the base snapshot absorbed every evicted record correctly).
-    FlightRun fr = runFlight(rtl::SweepMode::Dirty, 0, 400, {350},
+    FlightRun fr = runFlight(rtl::SweepMode::Dirty, 400, {350},
                              opts(8, 4));
     ASSERT_EQ(fr.dumps.size(), 1u);
     EXPECT_EQ(fr.dumps[0].from, 342u);
@@ -266,20 +266,16 @@ TEST(FlightRecorder, WrapAroundKeepsExactlyTheConfiguredContext)
 
 TEST(FlightRecorder, DumpsAreByteStableAcrossSweepModes)
 {
-    FlightRun dirty = runFlight(rtl::SweepMode::Dirty, 0, 200, {150},
+    FlightRun dirty = runFlight(rtl::SweepMode::Dirty, 200, {150},
                                 opts(16, 4));
-    FlightRun full = runFlight(rtl::SweepMode::Full, 0, 200, {150},
+    FlightRun full = runFlight(rtl::SweepMode::Full, 200, {150},
                                opts(16, 4));
-    FlightRun thr = runFlight(rtl::SweepMode::Threaded, 2, 200,
-                              {150}, opts(16, 4));
     ASSERT_EQ(dirty.vcds.size(), 1u);
     ASSERT_EQ(full.vcds.size(), 1u);
-    ASSERT_EQ(thr.vcds.size(), 1u);
     EXPECT_EQ(dirty.vcds[0], full.vcds[0]);
-    EXPECT_EQ(dirty.vcds[0], thr.vcds[0]);
 
     if (!codegen::jitCompilerPath().empty()) {
-        FlightRun jit = runFlight(rtl::SweepMode::Dirty, 0, 200,
+        FlightRun jit = runFlight(rtl::SweepMode::Dirty, 200,
                                   {150}, opts(16, 4),
                                   /*compiled=*/true);
         ASSERT_EQ(jit.vcds.size(), 1u);

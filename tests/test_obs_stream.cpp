@@ -1,12 +1,13 @@
 /**
  * @file
- * Event-stream and merger tests: the "anvil-events-v1" round trip
+ * Event-stream and merger tests: the "anvil-events-v2" round trip
  * (a single run serialized and merged back reproduces its coverage,
  * metrics, and summary bytes exactly), merge order independence
  * across shuffled streams, farm-vs-sequential union equivalence,
  * shared-netlist Sim semantics, the Coverage merge operators, the
- * triage dedupe over hand-authored streams, and the v2 window_dump
- * references (worker/seed stamping, path dedupe, v1 coexistence).
+ * triage dedupe over hand-authored streams, the window_dump
+ * references (worker/seed stamping, path dedupe), and the merger's
+ * rejection of malformed or foreign-schema streams.
  */
 
 #include <gtest/gtest.h>
@@ -111,8 +112,7 @@ runSpine(uint64_t seed, int worker, uint64_t cycles)
             std::make_unique<obs::RollingActivity>(16, &sink)));
 
     sink.runBegin(bench->sim().topName(), worker, seed, cycles,
-                  bench->sim().sweepMode(),
-                  bench->sim().sweepStats().threads);
+                  bench->sim().sweepMode());
     tb::TbResult result = bench->run(cycles);
     bench->feed().finish();
 
@@ -246,13 +246,13 @@ TEST(EventStream, FarmEqualsSequentialUnion)
     rtl::ModulePtr top = pingModule();
 
     run::FarmConfig fc;
-    fc.top = top;
     fc.workers = 2;
-    fc.seed_base = 21;
-    fc.cycles = 200;
-    fc.contracts = trace::inferContracts(rtl::Netlist(*top));
-    fc.coverage = true;
-    fc.activity_window = 16;
+    fc.job.top = top;
+    fc.job.seed = 21;
+    fc.job.cycles = 200;
+    fc.job.contracts = trace::inferContracts(rtl::Netlist(*top));
+    fc.job.coverage = true;
+    fc.job.activity_window = 16;
     obs::Merger farm;
     run::FarmResult fr = run::runFarm(fc, farm);
     ASSERT_EQ(fr.jobs.size(), 2u);
@@ -385,10 +385,10 @@ miniStream(int worker, uint64_t seed,
            const std::vector<std::string> &violations)
 {
     std::ostringstream os;
-    os << "{\"e\":\"run_begin\",\"schema\":\"anvil-events-v1\","
-          "\"design\":\"d\",\"worker\":" << worker
+    os << "{\"e\":\"run_begin\",\"schema\":\"" << obs::kEventsSchema
+       << "\",\"design\":\"d\",\"worker\":" << worker
        << ",\"seed\":" << seed
-       << ",\"cycles\":10,\"sweep\":\"dirty\",\"threads\":0}\n";
+       << ",\"cycles\":10,\"sweep\":\"dirty\",\"threads\":1}\n";
     for (const std::string &v : violations)
         os << v << "\n";
     os << "{\"e\":\"run_end\",\"cycles\":10,\"toggles\":4,"
@@ -475,11 +475,11 @@ TEST(WindowDumps, SinkRoundTripStampsWorkerAndSeed)
 {
     std::ostringstream es;
     obs::EventSink sink(es);
-    sink.runBegin("d", 3, 99, 10, rtl::SweepMode::Dirty, 0);
+    sink.runBegin("d", 3, 99, 10, rtl::SweepMode::Dirty);
     sink.windowDump(40, "VIOLATION", "flight.w3-0.vcd", 32, 52);
     sink.runEnd(10, 4, 1, 100, false, 50.0);
 
-    // The sink stamps the v2 schema tag into the header.
+    // The sink stamps the schema tag into the header.
     EXPECT_NE(es.str().find(obs::kEventsSchema), std::string::npos);
 
     obs::Merger m;
@@ -525,31 +525,6 @@ TEST(WindowDumps, DedupesByPathButNeverPathless)
     EXPECT_EQ(dumps[2].seed, 2u);
 }
 
-TEST(WindowDumps, V1StreamsCarryingWindowDumpsStillParse)
-{
-    // window_dump is an additive v2 event; a v1-tagged stream that
-    // happens to carry one is accepted rather than rejected, and
-    // merges with v2 streams from the same design.
-    std::string v1 = miniStream(
-        0, 1, {dumpEv(10, "VIOLATION", "a.vcd", 2, 14)});
-    ASSERT_NE(v1.find(obs::kEventsSchemaV1), std::string::npos);
-
-    std::string v2 = miniStream(
-        1, 2, {dumpEv(20, "VIOLATION", "b.vcd", 12, 24)});
-    const std::string tag = obs::kEventsSchemaV1;
-    size_t at = v2.find(tag);
-    ASSERT_NE(at, std::string::npos);
-    v2.replace(at, tag.size(), obs::kEventsSchema);
-
-    obs::Merger m;
-    m.addStreamText(v1, "w0");
-    m.addStreamText(v2, "w1");
-    std::vector<obs::Merger::WindowDump> dumps = m.windowDumps();
-    ASSERT_EQ(dumps.size(), 2u);
-    EXPECT_EQ(dumps[0].path, "a.vcd");
-    EXPECT_EQ(dumps[1].path, "b.vcd");
-}
-
 // --- Malformed streams ---------------------------------------------------
 
 TEST(MergerErrors, RejectsMalformedStreams)
@@ -558,22 +533,20 @@ TEST(MergerErrors, RejectsMalformedStreams)
     // Must start with run_begin.
     EXPECT_THROW(m.addStreamText("{\"e\":\"run_end\"}\n", "x"),
                  std::runtime_error);
-    // Unknown schema tag.
-    EXPECT_THROW(
-        m.addStreamText(
-            "{\"e\":\"run_begin\",\"schema\":\"anvil-events-v9\","
-            "\"design\":\"d\",\"worker\":0,\"seed\":1,"
-            "\"cycles\":1,\"sweep\":\"dirty\",\"threads\":0}\n",
-            "x"),
-        std::runtime_error);
+    auto header = [](const std::string &schema) {
+        return "{\"e\":\"run_begin\",\"schema\":\"" + schema +
+               "\",\"design\":\"d\",\"worker\":0,\"seed\":1,"
+               "\"cycles\":1,\"sweep\":\"dirty\",\"threads\":1}\n";
+    };
+    // Unknown schema tags, including the retired v1 tag.
+    for (const char *schema : {"anvil-events-v9", "anvil-events-v1"}) {
+        EXPECT_THROW(m.addStreamText(header(schema), "x"),
+                     std::runtime_error)
+            << schema;
+    }
     // Truncated stream: no run_end.
-    EXPECT_THROW(
-        m.addStreamText(
-            "{\"e\":\"run_begin\",\"schema\":\"anvil-events-v1\","
-            "\"design\":\"d\",\"worker\":0,\"seed\":1,"
-            "\"cycles\":1,\"sweep\":\"dirty\",\"threads\":0}\n",
-            "x"),
-        std::runtime_error);
+    EXPECT_THROW(m.addStreamText(header(obs::kEventsSchema), "x"),
+                 std::runtime_error);
     // Streams from different designs do not merge.
     m.addStreamText(miniStream(0, 1, {}), "w0");
     std::string other = miniStream(1, 2, {});

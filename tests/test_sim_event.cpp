@@ -1,15 +1,16 @@
 /**
  * @file
- * Sweep-mode differential matrix: the full, dirty, and threaded
- * sweeps — and, when a system compiler is available, the compiled
- * (JIT kernel) backend — must be bit-identical on every observable
- * surface — final registers, total toggles, dprint logs, VCD bytes,
- * coverage JSON, and BMC states_explored — across every evaluation
- * design plus the seeded low-activity AXI-crossbar and
- * set-associative-TLB workloads.  Also pins the structural properties the event-driven
- * sweep relies on (fan-out CSR shape, changed-net completeness) and
- * sanity-checks that dirty sweeping actually evaluates fewer nodes
- * than the dense sweep on sparse stimulus.
+ * Sweep-mode differential matrix: the forced-dense full sweep and the
+ * dirty sweep — and, when a system compiler is available, the
+ * compiled (JIT kernel) backend — must be bit-identical on every
+ * observable surface — final registers, total toggles, dprint logs,
+ * VCD bytes, coverage JSON, and BMC states_explored — across every
+ * evaluation design plus the seeded low-activity AXI-crossbar and
+ * set-associative-TLB workloads.  Also pins the structural properties
+ * the event-driven sweep relies on (fan-out CSR shape, changed-net
+ * completeness), sanity-checks that dirty sweeping actually evaluates
+ * fewer nodes than the dense sweep on sparse stimulus, and pins when
+ * the dirty sweep's adaptive dense fallback engages.
  */
 
 #include <gtest/gtest.h>
@@ -69,12 +70,11 @@ attachJitKernel(Sim &sim)
 }
 
 ModeRun
-runMode(const ModulePtr &mod, SweepMode mode, int threads,
-        size_t shard_min, int cycles, const DriveFn &drive,
-        bool compiled = false)
+runMode(const ModulePtr &mod, SweepMode mode, int cycles,
+        const DriveFn &drive, bool compiled = false)
 {
     Sim sim(mod);
-    sim.setSweepMode(mode, threads, shard_min);
+    sim.setSweepMode(mode);
     if (compiled) {
         attachJitKernel(sim);
         if (!sim.kernelAttached())
@@ -101,32 +101,26 @@ runMode(const ModulePtr &mod, SweepMode mode, int threads,
 }
 
 /**
- * Run all three sweep modes on identical stimulus and require
- * bit-identical observables.  The threaded run forces sharding
- * (shard_min = 1) so the pool is exercised even on small designs.
- * When a system compiler is available a fourth run goes through the
- * JIT-compiled kernel backend and must match too.  Returns the
- * per-mode runs for additional activity assertions (indices 0..2 are
- * always Full/Dirty/Threaded).
+ * Run both interpreter sweep modes on identical stimulus and require
+ * bit-identical observables.  When a system compiler is available
+ * two more runs go through the JIT-compiled kernel backend and must
+ * match too.  Returns the per-mode runs for additional activity
+ * assertions (indices 0..1 are always Full/Dirty).
  */
 std::vector<ModeRun>
 expectModesAgree(const ModulePtr &mod, int cycles,
                  const std::function<DriveFn()> &make_drive)
 {
     std::vector<ModeRun> runs;
-    runs.push_back(runMode(mod, SweepMode::Full, 0, 256, cycles,
-                           make_drive()));
-    runs.push_back(runMode(mod, SweepMode::Dirty, 0, 256, cycles,
-                           make_drive()));
-    runs.push_back(runMode(mod, SweepMode::Threaded, 2, 1, cycles,
-                           make_drive()));
+    runs.push_back(runMode(mod, SweepMode::Full, cycles, make_drive()));
+    runs.push_back(runMode(mod, SweepMode::Dirty, cycles, make_drive()));
     if (haveJitCompiler()) {
-        runs.push_back(runMode(mod, SweepMode::Dirty, 0, 256, cycles,
+        runs.push_back(runMode(mod, SweepMode::Dirty, cycles,
                                make_drive(), /*compiled=*/true));
         // Forced dense fallback: Full mode drives the kernel's
         // dense per-level functions on every frame, so both halves
         // of the generated scheduler face the whole matrix.
-        runs.push_back(runMode(mod, SweepMode::Full, 0, 256, cycles,
+        runs.push_back(runMode(mod, SweepMode::Full, cycles,
                                make_drive(), /*compiled=*/true));
     }
     const ModeRun &full = runs[0];
@@ -238,7 +232,31 @@ TEST(SweepModes, SparseStimulusCutsEvaluations)
                                  sparseStimulus(21, 8));
     EXPECT_LT(runs[1].stats.nodes_evaluated,
               runs[0].stats.nodes_evaluated / 2);
-    EXPECT_GT(runs[2].stats.sharded_levels, 0u);
+}
+
+TEST(SweepModes, AdaptiveDenseFallbackTracksActivity)
+{
+    // The dirty sweep's only route onto the dense path is its own
+    // activity measurement: enter when more than half the strict
+    // table changed in a frame, leave below 40%.  aes under dense
+    // random stimulus switches nearly every net every cycle, so the
+    // fallback must engage (5 entries over these 60 cycles).
+    ModeRun aes = runMode(designs::buildAesBaseline(), SweepMode::Dirty,
+                          60, denseStimulus(8)());
+    EXPECT_GE(aes.stats.dense_fallback_switches, 1u);
+
+    // The low-activity TLB workload touches a few percent of the
+    // design per cycle and must stay on the worklists for the whole
+    // run.
+    Sim tlb(designs::buildSetAssocTlbBaseline(4, 64));
+    anvil::testing::TlbStimulus stim(1234);
+    for (int cyc = 0; cyc < 2000; cyc++) {
+        for (const auto &[name, v] : stim.next())
+            tlb.setInput(name, v);
+        tlb.step();
+    }
+    EXPECT_EQ(tlb.sweepStats().cycles, 2000u);
+    EXPECT_EQ(tlb.sweepStats().dense_fallback_switches, 0u);
 }
 
 TEST(SweepModes, XbarWorkload)
@@ -278,9 +296,9 @@ TEST(SweepModes, SetAssocTlbWorkload)
 }
 
 /**
- * The compiled kernel's changed-net list must be EXACT (the ABI v2
- * contract): set-equal, every cycle, to what the interpreter's dirty
- * sweep reports for identical stimulus.  Order may differ (the
+ * The compiled kernel's changed-net list must be EXACT (the kernel
+ * ABI contract): set-equal, every cycle, to what the interpreter's
+ * dirty sweep reports for identical stimulus.  Order may differ (the
  * kernel emits in level/worklist order, the interpreter in bucket
  * order), so both sides are sorted and deduplicated before compare.
  */
@@ -556,11 +574,9 @@ TEST(SweepModes, BmcStatesIdenticalAcrossModes)
     verif::BmcOptions base;
     base.max_depth = 12;
     std::vector<verif::BmcResult> results;
-    for (SweepMode mode : {SweepMode::Full, SweepMode::Dirty,
-                           SweepMode::Threaded}) {
+    for (SweepMode mode : {SweepMode::Full, SweepMode::Dirty}) {
         verif::BmcOptions opts = base;
         opts.sweep_mode = mode;
-        opts.sweep_threads = 2;
         results.push_back(verif::boundedModelCheck(m, {a}, opts));
     }
     if (haveJitCompiler()) {
@@ -646,8 +662,9 @@ TEST(SweepModes, ChangedNetsCoverEveryNamedChange)
 
 TEST(SweepModes, ModeSwitchMidRunStaysConsistent)
 {
-    // Switching modes mid-run forces one dense resweep and then
-    // continues bit-identically with a reference kept in Full mode.
+    // Switching modes mid-run (Dirty -> Full -> Dirty) forces one
+    // dense resweep and then continues bit-identically with a
+    // reference kept in Full mode.
     auto mod = designs::buildTlbBaseline();
     Sim a(mod), b(mod);
     a.setSweepMode(SweepMode::Full);
@@ -655,7 +672,7 @@ TEST(SweepModes, ModeSwitchMidRunStaysConsistent)
     auto inputs = a.inputNames();
     for (int cyc = 0; cyc < 150; cyc++) {
         if (cyc == 50)
-            b.setSweepMode(SweepMode::Threaded, 2, 1);
+            b.setSweepMode(SweepMode::Full);
         if (cyc == 100)
             b.setSweepMode(SweepMode::Dirty);
         for (const auto &in : inputs) {

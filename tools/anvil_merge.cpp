@@ -1,6 +1,6 @@
 /**
  * @file
- * anvil_merge — merge on-disk "anvil-events-v1" telemetry event
+ * anvil_merge — merge on-disk "anvil-events-v2" telemetry event
  * streams into one unified closure report.
  *
  * The multi-machine half of the farm story: `anvilc --farm N`

@@ -18,7 +18,7 @@
  *       their canonical forms compare equal.
  *
  *   json_validate --lines <schema.json> <doc.jsonl>
- *       Validate a JSONL stream (the "anvil-events-v1" telemetry
+ *       Validate a JSONL stream (the "anvil-events-v2" telemetry
  *       event streams): every non-empty line must parse and satisfy
  *       the schema.  Failures are prefixed with the line number.
  *
