@@ -25,6 +25,7 @@ struct Coi
     std::vector<int> regs;          // indices into netlist regs()
     std::vector<int> reg_widths;
     std::vector<std::string> inputs;        // enumeration order
+    std::vector<rtl::NetId> input_nets;     // parallel to inputs
     std::vector<int> input_bits;            // bits enumerated each
     int state_bits = 0;
     std::vector<std::string> wide_regs;     // over-budget culprits
@@ -136,6 +137,7 @@ computeCoi(const rtl::Netlist &nl, rtl::NetId bad,
             bits = std::max(0, opts.max_input_bits - total_bits);
         total_bits += bits;
         coi.inputs.push_back(name);
+        coi.input_nets.push_back(sig.net);
         coi.input_bits.push_back(bits);
     }
     return coi;
@@ -228,12 +230,12 @@ class Prover
 
     void assignCombo(uint64_t combo)
     {
-        for (size_t i = 0; i < _coi.inputs.size(); i++) {
+        for (size_t i = 0; i < _coi.input_nets.size(); i++) {
             int bits = _coi.input_bits[i];
             uint64_t v = combo & ((bits >= 64 ? 0ull : 1ull << bits)
                                   - 1ull);
-            combo >>= bits;
-            _sim.setInput(_coi.inputs[i], v);
+            combo = bits >= 64 ? 0 : combo >> bits;
+            _sim.setInput(_coi.input_nets[i], v);
         }
     }
 

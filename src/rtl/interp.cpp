@@ -334,36 +334,82 @@ Sim::pushConsumers(NetId id)
     }
 }
 
-void
-Sim::setInput(const std::string &name, const BitVec &v)
+NetId
+Sim::inputId(const std::string &name) const
 {
     const NetSignal *sig = findSignal(name);
     if (!sig || sig->kind != NetSignal::Kind::Input)
         throw std::invalid_argument("no such input: " + name);
-    size_t i = static_cast<size_t>(sig->net);
-    BitVec nv = v.resize(sig->width);
-    if (nv == _val[i])
-        return;
-    _val[i] = std::move(nv);
-    recordChange(sig->net);
-    seedSource(sig->net);
+    return sig->net;
+}
+
+/** Value index of a top-level input net; throws for any other id. */
+size_t
+Sim::checkedInput(NetId id) const
+{
+    if (id < 0 || static_cast<size_t>(id) >= _nl.nets().size() ||
+        _nl.net(id).kind != Net::Kind::Input)
+        throw std::invalid_argument("not an input net: " +
+                                    std::to_string(id));
+    return static_cast<size_t>(id);
+}
+
+/** Publish a source value just stored into _val. */
+void
+Sim::pokeSource(NetId id)
+{
+    recordChange(id);
+    seedSource(id);
     _dirty = true;
+}
+
+void
+Sim::setInput(NetId id, const BitVec &v)
+{
+    BitVec &cur = _val[checkedInput(id)];
+    if (v.width() == cur.width()) {
+        if (v == cur)
+            return;
+        cur = v;
+    } else {
+        BitVec nv = v.resize(cur.width());
+        if (nv == cur)
+            return;
+        cur = std::move(nv);
+    }
+    pokeSource(id);
+}
+
+void
+Sim::setInput(NetId id, uint64_t v)
+{
+    BitVec &cur = _val[checkedInput(id)];
+    int w = cur.width();
+    if (w <= 64) {
+        // No temporary: compare and store the masked word in place.
+        uint64_t nv = w == 64 ? v : v & ((1ull << w) - 1);
+        if (nv == cur.toUint64())
+            return;
+        cur.setUint64(nv);
+    } else {
+        BitVec nv(w, v);
+        if (nv == cur)
+            return;
+        cur = std::move(nv);
+    }
+    pokeSource(id);
+}
+
+void
+Sim::setInput(const std::string &name, const BitVec &v)
+{
+    setInput(inputId(name), v);
 }
 
 void
 Sim::setInput(const std::string &name, uint64_t v)
 {
-    const NetSignal *sig = findSignal(name);
-    if (!sig || sig->kind != NetSignal::Kind::Input)
-        throw std::invalid_argument("no such input: " + name);
-    size_t i = static_cast<size_t>(sig->net);
-    BitVec nv(sig->width, v);
-    if (nv == _val[i])
-        return;
-    _val[i] = std::move(nv);
-    recordChange(sig->net);
-    seedSource(sig->net);
-    _dirty = true;
+    setInput(inputId(name), v);
 }
 
 /**
@@ -928,9 +974,7 @@ Sim::setRegValue(const std::string &flat_name, const BitVec &v)
     if (nv == _val[i])
         return;
     _val[i] = std::move(nv);
-    recordChange(sig->net);
-    seedSource(sig->net);
-    _dirty = true;
+    pokeSource(sig->net);
 }
 
 std::vector<BitVec>
@@ -960,9 +1004,7 @@ Sim::setReg(size_t reg_index, const BitVec &v)
     if (nv == _val[ri])
         return;
     _val[ri] = std::move(nv);
-    recordChange(regs[reg_index]);
-    seedSource(regs[reg_index]);
-    _dirty = true;
+    pokeSource(regs[reg_index]);
 }
 
 const BitVec &
@@ -986,9 +1028,7 @@ Sim::restoreRegs(const std::vector<BitVec> &vals)
         if (nv == _val[ri])
             continue;
         _val[ri] = std::move(nv);
-        recordChange(regs[i]);
-        seedSource(regs[i]);
-        _dirty = true;
+        pokeSource(regs[i]);
     }
 }
 

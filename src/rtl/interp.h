@@ -157,7 +157,11 @@ struct SweepStats
  * Signal names use the instance path: a wire `w` inside instance `u`
  * of the top module is `u.w`.  Top-level signals are unprefixed.
  * Names are only touched at the API boundary (setInput/peek/...);
- * stepping works purely on interned ids.
+ * stepping works purely on interned ids.  Per-cycle stimulus pokes
+ * by id too: resolve each input once with inputId(name), then drive
+ * it every cycle with setInput(NetId, const BitVec &) or
+ * setInput(NetId, uint64_t) — the name overloads are that lookup
+ * plus the same poke.
  */
 class Sim
 {
@@ -181,7 +185,21 @@ class Sim
     Sim(Sim &&) = delete;
     Sim &operator=(Sim &&) = delete;
 
-    /** Drive a top-level input for the current cycle onwards. */
+    /**
+     * Net of a top-level input, resolved once for per-cycle pokes.
+     * Throws std::invalid_argument if `name` is not a top-level
+     * input.
+     */
+    NetId inputId(const std::string &name) const;
+
+    /**
+     * Drive a top-level input for the current cycle onwards; the
+     * value is truncated or zero-extended to the input's width.  The
+     * NetId overloads throw std::invalid_argument for a net that is
+     * not a top-level input.
+     */
+    void setInput(NetId id, const BitVec &v);
+    void setInput(NetId id, uint64_t v);
     void setInput(const std::string &name, const BitVec &v);
     void setInput(const std::string &name, uint64_t v);
 
@@ -368,6 +386,8 @@ class Sim
     bool computeNet(NetId id);
     const BitVec &evalLazy(NetId id);
     const NetSignal *findSignal(const std::string &flat) const;
+    size_t checkedInput(NetId id) const;
+    void pokeSource(NetId id);
     void growRuntimeArrays(size_t n);
     void recordChange(NetId id);
     void seedSource(NetId id);

@@ -20,7 +20,15 @@ maskBits(uint64_t v, int bits)
 AxiMasterBfm::AxiMasterBfm(Testbench &bench, AxiMasterConfig cfg)
     : _cfg(std::move(cfg)), _paw(_cfg.prefix, "aw"),
       _pw(_cfg.prefix, "w"), _pb(_cfg.prefix, "b"),
-      _par(_cfg.prefix, "ar"), _pr(_cfg.prefix, "r")
+      _par(_cfg.prefix, "ar"), _pr(_cfg.prefix, "r"),
+      _aw_valid(bench.sim().inputId(_paw.valid)),
+      _aw_data(bench.sim().inputId(_paw.data)),
+      _w_valid(bench.sim().inputId(_pw.valid)),
+      _w_data(bench.sim().inputId(_pw.data)),
+      _b_ack_in(bench.sim().inputId(_pb.ack)),
+      _ar_valid(bench.sim().inputId(_par.valid)),
+      _ar_data(bench.sim().inputId(_par.data)),
+      _r_ack_in(bench.sim().inputId(_pr.ack))
 {
     bench.check(_cfg.prefix + "-axi-master",
                 [this](Testbench &t) { observe(t); });
@@ -86,12 +94,12 @@ AxiMasterBfm::drive(rtl::Sim &sim, uint64_t cycle, SplitMix64 &rng)
     // ack arrives (contract-clean stimulus).
     bool aw_v = _wstate == WState::Req && !_aw_done;
     bool w_v = _wstate == WState::Req && !_w_done;
-    sim.setInput(_paw.valid, aw_v ? 1 : 0);
-    sim.setInput(_paw.data, _aw.resize(_cfg.addr_bits));
-    sim.setInput(_pw.valid, w_v ? 1 : 0);
-    sim.setInput(_pw.data, _w.resize(_cfg.data_bits));
+    sim.setInput(_aw_valid, aw_v ? 1 : 0);
+    sim.setInput(_aw_data, _aw);
+    sim.setInput(_w_valid, w_v ? 1 : 0);
+    sim.setInput(_w_data, _w);
     _b_ack = rng.chance(_cfg.b_ack_pct);
-    sim.setInput(_pb.ack, _b_ack ? 1 : 0);
+    sim.setInput(_b_ack_in, _b_ack ? 1 : 0);
 
     // --- Read engine ----------------------------------------------------
     if (_rstate == RState::Idle) {
@@ -115,11 +123,10 @@ AxiMasterBfm::drive(rtl::Sim &sim, uint64_t cycle, SplitMix64 &rng)
             _r_hang_reported = false;
         }
     }
-    sim.setInput(_par.valid,
-                 _rstate == RState::Req ? 1 : 0);
-    sim.setInput(_par.data, _ar.resize(_cfg.addr_bits));
+    sim.setInput(_ar_valid, _rstate == RState::Req ? 1 : 0);
+    sim.setInput(_ar_data, _ar);
     _r_ack = rng.chance(_cfg.r_ack_pct);
-    sim.setInput(_pr.ack, _r_ack ? 1 : 0);
+    sim.setInput(_r_ack_in, _r_ack ? 1 : 0);
 }
 
 void
@@ -196,6 +203,13 @@ AxiLiteSlaveBfm::AxiLiteSlaveBfm(Testbench &bench, AxiSlaveConfig cfg)
     : _cfg(std::move(cfg)), _paw(_cfg.prefix, "aw"),
       _pw(_cfg.prefix, "w"), _pb(_cfg.prefix, "b"),
       _par(_cfg.prefix, "ar"), _pr(_cfg.prefix, "r"),
+      _aw_ack_in(bench.sim().inputId(_paw.ack)),
+      _w_ack_in(bench.sim().inputId(_pw.ack)),
+      _ar_ack_in(bench.sim().inputId(_par.ack)),
+      _b_valid(bench.sim().inputId(_pb.valid)),
+      _b_data(bench.sim().inputId(_pb.data)),
+      _r_valid(bench.sim().inputId(_pr.valid)),
+      _r_data(bench.sim().inputId(_pr.data)),
       _b(_cfg.b_bits), _r(_cfg.r_bits)
 {
     bench.check(_cfg.prefix + "-axi-slave",
@@ -218,9 +232,9 @@ AxiLiteSlaveBfm::drive(rtl::Sim &sim, uint64_t, SplitMix64 &rng)
     _aw_ack = rng.chance(_cfg.aw_ack_pct);
     _w_ack = rng.chance(_cfg.w_ack_pct);
     _ar_ack = rng.chance(_cfg.ar_ack_pct);
-    sim.setInput(_paw.ack, _aw_ack ? 1 : 0);
-    sim.setInput(_pw.ack, _w_ack ? 1 : 0);
-    sim.setInput(_par.ack, _ar_ack ? 1 : 0);
+    sim.setInput(_aw_ack_in, _aw_ack ? 1 : 0);
+    sim.setInput(_w_ack_in, _w_ack ? 1 : 0);
+    sim.setInput(_ar_ack_in, _ar_ack ? 1 : 0);
 
     // Prepared responses go live after a random presentation delay,
     // then hold valid and a stable payload until taken.
@@ -232,8 +246,8 @@ AxiLiteSlaveBfm::drive(rtl::Sim &sim, uint64_t, SplitMix64 &rng)
         _b_prepare = false;
         _b_active = true;
     }
-    sim.setInput(_pb.valid, _b_active ? 1 : 0);
-    sim.setInput(_pb.data, _b);
+    sim.setInput(_b_valid, _b_active ? 1 : 0);
+    sim.setInput(_b_data, _b);
 
     if (_r_prepare && !_r_active && rng.chance(_cfg.resp_pct)) {
         uint64_t resp = _cfg.read_resp ? _cfg.read_resp(_r_addr)
@@ -242,8 +256,8 @@ AxiLiteSlaveBfm::drive(rtl::Sim &sim, uint64_t, SplitMix64 &rng)
         _r_prepare = false;
         _r_active = true;
     }
-    sim.setInput(_pr.valid, _r_active ? 1 : 0);
-    sim.setInput(_pr.data, _r);
+    sim.setInput(_r_valid, _r_active ? 1 : 0);
+    sim.setInput(_r_data, _r);
 }
 
 void

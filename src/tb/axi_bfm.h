@@ -77,7 +77,9 @@ struct AxiMasterConfig
 class AxiMasterBfm : public Driver
 {
   public:
-    /** Create, register with the bench, and return the agent. */
+    /** Create, register with the bench, and return the agent.
+     *  Throws std::invalid_argument if an input it drives is
+     *  missing from the design. */
     static AxiMasterBfm &attach(Testbench &bench,
                                 AxiMasterConfig cfg = {});
 
@@ -104,6 +106,9 @@ class AxiMasterBfm : public Driver
 
     AxiMasterConfig _cfg;
     AxiChannelPorts _paw, _pw, _pb, _par, _pr;
+    /** The inputs this agent drives, resolved once at attach. */
+    rtl::NetId _aw_valid, _aw_data, _w_valid, _w_data, _b_ack_in,
+        _ar_valid, _ar_data, _r_ack_in;
 
     enum class WState { Idle, Req, Resp };
     WState _wstate = WState::Idle;
@@ -156,7 +161,9 @@ struct AxiSlaveConfig
 class AxiLiteSlaveBfm : public Driver
 {
   public:
-    /** Create, register with the bench, and return the agent. */
+    /** Create, register with the bench, and return the agent.
+     *  Throws std::invalid_argument if an input it drives is
+     *  missing from the design. */
     static AxiLiteSlaveBfm &attach(Testbench &bench,
                                    AxiSlaveConfig cfg = {});
 
@@ -173,6 +180,9 @@ class AxiLiteSlaveBfm : public Driver
 
     AxiSlaveConfig _cfg;
     AxiChannelPorts _paw, _pw, _pb, _par, _pr;
+    /** The inputs this agent drives, resolved once at attach. */
+    rtl::NetId _aw_ack_in, _w_ack_in, _ar_ack_in, _b_valid, _b_data,
+        _r_valid, _r_data;
 
     bool _aw_ack = false, _w_ack = false, _ar_ack = false;
 

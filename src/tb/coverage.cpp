@@ -167,16 +167,19 @@ Coverage::bindNetlist(const rtl::Netlist &nl)
                 ? std::min(1 << sig.width, _req_bins)
                 : _req_bins;
             rb.hits.assign(static_cast<size_t>(bins), 0);
+            _slot_reg.push_back(static_cast<int32_t>(_reg_bins.size()));
             _reg_bins.push_back(std::move(rb));
-            _reg_nets.push_back(sig.net);
+        } else {
+            _slot_reg.push_back(-1);
         }
     }
     _bound = true;
 }
 
 void
-Coverage::sampleSignal(rtl::Sim &sim, SignalCoverage &sc)
+Coverage::sampleSlot(rtl::Sim &sim, size_t slot)
 {
+    SignalCoverage &sc = _signals[slot];
     const BitVec &v = sim.value(sc.net);
     for (size_t w = 0; w < sc.rose.size(); w++) {
         uint64_t cur = v.word(static_cast<int>(w));
@@ -185,6 +188,32 @@ Coverage::sampleSignal(rtl::Sim &sim, SignalCoverage &sc)
             sc.fell[w] |= ~cur & sc.last[w];
         }
         sc.last[w] = cur;
+    }
+    if (_slot_reg[slot] >= 0)
+        binReg(static_cast<size_t>(_slot_reg[slot]), v);
+}
+
+void
+Coverage::binReg(size_t reg, const BitVec &v)
+{
+    RegHold &h = _reg_hold[reg];
+    RegBins &rb = _reg_bins[reg];
+    if (h.bin >= 0)
+        rb.hits[static_cast<size_t>(h.bin)] += _samples - h.since;
+    h.bin = static_cast<int32_t>(foldWords(v) % rb.hits.size());
+    h.since = _samples;
+}
+
+void
+Coverage::settleRegBins() const
+{
+    for (size_t r = 0; r < _reg_hold.size(); r++) {
+        RegHold &h = _reg_hold[r];
+        if (h.bin < 0)
+            continue;
+        _reg_bins[r].hits[static_cast<size_t>(h.bin)] +=
+            _samples - h.since;
+        h.since = _samples;
     }
 }
 
@@ -198,6 +227,8 @@ Coverage::onAttach(obs::ChangeFeed &feed)
     // subscription instead of dropping to the every-visit list.
     _net_slot.assign(feed.sim().netlist().nets().size(), -1);
     _dup_next.assign(_signals.size(), -1);
+    _slot_reg.resize(_signals.size(), -1);
+    _reg_hold.resize(_reg_bins.size());
     _unfed_slots.clear();
     for (size_t i = 0; i < _signals.size(); i++) {
         SignalCoverage &sc = _signals[i];
@@ -217,11 +248,12 @@ void
 Coverage::onPrime(rtl::Sim &sim, uint64_t cycle)
 {
     (void)cycle;
-    // Priming pass and rescan fallback: every signal is visited;
-    // sampleSignal's `_samples > 0` guard makes the first visit a
-    // pure baseline capture with no edges recorded.
-    for (auto &sc : _signals)
-        sampleSignal(sim, sc);
+    // Priming pass and rescan fallback: every signal is visited and
+    // every register re-binned; sampleSlot's `_samples > 0` guard
+    // makes the first visit a pure baseline capture with no edges
+    // recorded.
+    for (size_t slot = 0; slot < _signals.size(); slot++)
+        sampleSlot(sim, slot);
     sampleTail(sim);
 }
 
@@ -231,13 +263,14 @@ Coverage::onCycle(rtl::Sim &sim, uint64_t cycle,
 {
     (void)cycle;
     // A signal absent from the changed subset has the same value as
-    // at the previous visit and cannot contribute a new edge.
+    // at the previous visit: it cannot contribute a new edge, and a
+    // register among them stays in its open bin hold.
     for (rtl::NetId id : changed)
         for (int32_t slot = _net_slot[static_cast<size_t>(id)];
              slot >= 0; slot = _dup_next[static_cast<size_t>(slot)])
-            sampleSignal(sim, _signals[static_cast<size_t>(slot)]);
+            sampleSlot(sim, static_cast<size_t>(slot));
     for (size_t slot : _unfed_slots)
-        sampleSignal(sim, _signals[slot]);
+        sampleSlot(sim, slot);
     sampleTail(sim);
 }
 
@@ -261,12 +294,6 @@ Coverage::sample(rtl::Sim &sim)
 void
 Coverage::sampleTail(rtl::Sim &sim)
 {
-    for (size_t i = 0; i < _reg_bins.size(); i++) {
-        RegBins &rb = _reg_bins[i];
-        uint64_t v = foldWords(sim.value(_reg_nets[i]));
-        rb.hits[static_cast<size_t>(v % rb.hits.size())]++;
-    }
-
     for (auto &c : _covers) {
         c.last = sim.evalTop(c.expr).any();
         if (c.last)
@@ -367,7 +394,6 @@ Coverage::mergeRegBins(const std::string &name, int width,
         fresh.name = name;
         fresh.width = width;
         _reg_bins.push_back(std::move(fresh));
-        _reg_nets.push_back(rtl::kNoNet);
         rb = &_reg_bins.back();
     }
     if (rb->hits.size() < hits.size())
@@ -453,6 +479,7 @@ Coverage::togglePct() const
 double
 Coverage::regBinPct() const
 {
+    settleRegBins();
     int64_t total = 0, hit = 0;
     for (const auto &rb : _reg_bins) {
         total += static_cast<int64_t>(rb.hits.size());
@@ -473,6 +500,7 @@ Coverage::assertsOk() const
 std::string
 Coverage::report() const
 {
+    settleRegBins();
     std::ostringstream os;
     os << strfmt("coverage: %llu samples, toggle %.1f%%, "
                  "reg-bins %.1f%%\n",
@@ -543,6 +571,7 @@ Coverage::report() const
 std::string
 Coverage::summaryJson() const
 {
+    settleRegBins();
     int64_t bits_total = 0, bits_covered = 0;
     for (const auto &sc : _signals) {
         bits_total += sc.width;

@@ -15,7 +15,12 @@
  *  - register-value bins: each register's sampled values are hashed
  *    into a small fixed number of bins (exact values for narrow
  *    registers); bin occupancy distinguishes stimuli that park a
- *    state machine from ones that actually walk it;
+ *    state machine from ones that actually walk it.  A live run
+ *    bins a register only when it appears on the change feed (or
+ *    on a priming rescan): the samples it held its previous bin for
+ *    are added then, and every read settles the open holds first,
+ *    so per-bin counts equal binning every register every sample
+ *    at a cost of O(changed registers) per sample;
  *  - user-declared cover/assert points: top-scope expressions counted
  *    (cover) or checked whenever enabled (assert), with failing
  *    cycles recorded.
@@ -167,7 +172,13 @@ class Coverage : public obs::Observer
     {
         return _signals;
     }
-    const std::vector<RegBins> &regBins() const { return _reg_bins; }
+    /** Per-register bin counts, open holds settled (exact at any
+     *  point between samples). */
+    const std::vector<RegBins> &regBins() const
+    {
+        settleRegBins();
+        return _reg_bins;
+    }
     const std::vector<CoverPoint> &covers() const { return _covers; }
     const std::vector<CrossPoint> &crosses() const
     {
@@ -223,19 +234,36 @@ class Coverage : public obs::Observer
     std::string summaryJson() const;
 
   private:
+    /**
+     * A register's open hold: it has sat in `bin` since sample
+     * `since`, and those samples are not yet in its hits.
+     */
+    struct RegHold
+    {
+        int32_t bin = -1;   // -1: no open hold
+        uint64_t since = 0;
+    };
+
     void bind(rtl::Sim &sim);
-    void sampleSignal(rtl::Sim &sim, SignalCoverage &sc);
+    void sampleSlot(rtl::Sim &sim, size_t slot);
     void sampleTail(rtl::Sim &sim);
+    /** Re-bin register `reg` from its current value, closing its
+     *  previous hold into the hits. */
+    void binReg(size_t reg, const BitVec &v);
+    /** Add every open hold's samples so far to its bin. */
+    void settleRegBins() const;
 
     int _req_bins;
     bool _bound = false;
     uint64_t _samples = 0;
     std::vector<int32_t> _net_slot;      // net -> first _signals slot
     std::vector<int32_t> _dup_next;      // parallel to _signals
+    std::vector<int32_t> _slot_reg;      // _signals slot -> reg or -1
     std::vector<size_t> _unfed_slots;    // signals outside the feed
     std::vector<SignalCoverage> _signals;
-    std::vector<RegBins> _reg_bins;
-    std::vector<rtl::NetId> _reg_nets;   // parallel to _reg_bins
+    /** Settled lazily by const readers, hence mutable. */
+    mutable std::vector<RegBins> _reg_bins;
+    mutable std::vector<RegHold> _reg_hold;   // parallel to _reg_bins
     std::vector<CoverPoint> _covers;
     std::vector<CrossPoint> _crosses;
     std::vector<AssertPoint> _asserts;

@@ -10,24 +10,13 @@ namespace tb {
 
 namespace {
 
-/** Resolve a top-level input's declared width (throws if absent). */
-int
-inputWidth(const rtl::Sim &sim, const std::string &name)
-{
-    auto it = sim.netlist().signals().find(name);
-    if (it == sim.netlist().signals().end() ||
-        it->second.kind != rtl::NetSignal::Kind::Input)
-        throw std::invalid_argument("no such input: " + name);
-    return it->second.width;
-}
-
 class SequenceDriver : public Driver
 {
   public:
-    SequenceDriver(std::string input, std::vector<BitVec> values,
-                   bool hold_last, int width)
-        : _input(std::move(input)), _values(std::move(values)),
-          _hold_last(hold_last), _width(width)
+    SequenceDriver(rtl::NetId input, std::vector<BitVec> values,
+                   bool hold_last)
+        : _input(input), _values(std::move(values)),
+          _hold_last(hold_last)
     {
     }
 
@@ -38,23 +27,48 @@ class SequenceDriver : public Driver
         else if (_hold_last && !_values.empty())
             sim.setInput(_input, _values.back());
         else
-            sim.setInput(_input, BitVec(_width));
+            sim.setInput(_input, uint64_t{0});
     }
 
   private:
-    std::string _input;
+    rtl::NetId _input;
     std::vector<BitVec> _values;
     bool _hold_last;
-    int _width;
     size_t _next = 0;
 };
+
+/** Low `n` bits set (n in 1..64). */
+uint64_t
+lowMask(int n)
+{
+    return n >= 64 ? ~0ull : (1ull << n) - 1;
+}
+
+/**
+ * Overwrite bits [lo, lo+n) of a little-endian word array with the
+ * low n bits of v (n in 1..64; the range may straddle a word).
+ */
+void
+depositBits(uint64_t *words, int lo, int n, uint64_t v)
+{
+    uint64_t m = lowMask(n);
+    v &= m;
+    size_t wi = static_cast<size_t>(lo / 64);
+    int off = lo % 64;
+    words[wi] = (words[wi] & ~(m << off)) | (v << off);
+    if (off + n > 64) {
+        int sh = 64 - off;
+        words[wi + 1] = (words[wi + 1] & ~(m >> sh)) | (v >> sh);
+    }
+}
 
 class RandomDriver : public Driver
 {
   public:
-    RandomDriver(std::string input, RandomSpec spec, int width)
-        : _input(std::move(input)), _spec(std::move(spec)),
-          _width(width)
+    RandomDriver(const std::string &name, rtl::NetId input,
+                 RandomSpec spec, int width)
+        : _input(input), _spec(std::move(spec)), _value(width),
+          _words(static_cast<size_t>(std::max(_value.words(), 1)), 0)
     {
         if (_spec.fields.empty()) {
             FieldSpec full;
@@ -65,39 +79,43 @@ class RandomDriver : public Driver
         for (const auto &f : _spec.fields) {
             if (f.lo < 0 || f.width < 1 || f.lo + f.width > width)
                 throw std::invalid_argument(
-                    "random field outside input " + _input);
+                    "random field outside input " + name);
             if (f.choices.empty()) {
-                uint64_t mask = f.width >= 64
-                    ? ~0ull : (1ull << f.width) - 1;
                 // A bound the field can't represent is a spec typo;
                 // silently sampling elsewhere would fake coverage.
-                if (f.min > mask || f.min > f.max)
+                if (f.min > lowMask(f.width) || f.min > f.max)
                     throw std::invalid_argument(
                         "unsatisfiable min/max on a field of " +
-                        _input);
+                        name);
             }
         }
     }
 
+    /**
+     * Fields are packed a word at a time, later fields overwriting
+     * earlier ones where they overlap; the PRNG is drawn in field
+     * order, a field's bits past 64 taking one raw word per 64 bits.
+     */
     void drive(rtl::Sim &sim, uint64_t, SplitMix64 &rng) override
     {
         if (!rng.chance(_spec.active_pct)) {
-            sim.setInput(_input, BitVec(_width, _spec.idle_value));
+            sim.setInput(_input, _spec.idle_value);
             return;
         }
-        BitVec v(_width);
+        std::fill(_words.begin(), _words.end(), 0);
         for (const auto &f : _spec.fields) {
-            uint64_t bits = fieldValue(f, rng);
-            for (int b = 0; b < f.width && b < 64; b++)
-                v.setBit(f.lo + b, (bits >> b) & 1);
-            // Fields wider than a word fill the rest with raw words.
-            for (int b = 64; b < f.width; b++) {
-                if (b % 64 == 0)
-                    bits = rng.next();
-                v.setBit(f.lo + b, (bits >> (b % 64)) & 1);
-            }
+            depositBits(_words.data(), f.lo, std::min(f.width, 64),
+                        fieldValue(f, rng));
+            for (int b = 64; b < f.width; b += 64)
+                depositBits(_words.data(), f.lo + b,
+                            std::min(f.width - b, 64), rng.next());
         }
-        sim.setInput(_input, v);
+        if (_value.width() <= 64) {
+            sim.setInput(_input, _words[0]);
+            return;
+        }
+        _value.setWords(_words.data(), static_cast<int>(_words.size()));
+        sim.setInput(_input, _value);
     }
 
   private:
@@ -105,19 +123,18 @@ class RandomDriver : public Driver
     {
         if (!f.choices.empty())
             return f.choices[rng.below(f.choices.size())];
-        uint64_t mask = f.width >= 64
-            ? ~0ull : (1ull << f.width) - 1;
-        uint64_t lo = f.min;   // validated against mask and max
-        uint64_t hi = std::min(f.max, mask);
+        uint64_t lo = f.min;   // validated against the mask and max
+        uint64_t hi = std::min(f.max, lowMask(f.width));
         uint64_t span = hi - lo;
         if (span == ~0ull)
             return rng.next();
         return lo + rng.below(span + 1);
     }
 
-    std::string _input;
+    rtl::NetId _input;
     RandomSpec _spec;
-    int _width;
+    BitVec _value;                 // wide inputs: packed value
+    std::vector<uint64_t> _words;  // one cycle's packed fields
 };
 
 class CallbackDriver : public Driver
@@ -205,17 +222,16 @@ void
 Testbench::driveSequence(const std::string &input,
                          std::vector<BitVec> values, bool hold_last)
 {
-    int w = inputWidth(_sim, input);
     addDriver(std::make_unique<SequenceDriver>(
-        input, std::move(values), hold_last, w));
+        _sim.inputId(input), std::move(values), hold_last));
 }
 
 void
 Testbench::driveRandom(const std::string &input, RandomSpec spec)
 {
-    int w = inputWidth(_sim, input);
-    addDriver(
-        std::make_unique<RandomDriver>(input, std::move(spec), w));
+    rtl::NetId id = _sim.inputId(input);
+    addDriver(std::make_unique<RandomDriver>(
+        input, id, std::move(spec), _sim.netlist().net(id).width));
 }
 
 void

@@ -7,7 +7,8 @@
  *  - drivers, which poke top-level inputs every cycle: fixed
  *    sequences, constrained-random generators (per-field bit ranges,
  *    value sets, duty cycles) fed by one seeded PRNG, and free-form
- *    callbacks for protocol BFMs;
+ *    callbacks for protocol BFMs.  The built-in drivers resolve
+ *    their input to a NetId once, at registration, and poke by id;
  *  - monitors and scoreboards, which watch the combinational frame
  *    each cycle and record failures (an in-order expected/observed
  *    scoreboard is provided);
@@ -182,12 +183,15 @@ class Testbench
     // --- Drivers -------------------------------------------------------
 
     /** Drive `input` with consecutive values; after the sequence
-     *  ends, hold the last value or fall back to zero. */
+     *  ends, hold the last value or fall back to zero.  Throws
+     *  std::invalid_argument if `input` is not a top-level input. */
     void driveSequence(const std::string &input,
                        std::vector<BitVec> values,
                        bool hold_last = false);
 
-    /** Drive `input` with constrained-random values every cycle. */
+    /** Drive `input` with constrained-random values every cycle.
+     *  Throws std::invalid_argument for a non-input or a spec whose
+     *  fields fall outside the input or cannot be satisfied. */
     void driveRandom(const std::string &input, RandomSpec spec = {});
 
     /** Free-form driver callback (runs every cycle, in order). */

@@ -15,7 +15,7 @@ ReplayDriver::ReplayDriver(const Trace &t, rtl::Sim &sim)
         bool found = false;
         for (size_t i = 0; i < signals.size(); i++) {
             if (signals[i].name == name) {
-                _inputs.emplace_back(i, name);
+                _inputs.emplace_back(i, sim.inputId(name));
                 found = true;
                 break;
             }
@@ -29,8 +29,8 @@ void
 ReplayDriver::drive(rtl::Sim &sim, uint64_t cycle, tb::SplitMix64 &)
 {
     _cursor.advanceTo(_t0 + cycle);
-    for (const auto &[idx, name] : _inputs)
-        sim.setInput(name, _cursor.value(idx));
+    for (const auto &[idx, net] : _inputs)
+        sim.setInput(net, _cursor.value(idx));
 }
 
 ReplayMonitor::ReplayMonitor(const Trace &t, rtl::Sim &sim,

@@ -33,9 +33,10 @@ class ReplayDriver : public tb::Driver
 {
   public:
     /**
-     * Bind the trace's signals to the sim's inputs by flat name.
-     * Inputs the trace never recorded are left for other drivers
-     * (listed in missingInputs()).
+     * Bind the trace's signals to the sim's inputs by flat name,
+     * once; each cycle then pokes by net id.  Inputs the trace never
+     * recorded are left for other drivers (listed in
+     * missingInputs()).
      */
     ReplayDriver(const Trace &t, rtl::Sim &sim);
 
@@ -55,7 +56,8 @@ class ReplayDriver : public tb::Driver
     const Trace &_trace;
     TraceCursor _cursor;
     uint64_t _t0;
-    std::vector<std::pair<size_t, std::string>> _inputs;
+    /** (trace signal index, input net), resolved once. */
+    std::vector<std::pair<size_t, rtl::NetId>> _inputs;
     std::vector<std::string> _missing;
 };
 

@@ -103,17 +103,22 @@ boundedModelCheck(const std::shared_ptr<const rtl::Module> &top,
     sim.setSweepMode(opts.sweep_mode);
     if (opts.kernel.abi)
         sim.attachKernel(opts.kernel);
-    auto inputs = sim.inputNames();
+    std::vector<rtl::NetId> inputs;
+    for (const auto &in : sim.inputNames())
+        inputs.push_back(sim.inputId(in));
 
     // Enumerate input vectors: each input contributes its low
-    // input_bits_limit bits; the cross product is capped.
+    // input_bits_limit bits; the cross product is capped.  A limit
+    // of 64 or more hands the first input the whole combo (a shift
+    // by >= 64 is undefined, hence the guards below).
     int total_bits = 0;
-    for (const auto &in : inputs) {
-        (void)in;
+    for (size_t i = 0; i < inputs.size(); i++)
         total_bits += opts.input_bits_limit;
-    }
     total_bits = std::min(total_bits, 12);
     uint64_t combos = 1ull << total_bits;
+    bool whole_word = opts.input_bits_limit >= 64;
+    uint64_t in_mask =
+        whole_word ? ~0ull : (1ull << opts.input_bits_limit) - 1;
 
     struct Node
     {
@@ -143,11 +148,9 @@ boundedModelCheck(const std::shared_ptr<const rtl::Module> &top,
         for (uint64_t combo = 0; combo < combos; combo++) {
             sim.restoreRegs(node.regs);
             uint64_t bits = combo;
-            for (const auto &in : inputs) {
-                uint64_t v = bits &
-                    ((1ull << opts.input_bits_limit) - 1);
-                bits >>= opts.input_bits_limit;
-                sim.setInput(in, v);
+            for (rtl::NetId in : inputs) {
+                sim.setInput(in, bits & in_mask);
+                bits = whole_word ? 0 : bits >> opts.input_bits_limit;
             }
 
             // Check assertions in this combinational frame.

@@ -229,6 +229,45 @@ TEST(Bmc, RawWordHashingVisitsIdenticalStates)
     }
 }
 
+TEST(Bmc, WholeWordInputLimitHandsFirstInputTheCombo)
+{
+    // input_bits_limit >= 64: the first input takes every enumerated
+    // bit and the shift past it leaves nothing for the next one (a
+    // raw shift by 64 is undefined and, on x86, a no-op that would
+    // hand `b` the same combo).
+    auto m = std::make_shared<Module>();
+    m->name = "two_in";
+    auto a = m->input("a", 2);
+    m->input("b", 8);
+    m->reg("r", 2);
+    m->update("r", cst(1, 1), a);
+    Assertion b_zero{"b_zero", cst(1, 1), eq(ref("b", 8), cst(8, 0))};
+    BmcOptions opts;
+    opts.input_bits_limit = 64;
+    BmcResult r = boundedModelCheck(m, {b_zero}, opts);
+    EXPECT_FALSE(r.foundViolation()) << r.violated_assertion;
+    EXPECT_EQ(r.status, BmcResult::Status::Proved) << r.statusStr();
+    // a takes the combo's low bits: r reaches all four values.
+    EXPECT_EQ(r.states_explored, 4u);
+}
+
+TEST(Bmc, Listing2AtWholeWordInputLimit)
+{
+    // The typed Listing-2 design under a 64-bit input limit: its
+    // inputs are explored without an out-of-range shift.
+    CompileOutput out = compileAnvil(designs::anvilListing2Source());
+    ASSERT_TRUE(out.ok) << out.diags.render();
+    Assertion always{"true", cst(1, 1), cst(1, 1)};
+    BmcOptions opts;
+    opts.input_bits_limit = 64;
+    opts.max_depth = 2;
+    opts.max_states = 500;
+    BmcResult r =
+        boundedModelCheck(out.module(out.top), {always}, opts);
+    EXPECT_FALSE(r.foundViolation());
+    EXPECT_GT(r.states_explored, 1u);
+}
+
 TEST(Bmc, WithSmallCounterBmcDoesFindIt)
 {
     // Control experiment: shrink the counter to 4 bits and the same

@@ -44,6 +44,8 @@ struct ModeRun
     std::vector<std::string> log;
     std::string vcd;
     std::string cov;
+    /** Per-register bin hits: summaryJson() only totals bins hit. */
+    std::vector<std::vector<uint64_t>> reg_hits;
     SweepStats stats;
 };
 
@@ -96,6 +98,8 @@ runMode(const ModulePtr &mod, SweepMode mode, int cycles,
     r.log = sim.log();
     r.vcd = vcd_os.str();
     r.cov = cov.summaryJson();
+    for (const tb::RegBins &rb : cov.regBins())
+        r.reg_hits.push_back(rb.hits);
     r.stats = sim.sweepStats();
     return r;
 }
@@ -131,6 +135,7 @@ expectModesAgree(const ModulePtr &mod, int cycles,
         EXPECT_EQ(full.log, runs[i].log);
         EXPECT_EQ(full.vcd, runs[i].vcd);
         EXPECT_EQ(full.cov, runs[i].cov);
+        EXPECT_EQ(full.reg_hits, runs[i].reg_hits);
     }
     // The full sweep evaluates every strict node every cycle.
     EXPECT_EQ(full.stats.nodes_evaluated,

@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "designs/designs.h"
+#include "obs/observer.h"
 #include "tb/testbench.h"
 
 using namespace anvil;
@@ -235,6 +239,194 @@ TEST(TbCoverage, CrossCoverageSeparatesCorrelatedStimuli)
     };
     EXPECT_EQ(run_pair(false), 4);
     EXPECT_EQ(run_pair(true), 2);   // only 00 and 11
+}
+
+/**
+ * Registers of every binning class: narrow exact-value (3 bits),
+ * narrow hashed (12), one-word (20, 40) and multi-word (100), some
+ * moving every cycle, some rarely, one never.
+ */
+ModulePtr
+binDesign()
+{
+    auto m = std::make_shared<Module>();
+    m->name = "bins";
+    auto d = m->input("d", 8);
+    auto go = m->input("go", 1);
+    auto c3 = m->reg("c3", 3);
+    m->update("c3", go, c3 + cst(3, 1));
+    auto r12 = m->reg("r12", 12);
+    m->update("r12", slice(d, 0, 1), concat({slice(r12, 0, 4), d}));
+    auto r40 = m->reg("r40", 40, 7);
+    m->update("r40", go & slice(d, 1, 1),
+              r40 + concat({d, d, d, d, d}));
+    auto r100 = m->reg("r100", 100);
+    m->update("r100", slice(d, 7, 1), concat({slice(r100, 0, 92), d}));
+    m->reg("parked", 20, 5);
+    auto slow = m->reg("slow", 16);
+    m->update("slow", eq(d, cst(8, 0x42)), slow + cst(16, 1));
+    return m;
+}
+
+/** What the engine must count: each register binned every sample. */
+uint64_t
+refBin(const BitVec &v, size_t bins)
+{
+    uint64_t h = 0;
+    for (int w = 0; w < v.words(); w++)
+        h ^= v.word(w);
+    return h % bins;
+}
+
+struct BinRunOpts
+{
+    SweepMode mode = SweepMode::Dirty;
+    bool standalone = false;   // Coverage::sample(), not a shared feed
+    bool late_pokes = false;   // pokes between sample and clock edge
+    bool mid_reads = false;    // regBins()/summaryJson() mid-run
+};
+
+/**
+ * Drive binDesign and compare every register's per-bin hits with a
+ * reference that bins each register's value on every sample.
+ */
+void
+expectExactRegBins(const BinRunOpts &o)
+{
+    Sim sim(binDesign());
+    sim.setSweepMode(o.mode);
+    tb::Coverage cov;
+    std::unique_ptr<obs::ChangeFeed> feed;
+    if (!o.standalone) {
+        feed = std::make_unique<obs::ChangeFeed>(sim);
+        feed->attach(cov);
+    }
+    std::vector<std::string> names;
+    std::vector<std::vector<uint64_t>> want;
+    tb::SplitMix64 rng(2026);
+    auto expectMatch = [&](int cyc) {
+        const auto &got = cov.regBins();
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < got.size(); i++)
+            EXPECT_EQ(got[i].hits, want[i])
+                << got[i].name << " at cycle " << cyc;
+    };
+
+    for (int cyc = 0; cyc < 1500; cyc++) {
+        // Long quiet stretches keep holds open across many samples.
+        bool quiet = (cyc / 100) % 3 == 2;
+        sim.setInput("d", quiet ? 0 : rng.next());
+        sim.setInput("go", quiet ? 0 : rng.chance(30));
+        if (o.standalone)
+            cov.sample(sim);
+        else
+            feed->sample();
+
+        if (want.empty()) {
+            // The table binds on the first sample; read its shape
+            // once, so no read settles the holds mid-run unless
+            // mid_reads asks for it.
+            for (const tb::RegBins &rb : cov.regBins()) {
+                names.push_back(rb.name);
+                want.emplace_back(rb.hits.size(), 0);
+            }
+        }
+        for (size_t i = 0; i < names.size(); i++)
+            want[i][refBin(sim.regValue(names[i]), want[i].size())]++;
+
+        if (o.mid_reads && cyc % 97 == 50) {
+            expectMatch(cyc);
+            EXPECT_NE(cov.summaryJson().find("\"samples\":" +
+                                             std::to_string(cyc + 1)),
+                      std::string::npos);
+        }
+        if (o.late_pokes && cyc % 11 == 4) {
+            // Flushed with the edge, never on the next cycle's feed:
+            // only the rescan sees these.
+            sim.setRegValue("parked", BitVec(20, rng.next()));
+            sim.setInput("d", 0x42);
+        }
+        sim.step();
+    }
+    expectMatch(1500);
+
+    // Bin tables follow the width classes.
+    for (const tb::RegBins &rb : cov.regBins())
+        EXPECT_EQ(rb.hits.size(), rb.width < 4 ? 8u : 16u) << rb.name;
+}
+
+TEST(TbCoverage, RegisterBinCountsAreExactDirty)
+{
+    expectExactRegBins({});
+}
+
+TEST(TbCoverage, RegisterBinCountsAreExactFull)
+{
+    BinRunOpts o;
+    o.mode = SweepMode::Full;
+    expectExactRegBins(o);
+}
+
+TEST(TbCoverage, RegisterBinCountsAreExactAcrossLatePokes)
+{
+    BinRunOpts o;
+    o.late_pokes = true;
+    expectExactRegBins(o);
+    o.mode = SweepMode::Full;
+    expectExactRegBins(o);
+}
+
+TEST(TbCoverage, RegisterBinCountsAreExactWithMidRunReads)
+{
+    BinRunOpts o;
+    o.mid_reads = true;
+    expectExactRegBins(o);
+    o.late_pokes = true;
+    expectExactRegBins(o);
+}
+
+TEST(TbCoverage, RegisterBinCountsAreExactStandalone)
+{
+    BinRunOpts o;
+    o.standalone = true;
+    expectExactRegBins(o);
+    o.late_pokes = true;
+    o.mid_reads = true;
+    expectExactRegBins(o);
+}
+
+TEST(TbCoverage, RegisterBinCountsAreExactInATestbench)
+{
+    // The testbench's shared feed, beside a VCD writer riding the
+    // same subscriptions.
+    tb::Testbench bench(binDesign(), 5);
+    bench.driveRandom("d");
+    tb::RandomSpec go;
+    go.active_pct = 20;
+    bench.driveRandom("go", go);
+    tb::Coverage &cov = bench.coverage();
+    std::ostringstream vcd;
+    bench.attachVcd(vcd);
+    std::vector<std::vector<uint64_t>> want;
+    bench.check("ref", [&](tb::Testbench &t) {
+        // Checks run before the feed visit: bind the table shape
+        // from the netlist on the first cycle.
+        if (want.empty())
+            for (const auto &[name, sig] : t.sim().netlist().signals())
+                if (sig.kind == NetSignal::Kind::Reg)
+                    want.emplace_back(
+                        sig.width < 4 ? 1u << sig.width : 16u, 0);
+        size_t i = 0;
+        for (NetId r : t.sim().netlist().regs()) {
+            want[i][refBin(t.sim().value(r), want[i].size())]++;
+            i++;
+        }
+    });
+    bench.run(2000);
+    const auto &got = cov.regBins();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); i++)
+        EXPECT_EQ(got[i].hits, want[i]) << got[i].name;
 }
 
 TEST(TbCoverage, CrossOfUnknownPointThrows)

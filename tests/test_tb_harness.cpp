@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "rtl/rtl.h"
@@ -268,6 +270,163 @@ TEST(TbHarness, DutyCycledValidDrivesIdleValue)
     EXPECT_GT(active, 250);
     EXPECT_LT(active, 550);
     EXPECT_GT(idle, 350);
+}
+
+/**
+ * The constrained-random packer as it was first written: one setBit
+ * per field bit, raw words for field bits past 64.  The word-packing
+ * driver must reproduce it value for value and draw for draw.
+ */
+BitVec
+bitwisePack(const tb::RandomSpec &in_spec, int width,
+            tb::SplitMix64 &rng)
+{
+    tb::RandomSpec spec = in_spec;
+    if (spec.fields.empty()) {
+        tb::FieldSpec full;
+        full.width = width;
+        spec.fields.push_back(full);
+    }
+    if (!rng.chance(spec.active_pct))
+        return BitVec(width, spec.idle_value);
+    BitVec v(width);
+    for (const auto &f : spec.fields) {
+        uint64_t bits;
+        if (!f.choices.empty()) {
+            bits = f.choices[rng.below(f.choices.size())];
+        } else {
+            uint64_t mask = f.width >= 64 ? ~0ull
+                                          : (1ull << f.width) - 1;
+            uint64_t span = std::min(f.max, mask) - f.min;
+            bits = span == ~0ull ? rng.next()
+                                 : f.min + rng.below(span + 1);
+        }
+        for (int b = 0; b < f.width && b < 64; b++)
+            v.setBit(f.lo + b, (bits >> b) & 1);
+        for (int b = 64; b < f.width; b++) {
+            if (b % 64 == 0)
+                bits = rng.next();
+            v.setBit(f.lo + b, (bits >> (b % 64)) & 1);
+        }
+    }
+    return v;
+}
+
+ModulePtr
+stimulusDesign()
+{
+    auto m = std::make_shared<Module>();
+    m->name = "stim";
+    m->input("w", 150);
+    m->input("n", 8);
+    m->input("q", 64);
+    m->input("e", 70);
+    auto cnt = m->reg("cnt", 3);
+    m->update("cnt", cst(1, 1), cnt + cst(3, 1));
+    m->wire("x", ref("n", 8) + cst(8, 1));
+    return m;
+}
+
+TEST(TbHarness, WordPackingMatchesTheBitwisePacker)
+{
+    tb::FieldSpec wide;        // wider than a word, straddles 64/128
+    wide.lo = 10;
+    wide.width = 130;
+    tb::FieldSpec straddle;    // across bit 64, overlapping `wide`
+    straddle.lo = 40;
+    straddle.width = 50;
+    straddle.min = 3;
+    straddle.max = (1ull << 50) - 5;
+    tb::FieldSpec picks;       // choices wider than the field
+    picks.lo = 100;
+    picks.width = 6;
+    picks.choices = {0x3ff, 0x2a, ~0ull, 0x41};
+    tb::FieldSpec top;
+    top.lo = 140;
+    top.width = 10;
+    tb::RandomSpec w_spec;
+    w_spec.fields = {wide, straddle, picks, top};
+    w_spec.active_pct = 80;
+    w_spec.idle_value = 0x1234;
+
+    tb::FieldSpec lo_pick;
+    lo_pick.width = 8;
+    lo_pick.choices = {0x1ff, 0x80, 7};
+    tb::FieldSpec hi_range;    // overlaps lo_pick's top bits
+    hi_range.lo = 5;
+    hi_range.width = 3;
+    hi_range.min = 1;
+    hi_range.max = 6;
+    tb::RandomSpec n_spec;
+    n_spec.fields = {lo_pick, hi_range};
+    n_spec.active_pct = 50;
+    n_spec.idle_value = 0x1ab;   // wider than the input
+
+    tb::RandomSpec q_spec;       // one unconstrained 64-bit field
+    tb::FieldSpec e_field;       // 64-bit field at bit 3 of 70
+    e_field.lo = 3;
+    e_field.width = 64;
+    tb::RandomSpec e_spec;
+    e_spec.fields = {e_field};
+    e_spec.active_pct = 90;
+    e_spec.idle_value = ~0ull;
+
+    const uint64_t seed = 31;
+    tb::Testbench bench(stimulusDesign(), seed);
+    bench.driveRandom("w", w_spec);
+    bench.driveRandom("n", n_spec);
+    bench.driveRandom("q", q_spec);
+    bench.driveRandom("e", e_spec);
+
+    // Checks run after every driver: replay the same draws here.
+    tb::SplitMix64 ref_rng(seed);
+    int cycles = 0;
+    bench.check("pin", [&](tb::Testbench &t) {
+        BitVec w = bitwisePack(w_spec, 150, ref_rng);
+        BitVec n = bitwisePack(n_spec, 8, ref_rng);
+        BitVec q = bitwisePack(q_spec, 64, ref_rng);
+        BitVec e = bitwisePack(e_spec, 70, ref_rng);
+        EXPECT_EQ(t.sim().peek("w"), w) << "cycle " << cycles;
+        EXPECT_EQ(t.sim().peek("n"), n) << "cycle " << cycles;
+        EXPECT_EQ(t.sim().peek("q"), q) << "cycle " << cycles;
+        EXPECT_EQ(t.sim().peek("e"), e) << "cycle " << cycles;
+        cycles++;
+    });
+    EXPECT_TRUE(bench.run(2000).ok());
+    EXPECT_EQ(cycles, 2000);
+    // Same stream position afterwards: no draw was added or lost.
+    EXPECT_EQ(bench.rng().next(), ref_rng.next());
+}
+
+TEST(TbHarness, InputResolutionRejectsNonInputs)
+{
+    tb::Testbench bench(stimulusDesign());
+    rtl::Sim &sim = bench.sim();
+    EXPECT_THROW(sim.inputId("nope"), std::invalid_argument);
+    EXPECT_THROW(sim.inputId("cnt"), std::invalid_argument);   // reg
+    EXPECT_THROW(sim.inputId("x"), std::invalid_argument);     // wire
+    EXPECT_THROW(bench.driveRandom("cnt"), std::invalid_argument);
+    EXPECT_THROW(bench.driveSequence("x", {}), std::invalid_argument);
+    EXPECT_THROW(sim.setInput("nope", uint64_t{1}),
+                 std::invalid_argument);
+
+    NetId reg = sim.netlist().signals().at("cnt").net;
+    NetId wire = sim.netlist().signals().at("x").net;
+    NetId past = static_cast<NetId>(sim.netlist().nets().size());
+    for (NetId id : {reg, wire, past, kNoNet}) {
+        EXPECT_THROW(sim.setInput(id, uint64_t{1}),
+                     std::invalid_argument) << id;
+        EXPECT_THROW(sim.setInput(id, BitVec(8, 1)),
+                     std::invalid_argument) << id;
+    }
+    // A rejected poke leaves the register alone.
+    EXPECT_EQ(sim.regValue("cnt"), BitVec(3, 0));
+
+    NetId n = sim.inputId("n");
+    sim.setInput(n, uint64_t{0x1ff});   // truncated to 8 bits
+    EXPECT_EQ(sim.peek("n"), BitVec(8, 0xff));
+    sim.setInput(n, BitVec(16, 0x1234));
+    EXPECT_EQ(sim.peek("x"), BitVec(8, 0x35));
 }
 
 TEST(TbHarness, ScoreboardFlagsUnexpectedAndPending)
