@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
-#include <unordered_set>
+#include <stdexcept>
 
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -15,9 +14,6 @@ namespace anvil {
 namespace formal {
 
 namespace {
-
-using StateSet =
-    std::unordered_set<std::vector<uint64_t>, PackedWordsHash>;
 
 /** The cone of influence of one property's bad net. */
 struct Coi
@@ -161,89 +157,74 @@ inputSourcesOf(const rtl::Netlist &nl, rtl::NetId root)
     return names;
 }
 
-/** Per-obligation exploration machinery sharing one simulator. */
+/**
+ * Per-obligation exploration machinery sharing one simulator.
+ *
+ * States are cone projections of the packed register file
+ * (rtl::Sim::packRegs layout): each cone register's words, in cone
+ * order.  The simulator holds one loaded state at a time; every input
+ * combo of a frame runs on it live, and Sim::nextRegs yields the
+ * successor without committing an edge.  Registers outside the cone
+ * stay parked at reset: their values cannot influence the cone or
+ * the property (transitive closure), and since no edge commits they
+ * never move, so the dirty sweep keeps cutting the wide datapath
+ * cones and loadRegs pokes only cone registers.
+ */
 class Prover
 {
   public:
+    /** `reset` is the design's packed reset state. */
     Prover(rtl::Sim &sim, const Coi &coi, rtl::NetId bad,
-           const ProveOptions &opts, uint64_t *steps)
+           const ProveOptions &opts, uint64_t *steps,
+           const std::vector<uint64_t> &reset)
         : _sim(sim), _coi(coi), _bad(bad), _opts(opts),
-          _steps(steps), _template(sim.captureRegs()),
-          _in_cone(_template.size(), 0)
+          _steps(steps), _full(reset), _next(reset.size())
     {
-        for (int ri : coi.regs)
-            _in_cone[static_cast<size_t>(ri)] = 1;
+        for (int ri : coi.regs) {
+            size_t r = static_cast<size_t>(ri);
+            size_t off = sim.regOffset(r);
+            size_t words = sim.regOffset(r + 1) - off;
+            _spans.push_back({off, words});
+            _stride += words;
+        }
         int bits = 0;
         for (int b : coi.input_bits)
             bits += b;
         _combos = 1ull << bits;
     }
 
-    /**
-     * Project the committed register state onto the cone (packed
-     * words).  Reads only the cone's registers: everything the
-     * exploration touches is proportional to the cone, not the
-     * design — the wide non-cone datapath is never copied.
-     */
-    std::vector<uint64_t> projectSim()
+    /** Project a packed register file onto the cone's words. */
+    void project(const uint64_t *full, uint64_t *cone) const
     {
-        std::vector<uint64_t> words;
-        for (int ri : _coi.regs) {
-            const BitVec &v =
-                _sim.regValue(static_cast<size_t>(ri));
-            for (int w = 0; w < v.words(); w++)
-                words.push_back(v.word(w));
-        }
-        return words;
-    }
-
-    /**
-     * Restore a cone state; non-cone registers are parked back at
-     * their reset values.  Their *values* cannot influence the cone
-     * or the property (transitive closure), but letting them drift
-     * defeats the dirty sweep's change-cutting — every step would
-     * recompute the widest datapath cones with fresh values
-     * (measured 6x slower on aes).  setReg's equality check makes
-     * each write a no-op unless the register actually moved, and no
-     * full-register-file vectors are copied.
-     */
-    void restore(const std::vector<BitVec> &cone_vals)
-    {
-        size_t c = 0;
-        for (size_t i = 0; i < _in_cone.size(); i++) {
-            if (_in_cone[i])
-                _sim.setReg(i, cone_vals[c++]);
-            else
-                _sim.setReg(i, _template[i]);
+        for (const Span &sp : _spans) {
+            std::copy(full + sp.off, full + sp.off + sp.words, cone);
+            cone += sp.words;
         }
     }
 
-    std::vector<BitVec> captureCone()
+    /** Load a cone state into the simulator. */
+    void load(const uint64_t *cone)
     {
-        std::vector<BitVec> cone;
-        cone.reserve(_coi.regs.size());
-        for (int ri : _coi.regs)
-            cone.push_back(
-                _sim.regValue(static_cast<size_t>(ri)));
-        return cone;
+        for (const Span &sp : _spans) {
+            std::copy(cone, cone + sp.words, _full.data() + sp.off);
+            cone += sp.words;
+        }
+        _sim.loadRegs(_full.data());
     }
 
     void assignCombo(uint64_t combo)
     {
         for (size_t i = 0; i < _coi.input_nets.size(); i++) {
             int bits = _coi.input_bits[i];
-            uint64_t v = combo & ((bits >= 64 ? 0ull : 1ull << bits)
-                                  - 1ull);
-            combo = bits >= 64 ? 0 : combo >> bits;
-            _sim.setInput(_coi.input_nets[i], v);
+            _sim.setInput(_coi.input_nets[i],
+                          combo & ((1ull << bits) - 1));
+            combo >>= bits;
         }
     }
 
     bool badNow() { return _sim.value(_bad).any(); }
 
     bool budgetLeft() const { return *_steps < _opts.max_steps; }
-
-    uint64_t combos() const { return _combos; }
 
     /**
      * Bounded reachability from reset, property checked on every
@@ -252,30 +233,30 @@ class Prover
      *   Proved    - the projected reachable space closed clean
      *   Unknown   - bound or budget reached (base is clean to depth
      *               k_max; induction decides)
+     * Breadth-first: the table's rows are the queue, with each row's
+     * depth, parent row and arriving combo in parallel arrays.
      */
     void baseCase(ObligationOutcome &out)
     {
-        struct Node
-        {
-            std::vector<BitVec> cone;
-            int depth;
-            int64_t parent;
-            uint64_t combo;   // applied at the parent's frame
-        };
-        std::vector<Node> nodes;
-        StateSet seen;
+        PackedStateTable seen(_stride);
+        std::vector<int> depth;
+        std::vector<int64_t> parent;
+        std::vector<uint64_t> via;   // combo applied at the parent
+        std::vector<uint64_t> key(_stride);
 
-        _sim.restoreRegs(_template);   // cone regs at reset too
-        std::vector<BitVec> reset = captureCone();
-        seen.insert(projectSim());
-        nodes.push_back({std::move(reset), 0, -1, 0});
+        project(_full.data(), key.data());   // reset
+        seen.insert(key.data());
+        depth.push_back(0);
+        parent.push_back(-1);
+        via.push_back(0);
 
         bool hit_bound = false;
-        for (size_t i = 0; i < nodes.size(); i++) {
-            if (nodes[i].depth >= _opts.k_max) {
+        for (size_t i = 0; i < seen.size(); i++) {
+            if (depth[i] >= _opts.k_max) {
                 hit_bound = true;
                 continue;
             }
+            load(seen.row(i));
             for (uint64_t combo = 0; combo < _combos; combo++) {
                 if (!budgetLeft()) {
                     out.detail = "base: step budget exhausted";
@@ -284,45 +265,41 @@ class Prover
                     return;
                 }
                 ++*_steps;
-                restore(nodes[i].cone);
                 assignCombo(combo);
                 if (badNow()) {
                     out.status = ObligationOutcome::Status::Violated;
-                    out.k = nodes[i].depth;
+                    out.k = depth[i];
                     out.base_states = seen.size();
                     out.detail = strfmt(
                         "reset-reachable violation at depth %d",
-                        nodes[i].depth);
+                        depth[i]);
                     // Reconstruct the input trace root -> frame.
                     std::vector<uint64_t> path{combo};
                     for (int64_t n = static_cast<int64_t>(i);
-                         nodes[n].parent >= 0; n = nodes[n].parent)
-                        path.push_back(nodes[n].combo);
+                         parent[static_cast<size_t>(n)] >= 0;
+                         n = parent[static_cast<size_t>(n)])
+                        path.push_back(via[static_cast<size_t>(n)]);
                     std::reverse(path.begin(), path.end());
                     for (uint64_t c : path) {
                         CexStep step;
                         for (size_t j = 0; j < _coi.inputs.size();
                              j++) {
                             int bits = _coi.input_bits[j];
-                            uint64_t v = c &
-                                ((bits >= 64 ? 0ull : 1ull << bits) -
-                                 1ull);
-                            c >>= bits;
                             step.inputs.push_back(
-                                {_coi.inputs[j], v});
+                                {_coi.inputs[j],
+                                 c & ((1ull << bits) - 1)});
+                            c >>= bits;
                         }
                         out.cex.push_back(std::move(step));
                     }
                     return;
                 }
-                _sim.step();
-                std::vector<uint64_t> key =
-                    projectSim();
-                if (!seen.count(key)) {
-                    seen.insert(std::move(key));
-                    nodes.push_back({captureCone(),
-                                     nodes[i].depth + 1,
-                                     static_cast<int64_t>(i), combo});
+                _sim.nextRegs(_next.data());
+                project(_next.data(), key.data());
+                if (seen.insert(key.data()).second) {
+                    depth.push_back(depth[i] + 1);
+                    parent.push_back(static_cast<int64_t>(i));
+                    via.push_back(combo);
                 }
             }
         }
@@ -341,82 +318,89 @@ class Prover
      * every loop-free path of k clean frames must end in a clean
      * frame.  Returns Proved / Unknown (budget); a failed step just
      * means "try a larger k", so the caller iterates.
+     *
+     * Depth-first over input choices, iteratively: row d of a flat
+     * word stack holds the path's state at depth d and combo[d] the
+     * next combo to try there.  A frame's state is loaded on entry
+     * and reloaded only when a child returns to it.
      */
     bool inductionHolds(int k, ObligationOutcome &out, bool *budget_ok)
     {
         uint64_t total = 1ull << _coi.state_bits;
-        std::vector<BitVec> cone(_coi.regs.size(), BitVec(1));
-        std::vector<std::vector<uint64_t>> path;
+        size_t last = static_cast<size_t>(k);
+        std::vector<uint64_t> path((last + 1) * _stride);
+        std::vector<uint64_t> combo(last + 1);
+        auto row = [&](size_t d) { return path.data() + d * _stride; };
 
-        // Depth-first over input choices from one start state.
-        // Returns false when a violating k-th frame is found.
-        std::function<bool(const std::vector<BitVec> &, int)> dfs =
-            [&](const std::vector<BitVec> &state, int depth) -> bool {
-            for (uint64_t combo = 0; combo < _combos; combo++) {
+        for (uint64_t s = 0; s < total; s++) {
+            out.induction_starts++;
+            // Decode the packed enumeration into the cone's words
+            // (state_bits <= 63, so each register fits one word).
+            uint64_t bits = s;
+            uint64_t *w = row(0);
+            for (int width : _coi.reg_widths) {
+                if (width == 0)
+                    continue;
+                *w++ = bits & ((1ull << width) - 1);
+                bits >>= width;
+            }
+            load(row(0));
+            size_t d = 0;
+            combo[0] = 0;
+            for (;;) {
+                if (combo[d] == _combos) {
+                    if (d == 0)
+                        break;
+                    load(row(--d));
+                    continue;
+                }
+                uint64_t c = combo[d]++;
                 if (!budgetLeft()) {
                     *budget_ok = false;
-                    return true;
+                    return true;   // caller reports Unknown
                 }
                 ++*_steps;
-                restore(state);
-                assignCombo(combo);
+                assignCombo(c);
                 bool bad = badNow();
-                if (depth == k) {
+                if (d == last) {
                     if (bad)
                         return false;   // induction fails at this k
                     continue;
                 }
                 if (bad)
                     continue;   // path assumption broken: prune
-                _sim.step();
-                std::vector<uint64_t> key =
-                    projectSim();
+                uint64_t *child = row(d + 1);
+                _sim.nextRegs(_next.data());
+                project(_next.data(), child);
                 bool looped = false;
-                for (const auto &p : path)
-                    looped |= p == key;
+                for (size_t j = 0; j <= d && !looped; j++)
+                    looped = std::equal(child, child + _stride, row(j));
                 if (looped)
                     continue;   // uniqueness: loop-free paths only
-                std::vector<BitVec> next = captureCone();
-                path.push_back(std::move(key));
-                bool ok = dfs(next, depth + 1);
-                path.pop_back();
-                if (!ok)
-                    return false;
+                combo[++d] = 0;
+                load(child);
             }
-            return true;
-        };
-
-        for (uint64_t s = 0; s < total; s++) {
-            out.induction_starts++;
-            // Decode the packed enumeration into cone register
-            // values.
-            uint64_t bits = s;
-            for (size_t i = 0; i < _coi.regs.size(); i++) {
-                int w = _coi.reg_widths[i];
-                uint64_t v = bits &
-                    ((w >= 64 ? 0ull : 1ull << w) - 1ull);
-                bits >>= w;
-                cone[i] = BitVec(w, v);
-            }
-            restore(cone);
-            path.clear();
-            path.push_back(projectSim());
-            if (!dfs(cone, 0))
-                return false;
-            if (!*budget_ok)
-                return true;   // caller reports Unknown
         }
         return true;
     }
 
   private:
+    /** A cone register's words within the packed register file. */
+    struct Span
+    {
+        size_t off;
+        size_t words;
+    };
+
     rtl::Sim &_sim;
     const Coi &_coi;
     rtl::NetId _bad;
     const ProveOptions &_opts;
     uint64_t *_steps;
-    std::vector<BitVec> _template;
-    std::vector<uint8_t> _in_cone;   // per reg index
+    std::vector<Span> _spans;        // per cone register
+    size_t _stride = 0;              // words per cone state
+    std::vector<uint64_t> _full;     // reset outside the cone
+    std::vector<uint64_t> _next;     // nextRegs output
     uint64_t _combos = 1;
 };
 
@@ -504,6 +488,22 @@ ProveResult::report(bool detailed) const
 ProveResult
 prove(const InstrumentedDesign &design, const ProveOptions &opts)
 {
+    // Input combos and cone states are enumerated in one 64-bit word:
+    // a 2^64 enumeration could never finish, and shifts by 64 or by a
+    // negative input_bits_limit are undefined.
+    if (opts.input_bits_limit < 0)
+        throw std::invalid_argument(
+            strfmt("ProveOptions::input_bits_limit must be >= 0, got %d",
+                   opts.input_bits_limit));
+    if (opts.max_input_bits >= 64)
+        throw std::invalid_argument(
+            strfmt("ProveOptions::max_input_bits must be < 64, got %d",
+                   opts.max_input_bits));
+    if (opts.max_state_bits >= 64)
+        throw std::invalid_argument(
+            strfmt("ProveOptions::max_state_bits must be < 64, got %d",
+                   opts.max_state_bits));
+
     ProveResult result;
     if (design.props.empty())
         return result;
@@ -511,7 +511,8 @@ prove(const InstrumentedDesign &design, const ProveOptions &opts)
     rtl::Sim sim(design.module);
     sim.setSweepMode(opts.sweep_mode);
     const rtl::Netlist &nl = sim.netlist();
-    std::vector<BitVec> reset = sim.captureRegs();
+    std::vector<uint64_t> reset(sim.regWords());
+    sim.packRegs(reset.data());
 
     for (const auto &prop : design.props) {
         ObligationOutcome out;
@@ -558,8 +559,8 @@ prove(const InstrumentedDesign &design, const ProveOptions &opts)
             }
         }
 
-        // Fresh start per obligation: reset registers, zero inputs.
-        sim.restoreRegs(reset);
+        // Fresh start per obligation: zero inputs (the explorers load
+        // every register state they visit in full).
         for (const auto &in : sim.inputNames())
             sim.setInput(in, 0);
 
@@ -577,7 +578,7 @@ prove(const InstrumentedDesign &design, const ProveOptions &opts)
         int tid = opts.profiler
             ? opts.profiler->track("prove:" + out.name) : -1;
 
-        Prover prover(sim, coi, bad, opts, &steps);
+        Prover prover(sim, coi, bad, opts, &steps, reset);
         uint64_t w0 = opts.profiler ? rtl::monotonicNanos() : 0;
         prover.baseCase(out);
         if (opts.profiler)

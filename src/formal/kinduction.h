@@ -63,11 +63,13 @@ struct ProveOptions
 {
     /** Maximum induction depth to try (and base-case bound). */
     int k_max = 6;
-    /** Nondeterministic low bits per cone input (BMC convention). */
+    /** Nondeterministic low bits per cone input (BMC convention);
+     *  at least 0. */
     int input_bits_limit = 2;
-    /** Cap on total enumerated input bits per frame. */
+    /** Cap on total enumerated input bits per frame; below 64. */
     int max_input_bits = 10;
-    /** Budget on cone register bits (induction enumerates 2^bits). */
+    /** Budget on cone register bits (induction enumerates 2^bits);
+     *  below 64. */
     int max_state_bits = 22;
     /** Budget on simulation steps across base + induction. */
     uint64_t max_steps = 4000000;
@@ -152,7 +154,12 @@ struct ProveResult
     std::string report(bool detailed = false) const;
 };
 
-/** Prove every compiled property of the instrumented design. */
+/**
+ * Prove every compiled property of the instrumented design.  Throws
+ * std::invalid_argument, naming the option, when `opts` asks for a
+ * 2^64 enumeration (max_input_bits or max_state_bits of 64 or more)
+ * or a negative input_bits_limit.
+ */
 ProveResult prove(const InstrumentedDesign &design,
                   const ProveOptions &opts = {});
 

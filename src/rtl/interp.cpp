@@ -106,8 +106,14 @@ Sim::Sim(std::shared_ptr<const Module> top,
     _lazy_gen.assign(_val.size(), 0);
     _visiting.assign(_val.size(), 0);
     _reg_next.reserve(_nl.regs().size());
-    for (NetId r : _nl.regs())
-        _reg_next.push_back(_val[static_cast<size_t>(r)]);
+    _reg_off.reserve(_nl.regs().size() + 1);
+    _reg_off.push_back(0);
+    for (NetId r : _nl.regs()) {
+        const BitVec &v = _val[static_cast<size_t>(r)];
+        _reg_next.push_back(v);
+        _reg_off.push_back(_reg_off.back() +
+                           static_cast<size_t>(v.words()));
+    }
     _wire_last.reserve(_nl.wireNets().size());
     _wire_slot.assign(_val.size(), -1);
     for (size_t i = 0; i < _nl.wireNets().size(); i++) {
@@ -880,18 +886,12 @@ Sim::step(int n)
             for (size_t u = 0; u < updates.size(); u++) {
                 if (!_armed[u])
                     continue;
-                const auto &up = updates[u];
-                if (up.reg_index < 0)
-                    throw std::invalid_argument(
-                        "update of unknown reg: " + up.reg_name);
-                size_t ri = static_cast<size_t>(up.reg_index);
+                size_t ri = stageUpdate(updates[u]);
                 if (!_reg_touched[ri]) {
                     _reg_touched[ri] = 1;
                     _touched_regs.push_back(
                         static_cast<int32_t>(ri));
                 }
-                _reg_next[ri] = valOf(up.value).resize(
-                    _nl.net(regs[ri]).width);
             }
         }
         for (const auto &p : _nl.prints()) {
@@ -932,6 +932,88 @@ Sim::step(int n)
         if (_telemetry)
             _telemetry->simPhase(SimPhase::Commit, _cycle - 1,
                                  commit_t0, monotonicNanos());
+    }
+}
+
+/**
+ * What a firing update writes at the edge: its value, truncated or
+ * zero-extended to the register's width, staged in _reg_next (in
+ * place, so no allocation when the widths match).  Returns the
+ * register index.  The one definition of the edge's write, shared by
+ * step() and nextRegs().
+ */
+size_t
+Sim::stageUpdate(const NetUpdate &up)
+{
+    if (up.reg_index < 0)
+        throw std::invalid_argument("update of unknown reg: " +
+                                    up.reg_name);
+    size_t ri = static_cast<size_t>(up.reg_index);
+    const BitVec &v = valOf(up.value);
+    BitVec &next = _reg_next[ri];
+    if (next.width() <= 64)
+        next.setUint64(v.toUint64());
+    else if (v.width() == next.width())
+        next = v;
+    else
+        next = v.resize(next.width());
+    return ri;
+}
+
+namespace {
+
+/** Copy a value's words to w[0, v.words()). */
+void
+storeWords(const BitVec &v, uint64_t *w)
+{
+    for (int k = 0; k < v.words(); k++)
+        w[k] = v.word(k);
+}
+
+} // namespace
+
+void
+Sim::packRegs(uint64_t *out) const
+{
+    const auto &regs = _nl.regs();
+    for (size_t i = 0; i < regs.size(); i++)
+        storeWords(_val[static_cast<size_t>(regs[i])],
+                   out + _reg_off[i]);
+}
+
+void
+Sim::loadRegs(const uint64_t *words)
+{
+    const auto &regs = _nl.regs();
+    for (size_t i = 0; i < regs.size(); i++) {
+        BitVec &cur = _val[static_cast<size_t>(regs[i])];
+        const uint64_t *w = words + _reg_off[i];
+        int n = cur.words();
+        int k = 0;
+        while (k < n && cur.word(k) == w[k])
+            k++;
+        if (k == n)
+            continue;
+        if (n == 1)
+            cur.setUint64(w[0]);
+        else
+            cur.setWords(w, n);
+        pokeSource(regs[i]);
+    }
+}
+
+void
+Sim::nextRegs(uint64_t *out)
+{
+    sweep();
+    for (NetId id : _nl.lazyRoots())
+        evalLazy(id);
+    packRegs(out);
+    for (const NetUpdate &up : _nl.updates()) {
+        if (!valOf(up.enable).any())
+            continue;
+        size_t ri = stageUpdate(up);
+        storeWords(_reg_next[ri], out + _reg_off[ri]);
     }
 }
 
@@ -987,51 +1069,6 @@ Sim::captureRegs() const
     return vals;
 }
 
-void
-Sim::setReg(size_t reg_index, const BitVec &v)
-{
-    const auto &regs = _nl.regs();
-    if (reg_index >= regs.size())
-        throw std::invalid_argument("register index out of range");
-    size_t ri = static_cast<size_t>(regs[reg_index]);
-    int width = _nl.net(regs[reg_index]).width;
-    // No-op fast path before any resize copy: the prover re-parks
-    // the whole register file every step and nearly every write is
-    // a no-op.
-    if (v.width() == width && v == _val[ri])
-        return;
-    BitVec nv = v.resize(width);
-    if (nv == _val[ri])
-        return;
-    _val[ri] = std::move(nv);
-    pokeSource(regs[reg_index]);
-}
-
-const BitVec &
-Sim::regValue(size_t reg_index) const
-{
-    const auto &regs = _nl.regs();
-    if (reg_index >= regs.size())
-        throw std::invalid_argument("register index out of range");
-    return _val[static_cast<size_t>(regs[reg_index])];
-}
-
-void
-Sim::restoreRegs(const std::vector<BitVec> &vals)
-{
-    const auto &regs = _nl.regs();
-    if (vals.size() != regs.size())
-        throw std::invalid_argument("register snapshot size mismatch");
-    for (size_t i = 0; i < regs.size(); i++) {
-        size_t ri = static_cast<size_t>(regs[i]);
-        BitVec nv = vals[i].resize(_nl.net(regs[i]).width);
-        if (nv == _val[ri])
-            continue;
-        _val[ri] = std::move(nv);
-        pokeSource(regs[i]);
-    }
-}
-
 const BitVec &
 Sim::value(NetId id)
 {
@@ -1071,29 +1108,25 @@ Sim::growRuntimeArrays(size_t n)
     _upd_begin.resize(n + 1, _upd_begin.back());
 }
 
-BitVec
-Sim::evalTop(const ExprPtr &e)
+NetId
+Sim::topNet(const ExprPtr &e)
 {
-    NetId id;
     auto it = _top_cache.find(e.get());
-    if (it != _top_cache.end()) {
-        id = it->second;
-    } else {
-        // Ad-hoc expressions append lazy nodes to the netlist —
-        // impossible when the netlist is shared immutably across
-        // Sim instances (the farm fan-out).
-        if (!_nl_own)
-            throw std::logic_error(
-                "Sim::evalTop: cannot compile ad-hoc expressions "
-                "on a shared immutable netlist");
-        id = _nl_own->compile(e, "");
-        // Appended nodes are lazy; grow the runtime arrays.
-        growRuntimeArrays(_nl.initValues().size());
-        _top_cache.emplace(e.get(), id);
-        _top_exprs.push_back(e);
-    }
-    sweep();
-    return evalLazy(id);
+    if (it != _top_cache.end())
+        return it->second;
+    // Ad-hoc expressions append lazy nodes to the netlist —
+    // impossible when the netlist is shared immutably across Sim
+    // instances (the farm fan-out).
+    if (!_nl_own)
+        throw std::logic_error(
+            "Sim::topNet: cannot compile ad-hoc expressions "
+            "on a shared immutable netlist");
+    NetId id = _nl_own->compile(e, "");
+    // Appended nodes are lazy; grow the runtime arrays.
+    growRuntimeArrays(_nl.initValues().size());
+    _top_cache.emplace(e.get(), id);
+    _top_exprs.push_back(e);
+    return id;
 }
 
 } // namespace rtl

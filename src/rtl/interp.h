@@ -173,7 +173,7 @@ class Sim
      * instances (the farm fan-out: compile once, simulate N seeds).
      * All runtime state (values, worklists, register frames) is
      * per-instance, so sharing is thread-safe as long as the
-     * netlist itself is never mutated — which is why evalTop's
+     * netlist itself is never mutated — which is why topNet's
      * ad-hoc compile path throws std::logic_error on a shared-
      * netlist Sim instead of appending nodes.  `netlist` must have
      * been built from `top`.
@@ -278,7 +278,7 @@ class Sim
 
     /**
      * Monotonic count of source mutations (setInput, setRegValue,
-     * restoreRegs, clock-edge commits) ever recorded.  Strict-net
+     * loadRegs, clock-edge commits) ever recorded.  Strict-net
      * values only move downstream of a source mutation, so an
      * observer that captures this at its sample can verify at the
      * next sample that nothing was poked between its sample and the
@@ -312,33 +312,50 @@ class Sim
     /** All flattened register names. */
     std::vector<std::string> regNames() const;
 
-    /** Direct register access (used by the BMC substrate). */
+    /** Direct register access by flat name. */
     BitVec regValue(const std::string &flat_name) const;
     void setRegValue(const std::string &flat_name, const BitVec &v);
 
-    /**
-     * Snapshot every register in netlist().regs() order, and restore
-     * such a snapshot.  The string-free state access of the BMC.
-     */
+    /** Every register's committed value, in netlist().regs() order. */
     std::vector<BitVec> captureRegs() const;
-    void restoreRegs(const std::vector<BitVec> &vals);
 
     /**
-     * Indexed single-register write (netlist().regs() order), with
-     * the same change seeding as restoreRegs.  The k-induction
-     * prover's cone-restricted restore: touching only the cone's
-     * registers keeps per-step cost proportional to the cone, not
-     * the design.
+     * Size of the packed register file: every register in
+     * netlist().regs() order takes BitVec::words() little-endian
+     * words (none when zero-width), bits above its width clear.  The
+     * successor-state explorers (verif/bmc.h, formal/kinduction.h)
+     * identify states by these words.
      */
-    void setReg(size_t reg_index, const BitVec &v);
+    size_t regWords() const { return _reg_off.back(); }
+
+    /** First packed word of register i (netlist().regs() order);
+     *  regOffset(regs().size()) == regWords(). */
+    size_t regOffset(size_t reg_index) const
+    {
+        return _reg_off[reg_index];
+    }
+
+    /** Write the committed registers, packed, to out[0, regWords()). */
+    void packRegs(uint64_t *out) const;
 
     /**
-     * Committed value of the i-th register (netlist().regs()
-     * order).  No sweep: register state only moves on pokes and
-     * clock edges, so snapshots taken right after step() need not
-     * recompute the combinational frame.
+     * Set the registers from a packed register file, as setRegValue
+     * does, without a clock edge.  Only registers whose words differ
+     * are poked, so the next sweep re-evaluates the cones of the
+     * registers that moved, not the design.
      */
-    const BitVec &regValue(size_t reg_index) const;
+    void loadRegs(const uint64_t *words);
+
+    /**
+     * The packed register file the next clock edge would commit,
+     * without committing it: sweeps, evaluates the lazy roots (so
+     * the edge's combinational faults surface here too), and applies
+     * the firing updates in declaration order, the last one to a
+     * register winning.  cycle(), the toggle count, the log and the
+     * registers are unchanged; an update of an unknown register
+     * throws std::invalid_argument as in step().
+     */
+    void nextRegs(uint64_t *out);
 
     /**
      * Value of an interned node at the current cycle.  Sweeps if
@@ -359,8 +376,16 @@ class Sim
     /** Top-level input port names. */
     std::vector<std::string> inputNames() const;
 
+    /**
+     * Net of an expression in the top-level scope, compiled on first
+     * use and cached per expression, so per-frame readers resolve it
+     * once and then read value().  Throws std::logic_error for a new
+     * expression on a shared netlist.
+     */
+    NetId topNet(const ExprPtr &e);
+
     /** Evaluate an expression in the top-level scope. */
-    BitVec evalTop(const ExprPtr &e);
+    BitVec evalTop(const ExprPtr &e) { return value(topNet(e)); }
 
     /** The compiled netlist (inspection / cost analyses). */
     const Netlist &netlist() const { return _nl; }
@@ -394,6 +419,7 @@ class Sim
     void pushConsumers(NetId id);
     void rollFrame();
     void refreshFromKernel(NetId id);
+    size_t stageUpdate(const NetUpdate &up);
 
     /**
      * Current value of a net, pulling it out of the attached kernel
@@ -416,10 +442,12 @@ class Sim
     const Netlist &_nl;
     std::vector<BitVec> _val;          // current value per node
     std::vector<BitVec> _reg_next;     // pending next value per reg
+    std::vector<size_t> _reg_off;      // packed word offset per reg,
+                                       // plus the total
     std::vector<BitVec> _wire_last;    // previous-cycle wire values
     std::vector<uint64_t> _lazy_gen;   // per-sweep memo for lazy nodes
     std::vector<uint8_t> _visiting;    // lazy-walk loop detection
-    std::vector<ExprPtr> _top_exprs;   // keeps evalTop keys alive
+    std::vector<ExprPtr> _top_exprs;   // keeps topNet keys alive
     std::map<const Expr *, NetId> _top_cache;
 
     // Event-driven sweep state.

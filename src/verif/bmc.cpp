@@ -1,8 +1,5 @@
 #include "verif/bmc.h"
 
-#include <deque>
-#include <unordered_set>
-
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "rtl/interp.h"
@@ -10,33 +7,6 @@
 
 namespace anvil {
 namespace verif {
-
-namespace {
-
-/**
- * Flattened register snapshot packed as raw BitVec words over the
- * interned register table — no string rendering on the exploration
- * hot path.  Register order and widths are fixed for one design, so
- * the packed words identify a state exactly (keys are compared for
- * full equality; the hash below is only the table probe).
- */
-std::vector<uint64_t>
-packState(const std::vector<BitVec> &regs)
-{
-    std::vector<uint64_t> words;
-    for (const auto &r : regs) {
-        words.reserve(words.size() +
-                      static_cast<size_t>(r.words()));
-        for (int w = 0; w < r.words(); w++)
-            words.push_back(r.word(w));
-    }
-    return words;
-}
-
-using StateSet =
-    std::unordered_set<std::vector<uint64_t>, PackedWordsHash>;
-
-} // namespace
 
 std::string
 BmcResult::statusStr() const
@@ -120,33 +90,35 @@ boundedModelCheck(const std::shared_ptr<const rtl::Module> &top,
     uint64_t in_mask =
         whole_word ? ~0ull : (1ull << opts.input_bits_limit) - 1;
 
-    struct Node
-    {
-        std::vector<BitVec> regs;
-        int depth;
-    };
+    // Assertion nets, compiled once and read per frame.
+    std::vector<std::pair<rtl::NetId, rtl::NetId>> checks;
+    for (const auto &a : asserts)
+        checks.push_back({sim.topNet(a.enable), sim.topNet(a.expr)});
 
     BmcResult result;
     BmcTelemetry telemetry(opts, result);
-    std::deque<Node> frontier;
-    StateSet seen;
 
-    frontier.push_back({sim.captureRegs(), 0});
-    seen.insert(packState(frontier.back().regs));
+    // Breadth-first over packed register states: the table's rows,
+    // in insertion order, are the queue, and row i is expanded once
+    // at depth[i].  Each node is loaded into the simulator once;
+    // every input combo then runs on the live frame, and nextRegs
+    // yields the successor without committing an edge.
+    PackedStateTable seen(sim.regWords());
+    std::vector<int> depth;
+    std::vector<uint64_t> next(sim.regWords());
+    sim.packRegs(next.data());
+    seen.insert(next.data());
+    depth.push_back(0);
 
     bool hit_bound = false;
-    while (!frontier.empty()) {
-        Node node = std::move(frontier.front());
-        frontier.pop_front();
-        result.depth_reached = std::max(result.depth_reached,
-                                        node.depth);
-        if (node.depth >= opts.max_depth) {
+    for (size_t i = 0; i < seen.size(); i++) {
+        result.depth_reached = std::max(result.depth_reached, depth[i]);
+        if (depth[i] >= opts.max_depth) {
             hit_bound = true;
             continue;
         }
-
+        sim.loadRegs(seen.row(i));
         for (uint64_t combo = 0; combo < combos; combo++) {
-            sim.restoreRegs(node.regs);
             uint64_t bits = combo;
             for (rtl::NetId in : inputs) {
                 sim.setInput(in, bits & in_mask);
@@ -154,32 +126,29 @@ boundedModelCheck(const std::shared_ptr<const rtl::Module> &top,
             }
 
             // Check assertions in this combinational frame.
-            for (const auto &a : asserts) {
-                if (sim.evalTop(a.enable).any() &&
-                    !sim.evalTop(a.expr).any()) {
+            for (size_t a = 0; a < checks.size(); a++) {
+                if (sim.value(checks[a].first).any() &&
+                    !sim.value(checks[a].second).any()) {
                     result.status = BmcResult::Status::Violated;
-                    result.violated_assertion = a.name;
+                    result.violated_assertion = asserts[a].name;
                     result.states_explored = seen.size();
                     return result;
                 }
             }
 
-            sim.step();
-            result.states_explored++;
-            std::vector<BitVec> next = sim.captureRegs();
-            std::vector<uint64_t> key = packState(next);
-            if (!seen.count(key)) {
-                if (seen.size() >= opts.max_states) {
+            sim.nextRegs(next.data());
+            if (seen.size() >= opts.max_states) {
+                if (seen.find(next.data()) == PackedStateTable::npos) {
                     result.status =
                         BmcResult::Status::BudgetExhausted;
                     result.states_explored = seen.size();
                     return result;
                 }
-                seen.insert(std::move(key));
-                frontier.push_back({std::move(next),
-                                    node.depth + 1});
+            } else if (seen.insert(next.data()).second) {
+                depth.push_back(depth[i] + 1);
+                // Rows after i are the queue still to expand.
                 telemetry.frontier_peak = std::max<uint64_t>(
-                    telemetry.frontier_peak, frontier.size());
+                    telemetry.frontier_peak, seen.size() - i - 1);
             }
         }
     }

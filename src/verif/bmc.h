@@ -71,8 +71,9 @@ struct BmcOptions
     int input_bits_limit = 4;
     /** Sweep strategy for the underlying simulator.  Both modes
      *  explore identical state spaces (pinned by the differential
-     *  tests); Dirty is fastest for the restore-poke-step pattern,
-     *  Full is the force-dense reference. */
+     *  tests); Dirty is fastest, since each input combo of a loaded
+     *  state re-evaluates only the cones of the inputs it changed,
+     *  and Full is the force-dense reference. */
     rtl::SweepMode sweep_mode = rtl::SweepMode::Dirty;
     /** Optional compiled kernel (codegen/jit.h) for the simulator.
      *  Attach failures fall back to the interpreter silently; the
@@ -89,6 +90,9 @@ struct BmcOptions
 /**
  * Explore the design from its reset state.  Inputs take all
  * combinations of their low `input_bits_limit` bits each step.
+ * Breadth-first over packed register states (Sim::packRegs): each
+ * state is loaded once, and Sim::nextRegs yields its successors
+ * without committing clock edges.
  */
 BmcResult boundedModelCheck(const std::shared_ptr<const rtl::Module> &top,
                             const std::vector<Assertion> &asserts,

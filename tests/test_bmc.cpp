@@ -4,18 +4,23 @@
  * assertion violations, proves small designs, and — the paper's
  * point — exhausts its budget on the Listing 2 design whose
  * violation is gated by a 32-bit counter, while Anvil's type checker
- * rejects the equivalent source instantly.
+ * rejects the equivalent source instantly.  Also checks the packed-
+ * state table the explorers share (rows in insertion order, repeats
+ * found, across index growth and for zero-word states).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <deque>
 #include <map>
+#include <vector>
 
 #include "anvil/compiler.h"
 #include "designs/designs.h"
 #include "rtl/interp.h"
+#include "support/hash.h"
 #include "verif/bmc.h"
 
 using namespace anvil;
@@ -286,6 +291,45 @@ TEST(Bmc, WithSmallCounterBmcDoesFindIt)
                 eq(ref("sent", 1), ref("prev", 1))};
     BmcResult res = boundedModelCheck(m, {a});
     EXPECT_TRUE(res.foundViolation());
+}
+
+TEST(PackedStateTable, RowsKeepInsertionOrderAcrossGrowth)
+{
+    // Rows that differ only in one high bit of one word, enough of
+    // them to grow the index many times: each distinct row gets the
+    // next index, a repeat returns its first index, and find agrees.
+    const size_t stride = 3;
+    PackedStateTable t(stride);
+    auto rowOf = [](uint64_t i) {
+        return std::vector<uint64_t>{7, (i & 1) << 63, i << 40};
+    };
+    const uint64_t n = 5000;
+    for (uint64_t i = 0; i < n; i++) {
+        std::vector<uint64_t> r = rowOf(i);
+        auto [idx, added] = t.insert(r.data());
+        ASSERT_TRUE(added) << i;
+        ASSERT_EQ(idx, i);
+    }
+    ASSERT_EQ(t.size(), n);
+    for (uint64_t i = 0; i < n; i++) {
+        std::vector<uint64_t> r = rowOf(i);
+        ASSERT_EQ(t.find(r.data()), i);
+        auto [idx, added] = t.insert(r.data());
+        ASSERT_FALSE(added);
+        ASSERT_EQ(idx, i);
+        ASSERT_TRUE(std::equal(r.begin(), r.end(), t.row(i)));
+    }
+    std::vector<uint64_t> absent{7, 0, n << 40};
+    EXPECT_EQ(t.find(absent.data()), PackedStateTable::npos);
+    EXPECT_EQ(t.size(), n);
+
+    // A design without registers packs to zero words: one state.
+    PackedStateTable empty(0);
+    EXPECT_EQ(empty.find(nullptr), PackedStateTable::npos);
+    EXPECT_TRUE(empty.insert(nullptr).second);
+    EXPECT_FALSE(empty.insert(nullptr).second);
+    EXPECT_EQ(empty.find(nullptr), 0u);
+    EXPECT_EQ(empty.size(), 1u);
 }
 
 } // namespace

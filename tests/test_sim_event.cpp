@@ -9,8 +9,9 @@
  * set-associative-TLB workloads.  Also pins the structural properties
  * the event-driven sweep relies on (fan-out CSR shape, changed-net
  * completeness), sanity-checks that dirty sweeping actually evaluates
- * fewer nodes than the dense sweep on sparse stimulus, and pins when
- * the dirty sweep's adaptive dense fallback engages.
+ * fewer nodes than the dense sweep on sparse stimulus, pins when
+ * the dirty sweep's adaptive dense fallback engages, and checks that
+ * Sim::nextRegs predicts every mode's clock edge without taking it.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <functional>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 
 #include "codegen/jit.h"
 #include "designs/designs.h"
@@ -604,6 +606,215 @@ TEST(SweepModes, BmcStatesIdenticalAcrossModes)
         EXPECT_EQ(results[0].depth_reached, results[i].depth_reached);
     }
     EXPECT_TRUE(results[0].foundViolation());
+}
+
+/**
+ * Sim::nextRegs against a real edge, on one backend row: every cycle
+ * of seeded random stimulus, the packed state it predicts must equal
+ * packRegs on a twin after step().  It must leave the simulator as
+ * it was (cycle, toggles, log, registers), so the step() that
+ * follows on the same Sim still matches the twin bit for bit; and a
+ * walker that advances only through nextRegs + loadRegs must track
+ * the twin's registers.
+ */
+void
+expectNextRegsPredictsStep(const ModulePtr &mod, int cycles,
+                           unsigned seed, SweepMode mode, bool compiled)
+{
+    SCOPED_TRACE(mod->name + " " + sweepModeName(mode) +
+                 (compiled ? " compiled" : ""));
+    Sim probe(mod), twin(mod), walker(mod);
+    for (Sim *s : {&probe, &twin, &walker}) {
+        s->setSweepMode(mode);
+        if (compiled) {
+            attachJitKernel(*s);
+            ASSERT_TRUE(s->kernelAttached());
+        }
+    }
+    std::vector<NetId> inputs;
+    for (const auto &in : probe.inputNames())
+        inputs.push_back(probe.inputId(in));
+    size_t words = probe.regWords();
+    std::vector<uint64_t> before(words), next(words), after(words),
+        want(words), walked(words);
+    std::mt19937_64 rng(seed);
+    for (int cyc = 0; cyc < cycles; cyc++) {
+        for (NetId in : inputs) {
+            uint64_t v = rng();
+            probe.setInput(in, v);
+            twin.setInput(in, v);
+            walker.setInput(in, v);
+        }
+        uint64_t toggles = probe.totalToggles();
+        size_t lines = probe.log().size();
+        probe.packRegs(before.data());
+        probe.nextRegs(next.data());
+        probe.packRegs(after.data());
+        ASSERT_EQ(before, after) << "cycle " << cyc;
+        ASSERT_EQ(probe.cycle(), static_cast<uint64_t>(cyc));
+        ASSERT_EQ(probe.totalToggles(), toggles) << "cycle " << cyc;
+        ASSERT_EQ(probe.log().size(), lines) << "cycle " << cyc;
+
+        twin.step();
+        twin.packRegs(want.data());
+        ASSERT_EQ(next, want) << "cycle " << cyc;
+
+        probe.step();
+        ASSERT_EQ(probe.totalToggles(), twin.totalToggles())
+            << "cycle " << cyc;
+        ASSERT_EQ(probe.log(), twin.log()) << "cycle " << cyc;
+
+        walker.nextRegs(walked.data());
+        walker.loadRegs(walked.data());
+        walker.packRegs(walked.data());
+        ASSERT_EQ(walked, want) << "cycle " << cyc;
+    }
+    EXPECT_EQ(walker.cycle(), 0u);
+    EXPECT_EQ(walker.totalToggles(), 0u);
+}
+
+TEST(NextRegs, PredictsStepOnEvalDesigns)
+{
+    struct Case
+    {
+        ModulePtr mod;
+        int cycles;
+    };
+    std::vector<Case> cases = {
+        {designs::buildFifoBaseline(), 120},
+        {designs::buildSpillRegBaseline(), 120},
+        {designs::buildStreamFifoBaseline(), 120},
+        {designs::buildTlbBaseline(), 100},
+        {designs::buildPtwBaseline(), 100},
+        {designs::buildAxiDemuxBaseline(), 80},
+        {designs::buildAxiMuxBaseline(), 80},
+        {designs::buildAesBaseline(), 40},
+        {designs::buildPipelinedAluBaseline(), 100},
+        {designs::buildSystolicBaseline(), 100},
+        {designs::buildHazardDemoSystem(), 80},
+        {designs::buildCacheDemoBaseline(), 80},
+    };
+    // aes carries the registers wider than 64 bits (multi-word rows).
+    Sim aes(cases[7].mod);
+    bool wide = false;
+    for (NetId r : aes.netlist().regs())
+        wide |= aes.netlist().net(r).width > 64;
+    EXPECT_TRUE(wide);
+    EXPECT_GT(aes.regWords(), aes.netlist().regs().size());
+
+    unsigned seed = 60;
+    for (const Case &c : cases) {
+        expectNextRegsPredictsStep(c.mod, c.cycles, seed,
+                                   SweepMode::Full, false);
+        expectNextRegsPredictsStep(c.mod, c.cycles, seed,
+                                   SweepMode::Dirty, false);
+        if (haveJitCompiler())
+            expectNextRegsPredictsStep(c.mod, c.cycles, seed,
+                                       SweepMode::Dirty, true);
+        seed++;
+    }
+}
+
+TEST(NextRegs, LastFiringUpdateWins)
+{
+    // Two guarded updates of one register, narrow and wide: when
+    // both fire, the later declaration is what the edge commits.
+    auto m = std::make_shared<Module>();
+    m->name = "twice";
+    auto a = m->input("a", 1);
+    auto b = m->input("b", 1);
+    auto d = m->input("d", 8);
+    auto r = m->reg("r", 8);
+    auto w = m->reg("w", 100);
+    m->update("r", a, d);
+    m->update("r", b, d + cst(8, 1));
+    m->update("w", a, concat({d, slice(w, 0, 92)}));
+    m->update("w", b, ~w);
+    for (SweepMode mode : {SweepMode::Full, SweepMode::Dirty}) {
+        Sim probe(m), twin(m);
+        probe.setSweepMode(mode);
+        twin.setSweepMode(mode);
+        std::vector<uint64_t> next(probe.regWords()),
+            want(probe.regWords());
+        for (int cyc = 0; cyc < 16; cyc++) {
+            for (Sim *s : {&probe, &twin}) {
+                s->setInput("a", static_cast<uint64_t>(cyc & 1));
+                s->setInput("b", static_cast<uint64_t>((cyc >> 1) & 1));
+                s->setInput("d", static_cast<uint64_t>(cyc * 37));
+            }
+            probe.nextRegs(next.data());
+            twin.step();
+            twin.packRegs(want.data());
+            ASSERT_EQ(next, want) << "cycle " << cyc;
+            if ((cyc & 3) == 3) {
+                EXPECT_EQ(twin.regValue("r").toUint64(),
+                          static_cast<uint64_t>(cyc * 37 + 1) & 0xff);
+            }
+            probe.step();
+        }
+    }
+}
+
+/** The what() of the exception `f` throws, or "" if it returns. */
+template <typename E, typename F>
+std::string
+thrownMessage(F f)
+{
+    try {
+        f();
+    } catch (const E &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(NextRegs, FaultsLikeTheEdge)
+{
+    // A firing update of a register the design never declares.
+    auto m = std::make_shared<Module>();
+    m->name = "ghost";
+    auto en = m->input("en", 1);
+    auto r = m->reg("r", 4);
+    m->update("r", cst(1, 1), r + cst(4, 1));
+    m->update("ghost", en, cst(4, 3));
+    {
+        Sim probe(m), twin(m);
+        std::vector<uint64_t> next(probe.regWords());
+        // Not firing: both advance normally.
+        probe.nextRegs(next.data());
+        twin.step();
+        EXPECT_EQ(next[0], 1u);
+        probe.setInput("en", 1);
+        twin.setInput("en", 1);
+        std::string edge = thrownMessage<std::invalid_argument>(
+            [&] { twin.step(); });
+        EXPECT_NE(edge.find("ghost"), std::string::npos) << edge;
+        EXPECT_EQ(thrownMessage<std::invalid_argument>(
+                      [&] { probe.nextRegs(next.data()); }),
+                  edge);
+    }
+
+    // A combinational loop that nothing but the edge's lazy-root
+    // walk reaches: no register, update or output reads it.
+    auto l = std::make_shared<Module>();
+    l->name = "loopy";
+    auto x = l->input("x", 1);
+    auto c = l->reg("c", 2);
+    l->update("c", cst(1, 1), c + cst(2, 1));
+    l->wire("p", ref("q", 1) ^ x);
+    l->wire("q", ref("p", 1));
+    {
+        Sim probe(l), twin(l);
+        EXPECT_FALSE(probe.netlist().lazyRoots().empty());
+        std::vector<uint64_t> next(probe.regWords());
+        std::string edge = thrownMessage<std::runtime_error>(
+            [&] { twin.step(); });
+        EXPECT_NE(edge.find("combinational loop"), std::string::npos)
+            << edge;
+        EXPECT_EQ(thrownMessage<std::runtime_error>(
+                      [&] { probe.nextRegs(next.data()); }),
+                  edge);
+    }
 }
 
 TEST(SweepModes, FanoutCsrMatchesOperands)
