@@ -8,8 +8,8 @@
  *     --top <proc>   top process (default: last defined)
  *     --no-opt       skip the Fig. 8 event-graph passes
  *     --trace        print the timing-check derivation
- *     --stats        print event-graph, synthesis, and (with --sim)
- *                    simulation/coverage statistics
+ *     --stats        print event-graph, synthesis, and (with --sim,
+ *                    --replay or --farm) sweep/coverage statistics
  *     --check-only   type check without generating code
  *     --sim <N>      simulate N cycles under a seeded random
  *                    testbench after compiling
@@ -70,7 +70,7 @@
  *                    testbench/contract failure; the default) or
  *                    cover:NAME (a named cover point's hit count)
  *     --flight-out <p>  window dump path prefix (default "flight");
- *                    dumps land at <p>-<n>.vcd (farm workers:
+ *                    dumps land at <p>-<n>.vcd (with --farm N > 1:
  *                    <p>.w<worker>-<n>.vcd)
  *     --profile-hot <f> count every node evaluation during the run
  *                    and write the hot-spot attribution report
@@ -90,6 +90,15 @@
  *                    ("anvil-stats-v1") on stdout
  *     --slice <ch>   with --vcd: dump only channel <ch>'s signals
  *                    (a standalone sliced VCD window)
+ *
+ * --sim, --replay and --farm N share one run spine (anvil/
+ * sim_runner.h): each builds one run::JobConfig and makes one
+ * run::runFarm call — one worker unless --farm is given — and prints
+ * every report line (sim, sweep, coverage, triage, flight,
+ * stats-json, the metrics file) from the obs::Merger fold of the
+ * workers' event streams.  The profiler and the rolling-activity
+ * plugin only run when --metrics, --profile or --events will read
+ * them, so a plain --sim keeps an empty change feed.
  *
  * Contract resolution order: explicit --contract specs; otherwise
  * the typed inference from the compiled program (formal::
@@ -112,21 +121,13 @@
 #include "anvil/compiler.h"
 #include "anvil/sim_runner.h"
 #include "codegen/cpp_emitter.h"
-#include "codegen/jit.h"
-#include "obs/activity.h"
-#include "obs/flight.h"
-#include "obs/hot.h"
 #include "obs/merge.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/slice.h"
-#include "obs/stream.h"
-#include "obs/triage.h"
 #include "formal/contracts.h"
 #include "formal/kinduction.h"
 #include "formal/property.h"
 #include "synth/cost_model.h"
-#include "tb/testbench.h"
 #include "trace/contracts.h"
 #include "trace/diff.h"
 #include "trace/replay.h"
@@ -242,9 +243,15 @@ resolveContracts(const std::vector<std::string> &spec_texts,
     return true;
 }
 
-/** Observability options threaded through --sim / --replay runs. */
-struct ObsOptions
+/** Flags of a --sim / --replay / --farm run. */
+struct SimOptions
 {
+    long cycles = 0;             // --sim N (replay: 0 = whole dump)
+    uint64_t seed = 1;           // --seed (--farm: --seed-base)
+    int farm = 0;                // --farm N (0: one plain job)
+    bool compiled = false;       // --backend compiled
+    std::string replay_path;     // --replay
+
     std::string metrics_path;    // --metrics
     std::string profile_path;    // --profile
     std::string slice_channel;   // --slice
@@ -258,17 +265,12 @@ struct ObsOptions
     std::string flight_out = "flight";  // --flight-out prefix
     std::string hot_path;        // --profile-hot
 
-    /** True when any telemetry sink is requested. */
+    /** True when a sink will read the profiler's timers and the
+     *  rolling-activity envelope; plain runs keep an empty feed. */
     bool telemetry() const
     {
         return !metrics_path.empty() || !profile_path.empty() ||
-               stats_json || !events_path.empty();
-    }
-
-    /** Pre-trigger window actually used by the recorder. */
-    uint64_t flightPre() const
-    {
-        return flight_pre ? flight_pre : flight;
+               !events_path.empty();
     }
 
     /** True when any --dump-on trigger names a cover point. */
@@ -281,417 +283,106 @@ struct ObsOptions
     }
 };
 
-/**
- * Live event-stream tap for a single run (--events): the sink plus
- * the two stream-side observer plugins, so finishRun can emit the
- * end-of-run tail and export their metrics.
- */
-struct EventTap
+/** Open an artifact for writing; false (with a note) when it cannot. */
+bool
+openArtifact(std::ofstream &os, const std::string &path)
 {
-    obs::EventSink *sink = nullptr;
-    std::ofstream *os = nullptr;
-    std::string path;
-    obs::RollingActivity *activity = nullptr;
-    obs::AssertionTriage *triage = nullptr;
-};
+    os.open(path);
+    if (!os)
+        fprintf(stderr, "anvilc: cannot write '%s'\n", path.c_str());
+    return static_cast<bool>(os);
+}
 
-/**
- * --backend compiled: JIT the netlist and attach the kernel to the
- * bench's simulator.  Failures (no compiler, compile error, hash
- * mismatch) degrade to the interpreter with a note on stderr; the
- * run's results and exit code are identical either way.
- */
-codegen::JitResult
-attachCompiledBackend(tb::Testbench &bench)
+/** Flush a finished artifact and announce it; false on a write error. */
+bool
+closeArtifact(std::ostream &os, const std::string &path)
 {
-    codegen::JitResult jr =
-        codegen::jitCompileKernel(bench.sim().netlist());
-    if (jr.kernel &&
-        bench.sim().attachKernel(codegen::kernelRef(jr.kernel)))
-        return jr;
-    fprintf(stderr,
-            "anvilc: note: compiled backend unavailable (%s); "
-            "using the interpreter\n",
-            jr.error.empty() ? "kernel attach failed"
-                             : jr.error.c_str());
-    return jr;
+    os.flush();
+    if (!os.good()) {
+        fprintf(stderr, "anvilc: cannot write '%s'\n", path.c_str());
+        return false;
+    }
+    fprintf(stderr, "anvilc: wrote %s\n", path.c_str());
+    return true;
+}
+
+/** Write one whole artifact to `path`; false on a write error. */
+bool
+writeArtifact(const std::string &path, const std::string &text)
+{
+    std::ofstream os(path);
+    os << text;
+    return closeArtifact(os, path);
+}
+
+/** The `sweep:` / `sweep-kernel:` stats lines of a merged run. */
+void
+printSweep(const obs::Merger &merger)
+{
+    // The activity factor is what the event-driven sweep exploits:
+    // nodes actually evaluated vs. the whole strict table, per cycle.
+    rtl::SweepStats ss = merger.sweepStats();
+    double act = ss.strict_nodes
+        ? 100.0 * ss.avgNodes() / static_cast<double>(ss.strict_nodes)
+        : 0.0;
+    // Always name the backend actually used: a silent JIT fallback
+    // must be visible here, not just in stats-json.
+    std::string backend = merger.totals().backend;
+    printf("sweep: mode=%s backend=%s threads=1 strict-nodes=%zu "
+           "evaluated/cycle avg=%.1f peak=%llu "
+           "changed-nets/cycle avg=%.1f peak=%llu activity=%.1f%%\n",
+           rtl::sweepModeName(ss.mode), backend.c_str(),
+           ss.strict_nodes, ss.avgNodes(),
+           (unsigned long long)ss.peak_nodes, ss.avgChanged(),
+           (unsigned long long)ss.peak_changed, act);
+    if (backend != "interp")
+        printf("sweep-kernel: frames=%llu dense-frames=%llu "
+               "fallback-switches=%llu\n",
+               (unsigned long long)ss.kernel_frames,
+               (unsigned long long)ss.kernel_dense_frames,
+               (unsigned long long)ss.kernel_fallback_switches);
 }
 
 /**
- * Hook the telemetry spine up before a run: one TraceProfiler feeds
- * both the simulator's phase timing (Sim::setTelemetry) and the
- * change feed's per-observer tracks.  Event buffering is only paid
- * for when --profile will write them out.
+ * --sim, --replay and --farm N: one run::runFarm call (one worker
+ * unless --farm is given), every report line printed from the
+ * obs::Merger fold of the workers' event streams.
  */
-std::unique_ptr<obs::TraceProfiler>
-attachTelemetry(tb::Testbench &bench, const ObsOptions &oo)
-{
-    if (!oo.telemetry())
-        return nullptr;
-    auto profiler = std::make_unique<obs::TraceProfiler>(
-        !oo.profile_path.empty());
-    bench.sim().setTelemetry(profiler.get());
-    bench.feed().setProfiler(profiler.get());
-    return profiler;
-}
-
-/** Attach the --slice / --vcd observer to the bench. */
 int
-attachWaves(tb::Testbench &bench, std::ofstream &vcd_os,
-            const ObsOptions &oo)
+runSim(const rtl::ModulePtr &mod, const formal::ContractSet *typed,
+       bool contracts, const std::vector<std::string> &contract_specs,
+       const std::string &vcd_path, bool cov, bool stats,
+       const SimOptions &so)
 {
-    if (oo.slice_channel.empty()) {
-        bench.attachVcd(vcd_os);
-        return kExitOk;
-    }
-    try {
-        bench.attachObserver(std::make_unique<obs::ChannelSlicer>(
-            bench.sim(), vcd_os, oo.slice_channel));
-    } catch (const std::invalid_argument &e) {
-        fprintf(stderr, "anvilc: %s\n", e.what());
-        return kExitUsage;
-    }
-    return kExitOk;
-}
-
-/** Shared tail of --sim and --replay runs: run, report, exit code. */
-int
-finishRun(tb::Testbench &bench, uint64_t cycles,
-          tb::Coverage *coverage, std::ofstream *vcd_os,
-          const std::string &vcd_path, bool cov, bool stats,
-          const ObsOptions &oo, obs::TraceProfiler *profiler,
-          const codegen::JitResult *jit,
-          const EventTap *tap = nullptr,
-          const obs::FlightRecorder *flight = nullptr)
-{
-    uint64_t wall0 = rtl::monotonicNanos();
-    tb::TbResult result = bench.run(cycles);
-    uint64_t wall_ns = rtl::monotonicNanos() - wall0;
-    bench.feed().finish();
-
-    printf("sim: %llu cycles, %llu toggles, %zu dprint line(s)\n",
-           (unsigned long long)result.cycles,
-           (unsigned long long)bench.sim().totalToggles(),
-           bench.sim().log().size());
-    if (stats) {
-        // The activity factor is what the event-driven sweep
-        // exploits: nodes actually evaluated vs. the whole strict
-        // table, per cycle.
-        const rtl::SweepStats &ss = bench.sim().sweepStats();
-        double act = ss.strict_nodes
-            ? 100.0 * ss.avgNodes() /
-                static_cast<double>(ss.strict_nodes)
-            : 0.0;
-        // Always name the backend actually used: a silent JIT
-        // fallback must be visible here, not just in stats-json.
-        printf("sweep: mode=%s backend=%s threads=1 strict-nodes=%zu "
-               "evaluated/cycle avg=%.1f peak=%llu "
-               "changed-nets/cycle avg=%.1f peak=%llu "
-               "activity=%.1f%%\n",
-               rtl::sweepModeName(ss.mode),
-               bench.sim().kernelAttached() ? "compiled" : "interp",
-               ss.strict_nodes, ss.avgNodes(),
-               (unsigned long long)ss.peak_nodes, ss.avgChanged(),
-               (unsigned long long)ss.peak_changed, act);
-        if (bench.sim().kernelAttached())
-            printf("sweep-kernel: frames=%llu dense-frames=%llu "
-                   "fallback-switches=%llu\n",
-                   (unsigned long long)ss.kernel_frames,
-                   (unsigned long long)ss.kernel_dense_frames,
-                   (unsigned long long)ss.kernel_fallback_switches);
-    }
-    if (coverage && (stats || cov))
-        printf("sim-summary %s\n", coverage->summaryJson().c_str());
-    if (cov && coverage)
-        fputs(coverage->report().c_str(), stdout);
-    if (vcd_os) {
-        vcd_os->flush();
-        if (!vcd_os->good()) {
-            fprintf(stderr, "anvilc: error writing '%s'\n",
-                    vcd_path.c_str());
-            return kExitIo;
-        }
-        fprintf(stderr, "anvilc: wrote %s\n", vcd_path.c_str());
-    }
-    if (flight)
-        for (const obs::FlightRecorder::DumpInfo &d :
-             flight->dumps())
-            printf("flight: dump %d: %s @%llu window "
-                   "[%llu..%llu]%s%s\n",
-                   d.index, d.trigger.c_str(),
-                   (unsigned long long)d.trigger_cycle,
-                   (unsigned long long)d.from,
-                   (unsigned long long)d.to,
-                   d.path.empty() ? "" : " -> ",
-                   d.path.c_str());
-
-    // Hot-spot attribution (--profile-hot): ranked tables on stdout,
-    // the anvil-hot-v1 JSON report to the requested file.
-    std::unique_ptr<obs::HotReport> hot;
-    if (!oo.hot_path.empty()) {
-        hot = std::make_unique<obs::HotReport>(
-            obs::buildHotReport(bench.sim()));
-        fputs(hot->table().c_str(), stdout);
-        std::ofstream os(oo.hot_path);
-        os << hot->json() << "\n";
-        os.flush();
-        if (!os.good()) {
-            fprintf(stderr, "anvilc: cannot write '%s'\n",
-                    oo.hot_path.c_str());
-            return kExitIo;
-        }
-        fprintf(stderr, "anvilc: wrote %s\n", oo.hot_path.c_str());
-    }
-
-    if (oo.telemetry()) {
-        obs::MetricsRegistry reg;
-        run::collectRunMetrics(reg, bench, result, coverage,
-                               profiler, jit, wall_ns,
-                               tap ? tap->activity : nullptr,
-                               tap ? tap->triage : nullptr);
-        if (flight)
-            flight->exportMetrics(reg);
-        if (hot)
-            hot->exportMetrics(reg);
-        if (tap && tap->sink) {
-            run::emitRunTail(*tap->sink, bench, result, coverage,
-                             reg, wall_ns);
-            tap->os->flush();
-            if (!tap->os->good()) {
-                fprintf(stderr, "anvilc: cannot write '%s'\n",
-                        tap->path.c_str());
-                return kExitIo;
-            }
-            fprintf(stderr, "anvilc: wrote %s\n", tap->path.c_str());
-        }
-        if (!oo.metrics_path.empty()) {
-            std::ofstream os(oo.metrics_path);
-            os << reg.json() << "\n";
-            os.flush();
-            if (!os.good()) {
-                fprintf(stderr, "anvilc: cannot write '%s'\n",
-                        oo.metrics_path.c_str());
-                return kExitIo;
-            }
-            fprintf(stderr, "anvilc: wrote %s\n",
-                    oo.metrics_path.c_str());
-        }
-        if (!oo.profile_path.empty() && profiler) {
-            profiler->setLevelActivity(bench.feed().levelActivity());
-            std::ofstream os(oo.profile_path);
-            profiler->writeJson(os);
-            os.flush();
-            if (!os.good()) {
-                fprintf(stderr, "anvilc: cannot write '%s'\n",
-                        oo.profile_path.c_str());
-                return kExitIo;
-            }
-            fprintf(stderr, "anvilc: wrote %s\n",
-                    oo.profile_path.c_str());
-        }
-        if (oo.stats_json) {
-            const rtl::SweepStats &ss = bench.sim().sweepStats();
-            double act = ss.strict_nodes
-                ? 100.0 * ss.avgNodes() /
-                    static_cast<double>(ss.strict_nodes)
-                : 0.0;
-            double cps = wall_ns
-                ? static_cast<double>(result.cycles) * 1e9 /
-                    static_cast<double>(wall_ns)
-                : 0.0;
-            printf("stats-json {\"schema\":\"anvil-stats-v1\","
-                   "\"design\":\"%s\",\"cycles\":%llu,"
-                   "\"backend\":\"%s\",\"sweep\":\"%s\","
-                   "\"threads\":1,\"activity_pct\":%.2f,"
-                   "\"toggles\":%llu,\"failures\":%zu,"
-                   "\"wall_ns\":%llu,\"cycles_per_sec\":%.0f,"
-                   "\"coverage\":%s}\n",
-                   bench.sim().topName().c_str(),
-                   (unsigned long long)result.cycles,
-                   bench.sim().kernelAttached() ? "compiled"
-                                                : "interp",
-                   rtl::sweepModeName(ss.mode), act,
-                   (unsigned long long)bench.sim().totalToggles(),
-                   result.failures.size(),
-                   (unsigned long long)wall_ns, cps,
-                   coverage ? coverage->summaryJson().c_str()
-                            : "null");
-        }
-    }
-
-    if (!result.ok()) {
-        fprintf(stderr, "anvilc: %s\n", result.summary().c_str());
-        return kExitCheckFailure;
-    }
-    return kExitOk;
-}
-
-/** Random-testbench run over the compiled top module. */
-int
-simulate(const rtl::ModulePtr &mod, long cycles, uint64_t seed,
-         const std::string &vcd_path, bool cov, bool stats,
-         bool contracts,
-         const std::vector<std::string> &contract_specs,
-         const formal::ContractSet *typed, bool compiled_backend,
-         const ObsOptions &oo)
-{
-    tb::Testbench bench(mod, seed);
-    if (!oo.hot_path.empty())
-        bench.sim().setEvalCounting(true);
-    codegen::JitResult jit;
-    if (compiled_backend)
-        jit = attachCompiledBackend(bench);
-    std::unique_ptr<obs::TraceProfiler> profiler =
-        attachTelemetry(bench, oo);
-    for (const auto &in : bench.sim().inputNames())
-        bench.driveRandom(in);
-
-    std::ofstream events_os;
-    std::unique_ptr<obs::EventSink> sink;
-    EventTap tap;
-    if (!oo.events_path.empty()) {
-        events_os.open(oo.events_path);
-        if (!events_os) {
-            fprintf(stderr, "anvilc: cannot write '%s'\n",
-                    oo.events_path.c_str());
-            return kExitIo;
-        }
-        sink = std::make_unique<obs::EventSink>(events_os);
-        tap.sink = sink.get();
-        tap.os = &events_os;
-        tap.path = oo.events_path;
-    }
-
-    trace::ContractMonitor *monitor = nullptr;
-    if (contracts || !contract_specs.empty()) {
-        std::vector<trace::ContractSpec> specs;
-        if (!resolveContracts(contract_specs,
-                              bench.sim().netlist(), typed,
-                              contracts, &specs))
-            return kExitUsage;
+    trace::Trace t;
+    if (!so.replay_path.empty()) {
         try {
-            monitor = static_cast<trace::ContractMonitor *>(
-                &bench.addMonitor(
-                    std::make_unique<trace::ContractMonitor>(
-                        std::move(specs), bench.sim())));
-        } catch (const std::invalid_argument &e) {
-            fprintf(stderr, "anvilc: %s\n", e.what());
-            return kExitUsage;
-        }
-    }
-
-    tb::Coverage *coverage = nullptr;
-    if (cov || stats || (oo.flight && oo.coverTriggered()))
-        coverage = &bench.coverage();
-
-    // The stream-side plugins ride along whenever the run streams
-    // events — the same stack a farm worker runs, so a single-run
-    // stream merges (and compares) cleanly against farm output.
-    if (sink) {
-        if (monitor)
-            tap.triage = static_cast<obs::AssertionTriage *>(
-                &bench.attachObserver(
-                    std::make_unique<obs::AssertionTriage>(
-                        *monitor, sink.get())));
-        tap.activity = static_cast<obs::RollingActivity *>(
-            &bench.attachObserver(
-                std::make_unique<obs::RollingActivity>(
-                    /*window=*/64, sink.get())));
-        sink->runBegin(bench.sim().topName(), /*worker=*/0, seed,
-                       static_cast<uint64_t>(cycles),
-                       bench.sim().sweepMode());
-    }
-
-    // Flight recorder last: its trigger poll must see the cycle's
-    // monitor and coverage updates, and its window_dump events land
-    // in the stream the sink plugins already opened.
-    obs::FlightRecorder *flight = nullptr;
-    if (oo.flight) {
-        obs::FlightRecorder::Options fo;
-        fo.pre = oo.flightPre();
-        fo.post = oo.flight_post;
-        auto rec = std::make_unique<obs::FlightRecorder>(bench.sim(),
-                                                         fo);
-        std::string err;
-        if (!run::attachFlightTriggers(*rec, bench, coverage,
-                                       oo.dump_on, &err)) {
-            fprintf(stderr, "anvilc: %s\n", err.c_str());
-            return kExitUsage;
-        }
-        std::string prefix = oo.flight_out;
-        obs::EventSink *esink = sink.get();
-        rec->setDumpSink(
-            [prefix, esink](const obs::FlightRecorder::DumpInfo &d,
-                            const std::string &vcd) {
-                std::string path =
-                    prefix + "-" + std::to_string(d.index) + ".vcd";
-                std::ofstream os(path);
-                os << vcd;
-                os.flush();
-                if (!os.good()) {
-                    fprintf(stderr, "anvilc: cannot write '%s'\n",
-                            path.c_str());
-                    path.clear();
-                } else {
-                    fprintf(stderr, "anvilc: wrote %s\n",
-                            path.c_str());
-                }
-                if (esink)
-                    esink->windowDump(d.trigger_cycle, d.trigger,
-                                      path, d.from, d.to);
-                return path;
-            });
-        flight = static_cast<obs::FlightRecorder *>(
-            &bench.attachObserver(std::move(rec)));
-    }
-
-    std::ofstream vcd_os;
-    if (!vcd_path.empty()) {
-        vcd_os.open(vcd_path);
-        if (!vcd_os) {
-            fprintf(stderr, "anvilc: cannot write '%s'\n",
-                    vcd_path.c_str());
+            t = trace::VcdReader::readFile(so.replay_path);
+        } catch (const std::runtime_error &e) {
+            fprintf(stderr, "anvilc: %s: %s\n", so.replay_path.c_str(),
+                    e.what());
             return kExitIo;
         }
-        if (int rc = attachWaves(bench, vcd_os, oo))
-            return rc;
     }
 
-    return finishRun(bench, static_cast<uint64_t>(cycles), coverage,
-                     vcd_path.empty() ? nullptr : &vcd_os, vcd_path,
-                     cov, stats, oo, profiler.get(),
-                     compiled_backend ? &jit : nullptr,
-                     sink ? &tap : nullptr, flight);
-}
-
-/**
- * In-process farm fan-out (--farm N): N workers over one shared
- * immutable netlist (and one JIT kernel), each running the standard
- * random testbench at seed_base + worker, streaming telemetry
- * events into an in-memory obs::Merger.  The merged report is
- * byte-compatible with single-run output.
- */
-int
-farm(const rtl::ModulePtr &mod, long cycles, int workers,
-     uint64_t seed_base, bool cov, bool stats, bool contracts,
-     const std::vector<std::string> &contract_specs,
-     const formal::ContractSet *typed, bool compiled_backend,
-     const ObsOptions &oo)
-{
     run::FarmConfig fc;
-    fc.workers = workers;
-    fc.compiled_backend = compiled_backend;
+    fc.workers = so.farm ? so.farm : 1;
+    fc.compiled_backend = so.compiled;
     run::JobConfig &job = fc.job;
     job.top = mod;
     job.netlist = std::make_shared<const rtl::Netlist>(*mod);
-    job.seed = seed_base;
-    job.cycles = static_cast<uint64_t>(cycles);
-    job.coverage = cov || stats ||
-                   (oo.flight && oo.coverTriggered());
-    job.flight_pre = oo.flight ? oo.flightPre() : 0;
-    job.flight_post = oo.flight_post;
-    job.flight_triggers = oo.dump_on;
-    job.flight_out = oo.flight ? oo.flight_out : "";
+    job.seed = so.seed;
+    job.cycles = static_cast<uint64_t>(so.cycles);
+    job.coverage = cov || stats || so.coverTriggered();
+    job.telemetry = so.telemetry();
+    if (!job.telemetry)
+        job.activity_window = 0;
+    job.flight_pre = so.flight_pre ? so.flight_pre : so.flight;
+    job.flight_post = so.flight_post;
+    job.flight_triggers = so.dump_on;
+    job.flight_out = so.flight_out;
+    job.slice = so.slice_channel;
+    job.profile_hot = !so.hot_path.empty();
 
     bool monitored = contracts || !contract_specs.empty();
     if (monitored &&
@@ -699,12 +390,47 @@ farm(const rtl::ModulePtr &mod, long cycles, int workers,
                           contracts, &job.contracts))
         return kExitUsage;
 
+    if (!so.replay_path.empty()) {
+        job.replay = &t;
+        if (!job.cycles)
+            job.cycles = t.cycles();
+        // Inputs the dump never recorded stay at zero; say so rather
+        // than let the diff blame the design.
+        for (const auto &[name, sig] : job.netlist->signals())
+            if (sig.kind == rtl::NetSignal::Kind::Input &&
+                t.indexOf(name) < 0)
+                fprintf(stderr,
+                        "anvilc: note: input '%s' not recorded in %s; "
+                        "replaying it as zero\n",
+                        name.c_str(), so.replay_path.c_str());
+        printf("replay: %s: %zu signals, %llu change(s), "
+               "%llu cycle(s)\n",
+               so.replay_path.c_str(), t.signals().size(),
+               (unsigned long long)t.changeCount(),
+               (unsigned long long)job.cycles);
+    }
+
+    std::ofstream vcd_os, profile_os;
+    if (!vcd_path.empty()) {
+        if (!openArtifact(vcd_os, vcd_path))
+            return kExitIo;
+        job.vcd = &vcd_os;
+    }
+    if (!so.profile_path.empty()) {
+        if (!openArtifact(profile_os, so.profile_path))
+            return kExitIo;
+        job.profile = &profile_os;
+    }
+
     obs::Merger merger;
     run::FarmResult fr;
     try {
         fr = run::runFarm(fc, merger);
+    } catch (const std::invalid_argument &e) {
+        fprintf(stderr, "anvilc: %s\n", e.what());
+        return kExitUsage;
     } catch (const std::exception &e) {
-        fprintf(stderr, "anvilc: farm: %s\n", e.what());
+        fprintf(stderr, "anvilc: %s\n", e.what());
         return kExitCheckFailure;
     }
     if (!fr.jit_note.empty())
@@ -712,20 +438,24 @@ farm(const rtl::ModulePtr &mod, long cycles, int workers,
                 "anvilc: note: compiled backend unavailable (%s); "
                 "using the interpreter\n", fr.jit_note.c_str());
 
-    printf("farm: %d worker(s), %llu cycle(s) each, "
-           "seeds %llu..%llu\n",
-           workers, (unsigned long long)cycles,
-           (unsigned long long)seed_base,
-           (unsigned long long)(seed_base +
-                                static_cast<uint64_t>(workers) - 1));
-    for (const run::JobResult &j : fr.jobs)
-        printf("worker %d: seed %llu: %s\n", j.worker,
-               (unsigned long long)j.seed, j.summary.c_str());
-
-    obs::Merger::Totals t = merger.totals();
-    printf("sim: %llu cycles, %llu toggles across %zu worker(s)\n",
-           (unsigned long long)t.cycles,
-           (unsigned long long)t.toggles, t.workers);
+    if (so.farm) {
+        printf("farm: %d worker(s), %ld cycle(s) each, "
+               "seeds %llu..%llu\n",
+               so.farm, so.cycles, (unsigned long long)so.seed,
+               (unsigned long long)(so.seed +
+                                    static_cast<uint64_t>(so.farm) -
+                                    1));
+        for (const run::JobResult &j : fr.jobs)
+            printf("worker %d: seed %llu: %s\n", j.worker,
+                   (unsigned long long)j.seed, j.summary.c_str());
+    }
+    obs::Merger::Totals tot = merger.totals();
+    printf("sim: %llu cycles, %llu toggles, %llu dprint line(s)\n",
+           (unsigned long long)tot.cycles,
+           (unsigned long long)tot.toggles,
+           (unsigned long long)merger.counter("sim.dprint_lines"));
+    if (stats)
+        printSweep(merger);
     if (merger.hasCoverage() && (stats || cov))
         printf("sim-summary %s\n",
                merger.coverage().summaryJson().c_str());
@@ -733,145 +463,56 @@ farm(const rtl::ModulePtr &mod, long cycles, int workers,
         fputs(merger.coverage().report().c_str(), stdout);
     if (monitored)
         fputs(merger.triageReport().c_str(), stdout);
-    for (const obs::Merger::WindowDump &wd : merger.windowDumps())
+    if (!vcd_path.empty() && !closeArtifact(vcd_os, vcd_path))
+        return kExitIo;
+    for (const obs::Merger::WindowDump &wd : merger.windowDumps()) {
         printf("flight: worker %d: %s @%llu window [%llu..%llu]%s%s\n",
                wd.worker, wd.trigger.c_str(),
                (unsigned long long)wd.trigger_cycle,
-               (unsigned long long)wd.from,
-               (unsigned long long)wd.to,
+               (unsigned long long)wd.from, (unsigned long long)wd.to,
                wd.path.empty() ? "" : " -> ", wd.path.c_str());
-
-    if (!oo.events_path.empty()) {
-        // One on-disk stream per worker: <path>.<worker> — the same
-        // files tools/anvil_merge consumes.
-        for (const run::JobResult &j : fr.jobs) {
-            std::string path =
-                oo.events_path + "." + std::to_string(j.worker);
-            std::ofstream os(path);
-            if (os)
-                os << j.events;
-            os.flush();
-            if (!os.good()) {
-                fprintf(stderr, "anvilc: cannot write '%s'\n",
-                        path.c_str());
-                return kExitIo;
-            }
-            fprintf(stderr, "anvilc: wrote %s\n", path.c_str());
-        }
+        if (!wd.path.empty())
+            fprintf(stderr, "anvilc: wrote %s\n", wd.path.c_str());
     }
-    if (!oo.metrics_path.empty()) {
-        std::ofstream os(oo.metrics_path);
-        if (os)
-            os << merger.metricsJson() << "\n";
-        os.flush();
-        if (!os.good()) {
-            fprintf(stderr, "anvilc: cannot write '%s'\n",
-                    oo.metrics_path.c_str());
+    // Hot-spot attribution (--profile-hot, never under --farm): the
+    // ranked tables on stdout, the anvil-hot-v1 JSON to the file.
+    if (fr.jobs[0].hot) {
+        fputs(fr.jobs[0].hot->table().c_str(), stdout);
+        if (!writeArtifact(so.hot_path, fr.jobs[0].hot->json() + "\n"))
             return kExitIo;
-        }
-        fprintf(stderr, "anvilc: wrote %s\n",
-                oo.metrics_path.c_str());
     }
-    if (oo.stats_json)
-        printf("stats-json %s\n",
-               merger.statsJson(fr.wall_ns).c_str());
-
-    if (fr.anyFailed()) {
+    if (!so.events_path.empty())
+        // --farm writes one stream per worker, <path>.<worker> — the
+        // files tools/anvil_merge consumes.
         for (const run::JobResult &j : fr.jobs)
-            if (!j.ok)
-                fprintf(stderr,
-                        "anvilc: worker %d (seed %llu): %s\n",
+            if (!writeArtifact(so.farm ? so.events_path + "." +
+                                             std::to_string(j.worker)
+                                       : so.events_path,
+                               j.events))
+                return kExitIo;
+    if (!so.metrics_path.empty() &&
+        !writeArtifact(so.metrics_path, merger.metricsJson() + "\n"))
+        return kExitIo;
+    if (!so.profile_path.empty() &&
+        !closeArtifact(profile_os, so.profile_path))
+        return kExitIo;
+    // A farm reports its elapsed wall; a single job its loop wall.
+    if (so.stats_json)
+        printf("stats-json %s\n",
+               merger.statsJson(so.farm ? fr.wall_ns : 0).c_str());
+
+    if (!fr.anyFailed())
+        return kExitOk;
+    for (const run::JobResult &j : fr.jobs)
+        if (!j.ok) {
+            if (so.farm)
+                fprintf(stderr, "anvilc: worker %d (seed %llu): %s\n",
                         j.worker, (unsigned long long)j.seed,
                         j.summary.c_str());
-        return kExitCheckFailure;
-    }
-    return kExitOk;
-}
-
-/** Replay a recorded dump as stimulus and diff the re-simulation. */
-int
-replay(const rtl::ModulePtr &mod, const std::string &dump_path,
-       long cycles_override, const std::string &vcd_path, bool cov,
-       bool stats, bool contracts,
-       const std::vector<std::string> &contract_specs,
-       const formal::ContractSet *typed, bool compiled_backend,
-       const ObsOptions &oo)
-{
-    trace::Trace t;
-    try {
-        t = trace::VcdReader::readFile(dump_path);
-    } catch (const std::runtime_error &e) {
-        fprintf(stderr, "anvilc: %s: %s\n", dump_path.c_str(),
-                e.what());
-        return kExitIo;
-    }
-
-    tb::Testbench bench(mod);
-    if (!oo.hot_path.empty())
-        bench.sim().setEvalCounting(true);
-    codegen::JitResult jit;
-    if (compiled_backend)
-        jit = attachCompiledBackend(bench);
-    std::unique_ptr<obs::TraceProfiler> profiler =
-        attachTelemetry(bench, oo);
-    auto driver =
-        std::make_unique<trace::ReplayDriver>(t, bench.sim());
-    uint64_t cycles = driver->cyclesAvailable();
-    // Inputs the dump never recorded stay at zero; say so rather
-    // than let the diff below blame the design.
-    for (const auto &in : driver->missingInputs())
-        fprintf(stderr,
-                "anvilc: note: input '%s' not recorded in %s; "
-                "replaying it as zero\n",
-                in.c_str(), dump_path.c_str());
-    bench.addDriver(std::move(driver));
-    bench.addMonitor(
-        std::make_unique<trace::ReplayMonitor>(t, bench.sim()));
-
-    // Contract monitoring applies to replayed runs too.
-    if (contracts || !contract_specs.empty()) {
-        std::vector<trace::ContractSpec> specs;
-        if (!resolveContracts(contract_specs,
-                              bench.sim().netlist(), typed,
-                              contracts, &specs))
-            return kExitUsage;
-        try {
-            bench.addMonitor(
-                std::make_unique<trace::ContractMonitor>(
-                    std::move(specs), bench.sim()));
-        } catch (const std::invalid_argument &e) {
-            fprintf(stderr, "anvilc: %s\n", e.what());
-            return kExitUsage;
+            else
+                fprintf(stderr, "anvilc: %s\n", j.summary.c_str());
         }
-    }
-
-    if (cycles_override > 0)
-        cycles = static_cast<uint64_t>(cycles_override);
-    printf("replay: %s: %zu signals, %llu change(s), %llu cycle(s)\n",
-           dump_path.c_str(), t.signals().size(),
-           (unsigned long long)t.changeCount(),
-           (unsigned long long)cycles);
-
-    tb::Coverage *coverage = nullptr;
-    if (cov || stats)
-        coverage = &bench.coverage();
-
-    std::ofstream vcd_os;
-    if (!vcd_path.empty()) {
-        vcd_os.open(vcd_path);
-        if (!vcd_os) {
-            fprintf(stderr, "anvilc: cannot write '%s'\n",
-                    vcd_path.c_str());
-            return kExitIo;
-        }
-        if (int rc = attachWaves(bench, vcd_os, oo))
-            return rc;
-    }
-
-    return finishRun(bench, cycles, coverage,
-                     vcd_path.empty() ? nullptr : &vcd_os, vcd_path,
-                     cov, stats, oo, profiler.get(),
-                     compiled_backend ? &jit : nullptr);
+    return kExitCheckFailure;
 }
 
 /** Offline contract check (and coverage grading) of a recorded dump. */
@@ -951,7 +592,8 @@ proveDesign(const rtl::ModulePtr &mod,
             const std::vector<std::string> &contract_specs,
             const formal::ContractSet *typed, bool print_contracts,
             int prove_k, bool detailed, const std::string &vcd_path,
-            const ObsOptions &oo)
+            const std::string &metrics_path,
+            const std::string &profile_path)
 {
     rtl::Sim sim(mod);
     std::vector<trace::ContractSpec> specs;
@@ -974,36 +616,21 @@ proveDesign(const rtl::ModulePtr &mod,
     // prove.* counters and the states/sec gauge into the registry.
     obs::TraceProfiler profiler(/*record_events=*/true);
     obs::MetricsRegistry reg;
-    if (!oo.profile_path.empty())
+    if (!profile_path.empty())
         opts.profiler = &profiler;
-    if (!oo.metrics_path.empty())
+    if (!metrics_path.empty())
         opts.metrics = &reg;
     formal::ProveResult res = formal::prove(inst, opts);
     fputs(res.report(detailed).c_str(), stdout);
 
-    if (!oo.metrics_path.empty()) {
-        std::ofstream os(oo.metrics_path);
-        os << reg.json() << "\n";
-        os.flush();
-        if (!os.good()) {
-            fprintf(stderr, "anvilc: cannot write '%s'\n",
-                    oo.metrics_path.c_str());
-            return kExitIo;
-        }
-        fprintf(stderr, "anvilc: wrote %s\n",
-                oo.metrics_path.c_str());
-    }
-    if (!oo.profile_path.empty()) {
-        std::ofstream os(oo.profile_path);
+    if (!metrics_path.empty() &&
+        !writeArtifact(metrics_path, reg.json() + "\n"))
+        return kExitIo;
+    if (!profile_path.empty()) {
+        std::ofstream os(profile_path);
         profiler.writeJson(os);
-        os.flush();
-        if (!os.good()) {
-            fprintf(stderr, "anvilc: cannot write '%s'\n",
-                    oo.profile_path.c_str());
+        if (!closeArtifact(os, profile_path))
             return kExitIo;
-        }
-        fprintf(stderr, "anvilc: wrote %s\n",
-                oo.profile_path.c_str());
     }
 
     int proved = 0, violated = 0, unknown = 0, conditional = 0;
@@ -1061,7 +688,7 @@ int
 main(int argc, char **argv)
 {
     std::string input, output, top, vcd_path;
-    std::string replay_path, check_trace_path;
+    std::string check_trace_path;
     std::string diff_a, diff_b;
     bool optimize = true, trace_flag = false, stats = false;
     bool check_only = false, cov = false, contracts = false;
@@ -1069,16 +696,12 @@ main(int argc, char **argv)
     bool prove_report = false;
     int prove_k = 0;
     std::vector<std::string> contract_specs;
-    long sim_cycles = 0;
-    uint64_t seed = 1;
-    int farm_workers = 0;
     uint64_t seed_base = 0;
     bool seed_base_set = false;
     bool emit_cpp = false;
-    bool compiled_backend = false;
     bool backend_set = false;
     bool flight_aux = false;   // any --flight-* / --dump-on given
-    ObsOptions oo;
+    SimOptions so;
 
     for (int i = 1; i < argc; i++) {
         std::string arg = argv[i];
@@ -1095,16 +718,16 @@ main(int argc, char **argv)
         } else if (arg == "--check-only") {
             check_only = true;
         } else if (arg == "--sim" && i + 1 < argc) {
-            sim_cycles = atol(argv[++i]);
-            if (sim_cycles <= 0) {
+            so.cycles = atol(argv[++i]);
+            if (so.cycles <= 0) {
                 fprintf(stderr, "anvilc: bad --sim cycle count\n");
                 return kExitUsage;
             }
         } else if (arg == "--seed" && i + 1 < argc) {
-            seed = strtoull(argv[++i], nullptr, 0);
+            so.seed = strtoull(argv[++i], nullptr, 0);
         } else if (arg == "--farm" && i + 1 < argc) {
-            farm_workers = atoi(argv[++i]);
-            if (farm_workers < 1) {
+            so.farm = atoi(argv[++i]);
+            if (so.farm < 1) {
                 fprintf(stderr,
                         "anvilc: bad --farm worker count\n");
                 return kExitUsage;
@@ -1113,13 +736,13 @@ main(int argc, char **argv)
             seed_base = strtoull(argv[++i], nullptr, 0);
             seed_base_set = true;
         } else if (arg == "--events" && i + 1 < argc) {
-            oo.events_path = argv[++i];
+            so.events_path = argv[++i];
         } else if (arg == "--emit-cpp") {
             emit_cpp = true;
         } else if (arg == "--backend" && i + 1 < argc) {
             std::string b = argv[++i];
             if (b == "compiled") {
-                compiled_backend = true;
+                so.compiled = true;
             } else if (b != "interp") {
                 fprintf(stderr,
                         "anvilc: bad --backend '%s' (expected "
@@ -1132,7 +755,7 @@ main(int argc, char **argv)
         } else if (arg == "--cov") {
             cov = true;
         } else if (arg == "--replay" && i + 1 < argc) {
-            replay_path = argv[++i];
+            so.replay_path = argv[++i];
         } else if (arg == "--check-trace" && i + 1 < argc) {
             check_trace_path = argv[++i];
         } else if (arg == "--contracts") {
@@ -1161,14 +784,14 @@ main(int argc, char **argv)
                         "anvilc: bad --flight window size\n");
                 return kExitUsage;
             }
-            oo.flight = static_cast<uint64_t>(k);
+            so.flight = static_cast<uint64_t>(k);
         } else if (arg == "--flight-pre" && i + 1 < argc) {
             long p = atol(argv[++i]);
             if (p < 1) {
                 fprintf(stderr, "anvilc: bad --flight-pre count\n");
                 return kExitUsage;
             }
-            oo.flight_pre = static_cast<uint64_t>(p);
+            so.flight_pre = static_cast<uint64_t>(p);
             flight_aux = true;
         } else if (arg == "--flight-post" && i + 1 < argc) {
             long q = atol(argv[++i]);
@@ -1176,7 +799,7 @@ main(int argc, char **argv)
                 fprintf(stderr, "anvilc: bad --flight-post count\n");
                 return kExitUsage;
             }
-            oo.flight_post = static_cast<uint64_t>(q);
+            so.flight_post = static_cast<uint64_t>(q);
             flight_aux = true;
         } else if (arg == "--dump-on" && i + 1 < argc) {
             std::string t = argv[++i];
@@ -1187,21 +810,21 @@ main(int argc, char **argv)
                         t.c_str());
                 return kExitUsage;
             }
-            oo.dump_on.push_back(std::move(t));
+            so.dump_on.push_back(std::move(t));
             flight_aux = true;
         } else if (arg == "--flight-out" && i + 1 < argc) {
-            oo.flight_out = argv[++i];
+            so.flight_out = argv[++i];
             flight_aux = true;
         } else if (arg == "--profile-hot" && i + 1 < argc) {
-            oo.hot_path = argv[++i];
+            so.hot_path = argv[++i];
         } else if (arg == "--metrics" && i + 1 < argc) {
-            oo.metrics_path = argv[++i];
+            so.metrics_path = argv[++i];
         } else if (arg == "--profile" && i + 1 < argc) {
-            oo.profile_path = argv[++i];
+            so.profile_path = argv[++i];
         } else if (arg == "--stats-json") {
-            oo.stats_json = true;
+            so.stats_json = true;
         } else if (arg == "--slice" && i + 1 < argc) {
-            oo.slice_channel = argv[++i];
+            so.slice_channel = argv[++i];
         } else if (arg == "-h" || arg == "--help") {
             usage();
             return kExitOk;
@@ -1219,8 +842,8 @@ main(int argc, char **argv)
     }
     // Trace diffing needs no design at all.
     if (!diff_a.empty()) {
-        if (!input.empty() || sim_cycles > 0 ||
-            !replay_path.empty() || !check_trace_path.empty() ||
+        if (!input.empty() || so.cycles > 0 ||
+            !so.replay_path.empty() || !check_trace_path.empty() ||
             prove || infer_contracts || contracts || cov ||
             !output.empty()) {
             fprintf(stderr, "anvilc: --diff-trace takes no other "
@@ -1233,19 +856,19 @@ main(int argc, char **argv)
         usage();
         return kExitUsage;
     }
-    if (!replay_path.empty() && !check_trace_path.empty()) {
+    if (!so.replay_path.empty() && !check_trace_path.empty()) {
         fprintf(stderr,
                 "anvilc: --replay and --check-trace conflict\n");
         return kExitUsage;
     }
-    if (prove && (sim_cycles > 0 || !replay_path.empty() ||
+    if (prove && (so.cycles > 0 || !so.replay_path.empty() ||
                   !check_trace_path.empty())) {
         fprintf(stderr, "anvilc: --prove conflicts with "
                         "--sim/--replay/--check-trace\n");
         return kExitUsage;
     }
-    bool runs_sim = sim_cycles > 0 || !replay_path.empty();
-    if (!runs_sim && !prove && (!vcd_path.empty() || seed != 1)) {
+    bool runs_sim = so.cycles > 0 || !so.replay_path.empty();
+    if (!runs_sim && !prove && (!vcd_path.empty() || so.seed != 1)) {
         fprintf(stderr, "anvilc: --vcd/--seed require "
                         "--sim <N>, --replay, or --prove\n");
         return kExitUsage;
@@ -1255,37 +878,37 @@ main(int argc, char **argv)
                         "--replay\n");
         return kExitUsage;
     }
-    if (farm_workers > 0 && sim_cycles <= 0) {
+    if (so.farm > 0 && so.cycles <= 0) {
         fprintf(stderr, "anvilc: --farm requires --sim <N>\n");
         return kExitUsage;
     }
-    if (seed_base_set && farm_workers <= 0) {
+    if (seed_base_set && so.farm <= 0) {
         fprintf(stderr, "anvilc: --seed-base requires --farm <N>\n");
         return kExitUsage;
     }
-    if (farm_workers > 0 &&
-        (!replay_path.empty() || !vcd_path.empty() ||
-         !oo.slice_channel.empty() || !oo.profile_path.empty() ||
-         !oo.hot_path.empty())) {
+    if (so.farm > 0 &&
+        (!so.replay_path.empty() || !vcd_path.empty() ||
+         !so.slice_channel.empty() || !so.profile_path.empty() ||
+         !so.hot_path.empty())) {
         fprintf(stderr,
                 "anvilc: --farm conflicts with --replay/--vcd/"
                 "--slice/--profile/--profile-hot\n");
         return kExitUsage;
     }
-    if (oo.flight && (sim_cycles <= 0 || !replay_path.empty())) {
+    if (so.flight && (so.cycles <= 0 || !so.replay_path.empty())) {
         fprintf(stderr,
                 "anvilc: --flight requires --sim <N> (not "
                 "--replay)\n");
         return kExitUsage;
     }
-    if (flight_aux && !oo.flight) {
+    if (flight_aux && !so.flight) {
         fprintf(stderr,
                 "anvilc: --flight-pre/--flight-post/--dump-on/"
                 "--flight-out require --flight <K>\n");
         return kExitUsage;
     }
-    if (!oo.events_path.empty() &&
-        (sim_cycles <= 0 || !replay_path.empty())) {
+    if (!so.events_path.empty() &&
+        (so.cycles <= 0 || !so.replay_path.empty())) {
         fprintf(stderr,
                 "anvilc: --events requires --sim <N> (not "
                 "--replay)\n");
@@ -1293,22 +916,22 @@ main(int argc, char **argv)
     }
     // --metrics/--profile also tap the prover's telemetry spine;
     // --stats-json/--slice/--profile-hot remain simulation-only.
-    if ((!oo.metrics_path.empty() || !oo.profile_path.empty()) &&
+    if ((!so.metrics_path.empty() || !so.profile_path.empty()) &&
         !runs_sim && !prove) {
         fprintf(stderr,
                 "anvilc: --metrics/--profile require --sim <N>, "
                 "--replay, or --prove\n");
         return kExitUsage;
     }
-    if ((oo.stats_json || !oo.slice_channel.empty() ||
-         !oo.hot_path.empty()) &&
+    if ((so.stats_json || !so.slice_channel.empty() ||
+         !so.hot_path.empty()) &&
         !runs_sim) {
         fprintf(stderr,
                 "anvilc: --stats-json/--slice/--profile-hot "
                 "require --sim <N> or --replay\n");
         return kExitUsage;
     }
-    if (!oo.slice_channel.empty() && vcd_path.empty()) {
+    if (!so.slice_channel.empty() && vcd_path.empty()) {
         fprintf(stderr, "anvilc: --slice requires --vcd <file>\n");
         return kExitUsage;
     }
@@ -1381,15 +1004,8 @@ main(int argc, char **argv)
         if (output.empty()) {
             if (!needs_module && !infer_contracts)
                 fputs(out.systemverilog.c_str(), stdout);
-        } else {
-            std::ofstream os(output);
-            if (!os) {
-                fprintf(stderr, "anvilc: cannot write '%s'\n",
-                        output.c_str());
-                return kExitIo;
-            }
-            os << out.systemverilog;
-            fprintf(stderr, "anvilc: wrote %s\n", output.c_str());
+        } else if (!writeArtifact(output, out.systemverilog)) {
+            return kExitIo;
         }
     }
 
@@ -1421,41 +1037,26 @@ main(int argc, char **argv)
         if (emit_cpp) {
             rtl::Netlist nl(*mod);
             std::string kernel = codegen::emitCppKernel(nl, out.top);
-            if (output.empty()) {
+            if (output.empty())
                 fputs(kernel.c_str(), stdout);
-            } else {
-                std::ofstream os(output);
-                if (!os) {
-                    fprintf(stderr, "anvilc: cannot write '%s'\n",
-                            output.c_str());
-                    return kExitIo;
-                }
-                os << kernel;
-                fprintf(stderr, "anvilc: wrote %s\n",
-                        output.c_str());
-            }
+            else if (!writeArtifact(output, kernel))
+                return kExitIo;
             return kExitOk;
         }
         if (prove)
             return proveDesign(mod, contract_specs, &typed,
                                contracts, prove_k, prove_report,
-                               vcd_path, oo);
+                               vcd_path, so.metrics_path,
+                               so.profile_path);
         if (!check_trace_path.empty())
             return checkTraceFile(mod, check_trace_path, contracts,
                                   contract_specs, &typed, cov);
-        if (farm_workers > 0)
-            return farm(mod, sim_cycles, farm_workers,
-                        seed_base_set ? seed_base : seed, cov,
-                        stats, contracts, contract_specs, &typed,
-                        compiled_backend, oo);
-        if (!replay_path.empty())
-            return replay(mod, replay_path, sim_cycles, vcd_path,
-                          cov, stats, contracts, contract_specs,
-                          &typed, compiled_backend, oo);
-        if (sim_cycles > 0)
-            return simulate(mod, sim_cycles, seed, vcd_path, cov,
-                            stats, contracts, contract_specs,
-                            &typed, compiled_backend, oo);
+        if (runs_sim) {
+            if (seed_base_set)
+                so.seed = seed_base;
+            return runSim(mod, &typed, contracts, contract_specs,
+                          vcd_path, cov, stats, so);
+        }
         // --contracts / --contract alone: print the contract set.
         rtl::Sim sim(mod);
         std::vector<trace::ContractSpec> specs;

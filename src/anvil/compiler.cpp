@@ -104,6 +104,8 @@ compileAnvil(const std::string &source, const CompileOptions &opts)
     std::string top = opts.top;
     if (top.empty() && !order.empty())
         top = order.back()->name;
+    else if (!top.empty() && !out.program.findProc(top))
+        out.diags.error(strfmt("unknown top process '%s'", top.c_str()));
     out.top = top;
     if (out.modules.count(top))
         out.systemverilog =

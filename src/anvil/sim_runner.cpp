@@ -1,5 +1,6 @@
 #include "anvil/sim_runner.h"
 
+#include <exception>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -7,8 +8,10 @@
 
 #include "obs/merge.h"
 #include "obs/profiler.h"
+#include "obs/slice.h"
 #include "obs/stream.h"
 #include "support/strings.h"
+#include "trace/replay.h"
 
 namespace anvil {
 namespace run {
@@ -168,18 +171,31 @@ runJob(const JobConfig &cfg)
     auto bench = std::make_unique<tb::Testbench>(cfg.top, cfg.netlist,
                                                 cfg.seed);
     bench->sim().setSweepMode(cfg.sweep_mode);
+    if (cfg.profile_hot)
+        bench->sim().setEvalCounting(true);
     if (cfg.kernel.abi)
         bench->sim().attachKernel(cfg.kernel);   // false: interpreter
 
-    // Mirror the single-run telemetry spine (anvilc --metrics): a
-    // profiler feeds phase timers and the level-activity histogram,
-    // keeping worker metrics byte-comparable with single-run ones.
-    obs::TraceProfiler profiler(/*record_events=*/false);
-    bench->sim().setTelemetry(&profiler);
-    bench->feed().setProfiler(&profiler);
+    // One profiler feeds both the simulator's phase timing and the
+    // change feed's per-observer tracks; event buffering is only
+    // paid for when a profile will be written.
+    std::unique_ptr<obs::TraceProfiler> profiler;
+    if (cfg.telemetry || cfg.profile) {
+        profiler = std::make_unique<obs::TraceProfiler>(
+            /*record_events=*/cfg.profile != nullptr);
+        bench->sim().setTelemetry(profiler.get());
+        bench->feed().setProfiler(profiler.get());
+    }
 
-    for (const auto &in : bench->sim().inputNames())
-        bench->driveRandom(in);
+    if (cfg.replay) {
+        bench->addDriver(std::make_unique<trace::ReplayDriver>(
+            *cfg.replay, bench->sim()));
+        bench->addMonitor(std::make_unique<trace::ReplayMonitor>(
+            *cfg.replay, bench->sim()));
+    } else {
+        for (const auto &in : bench->sim().inputNames())
+            bench->driveRandom(in);
+    }
 
     trace::ContractMonitor *monitor = nullptr;
     if (!cfg.contracts.empty())
@@ -203,10 +219,10 @@ runJob(const JobConfig &cfg)
                 std::make_unique<obs::RollingActivity>(
                     cfg.activity_window, &sink)));
 
-    // Flight recorder last, so its trigger poll sees the cycle's
-    // monitor and coverage updates.  Dumps go to
-    // <prefix>.w<worker>-<n>.vcd and are referenced from the event
-    // stream (window_dump), which the merger dedupes by path.
+    // Flight recorder after the monitors and coverage, so its
+    // trigger poll sees the cycle's updates.  Dumps go to
+    // <prefix>-<n>.vcd and are referenced from the event stream
+    // (window_dump), which the merger dedupes by path.
     obs::FlightRecorder *flight = nullptr;
     if (cfg.flight_pre) {
         obs::FlightRecorder::Options fo;
@@ -217,18 +233,16 @@ runJob(const JobConfig &cfg)
         std::string err;
         if (!attachFlightTriggers(*rec, *bench, cov,
                                   cfg.flight_triggers, &err))
-            throw std::runtime_error(err);
+            throw std::invalid_argument(err);
         std::string prefix = cfg.flight_out;
-        int worker = cfg.worker;
         obs::EventSink *esink = &sink;
         rec->setDumpSink(
-            [prefix, worker,
-             esink](const obs::FlightRecorder::DumpInfo &d,
-                    const std::string &vcd) {
+            [prefix, esink](const obs::FlightRecorder::DumpInfo &d,
+                            const std::string &vcd) {
                 std::string path;
                 if (!prefix.empty()) {
-                    path = strfmt("%s.w%d-%d.vcd", prefix.c_str(),
-                                  worker, d.index);
+                    path = strfmt("%s-%d.vcd", prefix.c_str(),
+                                  d.index);
                     std::ofstream os(path);
                     os << vcd;
                     os.flush();
@@ -243,6 +257,14 @@ runJob(const JobConfig &cfg)
             &bench->attachObserver(std::move(rec)));
     }
 
+    if (cfg.vcd) {
+        if (cfg.slice.empty())
+            bench->attachVcd(*cfg.vcd);
+        else
+            bench->attachObserver(std::make_unique<obs::ChannelSlicer>(
+                bench->sim(), *cfg.vcd, cfg.slice));
+    }
+
     sink.runBegin(bench->sim().topName(), cfg.worker, cfg.seed,
                   cfg.cycles, bench->sim().sweepMode());
 
@@ -251,14 +273,22 @@ runJob(const JobConfig &cfg)
     uint64_t wall_ns = rtl::monotonicNanos() - wall0;
     bench->feed().finish();
 
+    JobResult jr;
     obs::MetricsRegistry reg;
-    collectRunMetrics(reg, *bench, result, cov, &profiler, cfg.jit,
-                      wall_ns, activity, triage);
+    collectRunMetrics(reg, *bench, result, cov, profiler.get(),
+                      cfg.jit, wall_ns, activity, triage);
     if (flight)
         flight->exportMetrics(reg);
+    if (cfg.profile_hot) {
+        jr.hot = obs::buildHotReport(bench->sim());
+        jr.hot->exportMetrics(reg);
+    }
     emitRunTail(sink, *bench, result, cov, reg, wall_ns);
+    if (cfg.profile) {
+        profiler->setLevelActivity(bench->feed().levelActivity());
+        profiler->writeJson(*cfg.profile);
+    }
 
-    JobResult jr;
     jr.worker = cfg.worker;
     jr.seed = cfg.seed;
     jr.ok = result.ok();
@@ -274,6 +304,10 @@ runJob(const JobConfig &cfg)
 FarmResult
 runFarm(const FarmConfig &cfg, obs::Merger &merger)
 {
+    if (cfg.workers > 1 && (cfg.job.vcd || cfg.job.profile))
+        throw std::invalid_argument(
+            "a VCD or profile stream serves one worker only");
+
     FarmResult fr;
     uint64_t wall0 = rtl::monotonicNanos();
 
@@ -304,15 +338,22 @@ runFarm(const FarmConfig &cfg, obs::Merger &merger)
         jc.netlist = netlist;
         jc.kernel = kernel;
         jc.jit = cfg.compiled_backend ? &jit : nullptr;
+        // Workers of one farm must not overwrite each other's dumps;
+        // a lone worker keeps the plain single-run names.
+        if (cfg.workers > 1 && !jc.flight_out.empty())
+            jc.flight_out += strfmt(".w%d", w);
     }
 
     fr.jobs.resize(jobs.size());
+    std::vector<std::exception_ptr> config_errors(jobs.size());
     std::vector<std::thread> threads;
     threads.reserve(jobs.size());
     for (size_t w = 0; w < jobs.size(); w++)
-        threads.emplace_back([&fr, &jobs, w]() {
+        threads.emplace_back([&fr, &jobs, &config_errors, w]() {
             try {
                 fr.jobs[w] = runJob(jobs[w]);
+            } catch (const std::invalid_argument &) {
+                config_errors[w] = std::current_exception();
             } catch (const std::exception &e) {
                 fr.jobs[w].worker = static_cast<int>(w);
                 fr.jobs[w].seed = jobs[w].seed;
@@ -323,6 +364,9 @@ runFarm(const FarmConfig &cfg, obs::Merger &merger)
     for (std::thread &t : threads)
         t.join();
     fr.wall_ns = rtl::monotonicNanos() - wall0;
+    for (const std::exception_ptr &e : config_errors)
+        if (e)
+            std::rethrow_exception(e);
 
     for (const JobResult &j : fr.jobs)
         if (!j.events.empty())

@@ -1,24 +1,26 @@
 /**
  * @file
- * Shared run machinery for anvilc simulation commands and the
- * in-process farm fan-out (`anvilc --farm N`).
+ * The one run spine behind every anvilc simulation: `--sim`,
+ * `--replay` and `--farm N` each build one JobConfig and make one
+ * runFarm call (one worker unless `--farm` is given), then print
+ * their report from the obs::Merger fold of the workers' streams.
  *
  * A farm shares one immutable rtl::Netlist (and, with the compiled
  * backend, one JIT kernel) across N per-worker rtl::Sim instances —
  * elaboration and compilation are paid once, the per-worker state is
- * just the runtime value tables.  Each worker runs the standard
- * random testbench at its own seed (base seed + worker) with the
- * full observer stack attached — contract monitor, coverage,
- * assertion triage, rolling activity — and serializes everything it
- * observed into an "anvil-events-v2" stream (obs::EventSink).  The
- * streams feed an obs::Merger, whose merged artifacts are
- * byte-compatible with single-run output; `anvilc --farm 1` and a
- * plain `anvilc --sim` at the same seed produce identical coverage,
- * metrics, and summary bytes.
+ * just the runtime value tables.  Each worker runs the random
+ * testbench at its own seed (base seed + worker), or replays a
+ * recorded dump, with the observer stack its JobConfig asks for —
+ * contract monitor, coverage, assertion triage, rolling activity,
+ * flight recorder, VCD — and serializes everything it observed into
+ * an "anvil-events-v2" stream (obs::EventSink).  The streams feed an
+ * obs::Merger, whose merged artifacts are byte-compatible with a
+ * single stream's; `anvilc --farm 1` and a plain `anvilc --sim` at
+ * the same seed print identical reports and write identical files.
  *
- * collectRunMetrics / emitRunTail are the single-run tail too, so
- * the per-worker stream and the `--metrics`/`--stats-json` artifacts
- * can never drift apart.
+ * collectRunMetrics / emitRunTail build every stream's end-of-run
+ * tail, so the per-worker stream and the `--metrics`/`--stats-json`
+ * artifacts can never drift apart.
  */
 
 #ifndef ANVIL_ANVIL_SIM_RUNNER_H
@@ -26,12 +28,15 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "codegen/jit.h"
 #include "obs/activity.h"
 #include "obs/flight.h"
+#include "obs/hot.h"
 #include "obs/metrics.h"
 #include "obs/triage.h"
 #include "rtl/interp.h"
@@ -44,6 +49,9 @@ class EventSink;
 class Merger;
 class TraceProfiler;
 } // namespace obs
+namespace trace {
+class Trace;
+} // namespace trace
 
 namespace run {
 
@@ -76,7 +84,8 @@ void emitRunTail(obs::EventSink &sink, tb::Testbench &bench,
  * violations, scoreboard and assertion failures), "cover:NAME" polls
  * the named cover point's hit count.  An empty spec list means
  * VIOLATION.  Returns false (with *err set) on an unknown spec or a
- * cover trigger whose point does not exist (or coverage is off).
+ * cover trigger whose point does not exist (or coverage is off);
+ * runJob raises that as std::invalid_argument.
  */
 bool attachFlightTriggers(obs::FlightRecorder &rec,
                           tb::Testbench &bench,
@@ -84,7 +93,12 @@ bool attachFlightTriggers(obs::FlightRecorder &rec,
                           const std::vector<std::string> &specs,
                           std::string *err);
 
-/** One worker's run configuration. */
+/**
+ * One worker's run configuration.  Wiring the job throws
+ * std::invalid_argument for a configuration error: a contract on an
+ * unknown channel, an unknown --slice channel, or an unresolvable
+ * flight trigger.
+ */
 struct JobConfig
 {
     rtl::ModulePtr top;
@@ -112,10 +126,29 @@ struct JobConfig
     /** Trigger specs ("VIOLATION" / "cover:NAME"); empty means
      *  VIOLATION. */
     std::vector<std::string> flight_triggers;
-    /** Window dump path prefix; dumps land at
-     *  <prefix>.w<worker>-<n>.vcd.  Empty keeps the dumps
-     *  stream-only (window_dump events with no path). */
+    /** Window dump path prefix; dumps land at <prefix>-<n>.vcd
+     *  (runFarm appends .w<worker> when more than one worker runs).
+     *  Empty keeps the dumps stream-only (window_dump events with no
+     *  path). */
     std::string flight_out;
+    /** Install a TraceProfiler: phase timers, per-observer times and
+     *  the level-activity histogram in the metrics and stream. */
+    bool telemetry = true;
+    /** Stream a VCD of the run here (null: no waveform).  A stream
+     *  serves one worker; runFarm rejects it for several. */
+    std::ostream *vcd = nullptr;
+    /** With vcd: dump only this channel's signals. */
+    std::string slice;
+    /** Write the Chrome-trace profile here after the run; installs
+     *  an event-recording profiler even with telemetry off.  One
+     *  worker only, as for vcd. */
+    std::ostream *profile = nullptr;
+    /** Count every node evaluation; JobResult::hot carries the
+     *  report and its hot.* metrics join the stream. */
+    bool profile_hot = false;
+    /** Replay this recorded dump as stimulus (in place of the random
+     *  drivers) and diff the run against it.  Must outlive the job. */
+    const trace::Trace *replay = nullptr;
 };
 
 /** One worker's outcome plus its serialized event stream. */
@@ -130,6 +163,8 @@ struct JobResult
     uint64_t wall_ns = 0;
     std::string summary;   // tb::TbResult::summary()
     std::string events;    // the full "anvil-events-v2" stream
+    /** Hot-spot attribution (JobConfig::profile_hot only). */
+    std::optional<obs::HotReport> hot;
 };
 
 /** Run one job to completion (thread-safe per job: every spine is
@@ -171,7 +206,10 @@ struct FarmResult
  * Elaborate once, JIT once (when asked — failures degrade to the
  * interpreter with a note), run cfg.workers jobs on their own
  * threads, and feed every event stream into `merger` (worker order,
- * though the merger re-sorts anyway).
+ * though the merger re-sorts anyway).  A job that throws at run time
+ * becomes a failed JobResult; a configuration error
+ * (std::invalid_argument, see JobConfig) is rethrown once every
+ * worker has stopped.
  */
 FarmResult runFarm(const FarmConfig &cfg, obs::Merger &merger);
 

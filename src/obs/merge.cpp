@@ -57,6 +57,19 @@ strOf(const json::Value &ev, const char *key)
     return f.str;
 }
 
+/**
+ * Counters that are not additive across runs: the activity envelope
+ * ("act.": peaks, and hot-net totals from different seeds, which are
+ * alternatives rather than parts), the sweep's high-water marks, and
+ * its per-design strict-node count.
+ */
+bool
+foldsWithMax(const std::string &k)
+{
+    return k.rfind("act.", 0) == 0 || k.rfind("sweep.peak_", 0) == 0 ||
+           k == "sweep.strict_nodes";
+}
+
 } // namespace
 
 /** One parsed event stream, kept in arrival order per slot kind. */
@@ -355,8 +368,8 @@ Merger::fold() const
                 continue;
             }
             uint64_t &slot = _reg.counter(k);
-            if (k.rfind("act.", 0) == 0)
-                slot = std::max(slot, v);   // peaks: high-water marks
+            if (foldsWithMax(k))
+                slot = std::max(slot, v);
             else
                 slot += v;
         }
@@ -505,6 +518,36 @@ Merger::windowDumps() const
                 out.push_back(std::move(d));
         }
     return out;
+}
+
+uint64_t
+Merger::counter(const std::string &name) const
+{
+    fold();
+    auto it = _reg.counters().find(name);
+    return it != _reg.counters().end() ? it->second : 0;
+}
+
+rtl::SweepStats
+Merger::sweepStats() const
+{
+    fold();
+    rtl::SweepStats ss;
+    if (!_order.empty() && _order[0]->info.sweep == "full")
+        ss.mode = rtl::SweepMode::Full;
+    ss.strict_nodes = counter("sweep.strict_nodes");
+    ss.cycles = counter("sweep.frames");
+    ss.nodes_evaluated = counter("sweep.nodes_evaluated");
+    ss.peak_nodes = counter("sweep.peak_nodes");
+    ss.nets_changed = counter("sweep.nets_changed");
+    ss.peak_changed = counter("sweep.peak_changed");
+    ss.kernel_frames = counter("sweep.kernel_frames");
+    ss.dense_fallback_switches =
+        counter("sweep.dense_fallback_switches");
+    ss.kernel_dense_frames = counter("sweep.kernel_dense_frames");
+    ss.kernel_fallback_switches =
+        counter("sweep.kernel_fallback_switches");
+    return ss;
 }
 
 std::string

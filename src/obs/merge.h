@@ -19,8 +19,10 @@
  *    fail cycles sorted and truncated to the single-run retention
  *    cap (all commutative);
  *  - counters: sum — except the "act." activity-envelope prefix,
- *    which keeps the MAX (peaks are high-water marks, and hot-net
- *    totals from different seeds are alternatives, not parts);
+ *    the sweep's "sweep.peak_*" marks and "sweep.strict_nodes",
+ *    which keep the MAX (peaks are high-water marks, the strict-node
+ *    count is a per-design constant, and hot-net totals from
+ *    different seeds are alternatives, not parts);
  *  - timers: sum (aggregate work); histograms: element-wise sum;
  *  - gauges: a gauge carried by exactly one stream passes through
  *    with its original lexeme; one carried by several is folded as
@@ -127,6 +129,16 @@ class Merger
 
     /** Merged "anvil-metrics-v1" document. */
     std::string metricsJson(bool include_timers = true) const;
+
+    /** One merged metrics counter (0 when no stream carried it). */
+    uint64_t counter(const std::string &name) const;
+
+    /**
+     * The merged "sweep.*" counters as rtl::SweepStats, mode from the
+     * first stream in canonical order: the `sweep:` stats line of a
+     * single run, reproduced from its stream (or a fleet's).
+     */
+    rtl::SweepStats sweepStats() const;
 
     /** Fleet-ranked triage table (AssertionTriage::format). */
     std::string triageReport() const;

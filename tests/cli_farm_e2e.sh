@@ -11,7 +11,12 @@
 #     N-seed union: each seed run alone with --events, then merged,
 #  4. `--farm 1` matches a plain single `--sim` run at the same seed,
 #     down to the event stream itself (wall-clock fields excluded),
-#  5. farm flag validation is a usage error, not a silent ignore.
+#     and — with contracts, --stats and the flight recorder on — down
+#     to the sweep:/triage:/flight: lines and the window dumps' names
+#     and bytes,
+#  5. farm flag validation and configuration errors (an unknown
+#     channel, cover point or slice) are usage errors (exit 2), not a
+#     silent ignore or a per-worker failure.
 #
 # Usage: cli_farm_e2e.sh <anvilc> <repo-root> <json_validate> <anvil_merge>
 set -e
@@ -107,7 +112,7 @@ grep '^stats-json ' farm1.log | sed 's/^stats-json //' \
 grep '^stats-json ' single.log | sed 's/^stats-json //' \
     > single.stats.json
 "$VALIDATE" --canon farm1.stats.json \
-    --drop wall_ns,cycles_per_sec,workers > farm1.scanon
+    --drop wall_ns,cycles_per_sec > farm1.scanon
 "$VALIDATE" --canon single.stats.json \
     --drop wall_ns,cycles_per_sec > single.scanon
 cmp farm1.scanon single.scanon
@@ -119,6 +124,50 @@ grep -v '"e":"timer"' single.events \
 grep -v '"e":"timer"' farm1.events.0 \
     | sed 's/"wall_ns":[0-9]*/"wall_ns":0/' > farm1.events.norm
 cmp single.events.norm farm1.events.norm
+
+# The same pair with contracts, --stats and the flight recorder: both
+# runs fail by design ("ack within 1" is tighter than the server's
+# ack), and each writes its window dumps under the same names in its
+# own directory.
+rm -rf farm1f singlef
+mkdir farm1f singlef
+set +e
+(cd farm1f && "$ANVILC" "$DESIGN" --sim 300 --farm 1 --seed-base 11 \
+    --stats --stats-json --contract 'io_pong: ack within 1' \
+    --flight 16 --flight-out win > ../farm1f.log 2> /dev/null)
+farm_status=$?
+(cd singlef && "$ANVILC" "$DESIGN" --sim 300 --seed 11 \
+    --stats --stats-json --contract 'io_pong: ack within 1' \
+    --flight 16 --flight-out win > ../singlef.log 2> /dev/null)
+single_status=$?
+set -e
+test "$farm_status" -eq 1
+test "$single_status" -eq 1
+report() {
+    grep -E '^(sweep|triage|flight):|^  io_pong ' "$1"
+}
+report farm1f.log > farm1f.report
+report singlef.log > singlef.report
+grep -q '^sweep: ' singlef.report
+grep -q '^triage: 1 signature' singlef.report
+grep -q '^flight: worker 0: VIOLATION @' singlef.report
+cmp farm1f.report singlef.report
+(cd farm1f && ls) > farm1f.dumps
+(cd singlef && ls) > singlef.dumps
+grep -q '^win-0.vcd$' singlef.dumps
+cmp farm1f.dumps singlef.dumps
+for f in $(cat singlef.dumps); do
+    cmp "farm1f/$f" "singlef/$f"
+done
+grep '^stats-json ' farm1f.log | sed 's/^stats-json //' \
+    > farm1f.stats.json
+grep '^stats-json ' singlef.log | sed 's/^stats-json //' \
+    > singlef.stats.json
+"$VALIDATE" --canon farm1f.stats.json \
+    --drop wall_ns,cycles_per_sec > farm1f.scanon
+"$VALIDATE" --canon singlef.stats.json \
+    --drop wall_ns,cycles_per_sec > singlef.scanon
+cmp farm1f.scanon singlef.scanon
 echo "farm 1 worker is byte-identical to a plain single run"
 
 # --- 5. Flag validation --------------------------------------------------
@@ -132,5 +181,28 @@ grep -q 'requires --sim' farm_usage.log
 test "$?" -eq 2 || { echo "--seed-base without --farm not rejected" \
                      >&2; exit 1; }
 grep -q 'requires --farm' seedbase_usage.log
+# Configuration errors raised while wiring a job leave the farm as a
+# usage error, once, not as one failed job per worker.
+"$ANVILC" "$DESIGN" --sim 50 --farm 2 --cov --flight 8 \
+    --dump-on cover:nosuch 2> farm_cover.log
+test "$?" -eq 2 || { echo "unknown cover trigger not rejected" >&2; \
+                     exit 1; }
+grep -q 'no such cover point' farm_cover.log
+if grep -q 'worker' farm_cover.log; then
+    echo "cover trigger error reported per worker" >&2; exit 1
+fi
+"$ANVILC" "$DESIGN" --sim 50 --farm 2 --contract 'nosuch: stable' \
+    2> farm_contract.log
+test "$?" -eq 2 || { echo "unknown contract channel not rejected" \
+                     >&2; exit 1; }
+grep -q "'nosuch'" farm_contract.log
+if grep -q 'worker' farm_contract.log; then
+    echo "contract error reported per worker" >&2; exit 1
+fi
+"$ANVILC" "$DESIGN" --sim 50 --slice no_such_channel \
+    --vcd farm_bogus.vcd 2> farm_slice.log
+test "$?" -eq 2 || { echo "unknown slice channel not rejected" >&2; \
+                     exit 1; }
+grep -q 'no signals for channel' farm_slice.log
 set -e
 echo "farm flag validation rejects inconsistent invocations"

@@ -9,12 +9,15 @@
 #     "timers_ns" section, and the stats line minus its wall-clock
 #     fields, must be byte-identical (canonical-form compare),
 #  3. --slice extracts exactly one channel's signals into a
-#     standalone VCD, and an unknown channel is a usage error,
+#     standalone VCD, and an unknown channel, contract channel or
+#     cover trigger is a usage error, under --farm too,
 #  4. the flight loop closes: a run with a deliberately violated
 #     contract and --flight dumps a trigger window, the events
 #     stream carries v2 window_dump records, --profile-hot's report
 #     validates against hot.schema.json, and --check-trace on the
-#     window VCD reproduces the violation (exit 1).
+#     window VCD reproduces the violation (exit 1),
+#  5. a --replay run's telemetry (--metrics, --profile, --stats-json,
+#     --profile-hot) validates against the same schemas.
 #
 # Usage: cli_obs_e2e.sh <path-to-anvilc> <repo-root> <json_validate>
 set -e
@@ -85,7 +88,24 @@ status=$?
 set -e
 test "$status" -eq 2
 grep -q 'no signals for channel' obs_bogus.log
-echo "slice dumps exactly one channel; unknown channels are rejected"
+
+# The farm wires every worker the same way; a bad name is still one
+# usage error.
+set +e
+"$ANVILC" "$SRC/examples/quickstart.anvil" --sim 50 --farm 2 --cov \
+    --flight 8 --dump-on cover:nosuch 2> obs_bogus_cover.log
+status=$?
+set -e
+test "$status" -eq 2
+grep -q 'no such cover point' obs_bogus_cover.log
+set +e
+"$ANVILC" "$SRC/examples/quickstart.anvil" --sim 50 --farm 2 \
+    --contract 'nosuch: stable' 2> obs_bogus_contract.log
+status=$?
+set -e
+test "$status" -eq 2
+grep -q "'nosuch'" obs_bogus_contract.log
+echo "slice dumps exactly one channel; unknown names are rejected"
 
 # --- Flight recorder loop ------------------------------------------------
 
@@ -120,3 +140,24 @@ set -e
 test "$status" -eq 1
 grep -q 'ack-within' obs_flight_check.log
 echo "flight window dump reproduces the violation under check-trace"
+
+# --- Replay telemetry ----------------------------------------------------
+
+# A replayed run reports through the same spine as a random one.
+"$ANVILC" "$SRC/examples/quickstart.anvil" --sim 200 --seed 7 \
+    --vcd obs_rec.vcd > /dev/null 2>&1
+"$ANVILC" "$SRC/examples/quickstart.anvil" --replay obs_rec.vcd \
+    --cov --contracts \
+    --metrics obs_replay.metrics.json \
+    --profile obs_replay.trace.json \
+    --profile-hot obs_replay.hot.json \
+    --stats-json > obs_replay.log 2> /dev/null
+grep '^stats-json ' obs_replay.log | sed 's/^stats-json //' \
+    > obs_replay.stats.json
+"$VALIDATE" "$SCHEMAS/metrics.schema.json" obs_replay.metrics.json
+"$VALIDATE" "$SCHEMAS/profile.schema.json" obs_replay.trace.json
+"$VALIDATE" "$SCHEMAS/stats.schema.json" obs_replay.stats.json
+"$VALIDATE" "$SCHEMAS/hot.schema.json" obs_replay.hot.json
+grep -q '"cycles":200' obs_replay.stats.json
+grep -q '^triage: no contract violations' obs_replay.log
+echo "replay telemetry validates against the checked-in schemas"

@@ -56,6 +56,22 @@ proc p() { reg r : logic[8]; loop { set r := *r + 1 >> cycle 1 } }
     EXPECT_TRUE(out.systemverilog.empty());
 }
 
+TEST(Driver, UnknownTopRejected)
+{
+    const char *src = R"(
+proc p() { reg r : logic[8]; loop { set r := *r + 1 >> cycle 1 } }
+)";
+    for (bool codegen : {true, false}) {
+        CompileOutput out =
+            compileAnvil(src, {.top = "nosuch", .codegen = codegen});
+        EXPECT_FALSE(out.ok) << "codegen=" << codegen;
+        EXPECT_NE(out.diags.render().find("unknown top process 'nosuch'"),
+                  std::string::npos);
+        EXPECT_TRUE(out.systemverilog.empty());
+    }
+    EXPECT_TRUE(compileAnvil(src, {.top = "p"}).ok);
+}
+
 TEST(Driver, DiagnosticsCarrySourceExcerpts)
 {
     CompileOutput out = compileAnvil(R"(

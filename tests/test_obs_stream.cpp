@@ -6,12 +6,16 @@
  * across shuffled streams, farm-vs-sequential union equivalence,
  * shared-netlist Sim semantics, the Coverage merge operators, the
  * triage dedupe over hand-authored streams, the window_dump
- * references (worker/seed stamping, path dedupe), and the merger's
- * rejection of malformed or foreign-schema streams.
+ * references (worker/seed stamping, path dedupe), the merger's
+ * rejection of malformed or foreign-schema streams, the max fold of
+ * the sweep's peak counters, runFarm's configuration errors and dump
+ * names, and the empty change feed of a telemetry-off job.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -276,6 +280,132 @@ TEST(EventStream, FarmEqualsSequentialUnion)
     EXPECT_EQ(ft.toggles, st.toggles);
     EXPECT_EQ(ft.failures, st.failures);
     EXPECT_EQ(ft.backend, "interp");
+}
+
+/** One counter of a metrics document (0 when absent). */
+uint64_t
+counterOf(const std::string &metrics, const std::string &key)
+{
+    json::ParseResult doc = json::parse(metrics);
+    EXPECT_TRUE(doc.ok()) << doc.error;
+    const json::Value *counters = doc.value.find("counters");
+    const json::Value *v = counters ? counters->find(key) : nullptr;
+    return v ? std::stoull(v->num) : 0;
+}
+
+TEST(EventStream, MergedSweepPeaksAreHighWaterMarks)
+{
+    rtl::ModulePtr top = pingModule();
+    auto nl = std::make_shared<const rtl::Netlist>(*top);
+    run::JobResult a = jobAt(31, 0, nl, top), b = jobAt(32, 1, nl, top);
+    obs::Merger ma, mb, both;
+    ma.addStreamText(a.events, "a");
+    mb.addStreamText(b.events, "b");
+    both.addStreamText(a.events, "a");
+    both.addStreamText(b.events, "b");
+
+    std::string sa = ma.metricsJson(false), sb = mb.metricsJson(false);
+    std::string m = both.metricsJson(false);
+    // A per-design constant and two high-water marks: max, not sum.
+    EXPECT_EQ(counterOf(m, "sweep.strict_nodes"),
+              counterOf(sa, "sweep.strict_nodes"));
+    EXPECT_EQ(counterOf(sa, "sweep.strict_nodes"),
+              counterOf(sb, "sweep.strict_nodes"));
+    for (const char *k : {"sweep.peak_nodes", "sweep.peak_changed"})
+        EXPECT_EQ(counterOf(m, k),
+                  std::max(counterOf(sa, k), counterOf(sb, k)))
+            << k;
+    // Totals still sum.
+    EXPECT_EQ(counterOf(m, "sweep.nodes_evaluated"),
+              counterOf(sa, "sweep.nodes_evaluated") +
+                  counterOf(sb, "sweep.nodes_evaluated"));
+
+    rtl::SweepStats ss = both.sweepStats();
+    EXPECT_EQ(ss.strict_nodes, counterOf(sa, "sweep.strict_nodes"));
+    EXPECT_EQ(ss.cycles, 400u);
+    EXPECT_EQ(ss.mode, rtl::SweepMode::Dirty);
+}
+
+TEST(EventStream, TelemetryOffJobKeepsAnEmptyFeed)
+{
+    rtl::ModulePtr top = pingModule();
+    run::JobConfig jc;
+    jc.top = top;
+    jc.seed = 3;
+    jc.cycles = 200;
+    jc.telemetry = false;
+    jc.activity_window = 0;
+    run::JobResult jr = run::runJob(jc);
+    ASSERT_TRUE(jr.ok) << jr.summary;
+    EXPECT_EQ(jr.events.find("\"k\":\"obs."), std::string::npos)
+        << jr.events;
+    EXPECT_EQ(jr.events.find("\"e\":\"activity\""), std::string::npos);
+    EXPECT_EQ(jr.events.find("\"k\":\"phase."), std::string::npos);
+
+    // The same job with the default telemetry prices its phases.
+    jc.telemetry = true;
+    EXPECT_NE(run::runJob(jc).events.find("\"k\":\"phase."),
+              std::string::npos);
+}
+
+TEST(Farm, ConfigurationErrorsLeaveRunFarm)
+{
+    rtl::ModulePtr top = pingModule();
+    run::FarmConfig fc;
+    fc.workers = 2;
+    fc.job.top = top;
+    fc.job.cycles = 20;
+
+    run::FarmConfig bad_contract = fc;
+    bad_contract.job.contracts = {trace::parseContractSpec("nosuch: stable")};
+    run::FarmConfig bad_cover = fc;
+    bad_cover.job.coverage = true;
+    bad_cover.job.flight_pre = 8;
+    bad_cover.job.flight_triggers = {"cover:nosuch"};
+    std::ostringstream vcd;
+    run::FarmConfig bad_slice = fc;
+    bad_slice.workers = 1;
+    bad_slice.job.vcd = &vcd;
+    bad_slice.job.slice = "nosuch";
+    run::FarmConfig shared_vcd = fc;   // two workers, one stream
+    shared_vcd.job.vcd = &vcd;
+
+    for (const run::FarmConfig *cfg :
+         {&bad_contract, &bad_cover, &bad_slice, &shared_vcd}) {
+        obs::Merger m;
+        EXPECT_THROW(run::runFarm(*cfg, m), std::invalid_argument);
+        EXPECT_EQ(m.streams(), 0u);
+    }
+}
+
+TEST(Farm, PerWorkerDumpNamesOnlyWithSeveralWorkers)
+{
+    rtl::ModulePtr top = pingModule();
+    std::string prefix = ::testing::TempDir() + "obs_stream_dump";
+    run::FarmConfig fc;
+    fc.job.top = top;
+    fc.job.cycles = 60;
+    fc.job.contracts = {
+        trace::parseContractSpec("io_pong: ack within 1")};
+    fc.job.flight_pre = 4;
+    fc.job.flight_out = prefix;
+
+    for (int workers : {1, 2}) {
+        fc.workers = workers;
+        obs::Merger m;
+        run::FarmResult fr = run::runFarm(fc, m);
+        ASSERT_TRUE(fr.anyFailed());   // the contract is too tight
+        std::vector<obs::Merger::WindowDump> dumps = m.windowDumps();
+        ASSERT_FALSE(dumps.empty());
+        for (const obs::Merger::WindowDump &d : dumps) {
+            std::string want =
+                workers == 1
+                    ? prefix + "-"
+                    : prefix + ".w" + std::to_string(d.worker) + "-";
+            EXPECT_EQ(d.path.rfind(want, 0), 0u) << d.path;
+            std::remove(d.path.c_str());
+        }
+    }
 }
 
 // --- Shared-netlist Sim --------------------------------------------------
