@@ -34,10 +34,25 @@ hexU64(uint64_t v)
     return strfmt("0x%llxull", static_cast<unsigned long long>(v));
 }
 
-/** Packed-word helpers embedded in every generated unit.  They
- *  replicate anvil::BitVec semantics exactly (see support/bitvec.cpp):
- *  values are little-endian word arrays, normalized so bits at or
- *  above the width are zero; reads beyond a value's words are zero. */
+/** Per-level escalation rule: inside a sparse frame a level runs its
+ *  straight-line body once its queued count wn reaches 1/kEscalateDiv
+ *  of its nodes (wn * kEscalateDiv >= size). */
+constexpr size_t kEscalateDiv = 4;
+
+/** A level is only visited with wn >= 1, so a level of at most
+ *  kEscalateDiv nodes always escalates: its sparse drain would be
+ *  dead code and is not emitted. */
+bool
+hasSparseDrain(size_t level_size)
+{
+    return level_size > kEscalateDiv;
+}
+
+/** Packed-word helpers, embedded only in units where some node takes
+ *  the wide lane.  They replicate anvil::BitVec semantics exactly (see
+ *  support/bitvec.cpp): values are little-endian word arrays,
+ *  normalized so bits at or above the width are zero; reads beyond a
+ *  value's words are zero. */
 const char *kWidePrelude = R"(
 static inline uint64_t wmask(uint32_t bits)
 {
@@ -273,6 +288,27 @@ static inline void w_inject(uint64_t *d, uint32_t dw,
 }
 )";
 
+/** The wide lane's compare-and-store hooks, one per change hook. */
+const char *kWideStores = R"(
+static inline void w_store(Ctx *c, int32_t id, uint64_t *dst,
+                           const uint64_t *t, uint32_t words)
+{
+    if (__builtin_memcmp(dst, t, words * 8) != 0) {
+        __builtin_memcpy(dst, t, words * 8);
+        onChange(c, id);
+    }
+}
+
+static inline void w_stored(Ctx *c, int32_t id, uint64_t *dst,
+                            const uint64_t *t, uint32_t words)
+{
+    if (__builtin_memcmp(dst, t, words * 8) != 0) {
+        __builtin_memcpy(dst, t, words * 8);
+        onChangeD(c, id);
+    }
+}
+)";
+
 class CppEmitter
 {
   public:
@@ -312,6 +348,7 @@ class CppEmitter
     std::string _ind;                     // current body indent
     std::map<std::pair<const void *, int>, std::string> _roms;
     std::ostringstream _rom_defs;
+    bool _wide = false;                   // some node took the wide lane
 };
 
 void
@@ -640,6 +677,7 @@ CppEmitter::emitFastNode(std::ostringstream &os, NetId id, bool dense)
 void
 CppEmitter::emitWideNode(std::ostringstream &os, NetId id, bool dense)
 {
+    _wide = true;
     const Net &n = _nl.net(id);
     uint32_t dw = wordsOf(id);
     int dbits = n.width;
@@ -757,7 +795,8 @@ CppEmitter::emitWideNode(std::ostringstream &os, NetId id, bool dense)
       case Net::Kind::Rom: {
         std::string tbl = romTable(n);
         body = strfmt("uint64_t a0 = wat(%s, 0); "
-                      "if (a0 < %zuull) memcpy(t, &%s[a0 * %uu], "
+                      "if (a0 < %zuull) __builtin_memcpy(t, "
+                      "&%s[a0 * %uu], "
                       "%uu * 8); else w_zero(t, %uu);",
                       opnd(n.a).c_str(), n.rom->size(), tbl.c_str(),
                       dw, dw, dw);
@@ -780,7 +819,7 @@ CppEmitter::emitLevelFns(std::ostringstream &os)
     // variants between levels.
     for (size_t l = 0; l < _levels; l++) {
         const auto &nodes = _level_nodes[l];
-        if (nodes.empty())
+        if (!hasSparseDrain(nodes.size()))
             continue;
         os << "\n/* level " << l << ": " << nodes.size()
            << " nodes, bitmap words [" << _bm_off[l] << ", "
@@ -858,12 +897,17 @@ CppEmitter::run()
        << "'.\n"
        << "// Implements AnvilKernel (see src/rtl/kernel_abi.h and "
           "docs/compile.md);\n"
-       << "// compile with: c++ -O2 -fPIC -shared -o kernel.so "
-          "<this file>\n"
-       << "#include <stdint.h>\n"
-       << "#include <stdlib.h>\n"
-       << "#include <string.h>\n\n"
+       << "// compile with: c++ -O2 -fPIC -shared -nostdlib -o "
+          "kernel.so <this file>\n"
+       << "// No headers and no runtime: the only external symbols are\n"
+       << "// libc's calloc, free and mem*, bound from the host process.\n"
+       << "typedef __INT32_TYPE__ int32_t;\n"
+       << "typedef __INT64_TYPE__ int64_t;\n"
+       << "typedef __UINT32_TYPE__ uint32_t;\n"
+       << "typedef __UINT64_TYPE__ uint64_t;\n\n"
        << "extern \"C\" {\n"
+       << "void *calloc(__SIZE_TYPE__ n, __SIZE_TYPE__ size);\n"
+       << "void free(void *p);\n"
        << "typedef struct AnvilKernelStats {\n"
        << "    uint64_t frames;\n"
        << "    uint64_t dense_frames;\n"
@@ -894,7 +938,8 @@ CppEmitter::run()
 
     os << tables.str() << "\n";
     os << _rom_defs.str();
-    os << kWidePrelude << "\n";
+    if (_wide)
+        os << kWidePrelude << "\n";
 
     os << R"(struct Ctx
 {
@@ -947,25 +992,9 @@ static __attribute__((noinline)) void onChangeD(Ctx *c, int32_t id)
     if (!c->fdense)
         enq(c, id);
 }
-
-static inline void w_store(Ctx *c, int32_t id, uint64_t *dst,
-                           const uint64_t *t, uint32_t words)
-{
-    if (memcmp(dst, t, words * 8) != 0) {
-        memcpy(dst, t, words * 8);
-        onChange(c, id);
-    }
-}
-
-static inline void w_stored(Ctx *c, int32_t id, uint64_t *dst,
-                            const uint64_t *t, uint32_t words)
-{
-    if (memcmp(dst, t, words * 8) != 0) {
-        memcpy(dst, t, words * 8);
-        onChangeD(c, id);
-    }
-}
 )";
+    if (_wide)
+        os << kWideStores;
 
     os << body.str();
 
@@ -981,7 +1010,7 @@ static inline void w_stored(Ctx *c, int32_t id, uint64_t *dst,
         if (!_level_nodes[l].empty())
             os << "        { uint64_t e = lvl_d_" << l
                << "(c); ev += e; c->lvl_ev[" << l << "] += e; }\n";
-    os << "        memset(c->wbm, 0, sizeof(c->wbm));\n"
+    os << "        __builtin_memset(c->wbm, 0, sizeof(c->wbm));\n"
        << "        for (uint32_t l = 0; l < kLevels; l++)\n"
        << "            c->wn[l] = 0;\n"
        << "        c->st.dense_frames++;\n"
@@ -989,26 +1018,29 @@ static inline void w_stored(Ctx *c, int32_t id, uint64_t *dst,
     // A level's queue is only fed from strictly earlier levels (and
     // pokes), so testing each depth just before its turn is exact.
     // A level escalates to its straight-line body when its queue
-    // covers >= 25% of the level: at that density the per-node
-    // dispatch costs more than recomputing the stragglers, and
-    // compare-stores keep the changed list exact either way.
+    // covers >= 1/kEscalateDiv of the level: at that density the
+    // per-node dispatch costs more than recomputing the stragglers,
+    // and compare-stores keep the changed list exact either way.
     for (size_t l = 0; l < _levels; l++) {
-        if (_level_nodes[l].empty())
-            continue;
         size_t sz = _level_nodes[l].size();
+        if (sz == 0)
+            continue;
+        bool sparse = hasSparseDrain(sz);
+        std::string ind = sparse ? "                " : "            ";
         os << "        if (c->wn[" << l << "]) {\n"
-           << "            uint64_t e;\n"
-           << "            if (c->wn[" << l << "] * 4u >= " << sz
-           << "u) {\n"
-           << "                c->wn[" << l << "] = 0;\n"
-           << "                memset(c->wbm + " << _bm_off[l]
-           << "u, 0, " << (_bm_off[l + 1] - _bm_off[l])
-           << "u * 8u);\n"
-           << "                e = lvl_d_" << l << "(c);\n"
-           << "            } else {\n"
-           << "                e = lvl_s_" << l << "(c);\n"
-           << "            }\n"
-           << "            ev += e;\n"
+           << "            uint64_t e;\n";
+        if (sparse)
+            os << "            if (c->wn[" << l << "] * " << kEscalateDiv
+               << "u >= " << sz << "u) {\n";
+        os << ind << "c->wn[" << l << "] = 0;\n"
+           << ind << "__builtin_memset(c->wbm + " << _bm_off[l]
+           << "u, 0, " << (_bm_off[l + 1] - _bm_off[l]) << "u * 8u);\n"
+           << ind << "e = lvl_d_" << l << "(c);\n";
+        if (sparse)
+            os << "            } else {\n"
+               << "                e = lvl_s_" << l << "(c);\n"
+               << "            }\n";
+        os << "            ev += e;\n"
            << "            c->lvl_ev[" << l << "] += e;\n"
            << "        }\n";
     }
@@ -1037,7 +1069,7 @@ static inline void w_stored(Ctx *c, int32_t id, uint64_t *dst,
     Ctx *c = (Ctx *)calloc(1, sizeof(Ctx));
     if (!c)
         return 0;
-    memcpy(c->s, kInit, sizeof(c->s));
+    __builtin_memcpy(c->s, kInit, sizeof(c->s));
     return c;
 }
 static void k_destroy(void *ctx) { free(ctx); }

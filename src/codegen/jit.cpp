@@ -2,6 +2,7 @@
 
 #include <dlfcn.h>
 #include <stdlib.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -24,6 +25,21 @@ runs(const std::string &cmd)
 {
     std::string probe = cmd + " --version > /dev/null 2>&1";
     return std::system(probe.c_str()) == 0;
+}
+
+/** `s` as one single-quoted sh word (paths under $TMPDIR may hold
+ *  spaces or quotes). */
+std::string
+shellQuote(const std::string &s)
+{
+    std::string q = "'";
+    for (char ch : s) {
+        if (ch == '\'')
+            q += "'\\''";
+        else
+            q += ch;
+    }
+    return q + "'";
 }
 
 std::string
@@ -79,10 +95,14 @@ jitCompilerPath()
 {
     if (const char *env = ::getenv("ANVIL_CXX"))
         return env;   // verbatim, even if broken: the fallback hook
-    for (const char *c : {"c++", "g++", "clang++"})
-        if (runs(c))
-            return c;
-    return "";
+    // Each probe spawns a shell; search PATH once per process.
+    static const std::string found = [] {
+        for (const char *c : {"c++", "g++", "clang++"})
+            if (runs(c))
+                return std::string(c);
+        return std::string();
+    }();
+    return found;
 }
 
 JitResult
@@ -146,18 +166,27 @@ jitCompileKernel(const rtl::Netlist &nl, const JitOptions &opts)
     int opt = opts.opt_level;
     if (opt > 1 && res.source_bytes > 2u << 20)
         opt = 1;
+    // -nostdlib links no crt files, libstdc++ or libgcc: the unit's
+    // libc references (calloc, free, mem*) bind to this process at
+    // dlopen, and a symbol the process cannot supply fails the
+    // RTLD_NOW load, hence an interpreter fallback.
     std::string cmd = strfmt(
-        "%s -std=c++17 -O%d -fPIC -shared -fno-exceptions -fno-rtti "
-        "-g0 -o %s %s 2> %s",
-        cxx.c_str(), opt, so.c_str(), src.c_str(),
-        err.c_str());
-    if (std::system(cmd.c_str()) != 0) {
+        "%s -std=c++17 -O%d -fPIC -shared -nostdlib -fno-exceptions "
+        "-fno-rtti -g0 -o %s %s 2> %s",
+        cxx.c_str(), opt, shellQuote(so).c_str(),
+        shellQuote(src).c_str(), shellQuote(err).c_str());
+    int status = std::system(cmd.c_str());
+    if (status != 0) {
         std::string diag = readFile(err);
         if (diag.size() > 2000)
             diag.resize(2000);
         while (!diag.empty() &&
                (diag.back() == '\n' || diag.back() == '\r'))
             diag.pop_back();
+        if (diag.empty())
+            diag = WIFEXITED(status)
+                ? strfmt("exit status %d", WEXITSTATUS(status))
+                : strfmt("wait status %d", status);
         res.error = "kernel compile failed (" + cxx + "): " + diag;
         if (!opts.keep_files)
             removeTree(dir);

@@ -4,6 +4,9 @@
  * a kernel translation unit (codegen/cpp_emitter.h), invoke the
  * system C++ compiler to build a shared object, dlopen it, and hand
  * back a validated AnvilKernel ready for rtl::Sim::attachKernel.
+ * The unit includes no headers and links with -nostdlib, so a cold
+ * compile pays for neither; its few libc references (calloc, free,
+ * mem*) bind to the host process at dlopen(RTLD_NOW).
  *
  * Lifecycle (see docs/compile.md): the source and shared object live
  * in a mkdtemp directory that is deleted as soon as the object is
@@ -75,9 +78,9 @@ struct JitResult
 
 /**
  * The compiler the JIT would invoke: $ANVIL_CXX verbatim if set (even
- * if broken — that is the no-compiler-present test hook), else the
- * first of c++/g++/clang++ that answers --version.  Empty string when
- * nothing is available.
+ * if broken — that is the no-compiler-present test hook; read on every
+ * call), else the first of c++/g++/clang++ that answers --version,
+ * searched once per process.  Empty string when nothing is available.
  */
 std::string jitCompilerPath();
 

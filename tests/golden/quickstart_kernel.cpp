@@ -1,11 +1,16 @@
 // Generated by anvilc --emit-cpp; design 'ping_server'.
 // Implements AnvilKernel (see src/rtl/kernel_abi.h and docs/compile.md);
-// compile with: c++ -O2 -fPIC -shared -o kernel.so <this file>
-#include <stdint.h>
-#include <stdlib.h>
-#include <string.h>
+// compile with: c++ -O2 -fPIC -shared -nostdlib -o kernel.so <this file>
+// No headers and no runtime: the only external symbols are
+// libc's calloc, free and mem*, bound from the host process.
+typedef __INT32_TYPE__ int32_t;
+typedef __INT64_TYPE__ int64_t;
+typedef __UINT32_TYPE__ uint32_t;
+typedef __UINT64_TYPE__ uint64_t;
 
 extern "C" {
+void *calloc(__SIZE_TYPE__ n, __SIZE_TYPE__ size);
+void free(void *p);
 typedef struct AnvilKernelStats {
     uint64_t frames;
     uint64_t dense_frames;
@@ -76,240 +81,6 @@ static const uint32_t kBmOff[kLevels + 1] = {
 };
 enum : uint32_t { kBmWords = 7u };
 
-
-static inline uint64_t wmask(uint32_t bits)
-{
-    uint32_t r = bits & 63u;
-    return r ? (~0ull >> (64u - r)) : ~0ull;
-}
-static inline uint64_t wat(const uint64_t *p, uint32_t n, uint32_t i)
-{
-    return i < n ? p[i] : 0;
-}
-/* Word i of the value resized (zero-extend / truncate) to dbits. */
-static inline uint64_t w_rword(const uint64_t *p, uint32_t n,
-                               uint32_t dw, uint32_t dbits, uint32_t i)
-{
-    if (i >= dw)
-        return 0;
-    uint64_t v = wat(p, n, i);
-    return i == dw - 1 ? v & wmask(dbits) : v;
-}
-static inline void w_zero(uint64_t *d, uint32_t dw)
-{
-    for (uint32_t i = 0; i < dw; i++)
-        d[i] = 0;
-}
-static inline void w_copy(uint64_t *d, uint32_t dw, uint32_t dbits,
-                          const uint64_t *a, uint32_t aw)
-{
-    for (uint32_t i = 0; i < dw; i++)
-        d[i] = wat(a, aw, i);
-    d[dw - 1] &= wmask(dbits);
-}
-static inline void w_not(uint64_t *d, uint32_t dw, uint32_t dbits,
-                         const uint64_t *a, uint32_t aw)
-{
-    for (uint32_t i = 0; i < dw; i++)
-        d[i] = ~wat(a, aw, i);
-    d[dw - 1] &= wmask(dbits);
-}
-static inline void w_and(uint64_t *d, uint32_t dw, uint32_t dbits,
-                         const uint64_t *a, uint32_t aw,
-                         const uint64_t *b, uint32_t bw)
-{
-    for (uint32_t i = 0; i < dw; i++)
-        d[i] = wat(a, aw, i) & wat(b, bw, i);
-    d[dw - 1] &= wmask(dbits);
-}
-static inline void w_or(uint64_t *d, uint32_t dw, uint32_t dbits,
-                        const uint64_t *a, uint32_t aw,
-                        const uint64_t *b, uint32_t bw)
-{
-    for (uint32_t i = 0; i < dw; i++)
-        d[i] = wat(a, aw, i) | wat(b, bw, i);
-    d[dw - 1] &= wmask(dbits);
-}
-static inline void w_xor(uint64_t *d, uint32_t dw, uint32_t dbits,
-                         const uint64_t *a, uint32_t aw,
-                         const uint64_t *b, uint32_t bw)
-{
-    for (uint32_t i = 0; i < dw; i++)
-        d[i] = wat(a, aw, i) ^ wat(b, bw, i);
-    d[dw - 1] &= wmask(dbits);
-}
-static inline void w_add(uint64_t *d, uint32_t dw, uint32_t dbits,
-                         const uint64_t *a, uint32_t aw,
-                         const uint64_t *b, uint32_t bw)
-{
-    unsigned __int128 carry = 0;
-    for (uint32_t i = 0; i < dw; i++) {
-        unsigned __int128 sum = carry;
-        sum += wat(a, aw, i);
-        sum += wat(b, bw, i);
-        d[i] = (uint64_t)sum;
-        carry = sum >> 64;
-    }
-    d[dw - 1] &= wmask(dbits);
-}
-static inline void w_sub(uint64_t *d, uint32_t dw, uint32_t dbits,
-                         const uint64_t *a, uint32_t aw,
-                         const uint64_t *b, uint32_t bw)
-{
-    unsigned __int128 carry = 1;
-    for (uint32_t i = 0; i < dw; i++) {
-        unsigned __int128 sum = carry;
-        sum += wat(a, aw, i);
-        sum += ~wat(b, bw, i);
-        d[i] = (uint64_t)sum;
-        carry = sum >> 64;
-    }
-    d[dw - 1] &= wmask(dbits);
-}
-static inline void w_mul(uint64_t *d, uint32_t dw, uint32_t dbits,
-                         const uint64_t *a, uint32_t aw,
-                         const uint64_t *b, uint32_t bw)
-{
-    w_zero(d, dw);
-    for (uint32_t i = 0; i < dw; i++) {
-        unsigned __int128 carry = 0;
-        for (uint32_t j = 0; i + j < dw; j++) {
-            unsigned __int128 p =
-                (unsigned __int128)wat(a, aw, i) * wat(b, bw, j);
-            p += d[i + j];
-            p += carry;
-            d[i + j] = (uint64_t)p;
-            carry = p >> 64;
-        }
-    }
-    d[dw - 1] &= wmask(dbits);
-}
-/* Comparisons are over the original (unresized) operands. */
-static inline uint64_t w_eq(const uint64_t *a, uint32_t aw,
-                            const uint64_t *b, uint32_t bw)
-{
-    uint32_t n = aw > bw ? aw : bw;
-    for (uint32_t i = 0; i < n; i++)
-        if (wat(a, aw, i) != wat(b, bw, i))
-            return 0;
-    return 1;
-}
-static inline uint64_t w_ult(const uint64_t *a, uint32_t aw,
-                             const uint64_t *b, uint32_t bw)
-{
-    uint32_t n = aw > bw ? aw : bw;
-    for (uint32_t i = n; i-- > 0;) {
-        uint64_t x = wat(a, aw, i), y = wat(b, bw, i);
-        if (x != y)
-            return x < y;
-    }
-    return 0;
-}
-static inline uint64_t w_ule(const uint64_t *a, uint32_t aw,
-                             const uint64_t *b, uint32_t bw)
-{
-    return w_ult(a, aw, b, bw) | w_eq(a, aw, b, bw);
-}
-static inline uint64_t w_any(const uint64_t *a, uint32_t aw)
-{
-    for (uint32_t i = 0; i < aw; i++)
-        if (a[i])
-            return 1;
-    return 0;
-}
-static inline uint64_t w_red_and(const uint64_t *a, uint32_t aw,
-                                 uint32_t abits)
-{
-    for (uint32_t i = 0; i < aw; i++) {
-        uint64_t want = i == aw - 1 ? wmask(abits) : ~0ull;
-        if (a[i] != want)
-            return 0;
-    }
-    return 1;
-}
-static inline void w_shl(uint64_t *d, uint32_t dw, uint32_t dbits,
-                         const uint64_t *a, uint32_t aw, uint64_t sh)
-{
-    if (sh >= dbits) {
-        w_zero(d, dw);
-        return;
-    }
-    uint32_t ws = (uint32_t)(sh / 64), bs = (uint32_t)(sh % 64);
-    for (uint32_t j = dw; j-- > ws;) {
-        uint64_t w = w_rword(a, aw, dw, dbits, j - ws) << bs;
-        if (bs != 0 && j - ws > 0)
-            w |= w_rword(a, aw, dw, dbits, j - ws - 1) >> (64 - bs);
-        d[j] = w;
-    }
-    for (uint32_t j = 0; j < ws && j < dw; j++)
-        d[j] = 0;
-    d[dw - 1] &= wmask(dbits);
-}
-static inline void w_shr(uint64_t *d, uint32_t dw, uint32_t dbits,
-                         const uint64_t *a, uint32_t aw, uint64_t sh)
-{
-    if (sh >= dbits) {
-        w_zero(d, dw);
-        return;
-    }
-    uint32_t ws = (uint32_t)(sh / 64), bs = (uint32_t)(sh % 64);
-    for (uint32_t j = 0; j < dw; j++) {
-        uint64_t w = w_rword(a, aw, dw, dbits, ws + j) >> bs;
-        if (bs != 0)
-            w |= w_rword(a, aw, dw, dbits, ws + j + 1) << (64 - bs);
-        d[j] = w;
-    }
-    d[dw - 1] &= wmask(dbits);
-}
-/* Bits [lo, lo+dbits) of the unresized source; out-of-range bits
- * (including negative indices) read as zero. */
-static inline void w_slice(uint64_t *d, uint32_t dw, uint32_t dbits,
-                           const uint64_t *a, uint32_t aw, int32_t lo)
-{
-    if (lo < 0) {
-        /* Zeros below index 0: a left shift of the source. */
-        uint64_t sh = (uint64_t)(-(int64_t)lo);
-        if (sh >= dbits) {
-            w_zero(d, dw);
-            return;
-        }
-        uint32_t ws = (uint32_t)(sh / 64), bs = (uint32_t)(sh % 64);
-        for (uint32_t j = dw; j-- > ws;) {
-            uint64_t w = wat(a, aw, j - ws) << bs;
-            if (bs != 0 && j - ws > 0)
-                w |= wat(a, aw, j - ws - 1) >> (64 - bs);
-            d[j] = w;
-        }
-        for (uint32_t j = 0; j < ws && j < dw; j++)
-            d[j] = 0;
-        d[dw - 1] &= wmask(dbits);
-        return;
-    }
-    uint32_t ws = (uint32_t)lo / 64, bs = (uint32_t)lo % 64;
-    for (uint32_t j = 0; j < dw; j++) {
-        uint64_t w = wat(a, aw, ws + j) >> bs;
-        if (bs != 0)
-            w |= wat(a, aw, ws + j + 1) << (64 - bs);
-        d[j] = w;
-    }
-    d[dw - 1] &= wmask(dbits);
-}
-/* OR the low abits bits of a into d at bit offset off (concat part;
- * destination must be pre-zeroed, final mask applied by the caller). */
-static inline void w_inject(uint64_t *d, uint32_t dw,
-                            const uint64_t *a, uint32_t aw,
-                            uint32_t abits, uint32_t off)
-{
-    uint32_t ws = off / 64, bs = off % 64;
-    uint32_t awords = (abits + 63) / 64;
-    for (uint32_t j = 0; j < awords; j++) {
-        if (ws + j < dw)
-            d[ws + j] |= wat(a, aw, j) << bs;
-        if (bs != 0 && ws + j + 1 < dw)
-            d[ws + j + 1] |= wat(a, aw, j) >> (64 - bs);
-    }
-}
-
 struct Ctx
 {
     uint64_t s[kStateWords];
@@ -362,131 +133,6 @@ static __attribute__((noinline)) void onChangeD(Ctx *c, int32_t id)
         enq(c, id);
 }
 
-static inline void w_store(Ctx *c, int32_t id, uint64_t *dst,
-                           const uint64_t *t, uint32_t words)
-{
-    if (memcmp(dst, t, words * 8) != 0) {
-        memcpy(dst, t, words * 8);
-        onChange(c, id);
-    }
-}
-
-static inline void w_stored(Ctx *c, int32_t id, uint64_t *dst,
-                            const uint64_t *t, uint32_t words)
-{
-    if (memcmp(dst, t, words * 8) != 0) {
-        memcpy(dst, t, words * 8);
-        onChangeD(c, id);
-    }
-}
-
-/* level 1: 4 nodes, bitmap words [0, 1) */
-static uint64_t lvl_s_1(Ctx *c)
-{
-    uint64_t ev = 0;
-    c->wn[1] = 0;
-    for (uint32_t wi = 0u; wi < 1u; wi++) {
-        uint64_t w = c->wbm[wi];
-        if (!w)
-            continue;
-        c->wbm[wi] = 0;
-        uint32_t base = (wi - 0u) << 6;
-        do {
-        switch (base + (uint32_t)__builtin_ctzll(w)) {
-        case 0u: {
-            // n11 w8 t0_val0
-            { ev++; uint64_t r = c->s[0]; r &= 0xffull; uint64_t *p = &c->s[11]; if (*p != r) { *p = r; onChange(c, 11); } }
-        } break;
-        case 1u: {
-            // n12 w1 t0_ev2
-            { ev++; uint64_t r = c->s[6]; r &= 0x1ull; uint64_t *p = &c->s[12]; if (*p != r) { *p = r; onChange(c, 12); } }
-        } break;
-        case 2u: {
-            // n14 w1 t0_ev4
-            { ev++; uint64_t r = c->s[8]; r &= 0x1ull; uint64_t *p = &c->s[14]; if (*p != r) { *p = r; onChange(c, 14); } }
-        } break;
-        case 3u: {
-            // n18 w1
-            { ev++; uint64_t r = ~c->s[4]; r &= 0x1ull; uint64_t *p = &c->s[18]; if (*p != r) { *p = r; onChange(c, 18); } }
-        } break;
-        default: break;
-        }
-        w &= w - 1;
-        } while (w);
-    }
-    return ev;
-}
-
-/* level 2: 3 nodes, bitmap words [1, 2) */
-static uint64_t lvl_s_2(Ctx *c)
-{
-    uint64_t ev = 0;
-    c->wn[2] = 0;
-    for (uint32_t wi = 1u; wi < 2u; wi++) {
-        uint64_t w = c->wbm[wi];
-        if (!w)
-            continue;
-        c->wbm[wi] = 0;
-        uint32_t base = (wi - 1u) << 6;
-        do {
-        switch (base + (uint32_t)__builtin_ctzll(w)) {
-        case 0u: {
-            // n19 w1
-            { ev++; uint64_t r = c->s[18] | c->s[14]; r &= 0x1ull; uint64_t *p = &c->s[19]; if (*p != r) { *p = r; onChange(c, 19); } }
-        } break;
-        case 1u: {
-            // n22 w1
-            { ev++; uint64_t r = c->s[7] | c->s[12]; r &= 0x1ull; uint64_t *p = &c->s[22]; if (*p != r) { *p = r; onChange(c, 22); } }
-        } break;
-        case 2u: {
-            // n36 w8
-            { ev++; uint64_t r = (c->s[11] & 0xffull) + (0x1ull & 0xffull); r &= 0xffull; uint64_t *p = &c->s[36]; if (*p != r) { *p = r; onChange(c, 36); } }
-        } break;
-        default: break;
-        }
-        w &= w - 1;
-        } while (w);
-    }
-    return ev;
-}
-
-/* level 3: 4 nodes, bitmap words [2, 3) */
-static uint64_t lvl_s_3(Ctx *c)
-{
-    uint64_t ev = 0;
-    c->wn[3] = 0;
-    for (uint32_t wi = 2u; wi < 3u; wi++) {
-        uint64_t w = c->wbm[wi];
-        if (!w)
-            continue;
-        c->wbm[wi] = 0;
-        uint32_t base = (wi - 2u) << 6;
-        do {
-        switch (base + (uint32_t)__builtin_ctzll(w)) {
-        case 0u: {
-            // n9 w1 t0_ev0
-            { ev++; uint64_t r = c->s[19]; r &= 0x1ull; uint64_t *p = &c->s[9]; if (*p != r) { *p = r; onChange(c, 9); } }
-        } break;
-        case 1u: {
-            // n23 w1
-            { ev++; uint64_t r = c->s[22] & c->s[2]; r &= 0x1ull; uint64_t *p = &c->s[23]; if (*p != r) { *p = r; onChange(c, 23); } }
-        } break;
-        case 2u: {
-            // n27 w8
-            { ev++; uint64_t r = c->s[22] ? c->s[3] : 0x0ull; r &= 0xffull; uint64_t *p = &c->s[27]; if (*p != r) { *p = r; onChange(c, 27); } }
-        } break;
-        case 3u: {
-            // n29 w1
-            { ev++; uint64_t r = 0x0ull | c->s[22]; r &= 0x1ull; uint64_t *p = &c->s[29]; if (*p != r) { *p = r; onChange(c, 29); } }
-        } break;
-        default: break;
-        }
-        w &= w - 1;
-        } while (w);
-    }
-    return ev;
-}
-
 /* level 4: 5 nodes, bitmap words [3, 4) */
 static uint64_t lvl_s_4(Ctx *c)
 {
@@ -519,97 +165,6 @@ static uint64_t lvl_s_4(Ctx *c)
         case 4u: {
             // n39 w1
             { ev++; uint64_t r = ~c->s[23]; r &= 0x1ull; uint64_t *p = &c->s[39]; if (*p != r) { *p = r; onChange(c, 39); } }
-        } break;
-        default: break;
-        }
-        w &= w - 1;
-        } while (w);
-    }
-    return ev;
-}
-
-/* level 5: 3 nodes, bitmap words [4, 5) */
-static uint64_t lvl_s_5(Ctx *c)
-{
-    uint64_t ev = 0;
-    c->wn[5] = 0;
-    for (uint32_t wi = 4u; wi < 5u; wi++) {
-        uint64_t w = c->wbm[wi];
-        if (!w)
-            continue;
-        c->wbm[wi] = 0;
-        uint32_t base = (wi - 4u) << 6;
-        do {
-        switch (base + (uint32_t)__builtin_ctzll(w)) {
-        case 0u: {
-            // n21 w1
-            { ev++; uint64_t r = c->s[20] & c->s[1]; r &= 0x1ull; uint64_t *p = &c->s[21]; if (*p != r) { *p = r; onChange(c, 21); } }
-        } break;
-        case 1u: {
-            // n25 w1
-            { ev++; uint64_t r = 0x0ull | c->s[20]; r &= 0x1ull; uint64_t *p = &c->s[25]; if (*p != r) { *p = r; onChange(c, 25); } }
-        } break;
-        case 2u: {
-            // n40 w1
-            { ev++; uint64_t r = c->s[22] & c->s[39]; r &= 0x1ull; uint64_t *p = &c->s[40]; if (*p != r) { *p = r; onChange(c, 40); } }
-        } break;
-        default: break;
-        }
-        w &= w - 1;
-        } while (w);
-    }
-    return ev;
-}
-
-/* level 6: 3 nodes, bitmap words [5, 6) */
-static uint64_t lvl_s_6(Ctx *c)
-{
-    uint64_t ev = 0;
-    c->wn[6] = 0;
-    for (uint32_t wi = 5u; wi < 6u; wi++) {
-        uint64_t w = c->wbm[wi];
-        if (!w)
-            continue;
-        c->wbm[wi] = 0;
-        uint32_t base = (wi - 5u) << 6;
-        do {
-        switch (base + (uint32_t)__builtin_ctzll(w)) {
-        case 0u: {
-            // n10 w1 t0_ev1
-            { ev++; uint64_t r = c->s[21]; r &= 0x1ull; uint64_t *p = &c->s[10]; if (*p != r) { *p = r; onChange(c, 10); } }
-        } break;
-        case 1u: {
-            // n15 w1 io_ping_ack
-            { ev++; uint64_t r = c->s[25]; r &= 0x1ull; uint64_t *p = &c->s[15]; if (*p != r) { *p = r; onChange(c, 15); } }
-        } break;
-        case 2u: {
-            // n33 w1
-            { ev++; uint64_t r = ~c->s[21]; r &= 0x1ull; uint64_t *p = &c->s[33]; if (*p != r) { *p = r; onChange(c, 33); } }
-        } break;
-        default: break;
-        }
-        w &= w - 1;
-        } while (w);
-    }
-    return ev;
-}
-
-/* level 7: 1 nodes, bitmap words [6, 7) */
-static uint64_t lvl_s_7(Ctx *c)
-{
-    uint64_t ev = 0;
-    c->wn[7] = 0;
-    for (uint32_t wi = 6u; wi < 7u; wi++) {
-        uint64_t w = c->wbm[wi];
-        if (!w)
-            continue;
-        c->wbm[wi] = 0;
-        uint32_t base = (wi - 6u) << 6;
-        do {
-        switch (base + (uint32_t)__builtin_ctzll(w)) {
-        case 0u: {
-            // n34 w1
-            { ev++; uint64_t r = c->s[20] & c->s[33]; r &= 0x1ull; uint64_t *p = &c->s[34]; if (*p != r) { *p = r; onChange(c, 34); } }
         } break;
         default: break;
         }
@@ -722,44 +277,32 @@ static uint64_t do_eval(Ctx *c, int32_t *out, uint64_t *nout, int full)
         { uint64_t e = lvl_d_5(c); ev += e; c->lvl_ev[5] += e; }
         { uint64_t e = lvl_d_6(c); ev += e; c->lvl_ev[6] += e; }
         { uint64_t e = lvl_d_7(c); ev += e; c->lvl_ev[7] += e; }
-        memset(c->wbm, 0, sizeof(c->wbm));
+        __builtin_memset(c->wbm, 0, sizeof(c->wbm));
         for (uint32_t l = 0; l < kLevels; l++)
             c->wn[l] = 0;
         c->st.dense_frames++;
     } else {
         if (c->wn[1]) {
             uint64_t e;
-            if (c->wn[1] * 4u >= 4u) {
-                c->wn[1] = 0;
-                memset(c->wbm + 0u, 0, 1u * 8u);
-                e = lvl_d_1(c);
-            } else {
-                e = lvl_s_1(c);
-            }
+            c->wn[1] = 0;
+            __builtin_memset(c->wbm + 0u, 0, 1u * 8u);
+            e = lvl_d_1(c);
             ev += e;
             c->lvl_ev[1] += e;
         }
         if (c->wn[2]) {
             uint64_t e;
-            if (c->wn[2] * 4u >= 3u) {
-                c->wn[2] = 0;
-                memset(c->wbm + 1u, 0, 1u * 8u);
-                e = lvl_d_2(c);
-            } else {
-                e = lvl_s_2(c);
-            }
+            c->wn[2] = 0;
+            __builtin_memset(c->wbm + 1u, 0, 1u * 8u);
+            e = lvl_d_2(c);
             ev += e;
             c->lvl_ev[2] += e;
         }
         if (c->wn[3]) {
             uint64_t e;
-            if (c->wn[3] * 4u >= 4u) {
-                c->wn[3] = 0;
-                memset(c->wbm + 2u, 0, 1u * 8u);
-                e = lvl_d_3(c);
-            } else {
-                e = lvl_s_3(c);
-            }
+            c->wn[3] = 0;
+            __builtin_memset(c->wbm + 2u, 0, 1u * 8u);
+            e = lvl_d_3(c);
             ev += e;
             c->lvl_ev[3] += e;
         }
@@ -767,7 +310,7 @@ static uint64_t do_eval(Ctx *c, int32_t *out, uint64_t *nout, int full)
             uint64_t e;
             if (c->wn[4] * 4u >= 5u) {
                 c->wn[4] = 0;
-                memset(c->wbm + 3u, 0, 1u * 8u);
+                __builtin_memset(c->wbm + 3u, 0, 1u * 8u);
                 e = lvl_d_4(c);
             } else {
                 e = lvl_s_4(c);
@@ -777,37 +320,25 @@ static uint64_t do_eval(Ctx *c, int32_t *out, uint64_t *nout, int full)
         }
         if (c->wn[5]) {
             uint64_t e;
-            if (c->wn[5] * 4u >= 3u) {
-                c->wn[5] = 0;
-                memset(c->wbm + 4u, 0, 1u * 8u);
-                e = lvl_d_5(c);
-            } else {
-                e = lvl_s_5(c);
-            }
+            c->wn[5] = 0;
+            __builtin_memset(c->wbm + 4u, 0, 1u * 8u);
+            e = lvl_d_5(c);
             ev += e;
             c->lvl_ev[5] += e;
         }
         if (c->wn[6]) {
             uint64_t e;
-            if (c->wn[6] * 4u >= 3u) {
-                c->wn[6] = 0;
-                memset(c->wbm + 5u, 0, 1u * 8u);
-                e = lvl_d_6(c);
-            } else {
-                e = lvl_s_6(c);
-            }
+            c->wn[6] = 0;
+            __builtin_memset(c->wbm + 5u, 0, 1u * 8u);
+            e = lvl_d_6(c);
             ev += e;
             c->lvl_ev[6] += e;
         }
         if (c->wn[7]) {
             uint64_t e;
-            if (c->wn[7] * 4u >= 1u) {
-                c->wn[7] = 0;
-                memset(c->wbm + 6u, 0, 1u * 8u);
-                e = lvl_d_7(c);
-            } else {
-                e = lvl_s_7(c);
-            }
+            c->wn[7] = 0;
+            __builtin_memset(c->wbm + 6u, 0, 1u * 8u);
+            e = lvl_d_7(c);
             ev += e;
             c->lvl_ev[7] += e;
         }
@@ -836,7 +367,7 @@ static void *k_create(void)
     Ctx *c = (Ctx *)calloc(1, sizeof(Ctx));
     if (!c)
         return 0;
-    memcpy(c->s, kInit, sizeof(c->s));
+    __builtin_memcpy(c->s, kInit, sizeof(c->s));
     return c;
 }
 static void k_destroy(void *ctx) { free(ctx); }

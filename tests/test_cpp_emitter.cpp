@@ -1,10 +1,11 @@
 /**
  * @file
  * Compiled C++ backend: golden emitted-kernel snapshot for the
- * quickstart design, JIT round-trip behaviour against the
- * interpreter, kernel ABI invariants, and the no-compiler fallback
- * path (a broken ANVIL_CXX must degrade to the interpreter, never
- * fail the run).
+ * quickstart design, what the emitted unit leaves out (headers,
+ * unreachable sparse drains, unused wide helpers), JIT round-trip
+ * behaviour against the interpreter, kernel ABI invariants, temp-dir
+ * handling, and the no-compiler fallback path (a broken ANVIL_CXX
+ * must degrade to the interpreter, never fail the run).
  */
 
 #include <gtest/gtest.h>
@@ -14,10 +15,12 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <regex>
 #include <sstream>
 
 #include "codegen/cpp_emitter.h"
 #include "codegen/jit.h"
+#include "designs/designs.h"
 #include "harness.h"
 #include "rtl/interp.h"
 
@@ -82,6 +85,46 @@ TEST(CppEmitter, QuickstartKernelMatchesGolden)
     std::ostringstream want;
     want << is.rdbuf();
     EXPECT_EQ(got, want.str());
+}
+
+size_t
+countOf(const std::string &hay, const std::string &needle)
+{
+    size_t n = 0;
+    for (size_t at = hay.find(needle); at != std::string::npos;
+         at = hay.find(needle, at + 1))
+        n++;
+    return n;
+}
+
+TEST(CppEmitter, QuickstartUnitCarriesOnlyReachableCode)
+{
+    auto mod = quickstartModule();
+    ASSERT_NE(mod, nullptr);
+    Netlist nl(*mod);
+    std::string unit = codegen::emitCppKernel(nl, "ping_server");
+    // No headers, and no wide lane: every quickstart node is <= 64
+    // bits wide, so no w_* helper is emitted.
+    EXPECT_EQ(unit.find("#include"), std::string::npos);
+    EXPECT_FALSE(std::regex_search(unit, std::regex("\\bw_[a-z_]+\\(")));
+    EXPECT_EQ(unit.find("wmask"), std::string::npos);
+    // Only the 5-node level can drain sparsely; levels of <= 4 nodes
+    // always escalate to their dense body.
+    EXPECT_EQ(countOf(unit, "static uint64_t lvl_s_"), 1u);
+    EXPECT_EQ(countOf(unit, "lvl_s_4("), 2u);   // definition + call
+}
+
+TEST(CppEmitter, WideDesignCarriesWidePrelude)
+{
+    Netlist nl(*designs::buildAesBaseline());
+    std::string unit = codegen::emitCppKernel(nl, "aes");
+    EXPECT_EQ(unit.find("#include"), std::string::npos);
+    EXPECT_NE(unit.find("static inline uint64_t wmask("),
+              std::string::npos);
+    EXPECT_NE(unit.find("static inline void w_store("),
+              std::string::npos);
+    EXPECT_NE(unit.find("static inline void w_stored("),
+              std::string::npos);
 }
 
 TEST(CppEmitter, KernelAbiMatchesNetlist)
@@ -170,6 +213,17 @@ TEST(CppEmitter, JitRoundTripMatchesInterpreter)
     for (size_t i = 0; i < ra.size(); i++)
         EXPECT_EQ(ra[i].toHex(), rb[i].toHex());
     EXPECT_EQ(interp.log(), compiled.log());
+
+    // The kernel's own scheduling counters, as recorded before the
+    // unreachable sparse drains were dropped: the small levels that
+    // now call their dense body directly took exactly that path.
+    const SweepStats &st = compiled.sweepStats();
+    EXPECT_EQ(st.nodes_evaluated, 4371u);
+    EXPECT_EQ(st.kernel_dense_frames, 101u);
+    EXPECT_EQ(st.kernel_fallback_switches, 66u);
+    EXPECT_EQ(compiled.kernelLevelEvals(),
+              (std::vector<uint64_t>{0, 800, 600, 736, 835, 600, 600,
+                                     200}));
 }
 
 TEST(CppEmitter, KernelReportsPerLevelEvals)
@@ -210,27 +264,23 @@ TEST(CppEmitter, KernelReportsPerLevelEvals)
     EXPECT_GT(total, 0u);
 }
 
-TEST(CppEmitter, JitHonorsTmpdir)
+/** JIT `sim`'s netlist with TMPDIR pointed at a fresh dir made from
+ *  the mkdtemp template `tmpl`, keeping the work files; `tag` is a
+ *  unique emitter tag, so the process-wide kernel cache is bypassed
+ *  and the JIT really runs.  Expects the work dir under that dir,
+ *  then removes both. */
+codegen::JitResult
+jitUnderTmpdir(Sim &sim, std::string tmpl, int tag)
 {
-    if (codegen::jitCompilerPath().empty())
-        GTEST_SKIP() << "no system compiler available";
-    auto mod = quickstartModule();
-    ASSERT_NE(mod, nullptr);
-    Sim sim(mod);
-
-    // Point TMPDIR at a private scratch dir; a unique emitter tag
-    // bypasses the process-wide kernel cache so the JIT really runs.
-    char tmpl[] = "/tmp/anvil-tmpdir-test-XXXXXX";
-    ASSERT_NE(::mkdtemp(tmpl), nullptr);
-    std::string scratch = tmpl;
+    EXPECT_NE(::mkdtemp(&tmpl[0]), nullptr);
     const char *saved = std::getenv("TMPDIR");
     std::string saved_val = saved ? saved : "";
-    ::setenv("TMPDIR", scratch.c_str(), 1);
+    ::setenv("TMPDIR", tmpl.c_str(), 1);
 
     codegen::JitOptions jo;
     jo.opt_level = 1;
     jo.keep_files = true;
-    jo.emitter_tag = codegen::kCppEmitterVersion + 1000;
+    jo.emitter_tag = tag;
     codegen::JitResult jr =
         codegen::jitCompileKernel(sim.netlist(), jo);
 
@@ -238,18 +288,53 @@ TEST(CppEmitter, JitHonorsTmpdir)
         ::setenv("TMPDIR", saved_val.c_str(), 1);
     else
         ::unsetenv("TMPDIR");
-    ASSERT_NE(jr.kernel, nullptr) << jr.error;
 
     // The work dir must have landed under $TMPDIR, not /tmp.
-    bool found = false;
-    if (DIR *d = ::opendir(scratch.c_str())) {
+    std::string work;
+    if (DIR *d = ::opendir(tmpl.c_str())) {
         while (struct dirent *e = ::readdir(d))
             if (std::string(e->d_name).rfind("anvil-jit-", 0) == 0)
-                found = true;
+                work = tmpl + "/" + e->d_name;
         ::closedir(d);
     }
-    EXPECT_TRUE(found)
-        << "no anvil-jit-* work dir under " << scratch;
+    EXPECT_FALSE(work.empty())
+        << "no anvil-jit-* work dir under " << tmpl;
+    if (!work.empty()) {
+        for (const char *f : {"kernel.cpp", "kernel.so", "cc.err"})
+            ::unlink((work + "/" + f).c_str());
+        ::rmdir(work.c_str());
+    }
+    ::rmdir(tmpl.c_str());
+    return jr;
+}
+
+TEST(CppEmitter, JitHonorsTmpdir)
+{
+    if (codegen::jitCompilerPath().empty())
+        GTEST_SKIP() << "no system compiler available";
+    auto mod = quickstartModule();
+    ASSERT_NE(mod, nullptr);
+    Sim sim(mod);
+    codegen::JitResult jr = jitUnderTmpdir(
+        sim, "/tmp/anvil-tmpdir-test-XXXXXX",
+        codegen::kCppEmitterVersion + 1000);
+    ASSERT_NE(jr.kernel, nullptr) << jr.error;
+}
+
+TEST(CppEmitter, JitToleratesSpaceInTmpdir)
+{
+    if (codegen::jitCompilerPath().empty())
+        GTEST_SKIP() << "no system compiler available";
+    auto mod = quickstartModule();
+    ASSERT_NE(mod, nullptr);
+    Sim sim(mod);
+    // The compiler command line must quote the work-dir paths.
+    codegen::JitResult jr = jitUnderTmpdir(
+        sim, "/tmp/anvil tmpdir test-XXXXXX",
+        codegen::kCppEmitterVersion + 1001);
+    ASSERT_NE(jr.kernel, nullptr) << jr.error;
+    EXPECT_TRUE(sim.attachKernel(codegen::kernelRef(jr.kernel)));
+    EXPECT_TRUE(sim.kernelAttached());
 }
 
 TEST(CppEmitter, BrokenCompilerFallsBackToInterpreter)
@@ -274,6 +359,14 @@ TEST(CppEmitter, BrokenCompilerFallsBackToInterpreter)
     codegen::JitResult jr = codegen::jitCompileKernel(sim.netlist());
     EXPECT_EQ(jr.kernel, nullptr);
     EXPECT_FALSE(jr.error.empty());
+
+    // A compiler that fails without a word still explains itself.
+    ::setenv("ANVIL_CXX", "false", 1);
+    codegen::JitResult silent =
+        codegen::jitCompileKernel(sim.netlist());
+    EXPECT_EQ(silent.kernel, nullptr);
+    EXPECT_NE(silent.error.find("exit status 1"), std::string::npos)
+        << silent.error;
 
     if (saved)
         ::setenv("ANVIL_CXX", saved_val.c_str(), 1);
