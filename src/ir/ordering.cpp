@@ -1,7 +1,8 @@
 #include "ir/ordering.h"
 
 #include <algorithm>
-#include <set>
+#include <bit>
+#include <iterator>
 #include <sstream>
 
 #include "support/strings.h"
@@ -80,168 +81,203 @@ PatternSet::str() const
     return os.str();
 }
 
-Ordering::Ordering(const EventGraph &graph)
-    : _g(graph)
+namespace {
+
+/** Calls @p f with the index of every bit set in both x and y. */
+template <typename F>
+void
+forEachCommonBit(const uint64_t *x, const uint64_t *y, size_t words, F f)
 {
+    for (size_t w = 0; w < words; w++)
+        for (uint64_t m = x[w] & y[w]; m; m &= m - 1)
+            f(static_cast<int>(w * 64 + std::countr_zero(m)));
+}
+
+bool
+isSync(const EventNode &n)
+{
+    return n.kind == EventKind::Send || n.kind == EventKind::Recv;
+}
+
+} // namespace
+
+Ordering::Ordering(const EventGraph &graph)
+    : _g(graph), _pos(graph.size(), -1)
+{
+    // Topological order by iterative depth-first post-order: every
+    // predecessor, and a merge's branch point, comes first.
+    constexpr int kOpen = -2;
+    std::vector<std::pair<EventId, size_t>> stack;
+    for (EventId start = 0; start < _g.size(); start++) {
+        if (_pos[start] != -1)
+            continue;
+        _pos[start] = kOpen;
+        stack.emplace_back(start, 0);
+        while (!stack.empty()) {
+            auto [id, next] = stack.back();
+            const EventNode &n = _g.node(id);
+            size_t deps = n.preds.size() + (n.branch_pred != kNoEvent);
+            if (next == deps) {
+                _pos[id] = static_cast<int>(_order.size());
+                _order.push_back(id);
+                stack.pop_back();
+                continue;
+            }
+            stack.back().second++;
+            EventId d = next < n.preds.size() ? n.preds[next]
+                                              : n.branch_pred;
+            if (_pos[d] == -1) {
+                _pos[d] = kOpen;
+                stack.emplace_back(d, 0);
+            }
+        }
+    }
+
+    size_t count = _order.size();
+    _words = (count + 63) / 64;
+    _anc.assign(count * _words, 0);
+    _ctx.resize(count);
+    _join_preds.resize(count);
+    _rows.resize(count);
+    for (size_t i = 0; i < count; i++) {
+        const EventNode &n = _g.node(_order[i]);
+        uint64_t *anc = _anc.data() + i * _words;
+        anc[i / 64] |= uint64_t(1) << (i % 64);
+        for (EventId p : n.preds) {
+            const uint64_t *pa = ancestors(_pos[p]);
+            for (size_t w = 0; w < _words; w++)
+                anc[w] |= pa[w];
+        }
+
+        Context &ctx = _ctx[i];
+        if (n.kind == EventKind::Merge && n.branch_pred != kNoEvent) {
+            // Either arm may have run: only the branch point's facts
+            // hold.
+            ctx = _ctx[_pos[n.branch_pred]];
+        } else {
+            // A join fires only once every predecessor has fired, so
+            // the union of their branch facts holds (the first
+            // predecessor's arm wins a conflict).
+            for (EventId p : n.preds) {
+                const Context &pc = _ctx[_pos[p]];
+                Context both;
+                std::set_union(ctx.begin(), ctx.end(), pc.begin(),
+                               pc.end(), std::back_inserter(both),
+                               [](const auto &x, const auto &y) {
+                                   return x.first < y.first;
+                               });
+                ctx = std::move(both);
+            }
+        }
+        if (n.kind == EventKind::Branch) {
+            auto it = std::lower_bound(
+                ctx.begin(), ctx.end(), std::make_pair(n.cond_id, false));
+            if (it != ctx.end() && it->first == n.cond_id)
+                it->second = n.cond_taken;
+            else
+                ctx.insert(it, {n.cond_id, n.cond_taken});
+        }
+
+        // A join predecessor that causally precedes another never
+        // determines the max, so the join rules skip it.  In a DAG
+        // some predecessor always survives.
+        if (n.kind == EventKind::Join) {
+            for (EventId p : n.preds) {
+                bool dominated = false;
+                for (EventId q : n.preds)
+                    dominated = dominated || (q != p && reaches(p, q));
+                if (!dominated)
+                    _join_preds[i].push_back(_pos[p]);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
 // Core gap analysis
 // ---------------------------------------------------------------------
 
-bool
-Ordering::dominatedPred(const EventNode &join, EventId p)
+const Ordering::Row &
+Ordering::row(int a)
 {
-    for (EventId q : join.preds) {
-        if (q != p && reaches(p, q))
-            return true;
+    Row &r = _rows[a];
+    if (!r.lb.empty())
+        return r;
+    EventId anchor = _order[a];
+    size_t count = _order.size();
+    r.lb.assign(count, 0);
+    r.ub.assign(count, 0);
+    for (size_t i = 0; i < count; i++) {
+        if (static_cast<int>(i) == a)
+            continue;  // zero cycles from the anchor to itself
+        const EventNode &n = _g.node(_order[i]);
+        int p = n.preds.empty() ? -1 : _pos[n.preds[0]];
+        Gap lb = 0, ub = 0;
+        switch (n.kind) {
+          case EventKind::Root: {
+            // tau(root) = 0, so tau(root) - tau(a) is bounded by the
+            // negated bounds on tau(a) - tau(root): the anchor's entry
+            // in the root's own row.
+            const Row &root = row(static_cast<int>(i));
+            lb = root.ub[a] >= kGapInf ? kGapNegInf : -root.ub[a];
+            ub = root.lb[a] <= kGapNegInf ? kGapInf : -root.lb[a];
+            break;
+          }
+          case EventKind::Delay:
+            lb = gapAdd(r.lb[p], n.delay);
+            ub = gapAdd(r.ub[p], n.delay);
+            break;
+          case EventKind::Send:
+          case EventKind::Recv:
+            // Dynamic synchronization takes at least zero extra
+            // cycles and may take arbitrarily long; a sync that is
+            // static on both endpoints is bounded.
+            lb = r.lb[p];
+            ub = n.max_sync >= 0 ? gapAdd(r.ub[p], n.max_sync) : kGapInf;
+            break;
+          case EventKind::Branch:
+            lb = r.lb[p];
+            ub = r.ub[p];
+            break;
+          case EventKind::Join:
+            // tau = max over preds: both bounds are the max over the
+            // preds that can determine it.
+            lb = ub = kGapNegInf;
+            for (int q : _join_preds[i]) {
+                lb = std::max(lb, r.lb[q]);
+                ub = std::max(ub, r.ub[q]);
+            }
+            if (_join_preds[i].empty())
+                ub = kGapInf;
+            break;
+          case EventKind::Merge: {
+            // The merge fires with whichever arm ran.  In any run
+            // where the anchor occurs, arms incompatible with it never
+            // fire (their events are at infinity), so they impose no
+            // bound; the bound must hold for every other arm.
+            lb = kGapInf;
+            ub = kGapNegInf;
+            bool any = false;
+            for (EventId q : n.preds) {
+                if (!compatible(q, anchor))
+                    continue;
+                any = true;
+                lb = std::min(lb, r.lb[_pos[q]]);
+                ub = std::max(ub, r.ub[_pos[q]]);
+            }
+            if (!any) {
+                lb = kGapNegInf;
+                ub = kGapInf;
+            }
+            // The merge also never fires before its branch point.
+            if (n.branch_pred != kNoEvent)
+                lb = std::max(lb, r.lb[_pos[n.branch_pred]]);
+            break;
+          }
+        }
+        r.lb[i] = lb;
+        r.ub[i] = ub;
     }
-    return false;
-}
-
-Gap
-Ordering::gapLbRec(EventId b, EventId a,
-                   std::map<std::pair<EventId, EventId>, Gap> &memo)
-{
-    // Lower bound of tau(b) - tau(a), unwinding only b.
-    if (b == a)
-        return 0;
-    auto key = std::make_pair(b, a);
-    auto it = memo.find(key);
-    if (it != memo.end())
-        return it->second;
-    // Seed with -inf to break cycles defensively (graph is a DAG, but
-    // merged nodes could alias).
-    memo[key] = kGapNegInf;
-
-    const EventNode &n = _g.node(b);
-    Gap r = kGapNegInf;
-    switch (n.kind) {
-      case EventKind::Root: {
-        // tau(root) = 0, so tau(root) - tau(a) >= -UB(tau(a)).
-        Gap ub_a = gapUbRec(a, b, _ub_memo);
-        r = ub_a >= kGapInf ? kGapNegInf : -ub_a;
-        break;
-      }
-      case EventKind::Delay:
-        r = gapAdd(gapLbRec(n.preds[0], a, memo), n.delay);
-        break;
-      case EventKind::Send:
-      case EventKind::Recv:
-        // Dynamic synchronization takes at least zero extra cycles.
-        r = gapLbRec(n.preds[0], a, memo);
-        break;
-      case EventKind::Branch:
-        r = gapLbRec(n.preds[0], a, memo);
-        break;
-      case EventKind::Join: {
-        // tau = max over preds: the bound is the best over preds.
-        // A pred that causally precedes another pred never determines
-        // the max and is skipped (it only weakens upper bounds).
-        r = kGapNegInf;
-        bool all_dominated = true;
-        for (EventId p : n.preds) {
-            if (dominatedPred(n, p))
-                continue;
-            all_dominated = false;
-            r = std::max(r, gapLbRec(p, a, memo));
-        }
-        if (all_dominated)
-            for (EventId p : n.preds)
-                r = std::max(r, gapLbRec(p, a, memo));
-        break;
-      }
-      case EventKind::Merge: {
-        // The merge fires with whichever arm ran.  In any run where
-        // `a` occurs, arms incompatible with `a` never fire (their
-        // events are at infinity), so they impose no bound.
-        r = kGapInf;
-        bool any = false;
-        for (EventId p : n.preds) {
-            if (!compatible(p, a))
-                continue;
-            any = true;
-            r = std::min(r, gapLbRec(p, a, memo));
-        }
-        if (!any)
-            r = kGapNegInf;
-        // The merge also never fires before its branch point.
-        if (n.branch_pred != kNoEvent)
-            r = std::max(r, gapLbRec(n.branch_pred, a, memo));
-        break;
-      }
-    }
-    memo[key] = r;
-    return r;
-}
-
-Gap
-Ordering::gapUbRec(EventId b, EventId a,
-                   std::map<std::pair<EventId, EventId>, Gap> &memo)
-{
-    // Upper bound of tau(b) - tau(a), unwinding only b.
-    if (b == a)
-        return 0;
-    auto key = std::make_pair(b, a);
-    auto it = memo.find(key);
-    if (it != memo.end())
-        return it->second;
-    memo[key] = kGapInf;
-
-    const EventNode &n = _g.node(b);
-    Gap r = kGapInf;
-    switch (n.kind) {
-      case EventKind::Root: {
-        // tau(root) = 0, so tau(root) - tau(a) <= -LB(tau(a)).
-        Gap lb_a = gapLbRec(a, b, _lb_memo);
-        r = lb_a <= kGapNegInf ? kGapInf : -lb_a;
-        break;
-      }
-      case EventKind::Delay:
-        r = gapAdd(gapUbRec(n.preds[0], a, memo), n.delay);
-        break;
-      case EventKind::Send:
-      case EventKind::Recv:
-        // A dynamic sync may take arbitrarily long; a sync that is
-        // static on both endpoints is bounded.
-        if (n.max_sync >= 0)
-            r = gapAdd(gapUbRec(n.preds[0], a, memo), n.max_sync);
-        else
-            r = kGapInf;
-        break;
-      case EventKind::Branch:
-        r = gapUbRec(n.preds[0], a, memo);
-        break;
-      case EventKind::Join: {
-        r = kGapNegInf;
-        bool any = false;
-        for (EventId p : n.preds) {
-            if (dominatedPred(n, p))
-                continue;
-            any = true;
-            r = std::max(r, gapUbRec(p, a, memo));
-        }
-        if (!any)
-            r = kGapInf;
-        break;
-      }
-      case EventKind::Merge: {
-        // Whichever arm ran determines the merge time; the bound must
-        // hold for every arm that can co-occur with `a`.
-        r = kGapNegInf;
-        bool any = false;
-        for (EventId p : n.preds) {
-            if (!compatible(p, a))
-                continue;
-            any = true;
-            r = std::max(r, gapUbRec(p, a, memo));
-        }
-        if (!any)
-            r = kGapInf;
-        break;
-      }
-    }
-    memo[key] = r;
     return r;
 }
 
@@ -250,24 +286,20 @@ Ordering::gapLb(EventId b, EventId a)
 {
     if (a == kNoEvent || b == kNoEvent)
         return kGapNegInf;
-    auto memo = _final_lb.find({b, a});
-    if (memo != _final_lb.end())
-        return memo->second;
-    // Combine: unwind b downward, or bound a from the other side.
-    Gap direct = gapLbRec(b, a, _lb_memo);
-    Gap via_swap = gapUbRec(a, b, _ub_memo);
+    int pa = _pos[a], pb = _pos[b];
+    // Combine: unwind b in a's row, or bound a in b's row.
+    Gap direct = row(pa).lb[pb];
+    Gap via_swap = row(pb).ub[pa];
     Gap swapped = via_swap >= kGapInf ? kGapNegInf : -via_swap;
     Gap r = std::max(direct, swapped);
     // Relate incomparable events through their common ancestors:
     // tau(b) - tau(a) >= LB(b - x) - UB(a - x).
     if (r <= kGapNegInf) {
-        for (EventId x : commonAncestors(a, b)) {
-            Gap ub_a = gapUbRec(a, x, _ub_memo);
-            if (ub_a >= kGapInf)
-                continue;
-            Gap lb_b = gapLbRec(b, x, _lb_memo);
-            r = std::max(r, gapAdd(lb_b, -ub_a));
-        }
+        forEachCommonBit(ancestors(pa), ancestors(pb), _words, [&](int x) {
+            const Row &rx = row(x);
+            if (rx.ub[pa] < kGapInf)
+                r = std::max(r, gapAdd(rx.lb[pb], -rx.ub[pa]));
+        });
     }
     // Two distinct synchronizations of the same message are at least
     // one cycle apart: a valid/ack handshake completes one exchange
@@ -275,30 +307,12 @@ Ordering::gapLb(EventId b, EventId a)
     if (r == 0 && a != b) {
         const EventNode &na = _g.node(a);
         const EventNode &nb = _g.node(b);
-        bool a_sync = na.kind == EventKind::Send ||
-            na.kind == EventKind::Recv;
-        bool b_sync = nb.kind == EventKind::Send ||
-            nb.kind == EventKind::Recv;
-        if (a_sync && b_sync && na.endpoint == nb.endpoint &&
+        if (isSync(na) && isSync(nb) && na.endpoint == nb.endpoint &&
             na.msg == nb.msg && reaches(a, b)) {
             r = 1;
         }
     }
-    _final_lb[{b, a}] = r;
     return r;
-}
-
-std::vector<EventId>
-Ordering::commonAncestors(EventId a, EventId b)
-{
-    const auto &anc_a = ancestorsOf(a);
-    const auto &anc_b = ancestorsOf(b);
-    std::set<EventId> in_b(anc_b.begin(), anc_b.end());
-    std::vector<EventId> out;
-    for (EventId x : anc_a)
-        if (in_b.count(x))
-            out.push_back(x);
-    return out;
 }
 
 Gap
@@ -306,136 +320,66 @@ Ordering::gapUb(EventId b, EventId a)
 {
     if (a == kNoEvent || b == kNoEvent)
         return kGapInf;
-    auto memo = _final_ub.find({b, a});
-    if (memo != _final_ub.end())
-        return memo->second;
-    Gap direct = gapUbRec(b, a, _ub_memo);
-    Gap via_swap = gapLbRec(a, b, _lb_memo);
+    int pa = _pos[a], pb = _pos[b];
+    Gap direct = row(pa).ub[pb];
+    Gap via_swap = row(pb).lb[pa];
     Gap swapped = via_swap <= kGapNegInf ? kGapInf : -via_swap;
     Gap r = std::min(direct, swapped);
     // Common-ancestor composition:
     // tau(b) - tau(a) <= UB(b - x) - LB(a - x).
     if (r >= kGapInf) {
-        for (EventId x : commonAncestors(a, b)) {
-            Gap ub_b = gapUbRec(b, x, _ub_memo);
-            if (ub_b >= kGapInf)
-                continue;
-            Gap lb_a = gapLbRec(a, x, _lb_memo);
-            if (lb_a <= kGapNegInf)
-                continue;
-            r = std::min(r, gapAdd(ub_b, -lb_a));
-        }
+        forEachCommonBit(ancestors(pa), ancestors(pb), _words, [&](int x) {
+            const Row &rx = row(x);
+            if (rx.ub[pb] < kGapInf && rx.lb[pa] > kGapNegInf)
+                r = std::min(r, gapAdd(rx.ub[pb], -rx.lb[pa]));
+        });
     }
-    _final_ub[{b, a}] = r;
     return r;
-}
-
-Gap
-Ordering::lbFromRoot(EventId e)
-{
-    Gap r = gapLbRec(e, _g.root(), _lb_memo);
-    return std::max<Gap>(r, 0);
-}
-
-Gap
-Ordering::ubFromRoot(EventId e)
-{
-    return gapUbRec(e, _g.root(), _ub_memo);
 }
 
 // ---------------------------------------------------------------------
 // Patterns
 // ---------------------------------------------------------------------
 
-const std::map<int, bool> &
-Ordering::contextOf(EventId e)
+bool
+Ordering::compatible(EventId a, EventId b) const
 {
-    auto it = _ctx_memo.find(e);
-    if (it != _ctx_memo.end())
-        return it->second;
-    _ctx_memo[e];  // placeholder to terminate defensive cycles
-    const EventNode &n = _g.node(e);
-    std::map<int, bool> ctx;
-    if (n.kind == EventKind::Merge && n.branch_pred != kNoEvent) {
-        // Either arm may have run: only the branch point's facts hold.
-        ctx = contextOf(n.branch_pred);
-    } else if (!n.preds.empty()) {
-        // A join fires only once every predecessor has fired, so the
-        // union of their branch facts holds.
-        ctx = contextOf(n.preds[0]);
-        for (size_t i = 1; i < n.preds.size(); i++) {
-            for (const auto &[cond, taken] : contextOf(n.preds[i]))
-                ctx.emplace(cond, taken);
+    const Context &ca = _ctx[_pos[a]];
+    const Context &cb = _ctx[_pos[b]];
+    auto ia = ca.begin(), ib = cb.begin();
+    while (ia != ca.end() && ib != cb.end()) {
+        if (ia->first < ib->first) {
+            ++ia;
+        } else if (ib->first < ia->first) {
+            ++ib;
+        } else {
+            if (ia->second != ib->second)
+                return false;
+            ++ia;
+            ++ib;
         }
     }
-    if (n.kind == EventKind::Branch)
-        ctx[n.cond_id] = n.cond_taken;
-    _ctx_memo[e] = std::move(ctx);
-    return _ctx_memo[e];
+    return true;
 }
 
 bool
-Ordering::compatible(EventId a, EventId b)
+Ordering::guaranteedGiven(EventId n, EventId a, EventId b) const
 {
-    const auto &ca = contextOf(a);
-    const auto &cb = contextOf(b);
-    for (const auto &[cond, taken] : ca) {
-        auto it = cb.find(cond);
-        if (it != cb.end() && it->second != taken)
+    const Context &ca = _ctx[_pos[a]];
+    const Context &cb = _ctx[_pos[b]];
+    for (const auto &fact : _ctx[_pos[n]]) {
+        if (!std::binary_search(ca.begin(), ca.end(), fact) &&
+            !std::binary_search(cb.begin(), cb.end(), fact))
             return false;
     }
     return true;
 }
 
 bool
-Ordering::guaranteedGiven(EventId n, EventId a, EventId b)
+Ordering::reaches(EventId anc, EventId node) const
 {
-    const auto &cn = contextOf(n);
-    const auto &ca = contextOf(a);
-    const auto &cb = contextOf(b);
-    for (const auto &[cond, taken] : cn) {
-        auto ia = ca.find(cond);
-        if (ia != ca.end() && ia->second == taken)
-            continue;
-        auto ib = cb.find(cond);
-        if (ib != cb.end() && ib->second == taken)
-            continue;
-        return false;
-    }
-    return true;
-}
-
-const std::vector<EventId> &
-Ordering::ancestorsOf(EventId node)
-{
-    auto it = _anc_memo.find(node);
-    if (it == _anc_memo.end()) {
-        // Collect all ancestors of `node` once (including itself).
-        std::vector<EventId> all;
-        std::vector<EventId> stack{node};
-        std::map<EventId, bool> seen;
-        while (!stack.empty()) {
-            EventId e = stack.back();
-            stack.pop_back();
-            if (seen[e])
-                continue;
-            seen[e] = true;
-            all.push_back(e);
-            for (EventId p : _g.node(e).preds)
-                stack.push_back(p);
-        }
-        it = _anc_memo.emplace(node, std::move(all)).first;
-    }
-    return it->second;
-}
-
-bool
-Ordering::reaches(EventId anc, EventId node)
-{
-    if (anc == node)
-        return true;
-    const auto &all = ancestorsOf(node);
-    return std::find(all.begin(), all.end(), anc) != all.end();
+    int i = _pos[anc];
+    return (ancestors(_pos[node])[i / 64] >> (i % 64)) & 1;
 }
 
 std::vector<EventId>
@@ -445,30 +389,12 @@ Ordering::messageEvents(const std::string &ep, const std::string &msg,
     std::vector<EventId> out;
     for (EventId id : _g.liveEvents()) {
         const EventNode &n = _g.node(id);
-        if ((n.kind == EventKind::Send || n.kind == EventKind::Recv) &&
-            n.endpoint == ep && n.msg == msg &&
+        if (isSync(n) && n.endpoint == ep && n.msg == msg &&
             (n.unconditional || !only_unconditional)) {
             out.push_back(id);
         }
     }
     return out;
-}
-
-Gap
-Ordering::patUbFrom(const EventPattern &p, EventId anchor)
-{
-    if (p.kind == EventPattern::Kind::FixedAfter)
-        return gapAdd(gapUb(p.base, anchor), p.cycles);
-
-    // Message duration: bounded by any guaranteed occurrence at or
-    // after the base event (Fig. 5 semantics: `req->res` matches the
-    // res sync completing at or after the req sync).
-    Gap best = kGapInf;
-    for (EventId n : messageEvents(p.endpoint, p.msg, true)) {
-        if (gapLb(n, p.base) >= 0 && !reaches(n, p.base))
-            best = std::min(best, gapAdd(gapUb(n, anchor), p.cycles));
-    }
-    return best;
 }
 
 Gap
@@ -527,67 +453,9 @@ Ordering::patLe(const EventPattern &pa, const EventPattern &pb)
 }
 
 bool
-Ordering::eventLePat(EventId e, const EventPattern &p)
-{
-    return patLe(EventPattern::atEvent(e), p);
-}
-
-bool
 Ordering::patLeEvent(const EventPattern &p, EventId e)
 {
     return patLe(p, EventPattern::atEvent(e));
-}
-
-bool
-Ordering::setLe(const PatternSet &sa, const PatternSet &sb)
-{
-    if (sb.eternal())
-        return true;
-    if (sa.eternal())
-        return false;
-    for (const auto &pb : sb.pats) {
-        bool covered = false;
-        for (const auto &pa : sa.pats) {
-            if (patLe(pa, pb)) {
-                covered = true;
-                break;
-            }
-        }
-        if (!covered)
-            return false;
-    }
-    return true;
-}
-
-bool
-Ordering::eventLeSet(EventId e, const PatternSet &s)
-{
-    for (const auto &p : s.pats)
-        if (!eventLePat(e, p))
-            return false;
-    return true;
-}
-
-bool
-Ordering::setLeEvent(const PatternSet &s, EventId e)
-{
-    if (s.eternal())
-        return false;
-    for (const auto &p : s.pats)
-        if (patLeEvent(p, e))
-            return true;
-    return false;
-}
-
-bool
-Ordering::setLtEvent(const PatternSet &s, EventId e)
-{
-    if (s.eternal())
-        return false;
-    for (const auto &p : s.pats)
-        if (patGapLb(EventPattern::atEvent(e), p) >= 1)
-            return true;
-    return false;
 }
 
 } // namespace anvil

@@ -8,12 +8,18 @@
  *
  *   gapLb(b, a)  =  a lower bound on tau(b) - tau(a), valid for every
  *                   timestamp function tau of the graph, and
- *   gapUb(b, a)  =  an upper bound on the same quantity,
+ *   gapUb(b, a)  =  an upper bound on the same quantity.
  *
- * by structural recursion on the definition of timestamp functions:
- * delays add exactly N, dynamic message syncs add at least 0 (and at
- * most infinity), joins take the max of their predecessors and merges
- * the min.  Then
+ * Both start from the rows of anchor a: one lower and one upper bound
+ * per event b, filled in a single pass over the graph's topological
+ * order by the structural rules of timestamp functions.  Delays add
+ * exactly N, dynamic message syncs add at least 0 (and at most
+ * infinity, or max_sync when both sides are static), joins take the
+ * max of their predecessors and merges the min.  The root, at
+ * tau = 0, reads the anchor's bounds from the root's own row, negated.
+ * gapLb/gapUb then also bound b from a's side (a's entry in b's row)
+ * and, when neither bounds the pair, compose through the common
+ * ancestors of a and b.  Then
  *
  *   a <=_G b  iff  gapLb(b, a) >= 0      and
  *   a <_G  b  iff  gapLb(b, a) >= 1.
@@ -28,8 +34,8 @@
 #define ANVIL_IR_ORDERING_H
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ir/event_graph.h"
@@ -85,8 +91,11 @@ struct PatternSet
 /**
  * Decision procedure for <=_G / <_G over one event graph.
  *
- * All results are memoized; the graph must not change while an
- * Ordering object is alive.
+ * The constructor orders every node of the graph (dead ones too, so
+ * any id the graph has handed out can be queried) and derives each
+ * node's ancestor set, branch facts and undominated join
+ * predecessors; an anchor's rows are filled on its first query.  The
+ * graph must not change while an Ordering object is alive.
  */
 class Ordering
 {
@@ -111,41 +120,8 @@ class Ordering
     /** pa <=_G pb (pattern form). */
     bool patLe(const EventPattern &pa, const EventPattern &pb);
 
-    /** Event vs. pattern: e <=_G p. */
-    bool eventLePat(EventId e, const EventPattern &p);
-
     /** Pattern vs. event: p <=_G e. */
     bool patLeEvent(const EventPattern &p, EventId e);
-
-    /**
-     * Set comparison: Sa <=_G Sb, i.e. min(Sa) always at or before
-     * min(Sb).  Sound sufficient condition: for every pattern in Sb
-     * there is a pattern in Sa at or before it.  An empty set is
-     * eternal (infinitely late).
-     */
-    bool setLe(const PatternSet &sa, const PatternSet &sb);
-
-    /** e <=_G S: the event is at or before every member's earliest. */
-    bool eventLeSet(EventId e, const PatternSet &s);
-
-    /** S <=_G e: some member is guaranteed at or before the event. */
-    bool setLeEvent(const PatternSet &s, EventId e);
-
-    /** S <_G e: some member is guaranteed strictly before the event. */
-    bool setLtEvent(const PatternSet &s, EventId e);
-
-    /** Lower bound on tau(e) (distance from the thread root). */
-    Gap lbFromRoot(EventId e);
-
-    /** Upper bound on tau(e); infinite past any dynamic sync. */
-    Gap ubFromRoot(EventId e);
-
-    /**
-     * Upper bound on tau(e |> p) - tau(anchor), using guaranteed
-     * future occurrences for message durations.  Returns kGapInf when
-     * no bound can be established.
-     */
-    Gap patUbFrom(const EventPattern &p, EventId anchor);
 
     /**
      * True when @p anc causally precedes (or is) @p node: a path of
@@ -153,34 +129,29 @@ class Ordering
      * precedes a pattern's base event can never be the "first
      * occurrence after" that base, even if it lands on the same cycle.
      */
-    bool reaches(EventId anc, EventId node);
-
-    /** Branch facts ((cond, arm) pairs) required to reach an event. */
-    const std::map<int, bool> &contextOf(EventId e);
+    bool reaches(EventId anc, EventId node) const;
 
     /** True when the two events can occur in the same run. */
-    bool compatible(EventId a, EventId b);
+    bool compatible(EventId a, EventId b) const;
+
+  private:
+    /** Branch facts ((cond, arm) pairs), sorted by condition. */
+    using Context = std::vector<std::pair<int, bool>>;
+
+    /** One anchor's bounds on tau(b) - tau(anchor), by position of b. */
+    struct Row
+    {
+        std::vector<Gap> lb, ub;
+    };
+
+    /** The row of the anchor at position @p a, filled on first use. */
+    const Row &row(int a);
 
     /**
      * True when event @p n occurs in every run in which both @p a and
      * @p b occur (n's branch facts are implied by theirs).
      */
-    bool guaranteedGiven(EventId n, EventId a, EventId b);
-
-  private:
-    /** True when a join predecessor causally precedes another. */
-    bool dominatedPred(const EventNode &join, EventId p);
-
-    Gap gapLbRec(EventId b, EventId a,
-                 std::map<std::pair<EventId, EventId>, Gap> &memo);
-    Gap gapUbRec(EventId b, EventId a,
-                 std::map<std::pair<EventId, EventId>, Gap> &memo);
-
-    /** Ancestors shared by two events (for gap composition). */
-    std::vector<EventId> commonAncestors(EventId a, EventId b);
-
-    /** All ancestors of an event, including itself (memoized). */
-    const std::vector<EventId> &ancestorsOf(EventId node);
+    bool guaranteedGiven(EventId n, EventId a, EventId b) const;
 
     /**
      * Occurrences of a message op in the graph; when
@@ -190,13 +161,19 @@ class Ordering
                                        const std::string &msg,
                                        bool only_unconditional) const;
 
+    const uint64_t *ancestors(int pos) const
+    {
+        return _anc.data() + pos * _words;
+    }
+
     const EventGraph &_g;
-    std::map<std::pair<EventId, EventId>, Gap> _lb_memo;
-    std::map<std::pair<EventId, EventId>, Gap> _ub_memo;
-    std::map<EventId, std::vector<EventId>> _anc_memo;
-    std::map<EventId, std::map<int, bool>> _ctx_memo;
-    std::map<std::pair<EventId, EventId>, Gap> _final_lb;
-    std::map<std::pair<EventId, EventId>, Gap> _final_ub;
+    std::vector<EventId> _order;  ///< topological: preds, branch point first
+    std::vector<int> _pos;        ///< EventId -> index into _order
+    size_t _words = 0;            ///< 64-bit words per ancestor set
+    std::vector<uint64_t> _anc;   ///< ancestor bitsets (self included)
+    std::vector<Context> _ctx;    ///< by position
+    std::vector<std::vector<int>> _join_preds;  ///< undominated, by position
+    std::vector<Row> _rows;       ///< by anchor position; empty until used
 };
 
 /** Saturating addition on Gap values. */

@@ -1,6 +1,7 @@
 #include "lang/lexer.h"
 
 #include <cctype>
+#include <charconv>
 #include <map>
 
 #include "support/strings.h"
@@ -125,6 +126,23 @@ Lexer::here() const
     return SrcLoc{_line, _col};
 }
 
+namespace {
+
+/** Why a literal's digits did not decode, or nullptr on success. */
+const char *
+decodeDigits(const std::string &digits, int radix, uint64_t &value)
+{
+    const char *end = digits.data() + digits.size();
+    auto [ptr, ec] = std::from_chars(digits.data(), end, value, radix);
+    if (ec == std::errc::result_out_of_range)
+        return "does not fit in 64 bits";
+    if (ec != std::errc() || ptr != end)
+        return "has a digit outside its base";
+    return nullptr;
+}
+
+} // namespace
+
 void
 Lexer::lexNumber(std::vector<Token> &out)
 {
@@ -136,7 +154,8 @@ Lexer::lexNumber(std::vector<Token> &out)
         if (c != '_')
             digits += c;
     }
-    uint64_t dec = std::stoull(digits);
+    uint64_t dec = 0;
+    const char *dec_err = decodeDigits(digits, 10, dec);
     if (peek() == '\'') {
         // SystemVerilog-style sized literal: <width>'<base><digits>.
         advance();
@@ -148,6 +167,12 @@ Lexer::lexNumber(std::vector<Token> &out)
                 body += c;
         }
         t.kind = Tok::SizedNumber;
+        t.text = digits + "'" + base + body;
+        if (dec_err || dec < 1 || dec > kMaxBitWidth) {
+            _diags.error(strfmt("literal width %s is out of range [1, %d]",
+                                digits.c_str(), kMaxBitWidth), t.loc);
+            dec = 1;
+        }
         t.width = static_cast<int>(dec);
         int radix;
         switch (base) {
@@ -159,13 +184,19 @@ Lexer::lexNumber(std::vector<Token> &out)
             _diags.error(strfmt("unknown literal base '%c'", base), t.loc);
             radix = 10;
         }
-        t.value = body.empty() ? 0 : std::stoull(body, nullptr, radix);
-        t.text = digits + "'" + base + body;
+        const char *err =
+            body.empty() ? nullptr : decodeDigits(body, radix, t.value);
+        if (err)
+            _diags.error(strfmt("literal %s %s", t.text.c_str(), err),
+                         t.loc);
     } else {
         t.kind = Tok::Number;
         t.value = dec;
         t.width = 0;
         t.text = digits;
+        if (dec_err)
+            _diags.error(strfmt("number %s %s", digits.c_str(), dec_err),
+                         t.loc);
     }
     out.push_back(t);
 }

@@ -19,7 +19,10 @@ namespace anvil {
  *
  * Supports line comments (`//`), block comments, SystemVerilog-style
  * sized literals (`8'd255`, `32'h100000`, `1'b1`), and all keywords
- * used in the paper's code listings.
+ * used in the paper's code listings.  A number whose value needs more
+ * than 64 bits, a digit outside its literal's base, or a sized
+ * literal's width outside [1, kMaxBitWidth] is a diagnostic at the
+ * literal.
  */
 class Lexer
 {

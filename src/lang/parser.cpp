@@ -1,5 +1,6 @@
 #include "lang/parser.h"
 
+#include <climits>
 #include <stdexcept>
 
 #include "lang/lexer.h"
@@ -66,6 +67,20 @@ Parser::expect(Tok t, const char *what)
     return advance();
 }
 
+/** A Number token's value, reported at the literal unless in [lo, hi]. */
+int
+Parser::expectNumber(const char *what, int lo, int hi)
+{
+    const Token &t = expect(Tok::Number, what);
+    if (t.value < static_cast<uint64_t>(lo) ||
+        t.value > static_cast<uint64_t>(hi)) {
+        _diags.error(strfmt("%s %s is out of range [%d, %d]", what,
+                            t.text.c_str(), lo, hi), t.loc);
+        return lo;
+    }
+    return static_cast<int>(t.value);
+}
+
 void
 Parser::fail(const std::string &msg)
 {
@@ -119,8 +134,7 @@ Parser::parseDataType(std::string &dtype, int &width)
         dtype = "logic";
         width = 1;
         if (match(Tok::LBracket)) {
-            width = static_cast<int>(
-                expect(Tok::Number, "bit width").value);
+            width = expectNumber("bit width", 1, kMaxBitWidth);
             expect(Tok::RBracket, "bit width");
         }
     } else {
@@ -133,14 +147,13 @@ Duration
 Parser::parseDuration()
 {
     if (match(Tok::Hash)) {
-        int n = static_cast<int>(expect(Tok::Number, "duration").value);
+        int n = expectNumber("duration", 0, INT_MAX);
         return Duration::fixed(n);
     }
     std::string m = expect(Tok::Ident, "duration message").text;
     int plus = 0;
     if (match(Tok::Plus))
-        plus = static_cast<int>(
-            expect(Tok::Number, "duration offset").value);
+        plus = expectNumber("duration offset", 0, INT_MAX);
     return Duration::message(m, plus);
 }
 
@@ -156,20 +169,18 @@ Parser::parseSyncMode()
         // hardware; it is the `@#N`-style annotation the formal
         // subsystem compiles into `ack within N` contracts.
         if (match(Tok::Hash))
-            s.cycles = static_cast<int>(
-                expect(Tok::Number, "sync readiness bound").value);
+            s.cycles = expectNumber("sync readiness bound", 0, INT_MAX);
         return s;
     }
     expect(Tok::Hash, "sync mode");
     if (check(Tok::Number)) {
         s.kind = SyncMode::Kind::Static;
-        s.cycles = static_cast<int>(advance().value);
+        s.cycles = expectNumber("sync cycles", 0, INT_MAX);
     } else {
         s.kind = SyncMode::Kind::Dependent;
         s.dep_msg = expect(Tok::Ident, "sync dependency").text;
         if (match(Tok::Plus))
-            s.cycles = static_cast<int>(
-                expect(Tok::Number, "sync offset").value);
+            s.cycles = expectNumber("sync offset", 0, INT_MAX);
     }
     return s;
 }
@@ -520,11 +531,10 @@ Parser::parsePostfixOn(TermPtr base)
 {
     while (check(Tok::LBracket)) {
         SrcLoc loc = advance().loc;
-        int hi = static_cast<int>(expect(Tok::Number, "slice bound").value);
+        int hi = expectNumber("slice bound", 0, kMaxBitWidth - 1);
         int lo = hi;
         if (match(Tok::Colon))
-            lo = static_cast<int>(
-                expect(Tok::Number, "slice bound").value);
+            lo = expectNumber("slice bound", 0, kMaxBitWidth - 1);
         expect(Tok::RBracket, "slice");
         auto s = Term::make(TermKind::Slice, loc);
         s->hi = hi;
@@ -567,8 +577,7 @@ Parser::parsePrimary()
     }
     if (match(Tok::KwCycle)) {
         auto t = Term::make(TermKind::Cycle, loc);
-        t->cycles = static_cast<int>(
-            expect(Tok::Number, "cycle count").value);
+        t->cycles = expectNumber("cycle count", 0, INT_MAX);
         return t;
     }
     if (match(Tok::KwIf)) {

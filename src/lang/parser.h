@@ -45,6 +45,7 @@ class Parser
     bool check(Tok t) const;
     bool match(Tok t);
     const Token &expect(Tok t, const char *what);
+    int expectNumber(const char *what, int lo, int hi);
     [[noreturn]] void fail(const std::string &msg);
 
     void parseChannelDef(Program &prog);

@@ -6,11 +6,18 @@
 #ifndef ANVIL_LANG_TOKEN_H
 #define ANVIL_LANG_TOKEN_H
 
+#include <cstdint>
 #include <string>
 
 #include "support/diag.h"
 
 namespace anvil {
+
+/**
+ * Widest bit vector a source may declare: the 2^16 bits the Verilog
+ * standard requires every tool to accept.
+ */
+constexpr int kMaxBitWidth = 1 << 16;
 
 /** All token kinds produced by the lexer. */
 enum class Tok

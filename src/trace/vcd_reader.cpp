@@ -1,6 +1,7 @@
 #include "trace/vcd_reader.h"
 
 #include <cctype>
+#include <charconv>
 #include <fstream>
 #include <map>
 #include <stdexcept>
@@ -205,7 +206,10 @@ VcdReader::read(std::istream &is)
     uint64_t now = 0;
     while (tz.next(tok)) {
         if (isTimestamp(tok)) {
-            uint64_t t = std::stoull(tok.substr(1));
+            uint64_t t = 0;
+            const char *end = tok.data() + tok.size();
+            if (std::from_chars(tok.data() + 1, end, t).ec != std::errc())
+                fail(tz, "timestamp '" + tok + "' does not fit in 64 bits");
             if (t < now)
                 fail(tz, "timestamps go backwards");
             now = t;

@@ -16,7 +16,10 @@
 #  8. --infer-contracts prints the typed obligations/assumptions,
 #  9. --prove discharges quickstart's and listing2's obligations
 #     (exit 0), and a mis-annotated listing2 is disproved (exit 1)
-#     with a counterexample VCD that --check-trace flags in turn.
+#     with a counterexample VCD that --check-trace flags in turn,
+# 10. hostile inputs: number literals past 64 bits or outside their
+#     base are diagnostics (exit 1), a VCD timestamp past 64 bits is a
+#     malformed dump (exit 3), and no input kills anvilc by a signal.
 #
 # Usage: cli_trace_e2e.sh <path-to-anvilc> <repo-root>
 set -e
@@ -103,3 +106,35 @@ set -e
 test "$status" -eq 1
 grep -q 'io_req \[ack-within\]' cli_cex.log
 echo "prover proves healthy designs and refutes the mis-annotation"
+
+# --- Hostile inputs --------------------------------------------------------
+
+# Runs anvilc with the given arguments and requires exit code $1; an
+# exit of 128 or above (death by signal, e.g. an uncaught exception's
+# abort) always fails.
+expect_exit() {
+    want="$1"
+    shift
+    set +e
+    "$ANVILC" "$@" > cli_hostile.log 2>&1
+    status=$?
+    set -e
+    cat cli_hostile.log
+    if [ "$status" -ge 128 ]; then
+        echo "anvilc $* died with status $status"
+        exit 1
+    fi
+    test "$status" -eq "$want"
+}
+
+printf 'proc p() { loop { cycle 99999999999999999999 } }\n' \
+    > cli_bad_cycle.anvil
+printf "proc p() { reg r : logic[8]; loop { set r := 8'hzz >> cycle 1 } }\n" \
+    > cli_bad_literal.anvil
+printf '$enddefinitions $end\n#0\n#99999999999999999999999\n' \
+    > cli_bad_time.vcd
+expect_exit 1 cli_bad_cycle.anvil
+expect_exit 1 cli_bad_literal.anvil
+expect_exit 3 "$DESIGN" --check-trace cli_bad_time.vcd
+expect_exit 3 "$DESIGN" --replay cli_bad_time.vcd
+echo "hostile literals exit 1 and an overflowing timestamp exits 3"

@@ -1,14 +1,27 @@
 /**
  * @file
  * Compiler-driver tests: spawn ordering and cycle detection,
- * hierarchy generation, diagnostics rendering, compile options, and
- * whole-program simulation of spawned hierarchies.
+ * hierarchy generation, diagnostics rendering, compile options,
+ * whole-program simulation of spawned hierarchies, and a golden of
+ * every shipped design's front-end output (regenerate with
+ * ANVIL_REGEN_GOLDEN=1).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+
 #include "anvil/compiler.h"
+#include "designs/designs.h"
 #include "rtl/interp.h"
+
+#ifndef ANVIL_TEST_DIR
+#define ANVIL_TEST_DIR "tests"
+#endif
 
 using namespace anvil;
 
@@ -196,6 +209,103 @@ proc p(ep : right c) {
 )");
     EXPECT_FALSE(out.ok);
     EXPECT_NE(out.module("p"), nullptr);
+}
+
+/** FNV-1a over the bytes of @p s, as 16 hex digits. */
+std::string
+fnv1a(const std::string &s)
+{
+    uint64_t h = 1469598103934665603ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    char buf[24];
+    snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+    return buf;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+/**
+ * One line per artifact of compiling @p src with the optimizer on or
+ * off: digests of the rendered diagnostics, of each process's
+ * derivation trace and of the top's SystemVerilog, and each process's
+ * optimizer statistics in full.
+ */
+std::string
+frontendDigest(const std::string &name, const std::string &src,
+               bool optimize)
+{
+    CompileOutput out = compileAnvil(src, {.top = "", .optimize = optimize});
+    std::string tag = name + (optimize ? "/opt " : "/noopt ");
+    std::string lines = tag + "diags " + fnv1a(out.diags.render()) + "\n";
+    for (const auto &[proc, check] : out.checks)
+        lines += tag + "trace:" + proc + " " + fnv1a(check.traceStr()) +
+                 "\n";
+    for (const auto &[proc, s] : out.opt_stats) {
+        lines += tag + "stats:" + proc + " " + std::to_string(s.before) +
+                 " -> " + std::to_string(s.after);
+        for (const auto &[pass, n] : s.merged_by_pass)
+            lines += " " + pass + "=" + std::to_string(n);
+        lines += "\n";
+    }
+    return lines + tag + "sv " + fnv1a(out.systemverilog) + "\n";
+}
+
+TEST(Driver, FrontEndOutputMatchesGolden)
+{
+    const std::pair<const char *, std::string (*)()> designs[] = {
+        {"fifo", designs::anvilFifoSource},
+        {"spill_reg", designs::anvilSpillRegSource},
+        {"stream_fifo", designs::anvilStreamFifoSource},
+        {"tlb", designs::anvilTlbSource},
+        {"ptw", designs::anvilPtwSource},
+        {"aes", designs::anvilAesSource},
+        {"axi_demux", designs::anvilAxiDemuxSource},
+        {"axi_mux", designs::anvilAxiMuxSource},
+        {"alu", designs::anvilPipelinedAluSource},
+        {"systolic", designs::anvilSystolicSource},
+        {"top_unsafe", designs::anvilTopUnsafeSource},
+        {"top_safe", designs::anvilTopSafeSource},
+        {"encrypt", designs::anvilEncryptSource},
+        {"listing1", designs::anvilListing1Source},
+        {"listing2", designs::anvilListing2Source},
+    };
+    std::vector<std::pair<std::string, std::string>> sources;
+    for (const auto &[name, text] : designs)
+        sources.emplace_back(name, text());
+    for (const char *ex : {"quickstart", "listing2"}) {
+        std::string src = readFile(std::string(ANVIL_TEST_DIR) +
+                                   "/../examples/" + ex + ".anvil");
+        ASSERT_FALSE(src.empty()) << ex;
+        sources.emplace_back(std::string("examples/") + ex, src);
+    }
+    std::string got;
+    for (const auto &[name, src] : sources)
+        for (bool optimize : {true, false})
+            got += frontendDigest(name, src, optimize);
+
+    std::string path =
+        std::string(ANVIL_TEST_DIR) + "/golden/frontend_digests.txt";
+    if (std::getenv("ANVIL_REGEN_GOLDEN")) {
+        std::ofstream os(path);
+        ASSERT_TRUE(os.good()) << path;
+        os << got;
+        return;
+    }
+    std::string want = readFile(path);
+    ASSERT_FALSE(want.empty())
+        << "missing golden " << path
+        << " (run with ANVIL_REGEN_GOLDEN=1 to create)";
+    EXPECT_EQ(got, want);
 }
 
 } // namespace

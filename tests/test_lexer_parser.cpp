@@ -1,8 +1,8 @@
 /**
  * @file
  * Lexer and parser unit tests: token kinds, SystemVerilog-style sized
- * literals, channel/process/term structure, operator precedence, and
- * error recovery.
+ * literals, channel/process/term structure, operator precedence,
+ * error recovery, and out-of-range number literals.
  */
 
 #include <gtest/gtest.h>
@@ -51,6 +51,33 @@ TEST(Lexer, SizedLiterals)
     EXPECT_EQ(toks[3].value, 10u);
     EXPECT_EQ(toks[4].kind, Tok::Number);
     EXPECT_EQ(toks[4].width, 0);
+}
+
+TEST(Lexer, UndecodableLiteralsAreDiagnosed)
+{
+    struct Case
+    {
+        const char *src;
+        const char *message;
+    };
+    for (const Case &c : {
+             Case{"  99999999999999999999",
+                  "number 99999999999999999999 does not fit in 64 bits"},
+             Case{"  8'hzz", "literal 8'hzz has a digit outside its base"},
+             Case{"  4'b102", "literal 4'b102 has a digit outside its base"},
+             Case{"  128'h1ffffffffffffffff",
+                  "literal 128'h1ffffffffffffffff does not fit in 64 bits"},
+             Case{"  0'h1", "literal width 0 is out of range [1, 65536]"},
+             Case{"  4294967297'h1",
+                  "literal width 4294967297 is out of range [1, 65536]"},
+         }) {
+        DiagEngine d;
+        lex(c.src, d);
+        ASSERT_EQ(d.all().size(), 1u) << c.src;
+        EXPECT_EQ(d.all()[0].message, c.message);
+        EXPECT_EQ(d.all()[0].loc.line, 1);
+        EXPECT_EQ(d.all()[0].loc.col, 3) << c.src;
+    }
 }
 
 TEST(Lexer, CommentsAndStrings)
@@ -224,6 +251,40 @@ proc good() { loop { cycle 1 } }
 )", d);
     EXPECT_TRUE(d.hasErrors());
     EXPECT_NE(p.findProc("good"), nullptr);
+}
+
+TEST(Parser, OutOfRangeNumbersAreDiagnosed)
+{
+    struct Case
+    {
+        const char *src;
+        const char *message;
+        int col;
+    };
+    for (const Case &c : {
+             Case{"proc p() { loop { cycle 4294967296 } }",
+                  "cycle count 4294967296 is out of range [0, 2147483647]",
+                  25},
+             Case{"proc p() { reg r : logic[4294967297]; loop { cycle 1 } }",
+                  "bit width 4294967297 is out of range [1, 65536]", 26},
+             Case{"proc p() { reg r : logic[0]; loop { cycle 1 } }",
+                  "bit width 0 is out of range [1, 65536]", 26},
+             Case{"chan c { left a : (logic@#2147483648) }",
+                  "duration 2147483648 is out of range [0, 2147483647]",
+                  27},
+             Case{"chan c { left a : (logic@#1) @#4294967296 - @dyn }",
+                  "sync cycles 4294967296 is out of range [0, 2147483647]",
+                  32},
+             Case{"proc p() { reg r : logic[8]; "
+                  "loop { set r := *r[70000] >> cycle 1 } }",
+                  "slice bound 70000 is out of range [0, 65535]", 49},
+         }) {
+        DiagEngine d;
+        parseAnvil(c.src, d);
+        ASSERT_EQ(d.all().size(), 1u) << c.src << "\n" << d.render();
+        EXPECT_EQ(d.all()[0].message, c.message);
+        EXPECT_EQ(d.all()[0].loc.col, c.col) << c.src;
+    }
 }
 
 TEST(Parser, DuplicateDefinitionsRejected)

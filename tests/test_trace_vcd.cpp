@@ -249,6 +249,8 @@ TEST(TraceVcd, MalformedVcdRaises)
                  "$upscope $end\n$enddefinitions $end\n",
                  "bad width");
     expect_throw("$enddefinitions $end\n#5\n#3\n", "time reversal");
+    expect_throw("$enddefinitions $end\n#99999999999999999999999\n",
+                 "timestamp past 64 bits");
     expect_throw("$scope module m $end\n"
                  "$var wire 2 ! a $end\n"
                  "$upscope $end\n$enddefinitions $end\n"
