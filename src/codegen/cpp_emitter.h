@@ -22,7 +22,11 @@
  *  - change-cutting at every store: an unchanged value queues no
  *    consumers, and eval()'s changed-net list is exact;
  *  - registers, inputs, and constants as a flat packed-word state
- *    array indexed by per-net offsets.
+ *    array indexed by per-net offsets;
+ *  - the clock edge as one loop over static wire, update and register
+ *    tables: wire toggles against per-context shadow words, firing
+ *    updates staged in declaration order, changed registers committed
+ *    and their consumers queued.
  *
  * The unit includes no headers and needs no runtime library: its only
  * external symbols are libc's calloc, free and mem*, which bind to the
@@ -50,9 +54,10 @@ namespace codegen {
  * evaluation counters + level_stats(); v4: the single AnvilKernel
  * struct and `anvil_kernel` entry symbol; v5: no headers (builtin
  * typedefs and mem*, declared calloc/free), sparse drains only for
- * levels that can run them, wide helpers only when a node is wide.
+ * levels that can run them, wide helpers only when a node is wide;
+ * v6: ABI v4, the table-driven clock edge (edge() and shadow_ptr()).
  */
-constexpr int kCppEmitterVersion = 5;
+constexpr int kCppEmitterVersion = 6;
 
 /**
  * Emit `nl` as a C++ kernel translation unit.  `design_name` only

@@ -577,7 +577,7 @@ Parser::parsePrimary()
     }
     if (match(Tok::KwCycle)) {
         auto t = Term::make(TermKind::Cycle, loc);
-        t->cycles = expectNumber("cycle count", 0, INT_MAX);
+        t->cycles = expectNumber("cycle count", 0, kMaxCycleCount);
         return t;
     }
     if (match(Tok::KwIf)) {

@@ -19,6 +19,13 @@ namespace anvil {
  */
 constexpr int kMaxBitWidth = 1 << 16;
 
+/**
+ * Largest `cycle N` count.  Code generation lowers each cycle of a
+ * delay to one register stage, so the count bounds that chain; the
+ * cap equals the largest slice bound, kMaxBitWidth - 1.
+ */
+constexpr int kMaxCycleCount = kMaxBitWidth - 1;
+
 /** All token kinds produced by the lexer. */
 enum class Tok
 {

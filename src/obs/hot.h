@@ -17,7 +17,7 @@
  *
  * With a compiled kernel attached the per-net counters stay at the
  * interpreter's (the kernel runs strict nets itself); the per-level
- * rows then come from the kernel's own ABI v3 level_stats() export,
+ * rows then come from the kernel's own level_stats() export,
  * so level attribution covers both backends.
  *
  * Surfaced as `anvilc --profile-hot` (human table + "anvil-hot-v1"

@@ -7,6 +7,25 @@
 namespace anvil {
 namespace obs {
 
+namespace {
+
+/**
+ * Whether a steady-state visit on `cycle` is timed: one cycle in
+ * rtl::kTelemetryStride, picked by the top bits of a multiplicative
+ * (Fibonacci) hash rather than by cycle % 16.  An observer whose cost
+ * recurs on a power-of-two period — RollingActivity closes a 64-cycle
+ * window on every multiple of 64 — would otherwise be timed on all of
+ * its costly cycles and its estimate inflated by the stride.
+ */
+bool
+sampledVisit(uint64_t cycle)
+{
+    static_assert(rtl::kTelemetryStride == 16, "4 hash bits");
+    return (cycle * 0x9e3779b97f4a7c15ull) >> 60 == 0;
+}
+
+} // namespace
+
 Observer::~Observer()
 {
     if (_feed)
@@ -133,6 +152,7 @@ ChangeFeed::sample()
     uint64_t cyc = _sim.cycle();
     bool fresh = _cursor.fresh(_sim);
     bool timing = _profiler != nullptr;
+    bool sampled = timing && sampledVisit(cyc);
 
     if (fresh) {
         // One pass over the simulator's changed-net list distributes
@@ -149,16 +169,12 @@ ChangeFeed::sample()
         if (distribute) {
             if (_csr_dirty)
                 rebuildCsr();
-            const rtl::Netlist &nl = _sim.netlist();
             for (rtl::NetId id : _sim.changedNets()) {
                 size_t ni = static_cast<size_t>(id);
-                if (_profiler && ni < nl.nets().size() &&
-                    !nl.net(id).lazy) {
-                    size_t lvl =
-                        static_cast<size_t>(nl.net(id).level);
-                    if (lvl < _level_activity.size())
-                        _level_activity[lvl]++;
-                }
+                if (_profiler && ni < _level_bin.size() &&
+                    _level_bin[ni] >= 0)
+                    _level_activity[static_cast<size_t>(
+                        _level_bin[ni])]++;
                 if (ni >= _sub_head.size())
                     continue;
                 for (uint32_t k = _csr_off[ni];
@@ -175,8 +191,11 @@ ChangeFeed::sample()
     for (Slot &s : _slots) {
         if (!s.obs)
             continue;
-        uint64_t t0 = timing ? rtl::monotonicNanos() : 0;
-        if (fresh && s.primed) {
+        bool steady = fresh && s.primed;
+        // Primes are rare and costly, so every one is timed.
+        bool timed = sampled || (timing && !steady);
+        uint64_t t0 = timed ? rtl::monotonicNanos() : 0;
+        if (steady) {
             const std::vector<rtl::NetId> &list =
                 s.all_nets ? _sim.changedNets() : s.scratch;
             s.obs->onCycle(_sim, cyc, list);
@@ -187,11 +206,17 @@ ChangeFeed::sample()
             s.cost.primes++;
         }
         s.cost.visits++;
-        if (timing) {
+        if (!timing)
+            continue;
+        s.profiled++;
+        if (timed) {
             uint64_t t1 = rtl::monotonicNanos();
-            s.cost.ns += t1 - t0;
+            s.timed++;
+            s.timed_ns += t1 - t0;
             if (s.track >= 0)
                 _profiler->event(s.track, s.cost.name, t0, t1, cyc);
+        } else if (s.track >= 0) {
+            _profiler->untimed(s.track);
         }
     }
     // Sync after all reads: any poke recorded from here to the clock
@@ -213,7 +238,14 @@ ChangeFeed::setProfiler(TraceProfiler *profiler)
     _profiler = profiler;
     if (!_profiler)
         return;
-    _level_activity.assign(_sim.netlist().levelCount(), 0);
+    const rtl::Netlist &nl = _sim.netlist();
+    _level_activity.assign(nl.levelCount(), 0);
+    _level_bin.assign(nl.nets().size(), -1);
+    for (size_t i = 0; i < _level_bin.size(); i++) {
+        const rtl::Net &n = nl.nets()[i];
+        if (!n.lazy && static_cast<size_t>(n.level) < nl.levelCount())
+            _level_bin[i] = n.level;
+    }
     for (Slot &s : _slots)
         if (s.obs && s.track < 0)
             s.track = _profiler->track("obs:" + s.cost.name);
@@ -223,8 +255,10 @@ std::vector<ObserverCost>
 ChangeFeed::costs() const
 {
     std::vector<ObserverCost> out;
-    for (const Slot &s : _slots)
+    for (const Slot &s : _slots) {
         out.push_back(s.cost);
+        out.back().ns = extrapolateNs(s.timed_ns, s.timed, s.profiled);
+    }
     return out;
 }
 

@@ -28,9 +28,11 @@
  *    a stale kernel-owned value and never carry refresh logic.
  *
  * The hub doubles as the telemetry spine: it counts per-observer
- * visits and touched nets, and with a TraceProfiler attached it
- * times every visit onto a per-observer Chrome-trace track and bins
- * changed nets into a per-level activity histogram.
+ * visits and touched nets, and with a TraceProfiler attached it bins
+ * changed nets into a per-level activity histogram and times visits
+ * onto a per-observer Chrome-trace track: every prime, and the
+ * steady-state visits of a hashed one cycle in rtl::kTelemetryStride,
+ * from which it estimates the whole run's visit time.
  */
 
 #ifndef ANVIL_OBS_OBSERVER_H
@@ -99,7 +101,9 @@ struct ObserverCost
     uint64_t visits = 0;       // total visits (primes + cycles)
     uint64_t primes = 0;       // full-rescan visits among them
     uint64_t nets = 0;         // changed nets delivered to onCycle
-    uint64_t ns = 0;           // visit wall time (profiler attached)
+    /** Visit wall time while a profiler was attached, estimated from
+     *  the timed visits: their ns x visits / timed visits. */
+    uint64_t ns = 0;
 };
 
 /**
@@ -164,7 +168,8 @@ class ChangeFeed
 
     /**
      * Attach a profiler: visits are timed onto one Chrome-trace
-     * track per observer, and changed nets are binned into the
+     * track per observer (primes always, steady-state visits on the
+     * sampled cycles), and changed nets are binned into the
      * per-level activity histogram.  Null detaches.
      */
     void setProfiler(TraceProfiler *profiler);
@@ -198,6 +203,9 @@ class ChangeFeed
         bool all_nets = false;
         std::vector<rtl::NetId> scratch;   // per-cycle changed subset
         int track = -1;                    // profiler track id
+        uint64_t profiled = 0;   // visits with a profiler attached
+        uint64_t timed = 0;      // of those, the timed ones
+        uint64_t timed_ns = 0;   // their wall time
     };
 
     /** Flatten the subscriber chains into the CSR (below). */
@@ -219,6 +227,9 @@ class ChangeFeed
     rtl::ChangeFeedCursor _cursor;
     TraceProfiler *_profiler = nullptr;
     std::vector<uint64_t> _level_activity;
+    /** Net -> its _level_activity bin, or -1 (lazy nets): one compact
+     *  lookup per changed net on the profiled hot path. */
+    std::vector<int32_t> _level_bin;
 };
 
 } // namespace obs

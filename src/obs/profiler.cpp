@@ -50,6 +50,7 @@ TraceProfiler::track(const std::string &name)
     _tracks.push_back(name);
     _track_ns.push_back(0);
     _track_count.push_back(0);
+    _track_untimed.push_back(0);
     return static_cast<int>(_tracks.size() - 1);
 }
 
@@ -95,7 +96,11 @@ TraceProfiler::totals() const
 {
     std::vector<TrackTotal> out;
     for (size_t i = 0; i < _tracks.size(); i++)
-        out.push_back({_tracks[i], _track_ns[i], _track_count[i]});
+        out.push_back({_tracks[i],
+                       extrapolateNs(_track_ns[i], _track_count[i],
+                                     _track_count[i] +
+                                         _track_untimed[i]),
+                       _track_count[i]});
     return out;
 }
 
@@ -142,12 +147,13 @@ TraceProfiler::writeJson(std::ostream &os) const
                      static_cast<unsigned long long>(
                          _level_activity[i]));
     os << "],\"tracks\":[";
-    for (size_t i = 0; i < _tracks.size(); i++)
+    std::vector<TrackTotal> tot = totals();
+    for (size_t i = 0; i < tot.size(); i++)
         os << strfmt("%s{\"name\":\"%s\",\"events\":%llu,"
                      "\"total_ns\":%llu}",
-                     i ? "," : "", jsonEscape(_tracks[i]).c_str(),
-                     static_cast<unsigned long long>(_track_count[i]),
-                     static_cast<unsigned long long>(_track_ns[i]));
+                     i ? "," : "", jsonEscape(tot[i].name).c_str(),
+                     static_cast<unsigned long long>(tot[i].count),
+                     static_cast<unsigned long long>(tot[i].ns));
     os << "]}}\n";
 }
 

@@ -7,6 +7,26 @@
 namespace anvil {
 namespace rtl {
 
+namespace {
+
+/** Copy a value's words to w[0, v.words()). */
+void
+storeWords(const BitVec &v, uint64_t *w)
+{
+    for (int k = 0; k < v.words(); k++)
+        w[k] = v.word(k);
+}
+
+/** Words a value of `width` bits takes in a kernel's state:
+ *  ceil(width/64), at least one. */
+size_t
+slotWords(int width)
+{
+    return width <= 0 ? 1 : static_cast<size_t>((width + 63) / 64);
+}
+
+} // namespace
+
 const char *
 sweepModeName(SweepMode mode)
 {
@@ -151,6 +171,9 @@ Sim::Sim(std::shared_ptr<const Module> top,
     }
     _armed.assign(updates.size(), 0);
     _reg_touched.assign(_nl.regs().size(), 0);
+    for (size_t u = 0; u < updates.size(); u++)
+        if (updates[u].reg_index < 0)
+            _ghost_updates.push_back(static_cast<int32_t>(u));
 }
 
 Sim::~Sim()
@@ -226,15 +249,11 @@ Sim::seedSource(NetId id)
     _seeds.push_back(id);
     _poke_tick++;
     if (_kctx) {
-        // Sources are Sim-owned: mirror the new value into the
-        // kernel's state array and mark its consumer blocks dirty.
+        // A poke (setInput, setRegValue, loadRegs): mirror the new
+        // value into the kernel's state array and queue its
+        // consumers.  The kernel's own edge commits never pass here.
         size_t i = static_cast<size_t>(id);
-        const BitVec &v = _val[i];
-        uint64_t *p = _kptr[i];
-        int w = _nl.net(id).width;
-        int words = w <= 0 ? 1 : (w + 63) / 64;
-        for (int k = 0; k < words; k++)
-            p[k] = v.word(k);
+        storeWords(_val[i], _kptr[i]);
         _kernel.abi->poke(_kctx, static_cast<int32_t>(id));
     }
 }
@@ -250,30 +269,35 @@ Sim::attachKernel(const KernelRef &kernel)
     void *ctx = kernel.abi->create();
     if (!ctx)
         return false;
+    // The kernel starts from this Sim's values, strict nets included,
+    // so its first (dense) sweep reports exactly the nets that moved
+    // since the last edge, and from the wire values that edge saw, so
+    // toggles continue without a jump.
+    size_t nets = _nl.nets().size();
+    for (size_t i = 0; i < nets; i++)
+        storeWords(valOf(static_cast<NetId>(i)),
+                   kernel.abi->net_ptr(ctx, static_cast<int32_t>(i)));
+    if (_toggles_primed) {
+        uint64_t *sh = kernel.abi->shadow_ptr(ctx);
+        if (_kctx) {
+            size_t words = 0;
+            for (NetId w : _nl.wireNets())
+                words += slotWords(_nl.net(w).width);
+            std::copy_n(_kernel.abi->shadow_ptr(_kctx), words, sh);
+        } else {
+            packWires(sh);
+        }
+    }
     if (_kctx)
         _kernel.abi->destroy(_kctx);
     _kernel = kernel;
     _kctx = ctx;
-    _kchanged.assign(_nl.nets().size(), 0);
+    _kchanged.assign(nets, 0);
+    _kregs.assign(_nl.regs().size(), 0);
     _kstale.assign(_val.size(), 0);
-    _kptr.resize(_nl.nets().size());
-    for (size_t i = 0; i < _kptr.size(); i++)
-        _kptr[i] =
-            kernel.abi->net_ptr(ctx, static_cast<int32_t>(i));
-    // The kernel starts from the netlist's init values; push the
-    // current source state (which may already differ) and force one
-    // dense eval so every strict value is consistent with it.
-    for (size_t i = 0; i < _nl.nets().size(); i++) {
-        const Net &n = _nl.net(static_cast<NetId>(i));
-        if (n.kind != Net::Kind::Input && n.kind != Net::Kind::Reg)
-            continue;
-        const BitVec &v = _val[i];
-        uint64_t *p = _kptr[i];
-        int words = n.width <= 0 ? 1 : (n.width + 63) / 64;
-        for (int k = 0; k < words; k++)
-            p[k] = v.word(k);
-        _kernel.abi->poke(_kctx, static_cast<int32_t>(i));
-    }
+    _kptr.resize(nets);
+    for (size_t i = 0; i < nets; i++)
+        _kptr[i] = kernel.abi->net_ptr(ctx, static_cast<int32_t>(i));
     _need_full = true;
     _dirty = true;
     return true;
@@ -714,14 +738,13 @@ Sim::sweep()
     if (!_dirty)
         return;
     _gen++;
-    uint64_t t0 = _telemetry ? monotonicNanos() : 0;
+    bool timed = timedCycle();
+    uint64_t t0 = timed ? monotonicNanos() : 0;
     if (_kctx) {
         sweepKernel();
         _stats.kernel_frames++;
         _dirty = false;
-        if (_telemetry)
-            _telemetry->simPhase(SimPhase::KernelEval, _cycle, t0,
-                                 monotonicNanos());
+        endPhase(SimPhase::KernelEval, _cycle, timed, t0);
         return;
     }
     if (_mode == SweepMode::Full || _need_full)
@@ -735,9 +758,17 @@ Sim::sweep()
     else
         sweepDirty();
     _dirty = false;
-    if (_telemetry)
-        _telemetry->simPhase(SimPhase::Sweep, _cycle, t0,
-                             monotonicNanos());
+    endPhase(SimPhase::Sweep, _cycle, timed, t0);
+}
+
+/** Report a phase: its window on a sampled cycle, else just its run. */
+void
+Sim::endPhase(SimPhase phase, uint64_t cycle, bool timed, uint64_t t0)
+{
+    if (timed)
+        _telemetry->simPhase(phase, cycle, t0, monotonicNanos());
+    else if (_telemetry)
+        _telemetry->simPhaseUntimed(phase);
 }
 
 const std::vector<NetId> &
@@ -790,9 +821,6 @@ Sim::peek(const std::string &name)
 void
 Sim::step(int n)
 {
-    const auto &wires = _nl.wireNets();
-    const auto &regs = _nl.regs();
-    const auto &updates = _nl.updates();
     for (int it = 0; it < n; it++) {
         sweep();
         // The edge evaluates every wire (like the reference
@@ -801,137 +829,192 @@ Sim::step(int n)
         for (NetId id : _nl.lazyRoots())
             evalLazy(id);
 
-        uint64_t commit_t0 = _telemetry ? monotonicNanos() : 0;
-
-        // Keep the armed-update set fresh from this frame's
-        // changed-net delta (a full enable scan only on the first
-        // cycle): an enable net that is not in the list kept its
-        // value, so its updates kept their armed state.
-        if (!_armed_primed) {
-            _armed_count = 0;
-            for (size_t u = 0; u < updates.size(); u++) {
-                _armed[u] = valOf(updates[u].enable).any() ? 1 : 0;
-                if (_armed[u])
-                    _armed_count++;
-            }
-            _armed_primed = true;
-        } else {
-            for (NetId id : _frame_changed) {
-                size_t i = static_cast<size_t>(id);
-                if (i + 1 >= _upd_begin.size())
-                    continue;
-                for (int32_t k = _upd_begin[i]; k < _upd_begin[i + 1];
-                     k++) {
-                    size_t u =
-                        static_cast<size_t>(_upd_list[static_cast<
-                            size_t>(k)]);
-                    uint8_t armed =
-                        valOf(updates[u].enable).any() ? 1 : 0;
-                    if (armed == _armed[u])
-                        continue;
-                    _armed[u] = armed;
-                    if (armed)
-                        _armed_count++;
-                    else
-                        _armed_count--;
-                }
-            }
-        }
-
-        // Toggle accounting against the previous cycle's values,
-        // driven by the changed-net list: a wire absent from the
-        // list is unchanged and contributes no toggles.  The xor
-        // popcount works straight off the two values' words, so the
-        // delta never materializes.
-        if (_toggles_primed) {
-            for (NetId id : _frame_changed) {
-                int32_t slot = _wire_slot[static_cast<size_t>(id)];
-                if (slot < 0)
-                    continue;
-                size_t s = static_cast<size_t>(slot);
-                size_t i = static_cast<size_t>(id);
-                if (_kctx && _kstale[i]) {
-                    // Kernel-owned value: count toggles straight off
-                    // the kernel's words and refresh only the
-                    // last-seen copy.  The host mirror stays stale —
-                    // it is refreshed lazily if an observer actually
-                    // reads it — so the per-change tax of the
-                    // compiled backend is one popcount, not a BitVec
-                    // round trip.
-                    const uint64_t *p = _kptr[i];
-                    BitVec &last = _wire_last[s];
-                    _total_toggles += static_cast<uint64_t>(
-                        last.xorPopcountWords(p, last.words()));
-                    if (last.width() <= 64)
-                        last.setUint64(p[0]);
-                    else
-                        last.setWords(p, last.words());
-                    continue;
-                }
-                const BitVec &cur = valOf(id);
-                _total_toggles += static_cast<uint64_t>(
-                    cur.xorPopcount(_wire_last[s]));
-                _wire_last[s] = cur;
-            }
-        } else {
-            for (size_t i = 0; i < wires.size(); i++)
-                _wire_last[i] = valOf(wires[i]);
-            _toggles_primed = true;
-        }
-
-        // Next-state only where an armed update fires; untouched
-        // registers hold their value by construction, so the edge
-        // costs O(armed updates), not O(registers).
-        if (_armed_count != 0) {
-            for (size_t u = 0; u < updates.size(); u++) {
-                if (!_armed[u])
-                    continue;
-                size_t ri = stageUpdate(updates[u]);
-                if (!_reg_touched[ri]) {
-                    _reg_touched[ri] = 1;
-                    _touched_regs.push_back(
-                        static_cast<int32_t>(ri));
-                }
-            }
-        }
-        for (const auto &p : _nl.prints()) {
-            if (valOf(p.enable).any()) {
-                std::string line = p.text;
-                if (p.value != kNoNet)
-                    line += " " + valOf(p.value).toHex();
-                _log.push_back(line);
-            }
-        }
-
-        // The pre-edge frame is complete: fold it into the activity
-        // stats and start the next one, so the commits below seed
-        // the new frame's changed list.
-        rollFrame();
-
-        // Clock edge: commit the touched registers (ascending, the
-        // same order the dense scan visited them), count register
-        // toggles, and seed the next sweep with those that changed.
-        if (!_touched_regs.empty()) {
-            std::sort(_touched_regs.begin(), _touched_regs.end());
-            for (int32_t r : _touched_regs) {
-                size_t i = static_cast<size_t>(r);
-                _reg_touched[i] = 0;
-                BitVec &cur = _val[static_cast<size_t>(regs[i])];
-                int flips = _reg_next[i].xorPopcount(cur);
-                if (flips == 0)
-                    continue;
-                _total_toggles += static_cast<uint64_t>(flips);
-                cur = _reg_next[i];
-                recordChange(regs[i]);
-                seedSource(regs[i]);
-            }
-            _touched_regs.clear();
-        }
+        bool timed = timedCycle();
+        uint64_t t0 = timed ? monotonicNanos() : 0;
+        if (_kctx)
+            edgeKernel();
+        else
+            edgeHost();
         _cycle++;
         _dirty = true;
-        if (_telemetry)
-            _telemetry->simPhase(SimPhase::Commit, _cycle - 1,
-                                 commit_t0, monotonicNanos());
+        endPhase(SimPhase::Commit, _cycle - 1, timed, t0);
+    }
+}
+
+/** Log the dprints whose enable is set, in declaration order. */
+void
+Sim::logPrints()
+{
+    for (const auto &p : _nl.prints()) {
+        if (valOf(p.enable).any()) {
+            std::string line = p.text;
+            if (p.value != kNoNet)
+                line += " " + valOf(p.value).toHex();
+            _log.push_back(line);
+        }
+    }
+}
+
+/** The interpreter's clock edge, after the frame's sweep. */
+void
+Sim::edgeHost()
+{
+    const auto &regs = _nl.regs();
+    const auto &updates = _nl.updates();
+
+    // Keep the armed-update set fresh from this frame's changed-net
+    // delta (a full enable scan only on the first cycle): an enable
+    // net that is not in the list kept its value, so its updates kept
+    // their armed state.
+    if (!_armed_primed) {
+        _armed_count = 0;
+        for (size_t u = 0; u < updates.size(); u++) {
+            _armed[u] = valOf(updates[u].enable).any() ? 1 : 0;
+            if (_armed[u])
+                _armed_count++;
+        }
+        _armed_primed = true;
+    } else {
+        for (NetId id : _frame_changed) {
+            size_t i = static_cast<size_t>(id);
+            if (i + 1 >= _upd_begin.size())
+                continue;
+            for (int32_t k = _upd_begin[i]; k < _upd_begin[i + 1];
+                 k++) {
+                size_t u =
+                    static_cast<size_t>(_upd_list[static_cast<size_t>(k)]);
+                uint8_t armed = valOf(updates[u].enable).any() ? 1 : 0;
+                if (armed == _armed[u])
+                    continue;
+                _armed[u] = armed;
+                if (armed)
+                    _armed_count++;
+                else
+                    _armed_count--;
+            }
+        }
+    }
+
+    // Toggle accounting against the previous cycle's values, driven
+    // by the changed-net list: a wire absent from the list is
+    // unchanged and contributes no toggles.  The xor popcount works
+    // straight off the two values' words, so the delta never
+    // materializes.
+    if (_toggles_primed) {
+        for (NetId id : _frame_changed) {
+            int32_t slot = _wire_slot[static_cast<size_t>(id)];
+            if (slot < 0)
+                continue;
+            size_t s = static_cast<size_t>(slot);
+            const BitVec &cur = valOf(id);
+            _total_toggles +=
+                static_cast<uint64_t>(cur.xorPopcount(_wire_last[s]));
+            _wire_last[s] = cur;
+        }
+    } else {
+        primeToggles();
+    }
+
+    // Next-state only where an armed update fires; untouched
+    // registers hold their value by construction, so the edge costs
+    // O(armed updates), not O(registers).
+    if (_armed_count != 0) {
+        for (size_t u = 0; u < updates.size(); u++) {
+            if (!_armed[u])
+                continue;
+            size_t ri = stageUpdate(updates[u]);
+            if (!_reg_touched[ri]) {
+                _reg_touched[ri] = 1;
+                _touched_regs.push_back(static_cast<int32_t>(ri));
+            }
+        }
+    }
+    logPrints();
+
+    // The pre-edge frame is complete: fold it into the activity stats
+    // and start the next one, so the commits below seed the new
+    // frame's changed list.
+    rollFrame();
+
+    // Commit the touched registers (ascending, the same order the
+    // dense scan visited them), count register toggles, and seed the
+    // next sweep with those that changed.
+    if (!_touched_regs.empty()) {
+        std::sort(_touched_regs.begin(), _touched_regs.end());
+        for (int32_t r : _touched_regs) {
+            size_t i = static_cast<size_t>(r);
+            _reg_touched[i] = 0;
+            BitVec &cur = _val[static_cast<size_t>(regs[i])];
+            int flips = _reg_next[i].xorPopcount(cur);
+            if (flips == 0)
+                continue;
+            _total_toggles += static_cast<uint64_t>(flips);
+            cur = _reg_next[i];
+            recordChange(regs[i]);
+            seedSource(regs[i]);
+        }
+        _touched_regs.clear();
+    }
+}
+
+/**
+ * The clock edge on the compiled backend.  The kernel counts the
+ * toggles and stages and commits the registers (AnvilKernel::edge);
+ * the host raises the edge's faults, hands the kernel the lazy values
+ * it evaluated, logs the prints, and records the committed registers.
+ */
+void
+Sim::edgeKernel()
+{
+    const auto &updates = _nl.updates();
+    for (int32_t u : _ghost_updates) {
+        const NetUpdate &up = updates[static_cast<size_t>(u)];
+        if (valOf(up.enable).any())
+            stageUpdate(up);   // throws: the register is unknown
+    }
+    for (NetId id : _nl.lazyRoots())
+        storeWords(_val[static_cast<size_t>(id)],
+                   _kptr[static_cast<size_t>(id)]);
+    if (!_toggles_primed) {
+        primeToggles();
+        packWires(_kernel.abi->shadow_ptr(_kctx));
+    }
+    logPrints();
+
+    uint64_t n = 0;
+    _total_toggles += _kernel.abi->edge(_kctx, _frame_changed.data(),
+                                        _frame_changed.size(),
+                                        _kregs.data(), &n);
+    rollFrame();
+    for (uint64_t k = 0; k < n; k++) {
+        NetId r = _kregs[static_cast<size_t>(k)];
+        refreshFromKernel(r);
+        recordChange(r);
+    }
+    _poke_tick += n;
+}
+
+/** The first edge adopts every wire's value without counting toggles. */
+void
+Sim::primeToggles()
+{
+    const auto &wires = _nl.wireNets();
+    for (size_t i = 0; i < wires.size(); i++)
+        _wire_last[i] = valOf(wires[i]);
+    _toggles_primed = true;
+}
+
+/**
+ * Pack the last-seen wire values (_wire_last) in wireNets() order,
+ * each into its kernel slot's word count — the layout of the kernel's
+ * wire shadow.
+ */
+void
+Sim::packWires(uint64_t *out) const
+{
+    for (const BitVec &v : _wire_last) {
+        storeWords(v, out);
+        out += slotWords(v.width());
     }
 }
 
@@ -959,18 +1042,6 @@ Sim::stageUpdate(const NetUpdate &up)
         next = v.resize(next.width());
     return ri;
 }
-
-namespace {
-
-/** Copy a value's words to w[0, v.words()). */
-void
-storeWords(const BitVec &v, uint64_t *w)
-{
-    for (int k = 0; k < v.words(); k++)
-        w[k] = v.word(k);
-}
-
-} // namespace
 
 void
 Sim::packRegs(uint64_t *out) const

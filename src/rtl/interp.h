@@ -75,16 +75,31 @@ constexpr int kSimPhaseCount = 3;
 const char *simPhaseName(SimPhase phase);
 
 /**
+ * Telemetry times one cycle in kTelemetryStride: rtl::Sim its phases
+ * on the cycles where cycle % kTelemetryStride == 0, and
+ * obs::ChangeFeed its steady-state observer visits on a hashed one in
+ * kTelemetryStride.  Sinks extrapolate whole-run times from those
+ * samples; counts stay exact.
+ */
+constexpr uint64_t kTelemetryStride = 16;
+
+/**
  * Per-phase timing sink (see obs::TraceProfiler).  Installed with
  * Sim::setTelemetry; when none is installed the hot path takes no
- * clock reads at all.  Timestamps come from monotonicNanos().
+ * clock reads at all, and with one installed it reads the clock only
+ * on the sampled cycles (kTelemetryStride).  Timestamps come from
+ * monotonicNanos().
  */
 class SimTelemetry
 {
   public:
     virtual ~SimTelemetry() = default;
+    /** A phase window of a sampled cycle. */
     virtual void simPhase(SimPhase phase, uint64_t cycle,
                           uint64_t begin_ns, uint64_t end_ns) = 0;
+    /** A phase that ran on an unsampled cycle, untimed; sinks that
+     *  extrapolate count these. */
+    virtual void simPhaseUntimed(SimPhase phase) { (void)phase; }
 };
 
 /**
@@ -249,16 +264,18 @@ class Sim
     void setTelemetry(SimTelemetry *sink) { _telemetry = sink; }
 
     /**
-     * Swap the strict combinational sweep for a compiled kernel
-     * (anvilc --emit-cpp + codegen/jit.h).  Validates the ABI
-     * version, design hash, and net count; on any mismatch nothing
-     * changes and the interpreter keeps running — the compiled
-     * backend is an accelerator, never a correctness dependency.
-     * On success the kernel owns every strict net value (Sim copies
-     * them back lazily as observers ask); sources stay Sim-owned and
-     * are pushed through on every poke and clock edge.  Lazy cones,
-     * the clock edge, prints, toggles, and the changed-net feed are
-     * unchanged, so all observers see bit-identical behaviour.
+     * Swap the strict combinational sweep and the clock edge for a
+     * compiled kernel (anvilc --emit-cpp + codegen/jit.h).  Validates
+     * the ABI version, design hash, and net count; on any mismatch
+     * nothing changes and the interpreter keeps running — the
+     * compiled backend is an accelerator, never a correctness
+     * dependency.  The kernel starts from this Sim's current values,
+     * so attaching mid-run continues the run.  On success the kernel
+     * owns every strict net value (Sim copies them back lazily as
+     * observers ask) and the edge's arithmetic: wire toggles,
+     * register updates and commits.  Sim keeps pokes (pushed into
+     * the kernel), lazy cones, prints, faults and the changed-net
+     * feed, so all observers see bit-identical behaviour.
      */
     bool attachKernel(const KernelRef &kernel);
     bool kernelAttached() const { return _kctx != nullptr; }
@@ -420,6 +437,19 @@ class Sim
     void rollFrame();
     void refreshFromKernel(NetId id);
     size_t stageUpdate(const NetUpdate &up);
+    void edgeHost();
+    void edgeKernel();
+    void logPrints();
+    void primeToggles();
+    void packWires(uint64_t *out) const;
+
+    /** Whether this cycle's phases are timed (kTelemetryStride). */
+    bool timedCycle() const
+    {
+        return _telemetry && _cycle % kTelemetryStride == 0;
+    }
+    void endPhase(SimPhase phase, uint64_t cycle, bool timed,
+                  uint64_t t0);
 
     /**
      * Current value of a net, pulling it out of the attached kernel
@@ -480,11 +510,15 @@ class Sim
                                        // kernel state block never
                                        // moves, so the indirect call
                                        // is paid once at attach
+    std::vector<int32_t> _kregs;       // registers the kernel edge
+                                       // committed
+    std::vector<int32_t> _ghost_updates;  // updates of unknown regs,
+                                          // which fault at the edge
 
-    // Clock-edge bookkeeping: which updates are armed (enable != 0),
-    // kept fresh from the changed-net delta, and which registers the
-    // armed updates wrote this cycle — the edge costs O(activity),
-    // not O(registers + updates).
+    // Interpreter clock-edge bookkeeping: which updates are armed
+    // (enable != 0), kept fresh from the changed-net delta, and which
+    // registers the armed updates wrote this cycle — the edge costs
+    // O(activity), not O(registers + updates).
     std::vector<int32_t> _upd_begin;   // enable net -> updates CSR
     std::vector<int32_t> _upd_list;
     std::vector<uint8_t> _armed;

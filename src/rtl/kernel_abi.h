@@ -4,7 +4,8 @@
  *
  * `anvilc --emit-cpp` (src/codegen/cpp_emitter.cpp) lowers the strict
  * combinational portion of a levelized rtl::Netlist to straight-line
- * C++ and wraps it in the struct below; the JIT (src/codegen/jit.cpp)
+ * C++, adds the table-driven clock edge, and wraps both in the struct
+ * below; the JIT (src/codegen/jit.cpp)
  * compiles that source with the system compiler and dlopens the
  * resulting shared object.  The generated file embeds its own copy of
  * this struct definition so an --emit-cpp dump compiles standalone —
@@ -13,11 +14,17 @@
  * `net_count` so a stale object can never be bound to the wrong
  * netlist.
  *
- * Division of labour: the kernel owns only the levelized strict sweep
- * (sources in, changed strict nets out).  Sources (inputs, registers)
- * are pushed in by the host via net_ptr()+poke(); lazy cones, the
- * clock edge, prints, toggles, and every observer stay in rtl::Sim,
- * which remains the single semantic authority.  Values are packed
+ * Division of labour: the kernel owns the arithmetic of the whole
+ * cycle.  eval() is the levelized strict sweep (sources in, changed
+ * strict nets out); edge() is the clock edge: it counts wire toggles
+ * against per-context shadow words, applies the firing register
+ * updates, commits the registers that changed, counts their flips and
+ * queues their consumers for the next eval().  The host (rtl::Sim)
+ * keeps lazy cones, prints, pokes and every observer: it pushes
+ * sources in via net_ptr()+poke(), writes each lazy net's evaluated
+ * words into that net's slot before edge() (every net has one), and
+ * raises the edge's faults (combinational loops, an update of an
+ * unknown register) before calling in.  Values are packed
  * little-endian 64-bit words, ceil(width/64) (min 1) words per net,
  * normalized (bits at or above the width are zero) exactly like
  * anvil::BitVec.
@@ -31,7 +38,9 @@
  *  - stats() exports the kernel's own activity counters so the host
  *    can fold them into its sweep telemetry;
  *  - level_stats() exports cumulative node evaluations per level, so
- *    the host's hot-cone report covers the compiled backend too.
+ *    the host's hot-cone report covers the compiled backend too;
+ *  - edge() commits exactly what rtl::Sim's interpreter edge commits
+ *    and returns exactly the registers whose value changed.
  *
  * Kernels only ever come from the binary that emitted them, so there
  * is no compatibility layer: the JIT and Sim::attachKernel accept
@@ -48,7 +57,7 @@
 extern "C" {
 #endif
 
-#define ANVIL_KERNEL_ABI_VERSION 3u
+#define ANVIL_KERNEL_ABI_VERSION 4u
 
 /** Activity counters accumulated by a kernel context since create().
  *  Mirrors the host-side SweepStats vocabulary. */
@@ -115,6 +124,31 @@ typedef struct AnvilKernel
      *  level_count); caller provides level_count slots.  Counts since
      *  create(), accumulated on both sparse and dense paths. */
     void (*level_stats)(void *ctx, uint64_t *out);
+
+    /**
+     * Clock edge, called once per cycle after the frame's eval().
+     * `changed` holds the frame's changed nets (n_changed of them;
+     * ids at or above net_count are skipped): each toggle-counted
+     * wire among them adds the popcount of its value xor its shadow
+     * words and then stores its value there.  Every update whose
+     * enable is nonzero then writes its value, truncated or
+     * zero-extended to the register's width, in declaration order,
+     * so the last firing update of a register wins.  Registers whose
+     * value moved are committed in ascending register order: their
+     * flips are counted, their strict consumers are queued as by
+     * poke(), and their net ids are appended to `regs` (caller
+     * provided, one slot per register) and counted in *n_regs.
+     * Returns the toggles counted: wire toggles plus register flips.
+     */
+    uint64_t (*edge)(void *ctx, const int32_t *changed,
+                     uint64_t n_changed, int32_t *regs,
+                     uint64_t *n_regs);
+
+    /** The context's wire shadow: the words of every toggle-counted
+     *  wire (rtl::Netlist::wireNets() order, ceil(width/64), min 1,
+     *  words each) as edge() last stored them.  Zero after create();
+     *  the host seeds it before the first edge(). */
+    uint64_t *(*shadow_ptr)(void *ctx);
 } AnvilKernel;
 
 /** Entry point exported by every compiled kernel object. */

@@ -350,15 +350,6 @@ BitVec::xorPopcount(const BitVec &o) const
 }
 
 int
-BitVec::xorPopcountWords(const uint64_t *w, int n) const
-{
-    int c = 0;
-    for (int i = 0; i < words(); i++)
-        c += __builtin_popcountll(word(i) ^ (i < n ? w[i] : 0));
-    return c;
-}
-
-int
 BitVec::popcount() const
 {
     const uint64_t *d = data();

@@ -141,16 +141,6 @@ class BitVec
      */
     int xorPopcount(const BitVec &o) const;
 
-    /**
-     * popcount(*this ^ w[0..n)) against raw packed little-endian
-     * words (missing words read as zero).  Lets the simulator count
-     * toggles straight off a compiled kernel's state array without
-     * first mirroring the value into a BitVec.  The caller
-     * guarantees bits at or above width() are clear in w, as the
-     * kernel's masked stores do.
-     */
-    int xorPopcountWords(const uint64_t *w, int n) const;
-
     /** Render as 0x-prefixed hex (width-padded). */
     std::string toHex() const;
 

@@ -16,7 +16,11 @@
 #     and bytes,
 #  5. farm flag validation and configuration errors (an unknown
 #     channel, cover point or slice) are usage errors (exit 2), not a
-#     silent ignore or a per-worker failure.
+#     silent ignore or a per-worker failure,
+#  6. a compiled farm (`--backend compiled`: four workers, one JIT'd
+#     kernel object, a context each) prints the interpreter farm's
+#     sim:, coverage and triage output, so clock-edge state leaked
+#     into the shared object would show.
 #
 # Usage: cli_farm_e2e.sh <anvilc> <repo-root> <json_validate> <anvil_merge>
 set -e
@@ -206,3 +210,19 @@ test "$?" -eq 2 || { echo "unknown slice channel not rejected" >&2; \
 grep -q 'no signals for channel' farm_slice.log
 set -e
 echo "farm flag validation rejects inconsistent invocations"
+
+# --- 6. Compiled farm == interpreter farm --------------------------------
+
+"$ANVILC" "$DESIGN" --sim 300 --farm 4 --seed-base 11 --cov --stats \
+    --contracts > farmi.log 2> /dev/null
+"$ANVILC" "$DESIGN" --sim 300 --farm 4 --seed-base 11 --cov --stats \
+    --contracts --backend compiled > farmc.log 2> /dev/null
+grep -q '^sweep: .*backend=compiled' farmc.log
+grep -q '^sim: 1200 cycles' farmc.log
+grep -q '^triage: ' farmc.log
+# Everything but the sweep:/sweep-kernel: lines, which name the
+# backend and its own activity counters.
+grep -v '^sweep' farmi.log > farmi.report
+grep -v '^sweep' farmc.log > farmc.report
+cmp farmi.report farmc.report
+echo "compiled farm matches the interpreter farm"

@@ -18,8 +18,9 @@
 #     (exit 0), and a mis-annotated listing2 is disproved (exit 1)
 #     with a counterexample VCD that --check-trace flags in turn,
 # 10. hostile inputs: number literals past 64 bits or outside their
-#     base are diagnostics (exit 1), a VCD timestamp past 64 bits is a
-#     malformed dump (exit 3), and no input kills anvilc by a signal.
+#     base and `cycle` counts past 65535 are diagnostics (exit 1), a
+#     VCD timestamp past 64 bits is a malformed dump (exit 3), and no
+#     input kills anvilc by a signal.
 #
 # Usage: cli_trace_e2e.sh <path-to-anvilc> <repo-root>
 set -e
@@ -131,10 +132,16 @@ printf 'proc p() { loop { cycle 99999999999999999999 } }\n' \
     > cli_bad_cycle.anvil
 printf "proc p() { reg r : logic[8]; loop { set r := 8'hzz >> cycle 1 } }\n" \
     > cli_bad_literal.anvil
+# Each cycle of a delay lowers to a register stage: the largest int
+# would not finish compiling, so the count is capped at the literal.
+printf 'proc p() { loop { cycle 2147483647 } }\n' > cli_long_cycle.anvil
 printf '$enddefinitions $end\n#0\n#99999999999999999999999\n' \
     > cli_bad_time.vcd
 expect_exit 1 cli_bad_cycle.anvil
 expect_exit 1 cli_bad_literal.anvil
+expect_exit 1 cli_long_cycle.anvil
+grep -q 'cycle count 2147483647 is out of range \[0, 65535\]' \
+    cli_hostile.log
 expect_exit 3 "$DESIGN" --check-trace cli_bad_time.vcd
 expect_exit 3 "$DESIGN" --replay cli_bad_time.vcd
-echo "hostile literals exit 1 and an overflowing timestamp exits 3"
+echo "hostile literals and cycle counts exit 1, an overflowing timestamp exits 3"

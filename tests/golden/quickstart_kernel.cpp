@@ -32,6 +32,9 @@ typedef struct AnvilKernel {
     void (*stats)(void *ctx, AnvilKernelStats *out);
     uint32_t level_count;
     void (*level_stats)(void *ctx, uint64_t *out);
+    uint64_t (*edge)(void *ctx, const int32_t *changed, uint64_t n_changed,
+                     int32_t *regs, uint64_t *n_regs);
+    uint64_t *(*shadow_ptr)(void *ctx);
 } AnvilKernel;
 const AnvilKernel *anvil_kernel(void);
 }
@@ -81,6 +84,48 @@ static const uint32_t kBmOff[kLevels + 1] = {
 };
 enum : uint32_t { kBmWords = 7u };
 
+enum : uint32_t { kWires = 9u, kUpdates = 6u, kRegs = 6u, kRegBmWords = 1u };
+enum : uint64_t { kShadowWords = 9ull, kNextWords = 6ull };
+enum : uint32_t { kWideEdge = 0u };
+static const uint32_t kWireOf[kNets] = {
+    0,0,0,0,0,0,0,0,0,4,5,9,6,7,8,1,
+    2,3,0,0,0,0,0,0,0,0,0,0,0,0,0,0,
+    0,0,0,0,0,0,0,0,0,0,
+};
+/* wire: state offset, shadow offset, words */
+static const uint32_t kWire[9][3] = {
+    {15,0,1,},
+    {16,1,1,},
+    {17,2,1,},
+    {9,3,1,},
+    {10,4,1,},
+    {12,5,1,},
+    {13,6,1,},
+    {14,7,1,},
+    {11,8,1,},
+};
+/* update: enable offset, enable words, value offset, value words, register */
+static const uint32_t kUpd[6][5] = {
+    {30,1,31,1,5,},
+    {32,1,34,1,3,},
+    {10,1,36,1,0,},
+    {37,1,10,1,1,},
+    {38,1,40,1,4,},
+    {41,1,13,1,2,},
+};
+/* register: net, state offset, words, staging offset */
+static const uint32_t kReg[6][4] = {
+    {3,3,1,0,},
+    {6,6,1,1,},
+    {8,8,1,2,},
+    {5,5,1,3,},
+    {7,7,1,4,},
+    {4,4,1,5,},
+};
+static const uint64_t kRegTop[6] = {
+    0xffull,0x1ull,0x1ull,0x1ull,0x1ull,0x1ull,
+};
+
 struct Ctx
 {
     uint64_t s[kStateWords];
@@ -92,6 +137,9 @@ struct Ctx
     uint64_t fdense;          // current frame runs fully dense
     AnvilKernelStats st;
     uint64_t lvl_ev[kLevels ? kLevels : 1];  // evals per level
+    uint64_t sh[kShadowWords ? kShadowWords : 1];  // wires at last edge
+    uint64_t nx[kNextWords ? kNextWords : 1];      // staged registers
+    uint64_t tbm[kRegBmWords ? kRegBmWords : 1];   // registers staged
 };
 
 /* Queue the strict consumers of a changed net: set their slot bits.
@@ -109,24 +157,16 @@ static inline void enq(Ctx *c, int32_t id)
     }
 }
 
-/* Sparse-path change: record it and propagate (change-cutting — an
- * unchanged recompute never reaches here, so consumers stay idle).
- * Deliberately NOT inlined: the hooks appear in every node body, and
- * keeping the bodies at compare + store + call is what keeps the
- * level functions resident in the i-cache on multi-MB designs — the
- * call costs a couple of ns and only on an actual change. */
+/* A node's value changed: record it, and queue its consumers unless
+ * the whole frame is dense (then every node runs anyway).  Inside a
+ * sparse frame a single level can escalate to its straight-line body
+ * when its queue is a large fraction of the level, so later levels
+ * still rely on exact queues.  Deliberately NOT inlined: the hook
+ * appears in every node body, and keeping the bodies at compare +
+ * store + call is what keeps the level functions resident in the
+ * i-cache on multi-MB designs — the call costs a couple of ns and only
+ * on an actual change. */
 static __attribute__((noinline)) void onChange(Ctx *c, int32_t id)
-{
-    c->out[c->nout++] = id;
-    enq(c, id);
-}
-
-/* Dense-evaluated change: record it, and feed downstream worklists
- * unless the whole frame is dense (then every node runs anyway).  A
- * single level can escalate to its straight-line body inside an
- * otherwise sparse frame when its queue is a large fraction of the
- * level, so later levels still rely on exact queues. */
-static __attribute__((noinline)) void onChangeD(Ctx *c, int32_t id)
 {
     c->out[c->nout++] = id;
     if (!c->fdense)
@@ -178,13 +218,13 @@ static uint64_t lvl_d_1(Ctx *c)
 {
     uint64_t ev = 0;
     // n11 w8 t0_val0
-    { ev++; uint64_t r = c->s[0]; r &= 0xffull; uint64_t *p = &c->s[11]; if (*p != r) { *p = r; onChangeD(c, 11); } }
+    { ev++; uint64_t r = c->s[0]; r &= 0xffull; uint64_t *p = &c->s[11]; if (*p != r) { *p = r; onChange(c, 11); } }
     // n12 w1 t0_ev2
-    { ev++; uint64_t r = c->s[6]; r &= 0x1ull; uint64_t *p = &c->s[12]; if (*p != r) { *p = r; onChangeD(c, 12); } }
+    { ev++; uint64_t r = c->s[6]; r &= 0x1ull; uint64_t *p = &c->s[12]; if (*p != r) { *p = r; onChange(c, 12); } }
     // n14 w1 t0_ev4
-    { ev++; uint64_t r = c->s[8]; r &= 0x1ull; uint64_t *p = &c->s[14]; if (*p != r) { *p = r; onChangeD(c, 14); } }
+    { ev++; uint64_t r = c->s[8]; r &= 0x1ull; uint64_t *p = &c->s[14]; if (*p != r) { *p = r; onChange(c, 14); } }
     // n18 w1
-    { ev++; uint64_t r = ~c->s[4]; r &= 0x1ull; uint64_t *p = &c->s[18]; if (*p != r) { *p = r; onChangeD(c, 18); } }
+    { ev++; uint64_t r = ~c->s[4]; r &= 0x1ull; uint64_t *p = &c->s[18]; if (*p != r) { *p = r; onChange(c, 18); } }
     return ev;
 }
 
@@ -192,11 +232,11 @@ static uint64_t lvl_d_2(Ctx *c)
 {
     uint64_t ev = 0;
     // n19 w1
-    { ev++; uint64_t r = c->s[18] | c->s[14]; r &= 0x1ull; uint64_t *p = &c->s[19]; if (*p != r) { *p = r; onChangeD(c, 19); } }
+    { ev++; uint64_t r = c->s[18] | c->s[14]; r &= 0x1ull; uint64_t *p = &c->s[19]; if (*p != r) { *p = r; onChange(c, 19); } }
     // n22 w1
-    { ev++; uint64_t r = c->s[7] | c->s[12]; r &= 0x1ull; uint64_t *p = &c->s[22]; if (*p != r) { *p = r; onChangeD(c, 22); } }
+    { ev++; uint64_t r = c->s[7] | c->s[12]; r &= 0x1ull; uint64_t *p = &c->s[22]; if (*p != r) { *p = r; onChange(c, 22); } }
     // n36 w8
-    { ev++; uint64_t r = (c->s[11] & 0xffull) + (0x1ull & 0xffull); r &= 0xffull; uint64_t *p = &c->s[36]; if (*p != r) { *p = r; onChangeD(c, 36); } }
+    { ev++; uint64_t r = (c->s[11] & 0xffull) + (0x1ull & 0xffull); r &= 0xffull; uint64_t *p = &c->s[36]; if (*p != r) { *p = r; onChange(c, 36); } }
     return ev;
 }
 
@@ -204,13 +244,13 @@ static uint64_t lvl_d_3(Ctx *c)
 {
     uint64_t ev = 0;
     // n9 w1 t0_ev0
-    { ev++; uint64_t r = c->s[19]; r &= 0x1ull; uint64_t *p = &c->s[9]; if (*p != r) { *p = r; onChangeD(c, 9); } }
+    { ev++; uint64_t r = c->s[19]; r &= 0x1ull; uint64_t *p = &c->s[9]; if (*p != r) { *p = r; onChange(c, 9); } }
     // n23 w1
-    { ev++; uint64_t r = c->s[22] & c->s[2]; r &= 0x1ull; uint64_t *p = &c->s[23]; if (*p != r) { *p = r; onChangeD(c, 23); } }
+    { ev++; uint64_t r = c->s[22] & c->s[2]; r &= 0x1ull; uint64_t *p = &c->s[23]; if (*p != r) { *p = r; onChange(c, 23); } }
     // n27 w8
-    { ev++; uint64_t r = c->s[22] ? c->s[3] : 0x0ull; r &= 0xffull; uint64_t *p = &c->s[27]; if (*p != r) { *p = r; onChangeD(c, 27); } }
+    { ev++; uint64_t r = c->s[22] ? c->s[3] : 0x0ull; r &= 0xffull; uint64_t *p = &c->s[27]; if (*p != r) { *p = r; onChange(c, 27); } }
     // n29 w1
-    { ev++; uint64_t r = 0x0ull | c->s[22]; r &= 0x1ull; uint64_t *p = &c->s[29]; if (*p != r) { *p = r; onChangeD(c, 29); } }
+    { ev++; uint64_t r = 0x0ull | c->s[22]; r &= 0x1ull; uint64_t *p = &c->s[29]; if (*p != r) { *p = r; onChange(c, 29); } }
     return ev;
 }
 
@@ -218,15 +258,15 @@ static uint64_t lvl_d_4(Ctx *c)
 {
     uint64_t ev = 0;
     // n13 w1 t0_ev3
-    { ev++; uint64_t r = c->s[23]; r &= 0x1ull; uint64_t *p = &c->s[13]; if (*p != r) { *p = r; onChangeD(c, 13); } }
+    { ev++; uint64_t r = c->s[23]; r &= 0x1ull; uint64_t *p = &c->s[13]; if (*p != r) { *p = r; onChange(c, 13); } }
     // n16 w8 io_pong_data
-    { ev++; uint64_t r = c->s[27]; r &= 0xffull; uint64_t *p = &c->s[16]; if (*p != r) { *p = r; onChangeD(c, 16); } }
+    { ev++; uint64_t r = c->s[27]; r &= 0xffull; uint64_t *p = &c->s[16]; if (*p != r) { *p = r; onChange(c, 16); } }
     // n17 w1 io_pong_valid
-    { ev++; uint64_t r = c->s[29]; r &= 0x1ull; uint64_t *p = &c->s[17]; if (*p != r) { *p = r; onChangeD(c, 17); } }
+    { ev++; uint64_t r = c->s[29]; r &= 0x1ull; uint64_t *p = &c->s[17]; if (*p != r) { *p = r; onChange(c, 17); } }
     // n20 w1
-    { ev++; uint64_t r = c->s[5] | c->s[9]; r &= 0x1ull; uint64_t *p = &c->s[20]; if (*p != r) { *p = r; onChangeD(c, 20); } }
+    { ev++; uint64_t r = c->s[5] | c->s[9]; r &= 0x1ull; uint64_t *p = &c->s[20]; if (*p != r) { *p = r; onChange(c, 20); } }
     // n39 w1
-    { ev++; uint64_t r = ~c->s[23]; r &= 0x1ull; uint64_t *p = &c->s[39]; if (*p != r) { *p = r; onChangeD(c, 39); } }
+    { ev++; uint64_t r = ~c->s[23]; r &= 0x1ull; uint64_t *p = &c->s[39]; if (*p != r) { *p = r; onChange(c, 39); } }
     return ev;
 }
 
@@ -234,11 +274,11 @@ static uint64_t lvl_d_5(Ctx *c)
 {
     uint64_t ev = 0;
     // n21 w1
-    { ev++; uint64_t r = c->s[20] & c->s[1]; r &= 0x1ull; uint64_t *p = &c->s[21]; if (*p != r) { *p = r; onChangeD(c, 21); } }
+    { ev++; uint64_t r = c->s[20] & c->s[1]; r &= 0x1ull; uint64_t *p = &c->s[21]; if (*p != r) { *p = r; onChange(c, 21); } }
     // n25 w1
-    { ev++; uint64_t r = 0x0ull | c->s[20]; r &= 0x1ull; uint64_t *p = &c->s[25]; if (*p != r) { *p = r; onChangeD(c, 25); } }
+    { ev++; uint64_t r = 0x0ull | c->s[20]; r &= 0x1ull; uint64_t *p = &c->s[25]; if (*p != r) { *p = r; onChange(c, 25); } }
     // n40 w1
-    { ev++; uint64_t r = c->s[22] & c->s[39]; r &= 0x1ull; uint64_t *p = &c->s[40]; if (*p != r) { *p = r; onChangeD(c, 40); } }
+    { ev++; uint64_t r = c->s[22] & c->s[39]; r &= 0x1ull; uint64_t *p = &c->s[40]; if (*p != r) { *p = r; onChange(c, 40); } }
     return ev;
 }
 
@@ -246,11 +286,11 @@ static uint64_t lvl_d_6(Ctx *c)
 {
     uint64_t ev = 0;
     // n10 w1 t0_ev1
-    { ev++; uint64_t r = c->s[21]; r &= 0x1ull; uint64_t *p = &c->s[10]; if (*p != r) { *p = r; onChangeD(c, 10); } }
+    { ev++; uint64_t r = c->s[21]; r &= 0x1ull; uint64_t *p = &c->s[10]; if (*p != r) { *p = r; onChange(c, 10); } }
     // n15 w1 io_ping_ack
-    { ev++; uint64_t r = c->s[25]; r &= 0x1ull; uint64_t *p = &c->s[15]; if (*p != r) { *p = r; onChangeD(c, 15); } }
+    { ev++; uint64_t r = c->s[25]; r &= 0x1ull; uint64_t *p = &c->s[15]; if (*p != r) { *p = r; onChange(c, 15); } }
     // n33 w1
-    { ev++; uint64_t r = ~c->s[21]; r &= 0x1ull; uint64_t *p = &c->s[33]; if (*p != r) { *p = r; onChangeD(c, 33); } }
+    { ev++; uint64_t r = ~c->s[21]; r &= 0x1ull; uint64_t *p = &c->s[33]; if (*p != r) { *p = r; onChange(c, 33); } }
     return ev;
 }
 
@@ -258,7 +298,7 @@ static uint64_t lvl_d_7(Ctx *c)
 {
     uint64_t ev = 0;
     // n34 w1
-    { ev++; uint64_t r = c->s[20] & c->s[33]; r &= 0x1ull; uint64_t *p = &c->s[34]; if (*p != r) { *p = r; onChangeD(c, 34); } }
+    { ev++; uint64_t r = c->s[20] & c->s[33]; r &= 0x1ull; uint64_t *p = &c->s[34]; if (*p != r) { *p = r; onChange(c, 34); } }
     return ev;
 }
 
@@ -278,8 +318,7 @@ static uint64_t do_eval(Ctx *c, int32_t *out, uint64_t *nout, int full)
         { uint64_t e = lvl_d_6(c); ev += e; c->lvl_ev[6] += e; }
         { uint64_t e = lvl_d_7(c); ev += e; c->lvl_ev[7] += e; }
         __builtin_memset(c->wbm, 0, sizeof(c->wbm));
-        for (uint32_t l = 0; l < kLevels; l++)
-            c->wn[l] = 0;
+        __builtin_memset(c->wn, 0, sizeof(c->wn));
         c->st.dense_frames++;
     } else {
         if (c->wn[1]) {
@@ -375,7 +414,9 @@ static uint64_t *k_net_ptr(void *ctx, int32_t net)
 {
     return ((Ctx *)ctx)->s + kOff[net];
 }
-static void k_poke(void *ctx, int32_t net)
+// Not inlined: the edge calls it too, and one copy of the enqueue
+// loop is cheaper to compile than two.
+static __attribute__((noinline)) void k_poke(void *ctx, int32_t net)
 {
     // Bits persist until drained, so pokes between frames simply
     // accumulate for the next eval.
@@ -395,15 +436,92 @@ static void k_stats(void *ctx, AnvilKernelStats *out)
 }
 static void k_level_stats(void *ctx, uint64_t *out)
 {
-    Ctx *c = (Ctx *)ctx;
-    for (uint32_t l = 0; l < kLevels; l++)
-        out[l] = c->lvl_ev[l];
+    __builtin_memcpy(out, ((Ctx *)ctx)->lvl_ev, kLevels * 8);
 }
 
+#define EDGE_FN static __attribute__((optimize("O1")))
+EDGE_FN inline uint64_t pop64(uint64_t x)
+{
+    x -= (x >> 1) & 0x5555555555555555ull;
+    x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+    return (x * 0x0101010101010101ull) >> 56;
+}
+
+/* Bits in which the n (>= 1) words at d differ from those at s, which
+ * then replace them. */
+EDGE_FN inline uint64_t flip_to(uint64_t *d, const uint64_t *s, uint32_t n)
+{
+    uint64_t f = 0;
+    for (uint32_t k = 0; k < (kWideEdge ? n : 1); k++) {
+        uint64_t x = d[k] ^ s[k];
+        if (x) {
+            f += pop64(x);
+            d[k] = s[k];
+        }
+    }
+    return f;
+}
+
+EDGE_FN uint64_t k_edge(void *ctx, const int32_t *changed,
+                        uint64_t n_changed, int32_t *regs,
+                        uint64_t *n_regs)
+{
+    Ctx *c = (Ctx *)ctx;
+    uint64_t tog = 0;
+    // Wire toggles: a wire absent from the changed list kept its value.
+    for (uint64_t i = 0; i < n_changed; i++) {
+        uint32_t id = (uint32_t)changed[i];
+        uint32_t w = id < kNets ? kWireOf[id] : 0;
+        if (w)
+            tog += flip_to(c->sh + kWire[w - 1][1], c->s + kWire[w - 1][0],
+                           kWire[w - 1][2]);
+    }
+    // Stage every firing update in declaration order: the last one
+    // to a register wins.
+    for (uint32_t u = 0; u < kUpdates; u++) {
+        const uint32_t *up = kUpd[u];
+        uint64_t en = c->s[up[0]];
+        for (uint32_t k = 1; kWideEdge && k < up[1]; k++)
+            en |= c->s[up[0] + k];
+        if (!en)
+            continue;
+        uint32_t r = up[4];
+        const uint32_t *g = kReg[r];
+        uint64_t *nx = c->nx + g[3];
+        nx[0] = c->s[up[2]];
+        for (uint32_t k = 1; kWideEdge && k < g[2]; k++)
+            nx[k] = k < up[3] ? c->s[up[2] + k] : 0;
+        nx[g[2] - 1] &= kRegTop[r];
+        c->tbm[r >> 6] |= 1ull << (r & 63);
+    }
+    // Commit the staged registers in ascending order; only those that
+    // moved count flips and wake their consumers.
+    uint64_t n = 0;
+    for (uint32_t wi = 0; wi < kRegBmWords; wi++) {
+        uint64_t w = c->tbm[wi];
+        c->tbm[wi] = 0;
+        while (w) {
+            uint32_t r = (wi << 6) + (uint32_t)__builtin_ctzll(w);
+            w &= w - 1;
+            const uint32_t *g = kReg[r];
+            uint64_t f = flip_to(c->s + g[1], c->nx + g[3], g[2]);
+            if (f) {
+                tog += f;
+                k_poke(c, (int32_t)g[0]);
+                regs[n++] = (int32_t)g[0];
+            }
+        }
+    }
+    *n_regs = n;
+    return tog;
+}
+static uint64_t *k_shadow_ptr(void *ctx) { return ((Ctx *)ctx)->sh; }
+
 static const AnvilKernel kKernel = {
-    3u, kNets, 0xdc86a9e7102982f5ull, kStateWords,
+    4u, kNets, 0xdc86a9e7102982f5ull, kStateWords,
     k_create, k_destroy, k_net_ptr, k_poke, k_eval, k_eval_full, k_stats,
-    kLevels, k_level_stats,
+    kLevels, k_level_stats, k_edge, k_shadow_ptr,
 };
 
 } // namespace

@@ -112,6 +112,9 @@ TEST(CppEmitter, QuickstartUnitCarriesOnlyReachableCode)
     // always escalate to their dense body.
     EXPECT_EQ(countOf(unit, "static uint64_t lvl_s_"), 1u);
     EXPECT_EQ(countOf(unit, "lvl_s_4("), 2u);   // definition + call
+    // Every wire, update and register fits a word, so the edge's
+    // multi-word loops fold away.
+    EXPECT_NE(unit.find("kWideEdge = 0u"), std::string::npos);
 }
 
 TEST(CppEmitter, WideDesignCarriesWidePrelude)
@@ -123,8 +126,9 @@ TEST(CppEmitter, WideDesignCarriesWidePrelude)
               std::string::npos);
     EXPECT_NE(unit.find("static inline void w_store("),
               std::string::npos);
-    EXPECT_NE(unit.find("static inline void w_stored("),
-              std::string::npos);
+    // aes has registers wider than 64 bits: the edge keeps its
+    // multi-word loops.
+    EXPECT_NE(unit.find("kWideEdge = 1u"), std::string::npos);
 }
 
 TEST(CppEmitter, KernelAbiMatchesNetlist)

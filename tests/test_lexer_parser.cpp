@@ -263,8 +263,10 @@ TEST(Parser, OutOfRangeNumbersAreDiagnosed)
     };
     for (const Case &c : {
              Case{"proc p() { loop { cycle 4294967296 } }",
-                  "cycle count 4294967296 is out of range [0, 2147483647]",
+                  "cycle count 4294967296 is out of range [0, 65535]",
                   25},
+             Case{"proc p() { loop { cycle 65536 } }",
+                  "cycle count 65536 is out of range [0, 65535]", 25},
              Case{"proc p() { reg r : logic[4294967297]; loop { cycle 1 } }",
                   "bit width 4294967297 is out of range [1, 65536]", 26},
              Case{"proc p() { reg r : logic[0]; loop { cycle 1 } }",
@@ -285,6 +287,10 @@ TEST(Parser, OutOfRangeNumbersAreDiagnosed)
         EXPECT_EQ(d.all()[0].message, c.message);
         EXPECT_EQ(d.all()[0].loc.col, c.col) << c.src;
     }
+    // The largest count still parses.
+    DiagEngine ok;
+    parseAnvil("proc p() { loop { cycle 65535 } }", ok);
+    EXPECT_FALSE(ok.hasErrors()) << ok.render();
 }
 
 TEST(Parser, DuplicateDefinitionsRejected)

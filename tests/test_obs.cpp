@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -384,6 +385,58 @@ TEST(Profiler, ChromeTraceParsesBackWellFormed)
             t.find("events")->asDouble());
     // Every buffered complete event is accounted to some track.
     EXPECT_EQ(track_events, complete);
+}
+
+TEST(Profiler, TimesOneCycleInSixteen)
+{
+    tb::Testbench bench(pingModule(), 7);
+    bench.driveRandom("io_ping_valid");
+    bench.driveRandom("io_ping_data");
+    bench.driveRandom("io_pong_ack");
+    bench.coverage();
+
+    obs::TraceProfiler prof(true);
+    bench.sim().setTelemetry(&prof);
+    bench.feed().setProfiler(&prof);
+    bench.run(50);
+    bench.sim().setTelemetry(nullptr);
+    bench.feed().setProfiler(nullptr);
+
+    std::ostringstream os;
+    prof.writeJson(os);
+    json::ParseResult doc = json::parse(os.str());
+    ASSERT_TRUE(doc.ok()) << doc.error;
+    std::map<std::string, std::string> track_of;   // tid -> name
+    std::map<std::string, std::vector<uint64_t>> cycles;   // by track
+    for (const json::Value &e : doc.value.find("traceEvents")->arr) {
+        std::string tid = e.find("tid")->num;
+        if (e.find("ph")->str == "M")
+            track_of[tid] = e.find("args")->find("name")->str;
+        else
+            cycles[tid].push_back(static_cast<uint64_t>(
+                e.find("args")->find("cycle")->asDouble()));
+    }
+    std::map<std::string, std::vector<uint64_t>> by_name;
+    for (const auto &[tid, cyc] : cycles)
+        by_name[track_of[tid]] = cyc;
+    // The simulator times the cycles where cycle % 16 == 0 ...
+    EXPECT_EQ(by_name["commit"], (std::vector<uint64_t>{0, 16, 32, 48}));
+    // ... and the feed every prime plus a hashed one cycle in 16, so
+    // a cost recurring every 16th or 64th cycle is not over-weighted.
+    EXPECT_EQ(by_name["obs:coverage"],
+              (std::vector<uint64_t>{0, 13, 34, 47}));
+
+    // Totals extrapolate the timed windows; visit counts stay exact.
+    for (const auto &t : prof.totals())
+        if (t.name == "commit") {
+            EXPECT_EQ(t.count, 4u);
+            EXPECT_GT(t.ns, 0u);
+        }
+    for (const obs::ObserverCost &c : bench.feed().costs()) {
+        EXPECT_EQ(c.visits, 50u);
+        EXPECT_EQ(c.primes, 1u);
+        EXPECT_GT(c.ns, 0u);
+    }
 }
 
 TEST(Profiler, TotalsAccumulateWithoutRecording)

@@ -43,6 +43,9 @@ struct ModeRun
 {
     std::vector<std::string> regs;
     uint64_t toggles = 0;
+    /** captureRegs() and totalToggles() after every step(). */
+    std::vector<std::vector<BitVec>> regs_at;
+    std::vector<uint64_t> toggles_at;
     std::vector<std::string> log;
     std::string vcd;
     std::string cov;
@@ -87,13 +90,15 @@ runMode(const ModulePtr &mod, SweepMode mode, int cycles,
     std::ostringstream vcd_os;
     VcdWriter vcd(sim, vcd_os);
     tb::Coverage cov;
+    ModeRun r;
     for (int cyc = 0; cyc < cycles; cyc++) {
         drive(sim, cyc);
         cov.sample(sim);
         vcd.sample();
         sim.step();
+        r.regs_at.push_back(sim.captureRegs());
+        r.toggles_at.push_back(sim.totalToggles());
     }
-    ModeRun r;
     for (const BitVec &v : sim.captureRegs())
         r.regs.push_back(v.toHex());
     r.toggles = sim.totalToggles();
@@ -104,6 +109,20 @@ runMode(const ModulePtr &mod, SweepMode mode, int cycles,
         r.reg_hits.push_back(rb.hits);
     r.stats = sim.sweepStats();
     return r;
+}
+
+/** Registers and toggles after every step() agree, up to the first
+ *  cycle where they do not. */
+void
+expectSameEdges(const ModeRun &want, const ModeRun &got)
+{
+    ASSERT_EQ(want.regs_at.size(), got.regs_at.size());
+    for (size_t cyc = 0; cyc < want.regs_at.size(); cyc++) {
+        ASSERT_EQ(want.regs_at[cyc], got.regs_at[cyc])
+            << "registers after cycle " << cyc;
+        ASSERT_EQ(want.toggles_at[cyc], got.toggles_at[cyc])
+            << "toggles after cycle " << cyc;
+    }
 }
 
 /**
@@ -132,6 +151,10 @@ expectModesAgree(const ModulePtr &mod, int cycles,
     const ModeRun &full = runs[0];
     for (size_t i = 1; i < runs.size(); i++) {
         SCOPED_TRACE(mod->name + " mode#" + std::to_string(i));
+        // The compiled rows commit their clock edges in the kernel:
+        // pin every edge, not only where the run ends.
+        if (i >= 2)
+            expectSameEdges(full, runs[i]);
         EXPECT_EQ(full.regs, runs[i].regs);
         EXPECT_EQ(full.toggles, runs[i].toggles);
         EXPECT_EQ(full.log, runs[i].log);
@@ -815,6 +838,186 @@ TEST(NextRegs, FaultsLikeTheEdge)
                       [&] { probe.nextRegs(next.data()); }),
                   edge);
     }
+}
+
+/**
+ * The kernel's clock edge against the interpreter's, edge by edge: an
+ * interpreter Sim and a twin stepped under the same stimulus must hold
+ * equal registers, toggles and logs after every step().  The twin
+ * runs `attach_at` cycles on the interpreter before its kernel
+ * attaches (0: from the start), and attaches a fresh context again
+ * at `reattach_at` when that is set.
+ */
+void
+expectKernelEdgeMatches(const ModulePtr &mod, int cycles,
+                        const std::function<DriveFn()> &make_drive,
+                        int attach_at = 0, int reattach_at = -1)
+{
+    SCOPED_TRACE(mod->name + " attach at " + std::to_string(attach_at));
+    Sim interp(mod), twin(mod);
+    DriveFn da = make_drive(), db = make_drive();
+    for (int cyc = 0; cyc < cycles; cyc++) {
+        if (cyc == attach_at || cyc == reattach_at) {
+            attachJitKernel(twin);
+            ASSERT_TRUE(twin.kernelAttached());
+        }
+        da(interp, cyc);
+        db(twin, cyc);
+        interp.step();
+        twin.step();
+        ASSERT_EQ(interp.captureRegs(), twin.captureRegs())
+            << "registers after cycle " << cyc;
+        ASSERT_EQ(interp.totalToggles(), twin.totalToggles())
+            << "toggles after cycle " << cyc;
+        ASSERT_EQ(interp.log(), twin.log()) << "log after cycle " << cyc;
+    }
+    EXPECT_GT(twin.totalToggles(), 0u);
+}
+
+TEST(KernelEdge, RegistersWiderThan64Bits)
+{
+    if (!haveJitCompiler())
+        GTEST_SKIP() << "no system compiler available";
+    // A 100-bit accumulator and a 130-bit shift register, committed
+    // through multi-word staging, plus a 72-bit wire whose toggles
+    // span two shadow words.
+    auto m = std::make_shared<Module>();
+    m->name = "wide_edge";
+    auto en = m->input("en", 1);
+    auto d = m->input("d", 64);
+    auto acc = m->reg("acc", 100);
+    auto sh = m->reg("sh", 130);
+    m->wire("mix", concat({slice(d, 0, 8), d}));
+    m->update("acc", en, acc + concat({slice(d, 0, 36), d}));
+    m->update("sh", cst(1, 1), concat({slice(sh, 0, 66), d}));
+    m->print(en, "acc", acc);
+    Sim probe(m);
+    EXPECT_EQ(probe.netlist().net(probe.netlist().regs()[0]).width, 100);
+    expectKernelEdgeMatches(m, 200, denseStimulus(50));
+    // aes: 128-bit state rows under dense random stimulus.
+    expectKernelEdgeMatches(designs::buildAesBaseline(), 40,
+                            denseStimulus(51));
+}
+
+TEST(KernelEdge, LastFiringUpdateWins)
+{
+    if (!haveJitCompiler())
+        GTEST_SKIP() << "no system compiler available";
+    // Two guarded updates of one register, narrow and wide: when both
+    // fire, the later declaration is what the kernel commits.
+    auto m = std::make_shared<Module>();
+    m->name = "twice";
+    auto a = m->input("a", 1);
+    auto b = m->input("b", 1);
+    auto d = m->input("d", 8);
+    auto r = m->reg("r", 8);
+    auto w = m->reg("w", 100);
+    m->update("r", a, d);
+    m->update("r", b, d + cst(8, 1));
+    m->update("w", a, concat({d, slice(w, 0, 92)}));
+    m->update("w", b, ~w);
+    auto drive = []() -> DriveFn {
+        return [](Sim &sim, int cyc) {
+            sim.setInput("a", static_cast<uint64_t>(cyc & 1));
+            sim.setInput("b", static_cast<uint64_t>((cyc >> 1) & 1));
+            sim.setInput("d", static_cast<uint64_t>(cyc * 37));
+        };
+    };
+    expectKernelEdgeMatches(m, 64, drive);
+
+    Sim sim(m);
+    attachJitKernel(sim);
+    ASSERT_TRUE(sim.kernelAttached());
+    DriveFn dr = drive();
+    for (int cyc = 0; cyc < 16; cyc++) {
+        dr(sim, cyc);
+        sim.step();
+        if ((cyc & 3) == 3) {
+            EXPECT_EQ(sim.regValue("r").toUint64(),
+                      static_cast<uint64_t>(cyc * 37 + 1) & 0xff);
+        }
+    }
+}
+
+TEST(KernelEdge, LazyUpdateOperands)
+{
+    if (!haveJitCompiler())
+        GTEST_SKIP() << "no system compiler available";
+    // p and q close a structural loop that the mux never takes while
+    // sel is 0, so both are lazy: the update's enable and value are
+    // evaluated host-side and handed to the kernel's edge.
+    auto m = std::make_shared<Module>();
+    m->name = "lazy_ops";
+    auto x = m->input("x", 8);
+    auto sel = m->input("sel", 1);
+    auto r = m->reg("r", 8);
+    auto c = m->reg("c", 4);
+    m->wire("p", mux(sel, ref("q", 8), x ^ slice(c, 0, 4)));
+    m->wire("q", ref("p", 8) + cst(8, 1));
+    m->update("r", slice(ref("p", 8), 0, 1), ref("q", 8));
+    m->update("c", cst(1, 1), c + cst(4, 1));
+    Sim probe(m);
+    const Netlist &nl = probe.netlist();
+    ASSERT_EQ(nl.updates().size(), 2u);
+    EXPECT_TRUE(nl.net(nl.updates()[0].enable).lazy);
+    EXPECT_TRUE(nl.net(nl.updates()[0].value).lazy);
+    auto drive = []() -> DriveFn {
+        auto rng = std::make_shared<std::mt19937_64>(52);
+        return [rng](Sim &sim, int) {
+            sim.setInput("x", (*rng)());
+            sim.setInput("sel", 0);
+        };
+    };
+    expectKernelEdgeMatches(m, 200, drive);
+}
+
+TEST(KernelEdge, AttachMidRunContinues)
+{
+    if (!haveJitCompiler())
+        GTEST_SKIP() << "no system compiler available";
+    // 100 cycles on the interpreter, then the kernel takes over: the
+    // registers and the toggle count carry on without a jump, also
+    // across a second attach that replaces the first context.
+    expectKernelEdgeMatches(designs::buildFifoBaseline(), 250,
+                            denseStimulus(53), 100, 175);
+    expectKernelEdgeMatches(designs::buildTlbBaseline(), 250,
+                            sparseStimulus(54, 8), 100);
+    auto tlb_drive = []() -> DriveFn {
+        auto stim =
+            std::make_shared<anvil::testing::TlbStimulus>(1234);
+        return [stim](Sim &sim, int) {
+            for (const auto &[name, v] : stim->next())
+                sim.setInput(name, v);
+        };
+    };
+    expectKernelEdgeMatches(designs::buildSetAssocTlbBaseline(4, 32), 300,
+                            tlb_drive, 100);
+}
+
+TEST(KernelEdge, UnknownRegisterFaultsLikeTheInterpreter)
+{
+    if (!haveJitCompiler())
+        GTEST_SKIP() << "no system compiler available";
+    auto m = std::make_shared<Module>();
+    m->name = "ghost";
+    auto en = m->input("en", 1);
+    auto r = m->reg("r", 4);
+    m->update("r", cst(1, 1), r + cst(4, 1));
+    m->update("ghost", en, cst(4, 3));
+    Sim interp(m), compiled(m);
+    attachJitKernel(compiled);
+    ASSERT_TRUE(compiled.kernelAttached());
+    interp.step();
+    compiled.step();
+    EXPECT_EQ(compiled.captureRegs()[0].toUint64(), 1u);
+    interp.setInput("en", 1);
+    compiled.setInput("en", 1);
+    std::string want = thrownMessage<std::invalid_argument>(
+        [&] { interp.step(); });
+    EXPECT_NE(want.find("ghost"), std::string::npos) << want;
+    EXPECT_EQ(thrownMessage<std::invalid_argument>(
+                  [&] { compiled.step(); }),
+              want);
 }
 
 TEST(SweepModes, FanoutCsrMatchesOperands)
