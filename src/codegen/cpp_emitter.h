@@ -2,37 +2,32 @@
  * @file
  * Compile-to-C++ netlist backend: lowers the strict combinational
  * portion of a levelized rtl::Netlist to a self-contained C++
- * translation unit implementing the AnvilKernel ABI
- * (rtl/kernel_abi.h).
+ * translation unit that exports the level functions of the
+ * AnvilKernel ABI (rtl/kernel_abi.h).
  *
- * Layout of the emitted unit (see docs/compile.md):
- *  - the interpreter's fan-out CSR compiled in as static tables
- *    (consumer lists, per-node level/slot, bitmap word offsets);
+ * The unit carries only design-specific code (see docs/compile.md):
  *  - a straight-line dense function per logic level for
  *    high-activity frames, plus — only for levels of more than four
  *    nodes, the only ones a sparse frame can drain node by node — a
  *    sparse one draining the level's exact occupancy bitmap in
- *    ascending slot order through a dense jump table; whole frames
- *    flip with the same ~50%/40% hysteresis as the interpreter, and
- *    a single crowded level (≥ 25% queued) escalates to its dense
- *    body inside a sparse frame;
+ *    ascending slot order through a dense jump table;
  *  - the u64 fast lane lowered to native integer arithmetic, wide
  *    values to packed-word helper calls, which are emitted only when
  *    some node is wide;
- *  - change-cutting at every store: an unchanged value queues no
- *    consumers, and eval()'s changed-net list is exact;
- *  - registers, inputs, and constants as a flat packed-word state
- *    array indexed by per-net offsets;
- *  - the clock edge as one loop over static wire, update and register
- *    tables: wire toggles against per-context shadow words, firing
- *    updates staged in declaration order, changed registers committed
- *    and their consumers queued.
+ *  - change-cutting at every store: an unchanged value does not call
+ *    the host's change hook;
+ *  - the design's ROMs as static tables;
+ *  - state words addressed at the offsets of rtl::kernelLayout(), the
+ *    layout the host (rtl::KernelHost) allocates.
+ * The level walk and its escalation rule, the dense-fallback
+ * hysteresis, the change hook's consumer tables, pokes, statistics and
+ * the clock edge are precompiled host code (rtl/kernel_host.h).
  *
- * The unit includes no headers and needs no runtime library: its only
- * external symbols are libc's calloc, free and mem*, which bind to the
+ * The unit includes no headers and needs no runtime library; a unit
+ * with a wide node may reference libc's mem*, which binds to the
  * loading process.  The dump compiles standalone
  * (`c++ -O2 -fPIC -shared -nostdlib`); the JIT (codegen/jit.h)
- * automates compile + dlopen + hash validation.
+ * automates compile + dlopen + validation.
  */
 
 #ifndef ANVIL_CODEGEN_CPP_EMITTER_H
@@ -40,6 +35,7 @@
 
 #include <string>
 
+#include "rtl/kernel_host.h"
 #include "rtl/netlist.h"
 
 namespace anvil {
@@ -55,9 +51,12 @@ namespace codegen {
  * struct and `anvil_kernel` entry symbol; v5: no headers (builtin
  * typedefs and mem*, declared calloc/free), sparse drains only for
  * levels that can run them, wide helpers only when a node is wide;
- * v6: ABI v4, the table-driven clock edge (edge() and shadow_ptr()).
+ * v6: ABI v4, the table-driven clock edge (edge() and shadow_ptr());
+ * v7: ABI v5, node-only units: the level walk, lifecycle, change hook,
+ * statistics and clock edge move to the host (rtl::KernelHost), and
+ * the unit exports per-level dense and sparse function tables.
  */
-constexpr int kCppEmitterVersion = 6;
+constexpr int kCppEmitterVersion = 7;
 
 /**
  * Emit `nl` as a C++ kernel translation unit.  `design_name` only
@@ -65,6 +64,12 @@ constexpr int kCppEmitterVersion = 6;
  * the embedded rtl::designHash.
  */
 std::string emitCppKernel(const rtl::Netlist &nl,
+                          const std::string &design_name);
+
+/** The same, at the offsets of an already built kernelLayout(nl)
+ *  (the JIT builds it once for the unit and the host). */
+std::string emitCppKernel(const rtl::Netlist &nl,
+                          const rtl::KernelLayout &layout,
                           const std::string &design_name);
 
 } // namespace codegen

@@ -147,8 +147,10 @@ jitCompileKernel(const rtl::Netlist &nl, const JitOptions &opts)
     std::string src = dir + "/kernel.cpp";
     std::string so = dir + "/kernel.so";
     std::string err = dir + "/cc.err";
+    auto layout =
+        std::make_shared<const rtl::KernelLayout>(rtl::kernelLayout(nl));
     {
-        std::string unit = emitCppKernel(nl, "jit");
+        std::string unit = emitCppKernel(nl, *layout, "jit");
         res.source_bytes = unit.size();
         std::ofstream out(src);
         out << unit;
@@ -166,12 +168,12 @@ jitCompileKernel(const rtl::Netlist &nl, const JitOptions &opts)
     int opt = opts.opt_level;
     if (opt > 1 && res.source_bytes > 2u << 20)
         opt = 1;
-    // -nostdlib links no crt files, libstdc++ or libgcc: the unit's
-    // libc references (calloc, free, mem*) bind to this process at
-    // dlopen, and a symbol the process cannot supply fails the
-    // RTLD_NOW load, hence an interpreter fallback.  Nothing unwinds
-    // through a kernel (no exceptions, no callbacks), so it carries no
-    // unwind tables, which saves about 5% of the compile.
+    // -nostdlib links no crt files, libstdc++ or libgcc: a wide
+    // unit's libc references (mem*) bind to this process at dlopen,
+    // and a symbol the process cannot supply fails the RTLD_NOW load,
+    // hence an interpreter fallback.  Nothing unwinds through a kernel
+    // (no exceptions, no callbacks), so it carries no unwind tables,
+    // which saves about 5% of the compile.
     std::string cmd = strfmt(
         "%s -std=c++17 -O%d -fPIC -shared -nostdlib -fno-exceptions "
         "-fno-rtti -fno-asynchronous-unwind-tables -g0 -o %s %s 2> %s",
@@ -222,14 +224,13 @@ jitCompileKernel(const rtl::Netlist &nl, const JitOptions &opts)
         ::dlclose(dl);
         return res;
     }
-    if (abi->design_hash != hash ||
-        abi->net_count != nl.nets().size()) {
-        res.error = "kernel design hash mismatch";
+    if (abi->design_hash != hash || !layout->fits(*abi)) {
+        res.error = "kernel does not match the netlist";
         ::dlclose(dl);
         return res;
     }
 
-    res.kernel = std::make_shared<CompiledKernel>(dl, abi);
+    res.kernel = std::make_shared<CompiledKernel>(dl, abi, layout);
     res.compile_ns = rtl::monotonicNanos() - t0;
     std::lock_guard<std::mutex> lock(g_cache_mu);
     g_cache.emplace(key, res.kernel);
@@ -242,6 +243,7 @@ kernelRef(const std::shared_ptr<CompiledKernel> &k)
     rtl::KernelRef ref;
     if (k) {
         ref.abi = k->abi();
+        ref.layout = k->layout();
         ref.hold = k;
     }
     return ref;

@@ -1,12 +1,15 @@
 /**
  * @file
- * In-process JIT for the compile-to-C++ backend: emit the netlist as
- * a kernel translation unit (codegen/cpp_emitter.h), invoke the
- * system C++ compiler to build a shared object, dlopen it, and hand
- * back a validated AnvilKernel ready for rtl::Sim::attachKernel.
- * The unit includes no headers and links with -nostdlib, so a cold
- * compile pays for neither; its few libc references (calloc, free,
- * mem*) bind to the host process at dlopen(RTLD_NOW).
+ * In-process JIT for the compile-to-C++ backend: build the netlist's
+ * kernel layout (rtl::kernelLayout), emit the netlist's level
+ * functions at that layout's offsets as a translation unit
+ * (codegen/cpp_emitter.h), invoke the system C++ compiler to build a
+ * shared object, dlopen it, and hand back the validated unit with the
+ * layout, ready for rtl::Sim::attachKernel, whose rtl::KernelHost
+ * runs everything else (level walk, pokes, clock edge) as precompiled
+ * code.  The unit includes no headers and links with -nostdlib, so a
+ * cold compile pays for neither; a wide design's mem* references
+ * bind to the host process at dlopen(RTLD_NOW).
  *
  * Lifecycle (see docs/compile.md): the source and shared object live
  * in a mkdtemp directory that is deleted as soon as the object is
@@ -31,6 +34,7 @@
 #include "codegen/cpp_emitter.h"
 #include "rtl/interp.h"
 #include "rtl/kernel_abi.h"
+#include "rtl/kernel_host.h"
 #include "rtl/netlist.h"
 
 namespace anvil {
@@ -48,12 +52,14 @@ struct JitOptions
     int emitter_tag = kCppEmitterVersion;
 };
 
-/** A dlopen'd kernel; closes the library when the last ref drops. */
+/** A dlopen'd kernel unit and the layout it was emitted against;
+ *  closes the library when the last ref drops. */
 class CompiledKernel
 {
   public:
-    CompiledKernel(void *dl, const AnvilKernel *abi)
-        : _dl(dl), _abi(abi)
+    CompiledKernel(void *dl, const AnvilKernel *abi,
+                   std::shared_ptr<const rtl::KernelLayout> layout)
+        : _dl(dl), _abi(abi), _layout(std::move(layout))
     {
     }
     ~CompiledKernel();
@@ -61,10 +67,15 @@ class CompiledKernel
     CompiledKernel &operator=(const CompiledKernel &) = delete;
 
     const AnvilKernel *abi() const { return _abi; }
+    const std::shared_ptr<const rtl::KernelLayout> &layout() const
+    {
+        return _layout;
+    }
 
   private:
     void *_dl = nullptr;
     const AnvilKernel *_abi = nullptr;
+    std::shared_ptr<const rtl::KernelLayout> _layout;
 };
 
 struct JitResult

@@ -48,7 +48,7 @@ buildHotReport(rtl::Sim &sim, size_t top_n)
     rep.cycles = sim.cycle();
 
     // --- Per-level rows ---------------------------------------------
-    // A kernel owns the strict sweep, so its level_stats() export is the
+    // A kernel owns the strict sweep, so its per-level counts are the
     // authoritative level attribution there; the interpreter's rows
     // are summed from the per-net counters.
     const auto &order = nl.order();

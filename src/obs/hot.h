@@ -17,8 +17,8 @@
  *
  * With a compiled kernel attached the per-net counters stay at the
  * interpreter's (the kernel runs strict nets itself); the per-level
- * rows then come from the kernel's own level_stats() export,
- * so level attribution covers both backends.
+ * rows then come from the kernel's own per-level counts
+ * (Sim::kernelLevelEvals), so level attribution covers both backends.
  *
  * Surfaced as `anvilc --profile-hot` (human table + "anvil-hot-v1"
  * JSON, docs/schemas/hot.schema.json) and as hot.* metrics.
@@ -64,7 +64,7 @@ struct HotReport
 
     uint64_t cycles = 0;
     uint64_t total_evals = 0;
-    /** Level rows came from an attached kernel's level_stats(). */
+    /** Level rows came from an attached kernel's per-level counts. */
     bool from_kernel = false;
 
     std::vector<LevelRow> levels;

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <stdexcept>
 
+#include "rtl/kernel_host.h"
+
 namespace anvil {
 namespace rtl {
 
@@ -15,14 +17,6 @@ storeWords(const BitVec &v, uint64_t *w)
 {
     for (int k = 0; k < v.words(); k++)
         w[k] = v.word(k);
-}
-
-/** Words a value of `width` bits takes in a kernel's state:
- *  ceil(width/64), at least one. */
-size_t
-slotWords(int width)
-{
-    return width <= 0 ? 1 : static_cast<size_t>((width + 63) / 64);
 }
 
 } // namespace
@@ -176,11 +170,7 @@ Sim::Sim(std::shared_ptr<const Module> top,
             _ghost_updates.push_back(static_cast<int32_t>(u));
 }
 
-Sim::~Sim()
-{
-    if (_kctx)
-        _kernel.abi->destroy(_kctx);
-}
+Sim::~Sim() = default;
 
 void
 Sim::setSweepMode(SweepMode mode, int)
@@ -196,13 +186,11 @@ Sim::setSweepMode(SweepMode mode, int)
 const SweepStats &
 Sim::sweepStats() const
 {
-    if (_kctx) {
-        // The kernel schedules internally (worklists + its own dense
+    if (_khost) {
+        // The kernel schedules itself (worklists + its own dense
         // fallback); surface its counters alongside the host's.
-        AnvilKernelStats ks;
-        _kernel.abi->stats(_kctx, &ks);
-        _stats.kernel_dense_frames = ks.dense_frames;
-        _stats.kernel_fallback_switches = ks.fallback_switches;
+        _stats.kernel_dense_frames = _khost->denseFrames();
+        _stats.kernel_fallback_switches = _khost->fallbackSwitches();
     }
     return _stats;
 }
@@ -218,12 +206,7 @@ Sim::setEvalCounting(bool on)
 std::vector<uint64_t>
 Sim::kernelLevelEvals() const
 {
-    std::vector<uint64_t> out;
-    if (_kctx && _kernel.abi->level_count) {
-        out.resize(_kernel.abi->level_count, 0);
-        _kernel.abi->level_stats(_kctx, out.data());
-    }
-    return out;
+    return _khost ? _khost->levelEvals() : std::vector<uint64_t>();
 }
 
 const NetSignal *
@@ -248,27 +231,26 @@ Sim::seedSource(NetId id)
 {
     _seeds.push_back(id);
     _poke_tick++;
-    if (_kctx) {
+    if (_khost) {
         // A poke (setInput, setRegValue, loadRegs): mirror the new
-        // value into the kernel's state array and queue its
+        // value into the kernel's state words and queue its
         // consumers.  The kernel's own edge commits never pass here.
         size_t i = static_cast<size_t>(id);
         storeWords(_val[i], _kptr[i]);
-        _kernel.abi->poke(_kctx, static_cast<int32_t>(id));
+        _khost->poke(id);
     }
 }
 
 bool
 Sim::attachKernel(const KernelRef &kernel)
 {
-    if (!kernel.abi ||
+    if (!kernel.abi || !kernel.layout ||
         kernel.abi->abi_version != ANVIL_KERNEL_ABI_VERSION ||
         kernel.abi->design_hash != designHash(_nl) ||
-        kernel.abi->net_count != _nl.nets().size())
+        kernel.abi->net_count != _nl.nets().size() ||
+        !kernel.layout->fits(*kernel.abi))
         return false;
-    void *ctx = kernel.abi->create();
-    if (!ctx)
-        return false;
+    auto host = std::make_unique<KernelHost>(*kernel.abi, kernel.layout);
     // The kernel starts from this Sim's values, strict nets included,
     // so its first (dense) sweep reports exactly the nets that moved
     // since the last edge, and from the wire values that edge saw, so
@@ -276,28 +258,22 @@ Sim::attachKernel(const KernelRef &kernel)
     size_t nets = _nl.nets().size();
     for (size_t i = 0; i < nets; i++)
         storeWords(valOf(static_cast<NetId>(i)),
-                   kernel.abi->net_ptr(ctx, static_cast<int32_t>(i)));
+                   host->netPtr(static_cast<NetId>(i)));
     if (_toggles_primed) {
-        uint64_t *sh = kernel.abi->shadow_ptr(ctx);
-        if (_kctx) {
-            size_t words = 0;
-            for (NetId w : _nl.wireNets())
-                words += slotWords(_nl.net(w).width);
-            std::copy_n(_kernel.abi->shadow_ptr(_kctx), words, sh);
-        } else {
-            packWires(sh);
-        }
+        if (_khost)
+            std::copy_n(_khost->shadow(), kernel.layout->shadow_words,
+                        host->shadow());
+        else
+            packWires(host->shadow());
     }
-    if (_kctx)
-        _kernel.abi->destroy(_kctx);
     _kernel = kernel;
-    _kctx = ctx;
+    _khost = std::move(host);
     _kchanged.assign(nets, 0);
     _kregs.assign(_nl.regs().size(), 0);
     _kstale.assign(_val.size(), 0);
     _kptr.resize(nets);
     for (size_t i = 0; i < nets; i++)
-        _kptr[i] = kernel.abi->net_ptr(ctx, static_cast<int32_t>(i));
+        _kptr[i] = _khost->netPtr(static_cast<NetId>(i));
     _need_full = true;
     _dirty = true;
     return true;
@@ -330,9 +306,7 @@ Sim::sweepKernel()
 {
     bool full = _need_full || _mode == SweepMode::Full;
     uint64_t n = 0;
-    uint64_t ev = full
-        ? _kernel.abi->eval_full(_kctx, _kchanged.data(), &n)
-        : _kernel.abi->eval(_kctx, _kchanged.data(), &n);
+    uint64_t ev = _khost->eval(_kchanged.data(), &n, full);
     _frame_evals += ev;
     _seeds.clear();
     _need_full = false;
@@ -740,7 +714,7 @@ Sim::sweep()
     _gen++;
     bool timed = timedCycle();
     uint64_t t0 = timed ? monotonicNanos() : 0;
-    if (_kctx) {
+    if (_khost) {
         sweepKernel();
         _stats.kernel_frames++;
         _dirty = false;
@@ -831,7 +805,7 @@ Sim::step(int n)
 
         bool timed = timedCycle();
         uint64_t t0 = timed ? monotonicNanos() : 0;
-        if (_kctx)
+        if (_khost)
             edgeKernel();
         else
             edgeHost();
@@ -959,7 +933,7 @@ Sim::edgeHost()
 
 /**
  * The clock edge on the compiled backend.  The kernel counts the
- * toggles and stages and commits the registers (AnvilKernel::edge);
+ * toggles and stages and commits the registers (KernelHost::edge);
  * the host raises the edge's faults, hands the kernel the lazy values
  * it evaluated, logs the prints, and records the committed registers.
  */
@@ -977,14 +951,14 @@ Sim::edgeKernel()
                    _kptr[static_cast<size_t>(id)]);
     if (!_toggles_primed) {
         primeToggles();
-        packWires(_kernel.abi->shadow_ptr(_kctx));
+        packWires(_khost->shadow());
     }
     logPrints();
 
     uint64_t n = 0;
-    _total_toggles += _kernel.abi->edge(_kctx, _frame_changed.data(),
-                                        _frame_changed.size(),
-                                        _kregs.data(), &n);
+    _total_toggles += _khost->edge(_frame_changed.data(),
+                                   _frame_changed.size(), _kregs.data(),
+                                   &n);
     rollFrame();
     for (uint64_t k = 0; k < n; k++) {
         NetId r = _kregs[static_cast<size_t>(k)];
@@ -1014,7 +988,7 @@ Sim::packWires(uint64_t *out) const
 {
     for (const BitVec &v : _wire_last) {
         storeWords(v, out);
-        out += slotWords(v.width());
+        out += kernelWords(v.width());
     }
 }
 

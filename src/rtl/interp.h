@@ -102,15 +102,22 @@ class SimTelemetry
     virtual void simPhaseUntimed(SimPhase phase) { (void)phase; }
 };
 
+class KernelHost;
+struct KernelLayout;
+
 /**
- * A compiled kernel (kernel_abi.h) plus whatever owns its lifetime —
- * typically the dlopen'd library held by codegen::CompiledKernel.
- * Default-constructed means "no kernel": Sim and the BMC take this by
- * value and simply stay on the interpreter when abi is null.
+ * A compiled kernel (kernel_abi.h), the host layout it was emitted
+ * against (rtl/kernel_host.h, built once per netlist and shared by
+ * every Sim the kernel attaches to), and whatever owns the unit's
+ * lifetime — typically the dlopen'd library held by
+ * codegen::CompiledKernel.  Default-constructed means "no kernel":
+ * Sim and the BMC take this by value and simply stay on the
+ * interpreter when abi is null.
  */
 struct KernelRef
 {
     const AnvilKernel *abi = nullptr;
+    std::shared_ptr<const KernelLayout> layout;
     std::shared_ptr<void> hold;   // keeps the mapped library alive
 };
 
@@ -145,10 +152,11 @@ struct SweepStats
     /** Times the adaptive fallback switched the dirty sweep onto the
      *  dense path (rollFrame hysteresis entries). */
     uint64_t dense_fallback_switches = 0;
-    /** Kernel-internal activity (AnvilKernelStats, refreshed on each
-     *  sweepStats() read while a kernel is attached): frames the
-     *  kernel ran densely, and its own sparse->dense hysteresis
-     *  entries.  Zero on the interpreter backends. */
+    /** Kernel-internal activity (rtl::KernelHost's counters,
+     *  refreshed on each sweepStats() read while a kernel is
+     *  attached): frames the kernel ran densely, and its own
+     *  sparse->dense hysteresis entries.  Zero on the interpreter
+     *  backends. */
     uint64_t kernel_dense_frames = 0;
     uint64_t kernel_fallback_switches = 0;
 
@@ -251,7 +259,7 @@ class Sim
 
     /**
      * Per-level cumulative node evaluations reported by the attached
-     * compiled kernel (the ABI's level_stats), indexed by logic level.
+     * compiled kernel (KernelHost::levelEvals), indexed by logic level.
      * Empty when no kernel is attached.
      */
     std::vector<uint64_t> kernelLevelEvals() const;
@@ -265,10 +273,11 @@ class Sim
 
     /**
      * Swap the strict combinational sweep and the clock edge for a
-     * compiled kernel (anvilc --emit-cpp + codegen/jit.h).  Validates
-     * the ABI version, design hash, and net count; on any mismatch
-     * nothing changes and the interpreter keeps running — the
-     * compiled backend is an accelerator, never a correctness
+     * compiled kernel (anvilc --emit-cpp + codegen/jit.h), run by a
+     * fresh rtl::KernelHost context.  Validates the ABI version,
+     * design hash, net count and the unit against the layout; on any
+     * mismatch nothing changes and the interpreter keeps running —
+     * the compiled backend is an accelerator, never a correctness
      * dependency.  The kernel starts from this Sim's current values,
      * so attaching mid-run continues the run.  On success the kernel
      * owns every strict net value (Sim copies them back lazily as
@@ -278,7 +287,7 @@ class Sim
      * feed, so all observers see bit-identical behaviour.
      */
     bool attachKernel(const KernelRef &kernel);
-    bool kernelAttached() const { return _kctx != nullptr; }
+    bool kernelAttached() const { return _khost != nullptr; }
 
     /**
      * Nets whose value may have changed since the previous clock
@@ -459,7 +468,7 @@ class Sim
     const BitVec &valOf(NetId id)
     {
         size_t i = static_cast<size_t>(id);
-        if (_kctx && i < _kstale.size() && _kstale[i])
+        if (_khost && i < _kstale.size() && _kstale[i])
             refreshFromKernel(id);
         return _val[i];
     }
@@ -503,13 +512,12 @@ class Sim
 
     // Compiled-kernel backend (attachKernel).
     KernelRef _kernel;
-    void *_kctx = nullptr;             // kernel instance
+    std::unique_ptr<KernelHost> _khost;   // the kernel's context
     std::vector<int32_t> _kchanged;    // per-sweep changed-net buffer
     std::vector<uint8_t> _kstale;      // _val[i] behind the kernel
-    std::vector<uint64_t *> _kptr;     // cached net_ptr per net: the
-                                       // kernel state block never
-                                       // moves, so the indirect call
-                                       // is paid once at attach
+    std::vector<uint64_t *> _kptr;     // each net's kernel words: the
+                                       // state array never moves, so
+                                       // the lookup is paid at attach
     std::vector<int32_t> _kregs;       // registers the kernel edge
                                        // committed
     std::vector<int32_t> _ghost_updates;  // updates of unknown regs,

@@ -325,6 +325,18 @@ TEST(SweepModes, SetAssocTlbWorkload)
               runs[0].stats.nodes_evaluated);
 }
 
+/** The frame's changed nets, sorted and deduplicated (the kernel
+ *  lists them in level order, the interpreter in bucket order). */
+std::vector<NetId>
+changedSet(Sim &sim)
+{
+    std::vector<NetId> v(sim.changedNets().begin(),
+                         sim.changedNets().end());
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+    return v;
+}
+
 /**
  * The compiled kernel's changed-net list must be EXACT (the kernel
  * ABI contract): set-equal, every cycle, to what the interpreter's
@@ -346,15 +358,8 @@ expectChangedSetsEqual(const ModulePtr &mod, int cycles,
     for (int cyc = 0; cyc < cycles; cyc++) {
         da(interp, cyc);
         db(compiled, cyc);
-        std::vector<NetId> a(interp.changedNets().begin(),
-                             interp.changedNets().end());
-        std::vector<NetId> b(compiled.changedNets().begin(),
-                             compiled.changedNets().end());
-        std::sort(a.begin(), a.end());
-        a.erase(std::unique(a.begin(), a.end()), a.end());
-        std::sort(b.begin(), b.end());
-        b.erase(std::unique(b.begin(), b.end()), b.end());
-        ASSERT_EQ(a, b) << "cycle " << cyc;
+        ASSERT_EQ(changedSet(interp), changedSet(compiled))
+            << "cycle " << cyc;
         interp.step();
         compiled.step();
     }
@@ -842,11 +847,12 @@ TEST(NextRegs, FaultsLikeTheEdge)
 
 /**
  * The kernel's clock edge against the interpreter's, edge by edge: an
- * interpreter Sim and a twin stepped under the same stimulus must hold
- * equal registers, toggles and logs after every step().  The twin
- * runs `attach_at` cycles on the interpreter before its kernel
- * attaches (0: from the start), and attaches a fresh context again
- * at `reattach_at` when that is set.
+ * interpreter Sim and a twin stepped under the same stimulus must
+ * report the same changed nets before every step() and hold equal
+ * registers, toggles and logs after it.  The twin runs `attach_at`
+ * cycles on the interpreter before its kernel attaches (0: from the
+ * start), and attaches a fresh context again at `reattach_at` when
+ * that is set.
  */
 void
 expectKernelEdgeMatches(const ModulePtr &mod, int cycles,
@@ -863,6 +869,8 @@ expectKernelEdgeMatches(const ModulePtr &mod, int cycles,
         }
         da(interp, cyc);
         db(twin, cyc);
+        ASSERT_EQ(changedSet(interp), changedSet(twin))
+            << "changed nets in cycle " << cyc;
         interp.step();
         twin.step();
         ASSERT_EQ(interp.captureRegs(), twin.captureRegs())
@@ -992,6 +1000,91 @@ TEST(KernelEdge, AttachMidRunContinues)
     };
     expectKernelEdgeMatches(designs::buildSetAssocTlbBaseline(4, 32), 300,
                             tlb_drive, 100);
+}
+
+// Designs whose kernel layout has empty tables, which the host's level
+// walk and edge must handle without the dummy rows a unit would need.
+
+TEST(KernelEdge, NoStrictNodes)
+{
+    if (!haveJitCompiler())
+        GTEST_SKIP() << "no system compiler available";
+    // The update reads its enable and value straight off inputs, so
+    // there is nothing to sweep: the unit has no level functions.
+    auto m = std::make_shared<Module>();
+    m->name = "no_strict";
+    auto en = m->input("en", 1);
+    auto d = m->input("d", 8);
+    m->reg("r", 8);
+    m->update("r", en, d);
+    Sim probe(m);
+    EXPECT_TRUE(probe.netlist().order().empty());
+    expectKernelEdgeMatches(m, 200, denseStimulus(55));
+}
+
+TEST(KernelEdge, NoRegisters)
+{
+    if (!haveJitCompiler())
+        GTEST_SKIP() << "no system compiler available";
+    // Pure combinational logic: toggles come from the wires alone.
+    auto m = std::make_shared<Module>();
+    m->name = "no_regs";
+    auto a = m->input("a", 8);
+    auto b = m->input("b", 8);
+    m->wire("sum", a + b);
+    m->wire("hi", slice(ref("sum", 8), 4, 4) ^ slice(b, 0, 4));
+    Sim probe(m);
+    EXPECT_TRUE(probe.netlist().regs().empty());
+    EXPECT_TRUE(probe.netlist().updates().empty());
+    expectKernelEdgeMatches(m, 200, sparseStimulus(56, 3));
+}
+
+TEST(KernelEdge, NoToggleCountedWires)
+{
+    if (!haveJitCompiler())
+        GTEST_SKIP() << "no system compiler available";
+    // No named wire: the toggles are all register flips, and the
+    // kernel context has no shadow words.
+    auto m = std::make_shared<Module>();
+    m->name = "no_wires";
+    auto en = m->input("en", 1);
+    auto d = m->input("d", 16);
+    auto acc = m->reg("acc", 16);
+    auto cnt = m->reg("cnt", 4);
+    m->update("acc", en, acc + d);
+    m->update("cnt", cst(1, 1), cnt + cst(4, 1));
+    Sim probe(m);
+    EXPECT_TRUE(probe.netlist().wireNets().empty());
+    EXPECT_FALSE(probe.netlist().order().empty());
+    expectKernelEdgeMatches(m, 200, denseStimulus(57));
+}
+
+TEST(KernelEdge, WideRegisterLoadedFromInput)
+{
+    if (!haveJitCompiler())
+        GTEST_SKIP() << "no system compiler available";
+    // A 100-bit register loaded straight from a 100-bit input, and a
+    // 130-bit one zero-extending the same input: multi-word staging
+    // with no strict node in between.
+    auto m = std::make_shared<Module>();
+    m->name = "wide_load";
+    auto en = m->input("en", 1);
+    auto d = m->input("d", 100);
+    m->reg("r", 100);
+    m->reg("x", 130);
+    m->update("r", en, d);
+    m->update("x", cst(1, 1), d);
+    Sim probe(m);
+    EXPECT_TRUE(probe.netlist().order().empty());
+    auto drive = []() -> DriveFn {
+        auto rng = std::make_shared<std::mt19937_64>(58);
+        return [rng](Sim &sim, int) {
+            uint64_t lo = (*rng)(), hi = (*rng)();
+            sim.setInput("d", BitVec(64, lo).concatHigh(BitVec(36, hi)));
+            sim.setInput("en", (*rng)() & 1);
+        };
+    };
+    expectKernelEdgeMatches(m, 200, drive);
 }
 
 TEST(KernelEdge, UnknownRegisterFaultsLikeTheInterpreter)
