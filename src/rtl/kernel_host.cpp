@@ -142,13 +142,16 @@ kernelLayout(const Netlist &nl)
 
 KernelHost::KernelHost(const AnvilKernel &unit,
                        std::shared_ptr<const KernelLayout> layout)
-    : _unit(unit), _layout(std::move(layout))
+    : _layout(std::move(layout))
 {
     const KernelLayout &L = *_layout;
     _state.assign(L.state_words, 0);
     _bitmap.assign(L.bm_off.back(), 0);
     _queued.assign(L.levels(), 0);
-    _lvl_ev.assign(L.levels(), 0);
+    for (size_t l = 0; l < L.levels(); l++)
+        _turns.push_back({unit.dense[l], unit.sparse[l], 0,
+                          unit.sparse[l] ? L.level_size[l] : 0,
+                          L.bm_off[l], L.bm_off[l + 1]});
     _shadow.assign(L.shadow_words, 0);
     _next.assign(L.next_words, 0);
     _staged.assign((L.regs.size() + 63) / 64, 0);
@@ -162,13 +165,13 @@ KernelHost::KernelHost(const AnvilKernel &unit,
     dense = 0;
 }
 
-/* Queue the strict consumers of a net: set their slot bits, as the
- * unit's change hook does.  The bitmap dedupes by construction
- * (setting a set bit is a no-op); `queued` only over-counts repeat
- * enqueues, and is read as "level non-empty" plus the escalation
- * rule, where an over-count is harmless. */
-inline void
-KernelHost::enqueue(NetId net)
+/* Set the consumers' slot bits, as the unit's change hook does.  The
+ * bitmap dedupes by construction (setting a set bit is a no-op);
+ * `queued` only over-counts repeat pokes, and is read as "level
+ * non-empty" plus the escalation rule, where an over-count is
+ * harmless. */
+void
+KernelHost::poke(NetId net)
 {
     size_t i = static_cast<size_t>(net);
     for (uint32_t k = cons_begin[i]; k < cons_begin[i + 1]; k++) {
@@ -178,28 +181,19 @@ KernelHost::enqueue(NetId net)
     }
 }
 
-void
-KernelHost::poke(NetId net)
-{
-    enqueue(net);
-}
-
 uint64_t
 KernelHost::eval(int32_t *changed_out, uint64_t *n_changed, bool full)
 {
-    const KernelLayout &L = *_layout;
-    size_t levels = L.levels();
-    AnvilFrame *f = this;
     out = changed_out;
     nout = 0;
     dense = full || _prefer_dense;
     uint64_t ev = 0;
     if (dense) {
-        for (size_t l = 0; l < levels; l++) {
-            if (AnvilLevelFn body = _unit.dense[l]) {
-                uint64_t e = body(f);
+        for (Turn &t : _turns) {
+            if (t.dense) {
+                uint64_t e = t.dense(this);
+                t.evals += e;
                 ev += e;
-                _lvl_ev[l] += e;
             }
         }
         std::fill(_bitmap.begin(), _bitmap.end(), 0);
@@ -212,26 +206,32 @@ KernelHost::eval(int32_t *changed_out, uint64_t *n_changed, bool full)
         // >= 1/kEscalateDiv of the level: at that density per-node
         // dispatch costs more than recomputing the stragglers, and
         // the compare-stores keep the changed list exact either way.
-        for (size_t l = 0; l < levels; l++) {
-            uint64_t wn = _queued[l];
+        uint32_t *q = queued;
+        for (Turn *t = _turns.data(), *end = t + _turns.size(); t != end;
+             t++, q++) {
+            uint64_t wn = *q;
             if (!wn)
                 continue;
-            _queued[l] = 0;
-            AnvilLevelFn drain = _unit.sparse[l];
+            *q = 0;
             uint64_t e;
-            if (drain && wn * KernelLayout::kEscalateDiv < L.level_size[l]) {
-                e = drain(f);
+            if (wn * KernelLayout::kEscalateDiv < t->drain_below) {
+                e = t->sparse(this);
             } else {
-                std::fill(wbm + L.bm_off[l], wbm + L.bm_off[l + 1], 0);
-                e = _unit.dense[l](f);
+                // A queued level has nodes, so owns a word.  Not
+                // std::fill: its memset call for one word cost ~6% of
+                // a small design's eval.
+                wbm[t->bm_begin] = 0;
+                for (uint32_t k = t->bm_begin + 1; k < t->bm_end; k++)
+                    wbm[k] = 0;
+                e = t->dense(this);
             }
+            t->evals += e;
             ev += e;
-            _lvl_ev[l] += e;
         }
     }
     // Adaptive fallback hysteresis, mirroring the interpreter's: enter
     // dense above ~50% changed, leave below 40%.
-    uint64_t strict = L.strict_nodes;
+    uint64_t strict = _layout->strict_nodes;
     if (strict) {
         if (nout * 2 > strict) {
             if (!_prefer_dense)
@@ -242,6 +242,16 @@ KernelHost::eval(int32_t *changed_out, uint64_t *n_changed, bool full)
         }
     }
     *n_changed = nout;
+    return ev;
+}
+
+std::vector<uint64_t>
+KernelHost::levelEvals() const
+{
+    std::vector<uint64_t> ev;
+    ev.reserve(_turns.size());
+    for (const Turn &t : _turns)
+        ev.push_back(t.evals);
     return ev;
 }
 
@@ -303,7 +313,7 @@ KernelHost::edgeWords(const int32_t *changed_in, uint64_t n_changed,
                 flipTo<Wide>(s + g.off, _next.data() + g.next, g.words);
             if (flips) {
                 tog += flips;
-                enqueue(g.net);
+                poke(g.net);
                 regs[n++] = g.net;
             }
         }

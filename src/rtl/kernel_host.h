@@ -169,25 +169,35 @@ class KernelHost : private AnvilFrame
     uint64_t *shadow() { return _shadow.data(); }
 
     /** Cumulative node evaluations per level, both frame kinds. */
-    const std::vector<uint64_t> &levelEvals() const { return _lvl_ev; }
+    std::vector<uint64_t> levelEvals() const;
     /** Frames run on the dense path. */
     uint64_t denseFrames() const { return _dense_frames; }
     /** Sparse-to-dense hysteresis entries. */
     uint64_t fallbackSwitches() const { return _fallback_switches; }
 
   private:
-    inline void enqueue(NetId net);
+    /** A level's part in the walk. */
+    struct Turn
+    {
+        AnvilLevelFn dense, sparse;
+        uint64_t evals;         // nodes evaluated, both frame kinds
+        /** A sparse frame drains the level while its queued count
+         *  times kEscalateDiv stays below this: the level's size, or
+         *  0 when it has no drain. */
+        uint32_t drain_below;
+        uint32_t bm_begin, bm_end;   // the level's bitmap words
+    };
+
     template <bool Wide>
     uint64_t edgeWords(const int32_t *changed, uint64_t n_changed,
                        int32_t *regs, uint64_t *n_regs);
 
-    AnvilKernel _unit;
     std::shared_ptr<const KernelLayout> _layout;
     // Storage behind the frame's s, wbm and queued.
     std::vector<uint64_t> _state;
     std::vector<uint64_t> _bitmap;
     std::vector<uint32_t> _queued;
-    std::vector<uint64_t> _lvl_ev;     // evaluations per level
+    std::vector<Turn> _turns;          // per level, in order
     std::vector<uint64_t> _shadow;     // wire words at the last edge
     std::vector<uint64_t> _next;       // staged register words
     std::vector<uint64_t> _staged;     // bitmap of staged registers

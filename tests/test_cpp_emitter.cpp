@@ -24,6 +24,7 @@
 #include "designs/designs.h"
 #include "harness.h"
 #include "rtl/interp.h"
+#include "rtl/kernel_host.h"
 
 using namespace anvil;
 using namespace anvil::rtl;
@@ -119,6 +120,9 @@ TEST(CppEmitter, QuickstartUnitCarriesOnlyReachableCode)
     for (const char *gone : {"do_eval", "k_edge", "k_create", "calloc",
                              "kUpd", "optimize("})
         EXPECT_EQ(unit.find(gone), std::string::npos) << gone;
+    // Every wire, update and register fits a word, so the host runs
+    // its one-word edge.
+    EXPECT_FALSE(kernelLayout(nl).wide_edge);
 }
 
 TEST(CppEmitter, WideDesignCarriesWidePrelude)
@@ -130,6 +134,9 @@ TEST(CppEmitter, WideDesignCarriesWidePrelude)
               std::string::npos);
     EXPECT_NE(unit.find("static inline void w_store("),
               std::string::npos);
+    // aes has registers wider than 64 bits: the host edge keeps its
+    // multi-word loops.
+    EXPECT_TRUE(kernelLayout(nl).wide_edge);
 }
 
 TEST(CppEmitter, KernelAbiMatchesNetlist)
