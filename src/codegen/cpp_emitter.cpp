@@ -849,17 +849,10 @@ CppEmitter::run()
 } // namespace
 
 std::string
-emitCppKernel(const Netlist &nl, const rtl::KernelLayout &layout,
-              const std::string &design_name)
-{
-    CppEmitter e(nl, layout, design_name);
-    return e.run();
-}
-
-std::string
 emitCppKernel(const Netlist &nl, const std::string &design_name)
 {
-    return emitCppKernel(nl, rtl::kernelLayout(nl), design_name);
+    CppEmitter e(nl, *nl.layout(), design_name);
+    return e.run();
 }
 
 } // namespace codegen

@@ -17,8 +17,9 @@
  *  - change-cutting at every store: an unchanged value does not call
  *    the host's change hook;
  *  - the design's ROMs as static tables;
- *  - state words addressed at the offsets of rtl::kernelLayout(), the
- *    layout the host (rtl::KernelHost) allocates.
+ *  - state words addressed at the offsets of the netlist's layout
+ *    (rtl::Netlist::layout), the one the host (rtl::KernelHost)
+ *    allocates.
  * The level walk and its escalation rule, the dense-fallback
  * hysteresis, the change hook's consumer tables, pokes, statistics and
  * the clock edge are precompiled host code (rtl/kernel_host.h).
@@ -59,17 +60,11 @@ namespace codegen {
 constexpr int kCppEmitterVersion = 7;
 
 /**
- * Emit `nl` as a C++ kernel translation unit.  `design_name` only
- * appears in the banner comment; behavioural identity is pinned by
- * the embedded rtl::designHash.
+ * Emit `nl` as a C++ kernel translation unit, at the offsets of
+ * nl.layout().  `design_name` only appears in the banner comment;
+ * behavioural identity is pinned by the embedded rtl::designHash.
  */
 std::string emitCppKernel(const rtl::Netlist &nl,
-                          const std::string &design_name);
-
-/** The same, at the offsets of an already built kernelLayout(nl)
- *  (the JIT builds it once for the unit and the host). */
-std::string emitCppKernel(const rtl::Netlist &nl,
-                          const rtl::KernelLayout &layout,
                           const std::string &design_name);
 
 } // namespace codegen

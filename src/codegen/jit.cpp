@@ -147,10 +147,8 @@ jitCompileKernel(const rtl::Netlist &nl, const JitOptions &opts)
     std::string src = dir + "/kernel.cpp";
     std::string so = dir + "/kernel.so";
     std::string err = dir + "/cc.err";
-    auto layout =
-        std::make_shared<const rtl::KernelLayout>(rtl::kernelLayout(nl));
     {
-        std::string unit = emitCppKernel(nl, *layout, "jit");
+        std::string unit = emitCppKernel(nl, "jit");
         res.source_bytes = unit.size();
         std::ofstream out(src);
         out << unit;
@@ -224,13 +222,13 @@ jitCompileKernel(const rtl::Netlist &nl, const JitOptions &opts)
         ::dlclose(dl);
         return res;
     }
-    if (abi->design_hash != hash || !layout->fits(*abi)) {
+    if (abi->design_hash != hash || !nl.layout()->fits(*abi)) {
         res.error = "kernel does not match the netlist";
         ::dlclose(dl);
         return res;
     }
 
-    res.kernel = std::make_shared<CompiledKernel>(dl, abi, layout);
+    res.kernel = std::make_shared<CompiledKernel>(dl, abi);
     res.compile_ns = rtl::monotonicNanos() - t0;
     std::lock_guard<std::mutex> lock(g_cache_mu);
     g_cache.emplace(key, res.kernel);
@@ -243,7 +241,6 @@ kernelRef(const std::shared_ptr<CompiledKernel> &k)
     rtl::KernelRef ref;
     if (k) {
         ref.abi = k->abi();
-        ref.layout = k->layout();
         ref.hold = k;
     }
     return ref;

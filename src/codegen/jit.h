@@ -1,15 +1,15 @@
 /**
  * @file
- * In-process JIT for the compile-to-C++ backend: build the netlist's
- * kernel layout (rtl::kernelLayout), emit the netlist's level
- * functions at that layout's offsets as a translation unit
- * (codegen/cpp_emitter.h), invoke the system C++ compiler to build a
- * shared object, dlopen it, and hand back the validated unit with the
- * layout, ready for rtl::Sim::attachKernel, whose rtl::KernelHost
- * runs everything else (level walk, pokes, clock edge) as precompiled
- * code.  The unit includes no headers and links with -nostdlib, so a
- * cold compile pays for neither; a wide design's mem* references
- * bind to the host process at dlopen(RTLD_NOW).
+ * In-process JIT for the compile-to-C++ backend: emit the netlist's
+ * level functions at the offsets of its layout (rtl::Netlist::layout)
+ * as a translation unit (codegen/cpp_emitter.h), invoke the system
+ * C++ compiler to build a shared object, dlopen it, and hand back the
+ * validated unit, ready for rtl::Sim::attachKernel, whose
+ * rtl::KernelHost runs the level walk and pokes as precompiled code
+ * (the clock edge is rtl::Sim's own, on either backend).  The unit
+ * includes no headers and links with -nostdlib, so a cold compile
+ * pays for neither; a wide design's mem* references bind to the host
+ * process at dlopen(RTLD_NOW).
  *
  * Lifecycle (see docs/compile.md): the source and shared object live
  * in a mkdtemp directory that is deleted as soon as the object is
@@ -34,7 +34,6 @@
 #include "codegen/cpp_emitter.h"
 #include "rtl/interp.h"
 #include "rtl/kernel_abi.h"
-#include "rtl/kernel_host.h"
 #include "rtl/netlist.h"
 
 namespace anvil {
@@ -52,14 +51,12 @@ struct JitOptions
     int emitter_tag = kCppEmitterVersion;
 };
 
-/** A dlopen'd kernel unit and the layout it was emitted against;
- *  closes the library when the last ref drops. */
+/** A dlopen'd kernel unit; closes the library when the last ref
+ *  drops. */
 class CompiledKernel
 {
   public:
-    CompiledKernel(void *dl, const AnvilKernel *abi,
-                   std::shared_ptr<const rtl::KernelLayout> layout)
-        : _dl(dl), _abi(abi), _layout(std::move(layout))
+    CompiledKernel(void *dl, const AnvilKernel *abi) : _dl(dl), _abi(abi)
     {
     }
     ~CompiledKernel();
@@ -67,15 +64,10 @@ class CompiledKernel
     CompiledKernel &operator=(const CompiledKernel &) = delete;
 
     const AnvilKernel *abi() const { return _abi; }
-    const std::shared_ptr<const rtl::KernelLayout> &layout() const
-    {
-        return _layout;
-    }
 
   private:
     void *_dl = nullptr;
     const AnvilKernel *_abi = nullptr;
-    std::shared_ptr<const rtl::KernelLayout> _layout;
 };
 
 struct JitResult

@@ -69,7 +69,7 @@ FlightRecorder::FlightRecorder(rtl::Sim &sim, Options opts)
     for (const Traced &t : _traced)
         vars.push_back({t.name, t.id, t.width, t.is_reg});
     std::ostringstream hdr;
-    rtl::writeVcdHeader(hdr, _sim.topName(), vars);
+    rtl::writeVcdHeader(hdr, _sim.topName(), vars, "1ns");
     _header = hdr.str();
 }
 

@@ -19,6 +19,16 @@ storeWords(const BitVec &v, uint64_t *w)
         w[k] = v.word(k);
 }
 
+/** The inverse: set a value from its words at w. */
+void
+loadWords(BitVec &v, const uint64_t *w)
+{
+    if (v.width() <= 64)
+        v.setUint64(w[0]);
+    else
+        v.setWords(w, v.words());
+}
+
 } // namespace
 
 const char *
@@ -114,7 +124,9 @@ Sim::Sim(std::shared_ptr<const Module> top,
       _nl_own(netlist ? nullptr : std::make_shared<Netlist>(*_top)),
       _nl_hold(netlist ? std::move(netlist)
                        : std::shared_ptr<const Netlist>(_nl_own)),
-      _nl(*_nl_hold)
+      _nl(*_nl_hold),
+      _layout(*_nl.layout()),
+      _edge(_nl.layout())
 {
     _val = _nl.initValues();
     _lazy_gen.assign(_val.size(), 0);
@@ -128,14 +140,11 @@ Sim::Sim(std::shared_ptr<const Module> top,
         _reg_off.push_back(_reg_off.back() +
                            static_cast<size_t>(v.words()));
     }
-    _wire_last.reserve(_nl.wireNets().size());
-    _wire_slot.assign(_val.size(), -1);
-    for (size_t i = 0; i < _nl.wireNets().size(); i++) {
-        NetId w = _nl.wireNets()[i];
-        _wire_last.emplace_back(_nl.net(w).width);
-        _wire_slot[static_cast<size_t>(w)] =
-            static_cast<int32_t>(i);
-    }
+    _image.assign(_layout.state_words, 0);
+    for (size_t i = 0; i < _layout.net_count; i++)
+        storeWords(_val[i], _image.data() + _layout.off[i]);
+    _words = _image.data();
+    _committed.resize(_nl.regs().size());
     _buckets.resize(_nl.levelCount());
     _dirty_mark.assign(_val.size(), 0);
     _change_mark.assign(_val.size(), 0);
@@ -145,26 +154,7 @@ Sim::Sim(std::shared_ptr<const Module> top,
     _stats.strict_nodes = _nl.order().size();
     _stats.mode = _mode;
 
-    // Enable-net -> update-indices CSR for the clock edge (counting
-    // sort, so each enable's updates stay in declaration order and
-    // last-wins semantics are preserved).
     const auto &updates = _nl.updates();
-    _upd_begin.assign(_val.size() + 1, 0);
-    for (const auto &u : updates)
-        _upd_begin[static_cast<size_t>(u.enable) + 1]++;
-    for (size_t i = 1; i < _upd_begin.size(); i++)
-        _upd_begin[i] += _upd_begin[i - 1];
-    _upd_list.resize(updates.size());
-    {
-        std::vector<int32_t> fill(_upd_begin.begin(),
-                                  _upd_begin.end() - 1);
-        for (size_t u = 0; u < updates.size(); u++)
-            _upd_list[static_cast<size_t>(
-                fill[static_cast<size_t>(updates[u].enable)]++)] =
-                static_cast<int32_t>(u);
-    }
-    _armed.assign(updates.size(), 0);
-    _reg_touched.assign(_nl.regs().size(), 0);
     for (size_t u = 0; u < updates.size(); u++)
         if (updates[u].reg_index < 0)
             _ghost_updates.push_back(static_cast<int32_t>(u));
@@ -226,54 +216,35 @@ Sim::recordChange(NetId id)
     _frame_changed.push_back(id);
 }
 
+/** A source moved (a poke or an edge commit): the next sweep starts
+ *  from its consumers. */
 void
 Sim::seedSource(NetId id)
 {
     _seeds.push_back(id);
     _poke_tick++;
-    if (_khost) {
-        // A poke (setInput, setRegValue, loadRegs): mirror the new
-        // value into the kernel's state words and queue its
-        // consumers.  The kernel's own edge commits never pass here.
-        size_t i = static_cast<size_t>(id);
-        storeWords(_val[i], _kptr[i]);
-        _khost->poke(id);
-    }
 }
 
 bool
 Sim::attachKernel(const KernelRef &kernel)
 {
-    if (!kernel.abi || !kernel.layout ||
+    if (!kernel.abi ||
         kernel.abi->abi_version != ANVIL_KERNEL_ABI_VERSION ||
         kernel.abi->design_hash != designHash(_nl) ||
-        kernel.abi->net_count != _nl.nets().size() ||
-        !kernel.layout->fits(*kernel.abi))
+        !_layout.fits(*kernel.abi))
         return false;
-    auto host = std::make_unique<KernelHost>(*kernel.abi, kernel.layout);
+    auto host = std::make_unique<KernelHost>(*kernel.abi, _nl.layout());
     // The kernel starts from this Sim's values, strict nets included,
     // so its first (dense) sweep reports exactly the nets that moved
-    // since the last edge, and from the wire values that edge saw, so
-    // toggles continue without a jump.
-    size_t nets = _nl.nets().size();
-    for (size_t i = 0; i < nets; i++)
+    // since they were last listed.
+    for (size_t i = 0; i < _layout.net_count; i++)
         storeWords(valOf(static_cast<NetId>(i)),
-                   host->netPtr(static_cast<NetId>(i)));
-    if (_toggles_primed) {
-        if (_khost)
-            std::copy_n(_khost->shadow(), kernel.layout->shadow_words,
-                        host->shadow());
-        else
-            packWires(host->shadow());
-    }
+                   host->state() + _layout.off[i]);
     _kernel = kernel;
     _khost = std::move(host);
-    _kchanged.assign(nets, 0);
-    _kregs.assign(_nl.regs().size(), 0);
+    _words = _khost->state();
+    _kchanged.assign(_layout.net_count, 0);
     _kstale.assign(_val.size(), 0);
-    _kptr.resize(nets);
-    for (size_t i = 0; i < nets; i++)
-        _kptr[i] = _khost->netPtr(static_cast<NetId>(i));
     _need_full = true;
     _dirty = true;
     return true;
@@ -285,30 +256,31 @@ Sim::refreshFromKernel(NetId id)
 {
     size_t i = static_cast<size_t>(id);
     _kstale[i] = 0;
-    const uint64_t *p = _kptr[i];
-    BitVec &v = _val[i];
-    if (v.width() <= 64)
-        v.setUint64(p[0]);
-    else
-        v.setWords(p, (v.width() + 63) / 64);
+    loadWords(_val[i], _words + _layout.off[i]);
 }
 
 /**
- * Sweep by calling into the attached kernel.  The kernel runs the
- * same levelized event-driven schedule (exact per-level worklists,
- * change-cutting, its own dense-fallback hysteresis); its exact
- * changed-net list feeds the interpreter's frame bookkeeping, and the
- * values themselves are copied back lazily (valOf) only when an
- * observer or the clock edge actually reads them.
+ * Sweep by calling into the attached kernel.  The moved sources go in
+ * first: their words (the edge's commits already wrote theirs) and
+ * their consumers.  The kernel runs the same levelized event-driven
+ * schedule (exact per-level worklists, change-cutting, its own
+ * dense-fallback hysteresis); its exact changed-net list feeds the
+ * interpreter's frame bookkeeping, and the values themselves are
+ * copied back lazily (valOf) only when an observer reads them.
  */
 void
 Sim::sweepKernel()
 {
+    for (NetId id : _seeds) {
+        size_t i = static_cast<size_t>(id);
+        storeWords(_val[i], _words + _layout.off[i]);
+        _khost->poke(id);
+    }
+    _seeds.clear();
     bool full = _need_full || _mode == SweepMode::Full;
     uint64_t n = 0;
     uint64_t ev = _khost->eval(_kchanged.data(), &n, full);
     _frame_evals += ev;
-    _seeds.clear();
     _need_full = false;
     for (uint64_t k = 0; k < n; k++) {
         NetId id = _kchanged[static_cast<size_t>(k)];
@@ -762,19 +734,8 @@ Sim::rollFrame()
     uint64_t changed = _frame_changed.size();
     _stats.nets_changed += changed;
     _stats.peak_changed = std::max(_stats.peak_changed, changed);
-    // Hysteresis for the adaptive dense fallback: enter when more
-    // than half the strict table changed this frame, leave once the
-    // fraction drops below 40%.
-    uint64_t strict = _stats.strict_nodes;
-    if (strict > 0) {
-        if (changed * 2 > strict) {
-            if (!_prefer_dense)
-                _stats.dense_fallback_switches++;
-            _prefer_dense = true;
-        } else if (changed * 5 < strict * 2) {
-            _prefer_dense = false;
-        }
-    }
+    _stats.dense_fallback_switches +=
+        denseFallback(_prefer_dense, changed, _stats.strict_nodes);
     _frame_evals = 0;
     _frame_changed.clear();
     _frame_id++;
@@ -805,10 +766,7 @@ Sim::step(int n)
 
         bool timed = timedCycle();
         uint64_t t0 = timed ? monotonicNanos() : 0;
-        if (_khost)
-            edgeKernel();
-        else
-            edgeHost();
+        edge();
         _cycle++;
         _dirty = true;
         endPhase(SimPhase::Commit, _cycle - 1, timed, t0);
@@ -829,79 +787,38 @@ Sim::logPrints()
     }
 }
 
-/** The interpreter's clock edge, after the frame's sweep. */
+/**
+ * The clock edge, after the frame's sweep and lazy roots, on either
+ * backend: ClockEdge over _words.  The words are brought up to date
+ * first.  On the interpreter that is one store per net changed this
+ * frame (nets appended by topNet lie past the layout, and no edge
+ * reads them).  A kernel computed the strict nets in its words and
+ * its sweep stored the sources, which leaves the lazy nets the edge
+ * reads.  Wire toggles count before the edge's faults, as in the
+ * reference interpreter.  The committed registers go back into their
+ * values and seed the next sweep.
+ */
 void
-Sim::edgeHost()
+Sim::edge()
 {
-    const auto &regs = _nl.regs();
-    const auto &updates = _nl.updates();
-
-    // Keep the armed-update set fresh from this frame's changed-net
-    // delta (a full enable scan only on the first cycle): an enable
-    // net that is not in the list kept its value, so its updates kept
-    // their armed state.
-    if (!_armed_primed) {
-        _armed_count = 0;
-        for (size_t u = 0; u < updates.size(); u++) {
-            _armed[u] = valOf(updates[u].enable).any() ? 1 : 0;
-            if (_armed[u])
-                _armed_count++;
-        }
-        _armed_primed = true;
+    if (_khost) {
+        for (NetId id : _nl.lazyRoots())
+            storeWords(_val[static_cast<size_t>(id)],
+                       _words + _layout.off[static_cast<size_t>(id)]);
     } else {
         for (NetId id : _frame_changed) {
             size_t i = static_cast<size_t>(id);
-            if (i + 1 >= _upd_begin.size())
-                continue;
-            for (int32_t k = _upd_begin[i]; k < _upd_begin[i + 1];
-                 k++) {
-                size_t u =
-                    static_cast<size_t>(_upd_list[static_cast<size_t>(k)]);
-                uint8_t armed = valOf(updates[u].enable).any() ? 1 : 0;
-                if (armed == _armed[u])
-                    continue;
-                _armed[u] = armed;
-                if (armed)
-                    _armed_count++;
-                else
-                    _armed_count--;
-            }
+            if (i < _layout.net_count)
+                storeWords(_val[i], _words + _layout.off[i]);
         }
     }
-
-    // Toggle accounting against the previous cycle's values, driven
-    // by the changed-net list: a wire absent from the list is
-    // unchanged and contributes no toggles.  The xor popcount works
-    // straight off the two values' words, so the delta never
-    // materializes.
-    if (_toggles_primed) {
-        for (NetId id : _frame_changed) {
-            int32_t slot = _wire_slot[static_cast<size_t>(id)];
-            if (slot < 0)
-                continue;
-            size_t s = static_cast<size_t>(slot);
-            const BitVec &cur = valOf(id);
-            _total_toggles +=
-                static_cast<uint64_t>(cur.xorPopcount(_wire_last[s]));
-            _wire_last[s] = cur;
-        }
-    } else {
-        primeToggles();
-    }
-
-    // Next-state only where an armed update fires; untouched
-    // registers hold their value by construction, so the edge costs
-    // O(armed updates), not O(registers).
-    if (_armed_count != 0) {
-        for (size_t u = 0; u < updates.size(); u++) {
-            if (!_armed[u])
-                continue;
-            size_t ri = stageUpdate(updates[u]);
-            if (!_reg_touched[ri]) {
-                _reg_touched[ri] = 1;
-                _touched_regs.push_back(static_cast<int32_t>(ri));
-            }
-        }
+    _total_toggles += _edge.sample(_words, _frame_changed.data(),
+                                   _frame_changed.size());
+    const auto &updates = _nl.updates();
+    for (int32_t u : _ghost_updates) {
+        const NetUpdate &up = updates[static_cast<size_t>(u)];
+        if (valOf(up.enable).any())
+            stageUpdate(up);   // throws: the register is unknown
     }
     logPrints();
 
@@ -909,95 +826,23 @@ Sim::edgeHost()
     // and start the next one, so the commits below seed the new
     // frame's changed list.
     rollFrame();
-
-    // Commit the touched registers (ascending, the same order the
-    // dense scan visited them), count register toggles, and seed the
-    // next sweep with those that changed.
-    if (!_touched_regs.empty()) {
-        std::sort(_touched_regs.begin(), _touched_regs.end());
-        for (int32_t r : _touched_regs) {
-            size_t i = static_cast<size_t>(r);
-            _reg_touched[i] = 0;
-            BitVec &cur = _val[static_cast<size_t>(regs[i])];
-            int flips = _reg_next[i].xorPopcount(cur);
-            if (flips == 0)
-                continue;
-            _total_toggles += static_cast<uint64_t>(flips);
-            cur = _reg_next[i];
-            recordChange(regs[i]);
-            seedSource(regs[i]);
-        }
-        _touched_regs.clear();
-    }
-}
-
-/**
- * The clock edge on the compiled backend.  The kernel counts the
- * toggles and stages and commits the registers (KernelHost::edge);
- * the host raises the edge's faults, hands the kernel the lazy values
- * it evaluated, logs the prints, and records the committed registers.
- */
-void
-Sim::edgeKernel()
-{
-    const auto &updates = _nl.updates();
-    for (int32_t u : _ghost_updates) {
-        const NetUpdate &up = updates[static_cast<size_t>(u)];
-        if (valOf(up.enable).any())
-            stageUpdate(up);   // throws: the register is unknown
-    }
-    for (NetId id : _nl.lazyRoots())
-        storeWords(_val[static_cast<size_t>(id)],
-                   _kptr[static_cast<size_t>(id)]);
-    if (!_toggles_primed) {
-        primeToggles();
-        packWires(_khost->shadow());
-    }
-    logPrints();
-
     uint64_t n = 0;
-    _total_toggles += _khost->edge(_frame_changed.data(),
-                                   _frame_changed.size(), _kregs.data(),
-                                   &n);
-    rollFrame();
+    _total_toggles += _edge.commit(_words, _committed.data(), &n);
     for (uint64_t k = 0; k < n; k++) {
-        NetId r = _kregs[static_cast<size_t>(k)];
-        refreshFromKernel(r);
+        NetId r = _committed[static_cast<size_t>(k)];
+        size_t i = static_cast<size_t>(r);
+        loadWords(_val[i], _words + _layout.off[i]);
         recordChange(r);
-    }
-    _poke_tick += n;
-}
-
-/** The first edge adopts every wire's value without counting toggles. */
-void
-Sim::primeToggles()
-{
-    const auto &wires = _nl.wireNets();
-    for (size_t i = 0; i < wires.size(); i++)
-        _wire_last[i] = valOf(wires[i]);
-    _toggles_primed = true;
-}
-
-/**
- * Pack the last-seen wire values (_wire_last) in wireNets() order,
- * each into its kernel slot's word count — the layout of the kernel's
- * wire shadow.
- */
-void
-Sim::packWires(uint64_t *out) const
-{
-    for (const BitVec &v : _wire_last) {
-        storeWords(v, out);
-        out += kernelWords(v.width());
+        seedSource(r);
     }
 }
 
 /**
- * What a firing update writes at the edge: its value, truncated or
- * zero-extended to the register's width, staged in _reg_next (in
- * place, so no allocation when the widths match).  Returns the
- * register index.  The one definition of the edge's write, shared by
- * step() and nextRegs().
+ * What a firing update writes at the edge, for nextRegs(): its value,
+ * truncated or zero-extended to the register's width, staged in
+ * _reg_next (in place, so no allocation when the widths match).
+ * Returns the register index; throws, as the edge does, for an update
+ * of an unknown register.
  */
 size_t
 Sim::stageUpdate(const NetUpdate &up)
@@ -1143,14 +988,8 @@ Sim::growRuntimeArrays(size_t n)
     _visiting.resize(n, 0);
     _dirty_mark.resize(n, 0);
     _change_mark.resize(n, 0);
-    _wire_slot.resize(n, -1);
     if (!_kstale.empty())
         _kstale.resize(n, 0);   // appended nets are never in the kernel
-    if (!_kptr.empty())
-        _kptr.resize(n, nullptr);
-    // Appended nets are lazy and never drive updates; keep the CSR
-    // indexable for changed-net consumers.
-    _upd_begin.resize(n + 1, _upd_begin.back());
 }
 
 NetId

@@ -31,8 +31,9 @@
  * monitors — consume change events instead of rescanning the whole
  * net table every cycle.
  *
- * The simulator also counts per-signal bit toggles, which the
- * synthesis cost model uses as switching activity for dynamic power.
+ * The clock edge (rtl::ClockEdge, shared by both backends) also
+ * counts per-signal bit toggles, which the synthesis cost model uses
+ * as switching activity for dynamic power.
  * The original recursive interpreter is preserved as rtl::RefSim
  * (rtl/ref_interp.h) and serves as the differential-testing oracle;
  * both produce identical peeks, logs, and toggle counts.
@@ -48,6 +49,7 @@
 #include <vector>
 
 #include "rtl/kernel_abi.h"
+#include "rtl/kernel_host.h"
 #include "rtl/netlist.h"
 #include "rtl/rtl.h"
 
@@ -102,22 +104,18 @@ class SimTelemetry
     virtual void simPhaseUntimed(SimPhase phase) { (void)phase; }
 };
 
-class KernelHost;
-struct KernelLayout;
-
 /**
- * A compiled kernel (kernel_abi.h), the host layout it was emitted
- * against (rtl/kernel_host.h, built once per netlist and shared by
- * every Sim the kernel attaches to), and whatever owns the unit's
+ * A compiled kernel (kernel_abi.h) and whatever owns the unit's
  * lifetime — typically the dlopen'd library held by
- * codegen::CompiledKernel.  Default-constructed means "no kernel":
- * Sim and the BMC take this by value and simply stay on the
- * interpreter when abi is null.
+ * codegen::CompiledKernel.  The unit was emitted at the offsets of
+ * its netlist's layout (Netlist::layout), which a Sim checks it
+ * against on attach.  Default-constructed means "no kernel": Sim and
+ * the BMC take this by value and simply stay on the interpreter when
+ * abi is null.
  */
 struct KernelRef
 {
     const AnvilKernel *abi = nullptr;
-    std::shared_ptr<const KernelLayout> layout;
     std::shared_ptr<void> hold;   // keeps the mapped library alive
 };
 
@@ -185,6 +183,14 @@ struct SweepStats
  * it every cycle with setInput(NetId, const BitVec &) or
  * setInput(NetId, uint64_t) — the name overloads are that lookup
  * plus the same poke.
+ *
+ * Each step() sweeps (the interpreter's dirty or dense sweep, or an
+ * attached kernel's), evaluates the lazy roots, and commits one clock
+ * edge through the Sim's ClockEdge, whichever backend swept.  The edge
+ * reads packed words at the netlist's layout: a kernel's state, or
+ * else the Sim's word image of its values, brought up to date from
+ * the frame's changed nets before each edge; the registers it commits
+ * are copied back into their values and seed the next sweep.
  */
 class Sim
 {
@@ -272,19 +278,22 @@ class Sim
     void setTelemetry(SimTelemetry *sink) { _telemetry = sink; }
 
     /**
-     * Swap the strict combinational sweep and the clock edge for a
-     * compiled kernel (anvilc --emit-cpp + codegen/jit.h), run by a
-     * fresh rtl::KernelHost context.  Validates the ABI version,
-     * design hash, net count and the unit against the layout; on any
-     * mismatch nothing changes and the interpreter keeps running —
-     * the compiled backend is an accelerator, never a correctness
-     * dependency.  The kernel starts from this Sim's current values,
-     * so attaching mid-run continues the run.  On success the kernel
-     * owns every strict net value (Sim copies them back lazily as
-     * observers ask) and the edge's arithmetic: wire toggles,
-     * register updates and commits.  Sim keeps pokes (pushed into
-     * the kernel), lazy cones, prints, faults and the changed-net
-     * feed, so all observers see bit-identical behaviour.
+     * Swap the strict combinational sweep for a compiled kernel
+     * (anvilc --emit-cpp + codegen/jit.h), run by a fresh
+     * rtl::KernelHost context.  Validates the ABI version, the design
+     * hash and the unit against the netlist's layout, the one the
+     * clock edge uses; on any mismatch nothing changes and the
+     * interpreter keeps running — the compiled backend is an
+     * accelerator, never a correctness dependency.  The kernel starts
+     * from this Sim's current values, so attaching mid-run continues
+     * the run.  On success the kernel owns every strict net value
+     * (Sim copies them back lazily as observers ask), and the clock
+     * edge runs over the kernel's state words instead of the Sim's
+     * word image; the edge's own state (wire shadow, armed updates)
+     * stays with the Sim, so there is nothing to hand over.  Sim
+     * keeps pokes (pushed into the kernel), lazy cones, prints,
+     * faults and the changed-net feed, so all observers see
+     * bit-identical behaviour.
      */
     bool attachKernel(const KernelRef &kernel);
     bool kernelAttached() const { return _khost != nullptr; }
@@ -446,11 +455,8 @@ class Sim
     void rollFrame();
     void refreshFromKernel(NetId id);
     size_t stageUpdate(const NetUpdate &up);
-    void edgeHost();
-    void edgeKernel();
+    void edge();
     void logPrints();
-    void primeToggles();
-    void packWires(uint64_t *out) const;
 
     /** Whether this cycle's phases are timed (kTelemetryStride). */
     bool timedCycle() const
@@ -479,11 +485,11 @@ class Sim
     /** Keeps the netlist alive (owned or shared); never null. */
     std::shared_ptr<const Netlist> _nl_hold;
     const Netlist &_nl;
+    const KernelLayout &_layout;       // the netlist's state words
     std::vector<BitVec> _val;          // current value per node
-    std::vector<BitVec> _reg_next;     // pending next value per reg
+    std::vector<BitVec> _reg_next;     // nextRegs' staged value per reg
     std::vector<size_t> _reg_off;      // packed word offset per reg,
                                        // plus the total
-    std::vector<BitVec> _wire_last;    // previous-cycle wire values
     std::vector<uint64_t> _lazy_gen;   // per-sweep memo for lazy nodes
     std::vector<uint8_t> _visiting;    // lazy-walk loop detection
     std::vector<ExprPtr> _top_exprs;   // keeps topNet keys alive
@@ -503,7 +509,6 @@ class Sim
     uint64_t _frame_id = 1;
     uint64_t _poke_tick = 0;           // source mutations, ever
     uint64_t _poke_at_roll = 0;        // _poke_tick at last edge
-    std::vector<int32_t> _wire_slot;   // net -> wireNets index or -1
     uint64_t _frame_evals = 0;
     bool _eval_counting = false;
     std::vector<uint64_t> _eval_count;   // per-net evaluations
@@ -515,28 +520,18 @@ class Sim
     std::unique_ptr<KernelHost> _khost;   // the kernel's context
     std::vector<int32_t> _kchanged;    // per-sweep changed-net buffer
     std::vector<uint8_t> _kstale;      // _val[i] behind the kernel
-    std::vector<uint64_t *> _kptr;     // each net's kernel words: the
-                                       // state array never moves, so
-                                       // the lookup is paid at attach
-    std::vector<int32_t> _kregs;       // registers the kernel edge
-                                       // committed
+
+    // The clock edge, over _words: the kernel's state once one is
+    // attached, else _image, the layout's words of _val, which the
+    // edge brings up to date from the frame's changed nets.
+    ClockEdge _edge;
+    std::vector<uint64_t> _image;
+    uint64_t *_words = nullptr;
+    std::vector<int32_t> _committed;   // registers the edge committed
     std::vector<int32_t> _ghost_updates;  // updates of unknown regs,
                                           // which fault at the edge
 
-    // Interpreter clock-edge bookkeeping: which updates are armed
-    // (enable != 0), kept fresh from the changed-net delta, and which
-    // registers the armed updates wrote this cycle — the edge costs
-    // O(activity), not O(registers + updates).
-    std::vector<int32_t> _upd_begin;   // enable net -> updates CSR
-    std::vector<int32_t> _upd_list;
-    std::vector<uint8_t> _armed;
-    size_t _armed_count = 0;
-    bool _armed_primed = false;
-    std::vector<int32_t> _touched_regs;
-    std::vector<uint8_t> _reg_touched;
-
     bool _dirty = true;
-    bool _toggles_primed = false;
     uint64_t _gen = 0;
     uint64_t _cycle = 0;
     uint64_t _total_toggles = 0;

@@ -18,17 +18,20 @@
  *
  * Division of labour: the unit holds only what differs between
  * designs, the node arithmetic.  Everything that is the same for
- * every design is precompiled host code (rtl::KernelHost,
- * rtl/kernel_host.h): context allocation, the state words and their
- * per-net offsets, pokes, the level walk with its escalation rule,
- * dense-fallback hysteresis and activity counters, the consumer
- * tables the change hook walks, and the clock edge (wire toggles
- * against shadow words, staged updates, register commits).  The unit
- * keeps one fixed, design-independent change hook that walks the
- * host's tables through the frame: a call into the host for every
- * changed node would cost the sweep more than the hook costs the
- * compile.  Host and unit agree on the state layout because both
- * derive it from rtl::kernelLayout(), one function of the netlist.
+ * every design is precompiled host code (rtl/kernel_host.h):
+ * rtl::KernelHost owns the context, the state words at their per-net
+ * offsets, pokes, the level walk with its escalation rule,
+ * dense-fallback hysteresis and activity counters, and the consumer
+ * tables the change hook walks.  The clock edge is not the kernel's:
+ * rtl::Sim commits through one rtl::ClockEdge on either backend (wire
+ * toggles against shadow words, staged updates, register commits),
+ * which runs over the context's state words once a kernel is
+ * attached.  The unit keeps one fixed, design-independent change
+ * hook that walks the host's tables through the frame: a call into
+ * the host for every changed node would cost the sweep more than the
+ * hook costs the compile.  Host, edge and unit agree on the state
+ * layout because all of them read the netlist's one
+ * rtl::kernelLayout() (rtl::Netlist::layout).
  * Values are packed little-endian 64-bit words, ceil(width/64) (min
  * 1) words per net, normalized (bits at or above the width are zero)
  * exactly like anvil::BitVec.

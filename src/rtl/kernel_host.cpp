@@ -84,22 +84,20 @@ kernelLayout(const Netlist &nl)
     }
     L.bm_off[levels] = bm;
 
-    // Consumer CSR: the strict nodes reading each net, in evaluation
-    // order, one entry per reading node.
-    std::vector<std::vector<NetId>> fan(nets.size());
-    for (NetId id : order)
-        Netlist::forEachOperand(nl.net(id), [&](NetId o) {
-            if (nl.net(o).kind == Net::Kind::Const)
-                return;
-            auto &lst = fan[static_cast<size_t>(o)];
-            if (lst.empty() || lst.back() != id)
-                lst.push_back(id);
-        });
+    // Consumer CSR: the netlist's fan-out CSR, which lists a strict
+    // node once per read and a node's reads of one net side by side,
+    // with the repeats dropped; constants are never poked.
+    const auto &fb = nl.fanoutBegin();
+    const auto &fo = nl.fanout();
     L.cons_begin.reserve(nets.size() + 1);
     L.cons_begin.push_back(0);
-    for (const auto &lst : fan) {
-        for (NetId id : lst)
-            L.cons.push_back(slot[static_cast<size_t>(id)]);
+    for (size_t i = 0; i < nets.size(); i++) {
+        for (int32_t k = fb[i]; k < fb[i + 1]; k++) {
+            NetId c = fo[static_cast<size_t>(k)];
+            bool repeat = k > fb[i] && fo[static_cast<size_t>(k - 1)] == c;
+            if (nets[i].kind != Net::Kind::Const && !repeat)
+                L.cons.push_back(slot[static_cast<size_t>(c)]);
+        }
         L.cons_begin.push_back(static_cast<uint32_t>(L.cons.size()));
     }
 
@@ -125,14 +123,28 @@ kernelLayout(const Netlist &nl)
                                                  : (1ull << top) - 1});
         L.next_words += n;
     }
-    for (const NetUpdate &u : nl.updates())
-        if (u.reg_index >= 0)
-            L.updates.push_back(
-                {L.off[static_cast<size_t>(u.enable)],
-                 kernelWords(nl.net(u.enable).width),
-                 L.off[static_cast<size_t>(u.value)],
-                 kernelWords(nl.net(u.value).width),
-                 static_cast<uint32_t>(u.reg_index)});
+    // Updates, and which of them each net enables (a counting sort,
+    // so every enable's rows stay in declaration order).
+    L.en_begin.assign(nets.size() + 1, 0);
+    std::vector<NetId> enable;
+    for (const NetUpdate &u : nl.updates()) {
+        if (u.reg_index < 0)
+            continue;
+        L.updates.push_back({L.off[static_cast<size_t>(u.enable)],
+                             kernelWords(nl.net(u.enable).width),
+                             L.off[static_cast<size_t>(u.value)],
+                             kernelWords(nl.net(u.value).width),
+                             static_cast<uint32_t>(u.reg_index)});
+        enable.push_back(u.enable);
+        L.en_begin[static_cast<size_t>(u.enable) + 1]++;
+    }
+    for (size_t i = 1; i < L.en_begin.size(); i++)
+        L.en_begin[i] += L.en_begin[i - 1];
+    L.en_updates.resize(L.updates.size());
+    std::vector<uint32_t> fill(L.en_begin.begin(), L.en_begin.end() - 1);
+    for (size_t u = 0; u < L.updates.size(); u++)
+        L.en_updates[fill[static_cast<size_t>(enable[u])]++] =
+            static_cast<uint32_t>(u);
     L.wide_edge = L.shadow_words > L.wires.size() ||
         L.next_words > L.regs.size();
     for (const KernelLayout::Update &u : L.updates)
@@ -152,9 +164,6 @@ KernelHost::KernelHost(const AnvilKernel &unit,
         _turns.push_back({unit.dense[l], unit.sparse[l], 0,
                           unit.sparse[l] ? L.level_size[l] : 0,
                           L.bm_off[l], L.bm_off[l + 1]});
-    _shadow.assign(L.shadow_words, 0);
-    _next.assign(L.next_words, 0);
-    _staged.assign((L.regs.size() + 63) / 64, 0);
     s = _state.data();
     wbm = _bitmap.data();
     queued = _queued.data();
@@ -229,18 +238,8 @@ KernelHost::eval(int32_t *changed_out, uint64_t *n_changed, bool full)
             ev += e;
         }
     }
-    // Adaptive fallback hysteresis, mirroring the interpreter's: enter
-    // dense above ~50% changed, leave below 40%.
-    uint64_t strict = _layout->strict_nodes;
-    if (strict) {
-        if (nout * 2 > strict) {
-            if (!_prefer_dense)
-                _fallback_switches++;
-            _prefer_dense = true;
-        } else if (nout * 5 < strict * 2) {
-            _prefer_dense = false;
-        }
-    }
+    _fallback_switches +=
+        denseFallback(_prefer_dense, nout, _layout->strict_nodes);
     *n_changed = nout;
     return ev;
 }
@@ -255,71 +254,121 @@ KernelHost::levelEvals() const
     return ev;
 }
 
-uint64_t
-KernelHost::edge(const int32_t *changed_in, uint64_t n_changed,
-                 int32_t *regs, uint64_t *n_regs)
-{
-    return _layout->wide_edge
-        ? edgeWords<true>(changed_in, n_changed, regs, n_regs)
-        : edgeWords<false>(changed_in, n_changed, regs, n_regs);
-}
-
-/** The edge; without Wide, every wire, update and register is one
- *  word and the per-word loops fold away. */
-template <bool Wide>
-uint64_t
-KernelHost::edgeWords(const int32_t *changed_in, uint64_t n_changed,
-                      int32_t *regs, uint64_t *n_regs)
+ClockEdge::ClockEdge(std::shared_ptr<const KernelLayout> layout)
+    : _layout(std::move(layout))
 {
     const KernelLayout &L = *_layout;
-    uint64_t tog = 0;
-    // Wire toggles: a wire absent from the changed list kept its value.
-    for (uint64_t i = 0; i < n_changed; i++) {
-        size_t id = static_cast<uint32_t>(changed_in[i]);
-        if (id >= L.net_count || L.wire_of[id] < 0)
-            continue;
-        const KernelLayout::Wire &w =
-            L.wires[static_cast<size_t>(L.wire_of[id])];
-        tog += flipTo<Wide>(_shadow.data() + w.shadow, s + w.off,
-                            w.words);
+    _shadow.assign(L.shadow_words, 0);
+    _next.assign(L.next_words, 0);
+    _staged.assign((L.regs.size() + 63) / 64, 0);
+    _armed.assign((L.updates.size() + 63) / 64, 0);
+}
+
+uint64_t
+ClockEdge::sample(const uint64_t *s, const int32_t *changed,
+                  uint64_t n_changed)
+{
+    return _layout->wide_edge ? sampleWords<true>(s, changed, n_changed)
+                              : sampleWords<false>(s, changed, n_changed);
+}
+
+uint64_t
+ClockEdge::commit(uint64_t *s, int32_t *regs, uint64_t *n_regs)
+{
+    return _layout->wide_edge ? commitWords<true>(s, regs, n_regs)
+                              : commitWords<false>(s, regs, n_regs);
+}
+
+/** Arm or disarm an update from its enable's words. */
+template <bool Wide>
+void
+ClockEdge::arm(const uint64_t *s, uint32_t update)
+{
+    const KernelLayout::Update &u = _layout->updates[update];
+    uint64_t en = s[u.en_off];
+    for (uint32_t k = 1; Wide && k < u.en_words; k++)
+        en |= s[u.en_off + k];
+    uint64_t bit = 1ull << (update & 63);
+    if (en)
+        _armed[update >> 6] |= bit;
+    else
+        _armed[update >> 6] &= ~bit;
+}
+
+/* Without Wide, every wire, enable, value and register is one word and
+ * the per-word loops fold away. */
+template <bool Wide>
+uint64_t
+ClockEdge::sampleWords(const uint64_t *s, const int32_t *changed,
+                       uint64_t n_changed)
+{
+    const KernelLayout &L = *_layout;
+    if (!_primed) {
+        _primed = true;
+        for (const KernelLayout::Wire &w : L.wires)
+            std::copy_n(s + w.off, w.words, _shadow.data() + w.shadow);
+        for (uint32_t u = 0; u < L.updates.size(); u++)
+            arm<Wide>(s, u);
+        return 0;
     }
-    // Stage every firing update in declaration order: the last one to
-    // a register wins.
-    for (const KernelLayout::Update &u : L.updates) {
-        uint64_t en = s[u.en_off];
-        for (uint32_t k = 1; Wide && k < u.en_words; k++)
-            en |= s[u.en_off + k];
-        if (!en)
+    // A net absent from the changed list kept its value: its wire
+    // toggles nothing and its updates keep their armed state.
+    uint64_t tog = 0;
+    for (uint64_t i = 0; i < n_changed; i++) {
+        size_t id = static_cast<uint32_t>(changed[i]);
+        if (id >= L.net_count)
             continue;
-        const KernelLayout::Reg &g = L.regs[u.reg];
-        uint64_t *nx = _next.data() + g.next;
-        nx[0] = s[u.val_off];
-        for (uint32_t k = 1; Wide && k < g.words; k++)
-            nx[k] = k < u.val_words ? s[u.val_off + k] : 0;
-        nx[g.words - 1] &= g.top;
-        _staged[u.reg >> 6] |= 1ull << (u.reg & 63);
+        if (L.wire_of[id] >= 0) {
+            const KernelLayout::Wire &w =
+                L.wires[static_cast<size_t>(L.wire_of[id])];
+            tog += flipTo<Wide>(_shadow.data() + w.shadow, s + w.off,
+                                w.words);
+        }
+        for (uint32_t k = L.en_begin[id]; k < L.en_begin[id + 1]; k++)
+            arm<Wide>(s, L.en_updates[k]);
+    }
+    return tog;
+}
+
+template <bool Wide>
+uint64_t
+ClockEdge::commitWords(uint64_t *s, int32_t *regs, uint64_t *n_regs)
+{
+    const KernelLayout &L = *_layout;
+    // Stage the armed updates in declaration order: the last one to a
+    // register wins.
+    for (size_t wi = 0; wi < _armed.size(); wi++) {
+        for (uint64_t w = _armed[wi]; w; w &= w - 1) {
+            const KernelLayout::Update &u =
+                L.updates[(wi << 6) + static_cast<size_t>(__builtin_ctzll(w))];
+            const KernelLayout::Reg &g = L.regs[u.reg];
+            uint64_t *nx = _next.data() + g.next;
+            nx[0] = s[u.val_off];
+            for (uint32_t k = 1; Wide && k < g.words; k++)
+                nx[k] = k < u.val_words ? s[u.val_off + k] : 0;
+            nx[g.words - 1] &= g.top;
+            _staged[u.reg >> 6] |= 1ull << (u.reg & 63);
+        }
     }
     // Commit the staged registers in ascending order; only those that
-    // moved count flips and wake their consumers.
-    uint64_t n = 0;
+    // moved count flips.
+    uint64_t flips = 0, n = 0;
     for (size_t wi = 0; wi < _staged.size(); wi++) {
         uint64_t w = _staged[wi];
         _staged[wi] = 0;
-        while (w) {
-            size_t r = (wi << 6) + static_cast<size_t>(__builtin_ctzll(w));
-            w &= w - 1;
-            const KernelLayout::Reg &g = L.regs[r];
-            uint64_t flips =
+        for (; w; w &= w - 1) {
+            const KernelLayout::Reg &g =
+                L.regs[(wi << 6) + static_cast<size_t>(__builtin_ctzll(w))];
+            uint64_t f =
                 flipTo<Wide>(s + g.off, _next.data() + g.next, g.words);
-            if (flips) {
-                tog += flips;
-                poke(g.net);
+            if (f) {
+                flips += f;
                 regs[n++] = g.net;
             }
         }
     }
     *n_regs = n;
-    return tog;
+    return flips;
 }
 
 } // namespace rtl

@@ -1,22 +1,23 @@
 /**
  * @file
- * The host half of the compiled backend: everything a kernel does
- * that is the same for every design, precompiled once with the
+ * The word-level half of the simulator: everything that works on a
+ * netlist's packed state words rather than on its BitVec values, and
+ * is the same for every design, so it is precompiled once with the
  * simulator instead of being emitted into (and compiled with) every
  * JIT unit.
  *
- * A JIT unit (rtl/kernel_abi.h) carries only the per-level node
- * bodies and a fixed change hook.  KernelLayout is the state layout
- * both halves agree on — per-net word offsets, levels and their
- * occupancy-bitmap words, the consumer CSR the change hook walks, and
- * the clock edge's wire, update and register tables — and
- * kernelLayout() is the one function that builds it, called by the
- * C++ emitter for the offsets it bakes into the node bodies and by
- * the JIT for the host, so the two cannot drift.  KernelHost is one
- * kernel context: it owns the state words and the frame the unit's
- * functions see, takes pokes, runs the level walk (per-level
- * escalation, dense-fallback hysteresis, activity counters) and
- * commits the clock edge.
+ * KernelLayout is the state layout — per-net word offsets, levels and
+ * their occupancy-bitmap words, the consumer CSR a kernel's change
+ * hook walks, and the clock edge's wire, update and register tables —
+ * and kernelLayout() is the one function that builds it.  Each
+ * rtl::Netlist builds its layout once (Netlist::layout()); the C++
+ * emitter bakes its offsets into the node bodies and every Sim on the
+ * netlist reads the same object, so the two cannot drift.  ClockEdge
+ * is the clock edge both of rtl::Sim's backends commit through.
+ * KernelHost is one compiled-kernel context: it owns the state words
+ * and the frame the unit's functions see, takes pokes and runs the
+ * level walk (per-level escalation, dense-fallback hysteresis,
+ * activity counters).
  */
 
 #ifndef ANVIL_RTL_KERNEL_HOST_H
@@ -32,7 +33,7 @@
 namespace anvil {
 namespace rtl {
 
-/** Words a value of `width` bits takes in a kernel's state:
+/** Words a value of `width` bits takes in the state words:
  *  ceil(width/64), at least one. */
 inline uint32_t
 kernelWords(int width)
@@ -40,7 +41,9 @@ kernelWords(int width)
     return width <= 0 ? 1u : static_cast<uint32_t>((width + 63) / 64);
 }
 
-/** How a netlist lies in a kernel context (see kernelLayout). */
+/** How a netlist's values lie in packed state words (see
+ *  kernelLayout): a kernel context's, or the image rtl::Sim keeps for
+ *  the clock edge on the interpreter. */
 struct KernelLayout
 {
     /**
@@ -81,6 +84,10 @@ struct KernelLayout
     std::vector<int32_t> wire_of;       // per net: row in wires, or -1
     std::vector<Wire> wires;            // wireNets() order
     std::vector<Update> updates;        // declaration order
+    /** Enable CSR: the rows of `updates` enabled by net n are
+     *  en_updates[en_begin[n] .. en_begin[n + 1]). */
+    std::vector<uint32_t> en_begin;     // per net, plus the total
+    std::vector<uint32_t> en_updates;
     std::vector<Reg> regs;              // regs() order
     uint64_t shadow_words = 0;
     uint64_t next_words = 0;
@@ -97,21 +104,101 @@ struct KernelLayout
 };
 
 /**
- * The layout of `nl` in a kernel context.  Every net — sources,
- * strict nodes and lazy nodes — gets kernelWords(width) state words,
- * in net id order.  Level l's nodes are order()[levelBegin()[l] ..
+ * The layout of `nl`'s state words.  Every net — sources, strict
+ * nodes and lazy nodes — gets kernelWords(width) state words, in net
+ * id order.  Level l's nodes are order()[levelBegin()[l] ..
  * levelBegin()[l + 1]), each at a dense slot in its level's bitmap
  * words.  A net's consumers are the strict nodes reading it (constant
- * operands excluded, one entry per reading node) in evaluation order.
+ * operands excluded, one entry per reading node) in net id order.
  * The edge's tables leave out updates of unknown registers, which
- * fault host-side before the edge runs.
+ * fault host-side before the edge stages anything.
  */
 KernelLayout kernelLayout(const Netlist &nl);
 
 /**
+ * The dense-fallback hysteresis both sweeps share: a frame that
+ * changed more than half of the `strict` nodes moves the next frames
+ * onto the dense path, and one that changed under 40% moves them back.
+ * Returns whether this frame entered the dense path.
+ */
+inline bool
+denseFallback(bool &prefer_dense, uint64_t changed, uint64_t strict)
+{
+    if (!strict)
+        return false;
+    if (changed * 2 > strict) {
+        bool entered = !prefer_dense;
+        prefer_dense = true;
+        return entered;
+    }
+    if (changed * 5 < strict * 2)
+        prefer_dense = false;
+    return false;
+}
+
+/**
+ * The clock edge over state words at a layout's offsets: wire toggles
+ * against a shadow, the firing updates staged (the last one to a
+ * register wins), and the registers that moved committed.  rtl::Sim
+ * owns one for a whole run and runs it over a KernelHost's state with
+ * a kernel attached, or over a word image of its own values without,
+ * so both backends share one edge and a mid-run attach hands nothing
+ * over.  The edge's state outlives the words it runs over: the wire
+ * shadow, the armed set (the updates whose enable is nonzero, kept
+ * fresh from each frame's changed nets, so an edge costs O(activity)),
+ * and the staging words.
+ */
+class ClockEdge
+{
+  public:
+    explicit ClockEdge(std::shared_ptr<const KernelLayout> layout);
+
+    /**
+     * The edge's first half, once the words `s` hold the frame's
+     * values.  The first call adopts every wire's words as its shadow
+     * and arms every update whose enable is nonzero, counting nothing.
+     * Later calls visit only `changed`, the nets that may have moved
+     * since the previous edge (ids at or past the layout's net count
+     * are skipped): a toggle-counted wire adds the popcount of its
+     * words xor its shadow words and stores them there, and an enable
+     * re-arms its updates.  Returns the wire toggles.
+     */
+    uint64_t sample(const uint64_t *s, const int32_t *changed,
+                    uint64_t n_changed);
+
+    /**
+     * The second half: every armed update writes its value, truncated
+     * or zero-extended to its register, in declaration order, so the
+     * last one to a register wins.  Registers whose value moved are
+     * committed into `s` in ascending register order, their nets
+     * appended to `regs` (one slot per register) and counted in
+     * *n_regs.  Returns their bit flips.
+     */
+    uint64_t commit(uint64_t *s, int32_t *regs, uint64_t *n_regs);
+
+  private:
+    template <bool Wide>
+    uint64_t sampleWords(const uint64_t *s, const int32_t *changed,
+                         uint64_t n_changed);
+    template <bool Wide>
+    uint64_t commitWords(uint64_t *s, int32_t *regs, uint64_t *n_regs);
+    template <bool Wide>
+    void arm(const uint64_t *s, uint32_t update);
+
+    std::shared_ptr<const KernelLayout> _layout;
+    std::vector<uint64_t> _shadow;   // wire words at the last edge
+    std::vector<uint64_t> _next;     // staged register words
+    std::vector<uint64_t> _staged;   // bitmap of staged registers
+    std::vector<uint64_t> _armed;    // bitmap of armed updates
+    bool _primed = false;            // the first sample() has run
+};
+
+/**
  * One kernel context: a compiled unit's level functions run over
- * host-owned state.  Not thread-safe; distinct contexts may run on
- * distinct threads (the unit and the layout are immutable).
+ * host-owned state.  The context sweeps; the clock edge is the Sim's
+ * ClockEdge, run over state().  Not thread-safe; distinct contexts
+ * may run on distinct threads (the unit and the layout are
+ * immutable).
  */
 class KernelHost : private AnvilFrame
 {
@@ -123,12 +210,10 @@ class KernelHost : private AnvilFrame
     KernelHost(const KernelHost &) = delete;
     KernelHost &operator=(const KernelHost &) = delete;
 
-    /** The words of `net` (kernelWords(width) of them); stable for
-     *  the context's lifetime. */
-    uint64_t *netPtr(NetId net)
-    {
-        return s + _layout->off[static_cast<size_t>(net)];
-    }
+    /** The state words (the layout's state_words of them); net n's
+     *  are at the layout's off[n].  Stable for the context's
+     *  lifetime. */
+    uint64_t *state() { return s; }
 
     /** Queue the strict consumers of `net`, whose words the caller
      *  just wrote, for the next eval().  Pokes between evals
@@ -139,34 +224,13 @@ class KernelHost : private AnvilFrame
      * The levelized sweep.  A sparse frame visits the levels with
      * queued nodes in order and drains each one's bitmap, or runs its
      * dense body once the level escalates; a dense frame (`full`, or
-     * the hysteresis after a frame that changed more than half the
+     * denseFallback() after a frame that changed more than half the
      * strict nodes) runs every dense body.  Strict nets whose value
      * changed — exactly those — are appended to `changed` (net_count
      * capacity) and counted in *n_changed.  Returns the nodes
      * evaluated.
      */
     uint64_t eval(int32_t *changed, uint64_t *n_changed, bool full);
-
-    /**
-     * The clock edge, after the frame's eval().  Each toggle-counted
-     * wire among `changed` (ids at or above the layout's net count
-     * are skipped) adds the popcount of its words xor its shadow
-     * words and then stores them there.  Every update whose enable is
-     * nonzero writes its value, truncated or zero-extended to its
-     * register, in declaration order, so the last firing update of a
-     * register wins.  Registers whose value moved are committed in
-     * ascending register order: their flips are counted, their
-     * consumers queued as by poke(), and their nets appended to
-     * `regs` (one slot per register) and counted in *n_regs.  Returns
-     * the wire toggles plus the register flips.
-     */
-    uint64_t edge(const int32_t *changed, uint64_t n_changed,
-                  int32_t *regs, uint64_t *n_regs);
-
-    /** Every toggle-counted wire's words as edge() last stored them
-     *  (wires in wireNets() order, kernelWords(width) each); zero
-     *  until the caller seeds them. */
-    uint64_t *shadow() { return _shadow.data(); }
 
     /** Cumulative node evaluations per level, both frame kinds. */
     std::vector<uint64_t> levelEvals() const;
@@ -188,19 +252,12 @@ class KernelHost : private AnvilFrame
         uint32_t bm_begin, bm_end;   // the level's bitmap words
     };
 
-    template <bool Wide>
-    uint64_t edgeWords(const int32_t *changed, uint64_t n_changed,
-                       int32_t *regs, uint64_t *n_regs);
-
     std::shared_ptr<const KernelLayout> _layout;
     // Storage behind the frame's s, wbm and queued.
     std::vector<uint64_t> _state;
     std::vector<uint64_t> _bitmap;
     std::vector<uint32_t> _queued;
     std::vector<Turn> _turns;          // per level, in order
-    std::vector<uint64_t> _shadow;     // wire words at the last edge
-    std::vector<uint64_t> _next;       // staged register words
-    std::vector<uint64_t> _staged;     // bitmap of staged registers
     bool _prefer_dense = false;        // hysteresis state
     uint64_t _dense_frames = 0;
     uint64_t _fallback_switches = 0;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "rtl/kernel_host.h"
+
 namespace anvil {
 namespace rtl {
 
@@ -108,6 +110,7 @@ Netlist::Netlist(const Module &top)
         add_lazy_root(p.value);
     }
 
+    _layout = std::make_shared<const KernelLayout>(kernelLayout(*this));
     _constructed = true;
 }
 

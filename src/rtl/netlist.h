@@ -35,6 +35,8 @@
 namespace anvil {
 namespace rtl {
 
+struct KernelLayout;
+
 /** Interned index of a signal or expression node in the netlist. */
 using NetId = int32_t;
 
@@ -168,6 +170,17 @@ class Netlist
     const std::vector<NetUpdate> &updates() const { return _updates; }
     const std::vector<NetPrint> &prints() const { return _prints; }
 
+    /**
+     * The packed state-word layout of the nets present at construction
+     * (rtl::kernelLayout, rtl/kernel_host.h), built once with the
+     * netlist so that every Sim, kernel and emitter on it shares one;
+     * nets compile() appends later lie past its net count.
+     */
+    const std::shared_ptr<const KernelLayout> &layout() const
+    {
+        return _layout;
+    }
+
     /** Follow child-output aliases from a scoped name to a flat one. */
     std::string resolveName(const std::string &scope,
                             const std::string &name) const;
@@ -245,6 +258,7 @@ class Netlist
     std::vector<PendingWire> _pending_wires;
     std::vector<PendingUpdate> _pending_updates;
     std::vector<PendingPrint> _pending_prints;
+    std::shared_ptr<const KernelLayout> _layout;
     bool _constructed = false;
 };
 

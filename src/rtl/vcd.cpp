@@ -13,7 +13,7 @@ namespace {
 struct ScopeNode
 {
     std::map<std::string, ScopeNode> children;
-    std::vector<size_t> vars;   // indices into the traced list
+    std::vector<size_t> vars;   // indices into the var list
 };
 
 /** Binary value with leading zeros stripped (VCD shorthand). */
@@ -31,12 +31,13 @@ trimmedBinary(const BitVec &v)
 
 void
 writeVcdHeader(std::ostream &os, const std::string &top_scope,
-               const std::vector<VcdVarDecl> &vars)
+               const std::vector<VcdVarDecl> &vars,
+               const std::string &timescale)
 {
     // Deterministic header: no wall-clock date, fixed version text.
     os << "$date\n    (deterministic)\n$end\n"
        << "$version\n    anvil VcdWriter\n$end\n"
-       << "$timescale\n    1ns\n$end\n";
+       << "$timescale\n    " << timescale << "\n$end\n";
 
     ScopeNode root;
     for (size_t i = 0; i < vars.size(); i++) {
@@ -154,7 +155,7 @@ VcdWriter::writeHeader()
     vars.reserve(_traced.size());
     for (const Traced &t : _traced)
         vars.push_back({t.name, t.id, t.width, t.is_reg});
-    writeVcdHeader(_os, _sim.topName(), vars);
+    writeVcdHeader(_os, _sim.topName(), vars, "1ns");
 }
 
 void

@@ -53,13 +53,15 @@ struct VcdVarDecl
 };
 
 /**
- * Emit the deterministic VCD header: fixed date/version/timescale
- * text, the scope tree derived from the vars' dotted names rooted at
- * `top_scope`, and one $var per entry.  Exactly the bytes VcdWriter
- * writes at construction.
+ * Emit the deterministic VCD header: fixed date and version text, the
+ * `timescale` section, the scope tree derived from the vars' dotted
+ * names rooted at `top_scope`, and one $var per entry.  With "1ns",
+ * exactly the bytes VcdWriter writes at construction;
+ * trace::Trace::writeVcd passes the timescale it read.
  */
 void writeVcdHeader(std::ostream &os, const std::string &top_scope,
-                    const std::vector<VcdVarDecl> &vars);
+                    const std::vector<VcdVarDecl> &vars,
+                    const std::string &timescale);
 
 /**
  * Emit one value-change line: `0id`/`1id` for 1-bit vars, else

@@ -2,41 +2,11 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
+
+#include "rtl/vcd.h"
 
 namespace anvil {
 namespace trace {
-
-namespace {
-
-/** Nested scope for header rebuilding (mirrors rtl::VcdWriter). */
-struct ScopeNode
-{
-    std::map<std::string, ScopeNode> children;
-    std::vector<size_t> vars;   // indices into the signal list
-};
-
-/** Binary value with leading zeros stripped (VCD shorthand). */
-std::string
-trimmedBinary(const BitVec &v)
-{
-    std::string b = v.toBinary();
-    size_t first = b.find('1');
-    if (first == std::string::npos)
-        return "0";
-    return b.substr(first);
-}
-
-void
-emitValue(std::ostream &os, const TraceSignal &s, const BitVec &v)
-{
-    if (s.width == 1)
-        os << (v.any() ? '1' : '0') << s.id << "\n";
-    else
-        os << "b" << trimmedBinary(v) << " " << s.id << "\n";
-}
-
-} // namespace
 
 const BitVec *
 TraceSignal::valueAt(uint64_t time) const
@@ -101,43 +71,11 @@ Trace::changeCount() const
 void
 Trace::writeVcd(std::ostream &os) const
 {
-    os << "$date\n    (deterministic)\n$end\n"
-       << "$version\n    anvil VcdWriter\n$end\n"
-       << "$timescale\n    " << timescale << "\n$end\n";
-
-    ScopeNode root;
-    for (size_t i = 0; i < _signals.size(); i++) {
-        ScopeNode *node = &root;
-        const std::string &name = _signals[i].name;
-        size_t start = 0, dot;
-        while ((dot = name.find('.', start)) != std::string::npos) {
-            node = &node->children[name.substr(start, dot - start)];
-            start = dot + 1;
-        }
-        node->vars.push_back(i);
-    }
-
-    auto emitScope = [this, &os](const ScopeNode &node,
-                                 auto &&self) -> void {
-        for (size_t i : node.vars) {
-            const TraceSignal &s = _signals[i];
-            std::string leaf = s.name.substr(s.name.rfind('.') + 1);
-            os << "$var " << (s.is_reg ? "reg" : "wire") << " "
-               << s.width << " " << s.id << " " << leaf;
-            if (s.width > 1)
-                os << " [" << s.width - 1 << ":0]";
-            os << " $end\n";
-        }
-        for (const auto &[name, child] : node.children) {
-            os << "$scope module " << name << " $end\n";
-            self(child, self);
-            os << "$upscope $end\n";
-        }
-    };
-
-    os << "$scope module " << top << " $end\n";
-    emitScope(root, emitScope);
-    os << "$upscope $end\n$enddefinitions $end\n";
+    std::vector<rtl::VcdVarDecl> vars;
+    vars.reserve(_signals.size());
+    for (const TraceSignal &s : _signals)
+        vars.push_back({s.name, s.id, s.width, s.is_reg});
+    rtl::writeVcdHeader(os, top, vars, timescale);
 
     if (changeCount() == 0)
         return;
@@ -154,7 +92,8 @@ Trace::writeVcd(std::ostream &os) const
         for (size_t i = 0; i < _signals.size(); i++) {
             const auto &ch = _signals[i].changes;
             while (next[i] < ch.size() && ch[next[i]].first == t) {
-                emitValue(os, _signals[i], ch[next[i]].second);
+                rtl::writeVcdValue(os, _signals[i].id, _signals[i].width,
+                                   ch[next[i]].second);
                 next[i]++;
             }
         }

@@ -72,11 +72,12 @@ class Trace
     uint64_t changeCount() const;
 
     /**
-     * Write the trace as VCD in rtl::VcdWriter's exact format: the
-     * deterministic header, scopes rebuilt from dotted names, a full
-     * $dumpvars checkpoint at the first timestamp, then change-only
-     * records in declaration order.  Reading a VcdWriter dump and
-     * writing it back here is byte-identical.
+     * Write the trace as VCD in rtl::VcdWriter's exact format, through
+     * the same rtl::writeVcdHeader and rtl::writeVcdValue: the header
+     * with this trace's timescale, a full $dumpvars checkpoint at the
+     * first timestamp, then change-only records in declaration order.
+     * Reading a VcdWriter dump and writing it back here is
+     * byte-identical.
      */
     void writeVcd(std::ostream &os) const;
 

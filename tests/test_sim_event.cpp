@@ -12,12 +12,15 @@
  * fewer nodes than the dense sweep on sparse stimulus, pins when
  * the dirty sweep's adaptive dense fallback engages, and checks that
  * Sim::nextRegs predicts every mode's clock edge without taking it.
+ * The clock edge, which both backends share, is held to rtl::RefSim
+ * edge by edge (the KernelEdge cases).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -26,6 +29,7 @@
 #include "designs/designs.h"
 #include "harness.h"
 #include "rtl/interp.h"
+#include "rtl/ref_interp.h"
 #include "rtl/vcd.h"
 #include "sim_workloads.h"
 #include "tb/coverage.h"
@@ -845,14 +849,29 @@ TEST(NextRegs, FaultsLikeTheEdge)
     }
 }
 
+/** Registers (by name), toggles and log of `sim` against `refsim`. */
+void
+expectMatchesRef(const RefSim &refsim, const Sim &sim, int cyc)
+{
+    for (const std::string &name : sim.regNames())
+        ASSERT_EQ(refsim.regValue(name), sim.regValue(name))
+            << name << " after cycle " << cyc;
+    ASSERT_EQ(refsim.totalToggles(), sim.totalToggles())
+        << "toggles after cycle " << cyc;
+    ASSERT_EQ(refsim.log(), sim.log()) << "log after cycle " << cyc;
+}
+
 /**
- * The kernel's clock edge against the interpreter's, edge by edge: an
- * interpreter Sim and a twin stepped under the same stimulus must
- * report the same changed nets before every step() and hold equal
- * registers, toggles and logs after it.  The twin runs `attach_at`
- * cycles on the interpreter before its kernel attaches (0: from the
- * start), and attaches a fresh context again at `reattach_at` when
- * that is set.
+ * The clock edge, edge by edge, against rtl::RefSim, the reference
+ * semantics: an interpreter Sim and a RefSim fed the same inputs must
+ * hold equal registers, toggles and logs after every step().  When a
+ * system compiler is available, a twin Sim on the compiled backend
+ * must also report the interpreter's changed nets before every step()
+ * and hold the same registers, toggles and log after it.  The twin
+ * runs `attach_at` cycles on the interpreter before its kernel
+ * attaches (0: from the start), and attaches a fresh context again at
+ * `reattach_at` when that is set.  Both backends commit through one
+ * edge, so the RefSim half is what catches an edge bug.
  */
 void
 expectKernelEdgeMatches(const ModulePtr &mod, int cycles,
@@ -860,32 +879,44 @@ expectKernelEdgeMatches(const ModulePtr &mod, int cycles,
                         int attach_at = 0, int reattach_at = -1)
 {
     SCOPED_TRACE(mod->name + " attach at " + std::to_string(attach_at));
-    Sim interp(mod), twin(mod);
+    Sim interp(mod);
+    RefSim refsim(mod);
+    std::unique_ptr<Sim> twin;
+    if (haveJitCompiler())
+        twin = std::make_unique<Sim>(mod);
+    const std::vector<std::string> inputs = interp.inputNames();
     DriveFn da = make_drive(), db = make_drive();
     for (int cyc = 0; cyc < cycles; cyc++) {
-        if (cyc == attach_at || cyc == reattach_at) {
-            attachJitKernel(twin);
-            ASSERT_TRUE(twin.kernelAttached());
+        if (twin && (cyc == attach_at || cyc == reattach_at)) {
+            attachJitKernel(*twin);
+            ASSERT_TRUE(twin->kernelAttached());
         }
         da(interp, cyc);
-        db(twin, cyc);
-        ASSERT_EQ(changedSet(interp), changedSet(twin))
-            << "changed nets in cycle " << cyc;
+        for (const std::string &in : inputs)
+            refsim.setInput(in, interp.peek(in));
+        if (twin) {
+            db(*twin, cyc);
+            ASSERT_EQ(changedSet(interp), changedSet(*twin))
+                << "changed nets in cycle " << cyc;
+        }
         interp.step();
-        twin.step();
-        ASSERT_EQ(interp.captureRegs(), twin.captureRegs())
-            << "registers after cycle " << cyc;
-        ASSERT_EQ(interp.totalToggles(), twin.totalToggles())
-            << "toggles after cycle " << cyc;
-        ASSERT_EQ(interp.log(), twin.log()) << "log after cycle " << cyc;
+        refsim.step();
+        ASSERT_NO_FATAL_FAILURE(expectMatchesRef(refsim, interp, cyc));
+        if (twin) {
+            twin->step();
+            ASSERT_EQ(interp.captureRegs(), twin->captureRegs())
+                << "registers after cycle " << cyc;
+            ASSERT_EQ(interp.totalToggles(), twin->totalToggles())
+                << "toggles after cycle " << cyc;
+            ASSERT_EQ(interp.log(), twin->log())
+                << "log after cycle " << cyc;
+        }
     }
-    EXPECT_GT(twin.totalToggles(), 0u);
+    EXPECT_GT(interp.totalToggles(), 0u);
 }
 
 TEST(KernelEdge, RegistersWiderThan64Bits)
 {
-    if (!haveJitCompiler())
-        GTEST_SKIP() << "no system compiler available";
     // A 100-bit accumulator and a 130-bit shift register, committed
     // through multi-word staging, plus a 72-bit wire whose toggles
     // span two shadow words.
@@ -909,10 +940,8 @@ TEST(KernelEdge, RegistersWiderThan64Bits)
 
 TEST(KernelEdge, LastFiringUpdateWins)
 {
-    if (!haveJitCompiler())
-        GTEST_SKIP() << "no system compiler available";
     // Two guarded updates of one register, narrow and wide: when both
-    // fire, the later declaration is what the kernel commits.
+    // fire, the later declaration is what the edge commits.
     auto m = std::make_shared<Module>();
     m->name = "twice";
     auto a = m->input("a", 1);
@@ -934,8 +963,10 @@ TEST(KernelEdge, LastFiringUpdateWins)
     expectKernelEdgeMatches(m, 64, drive);
 
     Sim sim(m);
-    attachJitKernel(sim);
-    ASSERT_TRUE(sim.kernelAttached());
+    if (haveJitCompiler()) {
+        attachJitKernel(sim);
+        ASSERT_TRUE(sim.kernelAttached());
+    }
     DriveFn dr = drive();
     for (int cyc = 0; cyc < 16; cyc++) {
         dr(sim, cyc);
@@ -949,11 +980,9 @@ TEST(KernelEdge, LastFiringUpdateWins)
 
 TEST(KernelEdge, LazyUpdateOperands)
 {
-    if (!haveJitCompiler())
-        GTEST_SKIP() << "no system compiler available";
     // p and q close a structural loop that the mux never takes while
     // sel is 0, so both are lazy: the update's enable and value are
-    // evaluated host-side and handed to the kernel's edge.
+    // evaluated host-side and reach the edge's words as changed nets.
     auto m = std::make_shared<Module>();
     m->name = "lazy_ops";
     auto x = m->input("x", 8);
@@ -981,8 +1010,6 @@ TEST(KernelEdge, LazyUpdateOperands)
 
 TEST(KernelEdge, AttachMidRunContinues)
 {
-    if (!haveJitCompiler())
-        GTEST_SKIP() << "no system compiler available";
     // 100 cycles on the interpreter, then the kernel takes over: the
     // registers and the toggle count carry on without a jump, also
     // across a second attach that replaces the first context.
@@ -1002,13 +1029,11 @@ TEST(KernelEdge, AttachMidRunContinues)
                             tlb_drive, 100);
 }
 
-// Designs whose kernel layout has empty tables, which the host's level
-// walk and edge must handle without the dummy rows a unit would need.
+// Designs whose layout has empty tables, which the host's level walk
+// and the edge must handle without the dummy rows a unit would need.
 
 TEST(KernelEdge, NoStrictNodes)
 {
-    if (!haveJitCompiler())
-        GTEST_SKIP() << "no system compiler available";
     // The update reads its enable and value straight off inputs, so
     // there is nothing to sweep: the unit has no level functions.
     auto m = std::make_shared<Module>();
@@ -1024,8 +1049,6 @@ TEST(KernelEdge, NoStrictNodes)
 
 TEST(KernelEdge, NoRegisters)
 {
-    if (!haveJitCompiler())
-        GTEST_SKIP() << "no system compiler available";
     // Pure combinational logic: toggles come from the wires alone.
     auto m = std::make_shared<Module>();
     m->name = "no_regs";
@@ -1041,10 +1064,8 @@ TEST(KernelEdge, NoRegisters)
 
 TEST(KernelEdge, NoToggleCountedWires)
 {
-    if (!haveJitCompiler())
-        GTEST_SKIP() << "no system compiler available";
-    // No named wire: the toggles are all register flips, and the
-    // kernel context has no shadow words.
+    // No named wire: the toggles are all register flips, and the edge
+    // has no shadow words.
     auto m = std::make_shared<Module>();
     m->name = "no_wires";
     auto en = m->input("en", 1);
@@ -1061,8 +1082,6 @@ TEST(KernelEdge, NoToggleCountedWires)
 
 TEST(KernelEdge, WideRegisterLoadedFromInput)
 {
-    if (!haveJitCompiler())
-        GTEST_SKIP() << "no system compiler available";
     // A 100-bit register loaded straight from a 100-bit input, and a
     // 130-bit one zero-extending the same input: multi-word staging
     // with no strict node in between.
@@ -1087,30 +1106,187 @@ TEST(KernelEdge, WideRegisterLoadedFromInput)
     expectKernelEdgeMatches(m, 200, drive);
 }
 
+TEST(KernelEdge, PokedRegistersReachTheEdge)
+{
+    // Registers poked between edges: q copies r's words straight off
+    // the edge's state, and r's own update counts its flips against
+    // the poked value, so a poke the edge missed shows in both.
+    auto m = std::make_shared<Module>();
+    m->name = "poked";
+    auto en = m->input("en", 1);
+    auto d = m->input("d", 8);
+    auto r = m->reg("r", 8);
+    auto w = m->reg("w", 100);
+    m->reg("q", 8);
+    m->wire("mix", r ^ d);
+    m->update("q", cst(1, 1), r);
+    m->update("r", en, r + d);
+    m->update("w", en, concat({r, slice(w, 0, 92)}));
+    Sim interp(m);
+    RefSim refsim(m);
+    std::unique_ptr<Sim> twin;
+    if (haveJitCompiler()) {
+        twin = std::make_unique<Sim>(m);
+        attachJitKernel(*twin);
+        ASSERT_TRUE(twin->kernelAttached());
+    }
+    std::mt19937_64 rng(59);
+    for (int cyc = 0; cyc < 200; cyc++) {
+        uint64_t e = rng() & 1, v = rng();
+        BitVec wv = BitVec(64, rng()).concatHigh(BitVec(36, rng()));
+        interp.setInput("en", e);
+        interp.setInput("d", v);
+        refsim.setInput("en", e);
+        refsim.setInput("d", v);
+        if (twin) {
+            twin->setInput("en", e);
+            twin->setInput("d", v);
+        }
+        if (cyc % 3 == 1) {
+            BitVec rv(8, rng());
+            interp.setRegValue("r", rv);
+            interp.setRegValue("w", wv);
+            refsim.setRegValue("r", rv);
+            refsim.setRegValue("w", wv);
+            if (twin) {
+                twin->setRegValue("r", rv);
+                twin->setRegValue("w", wv);
+            }
+        }
+        interp.step();
+        refsim.step();
+        ASSERT_NO_FATAL_FAILURE(expectMatchesRef(refsim, interp, cyc));
+        if (twin) {
+            twin->step();
+            ASSERT_NO_FATAL_FAILURE(expectMatchesRef(refsim, *twin, cyc));
+        }
+    }
+}
+
+TEST(KernelEdge, AdHocNetsPastTheLayout)
+{
+    // evalTop every cycle appends lazy nets the layout does not cover
+    // (a fresh expression each cycle, beside one read throughout);
+    // they join the changed-net list, and the edge must skip them.
+    auto mod = designs::buildFifoBaseline();
+    std::vector<std::unique_ptr<Sim>> sims;
+    sims.push_back(std::make_unique<Sim>(mod));
+    if (haveJitCompiler()) {
+        sims.push_back(std::make_unique<Sim>(mod));
+        attachJitKernel(*sims.back());
+        ASSERT_TRUE(sims.back()->kernelAttached());
+    }
+    RefSim refsim(mod);
+    const std::vector<std::string> inputs = sims[0]->inputNames();
+    const std::string reg = sims[0]->regNames().front();
+    const int width = sims[0]->regValue(reg).width();
+    ExprPtr steady = ref(reg, width) ^ cst(width, 0x5);
+    std::mt19937_64 rng(60);
+    for (int cyc = 0; cyc < 150; cyc++) {
+        ExprPtr fresh =
+            concat({cst(1, 1), ref(reg, width) + cst(width, cyc)});
+        for (const std::string &in : inputs) {
+            uint64_t v = rng();
+            for (auto &sim : sims)
+                sim->setInput(in, v);
+            refsim.setInput(in, v);
+        }
+        for (auto &sim : sims) {
+            SCOPED_TRACE(sim->kernelAttached() ? "compiled" : "interp");
+            ASSERT_EQ(sim->evalTop(steady), refsim.evalTop(steady));
+            ASSERT_EQ(sim->evalTop(fresh), refsim.evalTop(fresh));
+            size_t past = 0;
+            for (NetId id : sim->changedNets())
+                past += static_cast<size_t>(id) >=
+                    sim->netlist().layout()->net_count;
+            if (cyc > 0) {
+                ASSERT_GT(past, 0u) << "cycle " << cyc;
+            }
+            sim->step();
+        }
+        refsim.step();
+        for (auto &sim : sims)
+            ASSERT_NO_FATAL_FAILURE(expectMatchesRef(refsim, *sim, cyc));
+    }
+}
+
 TEST(KernelEdge, UnknownRegisterFaultsLikeTheInterpreter)
 {
-    if (!haveJitCompiler())
-        GTEST_SKIP() << "no system compiler available";
     auto m = std::make_shared<Module>();
     m->name = "ghost";
     auto en = m->input("en", 1);
     auto r = m->reg("r", 4);
     m->update("r", cst(1, 1), r + cst(4, 1));
     m->update("ghost", en, cst(4, 3));
-    Sim interp(m), compiled(m);
+    Sim interp(m);
+    RefSim refsim(m);
+    interp.step();
+    refsim.step();
+    EXPECT_EQ(interp.captureRegs()[0].toUint64(), 1u);
+    interp.setInput("en", 1);
+    refsim.setInput("en", 1);
+    std::string want = thrownMessage<std::invalid_argument>(
+        [&] { refsim.step(); });
+    EXPECT_NE(want.find("ghost"), std::string::npos) << want;
+    EXPECT_EQ(thrownMessage<std::invalid_argument>(
+                  [&] { interp.step(); }),
+              want);
+    if (!haveJitCompiler())
+        return;
+    Sim compiled(m);
     attachJitKernel(compiled);
     ASSERT_TRUE(compiled.kernelAttached());
-    interp.step();
     compiled.step();
     EXPECT_EQ(compiled.captureRegs()[0].toUint64(), 1u);
-    interp.setInput("en", 1);
     compiled.setInput("en", 1);
-    std::string want = thrownMessage<std::invalid_argument>(
-        [&] { interp.step(); });
-    EXPECT_NE(want.find("ghost"), std::string::npos) << want;
     EXPECT_EQ(thrownMessage<std::invalid_argument>(
                   [&] { compiled.step(); }),
               want);
+}
+
+TEST(KernelEdge, FaultCountsWireTogglesFirst)
+{
+    // The edge counts the wires' toggles before an update of an
+    // unknown register faults, as RefSim does: 1 toggle on cycle 1,
+    // then 8 more on the cycle that faults.
+    auto m = std::make_shared<Module>();
+    m->name = "ghost_wire";
+    auto en = m->input("en", 1);
+    auto d = m->input("d", 8);
+    m->wire("w", d);
+    m->update("ghost", en, cst(4, 3));
+    std::vector<std::unique_ptr<Sim>> sims;
+    sims.push_back(std::make_unique<Sim>(m));
+    if (haveJitCompiler()) {
+        sims.push_back(std::make_unique<Sim>(m));
+        attachJitKernel(*sims.back());
+        ASSERT_TRUE(sims.back()->kernelAttached());
+    }
+    RefSim refsim(m);
+    for (uint64_t v : {0x00, 0x01}) {
+        refsim.setInput("d", v);
+        refsim.step();
+        for (auto &sim : sims) {
+            sim->setInput("d", v);
+            sim->step();
+        }
+    }
+    EXPECT_EQ(refsim.totalToggles(), 1u);
+    refsim.setInput("d", 0xfe);
+    refsim.setInput("en", 1);
+    std::string want = thrownMessage<std::invalid_argument>(
+        [&] { refsim.step(); });
+    EXPECT_NE(want.find("ghost"), std::string::npos) << want;
+    EXPECT_EQ(refsim.totalToggles(), 9u);
+    for (auto &sim : sims) {
+        SCOPED_TRACE(sim->kernelAttached() ? "compiled" : "interp");
+        sim->setInput("d", 0xfe);
+        sim->setInput("en", 1);
+        EXPECT_EQ(thrownMessage<std::invalid_argument>(
+                      [&] { sim->step(); }),
+                  want);
+        EXPECT_EQ(sim->totalToggles(), refsim.totalToggles());
+    }
 }
 
 TEST(SweepModes, FanoutCsrMatchesOperands)

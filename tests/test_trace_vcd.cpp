@@ -110,6 +110,26 @@ TEST(TraceVcd, WideSignalsRoundTrip)
     EXPECT_EQ(t.signals()[static_cast<size_t>(ia)].width, 128);
 }
 
+TEST(TraceVcd, TimescaleRoundTrips)
+{
+    // The golden dump with its 1ns section rewritten to 10ps: the
+    // timescale read is the one written back.
+    std::ifstream is(std::string(ANVIL_TEST_DIR) + "/golden/quickstart.vcd");
+    ASSERT_TRUE(is.good());
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    std::string original = buf.str();
+    const std::string ns = "$timescale\n    1ns\n$end\n";
+    size_t at = original.find(ns);
+    ASSERT_NE(at, std::string::npos);
+    original.replace(at, ns.size(), "$timescale\n    10ps\n$end\n");
+
+    std::istringstream in(original);
+    Trace t = VcdReader::read(in);
+    EXPECT_EQ(t.timescale, "10ps");
+    EXPECT_EQ(rewrite(t), original);
+}
+
 TEST(TraceVcd, ValuesRecoverPerCycle)
 {
     // Re-simulate the quickstart stimulus and cross-check values
