@@ -14,7 +14,7 @@
  * differential tests (tests/sim_workloads.h).
  *
  * Build & run:  ./build/bench_sim_perf [--cycles N] [out.json]
- *                   [--farm-json farm.json] [--compiled-floor R]
+ *                   [--farm-json farm.json]
  *
  * Prints a table and emits a JSON record matching BENCH_sim.json
  * (fields: ref, netlist = full sweep, dirty, compiled — 0 when no
@@ -26,14 +26,22 @@
  * throughput {vcd, coverage, contracts, flight} so the observer cost
  * is attributable to a specific plugin, activity_pct,
  * jit_compile_ms + jit_source_bytes = the kernel's
- * cold compile cost).  With a file argument
- * the JSON is written there; `--cycles N` caps every measurement at
- * N cycles (the CI smoke configuration, which exercises all sweep
- * modes); `--compiled-floor R` exits nonzero when compiled_vs_dirty
- * drops below R on any crossbar workload; `--flight-floor R` exits
- * nonzero when flight_vs_dirty drops below R on any low-activity
- * workload (the always-on recorder must stay cheap exactly where
- * long farm runs live).  See docs/benchmarks.md.
+ * cold compile cost, and the work counters the gates below read:
+ * dirty_nodes and compiled_nodes = strict nodes evaluated per cycle,
+ * flight_words = words the recorder copied per changed traced net).
+ * With a file argument the JSON is written there; `--cycles N` caps
+ * every measurement at N cycles (the CI smoke configuration, which
+ * exercises all sweep modes).  See docs/benchmarks.md.
+ *
+ * Exits nonzero when a work-counter gate fails; the counters depend
+ * on the stimulus and the netlist only, not on the machine:
+ *  - on the crossbar and tlb_4w64s rows, a compiled kernel evaluates
+ *    at most kNodeGate times the executor's nodes per cycle (its
+ *    levels escalate to their dense bodies; the executor drains
+ *    exactly), so a kernel that stops skipping idle logic fails;
+ *  - on every row, the flight recorder copies at most the widest
+ *    traced net's words per changed traced net, so a recorder whose
+ *    per-cycle cost stops following activity fails.
  *
  * A second section measures the in-process farm fan-out
  * (run::runFarm, the engine behind `anvilc --farm N`): aggregate
@@ -259,12 +267,15 @@ fullStack(rtl::Sim &sim, std::ostream &null_os)
  * Dirty sweep with an observer stack riding the change feed —
  * sampled once per cycle like Testbench::run does.  The columns
  * price what "observability on" costs over a bare sweep, one stack
- * (or single observer) at a time.
+ * (or single observer) at a time.  `done`, when set, sees the
+ * observers after the last window.
  */
 double
 timedRunObserved(rtl::Sim &sim, int cycles,
                  const StimFactory &make_stim,
-                 const ObserverSetup &setup, int reps = 9)
+                 const ObserverSetup &setup,
+                 const std::function<void(const ObserverList &)> &done = {},
+                 int reps = 9)
 {
     NullBuf null_buf;
     std::ostream null_os(&null_buf);
@@ -291,8 +302,14 @@ timedRunObserved(rtl::Sim &sim, int cycles,
         double s = std::chrono::duration<double>(t1 - t0).count();
         best = std::max(best, static_cast<double>(cycles) / s);
     }
+    if (done)
+        done(owned);
     return best;
 }
+
+/** Most nodes a compiled kernel may evaluate per cycle, as a multiple
+ *  of the executor's on the same stimulus (see the file comment). */
+constexpr double kNodeGate = 2.0;
 
 struct Row
 {
@@ -309,6 +326,13 @@ struct Row
     double activity_pct = 0; // strict nodes evaluated / total, dirty
     double jit_ms = 0;       // kernel compile wall time (cold)
     uint64_t jit_src_bytes = 0;   // emitted translation-unit size
+    // Work counters: nodes per cycle on the executor (dirty) and the
+    // compiled kernel, the recorder's words copied per changed traced
+    // net, and the widest traced net's words.
+    double dirty_nodes = 0;
+    double compiled_nodes = 0;
+    double flight_words = 0;
+    int traced_words = 1;
 };
 
 Row
@@ -327,21 +351,33 @@ runDesign(const std::string &name, const rtl::ModulePtr &mod,
         sim.setSweepMode(rtl::SweepMode::Dirty);
         r.dirty = timedRun(sim, sim_cycles, stim);
         const rtl::SweepStats &st = sim.sweepStats();
+        r.dirty_nodes = st.avgNodes();
         r.activity_pct = st.cycles && st.strict_nodes
             ? 100.0 * st.avgNodes() /
                 static_cast<double>(st.strict_nodes)
             : 0.0;
+        for (const auto &[name, sig] : sim.netlist().signals())
+            r.traced_words = std::max(
+                r.traced_words, static_cast<int>(rtl::kernelWords(sig.width)));
     }
-    auto observed = [&](const ObserverSetup &setup) {
+    auto observed = [&](const ObserverSetup &setup,
+                        const std::function<void(const ObserverList &)>
+                            &done = {}) {
         rtl::Sim sim(mod);
         sim.setSweepMode(rtl::SweepMode::Dirty);
-        return timedRunObserved(sim, sim_cycles, stim, setup);
+        return timedRunObserved(sim, sim_cycles, stim, setup, done);
     };
     r.observers = observed(fullStack);
     r.obs_vcd = observed(vcdOnly);
     r.obs_cov = observed(coverageOnly);
     r.obs_con = observed(contractsOnly);
-    r.flight = observed(flightOnly);
+    r.flight = observed(flightOnly, [&r](const ObserverList &obs) {
+        const auto &rec = static_cast<const obs::FlightRecorder &>(*obs[0]);
+        r.flight_words = rec.tracedChanges()
+            ? static_cast<double>(rec.capturedWords()) /
+                static_cast<double>(rec.tracedChanges())
+            : 0.0;
+    });
     if (!codegen::jitCompilerPath().empty()) {
         rtl::Sim sim(mod);
         sim.setSweepMode(rtl::SweepMode::Dirty);
@@ -350,6 +386,7 @@ runDesign(const std::string &name, const rtl::ModulePtr &mod,
         if (jr.kernel &&
             sim.attachKernel(codegen::kernelRef(jr.kernel))) {
             r.compiled = timedRun(sim, sim_cycles, stim);
+            r.compiled_nodes = sim.sweepStats().avgNodes();
             r.jit_ms = static_cast<double>(jr.compile_ns) / 1e6;
             r.jit_src_bytes = jr.source_bytes;
         } else {
@@ -420,7 +457,6 @@ main(int argc, char **argv)
 {
     std::string out_path, farm_path;
     long cap = 0;
-    double compiled_floor = 0, flight_floor = 0;
     for (int i = 1; i < argc; i++) {
         if (!strcmp(argv[i], "--cycles") && i + 1 < argc) {
             cap = atol(argv[++i]);
@@ -430,26 +466,6 @@ main(int argc, char **argv)
             }
         } else if (!strcmp(argv[i], "--farm-json") && i + 1 < argc) {
             farm_path = argv[++i];
-        } else if (!strcmp(argv[i], "--compiled-floor") &&
-                   i + 1 < argc) {
-            // Regression gate: fail when compiled/dirty drops below
-            // this ratio on any crossbar workload (CI smoke).
-            compiled_floor = atof(argv[++i]);
-            if (compiled_floor <= 0) {
-                fprintf(stderr, "bad --compiled-floor\n");
-                return 2;
-            }
-        } else if (!strcmp(argv[i], "--flight-floor") &&
-                   i + 1 < argc) {
-            // Regression gate: fail when flight/dirty drops below
-            // this ratio on any low-activity workload — the armed
-            // recorder rides every long farm run, so its per-cycle
-            // capture must stay near-free there.
-            flight_floor = atof(argv[++i]);
-            if (flight_floor <= 0) {
-                fprintf(stderr, "bad --flight-floor\n");
-                return 2;
-            }
         } else {
             out_path = argv[i];
         }
@@ -523,6 +539,36 @@ main(int argc, char **argv)
                ratio(r.flight, r.dirty),
                ratio(r.observers, r.dirty));
 
+    // The gates read work counters, not wall clock, so they hold on
+    // any machine; the throughput ratios above are trends.
+    printf("\n=== Work-counter gates ===\n\n");
+    printf("%-14s %10s %10s %7s %12s\n", "design", "dirty n/c",
+           "cmp n/c", "cmp/d", "flight w/net");
+    bool gate_failed = false;
+    for (const auto &r : rows) {
+        bool node_row = r.name.find("xbar") != std::string::npos ||
+            r.name == "tlb_4w64s";
+        double node_ratio = r.compiled > 0 && r.dirty_nodes > 0
+            ? r.compiled_nodes / r.dirty_nodes : 0.0;
+        printf("%-14s %10.1f %10.1f %6.2fx %12.2f\n", r.name.c_str(),
+               r.dirty_nodes, r.compiled_nodes, node_ratio,
+               r.flight_words);
+        if (node_row && node_ratio > kNodeGate) {
+            fprintf(stderr,
+                    "FAIL %s: compiled kernel evaluates %.2fx the "
+                    "executor's nodes per cycle (gate %.1fx)\n",
+                    r.name.c_str(), node_ratio, kNodeGate);
+            gate_failed = true;
+        }
+        if (r.flight_words > r.traced_words) {
+            fprintf(stderr,
+                    "FAIL %s: flight recorder copies %.2f words per "
+                    "changed traced net (widest net: %d)\n",
+                    r.name.c_str(), r.flight_words, r.traced_words);
+            gate_failed = true;
+        }
+    }
+
     std::string json = "{\n  \"bench\": \"sim_perf\",\n"
         "  \"unit\": \"cycles_per_second\",\n  \"designs\": [\n";
     for (size_t i = 0; i < rows.size(); i++) {
@@ -541,7 +587,9 @@ main(int argc, char **argv)
                  "\"flight\": %.2f}, "
                  "\"activity_pct\": %.1f, "
                  "\"jit_compile_ms\": %.1f, "
-                 "\"jit_source_bytes\": %llu}%s\n",
+                 "\"jit_source_bytes\": %llu, "
+                 "\"dirty_nodes\": %.2f, \"compiled_nodes\": %.2f, "
+                 "\"flight_words\": %.3f}%s\n",
                  rows[i].name.c_str(), rows[i].ref, rows[i].full,
                  rows[i].dirty, rows[i].compiled, rows[i].observers,
                  rows[i].flight,
@@ -564,6 +612,8 @@ main(int argc, char **argv)
                  rows[i].activity_pct,
                  rows[i].jit_ms,
                  (unsigned long long)rows[i].jit_src_bytes,
+                 rows[i].dirty_nodes, rows[i].compiled_nodes,
+                 rows[i].flight_words,
                  i + 1 < rows.size() ? "," : "");
         json += buf;
     }
@@ -581,45 +631,6 @@ main(int argc, char **argv)
     } else {
         printf("\n%s", json.c_str());
     }
-
-    // The worklist kernel exists to win exactly these rows; a silent
-    // slide back under the interpreter's dirty sweep is a regression
-    // CI must catch even when correctness still holds.
-    bool floor_failed = false;
-    if (compiled_floor > 0)
-        for (const auto &r : rows) {
-            if (r.name.find("xbar") == std::string::npos)
-                continue;
-            if (r.compiled <= 0 || r.dirty <= 0)
-                continue;   // no compiler: nothing to gate
-            double ratio = r.compiled / r.dirty;
-            if (ratio < compiled_floor) {
-                fprintf(stderr,
-                        "FAIL %s: compiled_vs_dirty %.2f < floor "
-                        "%.2f\n",
-                        r.name.c_str(), ratio, compiled_floor);
-                floor_failed = true;
-            }
-        }
-
-    // The always-on recorder must stay near-free on the low-activity
-    // workloads where long farm runs (its reason to exist) live.
-    if (flight_floor > 0)
-        for (const auto &r : rows) {
-            bool low_activity =
-                r.name.find("xbar") != std::string::npos ||
-                r.name == "tlb_4w64s";
-            if (!low_activity || r.dirty <= 0 || r.flight <= 0)
-                continue;
-            double ratio = r.flight / r.dirty;
-            if (ratio < flight_floor) {
-                fprintf(stderr,
-                        "FAIL %s: flight_vs_dirty %.2f < floor "
-                        "%.2f\n",
-                        r.name.c_str(), ratio, flight_floor);
-                floor_failed = true;
-            }
-        }
 
     // --- Farm fan-out scaling (anvilc --farm N) ----------------------
 
@@ -682,5 +693,5 @@ main(int argc, char **argv)
     } else {
         printf("\n%s", farm_json.c_str());
     }
-    return floor_failed ? 1 : 0;
+    return gate_failed ? 1 : 0;
 }

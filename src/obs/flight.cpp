@@ -38,6 +38,8 @@ FlightRecorder::FlightRecorder(rtl::Sim &sim, Options opts)
         HotSlot h;
         h.words = t.words;
         h.net = t.net;
+        h.last = static_cast<uint32_t>(_last.size());
+        _last.resize(_last.size() + static_cast<size_t>(t.words));
         if (t.fed) {
             size_t ni = static_cast<size_t>(t.net);
             h.dup_next = _net_slot[ni];
@@ -51,13 +53,7 @@ FlightRecorder::FlightRecorder(rtl::Sim &sim, Options opts)
         if (!_traced[slot].fed)
             _unfed.push_back(slot);
 
-    _last_w0.assign(_traced.size(), 0);
-    _last.reserve(_traced.size());
-    _base.reserve(_traced.size());
-    for (const Traced &t : _traced) {
-        _last.emplace_back(t.width);
-        _base.emplace_back(t.width);
-    }
+    _base.assign(_last.size(), 0);
 
     // The window spans at most pre + post + 1 cycles and records
     // exist only for cycles with changes, so this capacity guarantees
@@ -112,16 +108,7 @@ void
 FlightRecorder::evictOldest()
 {
     CycleRec &rec = _ring[_head];
-    size_t w = 0;
-    for (uint32_t slot : rec.slots) {
-        const Traced &t = _traced[slot];
-        BitVec &b = _base[slot];
-        if (t.width <= 64)
-            b.setUint64(rec.words[w]);
-        else
-            b.setWords(rec.words.data() + w, t.words);
-        w += static_cast<size_t>(t.words);
-    }
+    applyRec(rec, _base);
     rec.slots.clear();
     rec.words.clear();
     _head = (_head + 1) % _ring.size();
@@ -129,31 +116,20 @@ FlightRecorder::evictOldest()
 }
 
 void
-FlightRecorder::captureSlot(size_t slot, const BitVec &v)
+FlightRecorder::captureSlot(size_t slot, const uint64_t *w)
 {
-    int words = _hot[slot].words;
-    if (words == 1) {
-        // Narrow fast path: compare-and-copy through the raw-word
-        // shadow, no BitVec call crosses a translation unit.
-        uint64_t w = v.toUint64();
-        if (w == _last_w0[slot])
+    const HotSlot &h = _hot[slot];
+    uint64_t *last = _last.data() + h.last;
+    if (h.words == 1) {
+        // The narrow fast path: one compare, no loop.
+        if (w[0] == last[0])
             return;
-        _last_w0[slot] = w;
-        if (!_cur) {
-            if (_count == _ring.size())
-                evictOldest();
-            _cur = &_ring[(_head + _count) % _ring.size()];
-            _cur->cycle = _last_cycle;
-            _count++;
-        }
-        _cur->slots.push_back(static_cast<uint32_t>(slot));
-        _cur->words.push_back(w);
-        _captured_words++;
-        return;
+        last[0] = w[0];
+    } else {
+        if (std::equal(w, w + h.words, last))
+            return;
+        std::copy_n(w, h.words, last);
     }
-    if (v == _last[slot])
-        return;
-    _last[slot] = v;
     if (!_cur) {
         if (_count == _ring.size())
             evictOldest();
@@ -162,9 +138,18 @@ FlightRecorder::captureSlot(size_t slot, const BitVec &v)
         _count++;
     }
     _cur->slots.push_back(static_cast<uint32_t>(slot));
-    for (int k = 0; k < words; k++)
-        _cur->words.push_back(v.word(k));
-    _captured_words += static_cast<uint64_t>(words);
+    _cur->words.insert(_cur->words.end(), w, w + h.words);
+    _captured_words += static_cast<uint64_t>(h.words);
+}
+
+/** Capture a slot outside the feed (a lazy net) from its value. */
+void
+FlightRecorder::captureValue(size_t slot, const BitVec &v)
+{
+    _scratch.resize(static_cast<size_t>(_hot[slot].words));
+    for (size_t k = 0; k < _scratch.size(); k++)
+        _scratch[k] = v.word(static_cast<int>(k));
+    captureSlot(slot, _scratch.data());
 }
 
 void
@@ -204,18 +189,23 @@ FlightRecorder::pollTriggers(uint64_t cycle)
 
 void
 FlightRecorder::applyRec(const CycleRec &rec,
-                         std::vector<BitVec> &vals) const
+                         std::vector<uint64_t> &vals) const
 {
-    size_t w = 0;
+    const uint64_t *w = rec.words.data();
     for (uint32_t slot : rec.slots) {
-        const Traced &t = _traced[slot];
-        BitVec &b = vals[slot];
-        if (t.width <= 64)
-            b.setUint64(rec.words[w]);
-        else
-            b.setWords(rec.words.data() + w, t.words);
-        w += static_cast<size_t>(t.words);
+        const HotSlot &h = _hot[slot];
+        std::copy_n(w, h.words, vals.data() + h.last);
+        w += h.words;
     }
+}
+
+/** A slot's value from its words. */
+BitVec
+FlightRecorder::valueOf(size_t slot, const uint64_t *w) const
+{
+    BitVec v(_traced[slot].width);
+    v.setWords(w, _hot[slot].words);
+    return v;
 }
 
 void
@@ -239,7 +229,7 @@ FlightRecorder::flushDump(uint64_t to)
     // Checkpoint at `from`: the base snapshot advanced through every
     // record at or before the window start — exactly the values a
     // VcdWriter primed at `from` would have read.
-    std::vector<BitVec> vals = _base;
+    std::vector<uint64_t> vals = _base;
     size_t i = 0;
     for (; i < _count; i++) {
         const CycleRec &rec = _ring[(_head + i) % _ring.size()];
@@ -249,8 +239,8 @@ FlightRecorder::flushDump(uint64_t to)
     }
     os << "#" << from << "\n$dumpvars\n";
     for (size_t slot = 0; slot < _traced.size(); slot++)
-        rtl::writeVcdValue(os, _traced[slot].id,
-                           _traced[slot].width, vals[slot]);
+        rtl::writeVcdValue(os, _traced[slot].id, _traced[slot].width,
+                           valueOf(slot, vals.data() + _hot[slot].last));
     os << "$end\n";
 
     // Per-cycle deltas through the end of the window.  Records hold
@@ -271,15 +261,9 @@ FlightRecorder::flushDump(uint64_t to)
             w += static_cast<uint32_t>(_traced[slot].words);
         }
         std::sort(order.begin(), order.end());
-        for (const auto &[slot, off] : order) {
-            const Traced &t = _traced[slot];
-            BitVec v(t.width);
-            if (t.width <= 64)
-                v.setUint64(rec.words[off]);
-            else
-                v.setWords(rec.words.data() + off, t.words);
-            rtl::writeVcdValue(os, t.id, t.width, v);
-        }
+        for (const auto &[slot, off] : order)
+            rtl::writeVcdValue(os, _traced[slot].id, _traced[slot].width,
+                               valueOf(slot, rec.words.data() + off));
     }
 
     if (_sink)
@@ -296,8 +280,13 @@ FlightRecorder::onPrime(rtl::Sim &sim, uint64_t cycle)
     // change-compare against _last keeps the records minimal either
     // way; the base snapshot (zeros before the first sample) covers
     // whatever never changes.
-    for (size_t slot = 0; slot < _traced.size(); slot++)
-        captureSlot(slot, sim.value(_traced[slot].net));
+    for (size_t slot = 0; slot < _traced.size(); slot++) {
+        if (_traced[slot].fed)
+            captureSlot(slot, sim.words(_traced[slot].net).w);
+        else
+            captureValue(slot, sim.value(_traced[slot].net));
+    }
+    _traced_changes += _traced.size();   // a rescan lists them all
     endCycle(cycle);
 }
 
@@ -312,21 +301,25 @@ FlightRecorder::onCycle(rtl::Sim &sim, uint64_t cycle,
     // every un-fed (lazy) slot re-read each cycle.  Capture order is
     // arrival order — flushDump re-sorts each record into
     // declaration order — and fed values come straight out of the
-    // frame's value table (sample() already swept), so the per-cycle
-    // cost is a compare + memcpy per actually-changed traced net.
+    // frame's state words (sample() already swept), so the per-cycle
+    // cost is a compare + copy per actually-changed traced net.
     for (rtl::NetId id : changed) {
         size_t ni = static_cast<size_t>(id);
         if (ni >= _net_slot.size() ||
             !((_net_mask[ni >> 6] >> (ni & 63)) & 1))
             continue;
+        const uint64_t *w = sim.words(id).w;
         for (int32_t slot = _net_slot[ni]; slot >= 0;
-             slot = _hot[static_cast<size_t>(slot)].dup_next)
-            captureSlot(static_cast<size_t>(slot),
-                        sim.frameValue(
-                            _hot[static_cast<size_t>(slot)].net));
+             slot = _hot[static_cast<size_t>(slot)].dup_next) {
+            _traced_changes++;
+            captureSlot(static_cast<size_t>(slot), w);
+        }
     }
-    for (size_t slot : _unfed)
-        captureSlot(slot, sim.value(_traced[slot].net));
+    for (size_t slot : _unfed) {
+        uint64_t before = _captured_words;
+        captureValue(slot, sim.value(_traced[slot].net));
+        _traced_changes += _captured_words != before;
+    }
     endCycle(cycle);
 }
 

@@ -110,6 +110,12 @@ class FlightRecorder : public Observer
      *  flight.ring_records, flight.capture_bytes. */
     void exportMetrics(MetricsRegistry &reg) const;
 
+    /** Words copied into the ring, and the traced nets the feed
+     *  listed as changed (plus the lazy ones whose re-read moved):
+     *  their ratio is the recorder's cost per changed traced net. */
+    uint64_t capturedWords() const { return _captured_words; }
+    uint64_t tracedChanges() const { return _traced_changes; }
+
     // obs::Observer
     void onAttach(ChangeFeed &feed) override;
     void onPrime(rtl::Sim &sim, uint64_t cycle) override;
@@ -134,13 +140,14 @@ class FlightRecorder : public Observer
     };
 
     /** Hot per-slot fields split out of the cold Traced so the
-     *  per-cycle walk touches 8 bytes per slot, not a ~100-byte
+     *  per-cycle walk touches 16 bytes per slot, not a ~100-byte
      *  struct with strings. */
     struct HotSlot
     {
         int32_t dup_next = -1;   // next traced slot on the same net
         int32_t words = 1;       // == Traced::words
         rtl::NetId net = rtl::kNoNet;
+        uint32_t last = 0;       // its words in _last
     };
 
     /** One cycle's deltas: parallel slot/word arrays, values packed
@@ -162,11 +169,13 @@ class FlightRecorder : public Observer
     };
 
     void beginCycle(uint64_t cycle);
-    void captureSlot(size_t slot, const BitVec &v);
+    void captureSlot(size_t slot, const uint64_t *w);
+    void captureValue(size_t slot, const BitVec &v);
     void endCycle(uint64_t cycle);
     void pollTriggers(uint64_t cycle);
     void evictOldest();
-    void applyRec(const CycleRec &rec, std::vector<BitVec> &vals) const;
+    void applyRec(const CycleRec &rec, std::vector<uint64_t> &vals) const;
+    BitVec valueOf(size_t slot, const uint64_t *w) const;
     void flushDump(uint64_t to);
 
     rtl::Sim &_sim;
@@ -180,13 +189,13 @@ class FlightRecorder : public Observer
      *  keeps them from dragging the int32 table into cache. */
     std::vector<uint64_t> _net_mask;
     std::vector<size_t> _unfed;       // lazy slots, re-read per cycle
-    /** Previous captured value: narrow slots (words == 1, the vast
-     *  majority) live in the raw-word shadow so the per-cycle
-     *  compare-and-copy never crosses into BitVec; wide slots use
-     *  the BitVec table. */
-    std::vector<uint64_t> _last_w0;
-    std::vector<BitVec> _last;        // wide slots only
-    std::vector<BitVec> _base;        // values before the oldest record
+    /** Every slot's previously captured words, back to back
+     *  (HotSlot::last), so the per-cycle compare-and-copy runs on
+     *  words and never on BitVec. */
+    std::vector<uint64_t> _last;
+    std::vector<uint64_t> _scratch;   // an unfed value's words
+    /** The words before the oldest record, laid out like _last. */
+    std::vector<uint64_t> _base;
 
     // Ring of cycle records, oldest at _head, recycled in place so
     // the steady state allocates nothing.
@@ -199,6 +208,7 @@ class FlightRecorder : public Observer
     uint64_t _first_cycle = 0;
     uint64_t _last_cycle = 0;
     uint64_t _captured_words = 0;
+    uint64_t _traced_changes = 0;
 
     std::vector<TriggerSlot> _triggers;
     bool _armed = false;

@@ -151,6 +151,9 @@ ChangeFeed::sample()
 {
     uint64_t cyc = _sim.cycle();
     bool fresh = _cursor.fresh(_sim);
+    // Sweep before any visit, so every observer may read the frame's
+    // words (Sim::words), primes included.
+    _sim.changedNets();
     bool timing = _profiler != nullptr;
     bool sampled = timing && sampledVisit(cyc);
 

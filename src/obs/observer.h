@@ -23,9 +23,9 @@
  *  - lazy nets are excluded centrally — subscribe() returns false
  *    for them and the observer re-reads those itself each visit,
  *    preserving Sim::value()'s on-demand fault semantics;
- *  - reads go through Sim::value(), which is also where the
- *    compiled-kernel value mirror is refreshed — observers never see
- *    a stale kernel-owned value and never carry refresh logic.
+ *  - the hub sweeps the frame before any visit, so observers read
+ *    fed nets straight from the state words (Sim::words) and lazy
+ *    nets through Sim::value(), which keeps their fault semantics.
  *
  * The hub doubles as the telemetry spine: it counts per-observer
  * visits and touched nets, and with a TraceProfiler attached it bins

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "rtl/kernel_host.h"
-
 namespace anvil {
 namespace rtl {
 
@@ -17,6 +15,20 @@ storeWords(const BitVec &v, uint64_t *w)
 {
     for (int k = 0; k < v.words(); k++)
         w[k] = v.word(k);
+}
+
+/** Store `v`, of the net's width, over its `n` words at w when they
+ *  differ; returns whether they did. */
+bool
+storeChanged(const BitVec &v, uint64_t *w, uint32_t n)
+{
+    bool moved = false;
+    for (uint32_t k = 0; k < n; k++) {
+        uint64_t x = v.word(static_cast<int>(k));
+        moved |= w[k] != x;
+        w[k] = x;
+    }
+    return moved;
 }
 
 /** The inverse: set a value from its words at w. */
@@ -126,32 +138,26 @@ Sim::Sim(std::shared_ptr<const Module> top,
                        : std::shared_ptr<const Netlist>(_nl_own)),
       _nl(*_nl_hold),
       _layout(*_nl.layout()),
+      _host(_nl.layout()),
+      _words(_host.state()),
       _edge(_nl.layout())
 {
     _val = _nl.initValues();
+    for (size_t i = 0; i < _layout.net_count; i++)
+        storeWords(_val[i], _words + _layout.off[i]);
+    _stale.assign(_val.size(), 0);
     _lazy_gen.assign(_val.size(), 0);
     _visiting.assign(_val.size(), 0);
-    _reg_next.reserve(_nl.regs().size());
+    _change_mark.assign(_val.size(), 0);
     _reg_off.reserve(_nl.regs().size() + 1);
     _reg_off.push_back(0);
-    for (NetId r : _nl.regs()) {
-        const BitVec &v = _val[static_cast<size_t>(r)];
-        _reg_next.push_back(v);
+    for (NetId r : _nl.regs())
         _reg_off.push_back(_reg_off.back() +
-                           static_cast<size_t>(v.words()));
-    }
-    _image.assign(_layout.state_words, 0);
-    for (size_t i = 0; i < _layout.net_count; i++)
-        storeWords(_val[i], _image.data() + _layout.off[i]);
-    _words = _image.data();
+                           static_cast<size_t>(
+                               _val[static_cast<size_t>(r)].words()));
+    _swept.resize(_layout.strict_nodes);
     _committed.resize(_nl.regs().size());
-    _buckets.resize(_nl.levelCount());
-    _dirty_mark.assign(_val.size(), 0);
-    _change_mark.assign(_val.size(), 0);
-    _level_of.reserve(_val.size());
-    for (const Net &n : _nl.nets())
-        _level_of.push_back(n.level);
-    _stats.strict_nodes = _nl.order().size();
+    _stats.strict_nodes = _layout.strict_nodes;
     _stats.mode = _mode;
 
     const auto &updates = _nl.updates();
@@ -176,11 +182,11 @@ Sim::setSweepMode(SweepMode mode, int)
 const SweepStats &
 Sim::sweepStats() const
 {
-    if (_khost) {
-        // The kernel schedules itself (worklists + its own dense
-        // fallback); surface its counters alongside the host's.
-        _stats.kernel_dense_frames = _khost->denseFrames();
-        _stats.kernel_fallback_switches = _khost->fallbackSwitches();
+    if (_kernel.abi) {
+        // The kernel schedules itself (its escalation and dense
+        // fallback); surface its counters alongside the Sim's.
+        _stats.kernel_dense_frames = _host.denseFrames();
+        _stats.kernel_fallback_switches = _host.fallbackSwitches();
     }
     return _stats;
 }
@@ -191,12 +197,13 @@ Sim::setEvalCounting(bool on)
     _eval_counting = on;
     if (on && _eval_count.size() < _nl.nets().size())
         _eval_count.resize(_nl.nets().size(), 0);
+    _host.countEvals(on ? _eval_count.data() : nullptr);
 }
 
 std::vector<uint64_t>
 Sim::kernelLevelEvals() const
 {
-    return _khost ? _khost->levelEvals() : std::vector<uint64_t>();
+    return _kernel.abi ? _host.levelEvals() : std::vector<uint64_t>();
 }
 
 const NetSignal *
@@ -216,15 +223,6 @@ Sim::recordChange(NetId id)
     _frame_changed.push_back(id);
 }
 
-/** A source moved (a poke or an edge commit): the next sweep starts
- *  from its consumers. */
-void
-Sim::seedSource(NetId id)
-{
-    _seeds.push_back(id);
-    _poke_tick++;
-}
-
 bool
 Sim::attachKernel(const KernelRef &kernel)
 {
@@ -233,81 +231,28 @@ Sim::attachKernel(const KernelRef &kernel)
         kernel.abi->design_hash != designHash(_nl) ||
         !_layout.fits(*kernel.abi))
         return false;
-    auto host = std::make_unique<KernelHost>(*kernel.abi, _nl.layout());
-    // The kernel starts from this Sim's values, strict nets included,
-    // so its first (dense) sweep reports exactly the nets that moved
-    // since they were last listed.
-    for (size_t i = 0; i < _layout.net_count; i++)
-        storeWords(valOf(static_cast<NetId>(i)),
-                   host->state() + _layout.off[i]);
+    _host.attach(*kernel.abi);
     _kernel = kernel;
-    _khost = std::move(host);
-    _words = _khost->state();
-    _kchanged.assign(_layout.net_count, 0);
-    _kstale.assign(_val.size(), 0);
-    _need_full = true;
-    _dirty = true;
     return true;
 }
 
-/** Copy one net's value out of the kernel's packed-word state. */
+/** Copy one net's words into its cached value. */
 void
-Sim::refreshFromKernel(NetId id)
+Sim::refresh(NetId id)
 {
     size_t i = static_cast<size_t>(id);
-    _kstale[i] = 0;
+    _stale[i] = 0;
     loadWords(_val[i], _words + _layout.off[i]);
 }
 
-/**
- * Sweep by calling into the attached kernel.  The moved sources go in
- * first: their words (the edge's commits already wrote theirs) and
- * their consumers.  The kernel runs the same levelized event-driven
- * schedule (exact per-level worklists, change-cutting, its own
- * dense-fallback hysteresis); its exact changed-net list feeds the
- * interpreter's frame bookkeeping, and the values themselves are
- * copied back lazily (valOf) only when an observer reads them.
- */
-void
-Sim::sweepKernel()
+/** A net's words as a fresh value, leaving the cache alone. */
+BitVec
+Sim::wordValue(NetId id) const
 {
-    for (NetId id : _seeds) {
-        size_t i = static_cast<size_t>(id);
-        storeWords(_val[i], _words + _layout.off[i]);
-        _khost->poke(id);
-    }
-    _seeds.clear();
-    bool full = _need_full || _mode == SweepMode::Full;
-    uint64_t n = 0;
-    uint64_t ev = _khost->eval(_kchanged.data(), &n, full);
-    _frame_evals += ev;
-    _need_full = false;
-    for (uint64_t k = 0; k < n; k++) {
-        NetId id = _kchanged[static_cast<size_t>(k)];
-        _kstale[static_cast<size_t>(id)] = 1;
-        recordChange(id);
-    }
-}
-
-/** Mark the strict consumers of a changed net for re-evaluation. */
-void
-Sim::pushConsumers(NetId id)
-{
-    const auto &fb = _nl.fanoutBegin();
-    // Nets appended after construction (evalTop) are lazy and have
-    // no CSR entry.
-    if (static_cast<size_t>(id) + 1 >= fb.size())
-        return;
-    const auto &fo = _nl.fanout();
-    for (int32_t k = fb[static_cast<size_t>(id)];
-         k < fb[static_cast<size_t>(id) + 1]; k++) {
-        NetId c = fo[static_cast<size_t>(k)];
-        size_t ci = static_cast<size_t>(c);
-        if (_dirty_mark[ci] == _sweep_id)
-            continue;
-        _dirty_mark[ci] = _sweep_id;
-        _buckets[static_cast<size_t>(_level_of[ci])].push_back(c);
-    }
+    size_t i = static_cast<size_t>(id);
+    BitVec v(_layout.width[i]);
+    loadWords(v, _words + _layout.off[i]);
+    return v;
 }
 
 NetId
@@ -319,59 +264,55 @@ Sim::inputId(const std::string &name) const
     return sig->net;
 }
 
-/** Value index of a top-level input net; throws for any other id. */
-size_t
+/** The net of a top-level input; throws for any other id. */
+const Net &
 Sim::checkedInput(NetId id) const
 {
     if (id < 0 || static_cast<size_t>(id) >= _nl.nets().size() ||
         _nl.net(id).kind != Net::Kind::Input)
         throw std::invalid_argument("not an input net: " +
                                     std::to_string(id));
-    return static_cast<size_t>(id);
+    return _nl.net(id);
 }
 
-/** Publish a source value just stored into _val. */
+/** Publish a source whose words were just written: its value moved,
+ *  and the next sweep starts from its consumers. */
 void
 Sim::pokeSource(NetId id)
 {
+    _stale[static_cast<size_t>(id)] = 1;
     recordChange(id);
-    seedSource(id);
+    _host.poke(id);
+    _poke_tick++;
     _dirty = true;
 }
 
 void
 Sim::setInput(NetId id, const BitVec &v)
 {
-    BitVec &cur = _val[checkedInput(id)];
-    if (v.width() == cur.width()) {
-        if (v == cur)
-            return;
-        cur = v;
-    } else {
-        BitVec nv = v.resize(cur.width());
-        if (nv == cur)
-            return;
-        cur = std::move(nv);
-    }
-    pokeSource(id);
+    const Net &n = checkedInput(id);
+    uint64_t *w = _words + _layout.off[static_cast<size_t>(id)];
+    bool moved = v.width() == n.width
+        ? storeChanged(v, w, kernelWords(n.width))
+        : storeChanged(v.resize(n.width), w, kernelWords(n.width));
+    if (moved)
+        pokeSource(id);
 }
 
 void
 Sim::setInput(NetId id, uint64_t v)
 {
-    BitVec &cur = _val[checkedInput(id)];
-    int w = cur.width();
-    if (w <= 64) {
+    const Net &n = checkedInput(id);
+    uint64_t *w = _words + _layout.off[static_cast<size_t>(id)];
+    if (n.width <= 64) {
         // No temporary: compare and store the masked word in place.
-        uint64_t nv = w == 64 ? v : v & ((1ull << w) - 1);
-        if (nv == cur.toUint64())
+        uint64_t nv = v & n.mask;
+        if (nv == *w)
             return;
-        cur.setUint64(nv);
-    } else {
-        BitVec nv(w, v);
-        if (nv == cur)
-            return;
-        cur = std::move(nv);
+        *w = nv;
+    } else if (!storeChanged(BitVec(n.width, v), w,
+                             kernelWords(n.width))) {
+        return;
     }
     pokeSource(id);
 }
@@ -389,10 +330,10 @@ Sim::setInput(const std::string &name, uint64_t v)
 }
 
 /**
- * Compute one strict node from its already-computed operands.
- * Returns whether the node's value actually changed — the signal the
- * dirty sweep uses to cut propagation and the changed-net list uses
- * to feed observers.
+ * Compute one lazy node from its already-evaluated operands (its
+ * operands' values are current: evalLazy reads each first).  Returns
+ * whether the node's value actually changed, which the changed-net
+ * list records.
  */
 bool
 Sim::computeNet(NetId id)
@@ -629,50 +570,9 @@ Sim::evalLazy(NetId id)
     return _val[i];
 }
 
-/** Dense fallback: recompute every strict node in levelized order. */
-void
-Sim::sweepFull()
-{
-    const auto &order = _nl.order();
-    for (NetId id : order)
-        if (computeNet(id))
-            recordChange(id);
-    _frame_evals += order.size();
-    _seeds.clear();
-    _need_full = false;
-}
-
 /**
- * Event-driven sweep: seed the per-level worklists with the strict
- * consumers of every source that changed since the last sweep, then
- * walk levels bottom-up re-evaluating only marked nodes.  A node
- * whose value is unchanged does not propagate, so the cost is the
- * size of the *changing* cone, not the design.
- */
-void
-Sim::sweepDirty()
-{
-    _sweep_id++;
-    for (NetId s : _seeds)
-        pushConsumers(s);
-    _seeds.clear();
-
-    for (size_t l = 0; l < _buckets.size(); l++) {
-        auto &bucket = _buckets[l];
-        if (bucket.empty())
-            continue;
-        _frame_evals += bucket.size();
-        for (NetId id : bucket)
-            if (computeNet(id)) {
-                recordChange(id);
-                pushConsumers(id);
-            }
-        bucket.clear();
-    }
-}
-
-/**
- * Recompute strict combinational values if anything changed.  Strict
+ * Recompute strict combinational values if anything changed: one
+ * KernelHost level walk, by the executor or an attached unit.  Strict
  * nodes are acyclic and fully resolved, so this never faults; lazy
  * nodes are evaluated on demand (peek/evalTop touch only the
  * requested cone, matching the reference interpreter's fault
@@ -686,25 +586,27 @@ Sim::sweep()
     _gen++;
     bool timed = timedCycle();
     uint64_t t0 = timed ? monotonicNanos() : 0;
-    if (_khost) {
-        sweepKernel();
-        _stats.kernel_frames++;
-        _dirty = false;
-        endPhase(SimPhase::KernelEval, _cycle, timed, t0);
-        return;
+    // A unit falls back to dense frames on its own; the executor's
+    // frames go dense on the Sim's activity measurement (rollFrame):
+    // where most of the design switches anyway, queueing costs more
+    // than it saves, and the dense walk yields the same values and
+    // the same changed-net feed.
+    bool jit = _kernel.abi != nullptr;
+    bool full = _need_full || _mode == SweepMode::Full ||
+        (!jit && _prefer_dense);
+    uint64_t n = 0;
+    _frame_evals += _host.eval(_swept.data(), &n, full);
+    _need_full = false;
+    for (uint64_t k = 0; k < n; k++) {
+        NetId id = _swept[static_cast<size_t>(k)];
+        _stale[static_cast<size_t>(id)] = 1;
+        recordChange(id);
     }
-    if (_mode == SweepMode::Full || _need_full)
-        sweepFull();
-    else if (_prefer_dense)
-        // Adaptive fallback: on frames where most of the design is
-        // switching anyway (see rollFrame), worklist bookkeeping
-        // costs more than it saves — run the dense path, which
-        // produces the same values and the same changed-net feed.
-        sweepFull();
-    else
-        sweepDirty();
     _dirty = false;
-    endPhase(SimPhase::Sweep, _cycle, timed, t0);
+    if (jit)
+        _stats.kernel_frames++;
+    endPhase(jit ? SimPhase::KernelEval : SimPhase::Sweep, _cycle, timed,
+             t0);
 }
 
 /** Report a phase: its window on a sampled cycle, else just its run. */
@@ -773,12 +675,13 @@ Sim::step(int n)
     }
 }
 
-/** Log the dprints whose enable is set, in declaration order. */
+/** Log the dprints whose enable is set, in declaration order (the
+ *  enables' words are current: see storeLazyRoots). */
 void
 Sim::logPrints()
 {
     for (const auto &p : _nl.prints()) {
-        if (valOf(p.enable).any()) {
+        if (words(p.enable).any()) {
             std::string line = p.text;
             if (p.value != kNoNet)
                 line += " " + valOf(p.value).toHex();
@@ -787,39 +690,42 @@ Sim::logPrints()
     }
 }
 
+/** The edge reads lazy nets' words too (wires, enables, values), but
+ *  lazy nets are evaluated over BitVecs: store the roots' words. */
+void
+Sim::storeLazyRoots()
+{
+    for (NetId id : _nl.lazyRoots())
+        storeWords(_val[static_cast<size_t>(id)],
+                   _words + _layout.off[static_cast<size_t>(id)]);
+}
+
+/** An update of an unknown register faults once its enable fires. */
+void
+Sim::checkGhostUpdates() const
+{
+    const auto &updates = _nl.updates();
+    for (int32_t u : _ghost_updates) {
+        const NetUpdate &up = updates[static_cast<size_t>(u)];
+        if (words(up.enable).any())
+            throw std::invalid_argument("update of unknown reg: " +
+                                        up.reg_name);
+    }
+}
+
 /**
- * The clock edge, after the frame's sweep and lazy roots, on either
- * backend: ClockEdge over _words.  The words are brought up to date
- * first.  On the interpreter that is one store per net changed this
- * frame (nets appended by topNet lie past the layout, and no edge
- * reads them).  A kernel computed the strict nets in its words and
- * its sweep stored the sources, which leaves the lazy nets the edge
- * reads.  Wire toggles count before the edge's faults, as in the
- * reference interpreter.  The committed registers go back into their
- * values and seed the next sweep.
+ * The clock edge, after the frame's sweep and lazy roots: ClockEdge
+ * over the state words.  Wire toggles count before the edge's faults,
+ * as in the reference interpreter.  The committed registers stay in
+ * the words and queue the next sweep.
  */
 void
 Sim::edge()
 {
-    if (_khost) {
-        for (NetId id : _nl.lazyRoots())
-            storeWords(_val[static_cast<size_t>(id)],
-                       _words + _layout.off[static_cast<size_t>(id)]);
-    } else {
-        for (NetId id : _frame_changed) {
-            size_t i = static_cast<size_t>(id);
-            if (i < _layout.net_count)
-                storeWords(_val[i], _words + _layout.off[i]);
-        }
-    }
+    storeLazyRoots();
     _total_toggles += _edge.sample(_words, _frame_changed.data(),
                                    _frame_changed.size());
-    const auto &updates = _nl.updates();
-    for (int32_t u : _ghost_updates) {
-        const NetUpdate &up = updates[static_cast<size_t>(u)];
-        if (valOf(up.enable).any())
-            stageUpdate(up);   // throws: the register is unknown
-    }
+    checkGhostUpdates();
     logPrints();
 
     // The pre-edge frame is complete: fold it into the activity stats
@@ -828,67 +734,34 @@ Sim::edge()
     rollFrame();
     uint64_t n = 0;
     _total_toggles += _edge.commit(_words, _committed.data(), &n);
-    for (uint64_t k = 0; k < n; k++) {
-        NetId r = _committed[static_cast<size_t>(k)];
-        size_t i = static_cast<size_t>(r);
-        loadWords(_val[i], _words + _layout.off[i]);
-        recordChange(r);
-        seedSource(r);
-    }
-}
-
-/**
- * What a firing update writes at the edge, for nextRegs(): its value,
- * truncated or zero-extended to the register's width, staged in
- * _reg_next (in place, so no allocation when the widths match).
- * Returns the register index; throws, as the edge does, for an update
- * of an unknown register.
- */
-size_t
-Sim::stageUpdate(const NetUpdate &up)
-{
-    if (up.reg_index < 0)
-        throw std::invalid_argument("update of unknown reg: " +
-                                    up.reg_name);
-    size_t ri = static_cast<size_t>(up.reg_index);
-    const BitVec &v = valOf(up.value);
-    BitVec &next = _reg_next[ri];
-    if (next.width() <= 64)
-        next.setUint64(v.toUint64());
-    else if (v.width() == next.width())
-        next = v;
-    else
-        next = v.resize(next.width());
-    return ri;
+    for (uint64_t k = 0; k < n; k++)
+        pokeSource(_committed[static_cast<size_t>(k)]);
 }
 
 void
 Sim::packRegs(uint64_t *out) const
 {
-    const auto &regs = _nl.regs();
-    for (size_t i = 0; i < regs.size(); i++)
-        storeWords(_val[static_cast<size_t>(regs[i])],
-                   out + _reg_off[i]);
+    for (size_t i = 0; i < _layout.regs.size(); i++)
+        std::copy_n(_words + _layout.regs[i].off,
+                    _reg_off[i + 1] - _reg_off[i], out + _reg_off[i]);
 }
 
 void
 Sim::loadRegs(const uint64_t *words)
 {
-    const auto &regs = _nl.regs();
-    for (size_t i = 0; i < regs.size(); i++) {
-        BitVec &cur = _val[static_cast<size_t>(regs[i])];
-        const uint64_t *w = words + _reg_off[i];
-        int n = cur.words();
-        int k = 0;
-        while (k < n && cur.word(k) == w[k])
-            k++;
-        if (k == n)
-            continue;
-        if (n == 1)
-            cur.setUint64(w[0]);
-        else
-            cur.setWords(w, n);
-        pokeSource(regs[i]);
+    for (size_t i = 0; i < _layout.regs.size(); i++) {
+        const KernelLayout::Reg &g = _layout.regs[i];
+        const uint64_t *src = words + _reg_off[i];
+        uint64_t *dst = _words + g.off;
+        size_t n = _reg_off[i + 1] - _reg_off[i];
+        bool moved = false;
+        for (size_t k = 0; k < n; k++) {
+            uint64_t x = k + 1 == n ? src[k] & g.top : src[k];
+            moved |= dst[k] != x;
+            dst[k] = x;
+        }
+        if (moved)
+            pokeSource(g.net);
     }
 }
 
@@ -898,12 +771,14 @@ Sim::nextRegs(uint64_t *out)
     sweep();
     for (NetId id : _nl.lazyRoots())
         evalLazy(id);
+    storeLazyRoots();
+    checkGhostUpdates();
     packRegs(out);
-    for (const NetUpdate &up : _nl.updates()) {
-        if (!valOf(up.enable).any())
-            continue;
-        size_t ri = stageUpdate(up);
-        storeWords(_reg_next[ri], out + _reg_off[ri]);
+    uint64_t n = _edge.stage(_words, _committed.data());
+    for (uint64_t k = 0; k < n; k++) {
+        size_t ri = static_cast<size_t>(_committed[static_cast<size_t>(k)]);
+        std::copy_n(_edge.staged(static_cast<uint32_t>(ri)),
+                    _reg_off[ri + 1] - _reg_off[ri], out + _reg_off[ri]);
     }
 }
 
@@ -932,7 +807,7 @@ Sim::regValue(const std::string &flat_name) const
     const NetSignal *sig = findSignal(flat_name);
     if (!sig || sig->kind != NetSignal::Kind::Reg)
         throw std::invalid_argument("no such register: " + flat_name);
-    return _val[static_cast<size_t>(sig->net)];
+    return wordValue(sig->net);
 }
 
 void
@@ -942,11 +817,9 @@ Sim::setRegValue(const std::string &flat_name, const BitVec &v)
     if (!sig || sig->kind != NetSignal::Kind::Reg)
         throw std::invalid_argument("no such register: " + flat_name);
     size_t i = static_cast<size_t>(sig->net);
-    BitVec nv = v.resize(sig->width);
-    if (nv == _val[i])
-        return;
-    _val[i] = std::move(nv);
-    pokeSource(sig->net);
+    if (storeChanged(v.resize(sig->width), _words + _layout.off[i],
+                     kernelWords(sig->width)))
+        pokeSource(sig->net);
 }
 
 std::vector<BitVec>
@@ -955,7 +828,7 @@ Sim::captureRegs() const
     std::vector<BitVec> vals;
     vals.reserve(_nl.regs().size());
     for (NetId r : _nl.regs())
-        vals.push_back(_val[static_cast<size_t>(r)]);
+        vals.push_back(wordValue(r));
     return vals;
 }
 
@@ -986,10 +859,8 @@ Sim::growRuntimeArrays(size_t n)
         _val.push_back(init[i]);
     _lazy_gen.resize(n, 0);
     _visiting.resize(n, 0);
-    _dirty_mark.resize(n, 0);
     _change_mark.resize(n, 0);
-    if (!_kstale.empty())
-        _kstale.resize(n, 0);   // appended nets are never in the kernel
+    _stale.resize(n, 0);   // appended nets are lazy, never stale
 }
 
 NetId

@@ -6,34 +6,45 @@
  * The design hierarchy is flattened and compiled once at
  * construction: signal names are interned to dense integer ids,
  * expression DAGs become compact ID-resolved nodes, and combinational
- * logic is levelized.  Each cycle has two phases, mirroring
- * synchronous RTL semantics: a levelized sweep computes combinational
- * nodes (wires are pure functions of registers and top-level inputs),
- * then the clock edge commits all enabled register updates
- * simultaneously.  No name resolution, map lookups, or per-node
- * memoization bookkeeping happen on the hot path; values of 64 bits
- * or fewer are computed in a plain-uint64 fast lane.
+ * logic is levelized.  The netlist's layout (rtl::KernelLayout) packs
+ * every net into 64-bit state words and lowers every strict node to a
+ * fixed-size record over them.  Those words are the simulator's
+ * state: inputs and registers are written into them, the sweep reads
+ * and writes them, and the clock edge commits into them.
  *
- * The sweep is event-driven by default (SweepMode::Dirty): each cycle
- * seeds a per-level worklist with the inputs and registers whose
- * value actually changed, and only the transitive fan-out cone of
- * those sources is re-evaluated, in the same levelized order as the
- * dense sweep — a node whose recomputed value is unchanged cuts
- * propagation to its consumers.  Cost is therefore proportional to
- * switching activity, not design size.  When most of the design
- * switches anyway, the dirty sweep falls back to the dense
- * whole-table path on its own (see rollFrame); SweepMode::Full forces
- * that dense path every cycle and serves as the reference the tests
- * and benchmarks compare against.  Both modes are bit-identical.
+ * Each cycle has two phases, mirroring synchronous RTL semantics: a
+ * levelized sweep computes combinational nodes (wires are pure
+ * functions of registers and top-level inputs), then the clock edge
+ * (rtl::ClockEdge) commits all enabled register updates
+ * simultaneously.  The sweep is rtl::KernelHost's level walk, run by
+ * the host executor over the node records or, once a JIT unit is
+ * attached (attachKernel), by the unit's compiled level functions.
+ *
+ * The sweep is event-driven by default (SweepMode::Dirty): a source
+ * whose words change queues its strict consumers in per-level
+ * occupancy bitmaps, and only the queued nodes are re-evaluated, in
+ * levelized order; a node whose words are unchanged queues nothing.
+ * Cost is therefore proportional to switching activity, not design
+ * size.  When most of the design switches anyway, the sweep falls
+ * back to whole dense levels on its own (see rollFrame);
+ * SweepMode::Full forces that dense path every cycle and serves as
+ * the reference the tests and benchmarks compare against.  Both modes
+ * are bit-identical.
  *
  * The per-cycle list of changed nets is exposed (changedNets), so
  * observers — VCD tracing, coverage toggle sampling, contract
  * monitors — consume change events instead of rescanning the whole
- * net table every cycle.
+ * net table every cycle, and read the changed values as words
+ * (words()).  Values as BitVecs (value(), peek()) are copied out of
+ * the words on demand and cached.
  *
- * The clock edge (rtl::ClockEdge, shared by both backends) also
- * counts per-signal bit toggles, which the synthesis cost model uses
- * as switching activity for dynamic power.
+ * Nets on or behind a combinational cycle or an unresolved reference
+ * are lazy: a recursive walk evaluates them over BitVecs, only when
+ * read and at the clock edge, with the reference interpreter's fault
+ * semantics.
+ *
+ * The clock edge also counts per-signal bit toggles, which the
+ * synthesis cost model uses as switching activity for dynamic power.
  * The original recursive interpreter is preserved as rtl::RefSim
  * (rtl/ref_interp.h) and serves as the differential-testing oracle;
  * both produce identical peeks, logs, and toggle counts.
@@ -66,8 +77,8 @@ uint64_t monotonicNanos();
 /** Timed phases of one simulation step, reported to a telemetry sink. */
 enum class SimPhase : uint8_t
 {
-    Sweep,       // interpreter combinational sweep (dense or dirty)
-    KernelEval,  // compiled-kernel combinational sweep
+    Sweep,       // the host executor's sweep (dense or dirty)
+    KernelEval,  // a compiled kernel's sweep
     Commit,      // clock edge: toggles, next-state, prints, commit
 };
 
@@ -110,8 +121,8 @@ class SimTelemetry
  * codegen::CompiledKernel.  The unit was emitted at the offsets of
  * its netlist's layout (Netlist::layout), which a Sim checks it
  * against on attach.  Default-constructed means "no kernel": Sim and
- * the BMC take this by value and simply stay on the interpreter when
- * abi is null.
+ * the BMC take this by value and simply stay on the host executor
+ * when abi is null.
  */
 struct KernelRef
 {
@@ -128,6 +139,25 @@ enum class SweepMode : uint8_t
 
 /** Human-readable mode name ("full", "dirty"). */
 const char *sweepModeName(SweepMode mode);
+
+/**
+ * A net's current words: `width` bits, little-endian, in
+ * kernelWords(width) words, bits at or above the width zero.
+ */
+struct WordView
+{
+    const uint64_t *w;
+    int32_t width;
+
+    uint32_t words() const { return kernelWords(width); }
+    bool any() const
+    {
+        for (uint32_t k = 0; k < words(); k++)
+            if (w[k])
+                return true;
+        return false;
+    }
+};
 
 /**
  * Activity counters for the sweep, accumulated per committed cycle.
@@ -150,11 +180,10 @@ struct SweepStats
     /** Times the adaptive fallback switched the dirty sweep onto the
      *  dense path (rollFrame hysteresis entries). */
     uint64_t dense_fallback_switches = 0;
-    /** Kernel-internal activity (rtl::KernelHost's counters,
-     *  refreshed on each sweepStats() read while a kernel is
-     *  attached): frames the kernel ran densely, and its own
-     *  sparse->dense hysteresis entries.  Zero on the interpreter
-     *  backends. */
+    /** A compiled kernel's own activity (rtl::KernelHost's counters
+     *  since the attach, refreshed on each sweepStats() read): frames
+     *  it ran densely, and its own sparse->dense hysteresis entries.
+     *  Zero on the host executor. */
     uint64_t kernel_dense_frames = 0;
     uint64_t kernel_fallback_switches = 0;
 
@@ -184,13 +213,11 @@ struct SweepStats
  * setInput(NetId, uint64_t) — the name overloads are that lookup
  * plus the same poke.
  *
- * Each step() sweeps (the interpreter's dirty or dense sweep, or an
- * attached kernel's), evaluates the lazy roots, and commits one clock
- * edge through the Sim's ClockEdge, whichever backend swept.  The edge
- * reads packed words at the netlist's layout: a kernel's state, or
- * else the Sim's word image of its values, brought up to date from
- * the frame's changed nets before each edge; the registers it commits
- * are copied back into their values and seed the next sweep.
+ * Each step() sweeps (the host executor's level walk, dirty or
+ * dense, or an attached kernel's), evaluates the lazy roots, and
+ * commits one clock edge through the Sim's ClockEdge.  Sweep and edge
+ * run over the same state words, the Sim's KernelHost's; the
+ * registers the edge commits stay there and queue the next sweep.
  */
 class Sim
 {
@@ -246,12 +273,11 @@ class Sim
     const SweepStats &sweepStats() const;
 
     /**
-     * Toggle per-net evaluation counting (off by default: the hot
-     * path then pays one predictable branch).  Counts accumulate in
-     * evalCounts() across every interpreter sweep — full, dirty and
-     * lazy — and feed the hot-cone attribution report
-     * (obs::buildHotReport).  Strict nets run by an attached kernel
-     * are not counted here; see kernelLevelEvals().
+     * Toggle per-net evaluation counting (off by default).  Counts
+     * accumulate in evalCounts() across every executor sweep — full
+     * and dirty — and every lazy evaluation, and feed the hot-cone
+     * attribution report (obs::buildHotReport).  Strict nets run by
+     * an attached kernel are not counted here; see kernelLevelEvals().
      */
     void setEvalCounting(bool on);
     bool evalCounting() const { return _eval_counting; }
@@ -278,25 +304,19 @@ class Sim
     void setTelemetry(SimTelemetry *sink) { _telemetry = sink; }
 
     /**
-     * Swap the strict combinational sweep for a compiled kernel
-     * (anvilc --emit-cpp + codegen/jit.h), run by a fresh
-     * rtl::KernelHost context.  Validates the ABI version, the design
-     * hash and the unit against the netlist's layout, the one the
-     * clock edge uses; on any mismatch nothing changes and the
-     * interpreter keeps running — the compiled backend is an
-     * accelerator, never a correctness dependency.  The kernel starts
-     * from this Sim's current values, so attaching mid-run continues
-     * the run.  On success the kernel owns every strict net value
-     * (Sim copies them back lazily as observers ask), and the clock
-     * edge runs over the kernel's state words instead of the Sim's
-     * word image; the edge's own state (wire shadow, armed updates)
-     * stays with the Sim, so there is nothing to hand over.  Sim
-     * keeps pokes (pushed into the kernel), lazy cones, prints,
-     * faults and the changed-net feed, so all observers see
-     * bit-identical behaviour.
+     * Run the strict combinational sweep with a compiled kernel's
+     * level functions (anvilc --emit-cpp + codegen/jit.h) instead of
+     * the host executor's.  Validates the ABI version, the design
+     * hash and the unit against the netlist's layout; on any mismatch
+     * nothing changes and the executor keeps running — the compiled
+     * backend is an accelerator, never a correctness dependency.  The
+     * unit runs over the same state words, queued nodes and clock
+     * edge, so attaching mid-run moves no value and continues the
+     * run; lazy cones, prints, faults and the changed-net feed stay
+     * the Sim's, so all observers see bit-identical behaviour.
      */
     bool attachKernel(const KernelRef &kernel);
-    bool kernelAttached() const { return _khost != nullptr; }
+    bool kernelAttached() const { return _kernel.abi != nullptr; }
 
     /**
      * Nets whose value may have changed since the previous clock
@@ -400,13 +420,18 @@ class Sim
     const BitVec &value(NetId id);
 
     /**
-     * Value of a strict (non-lazy) net in the current frame, without
-     * the re-sweep or lazy walk of value().  Valid inside a
-     * ChangeFeed callback, where sample() has already swept the
-     * frame; pulls kernel-owned values out of the attached kernel
-     * when stale.  The per-cycle observer hot path.
+     * The words of a source or strict net in the current frame — no
+     * copy, no sweep, no lazy walk.  Valid inside a ChangeFeed
+     * callback, where sample() has already swept the frame, until the
+     * next poke or step().  `id` must be a non-lazy net of the
+     * netlist as constructed (not lazy, not appended by topNet).  The
+     * per-cycle observer hot path.
      */
-    const BitVec &frameValue(NetId id) { return valOf(id); }
+    WordView words(NetId id) const
+    {
+        size_t i = static_cast<size_t>(id);
+        return {_words + _layout.off[i], _layout.width[i]};
+    }
 
     /** Top-level input port names. */
     std::vector<std::string> inputNames() const;
@@ -440,21 +465,18 @@ class Sim
 
   private:
     void sweep();
-    void sweepFull();
-    void sweepDirty();
-    void sweepKernel();
     bool computeNet(NetId id);
     const BitVec &evalLazy(NetId id);
     const NetSignal *findSignal(const std::string &flat) const;
-    size_t checkedInput(NetId id) const;
+    const Net &checkedInput(NetId id) const;
     void pokeSource(NetId id);
     void growRuntimeArrays(size_t n);
     void recordChange(NetId id);
-    void seedSource(NetId id);
-    void pushConsumers(NetId id);
     void rollFrame();
-    void refreshFromKernel(NetId id);
-    size_t stageUpdate(const NetUpdate &up);
+    void refresh(NetId id);
+    BitVec wordValue(NetId id) const;
+    void storeLazyRoots();
+    void checkGhostUpdates() const;
     void edge();
     void logPrints();
 
@@ -467,15 +489,15 @@ class Sim
                   uint64_t t0);
 
     /**
-     * Current value of a net, pulling it out of the attached kernel
-     * first if the interpreter's copy is stale.  Sources and lazy
-     * nodes are always Sim-owned and never stale.
+     * Current value of a net as a BitVec: lazy nets' own, and the
+     * words of every other net, copied into the cache first when it
+     * is behind them.
      */
     const BitVec &valOf(NetId id)
     {
         size_t i = static_cast<size_t>(id);
-        if (_khost && i < _kstale.size() && _kstale[i])
-            refreshFromKernel(id);
+        if (_stale[i])
+            refresh(id);
         return _val[i];
     }
 
@@ -486,8 +508,12 @@ class Sim
     std::shared_ptr<const Netlist> _nl_hold;
     const Netlist &_nl;
     const KernelLayout &_layout;       // the netlist's state words
-    std::vector<BitVec> _val;          // current value per node
-    std::vector<BitVec> _reg_next;     // nextRegs' staged value per reg
+    KernelHost _host;                  // the state and the level walk
+    uint64_t *_words;                  // _host.state()
+    /** Per net: lazy nets' values, and a cache of every other net's
+     *  words, behind them where _stale is set. */
+    std::vector<BitVec> _val;
+    std::vector<uint8_t> _stale;
     std::vector<size_t> _reg_off;      // packed word offset per reg,
                                        // plus the total
     std::vector<uint64_t> _lazy_gen;   // per-sweep memo for lazy nodes
@@ -495,15 +521,11 @@ class Sim
     std::vector<ExprPtr> _top_exprs;   // keeps topNet keys alive
     std::map<const Expr *, NetId> _top_cache;
 
-    // Event-driven sweep state.
+    // Sweep scheduling and the changed-net feed.
     SweepMode _mode = SweepMode::Dirty;
     bool _need_full = true;            // next sweep must be dense
     bool _prefer_dense = false;        // activity too high to cut
-    std::vector<int32_t> _level_of;    // flat per-net level cache
-    std::vector<NetId> _seeds;         // changed sources, un-swept
-    std::vector<std::vector<NetId>> _buckets;   // per-level worklist
-    std::vector<uint64_t> _dirty_mark; // per-net, keyed by _sweep_id
-    uint64_t _sweep_id = 0;
+    std::vector<int32_t> _swept;       // one sweep's changed nets
     std::vector<NetId> _frame_changed; // changed since last edge
     std::vector<uint64_t> _change_mark;// per-net, keyed by _frame_id
     uint64_t _frame_id = 1;
@@ -515,18 +537,10 @@ class Sim
     mutable SweepStats _stats;   // kernel fields refreshed on read
     SimTelemetry *_telemetry = nullptr;
 
-    // Compiled-kernel backend (attachKernel).
-    KernelRef _kernel;
-    std::unique_ptr<KernelHost> _khost;   // the kernel's context
-    std::vector<int32_t> _kchanged;    // per-sweep changed-net buffer
-    std::vector<uint8_t> _kstale;      // _val[i] behind the kernel
+    KernelRef _kernel;                 // the attached unit, if any
 
-    // The clock edge, over _words: the kernel's state once one is
-    // attached, else _image, the layout's words of _val, which the
-    // edge brings up to date from the frame's changed nets.
+    // The clock edge, over _words.
     ClockEdge _edge;
-    std::vector<uint64_t> _image;
-    uint64_t *_words = nullptr;
     std::vector<int32_t> _committed;   // registers the edge committed
     std::vector<int32_t> _ghost_updates;  // updates of unknown regs,
                                           // which fault at the edge

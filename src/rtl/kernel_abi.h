@@ -22,16 +22,19 @@
  * rtl::KernelHost owns the context, the state words at their per-net
  * offsets, pokes, the level walk with its escalation rule,
  * dense-fallback hysteresis and activity counters, and the consumer
- * tables the change hook walks.  The clock edge is not the kernel's:
- * rtl::Sim commits through one rtl::ClockEdge on either backend (wire
- * toggles against shadow words, staged updates, register commits),
- * which runs over the context's state words once a kernel is
- * attached.  The unit keeps one fixed, design-independent change
- * hook that walks the host's tables through the frame: a call into
- * the host for every changed node would cost the sweep more than the
- * hook costs the compile.  Host, edge and unit agree on the state
- * layout because all of them read the netlist's one
- * rtl::kernelLayout() (rtl::Netlist::layout).
+ * tables the change hook walks.  The same host runs every rtl::Sim:
+ * until a unit is attached, its level functions are the host
+ * executor's, which interpret the layout's node records with the
+ * contract below, so attaching a unit swaps functions and moves no
+ * value.  The clock edge is not the kernel's: rtl::Sim commits
+ * through one rtl::ClockEdge (wire toggles against shadow words,
+ * staged updates, register commits) over the same state words.  The
+ * unit keeps one fixed, design-independent change hook that walks
+ * the host's tables through the frame: a call into the host for
+ * every changed node would cost the sweep more than the hook costs
+ * the compile.  Host, edge and unit agree on the state layout because
+ * all of them read the netlist's one rtl::kernelLayout()
+ * (rtl::Netlist::layout).
  * Values are packed little-endian 64-bit words, ceil(width/64) (min
  * 1) words per net, normalized (bits at or above the width are zero)
  * exactly like anvil::BitVec.

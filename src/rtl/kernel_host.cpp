@@ -1,6 +1,9 @@
 #include "rtl/kernel_host.h"
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
+#include <map>
 
 namespace anvil {
 namespace rtl {
@@ -35,6 +38,353 @@ flipTo(uint64_t *d, const uint64_t *s, uint32_t n)
     return f;
 }
 
+/**
+ * The executor's opcodes.  Each node kind has a narrow one (the node
+ * and its operands fit a word; k masks the result) and a wide one at
+ * + kWide (k indexes KernelLayout::wide).  Gt and Ge lower to Lt and
+ * Le with their operands swapped, a narrow Slice to a shift by an
+ * immediate or to zero.
+ */
+enum XOp : uint8_t
+{
+    XCopy, XNot, XRedOr, XRedAnd, XAnd, XOr, XXor, XAdd, XSub, XMul,
+    XEq, XNe, XLt, XLe, XShl, XShr, XMux, XSlice, XCat, XRom,
+    kWide,
+    XNop = 2 * kWide,   // zero width: evaluated for the count only
+    XZero,              // a narrow Slice wholly outside its operand
+    XShrImm, XShlImm,   // a narrow Slice: b = the shift
+};
+
+/** The opcode of each rtl::Op, in its declaration order. */
+constexpr uint8_t kOpOf[] = {XNot, XRedOr, XRedAnd, XAnd, XOr, XXor,
+                             XAdd, XSub,   XMul,    XEq,  XNe, XLt,
+                             XLe,  XLt,    XLe,     XShl, XShr};
+static_assert(static_cast<size_t>(Op::Shr) + 1 == std::size(kOpOf));
+
+/**
+ * Bits [p, p + 64) of the value at a, where bits outside [0, limit)
+ * read as zero (limit is at most the value's width): the one word
+ * reader behind the wide lane's copies, shifts, slices and concats,
+ * with anvil::BitVec semantics.
+ */
+inline uint64_t
+bitsAt(const uint64_t *a, uint64_t limit, int64_t p)
+{
+    int64_t left = static_cast<int64_t>(limit) - p;   // bits from p on
+    if (left <= 0 || p <= -64)
+        return 0;
+    uint64_t r;
+    if (p < 0) {
+        r = a[0] << -p;
+    } else {
+        uint64_t w = static_cast<uint64_t>(p) >> 6, sh = p & 63;
+        r = a[w] >> sh;
+        if (sh && w + 1 < kernelWords(static_cast<int>(limit)))
+            r |= a[w + 1] << (64 - sh);
+    }
+    return left < 64 ? r & ((1ull << left) - 1) : r;
+}
+
+/**
+ * Lower the netlist's strict nodes to L.nodes, in order() order, with
+ * their side tables.  Operands are read from their state words,
+ * constants included.
+ */
+void
+lowerNodes(const Netlist &nl, KernelLayout &L)
+{
+    const auto &nets = nl.nets();
+    auto off = [&](NetId o) {
+        return o == kNoNet ? 0u : L.off[static_cast<size_t>(o)];
+    };
+    auto bits = [&](NetId o) {
+        return o == kNoNet ? 0u
+                           : static_cast<uint32_t>(std::max(
+                                 nets[static_cast<size_t>(o)].width, 0));
+    };
+    // ROM tables, one per (contents, width), like the emitter's.
+    std::map<std::pair<const void *, int>, uint32_t> roms;
+    auto romTable = [&](const Net &n) {
+        auto key = std::make_pair(static_cast<const void *>(n.rom.get()),
+                                  n.width);
+        auto [it, fresh] =
+            roms.emplace(key, static_cast<uint32_t>(L.rom.size()));
+        for (const BitVec &e : *n.rom)
+            for (uint32_t w = 0; fresh && w < kernelWords(n.width); w++)
+                L.rom.push_back(e.resize(n.width).word(static_cast<int>(w)));
+        return it->second;
+    };
+
+    L.nodes.reserve(nl.order().size());
+    for (NetId id : nl.order()) {
+        const Net &n = nets[static_cast<size_t>(id)];
+        NetId a = n.a, b = n.b;
+        uint8_t op = XCopy;
+        switch (n.kind) {
+          case Net::Kind::Unop:
+          case Net::Kind::Binop:
+            op = kOpOf[static_cast<size_t>(n.op)];
+            if (n.op == Op::Gt || n.op == Op::Ge)
+                std::swap(a, b);
+            break;
+          case Net::Kind::Mux: op = XMux; break;
+          case Net::Kind::Slice: op = XSlice; break;
+          case Net::Kind::Concat: op = XCat; break;
+          case Net::Kind::Rom: op = XRom; break;
+          default: break;
+        }
+        KernelLayout::Node r{op, id, off(id), off(a), off(b), off(n.c),
+                             n.mask};
+        // Concat parts from the low end, while they reach the node's
+        // words; ROM entries at the node's width.
+        uint64_t reach = n.fast ? 64 : kernelWords(n.width) * 64ull;
+        if (op == XCat) {
+            r.b = static_cast<uint32_t>(L.parts.size());
+            uint64_t sh = 0;
+            for (auto it = n.cargs.rbegin();
+                 it != n.cargs.rend() && sh < reach; sh += bits(*it), ++it)
+                if (bits(*it))
+                    L.parts.push_back({off(*it), bits(*it),
+                                       static_cast<uint32_t>(sh)});
+            r.c = static_cast<uint32_t>(L.parts.size());
+        } else if (op == XRom) {
+            r.b = romTable(n);
+            r.c = static_cast<uint32_t>(n.rom->size());
+        }
+        if (n.width <= 0) {
+            r.op = XNop;
+        } else if (n.fast) {
+            if (op == XRedAnd)
+                r.k = nets[static_cast<size_t>(n.a)].mask;
+            if (op == XShl || op == XShr)
+                r.c = static_cast<uint32_t>(n.width);
+            if (op == XSlice) {
+                bool right = n.lo >= 0 && n.lo < 64;
+                bool left = n.lo < 0 && n.lo > -64;
+                r.op = right ? XShrImm : left ? XShlImm : XZero;
+                r.b = right ? static_cast<uint32_t>(n.lo)
+                    : left  ? static_cast<uint32_t>(-n.lo)
+                            : 0;
+            }
+        } else {
+            r.op = static_cast<uint8_t>(op + kWide);
+            r.k = L.wide.size();
+            L.wide.push_back({static_cast<uint32_t>(n.width), bits(a),
+                              bits(b), bits(n.c), n.lo});
+            L.max_words = std::max(L.max_words, kernelWords(n.width));
+        }
+        L.nodes.push_back(r);
+    }
+}
+
+/** Queue net `id`'s consumers: their bits, and their levels' queued
+ *  counts raised by as many. */
+inline void
+queueConsumers(const KernelLayout &L, int32_t id, uint64_t *wbm,
+               uint32_t *queued)
+{
+    const KernelLayout::Mark *m = L.marks.data() + L.mark_begin[id];
+    const KernelLayout::Mark *end = L.marks.data() + L.mark_begin[id + 1];
+    for (; m != end; m++) {
+        wbm[m->word] |= m->bits;
+        queued[m->level] += static_cast<uint32_t>(pop64(m->bits));
+    }
+}
+
+/** The executor's state during one level function: the frame's
+ *  fields in locals, so stores to state words cannot force reloads. */
+struct Exec
+{
+    const KernelLayout &L;
+    uint64_t *s, *wbm;
+    uint32_t *queued;
+    int32_t *out;
+    uint64_t nout;
+    bool dense;
+
+    /** The change hook: list the node and, in a sparse frame, queue
+     *  its consumers (the emitter's onChange). */
+    void change(int32_t id)
+    {
+        out[nout++] = id;
+        if (!dense)
+            queueConsumers(L, id, wbm, queued);
+    }
+};
+
+/** A wide-lane node: its words computed into t, then compared with
+ *  and stored over its state words.  Returns whether they moved. */
+__attribute__((noinline)) bool
+stepWide(uint64_t *s, const KernelLayout::Node &n, const KernelLayout &L,
+         uint64_t *t)
+{
+    const KernelLayout::Wide &x = L.wide[n.k];
+    uint32_t dw = kernelWords(static_cast<int>(x.bits));
+    uint32_t aw = kernelWords(static_cast<int>(x.abits));
+    uint32_t ow = std::max(aw, kernelWords(static_cast<int>(x.bbits)));
+    const uint64_t *a = s + n.a, *b = s + n.b;
+    // Word i of an operand, zero past its width.
+    auto A = [&](uint32_t i) { return bitsAt(a, x.abits, 64ll * i); };
+    auto B = [&](uint32_t i) { return bitsAt(b, x.bbits, 64ll * i); };
+    auto compare = [&] {   // a against b, unresized: -1, 0 or 1
+        for (uint32_t i = ow; i-- > 0;)
+            if (A(i) != B(i))
+                return A(i) < B(i) ? -1 : 1;
+        return 0;
+    };
+    auto any = [&] {
+        for (uint32_t i = 0; i < aw; i++)
+            if (a[i])
+                return true;
+        return false;
+    };
+    std::fill_n(t, dw, 0);
+    uint8_t op = static_cast<uint8_t>(n.op - kWide);
+    switch (op) {
+      case XRedOr: t[0] = any(); break;
+      case XRedAnd:
+        t[0] = 1;
+        for (uint32_t i = 0; i < aw; i++) {
+            uint64_t rest = x.abits - 64ull * i;
+            t[0] &= A(i) == (rest >= 64 ? ~0ull : (1ull << rest) - 1);
+        }
+        break;
+      case XEq: t[0] = compare() == 0; break;
+      case XNe: t[0] = compare() != 0; break;
+      case XLt: t[0] = compare() < 0; break;
+      case XLe: t[0] = compare() <= 0; break;
+      case XAdd:
+      case XSub: {
+        unsigned __int128 carry = op == XSub;
+        for (uint32_t i = 0; i < dw; i++) {
+            carry += A(i);
+            carry += op == XSub ? ~B(i) : B(i);
+            t[i] = static_cast<uint64_t>(carry);
+            carry >>= 64;
+        }
+        break;
+      }
+      case XMul:
+        for (uint32_t i = 0; i < dw; i++) {
+            unsigned __int128 carry = 0;
+            for (uint32_t j = 0; i + j < dw; j++) {
+                carry += static_cast<unsigned __int128>(A(i)) * B(j);
+                carry += t[i + j];
+                t[i + j] = static_cast<uint64_t>(carry);
+                carry >>= 64;
+            }
+        }
+        break;
+      case XRom:
+        if (a[0] < n.c)
+            std::copy_n(L.rom.data() + n.b + a[0] * dw, dw, t);
+        break;
+      default: {
+        // The rest move bits: each result word is read from an operand
+        // at a shifted position.  A shift amount is the low word of b
+        // resized to the node's width; at or past the width the result
+        // is zero.
+        uint64_t sh = bitsAt(b, std::min(x.bbits, x.bits), 0);
+        if ((op == XShl || op == XShr) && sh >= x.bits)
+            break;
+        bool sel = op == XMux && any();
+        for (uint32_t j = 0; j < dw; j++) {
+            int64_t p = 64ll * j;
+            switch (op) {
+              case XCopy: t[j] = A(j); break;
+              case XNot: t[j] = ~A(j); break;
+              case XAnd: t[j] = A(j) & B(j); break;
+              case XOr: t[j] = A(j) | B(j); break;
+              case XXor: t[j] = A(j) ^ B(j); break;
+              case XShl:
+                t[j] = bitsAt(a, x.abits, p - static_cast<int64_t>(sh));
+                break;
+              case XShr:
+                t[j] = bitsAt(a, std::min(x.abits, x.bits),
+                              p + static_cast<int64_t>(sh));
+                break;
+              case XMux:
+                t[j] = sel ? B(j) : bitsAt(s + n.c, x.cbits, p);
+                break;
+              case XSlice: t[j] = bitsAt(a, x.abits, p + x.lo); break;
+              case XCat:
+                for (uint32_t k = n.b; k < n.c; k++)
+                    t[j] |= bitsAt(s + L.parts[k].off, L.parts[k].bits,
+                                   p - L.parts[k].shift);
+                break;
+              default: break;
+            }
+        }
+      }
+    }
+    t[dw - 1] &= x.bits % 64 ? (1ull << (x.bits % 64)) - 1 : ~0ull;
+    uint64_t *d = s + n.dst;
+    if (std::equal(t, t + dw, d))
+        return false;
+    std::copy_n(t, dw, d);
+    return true;
+}
+
+/** One node: computes it and, when its words moved, stores them.
+ *  Returns whether they moved. */
+inline bool
+stepNode(uint64_t *s, const KernelLayout::Node &n, const KernelLayout &L,
+         uint64_t *tmp)
+{
+    uint64_t r;
+    const uint64_t k = n.k;
+    switch (n.op) {
+      case XNop: return false;
+      case XZero: r = 0; break;
+      case XCopy: r = s[n.a] & k; break;
+      case XNot: r = ~s[n.a] & k; break;
+      case XRedOr: r = s[n.a] != 0; break;
+      case XRedAnd: r = s[n.a] == k; break;
+      case XAnd: r = s[n.a] & s[n.b] & k; break;
+      case XOr: r = (s[n.a] | s[n.b]) & k; break;
+      case XXor: r = (s[n.a] ^ s[n.b]) & k; break;
+      case XAdd: r = ((s[n.a] & k) + (s[n.b] & k)) & k; break;
+      case XSub: r = ((s[n.a] & k) - (s[n.b] & k)) & k; break;
+      case XMul: r = ((s[n.a] & k) * (s[n.b] & k)) & k; break;
+      case XEq: r = s[n.a] == s[n.b]; break;
+      case XNe: r = s[n.a] != s[n.b]; break;
+      case XLt: r = s[n.a] < s[n.b]; break;
+      case XLe: r = s[n.a] <= s[n.b]; break;
+      case XShl: {
+        uint64_t sh = s[n.b] & k;
+        r = sh >= n.c ? 0 : ((s[n.a] & k) << sh) & k;
+        break;
+      }
+      case XShr: {
+        uint64_t sh = s[n.b] & k;
+        r = sh >= n.c ? 0 : (s[n.a] & k) >> sh;
+        break;
+      }
+      case XMux: r = (s[n.a] ? s[n.b] : s[n.c]) & k; break;
+      case XShrImm: r = (s[n.a] >> n.b) & k; break;
+      case XShlImm: r = (s[n.a] << n.b) & k; break;
+      case XCat: {
+        r = 0;
+        for (uint32_t p = n.b; p < n.c; p++)
+            r |= s[L.parts[p].off] << L.parts[p].shift;
+        r &= k;
+        break;
+      }
+      case XRom: {
+        uint64_t addr = s[n.a];
+        r = addr < n.c ? L.rom[n.b + addr] : 0;
+        break;
+      }
+      default:   // the wide lane
+        return stepWide(s, n, L, tmp);
+    }
+    uint64_t *d = s + n.dst;
+    if (*d == r)
+        return false;
+    *d = r;
+    return true;
+}
+
 } // namespace
 
 bool
@@ -52,9 +402,11 @@ kernelLayout(const Netlist &nl)
     const auto &nets = nl.nets();
     L.net_count = nets.size();
     L.off.resize(nets.size());
+    L.width.resize(nets.size());
     uint64_t words = 0;
     for (size_t i = 0; i < nets.size(); i++) {
         L.off[i] = static_cast<uint32_t>(words);
+        L.width[i] = nets[i].width;
         words += kernelWords(nets[i].width);
     }
     L.state_words = words ? words : 1;
@@ -99,6 +451,23 @@ kernelLayout(const Netlist &nl)
                 L.cons.push_back(slot[static_cast<size_t>(c)]);
         }
         L.cons_begin.push_back(static_cast<uint32_t>(L.cons.size()));
+    }
+    L.mark_begin.reserve(nets.size() + 1);
+    L.mark_begin.push_back(0);
+    std::vector<AnvilConsumer> mine;
+    for (size_t i = 0; i < nets.size(); i++) {
+        mine.assign(L.cons.begin() + L.cons_begin[i],
+                    L.cons.begin() + L.cons_begin[i + 1]);
+        std::sort(mine.begin(), mine.end(),
+                  [](const AnvilConsumer &x, const AnvilConsumer &y) {
+                      return x.word < y.word;
+                  });
+        for (size_t k = 0; k < mine.size(); k++) {
+            if (k == 0 || mine[k].word != mine[k - 1].word)
+                L.marks.push_back({0, mine[k].word, mine[k].level});
+            L.marks.back().bits |= 1ull << mine[k].bit;
+        }
+        L.mark_begin.push_back(static_cast<uint32_t>(L.marks.size()));
     }
 
     // The clock edge: toggle-counted wires and their shadow words,
@@ -149,21 +518,18 @@ kernelLayout(const Netlist &nl)
         L.next_words > L.regs.size();
     for (const KernelLayout::Update &u : L.updates)
         L.wide_edge |= u.en_words > 1 || u.val_words > 1;
+    lowerNodes(nl, L);
     return L;
 }
 
-KernelHost::KernelHost(const AnvilKernel &unit,
-                       std::shared_ptr<const KernelLayout> layout)
+KernelHost::KernelHost(std::shared_ptr<const KernelLayout> layout)
     : _layout(std::move(layout))
 {
     const KernelLayout &L = *_layout;
     _state.assign(L.state_words, 0);
     _bitmap.assign(L.bm_off.back(), 0);
     _queued.assign(L.levels(), 0);
-    for (size_t l = 0; l < L.levels(); l++)
-        _turns.push_back({unit.dense[l], unit.sparse[l], 0,
-                          unit.sparse[l] ? L.level_size[l] : 0,
-                          L.bm_off[l], L.bm_off[l + 1]});
+    _tmp.assign(L.max_words, 0);
     s = _state.data();
     wbm = _bitmap.data();
     queued = _queued.data();
@@ -172,22 +538,111 @@ KernelHost::KernelHost(const AnvilKernel &unit,
     out = nullptr;
     nout = 0;
     dense = 0;
+    useExecutor();
 }
 
-/* Set the consumers' slot bits, as the unit's change hook does.  The
- * bitmap dedupes by construction (setting a set bit is a no-op);
- * `queued` only over-counts repeat pokes, and is read as "level
- * non-empty" plus the escalation rule, where an over-count is
- * harmless. */
+/** The executor's turns: every level drains exactly, counting or not. */
+void
+KernelHost::useExecutor()
+{
+    const KernelLayout &L = *_layout;
+    bool count = _counts != nullptr;
+    _turns.clear();
+    uint32_t node = 0;
+    for (size_t l = 0; l < L.levels(); l++) {
+        bool any = L.level_size[l] != 0;
+        _turns.push_back(
+            {any ? (count ? execDense<true> : execDense<false>) : nullptr,
+             any ? (count ? execSparse<true> : execSparse<false>)
+                 : nullptr,
+             0, std::numeric_limits<uint64_t>::max(), L.bm_off[l],
+             L.bm_off[l + 1], node, L.level_size[l]});
+        node += L.level_size[l];
+    }
+}
+
+void
+KernelHost::attach(const AnvilKernel &unit)
+{
+    const KernelLayout &L = *_layout;
+    for (size_t l = 0; l < L.levels(); l++)
+        _turns[l] = {unit.dense[l], unit.sparse[l], 0,
+                     unit.sparse[l] ? L.level_size[l] : 0, L.bm_off[l],
+                     L.bm_off[l + 1], _turns[l].node_begin,
+                     _turns[l].nodes};
+    _unit = true;
+    _prefer_dense = false;
+    _dense_frames = 0;
+    _fallback_switches = 0;
+}
+
+void
+KernelHost::countEvals(uint64_t *counts)
+{
+    _counts = counts;
+    if (!_unit)
+        useExecutor();
+}
+
+template <bool Count>
+uint64_t
+KernelHost::execDense(AnvilFrame *f)
+{
+    KernelHost *h = static_cast<KernelHost *>(f);
+    const KernelLayout &L = *h->_layout;
+    const Turn &t = *h->_turn;
+    Exec x{L, h->s, h->wbm, h->queued, h->out, h->nout, h->dense != 0};
+    const KernelLayout::Node *n = L.nodes.data() + t.node_begin;
+    for (const KernelLayout::Node *end = n + t.nodes; n != end; n++) {
+        if (Count)
+            h->_counts[n->net]++;
+        if (stepNode(x.s, *n, L, h->_tmp.data()))
+            x.change(n->net);
+    }
+    h->nout = x.nout;
+    return t.nodes;
+}
+
+template <bool Count>
+uint64_t
+KernelHost::execSparse(AnvilFrame *f)
+{
+    KernelHost *h = static_cast<KernelHost *>(f);
+    const KernelLayout &L = *h->_layout;
+    const Turn &t = *h->_turn;
+    Exec x{L, h->s, h->wbm, h->queued, h->out, h->nout, h->dense != 0};
+    const KernelLayout::Node *base = L.nodes.data() + t.node_begin;
+    uint64_t ev = 0;
+    for (uint32_t wi = t.bm_begin; wi < t.bm_end; wi++) {
+        uint64_t w = x.wbm[wi];
+        if (!w)
+            continue;
+        x.wbm[wi] = 0;
+        const KernelLayout::Node *row =
+            base + (static_cast<size_t>(wi - t.bm_begin) << 6);
+        do {
+            const KernelLayout::Node &n =
+                row[static_cast<size_t>(__builtin_ctzll(w))];
+            ev++;
+            if (Count)
+                h->_counts[n.net]++;
+            if (stepNode(x.s, n, L, h->_tmp.data()))
+                x.change(n.net);
+            w &= w - 1;
+        } while (w);
+    }
+    h->nout = x.nout;
+    return ev;
+}
+
+/* Set the consumers' slot bits, as a change does.  The bitmap dedupes
+ * by construction (setting a set bit is a no-op); `queued` only
+ * over-counts repeat pokes, and is read as "level non-empty" plus a
+ * unit's escalation rule, where an over-count is harmless. */
 void
 KernelHost::poke(NetId net)
 {
-    size_t i = static_cast<size_t>(net);
-    for (uint32_t k = cons_begin[i]; k < cons_begin[i + 1]; k++) {
-        const AnvilConsumer &c = cons[k];
-        wbm[c.word] |= 1ull << c.bit;
-        queued[c.level]++;
-    }
+    queueConsumers(*_layout, net, wbm, queued);
 }
 
 uint64_t
@@ -200,6 +655,7 @@ KernelHost::eval(int32_t *changed_out, uint64_t *n_changed, bool full)
     if (dense) {
         for (Turn &t : _turns) {
             if (t.dense) {
+                _turn = &t;
                 uint64_t e = t.dense(this);
                 t.evals += e;
                 ev += e;
@@ -211,10 +667,11 @@ KernelHost::eval(int32_t *changed_out, uint64_t *n_changed, bool full)
     } else {
         // A level's queue is only fed from earlier levels and pokes,
         // so testing each level just before its turn is exact.  A
-        // level escalates to its dense body when its queue covers
-        // >= 1/kEscalateDiv of the level: at that density per-node
-        // dispatch costs more than recomputing the stragglers, and
-        // the compare-stores keep the changed list exact either way.
+        // unit's level escalates to its dense body when its queue
+        // covers >= 1/kEscalateDiv of the level: at that density its
+        // per-node dispatch costs more than recomputing the
+        // stragglers, and the compare-stores keep the changed list
+        // exact either way.  The executor always drains.
         uint32_t *q = queued;
         for (Turn *t = _turns.data(), *end = t + _turns.size(); t != end;
              t++, q++) {
@@ -222,6 +679,7 @@ KernelHost::eval(int32_t *changed_out, uint64_t *n_changed, bool full)
             if (!wn)
                 continue;
             *q = 0;
+            _turn = t;
             uint64_t e;
             if (wn * KernelLayout::kEscalateDiv < t->drain_below) {
                 e = t->sparse(this);
@@ -238,8 +696,9 @@ KernelHost::eval(int32_t *changed_out, uint64_t *n_changed, bool full)
             ev += e;
         }
     }
-    _fallback_switches +=
-        denseFallback(_prefer_dense, nout, _layout->strict_nodes);
+    if (_unit)
+        _fallback_switches +=
+            denseFallback(_prefer_dense, nout, _layout->strict_nodes);
     *n_changed = nout;
     return ev;
 }
@@ -277,6 +736,48 @@ ClockEdge::commit(uint64_t *s, int32_t *regs, uint64_t *n_regs)
 {
     return _layout->wide_edge ? commitWords<true>(s, regs, n_regs)
                               : commitWords<false>(s, regs, n_regs);
+}
+
+uint64_t
+ClockEdge::stage(const uint64_t *s, int32_t *regs)
+{
+    const KernelLayout &L = *_layout;
+    for (uint32_t u = 0; u < L.updates.size(); u++) {
+        const KernelLayout::Update &up = L.updates[u];
+        uint64_t en = 0;
+        for (uint32_t k = 0; k < up.en_words; k++)
+            en |= s[up.en_off + k];
+        if (!en)
+            continue;
+        if (L.wide_edge)
+            stageUpdate<true>(s, u);
+        else
+            stageUpdate<false>(s, u);
+    }
+    uint64_t n = 0;
+    for (size_t wi = 0; wi < _staged.size(); wi++) {
+        for (uint64_t w = _staged[wi]; w; w &= w - 1)
+            regs[n++] = static_cast<int32_t>(
+                (wi << 6) + static_cast<size_t>(__builtin_ctzll(w)));
+        _staged[wi] = 0;
+    }
+    return n;
+}
+
+/** Stage an update's value, truncated or zero-extended to its
+ *  register, into the register's staging words. */
+template <bool Wide>
+void
+ClockEdge::stageUpdate(const uint64_t *s, uint32_t update)
+{
+    const KernelLayout::Update &u = _layout->updates[update];
+    const KernelLayout::Reg &g = _layout->regs[u.reg];
+    uint64_t *nx = _next.data() + g.next;
+    nx[0] = s[u.val_off];
+    for (uint32_t k = 1; Wide && k < g.words; k++)
+        nx[k] = k < u.val_words ? s[u.val_off + k] : 0;
+    nx[g.words - 1] &= g.top;
+    _staged[u.reg >> 6] |= 1ull << (u.reg & 63);
 }
 
 /** Arm or disarm an update from its enable's words. */
@@ -337,19 +838,11 @@ ClockEdge::commitWords(uint64_t *s, int32_t *regs, uint64_t *n_regs)
     const KernelLayout &L = *_layout;
     // Stage the armed updates in declaration order: the last one to a
     // register wins.
-    for (size_t wi = 0; wi < _armed.size(); wi++) {
-        for (uint64_t w = _armed[wi]; w; w &= w - 1) {
-            const KernelLayout::Update &u =
-                L.updates[(wi << 6) + static_cast<size_t>(__builtin_ctzll(w))];
-            const KernelLayout::Reg &g = L.regs[u.reg];
-            uint64_t *nx = _next.data() + g.next;
-            nx[0] = s[u.val_off];
-            for (uint32_t k = 1; Wide && k < g.words; k++)
-                nx[k] = k < u.val_words ? s[u.val_off + k] : 0;
-            nx[g.words - 1] &= g.top;
-            _staged[u.reg >> 6] |= 1ull << (u.reg & 63);
-        }
-    }
+    for (size_t wi = 0; wi < _armed.size(); wi++)
+        for (uint64_t w = _armed[wi]; w; w &= w - 1)
+            stageUpdate<Wide>(
+                s, static_cast<uint32_t>(
+                       (wi << 6) + static_cast<size_t>(__builtin_ctzll(w))));
     // Commit the staged registers in ascending order; only those that
     // moved count flips.
     uint64_t flips = 0, n = 0;

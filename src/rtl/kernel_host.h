@@ -1,23 +1,29 @@
 /**
  * @file
- * The word-level half of the simulator: everything that works on a
- * netlist's packed state words rather than on its BitVec values, and
- * is the same for every design, so it is precompiled once with the
- * simulator instead of being emitted into (and compiled with) every
- * JIT unit.
+ * The word-level simulator: everything that works on a netlist's
+ * packed state words, and is the same for every design, so it is
+ * precompiled once with the simulator instead of being emitted into
+ * (and compiled with) every JIT unit.
  *
  * KernelLayout is the state layout — per-net word offsets, levels and
- * their occupancy-bitmap words, the consumer CSR a kernel's change
- * hook walks, and the clock edge's wire, update and register tables —
- * and kernelLayout() is the one function that builds it.  Each
+ * their occupancy-bitmap words, the consumer CSR a change walks, the
+ * clock edge's wire, update and register tables, and every strict
+ * node lowered once to a fixed-size record over those offsets — and
+ * kernelLayout() is the one function that builds it.  Each
  * rtl::Netlist builds its layout once (Netlist::layout()); the C++
  * emitter bakes its offsets into the node bodies and every Sim on the
- * netlist reads the same object, so the two cannot drift.  ClockEdge
- * is the clock edge both of rtl::Sim's backends commit through.
- * KernelHost is one compiled-kernel context: it owns the state words
- * and the frame the unit's functions see, takes pokes and runs the
- * level walk (per-level escalation, dense-fallback hysteresis,
- * activity counters).
+ * netlist reads the same object, so the two cannot drift.
+ *
+ * KernelHost runs every rtl::Sim: it owns the state words and the
+ * frame the level functions see, takes pokes and runs the level walk.
+ * The level functions come from the host executor, which interprets
+ * the layout's node records, until a JIT unit is attached; attaching
+ * swaps the functions and moves no value.  Escalation belongs to the
+ * unit: a JIT unit's levels escalate to their dense bodies and its
+ * frames fall back to dense on the host's hysteresis, while the
+ * executor drains every queued level exactly and runs a dense frame
+ * only when its caller asks.  ClockEdge is the clock edge every Sim
+ * commits through, over the same words.
  */
 
 #ifndef ANVIL_RTL_KERNEL_HOST_H
@@ -41,17 +47,17 @@ kernelWords(int width)
     return width <= 0 ? 1u : static_cast<uint32_t>((width + 63) / 64);
 }
 
-/** How a netlist's values lie in packed state words (see
- *  kernelLayout): a kernel context's, or the image rtl::Sim keeps for
- *  the clock edge on the interpreter. */
+/** How a netlist's values lie in packed state words, and its strict
+ *  nodes as records over them (see kernelLayout). */
 struct KernelLayout
 {
     /**
-     * Per-level escalation rule: inside a sparse frame a level runs
-     * its straight-line body once its queued count wn reaches
-     * 1/kEscalateDiv of its nodes (wn * kEscalateDiv >= size).  A
-     * level is only visited with wn >= 1, so a level of at most
-     * kEscalateDiv nodes always escalates and gets no sparse drain.
+     * A compiled unit's per-level escalation rule: inside a sparse
+     * frame a level runs its straight-line body once its queued count
+     * wn reaches 1/kEscalateDiv of its nodes (wn * kEscalateDiv >=
+     * size).  A level is only visited with wn >= 1, so a level of at
+     * most kEscalateDiv nodes always escalates and the unit emits no
+     * sparse drain for it.  The host executor never escalates.
      */
     static constexpr uint64_t kEscalateDiv = 4;
 
@@ -72,15 +78,57 @@ struct KernelLayout
         uint32_t off, words, next;
         uint64_t top;
     };
+    /**
+     * A strict node for the host executor: a fused opcode (see
+     * kernel_host.cpp) over word offsets.  `a`, `b` and `c` are
+     * operand offsets or, per opcode, an immediate (a shift, a width)
+     * or a side-table range (Concat parts, ROM words).  In the narrow
+     * lane (the node and its operands fit a word) `k` is the node's
+     * mask; in the wide lane it indexes `wide`.
+     */
+    struct Node
+    {
+        uint8_t op;
+        NetId net;
+        uint32_t dst, a, b, c;
+        uint64_t k;
+    };
+    /** A wide-lane node's width, its operands' widths, and a
+     *  Slice's lo. */
+    struct Wide
+    {
+        uint32_t bits, abits, bbits, cbits;
+        int32_t lo;
+    };
+    /** A Concat operand: its first word and bits, shifted up by
+     *  `shift`. */
+    struct Part
+    {
+        uint32_t off, bits, shift;
+    };
+    /** A net's consumers in one bitmap word: their bits, the word,
+     *  and the level that owns it. */
+    struct Mark
+    {
+        uint64_t bits;
+        uint32_t word, level;
+    };
 
     size_t net_count = 0;
     std::vector<uint32_t> off;          // per net: first state word
+    std::vector<int32_t> width;         // per net: its bits
     uint64_t state_words = 1;
     size_t strict_nodes = 0;
     std::vector<uint32_t> level_size;   // per level: strict nodes
     std::vector<uint32_t> bm_off;       // per level, plus the total
     std::vector<uint32_t> cons_begin;   // per net, plus the total
-    std::vector<AnvilConsumer> cons;    // consumer CSR, in level order
+    std::vector<AnvilConsumer> cons;    // consumer CSR (a unit's hook)
+    /** The same consumers merged per bitmap word, which is how the
+     *  host queues them: net n's are marks[mark_begin[n] ..
+     *  mark_begin[n + 1]), so a net read by a whole level costs a few
+     *  word ORs, not one update per consumer. */
+    std::vector<uint32_t> mark_begin;   // per net, plus the total
+    std::vector<Mark> marks;
     std::vector<int32_t> wire_of;       // per net: row in wires, or -1
     std::vector<Wire> wires;            // wireNets() order
     std::vector<Update> updates;        // declaration order
@@ -93,6 +141,14 @@ struct KernelLayout
     uint64_t next_words = 0;
     /** Some wire, enable, value or register spans several words. */
     bool wide_edge = false;
+    /** Every strict node in order() order, so level l's k-th slot is
+     *  nodes[levelBegin()[l] + k]; their side tables; and the most
+     *  words any wide node writes. */
+    std::vector<Node> nodes;
+    std::vector<Wide> wide;
+    std::vector<Part> parts;
+    std::vector<uint64_t> rom;          // entries at their node's width
+    uint32_t max_words = 1;
 
     size_t levels() const { return level_size.size(); }
     bool hasSparseDrain(size_t level) const
@@ -111,15 +167,18 @@ struct KernelLayout
  * words.  A net's consumers are the strict nodes reading it (constant
  * operands excluded, one entry per reading node) in net id order.
  * The edge's tables leave out updates of unknown registers, which
- * fault host-side before the edge stages anything.
+ * fault host-side before the edge stages anything.  Each strict node
+ * is lowered to one Node record with the same semantics as
+ * rtl::applyBinop and its siblings over BitVec values.
  */
 KernelLayout kernelLayout(const Netlist &nl);
 
 /**
- * The dense-fallback hysteresis both sweeps share: a frame that
- * changed more than half of the `strict` nodes moves the next frames
- * onto the dense path, and one that changed under 40% moves them back.
- * Returns whether this frame entered the dense path.
+ * The dense-fallback hysteresis: a frame that changed more than half
+ * of the `strict` nodes moves the next frames onto the dense path,
+ * and one that changed under 40% moves them back.  Returns whether
+ * this frame entered the dense path.  rtl::Sim applies it to its
+ * frames on the executor, KernelHost to a JIT unit's frames.
  */
 inline bool
 denseFallback(bool &prefer_dense, uint64_t changed, uint64_t strict)
@@ -140,13 +199,11 @@ denseFallback(bool &prefer_dense, uint64_t changed, uint64_t strict)
  * The clock edge over state words at a layout's offsets: wire toggles
  * against a shadow, the firing updates staged (the last one to a
  * register wins), and the registers that moved committed.  rtl::Sim
- * owns one for a whole run and runs it over a KernelHost's state with
- * a kernel attached, or over a word image of its own values without,
- * so both backends share one edge and a mid-run attach hands nothing
- * over.  The edge's state outlives the words it runs over: the wire
- * shadow, the armed set (the updates whose enable is nonzero, kept
- * fresh from each frame's changed nets, so an edge costs O(activity)),
- * and the staging words.
+ * owns one for a whole run and runs it over its KernelHost's state,
+ * whichever unit sweeps, so a mid-run attach hands nothing over.  The
+ * edge keeps the wire shadow, the armed set (the updates whose enable
+ * is nonzero, kept fresh from each frame's changed nets, so an edge
+ * costs O(activity)), and the staging words.
  */
 class ClockEdge
 {
@@ -176,6 +233,20 @@ class ClockEdge
      */
     uint64_t commit(uint64_t *s, int32_t *regs, uint64_t *n_regs);
 
+    /**
+     * What commit() would write, without committing: every update
+     * whose enable is nonzero in `s` (armed or not) is staged, the
+     * last one to a register winning.  The staged registers' indices
+     * go to `regs` in ascending order, their words stay readable at
+     * staged() until the next stage() or commit(); returns how many.
+     * Neither the shadow nor the armed set changes.
+     */
+    uint64_t stage(const uint64_t *s, int32_t *regs);
+    const uint64_t *staged(uint32_t reg) const
+    {
+        return _next.data() + _layout->regs[reg].next;
+    }
+
   private:
     template <bool Wide>
     uint64_t sampleWords(const uint64_t *s, const int32_t *changed,
@@ -184,6 +255,8 @@ class ClockEdge
     uint64_t commitWords(uint64_t *s, int32_t *regs, uint64_t *n_regs);
     template <bool Wide>
     void arm(const uint64_t *s, uint32_t update);
+    template <bool Wide>
+    void stageUpdate(const uint64_t *s, uint32_t update);
 
     std::shared_ptr<const KernelLayout> _layout;
     std::vector<uint64_t> _shadow;   // wire words at the last edge
@@ -194,21 +267,31 @@ class ClockEdge
 };
 
 /**
- * One kernel context: a compiled unit's level functions run over
- * host-owned state.  The context sweeps; the clock edge is the Sim's
- * ClockEdge, run over state().  Not thread-safe; distinct contexts
- * may run on distinct threads (the unit and the layout are
- * immutable).
+ * One simulation context: state words and the level walk over them.
+ * Its level functions are the host executor's, which interpret the
+ * layout's node records, until attach() swaps in a compiled unit's.
+ * The clock edge is the Sim's ClockEdge, run over state().  Not
+ * thread-safe; distinct contexts may run on distinct threads (units
+ * and layouts are immutable).
  */
 class KernelHost : private AnvilFrame
 {
   public:
-    /** A context with every state word zero.  `unit` must fit
-     *  `layout` (KernelLayout::fits). */
-    KernelHost(const AnvilKernel &unit,
-               std::shared_ptr<const KernelLayout> layout);
+    /** A context with every state word zero, on the executor. */
+    explicit KernelHost(std::shared_ptr<const KernelLayout> layout);
     KernelHost(const KernelHost &) = delete;
     KernelHost &operator=(const KernelHost &) = delete;
+
+    /**
+     * Run `unit`'s level functions from the next eval() on, which
+     * must fit the layout (KernelLayout::fits).  The state words and
+     * queued nodes stay; the activity counters restart.
+     */
+    void attach(const AnvilKernel &unit);
+
+    /** Count the executor's node evaluations into counts[net] (null
+     *  stops counting; a compiled unit never counts). */
+    void countEvals(uint64_t *counts);
 
     /** The state words (the layout's state_words of them); net n's
      *  are at the layout's off[n].  Stable for the context's
@@ -222,13 +305,13 @@ class KernelHost : private AnvilFrame
 
     /**
      * The levelized sweep.  A sparse frame visits the levels with
-     * queued nodes in order and drains each one's bitmap, or runs its
-     * dense body once the level escalates; a dense frame (`full`, or
-     * denseFallback() after a frame that changed more than half the
-     * strict nodes) runs every dense body.  Strict nets whose value
-     * changed — exactly those — are appended to `changed` (net_count
-     * capacity) and counted in *n_changed.  Returns the nodes
-     * evaluated.
+     * queued nodes in order and drains each one's bitmap or, in a
+     * compiled unit, runs its dense body once the level escalates; a
+     * dense frame (`full`, or, for a compiled unit, denseFallback()
+     * after a frame that changed more than half the strict nodes)
+     * runs every dense body.  Strict nets whose value changed —
+     * exactly those — are appended to `changed` (capacity: the strict
+     * nodes) and counted in *n_changed.  Returns the nodes evaluated.
      */
     uint64_t eval(int32_t *changed, uint64_t *n_changed, bool full);
 
@@ -246,11 +329,20 @@ class KernelHost : private AnvilFrame
         AnvilLevelFn dense, sparse;
         uint64_t evals;         // nodes evaluated, both frame kinds
         /** A sparse frame drains the level while its queued count
-         *  times kEscalateDiv stays below this: the level's size, or
-         *  0 when it has no drain. */
-        uint32_t drain_below;
+         *  times kEscalateDiv stays below this: the level's size in a
+         *  compiled unit, 0 when it has no drain, and unbounded for
+         *  the executor, which drains exactly. */
+        uint64_t drain_below;
         uint32_t bm_begin, bm_end;   // the level's bitmap words
+        uint32_t node_begin, nodes;  // its records in layout nodes
     };
+
+    /** The executor's level functions: the current turn's records. */
+    template <bool Count>
+    static uint64_t execDense(AnvilFrame *f);
+    template <bool Count>
+    static uint64_t execSparse(AnvilFrame *f);
+    void useExecutor();
 
     std::shared_ptr<const KernelLayout> _layout;
     // Storage behind the frame's s, wbm and queued.
@@ -258,7 +350,11 @@ class KernelHost : private AnvilFrame
     std::vector<uint64_t> _bitmap;
     std::vector<uint32_t> _queued;
     std::vector<Turn> _turns;          // per level, in order
-    bool _prefer_dense = false;        // hysteresis state
+    const Turn *_turn = nullptr;       // the level being run
+    uint64_t *_counts = nullptr;       // executor eval counts, or null
+    std::vector<uint64_t> _tmp;        // a wide node's words
+    bool _unit = false;                // a compiled unit is attached
+    bool _prefer_dense = false;        // a unit's hysteresis state
     uint64_t _dense_frames = 0;
     uint64_t _fallback_switches = 0;
 };

@@ -135,10 +135,11 @@ class Netlist
      * Fan-out cone edges, CSR form: the strict combinational nodes
      * that read net `id` directly are
      * fanout()[fanoutBegin()[id] .. fanoutBegin()[id+1]).  Built once
-     * during levelization; the event-driven sweep walks these edges
-     * to re-evaluate only the cone downstream of a changed source.
-     * Lazy consumers are excluded (the recursive walk re-reads its
-     * whole cone every evaluation anyway).
+     * during levelization; kernelLayout() turns these edges into the
+     * consumer CSR the event-driven sweep walks to re-evaluate only
+     * the cone downstream of a changed source.  Lazy consumers are
+     * excluded (the recursive walk re-reads its whole cone every
+     * evaluation anyway).
      */
     const std::vector<int32_t> &fanoutBegin() const
     {

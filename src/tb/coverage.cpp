@@ -53,13 +53,15 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-/** Fold a value's words so wide registers bin on all their bits. */
+/** Fold a value's n words, word(k) each, so wide registers bin on
+ *  all their bits. */
+template <typename Word>
 uint64_t
-foldWords(const anvil::BitVec &v)
+foldWords(size_t n, Word word)
 {
-    uint64_t h = v.toUint64();
-    for (int w = 1; w < v.words(); w++)
-        h ^= v.word(w);
+    uint64_t h = 0;
+    for (size_t k = 0; k < n; k++)
+        h ^= word(k);
     return h;
 }
 
@@ -180,9 +182,21 @@ void
 Coverage::sampleSlot(rtl::Sim &sim, size_t slot)
 {
     SignalCoverage &sc = _signals[slot];
-    const BitVec &v = sim.value(sc.net);
-    for (size_t w = 0; w < sc.rose.size(); w++) {
-        uint64_t cur = v.word(static_cast<int>(w));
+    size_t n = sc.rose.size();
+    const uint64_t *v;
+    if (_fed[slot]) {
+        v = sim.words(sc.net).w;
+    } else {
+        // Outside the feed (a lazy net): value() keeps its on-demand
+        // fault semantics.
+        const BitVec &b = sim.value(sc.net);
+        _scratch.resize(n);
+        for (size_t w = 0; w < n; w++)
+            _scratch[w] = b.word(static_cast<int>(w));
+        v = _scratch.data();
+    }
+    for (size_t w = 0; w < n; w++) {
+        uint64_t cur = v[w];
         if (_samples > 0) {
             sc.rose[w] |= cur & ~sc.last[w];
             sc.fell[w] |= ~cur & sc.last[w];
@@ -190,17 +204,18 @@ Coverage::sampleSlot(rtl::Sim &sim, size_t slot)
         sc.last[w] = cur;
     }
     if (_slot_reg[slot] >= 0)
-        binReg(static_cast<size_t>(_slot_reg[slot]), v);
+        binReg(static_cast<size_t>(_slot_reg[slot]),
+               foldWords(n, [v](size_t k) { return v[k]; }));
 }
 
 void
-Coverage::binReg(size_t reg, const BitVec &v)
+Coverage::binReg(size_t reg, uint64_t folded)
 {
     RegHold &h = _reg_hold[reg];
     RegBins &rb = _reg_bins[reg];
     if (h.bin >= 0)
         rb.hits[static_cast<size_t>(h.bin)] += _samples - h.since;
-    h.bin = static_cast<int32_t>(foldWords(v) % rb.hits.size());
+    h.bin = static_cast<int32_t>(folded % rb.hits.size());
     h.since = _samples;
 }
 
@@ -229,6 +244,7 @@ Coverage::onAttach(obs::ChangeFeed &feed)
     _dup_next.assign(_signals.size(), -1);
     _slot_reg.resize(_signals.size(), -1);
     _reg_hold.resize(_reg_bins.size());
+    _fed.assign(_signals.size(), 0);
     _unfed_slots.clear();
     for (size_t i = 0; i < _signals.size(); i++) {
         SignalCoverage &sc = _signals[i];
@@ -236,6 +252,7 @@ Coverage::onAttach(obs::ChangeFeed &feed)
             size_t ni = static_cast<size_t>(sc.net);
             _dup_next[i] = _net_slot[ni];
             _net_slot[ni] = static_cast<int32_t>(i);
+            _fed[i] = 1;
         } else {
             // Lazy nets: re-read every visit, keeping value()'s
             // on-demand fault semantics.
@@ -339,8 +356,11 @@ Coverage::sampleNamed(
         const BitVec *v = value(rb.name);
         if (!v)
             continue;
-        rb.hits[static_cast<size_t>(foldWords(*v) %
-                                    rb.hits.size())]++;
+        uint64_t h = foldWords(static_cast<size_t>(v->words()),
+                               [v](size_t k) {
+                                   return v->word(static_cast<int>(k));
+                               });
+        rb.hits[static_cast<size_t>(h % rb.hits.size())]++;
     }
     _samples++;
 }

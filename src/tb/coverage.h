@@ -247,9 +247,9 @@ class Coverage : public obs::Observer
     void bind(rtl::Sim &sim);
     void sampleSlot(rtl::Sim &sim, size_t slot);
     void sampleTail(rtl::Sim &sim);
-    /** Re-bin register `reg` from its current value, closing its
-     *  previous hold into the hits. */
-    void binReg(size_t reg, const BitVec &v);
+    /** Re-bin register `reg` from its current value's folded words,
+     *  closing its previous hold into the hits. */
+    void binReg(size_t reg, uint64_t folded);
     /** Add every open hold's samples so far to its bin. */
     void settleRegBins() const;
 
@@ -260,6 +260,8 @@ class Coverage : public obs::Observer
     std::vector<int32_t> _dup_next;      // parallel to _signals
     std::vector<int32_t> _slot_reg;      // _signals slot -> reg or -1
     std::vector<size_t> _unfed_slots;    // signals outside the feed
+    std::vector<uint8_t> _fed;           // per slot: read as words
+    std::vector<uint64_t> _scratch;      // an unfed value's words
     std::vector<SignalCoverage> _signals;
     /** Settled lazily by const readers, hence mutable. */
     mutable std::vector<RegBins> _reg_bins;

@@ -293,18 +293,32 @@ ContractMonitor::ContractMonitor(std::vector<ContractSpec> specs,
         }
         if (has_lazy)
             _unfed_bounds.push_back(index);
+        b.fed = !has_lazy;
         _bound.push_back(std::move(b));
     }
 }
 
-/** Re-read one channel's frame values from the simulation. */
+/** Re-read one channel's frame values from the simulation: a fed
+ *  channel from its words, one with a lazy net through value(),
+ *  which keeps its fault semantics. */
 void
 ContractMonitor::refresh(rtl::Sim &sim, Bound &b)
 {
-    b.valid_v = sim.value(b.valid).any();
-    b.ack_v = sim.value(b.ack).any();
-    if (b.data != rtl::kNoNet)
-        b.data_v = sim.value(b.data);
+    if (!b.fed) {
+        b.valid_v = sim.value(b.valid).any();
+        b.ack_v = sim.value(b.ack).any();
+        if (b.data != rtl::kNoNet)
+            b.data_v = sim.value(b.data);
+        return;
+    }
+    b.valid_v = sim.words(b.valid).any();
+    b.ack_v = sim.words(b.ack).any();
+    if (b.data != rtl::kNoNet) {
+        rtl::WordView d = sim.words(b.data);
+        if (b.data_v.width() != d.width)
+            b.data_v = BitVec(d.width);
+        b.data_v.setWords(d.w, static_cast<int>(d.words()));
+    }
 }
 
 void
@@ -364,6 +378,7 @@ ContractMonitor::observe(rtl::Sim &sim, uint64_t cycle)
     // then a no-op so checkers do not double-tick.
     if (feed())
         return;
+    sim.changedNets();   // sweeps, so the words are the frame's
     for (auto &b : _bound)
         refresh(sim, b);
     tick(cycle);

@@ -163,6 +163,7 @@ class ContractMonitor : public tb::Monitor, public obs::Observer
         rtl::NetId valid, ack, data;   // data may be kNoNet
         bool valid_v = false, ack_v = false;   // cached frame values
         BitVec data_v{1};
+        bool fed = true;   // no lazy net: read as words
     };
     void refresh(rtl::Sim &sim, Bound &b);
     void tick(uint64_t cycle);

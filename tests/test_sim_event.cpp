@@ -58,11 +58,25 @@ struct ModeRun
     SweepStats stats;
 };
 
-/** True when the JIT can find a working system compiler. */
+/**
+ * True when the JIT can build kernels here.  The probe JITs one
+ * trivial netlist, once per process, the way the compiled rows do, so
+ * a missing compiler and a set but broken ANVIL_CXX both skip them
+ * (and leave the interpreter and RefSim halves running).
+ */
 bool
 haveJitCompiler()
 {
-    static const bool have = !codegen::jitCompilerPath().empty();
+    static const bool have = [] {
+        auto m = std::make_shared<Module>();
+        m->name = "jit_probe";
+        m->wire("y", m->input("a", 8) + cst(8, 1));
+        Sim probe(m);
+        codegen::JitOptions jo;
+        jo.opt_level = 1;
+        return codegen::jitCompileKernel(probe.netlist(), jo).kernel !=
+            nullptr;
+    }();
     return have;
 }
 

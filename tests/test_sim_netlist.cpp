@@ -4,11 +4,16 @@
  * the reference interpreter (rtl::RefSim) on every evaluation design
  * — peeks, dprint logs, and toggle counts must be bit-identical —
  * plus targeted regressions for child-output alias peeks, lazy
- * (cycle-tolerant) evaluation, and netlist structure.
+ * (cycle-tolerant) evaluation, and netlist structure, and the host
+ * executor's node records checked one by one against the BitVec
+ * operators.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <iterator>
+#include <map>
 #include <random>
 
 #include "designs/designs.h"
@@ -323,6 +328,268 @@ TEST(SimNetlist, LevelizedOrderCoversStrictNodes)
     }
     // The TLB is loop-free: nothing should need the lazy path.
     EXPECT_TRUE(nl.lazyRoots().empty());
+}
+
+// --- Host executor ---------------------------------------------------
+
+/** One wire of the executor fixture and its BitVec reference. */
+struct ExecCase
+{
+    std::string name;
+    std::function<BitVec(const std::map<std::string, BitVec> &)> want;
+};
+
+/** An expression node of an explicit width (the builders pick their
+ *  own), so records that truncate or zero-extend get tested too. */
+ExprPtr
+sized(Expr::Kind kind, int width, std::vector<ExprPtr> args,
+      Op op = Op::And, int lo = 0)
+{
+    auto e = std::make_shared<Expr>();
+    e->kind = kind;
+    e->width = width;
+    e->args = std::move(args);
+    e->op = op;
+    e->lo = lo;
+    return e;
+}
+
+/**
+ * Every Net::Kind and Op the executor lowers, as strict wires over the
+ * inputs a<w>, b<w> and c<w> of widths 1, 63 and 64 (the narrow lane)
+ * and 65, 128 and 200 (the wide lane), with node widths that truncate
+ * and zero-extend, shift amounts at and past the width, slices below
+ * bit 0 and past bit 64, concats across bit 64 and out-of-range ROM
+ * addresses.  Each wire's value must equal the BitVec operators'
+ * (applyUnop, applyBinop, slice, concatHigh, resize) on the inputs.
+ */
+struct ExecFixture
+{
+    std::shared_ptr<Module> mod = std::make_shared<Module>();
+    std::vector<ExecCase> cases;
+    std::vector<int> widths = {1, 63, 64, 65, 128, 200};
+
+    ExecFixture()
+    {
+        mod->name = "exec";
+        for (const char *p : {"a", "b", "c"})
+            for (int w : widths)
+                mod->input(p + std::to_string(w), w);
+        build();
+    }
+
+    static ExprPtr in(const char *p, int w)
+    {
+        return ref(p + std::to_string(w), w);
+    }
+    static const BitVec &val(const std::map<std::string, BitVec> &v,
+                             const char *p, int w)
+    {
+        return v.at(p + std::to_string(w));
+    }
+    void add(const std::string &name, ExprPtr e,
+             std::function<BitVec(const std::map<std::string, BitVec> &)>
+                 want)
+    {
+        mod->wire(name, e);
+        cases.push_back({name, std::move(want)});
+    }
+
+    void build()
+    {
+        const Op unops[] = {Op::Not, Op::RedOr, Op::RedAnd};
+        const Op binops[] = {Op::And, Op::Or, Op::Xor, Op::Add,
+                             Op::Sub, Op::Mul, Op::Eq, Op::Ne,
+                             Op::Lt, Op::Le, Op::Gt, Op::Ge,
+                             Op::Shl, Op::Shr};
+        for (int wa : widths) {
+            for (Op op : unops)
+                add("u" + std::to_string(static_cast<int>(op)) + "_" +
+                        std::to_string(wa),
+                    unop(op, in("a", wa)), [=](const auto &v) {
+                        return applyUnop(op, val(v, "a", wa));
+                    });
+            // Copy: a reference at another width resizes.
+            for (int wn : widths)
+                add("cp_" + std::to_string(wa) + "_" +
+                        std::to_string(wn),
+                    ref("a" + std::to_string(wa), wn),
+                    [=](const auto &v) {
+                        return val(v, "a", wa).resize(wn);
+                    });
+        }
+        for (Op op : binops) {
+            bool cmp = op >= Op::Eq && op <= Op::Ge;
+            for (int wa : widths)
+                for (int wb : widths)
+                    for (int wn : widths) {
+                        if (cmp && wn != 1)
+                            continue;   // comparisons are one bit
+                        add("bin" + std::to_string(static_cast<int>(op)) +
+                                "_" + std::to_string(wa) + "_" +
+                                std::to_string(wb) + "_" +
+                                std::to_string(wn),
+                            sized(Expr::Kind::Binop, wn,
+                                  {in("a", wa), in("b", wb)}, op),
+                            [=](const auto &v) {
+                                return applyBinop(op, val(v, "a", wa),
+                                                  val(v, "b", wb), wn);
+                            });
+                    }
+        }
+        for (int ws : {1, 65})
+            for (int wb : widths)
+                for (int wn : {1, 64, 65, 200})
+                    add("mux_" + std::to_string(ws) + "_" +
+                            std::to_string(wb) + "_" +
+                            std::to_string(wn),
+                        sized(Expr::Kind::Mux, wn,
+                              {in("c", ws), in("a", wb), in("b", 63)}),
+                        [=](const auto &v) {
+                            return (val(v, "c", ws).any()
+                                        ? val(v, "a", wb)
+                                        : val(v, "b", 63))
+                                .resize(wn);
+                        });
+        for (int wa : widths)
+            for (int lo : {-130, -64, -63, -1, 0, 1, 63, 64, 65, 130, 199,
+                           250})
+                for (int wn : widths)
+                    add("sl_" + std::to_string(wa) + "_" +
+                            std::to_string(lo + 1000) + "_" +
+                            std::to_string(wn),
+                        slice(in("a", wa), lo, wn), [=](const auto &v) {
+                            return val(v, "a", wa).slice(lo, wn);
+                        });
+        // Concats, hi part first, at their natural width and cut to
+        // 64 and 65 bits.
+        const std::vector<std::vector<std::pair<const char *, int>>> cats =
+            {{{"a", 63}, {"b", 1}},
+             {{"a", 1}, {"b", 64}},
+             {{"a", 63}, {"b", 63}},
+             {{"a", 1}, {"b", 1}, {"c", 63}},
+             {{"a", 200}, {"b", 1}, {"c", 65}},
+             {{"a", 64}, {"b", 64}, {"c", 1}}};
+        for (size_t k = 0; k < cats.size(); k++) {
+            std::vector<ExprPtr> parts;
+            int sum = 0;
+            for (const auto &[p, w] : cats[k]) {
+                parts.push_back(in(p, w));
+                sum += w;
+            }
+            for (int wn : {sum, 64, 65}) {
+                std::vector<std::pair<const char *, int>> spec = cats[k];
+                add("cat_" + std::to_string(k) + "_" +
+                        std::to_string(wn),
+                    sized(Expr::Kind::Concat, wn, parts),
+                    [=](const auto &v) {
+                        BitVec acc(0);
+                        for (auto it = spec.rbegin(); it != spec.rend();
+                             ++it)
+                            acc = acc.width() == 0
+                                ? val(v, it->first, it->second)
+                                : acc.concatHigh(
+                                      val(v, it->first, it->second));
+                        return acc.resize(wn);
+                    });
+            }
+        }
+        // A ROM whose entries are wider and narrower than its nodes;
+        // random addresses fall past its end.
+        auto rom = std::make_shared<std::vector<BitVec>>();
+        std::mt19937_64 rng(7);
+        for (int k = 0; k < 5; k++)
+            rom->push_back(BitVec(64, rng()).concatHigh(
+                BitVec(k * 40 + 1, rng())));
+        for (int wa : {1, 63, 65})
+            for (int wn : widths)
+                add("rom_" + std::to_string(wa) + "_" +
+                        std::to_string(wn),
+                    romLookup(rom, in("a", wa), wn), [=](const auto &v) {
+                        uint64_t addr = val(v, "a", wa).toUint64();
+                        return addr < rom->size()
+                            ? (*rom)[addr].resize(wn)
+                            : BitVec(wn);
+                    });
+    }
+};
+
+/** Input values for one round: random, small (shift amounts and ROM
+ *  addresses that land), a shift amount at a width boundary, all
+ *  ones, or zero. */
+BitVec
+execInput(int width, int round, std::mt19937_64 &rng)
+{
+    static const uint64_t edges[] = {0,  1,   2,   62,  63,  64, 65,
+                                     66, 127, 128, 129, 199, 200, 201};
+    switch (round % 5) {
+      case 0: {
+        BitVec v(width);
+        for (int k = 0; k < width; k++)
+            v.setBit(k, rng() & 1);
+        return v;
+      }
+      case 1:
+        return BitVec(width, rng() % 210);
+      case 2:
+        return BitVec(width, edges[rng() % std::size(edges)]);
+      case 3:
+        return BitVec::ones(width);
+      default:
+        return BitVec(width);
+    }
+}
+
+void
+expectExecutorMatches(SweepMode mode)
+{
+    ExecFixture fx;
+    Sim sim(fx.mod);
+    sim.setSweepMode(mode);
+    // Every wire is a strict net on the executor; wide cases take the
+    // wide lane.
+    const Netlist &nl = sim.netlist();
+    size_t wide = 0;
+    for (const ExecCase &c : fx.cases) {
+        NetId id = nl.signals().at(c.name).net;
+        ASSERT_FALSE(nl.net(id).lazy) << c.name;
+        wide += !nl.net(nl.net(id).a).fast;
+    }
+    EXPECT_GT(wide, fx.cases.size() / 3);
+
+    std::mt19937_64 rng(2026);
+    std::map<std::string, BitVec> vals;
+    for (int round = 0; round < 40; round++) {
+        for (const char *p : {"a", "b", "c"})
+            for (int w : fx.widths) {
+                std::string name = p + std::to_string(w);
+                // Odd rounds leave some inputs alone, so sparse frames
+                // drain partial levels.
+                if (round % 2 && rng() % 3 == 0 && vals.count(name))
+                    continue;
+                vals[name] =
+                    execInput(w, round + static_cast<int>(rng() % 5), rng);
+                sim.setInput(name, vals[name]);
+            }
+        for (const ExecCase &c : fx.cases) {
+            BitVec want = c.want(vals);
+            BitVec got = sim.peek(c.name);
+            ASSERT_EQ(got.toHex(), want.resize(got.width()).toHex())
+                << c.name << " round " << round;
+            ASSERT_EQ(got, want) << c.name << " round " << round;
+        }
+        sim.step();
+    }
+}
+
+TEST(HostExecutor, DenseBodiesMatchBitVecOperators)
+{
+    expectExecutorMatches(SweepMode::Full);
+}
+
+TEST(HostExecutor, SparseDrainsMatchBitVecOperators)
+{
+    expectExecutorMatches(SweepMode::Dirty);
 }
 
 } // namespace
