@@ -22,12 +22,9 @@ RollingActivity::onAttach(ChangeFeed &feed)
     // One slot per named signal; duplicate nets (aliases) keep the
     // first name so a change counts once, under a stable label.
     for (const auto &[name, sig] : nl.signals()) {
-        if (sig.net == rtl::kNoNet ||
-            static_cast<size_t>(sig.net) >= _net_slot.size())
-            continue;
-        if (!feed.subscribe(*this, sig.net))
-            continue;
-        if (_net_slot[static_cast<size_t>(sig.net)] >= 0)
+        // Lazy nets never reach the fed frame.
+        if (nl.net(sig.net).lazy ||
+            _net_slot[static_cast<size_t>(sig.net)] >= 0)
             continue;
         _net_slot[static_cast<size_t>(sig.net)] =
             static_cast<int32_t>(_names.size());

@@ -84,15 +84,6 @@ FlightRecorder::addTrigger(const std::string &name, Trigger counter)
 }
 
 void
-FlightRecorder::onAttach(ChangeFeed &feed)
-{
-    // Whole-frame subscription: the recorder filters the raw changed
-    // list through _net_slot itself, so the feed never builds a
-    // per-cycle subset copy for it.
-    feed.subscribeAll(*this);
-}
-
-void
 FlightRecorder::beginCycle(uint64_t cycle)
 {
     if (!_started) {
@@ -142,16 +133,6 @@ FlightRecorder::captureSlot(size_t slot, const uint64_t *w)
     _captured_words += static_cast<uint64_t>(h.words);
 }
 
-/** Capture a slot outside the feed (a lazy net) from its value. */
-void
-FlightRecorder::captureValue(size_t slot, const BitVec &v)
-{
-    _scratch.resize(static_cast<size_t>(_hot[slot].words));
-    for (size_t k = 0; k < _scratch.size(); k++)
-        _scratch[k] = v.word(static_cast<int>(k));
-    captureSlot(slot, _scratch.data());
-}
-
 void
 FlightRecorder::endCycle(uint64_t cycle)
 {
@@ -199,15 +180,6 @@ FlightRecorder::applyRec(const CycleRec &rec,
     }
 }
 
-/** A slot's value from its words. */
-BitVec
-FlightRecorder::valueOf(size_t slot, const uint64_t *w) const
-{
-    BitVec v(_traced[slot].width);
-    v.setWords(w, _hot[slot].words);
-    return v;
-}
-
 void
 FlightRecorder::flushDump(uint64_t to)
 {
@@ -240,7 +212,7 @@ FlightRecorder::flushDump(uint64_t to)
     os << "#" << from << "\n$dumpvars\n";
     for (size_t slot = 0; slot < _traced.size(); slot++)
         rtl::writeVcdValue(os, _traced[slot].id, _traced[slot].width,
-                           valueOf(slot, vals.data() + _hot[slot].last));
+                           vals.data() + _hot[slot].last);
     os << "$end\n";
 
     // Per-cycle deltas through the end of the window.  Records hold
@@ -263,7 +235,7 @@ FlightRecorder::flushDump(uint64_t to)
         std::sort(order.begin(), order.end());
         for (const auto &[slot, off] : order)
             rtl::writeVcdValue(os, _traced[slot].id, _traced[slot].width,
-                               valueOf(slot, rec.words.data() + off));
+                               rec.words.data() + off);
     }
 
     if (_sink)
@@ -281,10 +253,9 @@ FlightRecorder::onPrime(rtl::Sim &sim, uint64_t cycle)
     // way; the base snapshot (zeros before the first sample) covers
     // whatever never changes.
     for (size_t slot = 0; slot < _traced.size(); slot++) {
-        if (_traced[slot].fed)
-            captureSlot(slot, sim.words(_traced[slot].net).w);
-        else
-            captureValue(slot, sim.value(_traced[slot].net));
+        rtl::NetId net = _traced[slot].net;
+        captureSlot(slot, _traced[slot].fed ? sim.words(net).w
+                                            : sim.value(net).data());
     }
     _traced_changes += _traced.size();   // a rescan lists them all
     endCycle(cycle);
@@ -296,17 +267,15 @@ FlightRecorder::onCycle(rtl::Sim &sim, uint64_t cycle,
 {
     beginCycle(cycle);
     // Mirror VcdWriter::onCycle's capture set: the traced subset of
-    // the raw frame list (subscribeAll delivers it unfiltered — ids
-    // past _net_slot are post-construction nodes, skipped) plus
-    // every un-fed (lazy) slot re-read each cycle.  Capture order is
-    // arrival order — flushDump re-sorts each record into
-    // declaration order — and fed values come straight out of the
-    // frame's state words (sample() already swept), so the per-cycle
-    // cost is a compare + copy per actually-changed traced net.
+    // the fed frame plus every un-fed (lazy) slot re-read each
+    // cycle.  Capture order is arrival order — flushDump re-sorts
+    // each record into declaration order — and fed values come
+    // straight out of the frame's state words (sample() already
+    // swept), so the per-cycle cost is a compare + copy per
+    // actually-changed traced net.
     for (rtl::NetId id : changed) {
         size_t ni = static_cast<size_t>(id);
-        if (ni >= _net_slot.size() ||
-            !((_net_mask[ni >> 6] >> (ni & 63)) & 1))
+        if (!((_net_mask[ni >> 6] >> (ni & 63)) & 1))
             continue;
         const uint64_t *w = sim.words(id).w;
         for (int32_t slot = _net_slot[ni]; slot >= 0;
@@ -317,7 +286,7 @@ FlightRecorder::onCycle(rtl::Sim &sim, uint64_t cycle,
     }
     for (size_t slot : _unfed) {
         uint64_t before = _captured_words;
-        captureValue(slot, sim.value(_traced[slot].net));
+        captureSlot(slot, sim.value(_traced[slot].net).data());
         _traced_changes += _captured_words != before;
     }
     endCycle(cycle);

@@ -117,7 +117,6 @@ class FlightRecorder : public Observer
     uint64_t tracedChanges() const { return _traced_changes; }
 
     // obs::Observer
-    void onAttach(ChangeFeed &feed) override;
     void onPrime(rtl::Sim &sim, uint64_t cycle) override;
     void onCycle(rtl::Sim &sim, uint64_t cycle,
                  const std::vector<rtl::NetId> &changed) override;
@@ -170,12 +169,10 @@ class FlightRecorder : public Observer
 
     void beginCycle(uint64_t cycle);
     void captureSlot(size_t slot, const uint64_t *w);
-    void captureValue(size_t slot, const BitVec &v);
     void endCycle(uint64_t cycle);
     void pollTriggers(uint64_t cycle);
     void evictOldest();
     void applyRec(const CycleRec &rec, std::vector<uint64_t> &vals) const;
-    BitVec valueOf(size_t slot, const uint64_t *w) const;
     void flushDump(uint64_t to);
 
     rtl::Sim &_sim;
@@ -184,7 +181,7 @@ class FlightRecorder : public Observer
     std::vector<Traced> _traced;
     std::vector<HotSlot> _hot;        // parallel to _traced
     std::vector<int32_t> _net_slot;   // net -> first traced slot or -1
-    /** One bit per net: is it traced?  The raw frame list is mostly
+    /** One bit per net: is it traced?  The fed frame is mostly
      *  unnamed internal nets; testing this L1-resident mask first
      *  keeps them from dragging the int32 table into cache. */
     std::vector<uint64_t> _net_mask;
@@ -193,7 +190,6 @@ class FlightRecorder : public Observer
      *  (HotSlot::last), so the per-cycle compare-and-copy runs on
      *  words and never on BitVec. */
     std::vector<uint64_t> _last;
-    std::vector<uint64_t> _scratch;   // an unfed value's words
     /** The words before the oldest record, laid out like _last. */
     std::vector<uint64_t> _base;
 

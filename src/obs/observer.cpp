@@ -34,7 +34,12 @@ Observer::~Observer()
 
 ChangeFeed::ChangeFeed(rtl::Sim &sim) : _sim(sim)
 {
-    _sub_head.assign(_sim.netlist().nets().size(), -1);
+    // A non-lazy net sits below levelCount(): sources at level 0,
+    // strict nodes in the levelized order.
+    const std::vector<rtl::Net> &nets = _sim.netlist().nets();
+    _level.resize(nets.size());
+    for (size_t i = 0; i < nets.size(); i++)
+        _level[i] = nets[i].lazy ? -1 : nets[i].level;
 }
 
 ChangeFeed::~ChangeFeed()
@@ -70,69 +75,11 @@ ChangeFeed::detach(Observer &obs)
 {
     if (obs._feed != this)
         return;
-    // The index is retired, never reused: per-net subscriber chains
-    // keep their entries and sample() skips the empty slot.
+    // The index is retired, never reused: sample() skips the empty
+    // slot.
     _slots[static_cast<size_t>(obs._index)].obs = nullptr;
     obs._feed = nullptr;
     obs._index = -1;
-    _csr_dirty = true;
-}
-
-bool
-ChangeFeed::subscribe(Observer &obs, rtl::NetId net)
-{
-    if (obs._feed != this)
-        throw std::logic_error(
-            "subscribe() from an observer not attached to this feed");
-    if (net == rtl::kNoNet ||
-        static_cast<size_t>(net) >= _sub_head.size() ||
-        _sim.netlist().net(net).lazy)
-        return false;
-    size_t ni = static_cast<size_t>(net);
-    for (int32_t k = _sub_head[ni]; k >= 0; k = _subs[k].next)
-        if (_subs[static_cast<size_t>(k)].obs == obs._index)
-            return true;   // already subscribed
-    _subs.push_back({obs._index, _sub_head[ni]});
-    _sub_head[ni] = static_cast<int32_t>(_subs.size() - 1);
-    _csr_dirty = true;
-    return true;
-}
-
-void
-ChangeFeed::subscribeAll(Observer &obs)
-{
-    if (obs._feed != this)
-        throw std::logic_error(
-            "subscribeAll() from an observer not attached to this "
-            "feed");
-    _slots[static_cast<size_t>(obs._index)].all_nets = true;
-}
-
-void
-ChangeFeed::rebuildCsr()
-{
-    size_t nets = _sub_head.size();
-    _csr_off.assign(nets + 1, 0);
-    for (size_t ni = 0; ni < nets; ni++)
-        for (int32_t k = _sub_head[ni]; k >= 0;
-             k = _subs[static_cast<size_t>(k)].next)
-            if (_slots[static_cast<size_t>(
-                          _subs[static_cast<size_t>(k)].obs)]
-                    .obs)
-                _csr_off[ni + 1]++;
-    for (size_t ni = 0; ni < nets; ni++)
-        _csr_off[ni + 1] += _csr_off[ni];
-    _csr_obs.resize(_csr_off[nets]);
-    std::vector<uint32_t> fill(_csr_off.begin(),
-                               _csr_off.end() - 1);
-    for (size_t ni = 0; ni < nets; ni++)
-        for (int32_t k = _sub_head[ni]; k >= 0;
-             k = _subs[static_cast<size_t>(k)].next) {
-            int32_t oi = _subs[static_cast<size_t>(k)].obs;
-            if (_slots[static_cast<size_t>(oi)].obs)
-                _csr_obs[fill[ni]++] = oi;
-        }
-    _csr_dirty = false;
 }
 
 bool
@@ -153,41 +100,22 @@ ChangeFeed::sample()
     bool fresh = _cursor.fresh(_sim);
     // Sweep before any visit, so every observer may read the frame's
     // words (Sim::words), primes included.
-    _sim.changedNets();
+    const std::vector<rtl::NetId> &changed = _sim.changedNets();
     bool timing = _profiler != nullptr;
     bool sampled = timing && sampledVisit(cyc);
 
     if (fresh) {
-        // One pass over the simulator's changed-net list distributes
-        // each net to every subscriber's per-cycle subset (and, with
-        // a profiler attached, into the per-level histogram) — the
-        // dedupe that lets any number of observers trace one net
-        // without forcing anyone onto the slow path.
-        bool distribute = _profiler != nullptr;
-        for (Slot &s : _slots)
-            if (s.obs && s.primed && !s.all_nets) {
-                s.scratch.clear();
-                distribute = true;
-            }
-        if (distribute) {
-            if (_csr_dirty)
-                rebuildCsr();
-            for (rtl::NetId id : _sim.changedNets()) {
-                size_t ni = static_cast<size_t>(id);
-                if (_profiler && ni < _level_bin.size() &&
-                    _level_bin[ni] >= 0)
-                    _level_activity[static_cast<size_t>(
-                        _level_bin[ni])]++;
-                if (ni >= _sub_head.size())
-                    continue;
-                for (uint32_t k = _csr_off[ni];
-                     k < _csr_off[ni + 1]; k++) {
-                    Slot &s = _slots[static_cast<size_t>(
-                        _csr_obs[k])];
-                    if (s.obs && s.primed)
-                        s.scratch.push_back(id);
-                }
-            }
+        // One pass over the simulator's changed-net list builds the
+        // fed frame every steady observer gets (and, with a profiler
+        // attached, bins it into the per-level histogram).
+        _frame.clear();
+        for (rtl::NetId id : changed) {
+            size_t ni = static_cast<size_t>(id);
+            if (ni >= _level.size() || _level[ni] < 0)
+                continue;
+            _frame.push_back(id);
+            if (timing)
+                _level_activity[static_cast<size_t>(_level[ni])]++;
         }
     }
 
@@ -199,10 +127,8 @@ ChangeFeed::sample()
         bool timed = sampled || (timing && !steady);
         uint64_t t0 = timed ? rtl::monotonicNanos() : 0;
         if (steady) {
-            const std::vector<rtl::NetId> &list =
-                s.all_nets ? _sim.changedNets() : s.scratch;
-            s.obs->onCycle(_sim, cyc, list);
-            s.cost.nets += list.size();
+            s.obs->onCycle(_sim, cyc, _frame);
+            s.cost.nets += _frame.size();
         } else {
             s.obs->onPrime(_sim, cyc);
             s.primed = true;
@@ -241,14 +167,7 @@ ChangeFeed::setProfiler(TraceProfiler *profiler)
     _profiler = profiler;
     if (!_profiler)
         return;
-    const rtl::Netlist &nl = _sim.netlist();
-    _level_activity.assign(nl.levelCount(), 0);
-    _level_bin.assign(nl.nets().size(), -1);
-    for (size_t i = 0; i < _level_bin.size(); i++) {
-        const rtl::Net &n = nl.nets()[i];
-        if (!n.lazy && static_cast<size_t>(n.level) < nl.levelCount())
-            _level_bin[i] = n.level;
-    }
+    _level_activity.assign(_sim.netlist().levelCount(), 0);
     for (Slot &s : _slots)
         if (s.obs && s.track < 0)
             s.track = _profiler->track("obs:" + s.cost.name);

@@ -6,31 +6,33 @@
  * (rtl::VcdWriter), coverage toggle sampling (tb::Coverage), contract
  * monitoring (trace::ContractMonitor), waveform recording
  * (rtl::WaveRecorder), and any new plugin (obs::ChannelSlicer) — used
- * to carry its own copy of the same subtle dance: a net->slot table,
- * lazy-net exclusion, a priming pass, and the ChangeFeedCursor
- * freshness check that guards against skipped cycles and late pokes.
- * The ChangeFeed hub owns all of that in exactly one place:
+ * to carry its own copy of the same subtle dance: lazy-net
+ * exclusion, a priming pass, and the ChangeFeedCursor freshness
+ * check that guards against skipped cycles and late pokes.  The
+ * ChangeFeed hub owns all of that in exactly one place:
  *
- *  - observers attach once and subscribe the NetIds they care about;
- *    subscriptions are deduplicated per net, so any number of
- *    observers (or duplicate traces within one observer) ride a
- *    single visit of the changed-net list;
  *  - sample() runs once per cycle, before Sim::step(): when the
  *    per-cycle feed covers the window since the previous sample
- *    (rtl::ChangeFeedCursor), each observer gets onCycle() with just
- *    its own changed subset; otherwise (first sample, skipped
- *    cycles, late pokes) every observer gets a full onPrime() rescan;
- *  - lazy nets are excluded centrally — subscribe() returns false
- *    for them and the observer re-reads those itself each visit,
- *    preserving Sim::value()'s on-demand fault semantics;
+ *    (rtl::ChangeFeedCursor), the hub filters the simulator's
+ *    changed-net list once into the fed frame — the changed nets
+ *    that are not lazy, deduplicated, in feed order — and hands
+ *    that one list to every observer's onCycle(); otherwise (first
+ *    sample, skipped cycles, late pokes) every observer gets a full
+ *    onPrime() rescan;
+ *  - each observer filters the frame through its own net->slot
+ *    table, so any number of observers (or duplicate traces within
+ *    one observer) ride one list with no per-observer copy;
+ *  - lazy nets never reach onCycle: an observer decides from
+ *    Net::lazy which of its nets are fed and re-reads the others
+ *    itself each visit through Sim::value(), which keeps their
+ *    on-demand fault semantics;
  *  - the hub sweeps the frame before any visit, so observers read
- *    fed nets straight from the state words (Sim::words) and lazy
- *    nets through Sim::value(), which keeps their fault semantics.
+ *    fed nets straight from the state words (Sim::words).
  *
  * The hub doubles as the telemetry spine: it counts per-observer
- * visits and touched nets, and with a TraceProfiler attached it bins
- * changed nets into a per-level activity histogram and times visits
- * onto a per-observer Chrome-trace track: every prime, and the
+ * visits and delivered nets, and with a TraceProfiler attached it
+ * bins the fed frame into a per-level activity histogram and times
+ * visits onto a per-observer Chrome-trace track: every prime, and the
  * steady-state visits of a hashed one cycle in rtl::kTelemetryStride,
  * from which it estimates the whole run's visit time.
  */
@@ -53,16 +55,17 @@ class TraceProfiler;
 /**
  * One per-cycle consumer of the change feed.  Lifecycle:
  *
- *  - onAttach(feed) runs once, inside ChangeFeed::attach(); the
- *    observer subscribes its nets there (subscribe() reports whether
- *    each net rides the feed);
+ *  - onAttach(feed) runs once, inside ChangeFeed::attach(); an
+ *    observer that needs the feed's netlist to build its tables
+ *    does so there;
  *  - onPrime(sim, cycle) is a full visit: the first sample, and any
  *    sample the feed cannot cover (skipped cycles, late pokes).  The
  *    observer re-reads every net it watches;
- *  - onCycle(sim, cycle, changed) is the fast path: `changed` holds
- *    exactly this observer's subscribed nets that changed since its
- *    previous visit (deduplicated, feed order).  Unsubscribed nets
- *    (lazy cones, unresolved names) must be re-read directly;
+ *  - onCycle(sim, cycle, changed) is the fast path: `changed` is the
+ *    fed frame, every non-lazy net that changed since the previous
+ *    visit (deduplicated, feed order), the same list for every
+ *    observer.  The observer picks its own nets out of it and
+ *    re-reads its lazy nets directly;
  *  - onFinish(sim) runs at ChangeFeed::finish() — flush buffers.
  *
  * Observers are read-only: a visit must not poke the simulation
@@ -75,7 +78,7 @@ class Observer
   public:
     virtual ~Observer();
 
-    virtual void onAttach(ChangeFeed &feed) = 0;
+    virtual void onAttach(ChangeFeed &feed) { (void)feed; }
     virtual void onPrime(rtl::Sim &sim, uint64_t cycle) = 0;
     virtual void onCycle(rtl::Sim &sim, uint64_t cycle,
                          const std::vector<rtl::NetId> &changed) = 0;
@@ -100,7 +103,7 @@ struct ObserverCost
     std::string name;          // Observer::observerName at attach
     uint64_t visits = 0;       // total visits (primes + cycles)
     uint64_t primes = 0;       // full-rescan visits among them
-    uint64_t nets = 0;         // changed nets delivered to onCycle
+    uint64_t nets = 0;         // fed-frame nets handed to onCycle
     /** Visit wall time while a profiler was attached, estimated from
      *  the timed visits: their ns x visits / timed visits. */
     uint64_t ns = 0;
@@ -109,9 +112,9 @@ struct ObserverCost
 /**
  * Multi-observer fan-out hub over Sim::changedNets().
  *
- * Owns the single ChangeFeedCursor, the priming state, the per-net
- * subscriber lists, and (when a TraceProfiler is attached) the
- * per-observer visit timing and the per-level activity histogram.
+ * Owns the single ChangeFeedCursor, the priming state, the fed
+ * frame, and (when a TraceProfiler is attached) the per-observer
+ * visit timing and the per-level activity histogram.
  * Drive sample() exactly once per cycle, before Sim::step(), so the
  * visit timestamp matches Sim::cycle().
  */
@@ -136,27 +139,6 @@ class ChangeFeed
     /** Detach (idempotent; also run by Observer's destructor). */
     void detach(Observer &obs);
 
-    /**
-     * Subscribe the observer to a net's change events; call from
-     * onAttach.  Returns true when the net rides the feed; false for
-     * lazy nets, ad-hoc post-construction nodes, and kNoNet — the
-     * observer must re-read those itself each visit.  Idempotent per
-     * (observer, net); many observers may subscribe one net and each
-     * sees it exactly once per change.
-     */
-    bool subscribe(Observer &obs, rtl::NetId net);
-
-    /**
-     * Subscribe the observer to the whole frame: onCycle receives
-     * the simulator's raw changed-net list (a superset of any per-net
-     * subscription — it includes unnamed internal nodes) and the
-     * observer filters it against its own net->slot table.  For an
-     * observer tracing most of the design this skips the per-net
-     * fan-out copy entirely, which is what keeps an always-on
-     * recorder near-free.  Call from onAttach, like subscribe().
-     */
-    void subscribeAll(Observer &obs);
-
     /** True when no observer is attached and no profiler is set. */
     bool empty() const;
 
@@ -169,7 +151,7 @@ class ChangeFeed
     /**
      * Attach a profiler: visits are timed onto one Chrome-trace
      * track per observer (primes always, steady-state visits on the
-     * sampled cycles), and changed nets are binned into the
+     * sampled cycles), and the fed frame is binned into the
      * per-level activity histogram.  Null detaches.
      */
     void setProfiler(TraceProfiler *profiler);
@@ -188,48 +170,31 @@ class ChangeFeed
     }
 
   private:
-    struct SubNode
-    {
-        int32_t obs;    // observer index
-        int32_t next;   // next subscriber of the same net, or -1
-    };
     struct Slot
     {
         Observer *obs = nullptr;   // null: detached, index retired
         ObserverCost cost;
         bool primed = false;
-        /** subscribeAll(): onCycle gets the raw frame list and the
-         *  scratch subset is never built for this slot. */
-        bool all_nets = false;
-        std::vector<rtl::NetId> scratch;   // per-cycle changed subset
-        int track = -1;                    // profiler track id
-        uint64_t profiled = 0;   // visits with a profiler attached
-        uint64_t timed = 0;      // of those, the timed ones
-        uint64_t timed_ns = 0;   // their wall time
+        int track = -1;            // profiler track id
+        uint64_t profiled = 0;     // visits with a profiler attached
+        uint64_t timed = 0;        // of those, the timed ones
+        uint64_t timed_ns = 0;     // their wall time
     };
-
-    /** Flatten the subscriber chains into the CSR (below). */
-    void rebuildCsr();
 
     rtl::Sim &_sim;
     std::vector<Slot> _slots;
-    std::vector<int32_t> _sub_head;   // net -> first SubNode, or -1
-    std::vector<SubNode> _subs;
-    // The chains above are the authoritative subscription record
-    // (insertion-time dedupe); sample() walks this flattened CSR
-    // instead, so the per-changed-net fan-out is a contiguous slice
-    // rather than a pointer chase.  Rebuilt lazily — subscriptions
-    // change at attach time, not per cycle — and reusing the same
-    // buffers, so the steady-state sample() allocates nothing.
-    std::vector<uint32_t> _csr_off;   // net -> [off[n], off[n+1])
-    std::vector<int32_t> _csr_obs;    // observer indices, flat
-    bool _csr_dirty = true;
+    /** Net -> its level, or -1 for a lazy net: the fed-frame filter
+     *  and the histogram bin in one lookup.  Sized to the netlist at
+     *  construction; nets topNet appends later are lazy anyway. */
+    std::vector<int32_t> _level;
+    /** This cycle's fed frame: the hub's own copy, because a visit
+     *  that evaluates a lazy net or a cover expression appends to
+     *  the Sim's list, which may then reallocate under a later
+     *  observer. */
+    std::vector<rtl::NetId> _frame;
     rtl::ChangeFeedCursor _cursor;
     TraceProfiler *_profiler = nullptr;
     std::vector<uint64_t> _level_activity;
-    /** Net -> its _level_activity bin, or -1 (lazy nets): one compact
-     *  lookup per changed net on the profiled hot path. */
-    std::vector<int32_t> _level_bin;
 };
 
 } // namespace obs

@@ -16,13 +16,6 @@ AssertionTriage::AssertionTriage(
 }
 
 void
-AssertionTriage::onAttach(ChangeFeed &)
-{
-    // No net subscriptions: the feed visit is just the per-cycle
-    // hook that drains the monitor's violation log.
-}
-
-void
 AssertionTriage::onPrime(rtl::Sim &, uint64_t)
 {
     drain();

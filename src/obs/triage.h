@@ -58,7 +58,6 @@ class AssertionTriage : public Observer
                              EventSink *sink = nullptr);
 
     // obs::Observer
-    void onAttach(ChangeFeed &feed) override;
     void onPrime(rtl::Sim &sim, uint64_t cycle) override;
     void onCycle(rtl::Sim &sim, uint64_t cycle,
                  const std::vector<rtl::NetId> &changed) override;

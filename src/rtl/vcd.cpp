@@ -1,6 +1,7 @@
 #include "rtl/vcd.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <stdexcept>
 
@@ -15,17 +16,6 @@ struct ScopeNode
     std::map<std::string, ScopeNode> children;
     std::vector<size_t> vars;   // indices into the var list
 };
-
-/** Binary value with leading zeros stripped (VCD shorthand). */
-std::string
-trimmedBinary(const BitVec &v)
-{
-    std::string b = v.toBinary();
-    size_t first = b.find('1');
-    if (first == std::string::npos)
-        return "0";
-    return b.substr(first);
-}
 
 } // namespace
 
@@ -77,12 +67,24 @@ writeVcdHeader(std::ostream &os, const std::string &top_scope,
 
 void
 writeVcdValue(std::ostream &os, const std::string &id, int width,
-              const BitVec &v)
+              const uint64_t *w)
 {
-    if (width == 1)
-        os << (v.any() ? '1' : '0') << id << "\n";
-    else
-        os << "b" << trimmedBinary(v) << " " << id << "\n";
+    if (width == 1) {
+        os << (w[0] ? '1' : '0') << id << "\n";
+        return;
+    }
+    // Binary with leading zeros stripped (VCD shorthand); "0" when
+    // the value is zero.
+    int bits = 0;
+    for (int k = (width + 63) / 64 - 1; k >= 0 && !bits; k--)
+        if (w[k])
+            bits = k * 64 + static_cast<int>(std::bit_width(w[k]));
+    std::string b = "b";
+    if (!bits)
+        b += '0';
+    for (int i = bits - 1; i >= 0; i--)
+        b += (w[i / 64] >> (i % 64)) & 1 ? '1' : '0';
+    os << b << " " << id << "\n";
 }
 
 std::string
@@ -123,34 +125,20 @@ VcdWriter::VcdWriter(Sim &sim, std::ostream &os,
         t.width = it->second.width;
         t.is_reg = it->second.kind == NetSignal::Kind::Reg;
         t.fed = !nl.net(t.net).lazy;
-        t.last = BitVec(t.width);
+        t.words = static_cast<uint32_t>((t.width + 63) / 64);
+        t.last = static_cast<uint32_t>(_last.size());
+        _last.resize(_last.size() + t.words);
         if (t.fed) {
             // Duplicate traces of one net (an alias next to its flat
-            // name) chain off the net's single slot entry; the feed
-            // subscription is deduplicated and onCycle fans the one
-            // change out to the whole chain.
+            // name) chain off the net's single slot entry, and
+            // onCycle fans the one change out to the whole chain.
             size_t ni = static_cast<size_t>(t.net);
             t.dup_next = _net_slot[ni];
             _net_slot[ni] = static_cast<int32_t>(_traced.size());
         }
         _traced.push_back(std::move(t));
     }
-    writeHeader();
-}
 
-VcdWriter::~VcdWriter() = default;
-
-void
-VcdWriter::onAttach(obs::ChangeFeed &feed)
-{
-    for (const Traced &t : _traced)
-        if (t.fed)
-            feed.subscribe(*this, t.net);
-}
-
-void
-VcdWriter::writeHeader()
-{
     std::vector<VcdVarDecl> vars;
     vars.reserve(_traced.size());
     for (const Traced &t : _traced)
@@ -158,25 +146,33 @@ VcdWriter::writeHeader()
     writeVcdHeader(_os, _sim.topName(), vars, "1ns");
 }
 
-void
-VcdWriter::emitValue(const Traced &t, const BitVec &v)
+VcdWriter::~VcdWriter() = default;
+
+const uint64_t *
+VcdWriter::read(const Traced &t)
 {
-    writeVcdValue(_os, t.id, t.width, v);
+    return t.fed ? _sim.words(t.net).w : _sim.value(t.net).data();
+}
+
+void
+VcdWriter::emitValue(const Traced &t, const uint64_t *w)
+{
+    writeVcdValue(_os, t.id, t.width, w);
+    std::copy_n(w, t.words, _last.data() + t.last);
     _changes++;
 }
 
 void
-VcdWriter::sampleTraced(Traced &t, bool &stamped)
+VcdWriter::sampleTraced(const Traced &t, bool &stamped)
 {
-    const BitVec &v = _sim.value(t.net);
-    if (v == t.last)
+    const uint64_t *w = read(t);
+    if (std::equal(w, w + t.words, _last.data() + t.last))
         return;
     if (!stamped) {
         _os << "#" << _sim.cycle() << "\n";
         stamped = true;
     }
-    emitValue(t, v);
-    t.last = v;
+    emitValue(t, w);
 }
 
 void
@@ -185,11 +181,8 @@ VcdWriter::onPrime(Sim &sim, uint64_t cycle)
     (void)sim;
     if (!_primed) {
         _os << "#" << cycle << "\n$dumpvars\n";
-        for (auto &t : _traced) {
-            const BitVec &v = _sim.value(t.net);
-            emitValue(t, v);
-            t.last = v;
-        }
+        for (const Traced &t : _traced)
+            emitValue(t, read(t));
         _os << "$end\n";
         _primed = true;
         return;
@@ -197,7 +190,7 @@ VcdWriter::onPrime(Sim &sim, uint64_t cycle)
     // Rescan fallback (skipped cycles, late pokes): every traced net
     // is re-read; the emitted bytes match the fast path exactly.
     bool stamped = false;
-    for (auto &t : _traced)
+    for (const Traced &t : _traced)
         sampleTraced(t, stamped);
 }
 
@@ -208,10 +201,9 @@ VcdWriter::onCycle(Sim &sim, uint64_t cycle,
     (void)sim;
     (void)cycle;
     // Only nets that changed since the previous sample are dumped; a
-    // cycle with no changes emits nothing at all.  `changed` holds
-    // exactly this writer's subscribed nets, so the scan is
-    // proportional to activity; nets outside the feed (lazy cones)
-    // are re-read every visit.
+    // cycle with no changes emits nothing at all.  `changed` is the
+    // fed frame, so the scan is proportional to activity; nets
+    // outside the feed (lazy cones) are re-read every visit.
     bool stamped = false;
     _scratch.clear();
     for (NetId id : changed)

@@ -13,15 +13,16 @@
  * goldens.
  *
  * Sampling rides the unified obs::ChangeFeed: after the first full
- * checkpoint, a visit receives only this writer's changed subscribed
- * nets instead of rescanning every traced net, so the cost per cycle
- * is proportional to activity.  Lazy nets (cyclic or ad-hoc cones)
- * are re-read every visit, preserving their on-demand fault
- * semantics; priming and the rescan fallback for skipped cycles or
- * late pokes are the feed's job — the emitted bytes are identical on
- * either path.  Duplicate traces of one net (an alias next to its
- * flat name) are chained off a single subscription, so they ride the
- * fast path too.
+ * checkpoint, a visit picks this writer's traced nets out of the fed
+ * frame instead of rescanning every traced net, so the cost per
+ * cycle is proportional to activity, and compares and formats them
+ * from the state words (Sim::words).  Lazy nets (cyclic or ad-hoc
+ * cones) are re-read every visit through Sim::value(), preserving
+ * their on-demand fault semantics; priming and the rescan fallback
+ * for skipped cycles or late pokes are the feed's job — the emitted
+ * bytes are identical on either path.  Duplicate traces of one net
+ * (an alias next to its flat name) chain off the net's one table
+ * entry, so they ride the fast path too.
  */
 
 #ifndef ANVIL_RTL_VCD_H
@@ -65,10 +66,12 @@ void writeVcdHeader(std::ostream &os, const std::string &top_scope,
 
 /**
  * Emit one value-change line: `0id`/`1id` for 1-bit vars, else
- * `b<binary, leading zeros trimmed> id`.
+ * `b<binary, leading zeros trimmed> id`.  `w` holds the value's
+ * (width + 63) / 64 little-endian words, bits at or above `width`
+ * zero: a Sim::words view, or a BitVec's data().
  */
 void writeVcdValue(std::ostream &os, const std::string &id, int width,
-                   const BitVec &v);
+                   const uint64_t *w);
 
 /**
  * Streams a VCD dump of a simulation.
@@ -105,7 +108,6 @@ class VcdWriter : public obs::Observer
     static std::string idCode(size_t index);
 
     // obs::Observer
-    void onAttach(obs::ChangeFeed &feed) override;
     void onPrime(Sim &sim, uint64_t cycle) override;
     void onCycle(Sim &sim, uint64_t cycle,
                  const std::vector<NetId> &changed) override;
@@ -123,19 +125,24 @@ class VcdWriter : public obs::Observer
          *  re-read every visit. */
         bool fed;
         /** Next traced slot sharing this net, or -1: duplicate
-         *  traces chain off the net's single subscription. */
+         *  traces chain off the net's one _net_slot entry. */
         int32_t dup_next = -1;
-        BitVec last{1};
+        uint32_t words;   // value words: (width + 63) / 64
+        uint32_t last;    // its previously written words in _last
     };
 
-    void writeHeader();
-    void emitValue(const Traced &t, const BitVec &v);
-    void sampleTraced(Traced &t, bool &stamped);
+    /** The traced net's current words: fed nets from the state
+     *  words, lazy ones through Sim::value(). */
+    const uint64_t *read(const Traced &t);
+    void emitValue(const Traced &t, const uint64_t *w);
+    void sampleTraced(const Traced &t, bool &stamped);
 
     Sim &_sim;
     std::ostream &_os;
     std::vector<Traced> _traced;
     std::vector<int32_t> _net_slot;   // net -> first traced slot or -1
+    /** Every slot's last written words, back to back (Traced::last). */
+    std::vector<uint64_t> _last;
     std::vector<size_t> _scratch;     // changed traced indices
     bool _primed = false;
     uint64_t _changes = 0;

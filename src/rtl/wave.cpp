@@ -35,14 +35,6 @@ WaveRecorder::WaveRecorder(Sim &sim, std::vector<std::string> signals)
 WaveRecorder::~WaveRecorder() = default;
 
 void
-WaveRecorder::onAttach(obs::ChangeFeed &feed)
-{
-    for (const Rec &r : _recs)
-        if (r.fed)
-            feed.subscribe(*this, r.net);
-}
-
-void
 WaveRecorder::directRead(Rec &r)
 {
     // Unresolved names keep peek()'s error; resolved ones read the

@@ -6,12 +6,12 @@
  * Like the other per-cycle observers (VcdWriter, Coverage,
  * ContractMonitor), sampling rides the unified obs::ChangeFeed:
  * recorded signals resolve to interned NetIds at construction, and
- * after the priming visit only signals on this recorder's changed
- * subset are re-read — the rest repeat their cached value.  Visits
- * that skip cycles or follow late pokes fall back to the feed's
- * rescan, and lazy / unresolved names are read directly every visit,
- * preserving peek()'s fault semantics exactly.  Duplicate traces of
- * one net chain off a single subscription.
+ * after the priming visit only signals on the fed frame are re-read
+ * — the rest repeat their cached value.  Visits that skip cycles or
+ * follow late pokes fall back to the feed's rescan, and lazy /
+ * unresolved names are read directly every visit, preserving peek()'s
+ * fault semantics exactly.  Duplicate traces of one net chain off
+ * its one table entry.
  */
 
 #ifndef ANVIL_RTL_WAVE_H
@@ -51,7 +51,6 @@ class WaveRecorder : public obs::Observer
     const std::vector<BitVec> &samplesOf(const std::string &sig) const;
 
     // obs::Observer
-    void onAttach(obs::ChangeFeed &feed) override;
     void onPrime(Sim &sim, uint64_t cycle) override;
     void onCycle(Sim &sim, uint64_t cycle,
                  const std::vector<NetId> &changed) override;

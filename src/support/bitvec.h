@@ -147,6 +147,13 @@ class BitVec
     /** Render as a binary string of exactly width() characters. */
     std::string toBinary() const;
 
+    /** The words() little-endian words, bits at or above width()
+     *  zero (rtl::writeVcdValue formats from them). */
+    const uint64_t *data() const
+    {
+        return small() ? &_w0 : _wide.data();
+    }
+
   private:
     bool small() const { return _width <= 64; }
 
@@ -157,10 +164,6 @@ class BitVec
     }
 
     uint64_t *data() { return small() ? &_w0 : _wide.data(); }
-    const uint64_t *data() const
-    {
-        return small() ? &_w0 : _wide.data();
-    }
 
     void normalize();
 

@@ -131,12 +131,6 @@ Coverage::addAssert(const std::string &name, rtl::ExprPtr enable,
 }
 
 void
-Coverage::bind(rtl::Sim &sim)
-{
-    bindNetlist(sim.netlist());
-}
-
-void
 Coverage::bindNetlist(const rtl::Netlist &nl)
 {
     _net_slot.assign(nl.nets().size(), -1);
@@ -151,14 +145,19 @@ Coverage::bindNetlist(const rtl::Netlist &nl)
         sc.last.assign(wordsFor(sig.width), 0);
         // Lazy nets never appear on the change feed — they are
         // re-read every sample (value() keeps their fault
-        // semantics) — and a net can carry only one feed slot.
-        // Everything else is change-fed.
-        if (nl.net(sig.net).lazy ||
-            _net_slot[static_cast<size_t>(sig.net)] >= 0)
-            _unfed_slots.push_back(_signals.size());
-        else
-            _net_slot[static_cast<size_t>(sig.net)] =
-                static_cast<int32_t>(_signals.size());
+        // semantics).  Everything else is change-fed; signals
+        // sharing a net (aliases) chain off its one table entry.
+        size_t slot = _signals.size();
+        if (nl.net(sig.net).lazy) {
+            _unfed_slots.push_back(slot);
+            _fed.push_back(0);
+            _dup_next.push_back(-1);
+        } else {
+            int32_t &head = _net_slot[static_cast<size_t>(sig.net)];
+            _fed.push_back(1);
+            _dup_next.push_back(head);
+            head = static_cast<int32_t>(slot);
+        }
         _signals.push_back(std::move(sc));
 
         if (sig.kind == rtl::NetSignal::Kind::Reg) {
@@ -175,6 +174,7 @@ Coverage::bindNetlist(const rtl::Netlist &nl)
             _slot_reg.push_back(-1);
         }
     }
+    _reg_hold.resize(_reg_bins.size());
     _bound = true;
 }
 
@@ -183,18 +183,10 @@ Coverage::sampleSlot(rtl::Sim &sim, size_t slot)
 {
     SignalCoverage &sc = _signals[slot];
     size_t n = sc.rose.size();
-    const uint64_t *v;
-    if (_fed[slot]) {
-        v = sim.words(sc.net).w;
-    } else {
-        // Outside the feed (a lazy net): value() keeps its on-demand
-        // fault semantics.
-        const BitVec &b = sim.value(sc.net);
-        _scratch.resize(n);
-        for (size_t w = 0; w < n; w++)
-            _scratch[w] = b.word(static_cast<int>(w));
-        v = _scratch.data();
-    }
+    // Outside the feed (a lazy net), value() keeps its on-demand
+    // fault semantics.
+    const uint64_t *v = _fed[slot] ? sim.words(sc.net).w
+                                   : sim.value(sc.net).data();
     for (size_t w = 0; w < n; w++) {
         uint64_t cur = v[w];
         if (_samples > 0) {
@@ -236,29 +228,7 @@ void
 Coverage::onAttach(obs::ChangeFeed &feed)
 {
     if (!_bound)
-        bind(feed.sim());
-    // Rebuild the slot tables on the feed: subscriptions are
-    // deduplicated per net, so signals sharing a net chain off one
-    // subscription instead of dropping to the every-visit list.
-    _net_slot.assign(feed.sim().netlist().nets().size(), -1);
-    _dup_next.assign(_signals.size(), -1);
-    _slot_reg.resize(_signals.size(), -1);
-    _reg_hold.resize(_reg_bins.size());
-    _fed.assign(_signals.size(), 0);
-    _unfed_slots.clear();
-    for (size_t i = 0; i < _signals.size(); i++) {
-        SignalCoverage &sc = _signals[i];
-        if (feed.subscribe(*this, sc.net)) {
-            size_t ni = static_cast<size_t>(sc.net);
-            _dup_next[i] = _net_slot[ni];
-            _net_slot[ni] = static_cast<int32_t>(i);
-            _fed[i] = 1;
-        } else {
-            // Lazy nets: re-read every visit, keeping value()'s
-            // on-demand fault semantics.
-            _unfed_slots.push_back(i);
-        }
-    }
+        bindNetlist(feed.sim().netlist());
 }
 
 void

@@ -9,9 +9,9 @@
  *  - toggle coverage: per named signal, a rose/fell bitmask pair; a
  *    bit is covered once it has been observed going 0->1 AND 1->0.
  *    After the first (priming) visit, toggle sampling rides the
- *    unified obs::ChangeFeed: only this engine's changed subscribed
- *    signals are revisited — an unchanged signal cannot toggle — so
- *    the per-cycle cost tracks activity, not design size;
+ *    unified obs::ChangeFeed: only signals on the fed frame are
+ *    revisited — an unchanged signal cannot toggle — so the
+ *    per-cycle cost tracks activity, not design size;
  *  - register-value bins: each register's sampled values are hashed
  *    into a small fixed number of bins (exact values for narrow
  *    registers); bin occupancy distinguishes stimuli that park a
@@ -244,7 +244,6 @@ class Coverage : public obs::Observer
         uint64_t since = 0;
     };
 
-    void bind(rtl::Sim &sim);
     void sampleSlot(rtl::Sim &sim, size_t slot);
     void sampleTail(rtl::Sim &sim);
     /** Re-bin register `reg` from its current value's folded words,
@@ -261,7 +260,6 @@ class Coverage : public obs::Observer
     std::vector<int32_t> _slot_reg;      // _signals slot -> reg or -1
     std::vector<size_t> _unfed_slots;    // signals outside the feed
     std::vector<uint8_t> _fed;           // per slot: read as words
-    std::vector<uint64_t> _scratch;      // an unfed value's words
     std::vector<SignalCoverage> _signals;
     /** Settled lazily by const readers, hence mutable. */
     mutable std::vector<RegBins> _reg_bins;

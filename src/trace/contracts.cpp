@@ -254,7 +254,9 @@ ContractMonitor::ContractMonitor(std::vector<ContractSpec> specs,
                                  rtl::Sim &sim)
     : tb::Monitor("contracts")
 {
-    const auto &table = sim.netlist().signals();
+    const rtl::Netlist &nl = sim.netlist();
+    _feed_slot.assign(nl.nets().size(), -1);
+    const auto &table = nl.signals();
     auto find = [&](const std::string &name) {
         auto it = table.find(name);
         return it == table.end() ? rtl::kNoNet : it->second.net;
@@ -271,9 +273,6 @@ ContractMonitor::ContractMonitor(std::vector<ContractSpec> specs,
                 "contract channel '" + s.channel +
                 "' has no valid/ack pair in the design");
         size_t index = _bound.size();
-        const rtl::Netlist &nl = sim.netlist();
-        if (_feed_slot.empty())
-            _feed_slot.assign(nl.nets().size(), -1);
         bool has_lazy = false;
         for (rtl::NetId id : {b.valid, b.ack, b.data}) {
             if (id == rtl::kNoNet)
@@ -333,14 +332,6 @@ ContractMonitor::tick(uint64_t cycle)
                             _violations[i].rule + "] " +
                             _violations[i].message);
     }
-}
-
-void
-ContractMonitor::onAttach(obs::ChangeFeed &feed)
-{
-    for (size_t ni = 0; ni < _feed_slot.size(); ni++)
-        if (_feed_slot[ni] >= 0)
-            feed.subscribe(*this, static_cast<rtl::NetId>(ni));
 }
 
 void

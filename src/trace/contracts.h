@@ -145,7 +145,6 @@ class ContractMonitor : public tb::Monitor, public obs::Observer
     void observe(rtl::Sim &sim, uint64_t cycle) override;
 
     // obs::Observer
-    void onAttach(obs::ChangeFeed &feed) override;
     void onPrime(rtl::Sim &sim, uint64_t cycle) override;
     void onCycle(rtl::Sim &sim, uint64_t cycle,
                  const std::vector<rtl::NetId> &changed) override;

@@ -93,7 +93,7 @@ Trace::writeVcd(std::ostream &os) const
             const auto &ch = _signals[i].changes;
             while (next[i] < ch.size() && ch[next[i]].first == t) {
                 rtl::writeVcdValue(os, _signals[i].id, _signals[i].width,
-                                   ch[next[i]].second);
+                                   ch[next[i]].second.data());
                 next[i]++;
             }
         }

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unified observer framework and telemetry tests: change-feed fan-out
- * and per-net subscription dedupe, the rescan fallback on skipped
+ * Unified observer framework and telemetry tests: one fed frame
+ * shared by every observer, the rescan fallback on skipped
  * cycles and late pokes, standalone-vs-attached observer compat,
  * metrics JSON determinism at a fixed seed, Chrome-trace profile
  * well-formedness (parsed back with the in-tree JSON reader), and the
@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -23,7 +24,9 @@
 #include "obs/slice.h"
 #include "rtl/vcd.h"
 #include "support/json.h"
+#include "tb/coverage.h"
 #include "tb/testbench.h"
+#include "trace/vcd_reader.h"
 
 using namespace anvil;
 
@@ -65,7 +68,10 @@ netOf(rtl::Sim &sim, const std::string &name)
     return it->second.net;
 }
 
-/** Counts its visits and the changed nets it is handed. */
+/**
+ * Counts its visits, keeps every fed frame it is handed, and picks
+ * its own nets out of each, as the in-tree observers do.
+ */
 class CountingObserver : public obs::Observer
 {
   public:
@@ -74,23 +80,26 @@ class CountingObserver : public obs::Observer
     {
     }
 
-    void onAttach(obs::ChangeFeed &feed) override
-    {
-        for (rtl::NetId n : _nets)
-            subscribed.push_back(feed.subscribe(*this, n));
-    }
-
     void onPrime(rtl::Sim &, uint64_t) override { primes++; }
 
-    void onCycle(rtl::Sim &, uint64_t,
+    void onCycle(rtl::Sim &sim, uint64_t,
                  const std::vector<rtl::NetId> &changed) override
     {
         cycles++;
-        for (size_t i = 0; i < changed.size(); i++) {
-            delivered.push_back(changed[i]);
-            for (size_t j = 0; j < i; j++)
-                if (changed[j] == changed[i])
-                    dupes++;
+        frames.push_back(changed);
+        for (rtl::NetId id : changed)
+            if (std::find(_nets.begin(), _nets.end(), id) !=
+                _nets.end())
+                delivered.push_back(id);
+        // What the Sim's own list carries beside the fed nets: lazy
+        // nets of the design, and ids past the netlist as built (an
+        // earlier visit's evalTop appended them).
+        size_t built = sim.netlist().layout()->net_count;
+        for (rtl::NetId id : sim.changedNets()) {
+            if (static_cast<size_t>(id) >= built)
+                appended++;
+            else if (sim.netlist().net(id).lazy)
+                lazy_listed++;
         }
     }
 
@@ -98,12 +107,13 @@ class CountingObserver : public obs::Observer
 
     const char *observerName() const override { return "count"; }
 
-    std::vector<bool> subscribed;
-    std::vector<rtl::NetId> delivered;
+    std::vector<std::vector<rtl::NetId>> frames;   // one per onCycle
+    std::vector<rtl::NetId> delivered;   // this observer's nets in them
     int primes = 0;
     int cycles = 0;
     int finishes = 0;
-    int dupes = 0;   // same net twice within one visit
+    size_t appended = 0;
+    size_t lazy_listed = 0;
 
   private:
     std::vector<rtl::NetId> _nets;
@@ -122,44 +132,132 @@ runFed(rtl::Sim &sim, obs::ChangeFeed &feed, int cycles)
     }
 }
 
-TEST(ChangeFeed, DuplicateSubscriptionsDedupe)
+/**
+ * A design with lazy named wires: an unresolved name on a mux's
+ * never-taken branch taints `lz` (8 bits) and `lzw` (104 bits), so
+ * they are evaluated on demand.
+ */
+rtl::ModulePtr
+lazyWireModule()
 {
-    rtl::Sim sim(pingModule());
+    auto m = std::make_shared<rtl::Module>();
+    m->name = "lazy_wire";
+    rtl::ExprPtr a = m->input("a", 8);
+    rtl::ExprPtr r = m->reg("r", 8);
+    m->update("r", rtl::cst(1, 1), r + a);
+    m->wire("lz", rtl::mux(rtl::cst(1, 1), a ^ r,
+                           rtl::ref("nosuch", 8)));
+    std::vector<rtl::ExprPtr> parts;
+    for (int i = 0; i < 13; i++)
+        parts.push_back(i % 2 ? r : a);
+    m->wire("lzw", rtl::mux(rtl::cst(1, 1), rtl::concat(parts),
+                            rtl::ref("nosuch", 104)));
+    return m;
+}
+
+TEST(ChangeFeed, ObserversShareOneFedFrame)
+{
+    rtl::Sim sim(lazyWireModule());
     obs::ChangeFeed feed(sim);
-    rtl::NetId data = netOf(sim, "io_pong_data");
+    rtl::NetId reg = netOf(sim, "r");
+    ASSERT_TRUE(sim.netlist().net(netOf(sim, "lz")).lazy);
 
-    // The same observer subscribing one net twice rides a single
-    // subscription: one visit never delivers the net twice.
-    CountingObserver one({data, data});
+    // Coverage visits first, reads `lz` through value() and evaluates
+    // a cover expression, which appends a lazy ad-hoc net: both land
+    // on the Sim's changed list in the middle of the sample.
+    tb::Coverage cov;
+    cov.addCover("a_odd", rtl::slice(rtl::ref("a", 8), 0, 1));
+    feed.attach(cov);
+
+    // A net listed twice in one observer's table still arrives once
+    // per change; a second observer of the same net sees it too.
+    CountingObserver one({reg, reg});
+    CountingObserver two({reg});
     feed.attach(one);
-    ASSERT_EQ(one.subscribed.size(), 2u);
-    EXPECT_TRUE(one.subscribed[0]);
-    EXPECT_TRUE(one.subscribed[1]);
-
-    // A second observer of the same net sees every change too.
-    CountingObserver two({data});
     feed.attach(two);
 
-    runFed(sim, feed, 8);
+    for (int i = 0; i < 8; i++) {
+        sim.setInput("a", static_cast<uint64_t>(3 * i + 1));
+        // A check that reads the lazy wire lists it before the sample.
+        sim.peek("lz");
+        feed.sample();
+        sim.step();
+    }
 
     EXPECT_EQ(one.primes, 1);
     EXPECT_EQ(one.cycles, 7);
+    EXPECT_EQ(two.cycles, 7);
+    EXPECT_GT(cov.covers()[0].hits, 0u);
+    // Lazy and ad-hoc ids did reach the Sim's list during visits…
+    EXPECT_GT(two.lazy_listed, 0u);
+    EXPECT_GT(two.appended, 0u);
+
+    // …yet both observers got the same fed frame every cycle: no
+    // duplicate, no lazy net, no id past the netlist as built.
+    EXPECT_EQ(one.frames, two.frames);
+    size_t built = sim.netlist().layout()->net_count;
+    for (const std::vector<rtl::NetId> &frame : one.frames) {
+        EXPECT_FALSE(frame.empty());
+        for (size_t i = 0; i < frame.size(); i++) {
+            ASSERT_LT(static_cast<size_t>(frame[i]), built);
+            EXPECT_FALSE(sim.netlist().net(frame[i]).lazy);
+            for (size_t j = 0; j < i; j++)
+                EXPECT_NE(frame[j], frame[i]);
+        }
+    }
     EXPECT_EQ(one.delivered, two.delivered);
     EXPECT_FALSE(one.delivered.empty());
-    EXPECT_EQ(one.dupes, 0);
-    EXPECT_EQ(two.dupes, 0);
 
     feed.finish();
     EXPECT_EQ(one.finishes, 1);
     EXPECT_EQ(two.finishes, 1);
 
-    // The hub's accounting saw the same story.
+    // The hub's accounting counts each observer's frames.
     auto costs = feed.costs();
-    ASSERT_EQ(costs.size(), 2u);
-    EXPECT_EQ(costs[0].name, "count");
-    EXPECT_EQ(costs[0].visits, 8u);
-    EXPECT_EQ(costs[0].primes, 1u);
-    EXPECT_EQ(costs[0].nets, one.delivered.size());
+    ASSERT_EQ(costs.size(), 3u);
+    size_t fed = 0;
+    for (const std::vector<rtl::NetId> &frame : one.frames)
+        fed += frame.size();
+    for (const obs::ObserverCost &c : costs) {
+        EXPECT_EQ(c.visits, 8u);
+        EXPECT_EQ(c.primes, 1u);
+        EXPECT_EQ(c.nets, fed);
+    }
+    EXPECT_EQ(costs[1].name, "count");
+}
+
+TEST(ChangeFeed, LazyTracesAreReadEveryVisit)
+{
+    // Lazy nets never ride the fed frame: the VCD writer re-reads
+    // them through Sim::value() each visit and formats their words.
+    // The dump, read back, holds every cycle's peek, narrow and wide.
+    rtl::Sim sim(lazyWireModule());
+    std::ostringstream os;
+    rtl::VcdWriter vcd(sim, os, {"lz", "lzw", "r"});
+    obs::ChangeFeed feed(sim);
+    feed.attach(vcd);
+    std::vector<BitVec> lz, lzw;
+    for (int i = 0; i < 12; i++) {
+        sim.setInput("a", static_cast<uint64_t>(7 * i + 3));
+        lz.push_back(sim.peek("lz"));
+        lzw.push_back(sim.peek("lzw"));
+        feed.sample();
+        sim.step();
+    }
+
+    std::istringstream is(os.str());
+    trace::Trace t = trace::VcdReader::read(is);
+    int ilz = t.indexOf("lz");
+    int ilzw = t.indexOf("lzw");
+    ASSERT_GE(ilz, 0);
+    ASSERT_GE(ilzw, 0);
+    for (uint64_t c = 0; c < lz.size(); c++) {
+        const BitVec *v = t.signals()[static_cast<size_t>(ilz)].valueAt(c);
+        const BitVec *w = t.signals()[static_cast<size_t>(ilzw)].valueAt(c);
+        ASSERT_TRUE(v && w) << "cycle " << c;
+        EXPECT_EQ(*v, lz[c]) << "cycle " << c;
+        EXPECT_EQ(*w, lzw[c]) << "cycle " << c;
+    }
 }
 
 TEST(ChangeFeed, SkippedCycleForcesRescan)
@@ -213,7 +311,7 @@ TEST(ChangeFeed, DetachAndDestructionAreSafe)
         feed.attach(dies);
         runFed(sim, feed, 2);
         EXPECT_EQ(dies.primes, 1);
-    }   // destructor detaches while subscribed
+    }   // destructor detaches while attached
 
     runFed(sim, feed, 2);   // must not touch the dead slot
     EXPECT_EQ(keep.primes, 1);

@@ -79,7 +79,6 @@ class CycleTrigger : public obs::Observer
 
     uint64_t count() const { return _count; }
 
-    void onAttach(obs::ChangeFeed &) override {}
     void onPrime(rtl::Sim &, uint64_t) override {}
     void onCycle(rtl::Sim &, uint64_t cycle,
                  const std::vector<rtl::NetId> &) override

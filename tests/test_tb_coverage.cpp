@@ -397,8 +397,8 @@ TEST(TbCoverage, RegisterBinCountsAreExactStandalone)
 
 TEST(TbCoverage, RegisterBinCountsAreExactInATestbench)
 {
-    // The testbench's shared feed, beside a VCD writer riding the
-    // same subscriptions.
+    // The testbench's shared feed, beside a VCD writer reading the
+    // same fed frame.
     tb::Testbench bench(binDesign(), 5);
     bench.driveRandom("d");
     tb::RandomSpec go;
