@@ -24,7 +24,8 @@
  * netlist/ref, dirty_vs_full, compiled_vs_dirty, observers_vs_dirty,
  * flight_vs_dirty, observer_breakdown = per-observer retained
  * throughput {vcd, coverage, contracts, flight} so the observer cost
- * is attributable to a specific plugin, activity_pct,
+ * is attributable to a specific plugin (only at a row's default
+ * length: a capped run prints n/a and leaves it out), activity_pct,
  * jit_compile_ms + jit_source_bytes = the kernel's
  * cold compile cost, and the work counters the gates below read:
  * dirty_nodes and compiled_nodes = strict nodes evaluated per cycle,
@@ -333,6 +334,10 @@ struct Row
     double compiled_nodes = 0;
     double flight_words = 0;
     int traced_words = 1;
+    /** Ran at its default length: shorter runs cannot resolve one
+     *  observer's share (a retained ratio above 1.0x is common), so
+     *  the per-observer ratios are not reported for them. */
+    bool breakdown = true;
 };
 
 Row
@@ -485,10 +490,14 @@ main(int argc, char **argv)
     }
 
     std::vector<Row> rows;
+    auto add = [&](const std::string &name, const rtl::ModulePtr &mod,
+                   int sc, int rc, const StimFactory &stim) {
+        rows.push_back(runDesign(name, mod, cycles(sc), cycles(rc), stim));
+        rows.back().breakdown = cycles(sc) == sc;
+    };
     auto dense = [&](const std::string &name,
                      const rtl::ModulePtr &mod, int sc, int rc) {
-        rows.push_back(runDesign(name, mod, cycles(sc), cycles(rc),
-                                 allOnesStim(mod)));
+        add(name, mod, sc, rc, allOnesStim(mod));
     };
     dense("mmu_tlb", designs::buildTlbBaseline(), 200000, 20000);
     dense("mmu_ptw", designs::buildPtwBaseline(), 200000, 20000);
@@ -499,18 +508,12 @@ main(int argc, char **argv)
     dense("encrypt_anvil", enc.module("encrypt"), 200000, 20000);
 
     // Large low-activity workloads (the dirty-sweep target case).
-    rows.push_back(runDesign("axi_xbar_4x4",
-                             designs::buildAxiXbarBaseline(4, 4),
-                             cycles(40000), cycles(2000),
-                             xbarStim(4, 4, 2026)));
-    rows.push_back(runDesign("axi_xbar_8x8",
-                             designs::buildAxiXbarBaseline(8, 8),
-                             cycles(20000), cycles(600),
-                             xbarStim(8, 8, 2027)));
-    rows.push_back(runDesign("tlb_4w64s",
-                             designs::buildSetAssocTlbBaseline(4, 64),
-                             cycles(40000), cycles(2000),
-                             tlbStim(4242)));
+    add("axi_xbar_4x4", designs::buildAxiXbarBaseline(4, 4), 40000, 2000,
+        xbarStim(4, 4, 2026));
+    add("axi_xbar_8x8", designs::buildAxiXbarBaseline(8, 8), 20000, 600,
+        xbarStim(8, 8, 2027));
+    add("tlb_4w64s", designs::buildSetAssocTlbBaseline(4, 64), 40000,
+        2000, tlbStim(4242));
 
     printf("%-14s %11s %11s %11s %11s %10s %7s %7s %6s\n",
            "design", "ref cyc/s", "full cyc/s", "dirty", "compiled",
@@ -532,12 +535,17 @@ main(int argc, char **argv)
     auto ratio = [](double v, double dirty) {
         return dirty > 0 ? v / dirty : 0.0;
     };
-    for (const auto &r : rows)
-        printf("%-14s %6.2fx %8.2fx %9.2fx %6.2fx %6.2fx\n",
-               r.name.c_str(), ratio(r.obs_vcd, r.dirty),
-               ratio(r.obs_cov, r.dirty), ratio(r.obs_con, r.dirty),
-               ratio(r.flight, r.dirty),
-               ratio(r.observers, r.dirty));
+    for (const auto &r : rows) {
+        if (r.breakdown)
+            printf("%-14s %6.2fx %8.2fx %9.2fx %6.2fx %6.2fx\n",
+                   r.name.c_str(), ratio(r.obs_vcd, r.dirty),
+                   ratio(r.obs_cov, r.dirty), ratio(r.obs_con, r.dirty),
+                   ratio(r.flight, r.dirty), ratio(r.observers, r.dirty));
+        else
+            printf("%-14s %7s %9s %10s %7s %6.2fx\n", r.name.c_str(),
+                   "n/a", "n/a", "n/a", "n/a",
+                   ratio(r.observers, r.dirty));
+    }
 
     // The gates read work counters, not wall clock, so they hold on
     // any machine; the throughput ratios above are trends.
@@ -572,6 +580,16 @@ main(int argc, char **argv)
     std::string json = "{\n  \"bench\": \"sim_perf\",\n"
         "  \"unit\": \"cycles_per_second\",\n  \"designs\": [\n";
     for (size_t i = 0; i < rows.size(); i++) {
+        char breakdown[256] = "";
+        if (rows[i].breakdown)
+            snprintf(breakdown, sizeof breakdown,
+                     "\"observer_breakdown\": {\"vcd\": %.2f, "
+                     "\"coverage\": %.2f, \"contracts\": %.2f, "
+                     "\"flight\": %.2f}, ",
+                     ratio(rows[i].obs_vcd, rows[i].dirty),
+                     ratio(rows[i].obs_cov, rows[i].dirty),
+                     ratio(rows[i].obs_con, rows[i].dirty),
+                     ratio(rows[i].flight, rows[i].dirty));
         char buf[1536];
         snprintf(buf, sizeof buf,
                  "    {\"name\": \"%s\", \"ref\": %.0f, "
@@ -581,10 +599,7 @@ main(int argc, char **argv)
                  "\"speedup\": %.2f, \"dirty_vs_full\": %.2f, "
                  "\"compiled_vs_dirty\": %.2f, "
                  "\"observers_vs_dirty\": %.2f, "
-                 "\"flight_vs_dirty\": %.2f, "
-                 "\"observer_breakdown\": {\"vcd\": %.2f, "
-                 "\"coverage\": %.2f, \"contracts\": %.2f, "
-                 "\"flight\": %.2f}, "
+                 "\"flight_vs_dirty\": %.2f, %s"
                  "\"activity_pct\": %.1f, "
                  "\"jit_compile_ms\": %.1f, "
                  "\"jit_source_bytes\": %llu, "
@@ -601,15 +616,7 @@ main(int argc, char **argv)
                      ? rows[i].observers / rows[i].dirty : 0.0,
                  rows[i].dirty > 0
                      ? rows[i].flight / rows[i].dirty : 0.0,
-                 rows[i].dirty > 0
-                     ? rows[i].obs_vcd / rows[i].dirty : 0.0,
-                 rows[i].dirty > 0
-                     ? rows[i].obs_cov / rows[i].dirty : 0.0,
-                 rows[i].dirty > 0
-                     ? rows[i].obs_con / rows[i].dirty : 0.0,
-                 rows[i].dirty > 0
-                     ? rows[i].flight / rows[i].dirty : 0.0,
-                 rows[i].activity_pct,
+                 breakdown, rows[i].activity_pct,
                  rows[i].jit_ms,
                  (unsigned long long)rows[i].jit_src_bytes,
                  rows[i].dirty_nodes, rows[i].compiled_nodes,

@@ -274,28 +274,16 @@ static inline void w_inject(uint64_t *d, uint32_t dw,
 }
 )";
 
-/** The change hook: list the node, and queue its consumers unless
- *  the whole frame is dense (then every body runs anyway).  Inside a
- *  sparse frame a single level can escalate to its dense body, so
- *  later levels still rely on exact queues.  It walks the host's
- *  consumer tables through the frame, so it is the same text in every
- *  unit; a call into the host per change would cost the sweep more
- *  than this function costs the compile.  Deliberately NOT inlined:
- *  the hook appears in every node body, and keeping the bodies at
- *  compare + store + call is what keeps the level functions resident
- *  in the i-cache on multi-MB designs — the call costs a couple of ns
- *  and only on an actual change. */
+/** The change hook: list the node.  The host queues the consumers
+ *  of a body's changes once it returns (kernel_abi.h).  Deliberately
+ *  NOT inlined: the hook appears in every node body, and keeping the
+ *  bodies at compare + store + call is what keeps the level functions
+ *  resident in the i-cache on multi-MB designs — the call costs a
+ *  couple of ns and only on an actual change. */
 const char *kChangeHook = R"(
 static __attribute__((noinline)) void onChange(AnvilFrame *f, int32_t id)
 {
     f->out[f->nout++] = id;
-    if (f->dense)
-        return;
-    for (uint32_t k = f->cons_begin[id]; k < f->cons_begin[id + 1]; k++) {
-        const AnvilConsumer *c = f->cons + k;
-        f->wbm[c->word] |= 1ull << c->bit;
-        f->queued[c->level]++;
-    }
 }
 )";
 
@@ -347,7 +335,6 @@ class CppEmitter
     const Netlist &_nl;
     const rtl::KernelLayout &_L;
     std::string _name;
-    std::string _ind;                     // current body indent
     std::map<std::pair<const void *, int>, std::string> _roms;
     std::ostringstream _rom_defs;
     bool _wide = false;                   // some node took the wide lane
@@ -401,14 +388,14 @@ CppEmitter::emitNode(std::ostringstream &os, NetId id)
 {
     const Net &n = _nl.net(id);
     const std::string &nm = _nl.nameOf(id);
-    os << _ind << "// n" << id << " w" << n.width;
+    os << "    // n" << id << " w" << n.width;
     if (!nm.empty())
         os << " " << nm;
     os << "\n";
     if (n.width <= 0) {
         // Zero-width values are the empty bit string: permanently
         // zero, evaluated for the activity count only.
-        os << _ind << "{ ev++; }\n";
+        os << "    { ev++; }\n";
         return;
     }
     if (n.fast)
@@ -538,7 +525,7 @@ CppEmitter::emitFastNode(std::ostringstream &os, NetId id)
     std::string store = n.width >= 64
         ? std::string()
         : strfmt(" r &= %s;", M.c_str());
-    os << _ind << "{ ev++; " << body << store << " uint64_t *p = &s["
+    os << "    { ev++; " << body << store << " uint64_t *p = &s["
        << offOf(id) << "]; if (*p != r) { *p = r; onChange(f, " << id
        << "); } }\n";
 }
@@ -674,7 +661,7 @@ CppEmitter::emitWideNode(std::ostringstream &os, NetId id)
       default:
         assert(!"source in strict order");
     }
-    os << _ind << "{ ev++; uint64_t t[" << dw << "]; " << body << " "
+    os << "    { ev++; uint64_t t[" << dw << "]; " << body << " "
        << "w_store(f, " << id << ", "
        << ptrOf(id) << ", t, " << dw << "u); }\n";
 }
@@ -682,87 +669,22 @@ CppEmitter::emitWideNode(std::ostringstream &os, NetId id)
 void
 CppEmitter::emitLevelFns(std::ostringstream &os)
 {
-    // All sparse drains first, all dense bodies after: a sparse
-    // frame's control flow then stays inside one contiguous stretch
-    // of text instead of hopping over the (usually idle) dense
-    // variants between levels.
-    for (size_t l = 0; l < _L.levels(); l++) {
-        if (!_L.hasSparseDrain(l))
-            continue;
-        const NetId *nodes = levelNodes(l);
-        uint32_t b = _L.bm_off[l], e = _L.bm_off[l + 1];
-        os << "\n/* level " << l << ": " << _L.level_size[l]
-           << " nodes, bitmap words [" << b << ", " << e << ") */\n";
-
-        // Sparse path: drain the level's exact occupancy bitmap in
-        // ascending slot order (ctz per word).  Slots are dense
-        // within the level, so the dispatch switch is a contiguous
-        // jump table and the jumps walk forward through the level's
-        // code — the i-cache-friendly order on large designs.
-        os << "static uint64_t lvl_s_" << l << "(AnvilFrame *f)\n{\n"
-           << "    uint64_t *s = f->s, *wbm = f->wbm, ev = 0;\n"
-           << "    for (uint32_t wi = " << b << "u; wi < " << e
-           << "u; wi++) {\n"
-           << "        uint64_t w = wbm[wi];\n"
-           << "        if (!w)\n"
-           << "            continue;\n"
-           << "        wbm[wi] = 0;\n"
-           << "        uint32_t base = (wi - " << b << "u) << 6;\n"
-           << "        do {\n"
-           << "        switch (base + "
-              "(uint32_t)__builtin_ctzll(w)) {\n";
-        _ind = "            ";
-        for (uint32_t k = 0; k < _L.level_size[l]; k++) {
-            os << "        case " << k << "u: {\n";
-            emitNode(os, nodes[k]);
-            os << "        } break;\n";
-        }
-        os << "        default: break;\n"
-           << "        }\n"
-           << "        w &= w - 1;\n"
-           << "        } while (w);\n"
-           << "    }\n"
-           << "    return ev;\n"
-           << "}\n";
-    }
-
+    // One straight-line body per non-empty level, over every node with
+    // no queue reads: value comparison alone decides the changed list.
+    // The host runs it for whole dense frames and for a level that
+    // escalates inside a sparse frame, and drains the other sparse
+    // visits itself, so each node is compiled exactly once.
     for (size_t l = 0; l < _L.levels(); l++) {
         if (_L.level_size[l] == 0)
             continue;
-        // Dense path: straight-line over every node, no queue reads —
-        // value comparison alone decides the changed list.  Used for
-        // whole dense frames and for single-level escalation inside
-        // sparse frames (the change hook then still feeds later
-        // levels).
         os << "\nstatic uint64_t lvl_d_" << l << "(AnvilFrame *f)\n{\n"
            << "    uint64_t *s = f->s, ev = 0;\n";
-        _ind = "    ";
         const NetId *nodes = levelNodes(l);
         for (uint32_t k = 0; k < _L.level_size[l]; k++)
             emitNode(os, nodes[k]);
         os << "    return ev;\n"
            << "}\n";
     }
-    _ind.clear();
-}
-
-/** A per-level table of level functions: `prefix` + level, or 0 where
- *  `has` says the level has none. */
-template <typename Has>
-void
-emitLevelTable(std::ostringstream &os, const char *name,
-               const char *prefix, size_t levels, Has has)
-{
-    os << "static const AnvilLevelFn " << name << "[" << levels
-       << "] = {";
-    for (size_t l = 0; l < levels; l++) {
-        os << (l % 4 == 0 ? "\n    " : " ");
-        if (has(l))
-            os << prefix << l << ",";
-        else
-            os << "0,";
-    }
-    os << "\n};\n";
 }
 
 std::string
@@ -776,7 +698,7 @@ CppEmitter::run()
     std::ostringstream os;
     os << "// Generated by anvilc --emit-cpp; design '" << _name
        << "'.\n"
-       << "// The level functions of an AnvilKernel (see "
+       << "// The dense level bodies of an AnvilKernel (see "
           "src/rtl/kernel_abi.h and\n"
        << "// docs/compile.md), run by the host's rtl::KernelHost;\n"
        << "// compile with: c++ -O2 -fPIC -shared -nostdlib -o "
@@ -787,20 +709,10 @@ CppEmitter::run()
        << "typedef __UINT32_TYPE__ uint32_t;\n"
        << "typedef __UINT64_TYPE__ uint64_t;\n\n"
        << "extern \"C\" {\n"
-       << "typedef struct AnvilConsumer {\n"
-       << "    uint32_t word;\n"
-       << "    uint32_t bit;\n"
-       << "    uint32_t level;\n"
-       << "} AnvilConsumer;\n"
        << "typedef struct AnvilFrame {\n"
        << "    uint64_t *s;\n"
-       << "    uint64_t *wbm;\n"
-       << "    uint32_t *queued;\n"
-       << "    const uint32_t *cons_begin;\n"
-       << "    const AnvilConsumer *cons;\n"
        << "    int32_t *out;\n"
        << "    uint64_t nout;\n"
-       << "    uint32_t dense;\n"
        << "} AnvilFrame;\n"
        << "typedef uint64_t (*AnvilLevelFn)(AnvilFrame *f);\n"
        << "typedef struct AnvilKernel {\n"
@@ -810,7 +722,6 @@ CppEmitter::run()
        << "    uint64_t state_words;\n"
        << "    uint32_t level_count;\n"
        << "    const AnvilLevelFn *dense;\n"
-       << "    const AnvilLevelFn *sparse;\n"
        << "} AnvilKernel;\n"
        << "const AnvilKernel *anvil_kernel(void);\n"
        << "}\n\n"
@@ -828,17 +739,18 @@ CppEmitter::run()
 
     size_t levels = _L.levels();
     if (levels) {
-        emitLevelTable(os, "kDense", "lvl_d_", levels,
-                       [&](size_t l) { return _L.level_size[l] != 0; });
-        emitLevelTable(os, "kSparse", "lvl_s_", levels,
-                       [&](size_t l) { return _L.hasSparseDrain(l); });
+        os << "static const AnvilLevelFn kDense[" << levels << "] = {";
+        for (size_t l = 0; l < levels; l++)
+            os << (l % 4 == 0 ? "\n    " : " ")
+               << (_L.level_size[l] ? "lvl_d_" + std::to_string(l) : "0")
+               << ",";
+        os << "\n};\n";
     }
     os << "\nstatic const AnvilKernel kKernel = {\n"
        << "    " << ANVIL_KERNEL_ABI_VERSION << "u, " << _L.net_count
        << "u, " << hexU64(rtl::designHash(_nl)) << ", "
        << _L.state_words << "ull,\n"
-       << "    " << levels << "u, "
-       << (levels ? "kDense, kSparse" : "0, 0") << ",\n"
+       << "    " << levels << "u, " << (levels ? "kDense" : "0") << ",\n"
        << "};\n\n"
        << "} // namespace\n\n"
        << "extern \"C\" const AnvilKernel *\nanvil_kernel(void)\n"

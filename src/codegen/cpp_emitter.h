@@ -2,27 +2,25 @@
  * @file
  * Compile-to-C++ netlist backend: lowers the strict combinational
  * portion of a levelized rtl::Netlist to a self-contained C++
- * translation unit that exports the level functions of the
+ * translation unit that exports the dense level bodies of the
  * AnvilKernel ABI (rtl/kernel_abi.h).
  *
  * The unit carries only design-specific code (see docs/compile.md):
- *  - a straight-line dense function per logic level for
- *    high-activity frames, plus — only for levels of more than four
- *    nodes, the only ones a sparse frame can drain node by node — a
- *    sparse one draining the level's exact occupancy bitmap in
- *    ascending slot order through a dense jump table;
+ *  - a straight-line dense body per non-empty logic level, so each
+ *    strict node is compiled exactly once;
  *  - the u64 fast lane lowered to native integer arithmetic, wide
  *    values to packed-word helper calls, which are emitted only when
  *    some node is wide;
- *  - change-cutting at every store: an unchanged value does not call
- *    the host's change hook;
+ *  - change-cutting at every store: an unchanged value is not
+ *    appended to the changed list;
  *  - the design's ROMs as static tables;
  *  - state words addressed at the offsets of the netlist's layout
  *    (rtl::Netlist::layout), the one the host (rtl::KernelHost)
  *    allocates.
- * The level walk and its escalation rule, the dense-fallback
- * hysteresis, the change hook's consumer tables, pokes, statistics and
- * the clock edge are precompiled host code (rtl/kernel_host.h).
+ * The level walk and its escalation rule, the sparse drains (the host
+ * executor's node records), consumer queueing, the dense-fallback
+ * hysteresis, pokes, statistics and the clock edge are precompiled
+ * host code (rtl/kernel_host.h).
  *
  * The unit includes no headers and needs no runtime library; a unit
  * with a wide node may reference libc's mem*, which binds to the
@@ -55,9 +53,11 @@ namespace codegen {
  * v6: ABI v4, the table-driven clock edge (edge() and shadow_ptr());
  * v7: ABI v5, node-only units: the level walk, lifecycle, change hook,
  * statistics and clock edge move to the host (rtl::KernelHost), and
- * the unit exports per-level dense and sparse function tables.
+ * the unit exports per-level dense and sparse function tables;
+ * v8: ABI v6, dense-only units: the host drains sparse levels with
+ * its executor and queues consumers, so the change hook only appends.
  */
-constexpr int kCppEmitterVersion = 7;
+constexpr int kCppEmitterVersion = 8;
 
 /**
  * Emit `nl` as a C++ kernel translation unit, at the offsets of

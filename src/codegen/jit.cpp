@@ -159,12 +159,13 @@ jitCompileKernel(const rtl::Netlist &nl, const JitOptions &opts)
         }
     }
 
-    // Very large generated units (multi-MB crossbars) gain nothing
-    // measurable from -O2's inliner here but pay minutes of compile
-    // wall-time for it; cap them at -O1.  The cache key keeps the
-    // *requested* level, so the policy is transparent to callers.
+    // Units past 1 MiB (axi_xbar_8x8's 1.4 MB) compile about 30%
+    // faster at -O1 with no measurable loss per cycle; smaller ones
+    // keep -O2, which read faster per cycle on tlb_4w64s (429 KB).
+    // docs/compile.md ("ABI v6") has the runs.  The cache key keeps
+    // the *requested* level, so the policy is transparent to callers.
     int opt = opts.opt_level;
-    if (opt > 1 && res.source_bytes > 2u << 20)
+    if (opt > 1 && res.source_bytes > 1u << 20)
         opt = 1;
     // -nostdlib links no crt files, libstdc++ or libgcc: a wide
     // unit's libc references (mem*) bind to this process at dlopen,

@@ -1,7 +1,7 @@
 /**
  * @file
  * In-process JIT for the compile-to-C++ backend: emit the netlist's
- * level functions at the offsets of its layout (rtl::Netlist::layout)
+ * dense level bodies at the offsets of its layout (rtl::Netlist::layout)
  * as a translation unit (codegen/cpp_emitter.h), invoke the system
  * C++ compiler to build a shared object, dlopen it, and hand back the
  * validated unit, ready for rtl::Sim::attachKernel, whose
@@ -42,7 +42,7 @@ namespace codegen {
 struct JitOptions
 {
     int opt_level = 2;        // -O<n> passed to the system compiler
-                              // (capped to -O1 for multi-MB units,
+                              // (capped to -O1 for units past 1 MiB,
                               // where -O2 buys only compile time)
     bool keep_files = false;  // keep the temp dir (debugging)
     /** Codegen revision folded into the cache key.  Defaults to the

@@ -18,7 +18,8 @@
  * (rtl::ClockEdge) commits all enabled register updates
  * simultaneously.  The sweep is rtl::KernelHost's level walk, run by
  * the host executor over the node records or, once a JIT unit is
- * attached (attachKernel), by the unit's compiled level functions.
+ * attached (attachKernel), by the unit's compiled dense bodies for
+ * dense frames and escalated levels, the executor draining the rest.
  *
  * The sweep is event-driven by default (SweepMode::Dirty): a source
  * whose words change queues its strict consumers in per-level
@@ -305,8 +306,8 @@ class Sim
 
     /**
      * Run the strict combinational sweep with a compiled kernel's
-     * level functions (anvilc --emit-cpp + codegen/jit.h) instead of
-     * the host executor's.  Validates the ABI version, the design
+     * dense bodies (anvilc --emit-cpp + codegen/jit.h) for dense
+     * frames and escalated levels; the host executor drains the rest.  Validates the ABI version, the design
      * hash and the unit against the netlist's layout; on any mismatch
      * nothing changes and the executor keeps running — the compiled
      * backend is an accelerator, never a correctness dependency.  The

@@ -191,27 +191,6 @@ queueConsumers(const KernelLayout &L, int32_t id, uint64_t *wbm,
     }
 }
 
-/** The executor's state during one level function: the frame's
- *  fields in locals, so stores to state words cannot force reloads. */
-struct Exec
-{
-    const KernelLayout &L;
-    uint64_t *s, *wbm;
-    uint32_t *queued;
-    int32_t *out;
-    uint64_t nout;
-    bool dense;
-
-    /** The change hook: list the node and, in a sparse frame, queue
-     *  its consumers (the emitter's onChange). */
-    void change(int32_t id)
-    {
-        out[nout++] = id;
-        if (!dense)
-            queueConsumers(L, id, wbm, queued);
-    }
-};
-
 /** A wide-lane node: its words computed into t, then compared with
  *  and stored over its state words.  Returns whether they moved. */
 __attribute__((noinline)) bool
@@ -388,11 +367,18 @@ stepNode(uint64_t *s, const KernelLayout::Node &n, const KernelLayout &L,
 } // namespace
 
 bool
+execNode(const KernelLayout &L, const KernelLayout::Node &n, uint64_t *s,
+         uint64_t *tmp)
+{
+    return stepNode(s, n, L, tmp);
+}
+
+bool
 KernelLayout::fits(const AnvilKernel &unit) const
 {
     return unit.net_count == net_count &&
         unit.state_words == state_words && unit.level_count == levels() &&
-        (levels() == 0 || (unit.dense && unit.sparse));
+        (levels() == 0 || unit.dense);
 }
 
 KernelLayout
@@ -412,15 +398,19 @@ kernelLayout(const Netlist &nl)
     L.state_words = words ? words : 1;
 
     // Levels and dense within-level slots: the occupancy bitmaps carry
-    // slots, so a level's sparse drain dispatches through a contiguous
-    // 0..n-1 jump table however net ids are scattered.
+    // slots, so a level's k-th node is its k-th record however net ids
+    // are scattered.
     const auto &order = nl.order();
     const auto &lb = nl.levelBegin();
     size_t levels = nl.levelCount();
     L.strict_nodes = order.size();
     L.level_size.resize(levels);
     L.bm_off.assign(levels + 1, 0);
-    std::vector<AnvilConsumer> slot(nets.size());
+    struct Slot
+    {
+        uint32_t word, bit, level;
+    };
+    std::vector<Slot> slot(nets.size());
     uint32_t bm = 0;
     for (size_t l = 0; l < levels; l++) {
         size_t b = static_cast<size_t>(lb[l]);
@@ -436,32 +426,25 @@ kernelLayout(const Netlist &nl)
     }
     L.bm_off[levels] = bm;
 
-    // Consumer CSR: the netlist's fan-out CSR, which lists a strict
-    // node once per read and a node's reads of one net side by side,
-    // with the repeats dropped; constants are never poked.
+    // Consumer marks from the netlist's fan-out CSR, which lists a
+    // strict node once per read and a node's reads of one net side by
+    // side (the repeats are dropped); constants are never poked.
     const auto &fb = nl.fanoutBegin();
     const auto &fo = nl.fanout();
-    L.cons_begin.reserve(nets.size() + 1);
-    L.cons_begin.push_back(0);
+    L.mark_begin.reserve(nets.size() + 1);
+    L.mark_begin.push_back(0);
+    std::vector<Slot> mine;
     for (size_t i = 0; i < nets.size(); i++) {
+        mine.clear();
         for (int32_t k = fb[i]; k < fb[i + 1]; k++) {
             NetId c = fo[static_cast<size_t>(k)];
             bool repeat = k > fb[i] && fo[static_cast<size_t>(k - 1)] == c;
             if (nets[i].kind != Net::Kind::Const && !repeat)
-                L.cons.push_back(slot[static_cast<size_t>(c)]);
+                mine.push_back(slot[static_cast<size_t>(c)]);
         }
-        L.cons_begin.push_back(static_cast<uint32_t>(L.cons.size()));
-    }
-    L.mark_begin.reserve(nets.size() + 1);
-    L.mark_begin.push_back(0);
-    std::vector<AnvilConsumer> mine;
-    for (size_t i = 0; i < nets.size(); i++) {
-        mine.assign(L.cons.begin() + L.cons_begin[i],
-                    L.cons.begin() + L.cons_begin[i + 1]);
-        std::sort(mine.begin(), mine.end(),
-                  [](const AnvilConsumer &x, const AnvilConsumer &y) {
-                      return x.word < y.word;
-                  });
+        std::sort(mine.begin(), mine.end(), [](const Slot &x, const Slot &y) {
+            return x.word < y.word;
+        });
         for (size_t k = 0; k < mine.size(); k++) {
             if (k == 0 || mine[k].word != mine[k - 1].word)
                 L.marks.push_back({0, mine[k].word, mine[k].level});
@@ -531,13 +514,8 @@ KernelHost::KernelHost(std::shared_ptr<const KernelLayout> layout)
     _queued.assign(L.levels(), 0);
     _tmp.assign(L.max_words, 0);
     s = _state.data();
-    wbm = _bitmap.data();
-    queued = _queued.data();
-    cons_begin = L.cons_begin.data();
-    cons = L.cons.data();
     out = nullptr;
     nout = 0;
-    dense = 0;
     useExecutor();
 }
 
@@ -547,27 +525,28 @@ KernelHost::useExecutor()
 {
     const KernelLayout &L = *_layout;
     bool count = _counts != nullptr;
+    _drain = count ? execSparse<true> : execSparse<false>;
     _turns.clear();
     uint32_t node = 0;
     for (size_t l = 0; l < L.levels(); l++) {
         bool any = L.level_size[l] != 0;
         _turns.push_back(
             {any ? (count ? execDense<true> : execDense<false>) : nullptr,
-             any ? (count ? execSparse<true> : execSparse<false>)
-                 : nullptr,
              0, std::numeric_limits<uint64_t>::max(), L.bm_off[l],
              L.bm_off[l + 1], node, L.level_size[l]});
         node += L.level_size[l];
     }
 }
 
+/* The unit's bodies run escalated and dense levels; the executor,
+ * without counting, drains the rest. */
 void
 KernelHost::attach(const AnvilKernel &unit)
 {
     const KernelLayout &L = *_layout;
+    _drain = execSparse<false>;
     for (size_t l = 0; l < L.levels(); l++)
-        _turns[l] = {unit.dense[l], unit.sparse[l], 0,
-                     unit.sparse[l] ? L.level_size[l] : 0, L.bm_off[l],
+        _turns[l] = {unit.dense[l], 0, L.level_size[l], L.bm_off[l],
                      L.bm_off[l + 1], _turns[l].node_begin,
                      _turns[l].nodes};
     _unit = true;
@@ -584,6 +563,10 @@ KernelHost::countEvals(uint64_t *counts)
         useExecutor();
 }
 
+/* Both keep the frame's fields in locals, so stores to state words
+ * cannot force reloads.  A dense body only lists its changes (the walk
+ * queues their consumers when the frame is sparse); a drain also
+ * queues each change's consumers as it goes. */
 template <bool Count>
 uint64_t
 KernelHost::execDense(AnvilFrame *f)
@@ -591,15 +574,17 @@ KernelHost::execDense(AnvilFrame *f)
     KernelHost *h = static_cast<KernelHost *>(f);
     const KernelLayout &L = *h->_layout;
     const Turn &t = *h->_turn;
-    Exec x{L, h->s, h->wbm, h->queued, h->out, h->nout, h->dense != 0};
+    uint64_t *s = h->s, *tmp = h->_tmp.data();
+    int32_t *out = h->out;
+    uint64_t nout = h->nout;
     const KernelLayout::Node *n = L.nodes.data() + t.node_begin;
     for (const KernelLayout::Node *end = n + t.nodes; n != end; n++) {
         if (Count)
             h->_counts[n->net]++;
-        if (stepNode(x.s, *n, L, h->_tmp.data()))
-            x.change(n->net);
+        if (stepNode(s, *n, L, tmp))
+            out[nout++] = n->net;
     }
-    h->nout = x.nout;
+    h->nout = nout;
     return t.nodes;
 }
 
@@ -610,14 +595,17 @@ KernelHost::execSparse(AnvilFrame *f)
     KernelHost *h = static_cast<KernelHost *>(f);
     const KernelLayout &L = *h->_layout;
     const Turn &t = *h->_turn;
-    Exec x{L, h->s, h->wbm, h->queued, h->out, h->nout, h->dense != 0};
+    uint64_t *s = h->s, *wbm = h->_bitmap.data(), *tmp = h->_tmp.data();
+    uint32_t *queued = h->_queued.data();
+    int32_t *out = h->out;
+    uint64_t nout = h->nout;
     const KernelLayout::Node *base = L.nodes.data() + t.node_begin;
     uint64_t ev = 0;
     for (uint32_t wi = t.bm_begin; wi < t.bm_end; wi++) {
-        uint64_t w = x.wbm[wi];
+        uint64_t w = wbm[wi];
         if (!w)
             continue;
-        x.wbm[wi] = 0;
+        wbm[wi] = 0;
         const KernelLayout::Node *row =
             base + (static_cast<size_t>(wi - t.bm_begin) << 6);
         do {
@@ -626,12 +614,14 @@ KernelHost::execSparse(AnvilFrame *f)
             ev++;
             if (Count)
                 h->_counts[n.net]++;
-            if (stepNode(x.s, n, L, h->_tmp.data()))
-                x.change(n.net);
+            if (stepNode(s, n, L, tmp)) {
+                out[nout++] = n.net;
+                queueConsumers(L, n.net, wbm, queued);
+            }
             w &= w - 1;
         } while (w);
     }
-    h->nout = x.nout;
+    h->nout = nout;
     return ev;
 }
 
@@ -642,17 +632,17 @@ KernelHost::execSparse(AnvilFrame *f)
 void
 KernelHost::poke(NetId net)
 {
-    queueConsumers(*_layout, net, wbm, queued);
+    queueConsumers(*_layout, net, _bitmap.data(), _queued.data());
 }
 
 uint64_t
 KernelHost::eval(int32_t *changed_out, uint64_t *n_changed, bool full)
 {
+    const KernelLayout &L = *_layout;
     out = changed_out;
     nout = 0;
-    dense = full || _prefer_dense;
     uint64_t ev = 0;
-    if (dense) {
+    if (full || _prefer_dense) {
         for (Turn &t : _turns) {
             if (t.dense) {
                 _turn = &t;
@@ -666,13 +656,15 @@ KernelHost::eval(int32_t *changed_out, uint64_t *n_changed, bool full)
         _dense_frames++;
     } else {
         // A level's queue is only fed from earlier levels and pokes,
-        // so testing each level just before its turn is exact.  A
-        // unit's level escalates to its dense body when its queue
-        // covers >= 1/kEscalateDiv of the level: at that density its
-        // per-node dispatch costs more than recomputing the
-        // stragglers, and the compare-stores keep the changed list
-        // exact either way.  The executor always drains.
-        uint32_t *q = queued;
+        // so testing each level just before its turn is exact.  With
+        // a unit, a level escalates to the unit's dense body when its
+        // queue covers >= 1/kEscalateDiv of the level: at that density
+        // the executor's per-node dispatch costs more than recomputing
+        // the stragglers in compiled code, and the compare-stores keep
+        // the changed list exact either way.  The executor alone
+        // always drains.
+        uint64_t *wbm = _bitmap.data();
+        uint32_t *queued = _queued.data(), *q = queued;
         for (Turn *t = _turns.data(), *end = t + _turns.size(); t != end;
              t++, q++) {
             uint64_t wn = *q;
@@ -682,7 +674,7 @@ KernelHost::eval(int32_t *changed_out, uint64_t *n_changed, bool full)
             _turn = t;
             uint64_t e;
             if (wn * KernelLayout::kEscalateDiv < t->drain_below) {
-                e = t->sparse(this);
+                e = _drain(this);
             } else {
                 // A queued level has nodes, so owns a word.  Not
                 // std::fill: its memset call for one word cost ~6% of
@@ -690,7 +682,10 @@ KernelHost::eval(int32_t *changed_out, uint64_t *n_changed, bool full)
                 wbm[t->bm_begin] = 0;
                 for (uint32_t k = t->bm_begin + 1; k < t->bm_end; k++)
                     wbm[k] = 0;
+                uint64_t from = nout;
                 e = t->dense(this);
+                for (uint64_t k = from; k < nout; k++)
+                    queueConsumers(L, out[k], wbm, queued);
             }
             t->evals += e;
             ev += e;
@@ -698,7 +693,7 @@ KernelHost::eval(int32_t *changed_out, uint64_t *n_changed, bool full)
     }
     if (_unit)
         _fallback_switches +=
-            denseFallback(_prefer_dense, nout, _layout->strict_nodes);
+            denseFallback(_prefer_dense, nout, L.strict_nodes);
     *n_changed = nout;
     return ev;
 }

@@ -6,24 +6,27 @@
  * (and compiled with) every JIT unit.
  *
  * KernelLayout is the state layout — per-net word offsets, levels and
- * their occupancy-bitmap words, the consumer CSR a change walks, the
- * clock edge's wire, update and register tables, and every strict
+ * their occupancy-bitmap words, the consumer marks a change queues,
+ * the clock edge's wire, update and register tables, and every strict
  * node lowered once to a fixed-size record over those offsets — and
  * kernelLayout() is the one function that builds it.  Each
  * rtl::Netlist builds its layout once (Netlist::layout()); the C++
  * emitter bakes its offsets into the node bodies and every Sim on the
  * netlist reads the same object, so the two cannot drift.
  *
- * KernelHost runs every rtl::Sim: it owns the state words and the
- * frame the level functions see, takes pokes and runs the level walk.
- * The level functions come from the host executor, which interprets
- * the layout's node records, until a JIT unit is attached; attaching
- * swaps the functions and moves no value.  Escalation belongs to the
- * unit: a JIT unit's levels escalate to their dense bodies and its
- * frames fall back to dense on the host's hysteresis, while the
- * executor drains every queued level exactly and runs a dense frame
- * only when its caller asks.  ClockEdge is the clock edge every Sim
- * commits through, over the same words.
+ * KernelHost runs every rtl::Sim: it owns the state words, the
+ * occupancy bitmaps and the frame the level functions see, takes
+ * pokes, runs the level walk and queues the consumers of every
+ * change.  The host executor, which interprets the layout's node
+ * records, runs every level until a JIT unit is attached; attaching
+ * swaps in the unit's dense bodies and moves no value.  With a unit,
+ * a sparse frame still drains a level through the executor's records
+ * and escalates to the unit's body once the level's queue reaches
+ * 1/kEscalateDiv of it, and its frames fall back to dense on the
+ * host's hysteresis; without one, the executor drains every queued
+ * level exactly and runs a dense frame only when its caller asks.
+ * ClockEdge is the clock edge every Sim commits through, over the
+ * same words.
  */
 
 #ifndef ANVIL_RTL_KERNEL_HOST_H
@@ -52,12 +55,13 @@ kernelWords(int width)
 struct KernelLayout
 {
     /**
-     * A compiled unit's per-level escalation rule: inside a sparse
-     * frame a level runs its straight-line body once its queued count
-     * wn reaches 1/kEscalateDiv of its nodes (wn * kEscalateDiv >=
-     * size).  A level is only visited with wn >= 1, so a level of at
-     * most kEscalateDiv nodes always escalates and the unit emits no
-     * sparse drain for it.  The host executor never escalates.
+     * The per-level escalation rule with a compiled unit attached:
+     * inside a sparse frame a level runs the unit's straight-line body
+     * once its queued count wn reaches 1/kEscalateDiv of its nodes
+     * (wn * kEscalateDiv >= size), and is drained by the host executor
+     * below that.  A level is only visited with wn >= 1, so a level of
+     * at most kEscalateDiv nodes always escalates.  Without a unit the
+     * executor drains every level and never escalates.
      */
     static constexpr uint64_t kEscalateDiv = 4;
 
@@ -121,10 +125,8 @@ struct KernelLayout
     size_t strict_nodes = 0;
     std::vector<uint32_t> level_size;   // per level: strict nodes
     std::vector<uint32_t> bm_off;       // per level, plus the total
-    std::vector<uint32_t> cons_begin;   // per net, plus the total
-    std::vector<AnvilConsumer> cons;    // consumer CSR (a unit's hook)
-    /** The same consumers merged per bitmap word, which is how the
-     *  host queues them: net n's are marks[mark_begin[n] ..
+    /** Each net's strict consumers merged per bitmap word, which is
+     *  how the host queues them: net n's are marks[mark_begin[n] ..
      *  mark_begin[n + 1]), so a net read by a whole level costs a few
      *  word ORs, not one update per consumer. */
     std::vector<uint32_t> mark_begin;   // per net, plus the total
@@ -151,10 +153,6 @@ struct KernelLayout
     uint32_t max_words = 1;
 
     size_t levels() const { return level_size.size(); }
-    bool hasSparseDrain(size_t level) const
-    {
-        return level_size[level] > kEscalateDiv;
-    }
     /** Whether a unit's identity fields agree with this layout. */
     bool fits(const AnvilKernel &unit) const;
 };
@@ -165,13 +163,21 @@ struct KernelLayout
  * id order.  Level l's nodes are order()[levelBegin()[l] ..
  * levelBegin()[l + 1]), each at a dense slot in its level's bitmap
  * words.  A net's consumers are the strict nodes reading it (constant
- * operands excluded, one entry per reading node) in net id order.
+ * operands excluded), each marked once in its level's bitmap.
  * The edge's tables leave out updates of unknown registers, which
  * fault host-side before the edge stages anything.  Each strict node
  * is lowered to one Node record with the same semantics as
  * rtl::applyBinop and its siblings over BitVec values.
  */
 KernelLayout kernelLayout(const Netlist &nl);
+
+/**
+ * The host executor's step for one of `L`'s node records: computes
+ * the node from the state words `s` and, when its words moved, stores
+ * them and returns true.  `tmp` holds L.max_words words of scratch.
+ */
+bool execNode(const KernelLayout &L, const KernelLayout::Node &n,
+              uint64_t *s, uint64_t *tmp);
 
 /**
  * The dense-fallback hysteresis: a frame that changed more than half
@@ -267,12 +273,14 @@ class ClockEdge
 };
 
 /**
- * One simulation context: state words and the level walk over them.
- * Its level functions are the host executor's, which interpret the
- * layout's node records, until attach() swaps in a compiled unit's.
- * The clock edge is the Sim's ClockEdge, run over state().  Not
- * thread-safe; distinct contexts may run on distinct threads (units
- * and layouts are immutable).
+ * One simulation context: state words, occupancy bitmaps and the
+ * level walk over them.  Its level functions are the host executor's,
+ * which interpret the layout's node records, until attach() swaps in
+ * a compiled unit's dense bodies; the executor still drains the
+ * levels a unit's sparse frame does not escalate.  The clock edge is
+ * the Sim's ClockEdge, run over state().  Not thread-safe; distinct
+ * contexts may run on distinct threads (units and layouts are
+ * immutable).
  */
 class KernelHost : private AnvilFrame
 {
@@ -283,9 +291,9 @@ class KernelHost : private AnvilFrame
     KernelHost &operator=(const KernelHost &) = delete;
 
     /**
-     * Run `unit`'s level functions from the next eval() on, which
-     * must fit the layout (KernelLayout::fits).  The state words and
-     * queued nodes stay; the activity counters restart.
+     * Run `unit`'s dense bodies from the next eval() on, which must
+     * fit the layout (KernelLayout::fits).  The state words and queued
+     * nodes stay; the activity counters restart.
      */
     void attach(const AnvilKernel &unit);
 
@@ -305,13 +313,15 @@ class KernelHost : private AnvilFrame
 
     /**
      * The levelized sweep.  A sparse frame visits the levels with
-     * queued nodes in order and drains each one's bitmap or, in a
-     * compiled unit, runs its dense body once the level escalates; a
-     * dense frame (`full`, or, for a compiled unit, denseFallback()
-     * after a frame that changed more than half the strict nodes)
-     * runs every dense body.  Strict nets whose value changed —
-     * exactly those — are appended to `changed` (capacity: the strict
-     * nodes) and counted in *n_changed.  Returns the nodes evaluated.
+     * queued nodes in order and drains each one's bitmap through the
+     * executor or, with a compiled unit, runs the unit's dense body
+     * once the level escalates, then queues the consumers of what
+     * either changed; a dense frame (`full`, or, with a compiled unit,
+     * denseFallback() after a frame that changed more than half the
+     * strict nodes) runs every dense body.  Strict nets whose value
+     * changed — exactly those — are appended to `changed` (capacity:
+     * the strict nodes) and counted in *n_changed.  Returns the nodes
+     * evaluated.
      */
     uint64_t eval(int32_t *changed, uint64_t *n_changed, bool full);
 
@@ -326,18 +336,19 @@ class KernelHost : private AnvilFrame
     /** A level's part in the walk. */
     struct Turn
     {
-        AnvilLevelFn dense, sparse;
+        AnvilLevelFn dense;     // the unit's body, or the executor's
         uint64_t evals;         // nodes evaluated, both frame kinds
         /** A sparse frame drains the level while its queued count
-         *  times kEscalateDiv stays below this: the level's size in a
-         *  compiled unit, 0 when it has no drain, and unbounded for
-         *  the executor, which drains exactly. */
+         *  times kEscalateDiv stays below this: the level's size with
+         *  a compiled unit, and unbounded for the executor alone,
+         *  which drains exactly. */
         uint64_t drain_below;
         uint32_t bm_begin, bm_end;   // the level's bitmap words
         uint32_t node_begin, nodes;  // its records in layout nodes
     };
 
-    /** The executor's level functions: the current turn's records. */
+    /** The executor's level functions over the current turn's
+     *  records: every node, or the queued ones (a drain). */
     template <bool Count>
     static uint64_t execDense(AnvilFrame *f);
     template <bool Count>
@@ -345,11 +356,16 @@ class KernelHost : private AnvilFrame
     void useExecutor();
 
     std::shared_ptr<const KernelLayout> _layout;
-    // Storage behind the frame's s, wbm and queued.
-    std::vector<uint64_t> _state;
+    std::vector<uint64_t> _state;      // storage behind the frame's s
+    /** Per-level occupancy bitmaps: level l owns the words
+     *  [bm_off[l], bm_off[l + 1]), bit k marking its k-th node
+     *  queued. */
     std::vector<uint64_t> _bitmap;
+    /** Per level, enqueues since it was last drained (an upper bound
+     *  on its queued nodes). */
     std::vector<uint32_t> _queued;
     std::vector<Turn> _turns;          // per level, in order
+    AnvilLevelFn _drain = nullptr;     // the executor's drain
     const Turn *_turn = nullptr;       // the level being run
     uint64_t *_counts = nullptr;       // executor eval counts, or null
     std::vector<uint64_t> _tmp;        // a wide node's words

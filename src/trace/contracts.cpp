@@ -256,6 +256,7 @@ ContractMonitor::ContractMonitor(std::vector<ContractSpec> specs,
 {
     const rtl::Netlist &nl = sim.netlist();
     _feed_slot.assign(nl.nets().size(), -1);
+    _feed_mask.assign((nl.nets().size() + 63) / 64, 0);
     const auto &table = nl.signals();
     auto find = [&](const std::string &name) {
         auto it = table.find(name);
@@ -283,10 +284,12 @@ ContractMonitor::ContractMonitor(std::vector<ContractSpec> specs,
                 has_lazy = true;
                 continue;
             }
-            int32_t &slot = _feed_slot[static_cast<size_t>(id)];
+            size_t ni = static_cast<size_t>(id);
+            int32_t &slot = _feed_slot[ni];
             if (slot < 0) {
                 slot = static_cast<int32_t>(_feed_lists.size());
                 _feed_lists.emplace_back();
+                _feed_mask[ni >> 6] |= uint64_t(1) << (ni & 63);
             }
             _feed_lists[static_cast<size_t>(slot)].push_back(index);
         }
@@ -348,12 +351,14 @@ ContractMonitor::onCycle(rtl::Sim &sim, uint64_t cycle,
 {
     // Only channels whose nets actually changed are re-read; every
     // checker still ticks — ack-within deadlines advance even when
-    // nothing changes.
+    // nothing changes.  The mask rejects the unwatched nets, most of
+    // the frame, without touching the slot table.
     for (rtl::NetId id : changed) {
-        int32_t slot = _feed_slot[static_cast<size_t>(id)];
-        if (slot < 0)
+        size_t ni = static_cast<size_t>(id);
+        if (!((_feed_mask[ni >> 6] >> (ni & 63)) & 1))
             continue;
-        for (size_t index : _feed_lists[static_cast<size_t>(slot)])
+        size_t slot = static_cast<size_t>(_feed_slot[ni]);
+        for (size_t index : _feed_lists[slot])
             refresh(sim, _bound[index]);
     }
     for (size_t index : _unfed_bounds)

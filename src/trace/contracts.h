@@ -171,6 +171,8 @@ class ContractMonitor : public tb::Monitor, public obs::Observer
     /** net -> slot into _feed_lists, flat (or -1): O(1) per changed
      *  net on the fast path. */
     std::vector<int32_t> _feed_slot;
+    /** One bit per net: set where _feed_slot has a slot. */
+    std::vector<uint64_t> _feed_mask;
     /** Per fed net, the _bound indices whose channel reads it. */
     std::vector<std::vector<size_t>> _feed_lists;
     /** Bounds touching a lazy net: re-read every visit. */

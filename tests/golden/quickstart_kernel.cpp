@@ -1,5 +1,5 @@
 // Generated by anvilc --emit-cpp; design 'ping_server'.
-// The level functions of an AnvilKernel (see src/rtl/kernel_abi.h and
+// The dense level bodies of an AnvilKernel (see src/rtl/kernel_abi.h and
 // docs/compile.md), run by the host's rtl::KernelHost;
 // compile with: c++ -O2 -fPIC -shared -nostdlib -o kernel.so <this file>
 // No headers and no runtime library.
@@ -9,20 +9,10 @@ typedef __UINT32_TYPE__ uint32_t;
 typedef __UINT64_TYPE__ uint64_t;
 
 extern "C" {
-typedef struct AnvilConsumer {
-    uint32_t word;
-    uint32_t bit;
-    uint32_t level;
-} AnvilConsumer;
 typedef struct AnvilFrame {
     uint64_t *s;
-    uint64_t *wbm;
-    uint32_t *queued;
-    const uint32_t *cons_begin;
-    const AnvilConsumer *cons;
     int32_t *out;
     uint64_t nout;
-    uint32_t dense;
 } AnvilFrame;
 typedef uint64_t (*AnvilLevelFn)(AnvilFrame *f);
 typedef struct AnvilKernel {
@@ -32,7 +22,6 @@ typedef struct AnvilKernel {
     uint64_t state_words;
     uint32_t level_count;
     const AnvilLevelFn *dense;
-    const AnvilLevelFn *sparse;
 } AnvilKernel;
 const AnvilKernel *anvil_kernel(void);
 }
@@ -43,53 +32,6 @@ namespace {
 static __attribute__((noinline)) void onChange(AnvilFrame *f, int32_t id)
 {
     f->out[f->nout++] = id;
-    if (f->dense)
-        return;
-    for (uint32_t k = f->cons_begin[id]; k < f->cons_begin[id + 1]; k++) {
-        const AnvilConsumer *c = f->cons + k;
-        f->wbm[c->word] |= 1ull << c->bit;
-        f->queued[c->level]++;
-    }
-}
-
-/* level 4: 5 nodes, bitmap words [3, 4) */
-static uint64_t lvl_s_4(AnvilFrame *f)
-{
-    uint64_t *s = f->s, *wbm = f->wbm, ev = 0;
-    for (uint32_t wi = 3u; wi < 4u; wi++) {
-        uint64_t w = wbm[wi];
-        if (!w)
-            continue;
-        wbm[wi] = 0;
-        uint32_t base = (wi - 3u) << 6;
-        do {
-        switch (base + (uint32_t)__builtin_ctzll(w)) {
-        case 0u: {
-            // n13 w1 t0_ev3
-            { ev++; uint64_t r = s[23]; r &= 0x1ull; uint64_t *p = &s[13]; if (*p != r) { *p = r; onChange(f, 13); } }
-        } break;
-        case 1u: {
-            // n16 w8 io_pong_data
-            { ev++; uint64_t r = s[27]; r &= 0xffull; uint64_t *p = &s[16]; if (*p != r) { *p = r; onChange(f, 16); } }
-        } break;
-        case 2u: {
-            // n17 w1 io_pong_valid
-            { ev++; uint64_t r = s[29]; r &= 0x1ull; uint64_t *p = &s[17]; if (*p != r) { *p = r; onChange(f, 17); } }
-        } break;
-        case 3u: {
-            // n20 w1
-            { ev++; uint64_t r = s[5] | s[9]; r &= 0x1ull; uint64_t *p = &s[20]; if (*p != r) { *p = r; onChange(f, 20); } }
-        } break;
-        case 4u: {
-            // n39 w1
-            { ev++; uint64_t r = ~s[23]; r &= 0x1ull; uint64_t *p = &s[39]; if (*p != r) { *p = r; onChange(f, 39); } }
-        } break;
-        default: break;
-        }
-        w &= w - 1;
-        } while (w);
-    }
-    return ev;
 }
 
 static uint64_t lvl_d_1(AnvilFrame *f)
@@ -184,14 +126,10 @@ static const AnvilLevelFn kDense[8] = {
     0, lvl_d_1, lvl_d_2, lvl_d_3,
     lvl_d_4, lvl_d_5, lvl_d_6, lvl_d_7,
 };
-static const AnvilLevelFn kSparse[8] = {
-    0, 0, 0, 0,
-    lvl_s_4, 0, 0, 0,
-};
 
 static const AnvilKernel kKernel = {
-    5u, 42u, 0xdc86a9e7102982f5ull, 42ull,
-    8u, kDense, kSparse,
+    6u, 42u, 0xdc86a9e7102982f5ull, 42ull,
+    8u, kDense,
 };
 
 } // namespace

@@ -2,8 +2,9 @@
  * @file
  * Compiled C++ backend: golden emitted-kernel snapshot for the
  * quickstart design, what the emitted unit leaves out (headers,
- * unreachable sparse drains, unused wide helpers, everything the host
- * runs), JIT round-trip behaviour against the interpreter, kernel ABI
+ * sparse drains, consumer tables, unused wide helpers, everything the
+ * host runs), each strict node compiled exactly once in every design,
+ * JIT round-trip behaviour against the interpreter, kernel ABI
  * invariants, temp-dir handling (a missing $TMPDIR included), and the
  * no-compiler fallback path (a broken ANVIL_CXX must degrade to the
  * interpreter, never fail the run).
@@ -14,6 +15,7 @@
 #include <dirent.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -132,19 +134,59 @@ TEST(CppEmitter, QuickstartUnitCarriesOnlyReachableCode)
     EXPECT_EQ(unit.find("#include"), std::string::npos);
     EXPECT_FALSE(callsWideHelper(unit));
     EXPECT_EQ(unit.find("wmask"), std::string::npos);
-    // Only the 5-node level can drain sparsely; levels of <= 4 nodes
-    // always escalate to their dense body.
-    EXPECT_EQ(countOf(unit, "static uint64_t lvl_s_"), 1u);
-    EXPECT_EQ(countOf(unit, "lvl_s_4"), 2u);   // definition + table
-    // Node code only: the level walk, the context lifecycle, the
-    // clock edge and its tables, and the edge's -O1 request all live
-    // in the host (rtl::KernelHost).
-    for (const char *gone : {"do_eval", "k_edge", "k_create", "calloc",
-                             "kUpd", "optimize("})
+    // Dense bodies only: the host drains sparse levels through its
+    // executor and queues consumers itself, so there is no drain, no
+    // drain table and no consumer CSR.  The level walk, the context
+    // lifecycle, the clock edge and its tables, and the edge's -O1
+    // request all live in the host (rtl::KernelHost) too.
+    EXPECT_EQ(countOf(unit, "static uint64_t lvl_d_"),
+              static_cast<size_t>(std::count_if(
+                  nl.layout()->level_size.begin(),
+                  nl.layout()->level_size.end(),
+                  [](uint32_t n) { return n != 0; })));
+    for (const char *gone :
+         {"lvl_s_", "kSparse", "cons_begin", "AnvilConsumer", "wbm",
+          "queued", "do_eval", "k_edge", "k_create", "calloc", "kUpd",
+          "optimize("})
         EXPECT_EQ(unit.find(gone), std::string::npos) << gone;
     // Every wire, update and register fits a word, so the host runs
     // its one-word edge.
     EXPECT_FALSE(kernelLayout(nl).wide_edge);
+}
+
+TEST(CppEmitter, EveryStrictNodeIsCompiledOnce)
+{
+    const std::pair<const char *, std::string (*)()> sources[] = {
+        {"fifo", designs::anvilFifoSource},
+        {"spill_reg", designs::anvilSpillRegSource},
+        {"stream_fifo", designs::anvilStreamFifoSource},
+        {"tlb", designs::anvilTlbSource},
+        {"ptw", designs::anvilPtwSource},
+        {"aes", designs::anvilAesSource},
+        {"axi_demux", designs::anvilAxiDemuxSource},
+        {"axi_mux", designs::anvilAxiMuxSource},
+        {"alu", designs::anvilPipelinedAluSource},
+        {"systolic", designs::anvilSystolicSource},
+        {"top_unsafe", designs::anvilTopUnsafeSource},
+        {"top_safe", designs::anvilTopSafeSource},
+        {"encrypt", designs::anvilEncryptSource},
+        {"listing1", designs::anvilListing1Source},
+        {"listing2", designs::anvilListing2Source},
+    };
+    for (const auto &[name, text] : sources) {
+        CompileOutput out = compileAnvil(text());
+        ModulePtr mod = out.module(out.top);
+        ASSERT_NE(mod, nullptr) << name;
+        Netlist nl(*mod);
+        std::string unit = codegen::emitCppKernel(nl, name);
+        // Each strict node has one body, headed by its `// n<id> w`
+        // comment, and nothing else has one.
+        for (NetId id : nl.order())
+            ASSERT_EQ(countOf(unit, "// n" + std::to_string(id) + " "), 1u)
+                << name << " n" << id;
+        EXPECT_EQ(countOf(unit, "    // n"), nl.order().size()) << name;
+        EXPECT_EQ(unit.find("lvl_s_"), std::string::npos) << name;
+    }
 }
 
 TEST(CppEmitter, WideDesignCarriesWidePrelude)
@@ -282,7 +324,6 @@ TEST(CppEmitter, KernelReportsPerLevelEvals)
                   : static_cast<uint32_t>(
                         sim.netlist().levelBegin().size() - 1));
     ASSERT_NE(abi->dense, nullptr);
-    ASSERT_NE(abi->sparse, nullptr);
     ASSERT_TRUE(sim.attachKernel(codegen::kernelRef(jr.kernel)));
 
     for (int cyc = 0; cyc < 50; cyc++) {

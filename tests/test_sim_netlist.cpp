@@ -4,17 +4,21 @@
  * the reference interpreter (rtl::RefSim) on every evaluation design
  * — peeks, dprint logs, and toggle counts must be bit-identical —
  * plus targeted regressions for child-output alias peeks, lazy
- * (cycle-tolerant) evaluation, and netlist structure, and the host
+ * (cycle-tolerant) evaluation, and netlist structure, the host
  * executor's node records checked one by one against the BitVec
- * operators.
+ * operators, and the host's scheduling of a dense-only unit (an
+ * in-process stand-in, so no compiler is needed).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <functional>
 #include <iterator>
 #include <map>
 #include <random>
+#include <utility>
 
 #include "designs/designs.h"
 #include "harness.h"
@@ -590,6 +594,219 @@ TEST(HostExecutor, DenseBodiesMatchBitVecOperators)
 TEST(HostExecutor, SparseDrainsMatchBitVecOperators)
 {
     expectExecutorMatches(SweepMode::Dirty);
+}
+
+// --- A dense-only unit without a compiler ----------------------------
+
+/**
+ * An in-process stand-in for a JIT unit: per-level dense bodies, as
+ * the emitter writes them (every node of the level, in slot order,
+ * appending the changed ones), that count their calls and evaluate
+ * through the layout's node records.  AnvilLevelFn carries no level,
+ * so each level gets its own instantiation.
+ */
+struct FakeUnit
+{
+    static constexpr size_t kMaxLevels = 128;
+    static inline const KernelLayout *layout = nullptr;
+    static inline std::vector<uint32_t> first;   // per level: 1st record
+    static inline std::vector<uint64_t> calls;   // per level: body calls
+    static inline std::vector<uint64_t> tmp;
+
+    template <size_t L>
+    static uint64_t body(AnvilFrame *f)
+    {
+        calls[L]++;
+        const KernelLayout &lay = *layout;
+        for (uint32_t k = 0; k < lay.level_size[L]; k++) {
+            const KernelLayout::Node &n = lay.nodes[first[L] + k];
+            if (execNode(lay, n, f->s, tmp.data()))
+                f->out[f->nout++] = n.net;
+        }
+        return lay.level_size[L];
+    }
+    template <size_t... L>
+    static constexpr std::array<AnvilLevelFn, sizeof...(L)>
+    bodies(std::index_sequence<L...>)
+    {
+        return {body<L>...};
+    }
+
+    std::vector<AnvilLevelFn> dense;
+    AnvilKernel abi{};
+
+    /** The unit for `nl`; one unit is live at a time. */
+    explicit FakeUnit(const Netlist &nl)
+    {
+        static const auto all = bodies(std::make_index_sequence<kMaxLevels>{});
+        layout = nl.layout().get();
+        size_t levels = layout->levels();
+        EXPECT_LE(levels, kMaxLevels);
+        first.assign(levels, 0);
+        for (size_t l = 1; l < levels; l++)
+            first[l] = first[l - 1] + layout->level_size[l - 1];
+        calls.assign(levels, 0);
+        tmp.assign(layout->max_words, 0);
+        for (size_t l = 0; l < levels; l++)
+            dense.push_back(layout->level_size[l] ? all[l] : nullptr);
+        abi = {ANVIL_KERNEL_ABI_VERSION,
+               static_cast<uint32_t>(layout->net_count), designHash(nl),
+               layout->state_words, static_cast<uint32_t>(levels),
+               levels ? dense.data() : nullptr};
+    }
+    KernelRef ref() const { return {&abi, nullptr}; }
+};
+
+/** The level holding `net`'s record. */
+size_t
+levelOf(const Netlist &nl, NetId net)
+{
+    const auto &order = nl.order();
+    size_t i = static_cast<size_t>(
+        std::find(order.begin(), order.end(), net) - order.begin());
+    size_t l = 0;
+    while (static_cast<size_t>(nl.levelBegin()[l + 1]) <= i)
+        l++;
+    return l;
+}
+
+/** 16 inputs x<k>, wires w<k> = x<k> ^ k and v<k> = w<k> + 3 (every
+ *  level 16 nodes wide), and registers r<k> <= v<k>. */
+ModulePtr
+twoLevelModule()
+{
+    auto m = std::make_shared<Module>();
+    m->name = "two_level";
+    for (int k = 0; k < 16; k++) {
+        std::string i = std::to_string(k);
+        auto x = m->input("x" + i, 8);
+        auto w = m->wire("w" + i, x ^ cst(8, static_cast<uint64_t>(k)));
+        auto v = m->wire("v" + i, w + cst(8, 3));
+        m->reg("r" + i, 8);
+        m->update("r" + i, cst(1, 1), v);
+    }
+    return m;
+}
+
+/** Step a unit-attached Sim, an executor-only Sim and RefSim in
+ *  lockstep under `drive`, comparing changed lists, registers,
+ *  toggles and logs every cycle. */
+void
+expectUnitMatches(
+    const ModulePtr &mod, int cycles,
+    const std::function<uint64_t(int, const std::string &)> &drive)
+{
+    Sim unit(mod), exec(mod);
+    RefSim ref(mod);
+    FakeUnit fake(unit.netlist());
+    ASSERT_TRUE(unit.attachKernel(fake.ref()));
+    auto inputs = unit.inputNames();
+    auto regs = unit.regNames();
+    for (int cyc = 0; cyc < cycles; cyc++) {
+        for (const std::string &in : inputs) {
+            uint64_t v = drive(cyc, in);
+            unit.setInput(in, v);
+            exec.setInput(in, v);
+            ref.setInput(in, v);
+        }
+        ASSERT_EQ(unit.changedNets(), exec.changedNets()) << "@" << cyc;
+        for (const std::string &r : regs) {
+            ASSERT_EQ(unit.peek(r), exec.peek(r)) << r << " @" << cyc;
+            ASSERT_EQ(unit.peek(r).toHex(), ref.peek(r).toHex())
+                << r << " @" << cyc;
+        }
+        unit.step();
+        exec.step();
+        ref.step();
+        ASSERT_EQ(unit.totalToggles(), exec.totalToggles()) << "@" << cyc;
+        ASSERT_EQ(unit.totalToggles(), ref.totalToggles()) << "@" << cyc;
+    }
+    EXPECT_EQ(unit.log(), ref.log());
+    EXPECT_GT(unit.sweepStats().kernel_frames, 0u);
+}
+
+TEST(DenseOnlyUnit, HostDrainsBelowTheThresholdAndEscalatesAtIt)
+{
+    ModulePtr mod = twoLevelModule();
+    Sim sim(mod);
+    const Netlist &nl = sim.netlist();
+    FakeUnit fake(nl);
+    ASSERT_TRUE(sim.attachKernel(fake.ref()));
+    size_t lw = levelOf(nl, nl.signals().at("w0").net);
+    size_t lv = levelOf(nl, nl.signals().at("v0").net);
+    ASSERT_LT(lw, lv);
+    ASSERT_EQ(nl.layout()->level_size[lw], 16u);
+    ASSERT_EQ(nl.layout()->level_size[lv], 16u);
+    // The first frame is dense and moves most nodes, so the host's
+    // hysteresis runs the next one dense too; that one moves none and
+    // hands the frames after it back to the sparse walk.
+    sim.step(2);
+    EXPECT_EQ(FakeUnit::calls[lw], 2u);
+    EXPECT_EQ(sim.sweepStats().kernel_dense_frames, 2u);
+
+    // Three of 16 queued: 3 * kEscalateDiv < 16, so the host drains
+    // every level through its records, and each drained change
+    // queues its consumers, down to the v level.
+    std::vector<uint64_t> calls = FakeUnit::calls;
+    std::vector<uint64_t> evals = sim.kernelLevelEvals();
+    for (int k = 0; k < 3; k++)
+        sim.setInput("x" + std::to_string(k), 100 + k);
+    const std::vector<NetId> &changed = sim.changedNets();
+    EXPECT_EQ(FakeUnit::calls, calls);
+    EXPECT_EQ(sim.kernelLevelEvals()[lw], evals[lw] + 3);
+    EXPECT_EQ(sim.kernelLevelEvals()[lv], evals[lv] + 3);
+    for (const char *n : {"w0", "w1", "w2", "v0", "v1", "v2"})
+        EXPECT_NE(std::find(changed.begin(), changed.end(),
+                            nl.signals().at(n).net),
+                  changed.end())
+            << n;
+    sim.step();
+    EXPECT_EQ(sim.peek("r2").toUint64(), (102u ^ 2u) + 3u);
+
+    // Four of 16: 4 * kEscalateDiv >= 16, so every level runs the
+    // unit's body once, and the host queues the consumers of what
+    // each body changed for the next level.
+    calls = FakeUnit::calls;
+    evals = sim.kernelLevelEvals();
+    for (int k = 4; k < 8; k++)
+        sim.setInput("x" + std::to_string(k), 200 + k);
+    sim.changedNets();
+    EXPECT_EQ(FakeUnit::calls[lw], calls[lw] + 1);
+    EXPECT_EQ(FakeUnit::calls[lv], calls[lv] + 1);
+    EXPECT_EQ(sim.kernelLevelEvals()[lw], evals[lw] + 16);
+    EXPECT_EQ(sim.kernelLevelEvals()[lv], evals[lv] + 16);
+    sim.step();
+    for (unsigned k = 4; k < 8; k++)
+        EXPECT_EQ(sim.peek("r" + std::to_string(k)).toUint64(),
+                  (((200u + k) ^ k) + 3u) & 0xff)
+            << k;
+    EXPECT_EQ(sim.sweepStats().kernel_dense_frames, 2u);
+}
+
+TEST(DenseOnlyUnit, MatchesTheExecutorAndRefSim)
+{
+    // Every level of the two-level module, from a single poke (drains)
+    // to all 16 (escalations and dense frames).
+    std::mt19937_64 rng(23);
+    std::vector<int> hot(300);
+    for (int &h : hot)
+        h = static_cast<int>(rng() % 17);
+    expectUnitMatches(twoLevelModule(), 300,
+                      [&](int cyc, const std::string &in) {
+                          int k = std::stoi(in.substr(1));
+                          return k < hot[static_cast<size_t>(cyc)]
+                              ? rng()
+                              : static_cast<uint64_t>(k);
+                      });
+    // Designs with wide, ROM, concat and mux records.
+    for (const ModulePtr &mod :
+         {designs::buildTlbBaseline(), designs::buildAxiDemuxBaseline(),
+          designs::buildAesBaseline()}) {
+        std::mt19937_64 r(7);
+        expectUnitMatches(mod, 60, [&](int, const std::string &) {
+            return r() % 4 ? r() : uint64_t(0);
+        });
+    }
 }
 
 } // namespace
