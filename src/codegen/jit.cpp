@@ -159,13 +159,14 @@ jitCompileKernel(const rtl::Netlist &nl, const JitOptions &opts)
         }
     }
 
-    // Units past 1 MiB (axi_xbar_8x8's 1.4 MB) compile about 30%
-    // faster at -O1 with no measurable loss per cycle; smaller ones
-    // keep -O2, which read faster per cycle on tlb_4w64s (429 KB).
-    // docs/compile.md ("ABI v6") has the runs.  The cache key keeps
-    // the *requested* level, so the policy is transparent to callers.
+    // Units past 64 KiB compile about 40% faster at -O1 and run no
+    // slower: -O2 lost per cycle on axi_mux (97 KB) and tlb_4w64s
+    // (377 KB) and tied on both crossbars (215 KB, 1.0 MB).  Smaller
+    // units were not measured and keep -O2.  docs/compile.md
+    // ("Renames") has the runs.  The cache key keeps the *requested*
+    // level, so the policy is transparent to callers.
     int opt = opts.opt_level;
-    if (opt > 1 && res.source_bytes > 1u << 20)
+    if (opt > 1 && res.source_bytes > 1u << 16)
         opt = 1;
     // -nostdlib links no crt files, libstdc++ or libgcc: a wide
     // unit's libc references (mem*) bind to this process at dlopen,

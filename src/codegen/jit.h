@@ -42,7 +42,7 @@ namespace codegen {
 struct JitOptions
 {
     int opt_level = 2;        // -O<n> passed to the system compiler
-                              // (capped to -O1 for units past 1 MiB,
+                              // (capped to -O1 for units past 64 KiB,
                               // where -O2 buys only compile time)
     bool keep_files = false;  // keep the temp dir (debugging)
     /** Codegen revision folded into the cache key.  Defaults to the

@@ -526,7 +526,8 @@ Sim::evalLazy(NetId id)
     }
 
     // Loop detection guards named wire roots, as in the reference
-    // interpreter (cycles can only close through named wires).
+    // interpreter (cycles can only close through named wires, whose
+    // lazy Copies are never collapsed into their drivers).
     bool guard =
         n.kind == Net::Kind::Copy && !_nl.nameOf(id).empty();
     if (guard) {

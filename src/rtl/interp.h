@@ -44,6 +44,12 @@
  * read and at the clock edge, with the reference interpreter's fault
  * semantics.
  *
+ * A named wire that only renames a net shares that net (see
+ * rtl/netlist.h): the sweep never evaluates it, peeks and observers
+ * read the net under every name, and the edge counts the net's toggles
+ * once per wire it carries, as the reference interpreter counts each
+ * wire.
+ *
  * The clock edge also counts per-signal bit toggles, which the
  * synthesis cost model uses as switching activity for dynamic power.
  * The original recursive interpreter is preserved as rtl::RefSim

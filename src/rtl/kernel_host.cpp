@@ -455,13 +455,18 @@ kernelLayout(const Netlist &nl)
 
     // The clock edge: toggle-counted wires and their shadow words,
     // registers and their staging words, updates in declaration order.
+    // Several wires may name one net (renames share their driver's).
     L.wire_of.assign(nets.size(), -1);
     for (NetId w : nl.wireNets()) {
+        int32_t &row = L.wire_of[static_cast<size_t>(w)];
+        if (row >= 0) {
+            L.wires[static_cast<size_t>(row)].names++;
+            continue;
+        }
         uint32_t n = kernelWords(nl.net(w).width);
-        L.wire_of[static_cast<size_t>(w)] =
-            static_cast<int32_t>(L.wires.size());
+        row = static_cast<int32_t>(L.wires.size());
         L.wires.push_back({L.off[static_cast<size_t>(w)],
-                           static_cast<uint32_t>(L.shadow_words), n});
+                           static_cast<uint32_t>(L.shadow_words), n, 1});
         L.shadow_words += n;
     }
     for (NetId r : nl.regs()) {
@@ -818,7 +823,8 @@ ClockEdge::sampleWords(const uint64_t *s, const int32_t *changed,
             const KernelLayout::Wire &w =
                 L.wires[static_cast<size_t>(L.wire_of[id])];
             tog += flipTo<Wide>(_shadow.data() + w.shadow, s + w.off,
-                                w.words);
+                                w.words) *
+                w.names;
         }
         for (uint32_t k = L.en_begin[id]; k < L.en_begin[id + 1]; k++)
             arm<Wide>(s, L.en_updates[k]);

@@ -65,10 +65,12 @@ struct KernelLayout
      */
     static constexpr uint64_t kEscalateDiv = 4;
 
-    /** A toggle-counted wire: its state and shadow words. */
+    /** A toggle-counted net: its state and shadow words, and how many
+     *  named wires it carries (a rename shares its driver's net), each
+     *  of which counts its toggles. */
     struct Wire
     {
-        uint32_t off, shadow, words;
+        uint32_t off, shadow, words, names;
     };
     /** A register update: its enable and value words, its register. */
     struct Update
@@ -132,7 +134,7 @@ struct KernelLayout
     std::vector<uint32_t> mark_begin;   // per net, plus the total
     std::vector<Mark> marks;
     std::vector<int32_t> wire_of;       // per net: row in wires, or -1
-    std::vector<Wire> wires;            // wireNets() order
+    std::vector<Wire> wires;            // wireNets() order, one per net
     std::vector<Update> updates;        // declaration order
     /** Enable CSR: the rows of `updates` enabled by net n are
      *  en_updates[en_begin[n] .. en_begin[n + 1]). */
@@ -222,9 +224,10 @@ class ClockEdge
      * and arms every update whose enable is nonzero, counting nothing.
      * Later calls visit only `changed`, the nets that may have moved
      * since the previous edge (ids at or past the layout's net count
-     * are skipped): a toggle-counted wire adds the popcount of its
-     * words xor its shadow words and stores them there, and an enable
-     * re-arms its updates.  Returns the wire toggles.
+     * are skipped): a toggle-counted net adds the popcount of its
+     * words xor its shadow words, once per wire it carries, and stores
+     * them there, and an enable re-arms its updates.  Returns the wire
+     * toggles.
      */
     uint64_t sample(const uint64_t *s, const int32_t *changed,
                     uint64_t n_changed);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "rtl/kernel_host.h"
 
@@ -122,6 +123,7 @@ Netlist::newNet(Net n)
         n.lazy = true;   // appended nodes are outside the sweep order
     NetId id = static_cast<NetId>(_nets.size());
     _init.emplace_back(n.width);
+    _names.emplace_back();
     _nets.push_back(std::move(n));
     return id;
 }
@@ -159,7 +161,7 @@ Netlist::internSource(NetSignal::Kind kind, const std::string &flat,
     NetId id = newNet(std::move(n));
     _init[static_cast<size_t>(id)] = init.resize(width);
     _signals[flat] = {kind, id, width};
-    _names[id] = flat;
+    _names[static_cast<size_t>(id)] = flat;
     return id;
 }
 
@@ -183,7 +185,7 @@ Netlist::flatten(const Module &m, const std::string &prefix)
         NetId root = newNet(std::move(n));
         _signals[prefix + w.name] = {NetSignal::Kind::Wire, root,
                                      w.width};
-        _names[root] = prefix + w.name;
+        _names[static_cast<size_t>(root)] = prefix + w.name;
         _pending_wires.push_back({root, w.expr, prefix});
     }
     for (const auto &u : m.updates)
@@ -207,7 +209,7 @@ Netlist::flatten(const Module &m, const std::string &prefix)
             NetId root = newNet(std::move(n));
             _signals[child_prefix + port] = {NetSignal::Kind::Wire,
                                              root, w};
-            _names[root] = child_prefix + port;
+            _names[static_cast<size_t>(root)] = child_prefix + port;
             _pending_wires.push_back({root, expr, prefix});
         }
         // Child outputs: alias parent names to child signals.
@@ -256,7 +258,7 @@ Netlist::compile(const ExprPtr &e, const std::string &scope)
             n.width = e->width;
             n.lazy = true;
             id = newNet(std::move(n));
-            _names[id] = flat;
+            _names[static_cast<size_t>(id)] = flat;
         } else if (it->second.width == e->width) {
             id = it->second.net;
         } else {
@@ -334,102 +336,170 @@ Netlist::compile(const ExprPtr &e, const std::string &scope)
     return id;
 }
 
+namespace {
+
+/**
+ * The consumer edges of `nets` as a CSR built from their operands:
+ * the nets i accepted by `keep` that read net o are
+ * edges[begin[o] .. begin[o + 1]), in ascending i, a net's reads of
+ * one operand side by side.
+ */
+template <typename Keep>
+void
+consumerCsr(const std::vector<Net> &nets, Keep keep,
+            std::vector<int32_t> &begin, std::vector<NetId> &edges)
+{
+    size_t count = nets.size();
+    begin.assign(count + 1, 0);
+    for (size_t i = 0; i < count; i++)
+        if (keep(i))
+            Netlist::forEachOperand(nets[i], [&](NetId o) {
+                begin[static_cast<size_t>(o) + 1]++;
+            });
+    for (size_t i = 1; i <= count; i++)
+        begin[i] += begin[i - 1];
+    edges.resize(static_cast<size_t>(begin[count]));
+    std::vector<int32_t> cursor(begin.begin(), begin.end() - 1);
+    for (size_t i = 0; i < count; i++)
+        if (keep(i))
+            Netlist::forEachOperand(nets[i], [&](NetId o) {
+                edges[static_cast<size_t>(
+                    cursor[static_cast<size_t>(o)]++)] =
+                    static_cast<NetId>(i);
+            });
+}
+
+} // namespace
+
 void
 Netlist::levelize()
 {
     size_t count = _nets.size();
     std::vector<int32_t> indeg(count, 0);
-    std::vector<std::vector<NetId>> consumers(count);
     std::vector<uint8_t> tainted(count, 0);
-
     for (size_t i = 0; i < count; i++) {
         const Net &n = _nets[i];
-        if (n.kind == Net::Kind::BadRef)
-            tainted[i] = 1;
-        forEachOperand(n, [&](NetId o) {
-            indeg[i]++;
-            consumers[static_cast<size_t>(o)].push_back(
-                static_cast<NetId>(i));
-        });
+        tainted[i] = n.kind == Net::Kind::BadRef;
+        forEachOperand(n, [&](NetId) { indeg[i]++; });
     }
+    std::vector<int32_t> cons_begin;
+    std::vector<NetId> cons;
+    consumerCsr(_nets, [](size_t) { return true; }, cons_begin, cons);
 
     std::vector<NetId> queue;
     for (size_t i = 0; i < count; i++)
         if (indeg[i] == 0)
             queue.push_back(static_cast<NetId>(i));
-
-    size_t popped = 0;
-    while (popped < queue.size()) {
-        NetId o = queue[popped++];
-        const Net &on = _nets[static_cast<size_t>(o)];
-        for (NetId ci : consumers[static_cast<size_t>(o)]) {
-            Net &cn = _nets[static_cast<size_t>(ci)];
-            cn.level = std::max(cn.level, on.level + 1);
-            tainted[static_cast<size_t>(ci)] =
-                static_cast<uint8_t>(
-                    tainted[static_cast<size_t>(ci)] |
-                    tainted[static_cast<size_t>(o)]);
-            if (--indeg[static_cast<size_t>(ci)] == 0)
-                queue.push_back(ci);
+    for (size_t popped = 0; popped < queue.size(); popped++) {
+        size_t o = static_cast<size_t>(queue[popped]);
+        for (int32_t k = cons_begin[o]; k < cons_begin[o + 1]; k++) {
+            size_t ci = static_cast<size_t>(cons[static_cast<size_t>(k)]);
+            tainted[ci] = static_cast<uint8_t>(tainted[ci] | tainted[o]);
+            if (--indeg[ci] == 0)
+                queue.push_back(static_cast<NetId>(ci));
         }
     }
 
     // Unpopped nodes sit on (or behind) a combinational cycle; they
     // and anything tainted by a bad reference fall back to the lazy
     // evaluator, which reproduces the reference fault behaviour.
-    int32_t max_level = 0;
-    std::vector<std::pair<int32_t, NetId>> strict;
-    for (size_t i = 0; i < count; i++) {
-        Net &n = _nets[i];
+    for (size_t i = 0; i < count; i++)
         if (indeg[i] != 0 || tainted[i])
-            n.lazy = true;
-        if (!n.lazy && isCompute(n.kind)) {
-            strict.emplace_back(n.level, static_cast<NetId>(i));
-            max_level = std::max(max_level, n.level);
-        }
-    }
-    std::sort(strict.begin(), strict.end());
+            _nets[i].lazy = true;
 
-    _order.reserve(strict.size());
-    _level_begin.assign(static_cast<size_t>(max_level) + 2, 0);
-    for (const auto &[level, id] : strict) {
-        _order.push_back(id);
-        _level_begin[static_cast<size_t>(level) + 1]++;
+    // Renames.  A strict Copy at its operand's width equals that
+    // operand, which is a strict net, a source or a constant, so
+    // every reader is redirected to the operand and the Copy leaves
+    // the sweep.  Kahn's order resolves an operand before its
+    // readers, so chains collapse in the same pass that relevels.
+    // A collapsed Copy stays in nets() as an unread lazy node; its
+    // name moves to its target unless the target has one.
+    std::vector<NetId> alias(count);
+    std::iota(alias.begin(), alias.end(), 0);
+    auto redirect = [&](NetId &o) {
+        if (o != kNoNet)
+            o = alias[static_cast<size_t>(o)];
+    };
+    auto redirectOperands = [&](Net &n) {
+        redirect(n.a);
+        redirect(n.b);
+        redirect(n.c);
+        for (NetId &o : n.cargs)
+            redirect(o);
+    };
+    int32_t max_level = 0;
+    for (NetId id : queue) {
+        Net &n = _nets[static_cast<size_t>(id)];
+        redirectOperands(n);
+        if (!n.lazy && n.kind == Net::Kind::Copy &&
+            _nets[static_cast<size_t>(n.a)].width == n.width) {
+            alias[static_cast<size_t>(id)] = n.a;
+            n.lazy = true;
+            std::string &to = _names[static_cast<size_t>(n.a)];
+            std::string &from = _names[static_cast<size_t>(id)];
+            if (to.empty())
+                to.swap(from);
+            from.clear();
+            continue;
+        }
+        n.level = 0;
+        forEachOperand(n, [&](NetId o) {
+            n.level = std::max(n.level,
+                               _nets[static_cast<size_t>(o)].level + 1);
+        });
+        if (!n.lazy && isCompute(n.kind))
+            max_level = std::max(max_level, n.level);
     }
+    for (size_t i = 0; i < count; i++)
+        if (indeg[i] != 0)
+            redirectOperands(_nets[i]);
+    for (auto &[name, sig] : _signals)
+        redirect(sig.net);
+    for (NetId &w : _wire_nets)
+        redirect(w);
+    for (auto &[key, id] : _expr_cache)
+        redirect(id);
+    for (NetUpdate &u : _updates) {
+        redirect(u.enable);
+        redirect(u.value);
+    }
+    for (NetPrint &p : _prints) {
+        redirect(p.enable);
+        redirect(p.value);
+    }
+
+    // The strict order by level, ties by id (a counting sort).
+    auto strict = [this](size_t i) {
+        return !_nets[i].lazy && isCompute(_nets[i].kind);
+    };
+    _level_begin.assign(static_cast<size_t>(max_level) + 2, 0);
+    for (size_t i = 0; i < count; i++)
+        if (strict(i))
+            _level_begin[static_cast<size_t>(_nets[i].level) + 1]++;
     for (size_t l = 1; l < _level_begin.size(); l++)
         _level_begin[l] += _level_begin[l - 1];
+    _order.resize(static_cast<size_t>(_level_begin.back()));
+    std::vector<int32_t> cursor(_level_begin.begin(),
+                                _level_begin.end() - 1);
+    for (size_t i = 0; i < count; i++)
+        if (strict(i))
+            _order[static_cast<size_t>(
+                cursor[static_cast<size_t>(_nets[i].level)]++)] =
+                static_cast<NetId>(i);
 
     // Fan-out CSR over strict consumers only: the edge list the
-    // event-driven sweep follows when a net's value changes.  The
-    // `consumers` adjacency above includes lazy nodes; those are
-    // evaluated by the recursive walk, which never consults the
-    // dirty sets, so they are dropped here.
-    _fanout_begin.assign(count + 1, 0);
-    for (size_t i = 0; i < count; i++)
-        for (NetId ci : consumers[i]) {
-            const Net &cn = _nets[static_cast<size_t>(ci)];
-            if (!cn.lazy && isCompute(cn.kind))
-                _fanout_begin[i + 1]++;
-        }
-    for (size_t i = 1; i < _fanout_begin.size(); i++)
-        _fanout_begin[i] += _fanout_begin[i - 1];
-    _fanout.resize(static_cast<size_t>(_fanout_begin[count]));
-    std::vector<int32_t> cursor(_fanout_begin.begin(),
-                                _fanout_begin.end() - 1);
-    for (size_t i = 0; i < count; i++)
-        for (NetId ci : consumers[i]) {
-            const Net &cn = _nets[static_cast<size_t>(ci)];
-            if (!cn.lazy && isCompute(cn.kind))
-                _fanout[static_cast<size_t>(cursor[i]++)] = ci;
-        }
+    // event-driven sweep follows when a net's value changes.  Lazy
+    // nodes are evaluated by the recursive walk, which never consults
+    // the dirty sets, so they are left out.
+    consumerCsr(_nets, strict, _fanout_begin, _fanout);
 }
 
 const std::string &
 Netlist::nameOf(NetId id) const
 {
     static const std::string empty;
-    auto it = _names.find(id);
-    return it == _names.end() ? empty : it->second;
+    size_t i = static_cast<size_t>(id);
+    return i < _names.size() ? _names[i] : empty;
 }
 
 uint64_t

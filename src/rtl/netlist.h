@@ -12,6 +12,13 @@
  * per-node logic level) so a simulation step is a dense per-level
  * sweep over index arrays.
  *
+ * Each named wire starts as a Copy of its driver.  A strict Copy at
+ * its operand's width is a rename, so levelization collapses it into
+ * that operand — a strict node, a source or a constant: every reader,
+ * update, print and signals() entry points at the operand, which takes
+ * the wire's name unless it has one.  Several names can then share one
+ * net, and a wire's net may be an input, a register or a constant.
+ *
  * Structural cycles and unresolved references cannot always be
  * rejected eagerly: the reference interpreter only faults when an
  * evaluation actually reaches them (a loop hidden behind an untaken
@@ -19,6 +26,8 @@
  * reference are therefore marked `lazy` and evaluated by a recursive
  * short-circuiting walk that reproduces the reference semantics
  * exactly, including "combinational loop through <name>" faults.
+ * Lazy Copies are never collapsed, so a named wire on a cycle keeps
+ * its own net and the walk's loop guard.
  */
 
 #ifndef ANVIL_RTL_NETLIST_H
@@ -122,7 +131,7 @@ class Netlist
     /** Initial value of every node (register init, zeros, consts). */
     const std::vector<BitVec> &initValues() const { return _init; }
 
-    /** Strict combinational nodes in evaluation order. */
+    /** Strict combinational nodes in evaluation order (no renames). */
     const std::vector<NetId> &order() const { return _order; }
 
     /** order()[level_begin[l] .. level_begin[l+1]) is level l. */
@@ -156,13 +165,16 @@ class Netlist
     /** Lazy nodes the clock edge must evaluate every cycle. */
     const std::vector<NetId> &lazyRoots() const { return _lazy_roots; }
 
-    /** Flat signal name -> interned signal (sorted by name). */
+    /** Flat signal name -> interned signal (sorted by name); renames
+     *  share their driver's net. */
     const std::map<std::string, NetSignal> &signals() const
     {
         return _signals;
     }
 
-    /** Toggle-counted wire nodes, one entry per named wire. */
+    /** Each named wire's net, one entry per wire: a net shared by
+     *  several names repeats, and a rename's net may be a source or a
+     *  constant. */
     const std::vector<NetId> &wireNets() const { return _wire_nets; }
 
     /** Register nodes in name order. */
@@ -192,7 +204,8 @@ class Netlist
      */
     NetId compile(const ExprPtr &e, const std::string &scope);
 
-    /** Debug name of a node ("" for anonymous expression nodes). */
+    /** Debug name of a node: a source's own name, or the name of
+     *  the first wire collapsed into it ("" for anonymous nodes). */
     const std::string &nameOf(NetId id) const;
 
     /**
@@ -254,7 +267,7 @@ class Netlist
     std::vector<NetId> _regs;
     std::vector<NetUpdate> _updates;
     std::vector<NetPrint> _prints;
-    std::map<NetId, std::string> _names;
+    std::vector<std::string> _names;   // per net; "" if anonymous
     std::map<std::pair<const Expr *, std::string>, NetId> _expr_cache;
     std::vector<PendingWire> _pending_wires;
     std::vector<PendingUpdate> _pending_updates;

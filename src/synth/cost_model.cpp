@@ -235,8 +235,10 @@ class Analyzer
             return;  // consts, sources, copies, slices, concats free
         }
         // Common-subexpression elimination: structurally identical
-        // cones synthesize to one instance (named wires are Copy
-        // roots and free, so counted nodes are always anonymous).
+        // cones synthesize to one instance.  A counted node hashes by
+        // its structure even when a rename moved a wire's name onto
+        // it; the name only makes it a leaf in its readers' hashes,
+        // as the wire's Copy was.
         if (!_counted.insert(hashOf(nl, id)).second)
             return;
         _report.comb_area_um2 += ge * kUm2PerGe;

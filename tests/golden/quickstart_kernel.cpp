@@ -37,84 +37,60 @@ static __attribute__((noinline)) void onChange(AnvilFrame *f, int32_t id)
 static uint64_t lvl_d_1(AnvilFrame *f)
 {
     uint64_t *s = f->s, ev = 0;
-    // n11 w8 t0_val0
-    { ev++; uint64_t r = s[0]; r &= 0xffull; uint64_t *p = &s[11]; if (*p != r) { *p = r; onChange(f, 11); } }
-    // n12 w1 t0_ev2
-    { ev++; uint64_t r = s[6]; r &= 0x1ull; uint64_t *p = &s[12]; if (*p != r) { *p = r; onChange(f, 12); } }
-    // n14 w1 t0_ev4
-    { ev++; uint64_t r = s[8]; r &= 0x1ull; uint64_t *p = &s[14]; if (*p != r) { *p = r; onChange(f, 14); } }
     // n18 w1
     { ev++; uint64_t r = ~s[4]; r &= 0x1ull; uint64_t *p = &s[18]; if (*p != r) { *p = r; onChange(f, 18); } }
+    // n22 w1
+    { ev++; uint64_t r = s[7] | s[6]; r &= 0x1ull; uint64_t *p = &s[22]; if (*p != r) { *p = r; onChange(f, 22); } }
+    // n36 w8
+    { ev++; uint64_t r = (s[0] & 0xffull) + (0x1ull & 0xffull); r &= 0xffull; uint64_t *p = &s[36]; if (*p != r) { *p = r; onChange(f, 36); } }
     return ev;
 }
 
 static uint64_t lvl_d_2(AnvilFrame *f)
 {
     uint64_t *s = f->s, ev = 0;
-    // n19 w1
-    { ev++; uint64_t r = s[18] | s[14]; r &= 0x1ull; uint64_t *p = &s[19]; if (*p != r) { *p = r; onChange(f, 19); } }
-    // n22 w1
-    { ev++; uint64_t r = s[7] | s[12]; r &= 0x1ull; uint64_t *p = &s[22]; if (*p != r) { *p = r; onChange(f, 22); } }
-    // n36 w8
-    { ev++; uint64_t r = (s[11] & 0xffull) + (0x1ull & 0xffull); r &= 0xffull; uint64_t *p = &s[36]; if (*p != r) { *p = r; onChange(f, 36); } }
+    // n19 w1 t0_ev0
+    { ev++; uint64_t r = s[18] | s[8]; r &= 0x1ull; uint64_t *p = &s[19]; if (*p != r) { *p = r; onChange(f, 19); } }
+    // n23 w1 t0_ev3
+    { ev++; uint64_t r = s[22] & s[2]; r &= 0x1ull; uint64_t *p = &s[23]; if (*p != r) { *p = r; onChange(f, 23); } }
+    // n27 w8 io_pong_data
+    { ev++; uint64_t r = s[22] ? s[3] : 0x0ull; r &= 0xffull; uint64_t *p = &s[27]; if (*p != r) { *p = r; onChange(f, 27); } }
+    // n29 w1 io_pong_valid
+    { ev++; uint64_t r = 0x0ull | s[22]; r &= 0x1ull; uint64_t *p = &s[29]; if (*p != r) { *p = r; onChange(f, 29); } }
     return ev;
 }
 
 static uint64_t lvl_d_3(AnvilFrame *f)
 {
     uint64_t *s = f->s, ev = 0;
-    // n9 w1 t0_ev0
-    { ev++; uint64_t r = s[19]; r &= 0x1ull; uint64_t *p = &s[9]; if (*p != r) { *p = r; onChange(f, 9); } }
-    // n23 w1
-    { ev++; uint64_t r = s[22] & s[2]; r &= 0x1ull; uint64_t *p = &s[23]; if (*p != r) { *p = r; onChange(f, 23); } }
-    // n27 w8
-    { ev++; uint64_t r = s[22] ? s[3] : 0x0ull; r &= 0xffull; uint64_t *p = &s[27]; if (*p != r) { *p = r; onChange(f, 27); } }
-    // n29 w1
-    { ev++; uint64_t r = 0x0ull | s[22]; r &= 0x1ull; uint64_t *p = &s[29]; if (*p != r) { *p = r; onChange(f, 29); } }
+    // n20 w1
+    { ev++; uint64_t r = s[5] | s[19]; r &= 0x1ull; uint64_t *p = &s[20]; if (*p != r) { *p = r; onChange(f, 20); } }
+    // n39 w1
+    { ev++; uint64_t r = ~s[23]; r &= 0x1ull; uint64_t *p = &s[39]; if (*p != r) { *p = r; onChange(f, 39); } }
     return ev;
 }
 
 static uint64_t lvl_d_4(AnvilFrame *f)
 {
     uint64_t *s = f->s, ev = 0;
-    // n13 w1 t0_ev3
-    { ev++; uint64_t r = s[23]; r &= 0x1ull; uint64_t *p = &s[13]; if (*p != r) { *p = r; onChange(f, 13); } }
-    // n16 w8 io_pong_data
-    { ev++; uint64_t r = s[27]; r &= 0xffull; uint64_t *p = &s[16]; if (*p != r) { *p = r; onChange(f, 16); } }
-    // n17 w1 io_pong_valid
-    { ev++; uint64_t r = s[29]; r &= 0x1ull; uint64_t *p = &s[17]; if (*p != r) { *p = r; onChange(f, 17); } }
-    // n20 w1
-    { ev++; uint64_t r = s[5] | s[9]; r &= 0x1ull; uint64_t *p = &s[20]; if (*p != r) { *p = r; onChange(f, 20); } }
-    // n39 w1
-    { ev++; uint64_t r = ~s[23]; r &= 0x1ull; uint64_t *p = &s[39]; if (*p != r) { *p = r; onChange(f, 39); } }
-    return ev;
-}
-
-static uint64_t lvl_d_5(AnvilFrame *f)
-{
-    uint64_t *s = f->s, ev = 0;
-    // n21 w1
+    // n21 w1 t0_ev1
     { ev++; uint64_t r = s[20] & s[1]; r &= 0x1ull; uint64_t *p = &s[21]; if (*p != r) { *p = r; onChange(f, 21); } }
-    // n25 w1
+    // n25 w1 io_ping_ack
     { ev++; uint64_t r = 0x0ull | s[20]; r &= 0x1ull; uint64_t *p = &s[25]; if (*p != r) { *p = r; onChange(f, 25); } }
     // n40 w1
     { ev++; uint64_t r = s[22] & s[39]; r &= 0x1ull; uint64_t *p = &s[40]; if (*p != r) { *p = r; onChange(f, 40); } }
     return ev;
 }
 
-static uint64_t lvl_d_6(AnvilFrame *f)
+static uint64_t lvl_d_5(AnvilFrame *f)
 {
     uint64_t *s = f->s, ev = 0;
-    // n10 w1 t0_ev1
-    { ev++; uint64_t r = s[21]; r &= 0x1ull; uint64_t *p = &s[10]; if (*p != r) { *p = r; onChange(f, 10); } }
-    // n15 w1 io_ping_ack
-    { ev++; uint64_t r = s[25]; r &= 0x1ull; uint64_t *p = &s[15]; if (*p != r) { *p = r; onChange(f, 15); } }
     // n33 w1
     { ev++; uint64_t r = ~s[21]; r &= 0x1ull; uint64_t *p = &s[33]; if (*p != r) { *p = r; onChange(f, 33); } }
     return ev;
 }
 
-static uint64_t lvl_d_7(AnvilFrame *f)
+static uint64_t lvl_d_6(AnvilFrame *f)
 {
     uint64_t *s = f->s, ev = 0;
     // n34 w1
@@ -122,14 +98,14 @@ static uint64_t lvl_d_7(AnvilFrame *f)
     return ev;
 }
 
-static const AnvilLevelFn kDense[8] = {
+static const AnvilLevelFn kDense[7] = {
     0, lvl_d_1, lvl_d_2, lvl_d_3,
-    lvl_d_4, lvl_d_5, lvl_d_6, lvl_d_7,
+    lvl_d_4, lvl_d_5, lvl_d_6,
 };
 
 static const AnvilKernel kKernel = {
-    6u, 42u, 0xdc86a9e7102982f5ull, 42ull,
-    8u, kDense,
+    6u, 42u, 0x3dcce34e29ebb5a3ull, 42ull,
+    7u, kDense,
 };
 
 } // namespace

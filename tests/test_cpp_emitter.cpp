@@ -291,16 +291,14 @@ TEST(CppEmitter, JitRoundTripMatchesInterpreter)
         EXPECT_EQ(ra[i].toHex(), rb[i].toHex());
     EXPECT_EQ(interp.log(), compiled.log());
 
-    // The kernel's own scheduling counters, as recorded before the
-    // unreachable sparse drains were dropped: the small levels that
-    // now call their dense body directly took exactly that path.
+    // The kernel's own scheduling counters, over the netlist with its
+    // renames collapsed into their drivers.
     const SweepStats &st = compiled.sweepStats();
-    EXPECT_EQ(st.nodes_evaluated, 4371u);
+    EXPECT_EQ(st.nodes_evaluated, 2654u);
     EXPECT_EQ(st.kernel_dense_frames, 101u);
     EXPECT_EQ(st.kernel_fallback_switches, 66u);
     EXPECT_EQ(compiled.kernelLevelEvals(),
-              (std::vector<uint64_t>{0, 800, 600, 736, 835, 600, 600,
-                                     200}));
+              (std::vector<uint64_t>{0, 600, 736, 334, 600, 184, 200}));
 }
 
 TEST(CppEmitter, KernelReportsPerLevelEvals)

@@ -6,8 +6,9 @@
  * plus targeted regressions for child-output alias peeks, lazy
  * (cycle-tolerant) evaluation, and netlist structure, the host
  * executor's node records checked one by one against the BitVec
- * operators, and the host's scheduling of a dense-only unit (an
- * in-process stand-in, so no compiler is needed).
+ * operators, the host's scheduling of a dense-only unit (an
+ * in-process stand-in, so no compiler is needed), and renames, which
+ * share their driver's net.
  */
 
 #include <gtest/gtest.h>
@@ -550,14 +551,14 @@ expectExecutorMatches(SweepMode mode)
     ExecFixture fx;
     Sim sim(fx.mod);
     sim.setSweepMode(mode);
-    // Every wire is a strict net on the executor; wide cases take the
-    // wide lane.
+    // Every wire is a strict net on the executor, or the input it
+    // renames; wide cases take the wide lane.
     const Netlist &nl = sim.netlist();
     size_t wide = 0;
     for (const ExecCase &c : fx.cases) {
-        NetId id = nl.signals().at(c.name).net;
-        ASSERT_FALSE(nl.net(id).lazy) << c.name;
-        wide += !nl.net(nl.net(id).a).fast;
+        const Net &n = nl.net(nl.signals().at(c.name).net);
+        ASSERT_FALSE(n.lazy) << c.name;
+        wide += n.kind != Net::Kind::Input && !n.fast;
     }
     EXPECT_GT(wide, fx.cases.size() / 3);
 
@@ -806,6 +807,238 @@ TEST(DenseOnlyUnit, MatchesTheExecutorAndRefSim)
         expectUnitMatches(mod, 60, [&](int, const std::string &) {
             return r() % 4 ? r() : uint64_t(0);
         });
+    }
+}
+
+// --- Renames -----------------------------------------------------------
+
+/**
+ * Every kind of rename in one module: a chain w3 = w2 = w1 = a & b,
+ * two wires over one expression (p, q), wires renaming an input, a
+ * register, a constant, a 100-bit input and a 100-bit net, and a named
+ * wire on a mux-guarded combinational cycle with a rename of its own.
+ * An update and a print read renames directly.
+ */
+ModulePtr
+renameModule()
+{
+    auto m = std::make_shared<Module>();
+    m->name = "renames";
+    auto a = m->input("a", 8);
+    auto b = m->input("b", 8);
+    auto sel = m->input("sel", 1);
+    auto d = m->input("d", 100);
+    auto r = m->reg("r", 8, 3);
+    m->reg("acc", 100);
+    m->reg("hold", 8);
+    auto w1 = m->wire("w1", a & b);
+    auto w2 = m->wire("w2", w1);
+    auto w3 = m->wire("w3", w2);
+    ExprPtr x = a ^ r;
+    auto p = m->wire("p", x);
+    auto q = m->wire("q", x);
+    auto ren_a = m->wire("ren_a", a);
+    auto ren_r = m->wire("ren_r", r);
+    auto ren_k = m->wire("ren_k", cst(8, 0x5a));
+    auto ren_d = m->wire("ren_d", d);
+    auto wide = m->wire("wide", d + ren_d);
+    auto ren_wide = m->wire("ren_wide", wide);
+    auto loop = m->wire("loop", mux(sel, cst(8, 42), ref("loop", 8)));
+    m->wire("ren_loop", loop);
+    m->update("r", cst(1, 1), w3 + q + ren_r + ren_k + loop);
+    m->update("acc", ne(p, ren_a), ren_wide ^ concat({w2, ren_d}));
+    m->update("hold", ren_k, w3);
+    m->print(slice(p, 0, 1), "p odd", q);
+    return m;
+}
+
+TEST(Renames, CollapseIntoTheirDrivers)
+{
+    ModulePtr mod = renameModule();
+    Netlist nl(*mod);
+    const auto &sig = nl.signals();
+    auto netOf = [&](const char *name) { return sig.at(name).net; };
+    // Chains and shared expressions land on one strict net, which
+    // takes the first name; renames of sources and constants become
+    // the source or the constant.
+    EXPECT_EQ(netOf("w2"), netOf("w1"));
+    EXPECT_EQ(netOf("w3"), netOf("w1"));
+    EXPECT_EQ(nl.net(netOf("w1")).kind, Net::Kind::Binop);
+    EXPECT_EQ(nl.nameOf(netOf("w1")), "w1");
+    EXPECT_EQ(netOf("q"), netOf("p"));
+    EXPECT_EQ(nl.nameOf(netOf("p")), "p");
+    EXPECT_EQ(netOf("ren_a"), netOf("a"));
+    EXPECT_EQ(netOf("ren_r"), netOf("r"));
+    EXPECT_EQ(netOf("ren_d"), netOf("d"));
+    EXPECT_EQ(nl.nameOf(netOf("ren_r")), "r");
+    EXPECT_EQ(nl.net(netOf("ren_k")).kind, Net::Kind::Const);
+    EXPECT_EQ(netOf("ren_wide"), netOf("wide"));
+    EXPECT_EQ(nl.net(netOf("wide")).width, 100);
+    EXPECT_FALSE(nl.net(netOf("wide")).fast);
+    // The wire on the cycle and its rename stay lazy Copies, so the
+    // lazy walk guards them by name.
+    for (const char *name : {"loop", "ren_loop"}) {
+        const Net &n = nl.net(netOf(name));
+        EXPECT_EQ(n.kind, Net::Kind::Copy) << name;
+        EXPECT_TRUE(n.lazy) << name;
+        EXPECT_EQ(nl.nameOf(netOf(name)), name);
+    }
+    // The order keeps no rename, and no strict node reads a lazy net
+    // (a collapsed Copy is one).
+    for (NetId id : nl.order()) {
+        const Net &n = nl.net(id);
+        EXPECT_FALSE(n.kind == Net::Kind::Copy &&
+                     nl.net(n.a).width == n.width)
+            << "n" << id;
+        Netlist::forEachOperand(n, [&](NetId o) {
+            EXPECT_FALSE(nl.net(o).lazy) << "n" << id << " reads n" << o;
+        });
+    }
+    // Updates and prints read the drivers too, so the edge refreshes
+    // only the cycle's lazy nets: its two wires and r's next value.
+    EXPECT_EQ(nl.lazyRoots().size(), 3u);
+    EXPECT_EQ(nl.updates().back().enable, netOf("ren_k"));
+    EXPECT_EQ(nl.updates().back().value, netOf("w1"));
+    EXPECT_EQ(nl.prints().back().value, netOf("p"));
+    // The expression cache too: an ad-hoc read of hold's value
+    // expression (the Ref w3) resolves to w1's net.
+    Sim sim(mod);
+    EXPECT_EQ(sim.topNet(mod->updates.back().value), netOf("w1"));
+    // Toggle rows: one per net, counting each name it carries.
+    const KernelLayout &L = *nl.layout();
+    auto namesOn = [&](const char *name) {
+        int32_t row = L.wire_of[static_cast<size_t>(netOf(name))];
+        return row < 0 ? 0u : L.wires[static_cast<size_t>(row)].names;
+    };
+    EXPECT_EQ(namesOn("w1"), 3u);
+    EXPECT_EQ(namesOn("p"), 2u);
+    EXPECT_EQ(namesOn("a"), 1u);
+    EXPECT_EQ(namesOn("wide"), 2u);
+    EXPECT_EQ(namesOn("loop"), 1u);
+}
+
+/** Step an executor Sim, a fake-unit Sim and RefSim in lockstep on
+ *  the rename module: every name's peek, the changed lists, the
+ *  registers, the toggles and the logs must agree; then the cycle is
+ *  taken and all three fault with one message. */
+TEST(Renames, MatchTheExecutorTheUnitAndRefSim)
+{
+    ModulePtr mod = renameModule();
+    Sim exec(mod), unit(mod);
+    RefSim ref(mod);
+    FakeUnit fake(unit.netlist());
+    ASSERT_TRUE(unit.attachKernel(fake.ref()));
+    std::vector<std::string> names;
+    for (const auto &[name, s] : exec.netlist().signals())
+        names.push_back(name);
+    std::mt19937_64 rng(31);
+    for (int cyc = 0; cyc < 200; cyc++) {
+        // Hold some inputs, so sparse frames drain partial levels.
+        for (const char *in : {"a", "b"})
+            if (rng() % 3) {
+                uint64_t v = rng() % 5 ? rng() : 0;
+                exec.setInput(in, v);
+                unit.setInput(in, v);
+                ref.setInput(in, v);
+            }
+        if (rng() % 2) {
+            BitVec d(100, rng());
+            d = d.concatHigh(BitVec(36, rng())).resize(100);
+            exec.setInput("d", d);
+            unit.setInput("d", d);
+            ref.setInput("d", d);
+        }
+        for (Sim *s : {&exec, &unit})
+            s->setInput("sel", 1);
+        ref.setInput("sel", 1);
+        ASSERT_EQ(unit.changedNets(), exec.changedNets()) << "@" << cyc;
+        for (const std::string &n : names) {
+            BitVec want = ref.peek(n);
+            ASSERT_EQ(exec.peek(n), want) << n << " @" << cyc;
+            ASSERT_EQ(unit.peek(n), want) << n << " @" << cyc;
+        }
+        exec.step();
+        unit.step();
+        ref.step();
+        ASSERT_EQ(exec.totalToggles(), ref.totalToggles()) << "@" << cyc;
+        ASSERT_EQ(unit.totalToggles(), ref.totalToggles()) << "@" << cyc;
+        for (const std::string &r : ref.regNames()) {
+            ASSERT_EQ(exec.regValue(r), ref.regValue(r)) << r;
+            ASSERT_EQ(unit.regValue(r), ref.regValue(r)) << r;
+        }
+    }
+    EXPECT_FALSE(ref.log().empty());
+    EXPECT_EQ(exec.log(), ref.log());
+    EXPECT_EQ(unit.log(), ref.log());
+    EXPECT_GT(unit.sweepStats().kernel_frames, 0u);
+
+    // Taking the cyclic branch faults in the lazy walk, as in RefSim.
+    auto fault = [](const std::function<void()> &f) {
+        try {
+            f();
+        } catch (const std::runtime_error &e) {
+            return std::string(e.what());
+        }
+        return std::string("no fault");
+    };
+    exec.setInput("sel", 0);
+    unit.setInput("sel", 0);
+    ref.setInput("sel", 0);
+    for (const char *n : {"loop", "ren_loop"}) {
+        std::string want = fault([&] { ref.peek(n); });
+        EXPECT_EQ(want, "combinational loop through loop") << n;
+        EXPECT_EQ(fault([&] { exec.peek(n); }), want) << n;
+        EXPECT_EQ(fault([&] { unit.peek(n); }), want) << n;
+    }
+    std::string want = fault([&] { ref.step(); });
+    EXPECT_EQ(fault([&] { exec.step(); }), want);
+    EXPECT_EQ(fault([&] { unit.step(); }), want);
+}
+
+TEST(Renames, NoDesignKeepsARenameInTheSweep)
+{
+    std::vector<std::pair<std::string, ModulePtr>> mods = {
+        {"mmu_tlb", designs::buildTlbBaseline()},
+        {"mmu_ptw", designs::buildPtwBaseline()},
+        {"axi_demux", designs::buildAxiDemuxBaseline()},
+        {"axi_mux", designs::buildAxiMuxBaseline()},
+        {"aes", designs::buildAesBaseline()},
+        {"axi_xbar_4x4", designs::buildAxiXbarBaseline(4, 4)},
+        {"axi_xbar_8x8", designs::buildAxiXbarBaseline(8, 8)},
+        {"tlb_4w64s", designs::buildSetAssocTlbBaseline(4, 64)},
+    };
+    const std::pair<const char *, std::string (*)()> sources[] = {
+        {"fifo", designs::anvilFifoSource},
+        {"spill_reg", designs::anvilSpillRegSource},
+        {"stream_fifo", designs::anvilStreamFifoSource},
+        {"tlb", designs::anvilTlbSource},
+        {"ptw", designs::anvilPtwSource},
+        {"aes", designs::anvilAesSource},
+        {"axi_demux", designs::anvilAxiDemuxSource},
+        {"axi_mux", designs::anvilAxiMuxSource},
+        {"alu", designs::anvilPipelinedAluSource},
+        {"systolic", designs::anvilSystolicSource},
+        {"top_unsafe", designs::anvilTopUnsafeSource},
+        {"top_safe", designs::anvilTopSafeSource},
+        {"encrypt", designs::anvilEncryptSource},
+        {"listing1", designs::anvilListing1Source},
+        {"listing2", designs::anvilListing2Source},
+    };
+    for (const auto &[name, text] : sources) {
+        // top_unsafe fails the type check on purpose; it still
+        // elaborates.
+        CompileOutput out = compileAnvil(text());
+        mods.emplace_back(name, out.module(out.top));
+    }
+    for (const auto &[name, mod] : mods) {
+        ASSERT_NE(mod, nullptr) << name;
+        Netlist nl(*mod);
+        for (NetId id : nl.order()) {
+            const Net &n = nl.net(id);
+            ASSERT_FALSE(n.kind == Net::Kind::Copy &&
+                         nl.net(n.a).width == n.width)
+                << name << " n" << id << " " << nl.nameOf(id);
+        }
     }
 }
 
