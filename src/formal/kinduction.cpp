@@ -6,6 +6,7 @@
 
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "rtl/interp.h"
 #include "rtl/vcd.h"
 #include "support/hash.h"
 #include "support/strings.h"
@@ -509,7 +510,6 @@ prove(const InstrumentedDesign &design, const ProveOptions &opts)
         return result;
 
     rtl::Sim sim(design.module);
-    sim.setSweepMode(opts.sweep_mode);
     const rtl::Netlist &nl = sim.netlist();
     std::vector<uint64_t> reset(sim.regWords());
     sim.packRegs(reset.data());
@@ -680,11 +680,9 @@ prove(const InstrumentedDesign &design, const ProveOptions &opts)
 
 void
 writeCexVcd(const InstrumentedDesign &design,
-            const ObligationOutcome &outcome, std::ostream &os,
-            rtl::SweepMode mode)
+            const ObligationOutcome &outcome, std::ostream &os)
 {
     rtl::Sim sim(design.module);
-    sim.setSweepMode(mode);
     for (const auto &in : sim.inputNames())
         sim.setInput(in, 0);
     rtl::VcdWriter writer(sim, os);

@@ -47,7 +47,6 @@
 #include <vector>
 
 #include "formal/property.h"
-#include "rtl/interp.h"
 
 namespace anvil {
 
@@ -73,10 +72,6 @@ struct ProveOptions
     int max_state_bits = 22;
     /** Budget on simulation steps across base + induction. */
     uint64_t max_steps = 4000000;
-    /** Sweep strategy of the underlying simulator; Dirty and the
-     *  force-dense Full prove identical verdicts (pinned by
-     *  tests/test_formal_prove). */
-    rtl::SweepMode sweep_mode = rtl::SweepMode::Dirty;
     /** Optional telemetry sinks (both may be null; the prover then
      *  takes no clock reads for them).  Each obligation's base-case
      *  and per-k induction windows land on a "prove:<name>" profiler
@@ -168,12 +163,10 @@ ProveResult prove(const InstrumentedDesign &design,
  * run as VCD (rtl::VcdWriter format: every named signal, monitor
  * blocks included).  The dump's final frame shows the violation, so
  * `anvilc --check-trace` flags the same contract at the same cycle,
- * and `--replay` re-executes it.  Bytes are identical across sweep
- * modes.
+ * and `--replay` re-executes it.
  */
 void writeCexVcd(const InstrumentedDesign &design,
-                 const ObligationOutcome &outcome, std::ostream &os,
-                 rtl::SweepMode mode = rtl::SweepMode::Dirty);
+                 const ObligationOutcome &outcome, std::ostream &os);
 
 } // namespace formal
 } // namespace anvil

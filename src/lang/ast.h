@@ -159,6 +159,9 @@ struct Term
     // Children: Let/Set/Send(1: rhs), If(3: cond,then,else or 2),
     // Binop(2), Unop(1), Wait(2), Join(2), Slice(1).
     std::vector<TermPtr> kids;
+    /** Levels in the tree rooted here, 1 for a leaf; the parser
+     *  builds none deeper than kMaxTermDepth. */
+    int depth = 1;
 
     static TermPtr make(TermKind k, SrcLoc loc);
 };

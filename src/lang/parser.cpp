@@ -1,5 +1,6 @@
 #include "lang/parser.h"
 
+#include <algorithm>
 #include <climits>
 #include <stdexcept>
 
@@ -84,8 +85,42 @@ Parser::expectNumber(const char *what, int lo, int hi)
 void
 Parser::fail(const std::string &msg)
 {
-    _diags.error("syntax error: " + msg, peek().loc);
+    fail(msg, peek().loc);
+}
+
+void
+Parser::fail(const std::string &msg, SrcLoc loc)
+{
+    _diags.error("syntax error: " + msg, loc);
     throw ParseError(msg);
+}
+
+namespace {
+
+std::string
+tooDeep()
+{
+    return strfmt("term nested deeper than %d levels", kMaxTermDepth);
+}
+
+} // namespace
+
+/** Attach `kid` as the last child of `parent`; a tree deeper than
+ *  kMaxTermDepth fails at the parent's token instead. */
+void
+Parser::adopt(Term &parent, TermPtr kid)
+{
+    parent.depth = std::max(parent.depth, kid->depth + 1);
+    if (parent.depth > kMaxTermDepth)
+        fail(tooDeep(), parent.loc);
+    parent.kids.push_back(std::move(kid));
+}
+
+Parser::Nest::Nest(Parser &p) : _p(p)
+{
+    if (_p._nest >= kMaxTermDepth)
+        _p.fail(tooDeep());
+    _p._nest++;
 }
 
 Program
@@ -326,8 +361,8 @@ Parser::parseTerm()
         SrcLoc loc = advance().loc;
         TermPtr rhs = parseJoin();
         auto w = Term::make(TermKind::Wait, loc);
-        w->kids.push_back(std::move(lhs));
-        w->kids.push_back(std::move(rhs));
+        adopt(*w, std::move(lhs));
+        adopt(*w, std::move(rhs));
         lhs = std::move(w);
     }
     return lhs;
@@ -344,8 +379,8 @@ Parser::parseJoin()
             break;
         TermPtr rhs = parseStmt();
         auto j = Term::make(TermKind::Join, loc);
-        j->kids.push_back(std::move(lhs));
-        j->kids.push_back(std::move(rhs));
+        adopt(*j, std::move(lhs));
+        adopt(*j, std::move(rhs));
         lhs = std::move(j);
     }
     return lhs;
@@ -354,19 +389,22 @@ Parser::parseJoin()
 TermPtr
 Parser::parseStmt()
 {
+    // The grammar recurses only through here and parseUnary, so a
+    // level in each bounds the parser's own descent.
+    Nest nest(*this);
     SrcLoc loc = peek().loc;
     if (match(Tok::KwLet)) {
         auto t = Term::make(TermKind::Let, loc);
         t->name = expect(Tok::Ident, "binding name").text;
         expect(Tok::Eq, "let binding");
-        t->kids.push_back(parseStmt());
+        adopt(*t, parseStmt());
         return t;
     }
     if (match(Tok::KwSet)) {
         auto t = Term::make(TermKind::Set, loc);
         t->name = expect(Tok::Ident, "register name").text;
         expect(Tok::Assign, "register assignment");
-        t->kids.push_back(parseStmt());
+        adopt(*t, parseStmt());
         return t;
     }
     if (match(Tok::KwSend)) {
@@ -375,7 +413,7 @@ Parser::parseStmt()
         expect(Tok::Dot, "message reference");
         t->msg = expect(Tok::Ident, "message name").text;
         expect(Tok::LParen, "send payload");
-        t->kids.push_back(parseTerm());
+        adopt(*t, parseTerm());
         expect(Tok::RParen, "send payload");
         return t;
     }
@@ -391,7 +429,7 @@ Parser::parseStmt()
         auto t = Term::make(TermKind::Set, loc);
         t->name = advance().text;
         advance();  // ':='
-        t->kids.push_back(parseStmt());
+        adopt(*t, parseStmt());
         return t;
     }
     return parseExpr();
@@ -403,19 +441,15 @@ Parser::parseExpr()
     return parseCompare();
 }
 
-namespace {
-
 TermPtr
-binop(const std::string &op, SrcLoc loc, TermPtr a, TermPtr b)
+Parser::binop(const std::string &op, SrcLoc loc, TermPtr a, TermPtr b)
 {
     auto t = Term::make(TermKind::Binop, loc);
     t->op = op;
-    t->kids.push_back(std::move(a));
-    t->kids.push_back(std::move(b));
+    adopt(*t, std::move(a));
+    adopt(*t, std::move(b));
     return t;
 }
-
-} // namespace
 
 TermPtr
 Parser::parseCompare()
@@ -498,17 +532,18 @@ Parser::parseMul()
 TermPtr
 Parser::parseUnary()
 {
+    Nest nest(*this);   // see parseStmt
     SrcLoc loc = peek().loc;
     if (match(Tok::Tilde)) {
         auto t = Term::make(TermKind::Unop, loc);
         t->op = "~";
-        t->kids.push_back(parseUnary());
+        adopt(*t, parseUnary());
         return t;
     }
     if (match(Tok::Bang)) {
         auto t = Term::make(TermKind::Unop, loc);
         t->op = "!";
-        t->kids.push_back(parseUnary());
+        adopt(*t, parseUnary());
         return t;
     }
     if (match(Tok::Star)) {
@@ -539,7 +574,7 @@ Parser::parsePostfixOn(TermPtr base)
         auto s = Term::make(TermKind::Slice, loc);
         s->hi = hi;
         s->lo = lo;
-        s->kids.push_back(std::move(base));
+        adopt(*s, std::move(base));
         base = std::move(s);
     }
     return base;
@@ -582,13 +617,13 @@ Parser::parsePrimary()
     }
     if (match(Tok::KwIf)) {
         auto t = Term::make(TermKind::If, loc);
-        t->kids.push_back(parseExpr());
+        adopt(*t, parseExpr());
         expect(Tok::LBrace, "if body");
-        t->kids.push_back(parseTerm());
+        adopt(*t, parseTerm());
         expect(Tok::RBrace, "if body");
         if (match(Tok::KwElse)) {
             expect(Tok::LBrace, "else body");
-            t->kids.push_back(parseTerm());
+            adopt(*t, parseTerm());
             expect(Tok::RBrace, "else body");
         }
         return t;
@@ -609,9 +644,9 @@ Parser::parsePrimary()
             auto t = Term::make(TermKind::Call, loc);
             t->name = advance().text;
             advance();  // '('
-            t->kids.push_back(parseTerm());
+            adopt(*t, parseTerm());
             while (match(Tok::Comma))
-                t->kids.push_back(parseTerm());
+                adopt(*t, parseTerm());
             expect(Tok::RParen, "intrinsic call");
             return t;
         }

@@ -47,6 +47,20 @@ class Parser
     const Token &expect(Tok t, const char *what);
     int expectNumber(const char *what, int lo, int hi);
     [[noreturn]] void fail(const std::string &msg);
+    [[noreturn]] void fail(const std::string &msg, SrcLoc loc);
+    void adopt(Term &parent, TermPtr kid);
+
+    /** One level of the parser's descent into a nested term, for its
+     *  scope; past kMaxTermDepth levels the parse fails at the current
+     *  token. */
+    struct Nest
+    {
+        explicit Nest(Parser &p);
+        ~Nest() { _p._nest--; }
+        Nest(const Nest &) = delete;
+        Nest &operator=(const Nest &) = delete;
+        Parser &_p;
+    };
 
     void parseChannelDef(Program &prog);
     void parseProcDef(Program &prog);
@@ -71,10 +85,12 @@ class Parser
     TermPtr parsePostfix();
     TermPtr parsePostfixOn(TermPtr base);
     TermPtr parsePrimary();
+    TermPtr binop(const std::string &op, SrcLoc loc, TermPtr a, TermPtr b);
 
     std::vector<Token> _toks;
     DiagEngine &_diags;
     size_t _pos = 0;
+    int _nest = 0;   // live Nest levels
 };
 
 /** Convenience: lex + parse a source string. */

@@ -26,6 +26,18 @@ constexpr int kMaxBitWidth = 1 << 16;
  */
 constexpr int kMaxCycleCount = kMaxBitWidth - 1;
 
+/**
+ * Deepest term nesting a source may use: the parser builds no term
+ * tree deeper than this, and descends no deeper into statements and
+ * operands (a bracketed term is one of each).  Every later pass walks
+ * terms recursively (destroying one does too), so the cap keeps them
+ * all on the stack, sanitizer builds included: under ASan the
+ * elaborator's walk overflows an 8 MiB stack near 750 levels.  256 is
+ * C++'s recommended minimum for nested parenthesized expressions; the
+ * deepest term in the repo's sources is 39 levels.
+ */
+constexpr int kMaxTermDepth = 256;
+
 /** All token kinds produced by the lexer. */
 enum class Tok
 {

@@ -73,58 +73,6 @@ simPhaseName(SimPhase phase)
     return "?";
 }
 
-BitVec
-applyUnop(Op op, const BitVec &a)
-{
-    switch (op) {
-      case Op::Not:
-        return ~a;
-      case Op::RedOr:
-        return BitVec(1, a.any() ? 1 : 0);
-      case Op::RedAnd:
-        return BitVec(1, a == BitVec::ones(a.width()) ? 1 : 0);
-      default:
-        throw std::logic_error("bad unary op");
-    }
-}
-
-BitVec
-applyBinop(Op op, const BitVec &a, const BitVec &b, int width)
-{
-    auto ra = a.resize(width);
-    auto rb = b.resize(width);
-    switch (op) {
-      case Op::And: return ra & rb;
-      case Op::Or: return ra | rb;
-      case Op::Xor: return ra ^ rb;
-      case Op::Add: return ra + rb;
-      case Op::Sub: return ra - rb;
-      case Op::Mul: return ra * rb;
-      case Op::Eq: return BitVec(1, a == b ? 1 : 0);
-      case Op::Ne: return BitVec(1, a != b ? 1 : 0);
-      case Op::Lt: return BitVec(1, a.ult(b) ? 1 : 0);
-      case Op::Le: return BitVec(1, a.ule(b) ? 1 : 0);
-      case Op::Gt: return BitVec(1, b.ult(a) ? 1 : 0);
-      case Op::Ge: return BitVec(1, b.ule(a) ? 1 : 0);
-      case Op::Shl: {
-        // A shift amount at or beyond the width clears the value;
-        // do not feed huge amounts into the word shifter.
-        uint64_t sh = rb.toUint64();
-        if (sh >= static_cast<uint64_t>(width))
-            return BitVec(width);
-        return ra << static_cast<int>(sh);
-      }
-      case Op::Shr: {
-        uint64_t sh = rb.toUint64();
-        if (sh >= static_cast<uint64_t>(width))
-            return BitVec(width);
-        return ra >> static_cast<int>(sh);
-      }
-      default:
-        throw std::logic_error("bad binary op");
-    }
-}
-
 Sim::Sim(std::shared_ptr<const Module> top)
     : Sim(std::move(top), nullptr)
 {
@@ -142,13 +90,7 @@ Sim::Sim(std::shared_ptr<const Module> top,
       _words(_host.state()),
       _edge(_nl.layout())
 {
-    _val = _nl.initValues();
-    for (size_t i = 0; i < _layout.net_count; i++)
-        storeWords(_val[i], _words + _layout.off[i]);
-    _stale.assign(_val.size(), 0);
-    _lazy_gen.assign(_val.size(), 0);
-    _visiting.assign(_val.size(), 0);
-    _change_mark.assign(_val.size(), 0);
+    adoptNets();
     _reg_off.reserve(_nl.regs().size() + 1);
     _reg_off.push_back(0);
     for (NetId r : _nl.regs())
@@ -330,200 +272,21 @@ Sim::setInput(const std::string &name, uint64_t v)
 }
 
 /**
- * Compute one lazy node from its already-evaluated operands (its
- * operands' values are current: evalLazy reads each first).  Returns
- * whether the node's value actually changed, which the changed-net
- * list records.
+ * Bring a lazy node's words up to date, recursively, reproducing the
+ * reference interpreter's order of effects: mux branches
+ * short-circuit, unresolved references fault only when reached, and
+ * re-entering a named wire raises the combinational-loop error.  Each
+ * node runs its layout record over the state words, as in the sweep.
  */
-bool
-Sim::computeNet(NetId id)
-{
-    const Net &n = _nl.net(id);
-    BitVec &out = _val[static_cast<size_t>(id)];
-
-    // Attribution hook (setEvalCounting).  Nets appended after
-    // counting was enabled (evalTop) are skipped.
-    if (_eval_counting &&
-        static_cast<size_t>(id) < _eval_count.size())
-        _eval_count[static_cast<size_t>(id)]++;
-
-    if (n.fast) {
-        // u64 lane: every involved value fits one word.  Operand
-        // values are normalized, so toUint64() is the whole value;
-        // setUint64() re-applies this node's width mask.
-        uint64_t old = out.toUint64();
-        uint64_t r = 0;
-        switch (n.kind) {
-          case Net::Kind::Copy:
-            r = _val[static_cast<size_t>(n.a)].toUint64();
-            break;
-          case Net::Kind::Unop: {
-            uint64_t a = _val[static_cast<size_t>(n.a)].toUint64();
-            switch (n.op) {
-              case Op::Not: r = ~a; break;
-              case Op::RedOr: r = a != 0; break;
-              case Op::RedAnd: r = a == _nl.net(n.a).mask; break;
-              default: throw std::logic_error("bad unary op");
-            }
-            break;
-          }
-          case Net::Kind::Binop: {
-            uint64_t a = _val[static_cast<size_t>(n.a)].toUint64();
-            uint64_t b = _val[static_cast<size_t>(n.b)].toUint64();
-            uint64_t m = n.mask;
-            switch (n.op) {
-              case Op::And: r = a & b; break;
-              case Op::Or: r = a | b; break;
-              case Op::Xor: r = a ^ b; break;
-              case Op::Add: r = (a & m) + (b & m); break;
-              case Op::Sub: r = (a & m) - (b & m); break;
-              case Op::Mul: r = (a & m) * (b & m); break;
-              case Op::Eq: r = a == b; break;
-              case Op::Ne: r = a != b; break;
-              case Op::Lt: r = a < b; break;
-              case Op::Le: r = a <= b; break;
-              case Op::Gt: r = a > b; break;
-              case Op::Ge: r = a >= b; break;
-              case Op::Shl: {
-                uint64_t sh = b & m;
-                r = sh >= static_cast<uint64_t>(n.width)
-                    ? 0 : (a & m) << sh;
-                break;
-              }
-              case Op::Shr: {
-                uint64_t sh = b & m;
-                r = sh >= static_cast<uint64_t>(n.width)
-                    ? 0 : (a & m) >> sh;
-                break;
-              }
-              default: throw std::logic_error("bad binary op");
-            }
-            break;
-          }
-          case Net::Kind::Mux:
-            r = _val[static_cast<size_t>(n.a)].toUint64() != 0
-                ? _val[static_cast<size_t>(n.b)].toUint64()
-                : _val[static_cast<size_t>(n.c)].toUint64();
-            break;
-          case Net::Kind::Slice: {
-            uint64_t a = _val[static_cast<size_t>(n.a)].toUint64();
-            if (n.lo >= 0)
-                r = n.lo >= 64 ? 0 : a >> n.lo;
-            else
-                // Bits below index 0 read as zero: a left shift.
-                r = -n.lo >= 64 ? 0 : a << -n.lo;
-            break;
-          }
-          case Net::Kind::Concat: {
-            uint64_t acc = 0;
-            int sh = 0;
-            // cargs are hi-first; assemble from the low end.
-            for (auto it = n.cargs.rbegin(); it != n.cargs.rend();
-                 ++it) {
-                acc |= _val[static_cast<size_t>(*it)].toUint64()
-                    << sh;
-                sh += _nl.net(*it).width;
-                if (sh >= 64)
-                    break;
-            }
-            r = acc;
-            break;
-          }
-          case Net::Kind::Rom: {
-            uint64_t addr =
-                _val[static_cast<size_t>(n.a)].toUint64();
-            r = addr < n.rom->size() ? (*n.rom)[addr].toUint64() : 0;
-            break;
-          }
-          default:
-            break;   // sources are never in the sweep order
-        }
-        out.setUint64(r);
-        return (r & n.mask) != old;
-    }
-
-    BitVec nv(n.width);
-    switch (n.kind) {
-      case Net::Kind::Copy:
-        nv = _val[static_cast<size_t>(n.a)].resize(n.width);
-        break;
-      case Net::Kind::Unop:
-        nv = applyUnop(n.op, _val[static_cast<size_t>(n.a)]);
-        break;
-      case Net::Kind::Binop:
-        nv = applyBinop(n.op, _val[static_cast<size_t>(n.a)],
-                        _val[static_cast<size_t>(n.b)], n.width);
-        break;
-      case Net::Kind::Mux:
-        nv = (_val[static_cast<size_t>(n.a)].any()
-                  ? _val[static_cast<size_t>(n.b)]
-                  : _val[static_cast<size_t>(n.c)])
-                 .resize(n.width);
-        break;
-      case Net::Kind::Slice:
-        nv = _val[static_cast<size_t>(n.a)].slice(n.lo, n.width);
-        break;
-      case Net::Kind::Concat: {
-        BitVec acc(0);
-        bool first = true;
-        for (auto it = n.cargs.rbegin(); it != n.cargs.rend(); ++it) {
-            const BitVec &part = _val[static_cast<size_t>(*it)];
-            if (first) {
-                acc = part;
-                first = false;
-            } else {
-                acc = acc.concatHigh(part);
-            }
-        }
-        nv = acc.resize(n.width);
-        break;
-      }
-      case Net::Kind::Rom: {
-        uint64_t addr = _val[static_cast<size_t>(n.a)].toUint64();
-        nv = addr >= n.rom->size()
-            ? BitVec(n.width)
-            : (*n.rom)[addr].resize(n.width);
-        break;
-      }
-      case Net::Kind::BadRef:
-        throw std::invalid_argument("no such signal: " +
-                                    _nl.nameOf(id));
-      default:
-        break;
-    }
-    if (nv == out)
-        return false;
-    out = std::move(nv);
-    return true;
-}
-
-/**
- * Evaluate a lazy node recursively, reproducing the reference
- * interpreter's order of effects: mux branches short-circuit,
- * unresolved references fault only when reached, and re-entering a
- * named wire raises the combinational-loop error.
- */
-const BitVec &
+void
 Sim::evalLazy(NetId id)
 {
     size_t i = static_cast<size_t>(id);
     const Net &n = _nl.net(id);
-    if (!n.lazy)
-        return valOf(id);   // strict values may live in the kernel
-    if (_lazy_gen[i] == _gen)
-        return _val[i];
-    switch (n.kind) {
-      case Net::Kind::Const:
-      case Net::Kind::Input:
-      case Net::Kind::Reg:
-        _lazy_gen[i] = _gen;
-        return _val[i];
-      case Net::Kind::BadRef:
-        throw std::invalid_argument("no such signal: " +
-                                    _nl.nameOf(id));
-      default:
-        break;
-    }
+    if (!n.lazy || _lazy_gen[i] == _gen)
+        return;   // the sweep's words, or already current this frame
+    if (n.kind == Net::Kind::BadRef)
+        throw std::invalid_argument("no such signal: " + _nl.nameOf(id));
 
     // Loop detection guards named wire roots, as in the reference
     // interpreter (cycles can only close through named wires, whose
@@ -538,37 +301,26 @@ Sim::evalLazy(NetId id)
     }
 
     if (n.kind == Net::Kind::Mux) {
-        bool taken = evalLazy(n.a).any();
-        const BitVec &src = evalLazy(taken ? n.b : n.c);
-        if (n.fast) {
-            uint64_t old = _val[i].toUint64();
-            _val[i].setUint64(src.toUint64());
-            if (_val[i].toUint64() != old)
-                recordChange(id);
-        } else {
-            BitVec nv = src.resize(n.width);
-            if (nv != _val[i]) {
-                _val[i] = std::move(nv);
-                recordChange(id);
-            }
-        }
+        evalLazy(n.a);
+        evalLazy(words(n.a).any() ? n.b : n.c);
     } else {
-        if (n.a != kNoNet)
-            evalLazy(n.a);
-        if (n.b != kNoNet)
-            evalLazy(n.b);
-        if (n.c != kNoNet)
-            evalLazy(n.c);
-        for (NetId arg : n.cargs)
-            evalLazy(arg);
-        if (computeNet(id))
+        Netlist::forEachOperand(n, [this](NetId o) { evalLazy(o); });
+    }
+    // An appended constant has no record: its words hold it.
+    if (_layout.node_of[i] >= 0) {
+        // Attribution hook (setEvalCounting).  Nets appended after
+        // counting was enabled (evalTop) are skipped.
+        if (_eval_counting && i < _eval_count.size())
+            _eval_count[i]++;
+        if (_host.exec(id)) {
+            _stale[i] = 1;
             recordChange(id);
+        }
     }
 
     if (guard)
         _visiting[i] = 0;
     _lazy_gen[i] = _gen;
-    return _val[i];
 }
 
 /**
@@ -653,7 +405,8 @@ Sim::peek(const std::string &name)
     if (!sig)
         throw std::invalid_argument("no such signal: " + flat);
     sweep();
-    return evalLazy(sig->net);
+    evalLazy(sig->net);
+    return valOf(sig->net);
 }
 
 void
@@ -676,8 +429,8 @@ Sim::step(int n)
     }
 }
 
-/** Log the dprints whose enable is set, in declaration order (the
- *  enables' words are current: see storeLazyRoots). */
+/** Log the dprints whose enable is set, in declaration order (lazy
+ *  enables' and values' words are current: step evaluated them). */
 void
 Sim::logPrints()
 {
@@ -689,16 +442,6 @@ Sim::logPrints()
             _log.push_back(line);
         }
     }
-}
-
-/** The edge reads lazy nets' words too (wires, enables, values), but
- *  lazy nets are evaluated over BitVecs: store the roots' words. */
-void
-Sim::storeLazyRoots()
-{
-    for (NetId id : _nl.lazyRoots())
-        storeWords(_val[static_cast<size_t>(id)],
-                   _words + _layout.off[static_cast<size_t>(id)]);
 }
 
 /** An update of an unknown register faults once its enable fires. */
@@ -723,7 +466,6 @@ Sim::checkGhostUpdates() const
 void
 Sim::edge()
 {
-    storeLazyRoots();
     _total_toggles += _edge.sample(_words, _frame_changed.data(),
                                    _frame_changed.size());
     checkGhostUpdates();
@@ -772,7 +514,6 @@ Sim::nextRegs(uint64_t *out)
     sweep();
     for (NetId id : _nl.lazyRoots())
         evalLazy(id);
-    storeLazyRoots();
     checkGhostUpdates();
     packRegs(out);
     uint64_t n = _edge.stage(_words, _committed.data());
@@ -839,7 +580,8 @@ Sim::value(NetId id)
     if (id < 0 || static_cast<size_t>(id) >= _val.size())
         throw std::invalid_argument("no such net id");
     sweep();
-    return evalLazy(id);
+    evalLazy(id);
+    return valOf(id);
 }
 
 std::vector<std::string>
@@ -852,16 +594,25 @@ Sim::inputNames() const
     return out;
 }
 
+/** Take up the nets the netlist holds beyond those already adopted
+ *  (all of them on construction, appended ones after topNet): their
+ *  words and cached values start at their initial values. */
 void
-Sim::growRuntimeArrays(size_t n)
+Sim::adoptNets()
 {
+    _host.grow();
+    _words = _host.state();
     const auto &init = _nl.initValues();
-    for (size_t i = _val.size(); i < n; i++)
-        _val.push_back(init[i]);
+    size_t from = _val.size();
+    _val.insert(_val.end(), init.begin() + static_cast<std::ptrdiff_t>(from),
+                init.end());
+    for (size_t i = from; i < init.size(); i++)
+        storeWords(init[i], _words + _layout.off[i]);
+    size_t n = _val.size();
+    _stale.resize(n, 0);
     _lazy_gen.resize(n, 0);
     _visiting.resize(n, 0);
     _change_mark.resize(n, 0);
-    _stale.resize(n, 0);   // appended nets are lazy, never stale
 }
 
 NetId
@@ -878,8 +629,8 @@ Sim::topNet(const ExprPtr &e)
             "Sim::topNet: cannot compile ad-hoc expressions "
             "on a shared immutable netlist");
     NetId id = _nl_own->compile(e, "");
-    // Appended nodes are lazy; grow the runtime arrays.
-    growRuntimeArrays(_nl.initValues().size());
+    // Appended nodes are lazy, with words and records of their own.
+    adoptNets();
     _top_cache.emplace(e.get(), id);
     _top_exprs.push_back(e);
     return id;

@@ -39,10 +39,11 @@
  * (words()).  Values as BitVecs (value(), peek()) are copied out of
  * the words on demand and cached.
  *
- * Nets on or behind a combinational cycle or an unresolved reference
- * are lazy: a recursive walk evaluates them over BitVecs, only when
- * read and at the clock edge, with the reference interpreter's fault
- * semantics.
+ * Nets on or behind a combinational cycle or an unresolved reference,
+ * and the nets topNet appends, are lazy: a recursive walk evaluates
+ * them only when read and at the clock edge, with the reference
+ * interpreter's fault semantics, running each node's layout record
+ * over the same state words as the sweep.
  *
  * A named wire that only renames a net shares that net (see
  * rtl/netlist.h): the sweep never evaluates it, peeks and observers
@@ -427,12 +428,13 @@ class Sim
     const BitVec &value(NetId id);
 
     /**
-     * The words of a source or strict net in the current frame — no
-     * copy, no sweep, no lazy walk.  Valid inside a ChangeFeed
-     * callback, where sample() has already swept the frame, until the
-     * next poke or step().  `id` must be a non-lazy net of the
-     * netlist as constructed (not lazy, not appended by topNet).  The
-     * per-cycle observer hot path.
+     * The words of a net in the current frame — no copy, no sweep, no
+     * lazy walk.  Valid inside a ChangeFeed callback, where sample()
+     * has already swept the frame, until the next poke, step() or
+     * appending topNet (which moves the state words).  A source's or
+     * strict net's words are current there; a lazy net's only once
+     * value() evaluated it in the frame.  The per-cycle observer hot
+     * path.
      */
     WordView words(NetId id) const
     {
@@ -446,8 +448,10 @@ class Sim
     /**
      * Net of an expression in the top-level scope, compiled on first
      * use and cached per expression, so per-frame readers resolve it
-     * once and then read value().  Throws std::logic_error for a new
-     * expression on a shared netlist.
+     * once and then read value().  A new expression appends lazy nets
+     * with state words of their own, which moves the state words (see
+     * words()).  Throws std::logic_error for a new expression on a
+     * shared netlist.
      */
     NetId topNet(const ExprPtr &e);
 
@@ -472,17 +476,15 @@ class Sim
 
   private:
     void sweep();
-    bool computeNet(NetId id);
-    const BitVec &evalLazy(NetId id);
+    void evalLazy(NetId id);
     const NetSignal *findSignal(const std::string &flat) const;
     const Net &checkedInput(NetId id) const;
     void pokeSource(NetId id);
-    void growRuntimeArrays(size_t n);
+    void adoptNets();
     void recordChange(NetId id);
     void rollFrame();
     void refresh(NetId id);
     BitVec wordValue(NetId id) const;
-    void storeLazyRoots();
     void checkGhostUpdates() const;
     void edge();
     void logPrints();
@@ -496,9 +498,8 @@ class Sim
                   uint64_t t0);
 
     /**
-     * Current value of a net as a BitVec: lazy nets' own, and the
-     * words of every other net, copied into the cache first when it
-     * is behind them.
+     * Current value of a net as a BitVec: its words, copied into the
+     * cache first when it is behind them.
      */
     const BitVec &valOf(NetId id)
     {
@@ -517,8 +518,8 @@ class Sim
     const KernelLayout &_layout;       // the netlist's state words
     KernelHost _host;                  // the state and the level walk
     uint64_t *_words;                  // _host.state()
-    /** Per net: lazy nets' values, and a cache of every other net's
-     *  words, behind them where _stale is set. */
+    /** Per net: a cache of its words, behind them where _stale is
+     *  set. */
     std::vector<BitVec> _val;
     std::vector<uint8_t> _stale;
     std::vector<size_t> _reg_off;      // packed word offset per reg,
@@ -593,12 +594,6 @@ class ChangeFeedCursor
     uint64_t _cycle = 0;
     uint64_t _tick = 0;
 };
-
-/** Apply a binary operator to two values (shared with the BMC). */
-BitVec applyBinop(Op op, const BitVec &a, const BitVec &b, int width);
-
-/** Apply a unary operator (shared with the BMC). */
-BitVec applyUnop(Op op, const BitVec &a);
 
 } // namespace rtl
 } // namespace anvil

@@ -32,7 +32,9 @@
  * read the netlist's one rtl::kernelLayout() (rtl::Netlist::layout).
  * Values are packed little-endian 64-bit words, ceil(width/64) (min
  * 1) words per net, normalized (bits at or above the width are zero)
- * exactly like anvil::BitVec.
+ * exactly like anvil::BitVec.  Nets the simulator appends later for
+ * ad-hoc expressions (rtl::Sim::topNet) take words past `state_words`
+ * and lie past `net_count`; no unit reads them.
  *
  * The contract for a dense body, called by the host's level walk for
  * a whole dense frame or for one level that escalated inside a sparse
@@ -82,7 +84,7 @@ typedef struct AnvilKernel
     uint32_t abi_version;   /* == ANVIL_KERNEL_ABI_VERSION */
     uint32_t net_count;     /* nets at emission time */
     uint64_t design_hash;   /* rtl::designHash of the netlist */
-    uint64_t state_words;   /* packed value words per context */
+    uint64_t state_words;   /* packed value words of those nets */
     uint32_t level_count;   /* levels of the netlist's levelization */
     /** Per level, its straight-line body; null for an empty level.
      *  Null when level_count is 0. */

@@ -85,13 +85,16 @@ bitsAt(const uint64_t *a, uint64_t limit, int64_t p)
     return left < 64 ? r & ((1ull << left) - 1) : r;
 }
 
+/** ROM tables already in KernelLayout::rom, per (contents, width). */
+using RomTables = std::map<std::pair<const void *, int>, uint32_t>;
+
 /**
- * Lower the netlist's strict nodes to L.nodes, in order() order, with
- * their side tables.  Operands are read from their state words,
+ * Lower net `id`, which computes, to a record at the end of L.nodes,
+ * with its side tables.  Operands are read from their state words,
  * constants included.
  */
 void
-lowerNodes(const Netlist &nl, KernelLayout &L)
+lowerNode(const Netlist &nl, KernelLayout &L, NetId id, RomTables &roms)
 {
     const auto &nets = nl.nets();
     auto off = [&](NetId o) {
@@ -103,7 +106,6 @@ lowerNodes(const Netlist &nl, KernelLayout &L)
                                  nets[static_cast<size_t>(o)].width, 0));
     };
     // ROM tables, one per (contents, width), like the emitter's.
-    std::map<std::pair<const void *, int>, uint32_t> roms;
     auto romTable = [&](const Net &n) {
         auto key = std::make_pair(static_cast<const void *>(n.rom.get()),
                                   n.width);
@@ -115,66 +117,63 @@ lowerNodes(const Netlist &nl, KernelLayout &L)
         return it->second;
     };
 
-    L.nodes.reserve(nl.order().size());
-    for (NetId id : nl.order()) {
-        const Net &n = nets[static_cast<size_t>(id)];
-        NetId a = n.a, b = n.b;
-        uint8_t op = XCopy;
-        switch (n.kind) {
-          case Net::Kind::Unop:
-          case Net::Kind::Binop:
-            op = kOpOf[static_cast<size_t>(n.op)];
-            if (n.op == Op::Gt || n.op == Op::Ge)
-                std::swap(a, b);
-            break;
-          case Net::Kind::Mux: op = XMux; break;
-          case Net::Kind::Slice: op = XSlice; break;
-          case Net::Kind::Concat: op = XCat; break;
-          case Net::Kind::Rom: op = XRom; break;
-          default: break;
-        }
-        KernelLayout::Node r{op, id, off(id), off(a), off(b), off(n.c),
-                             n.mask};
-        // Concat parts from the low end, while they reach the node's
-        // words; ROM entries at the node's width.
-        uint64_t reach = n.fast ? 64 : kernelWords(n.width) * 64ull;
-        if (op == XCat) {
-            r.b = static_cast<uint32_t>(L.parts.size());
-            uint64_t sh = 0;
-            for (auto it = n.cargs.rbegin();
-                 it != n.cargs.rend() && sh < reach; sh += bits(*it), ++it)
-                if (bits(*it))
-                    L.parts.push_back({off(*it), bits(*it),
-                                       static_cast<uint32_t>(sh)});
-            r.c = static_cast<uint32_t>(L.parts.size());
-        } else if (op == XRom) {
-            r.b = romTable(n);
-            r.c = static_cast<uint32_t>(n.rom->size());
-        }
-        if (n.width <= 0) {
-            r.op = XNop;
-        } else if (n.fast) {
-            if (op == XRedAnd)
-                r.k = nets[static_cast<size_t>(n.a)].mask;
-            if (op == XShl || op == XShr)
-                r.c = static_cast<uint32_t>(n.width);
-            if (op == XSlice) {
-                bool right = n.lo >= 0 && n.lo < 64;
-                bool left = n.lo < 0 && n.lo > -64;
-                r.op = right ? XShrImm : left ? XShlImm : XZero;
-                r.b = right ? static_cast<uint32_t>(n.lo)
-                    : left  ? static_cast<uint32_t>(-n.lo)
-                            : 0;
-            }
-        } else {
-            r.op = static_cast<uint8_t>(op + kWide);
-            r.k = L.wide.size();
-            L.wide.push_back({static_cast<uint32_t>(n.width), bits(a),
-                              bits(b), bits(n.c), n.lo});
-            L.max_words = std::max(L.max_words, kernelWords(n.width));
-        }
-        L.nodes.push_back(r);
+    const Net &n = nets[static_cast<size_t>(id)];
+    NetId a = n.a, b = n.b;
+    uint8_t op = XCopy;
+    switch (n.kind) {
+      case Net::Kind::Unop:
+      case Net::Kind::Binop:
+        op = kOpOf[static_cast<size_t>(n.op)];
+        if (n.op == Op::Gt || n.op == Op::Ge)
+            std::swap(a, b);
+        break;
+      case Net::Kind::Mux: op = XMux; break;
+      case Net::Kind::Slice: op = XSlice; break;
+      case Net::Kind::Concat: op = XCat; break;
+      case Net::Kind::Rom: op = XRom; break;
+      default: break;
     }
+    KernelLayout::Node r{op, id, off(id), off(a), off(b), off(n.c), n.mask};
+    // Concat parts from the low end, while they reach the node's
+    // words; ROM entries at the node's width.
+    uint64_t reach = n.fast ? 64 : kernelWords(n.width) * 64ull;
+    if (op == XCat) {
+        r.b = static_cast<uint32_t>(L.parts.size());
+        uint64_t sh = 0;
+        for (auto it = n.cargs.rbegin();
+             it != n.cargs.rend() && sh < reach; sh += bits(*it), ++it)
+            if (bits(*it))
+                L.parts.push_back({off(*it), bits(*it),
+                                   static_cast<uint32_t>(sh)});
+        r.c = static_cast<uint32_t>(L.parts.size());
+    } else if (op == XRom) {
+        r.b = romTable(n);
+        r.c = static_cast<uint32_t>(n.rom->size());
+    }
+    if (n.width <= 0) {
+        r.op = XNop;
+    } else if (n.fast) {
+        if (op == XRedAnd)
+            r.k = nets[static_cast<size_t>(n.a)].mask;
+        if (op == XShl || op == XShr)
+            r.c = static_cast<uint32_t>(n.width);
+        if (op == XSlice) {
+            bool right = n.lo >= 0 && n.lo < 64;
+            bool left = n.lo < 0 && n.lo > -64;
+            r.op = right ? XShrImm : left ? XShlImm : XZero;
+            r.b = right ? static_cast<uint32_t>(n.lo)
+                : left  ? static_cast<uint32_t>(-n.lo)
+                        : 0;
+        }
+    } else {
+        r.op = static_cast<uint8_t>(op + kWide);
+        r.k = L.wide.size();
+        L.wide.push_back({static_cast<uint32_t>(n.width), bits(a), bits(b),
+                          bits(n.c), n.lo});
+        L.max_words = std::max(L.max_words, kernelWords(n.width));
+    }
+    L.node_of[static_cast<size_t>(id)] = static_cast<int32_t>(L.nodes.size());
+    L.nodes.push_back(r);
 }
 
 /** Queue net `id`'s consumers: their bits, and their levels' queued
@@ -506,15 +505,42 @@ kernelLayout(const Netlist &nl)
         L.next_words > L.regs.size();
     for (const KernelLayout::Update &u : L.updates)
         L.wide_edge |= u.en_words > 1 || u.val_words > 1;
-    lowerNodes(nl, L);
+
+    // Records: the strict nodes level by level, then the lazy ones.
+    L.node_of.assign(nets.size(), -1);
+    L.nodes.reserve(order.size() +
+                    static_cast<size_t>(std::count_if(
+                        nets.begin(), nets.end(), [](const Net &n) {
+                            return n.lazy && n.computes();
+                        })));
+    RomTables roms;
+    for (NetId id : order)
+        lowerNode(nl, L, id, roms);
+    for (size_t i = 0; i < nets.size(); i++)
+        if (nets[i].lazy && nets[i].computes())
+            lowerNode(nl, L, static_cast<NetId>(i), roms);
     return L;
+}
+
+void
+extendLayout(const Netlist &nl, KernelLayout &L)
+{
+    RomTables roms;   // an appended ROM read gets a table of its own
+    for (size_t i = L.off.size(); i < nl.nets().size(); i++) {
+        const Net &n = nl.nets()[i];
+        L.off.push_back(static_cast<uint32_t>(L.contextWords()));
+        L.width.push_back(n.width);
+        L.node_of.push_back(-1);
+        if (n.computes())
+            lowerNode(nl, L, static_cast<NetId>(i), roms);
+    }
 }
 
 KernelHost::KernelHost(std::shared_ptr<const KernelLayout> layout)
     : _layout(std::move(layout))
 {
     const KernelLayout &L = *_layout;
-    _state.assign(L.state_words, 0);
+    _state.assign(L.contextWords(), 0);
     _bitmap.assign(L.bm_off.back(), 0);
     _queued.assign(L.levels(), 0);
     _tmp.assign(L.max_words, 0);
@@ -558,6 +584,23 @@ KernelHost::attach(const AnvilKernel &unit)
     _prefer_dense = false;
     _dense_frames = 0;
     _fallback_switches = 0;
+}
+
+void
+KernelHost::grow()
+{
+    const KernelLayout &L = *_layout;
+    _state.resize(L.contextWords(), 0);
+    _tmp.resize(L.max_words, 0);
+    s = _state.data();
+}
+
+bool
+KernelHost::exec(NetId net)
+{
+    const KernelLayout &L = *_layout;
+    int32_t rec = L.node_of[static_cast<size_t>(net)];
+    return stepNode(s, L.nodes[static_cast<size_t>(rec)], L, _tmp.data());
 }
 
 void

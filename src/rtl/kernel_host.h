@@ -7,19 +7,21 @@
  *
  * KernelLayout is the state layout — per-net word offsets, levels and
  * their occupancy-bitmap words, the consumer marks a change queues,
- * the clock edge's wire, update and register tables, and every strict
- * node lowered once to a fixed-size record over those offsets — and
- * kernelLayout() is the one function that builds it.  Each
- * rtl::Netlist builds its layout once (Netlist::layout()); the C++
+ * the clock edge's wire, update and register tables, and every node
+ * that computes lowered once to a fixed-size record over those
+ * offsets — and kernelLayout() is the one function that builds it.
+ * Each rtl::Netlist builds its layout once (Netlist::layout()) and
+ * extends it by the nets it appends later (extendLayout); the C++
  * emitter bakes its offsets into the node bodies and every Sim on the
  * netlist reads the same object, so the two cannot drift.
  *
  * KernelHost runs every rtl::Sim: it owns the state words, the
  * occupancy bitmaps and the frame the level functions see, takes
  * pokes, runs the level walk and queues the consumers of every
- * change.  The host executor, which interprets the layout's node
- * records, runs every level until a JIT unit is attached; attaching
- * swaps in the unit's dense bodies and moves no value.  With a unit,
+ * change, and runs single records for the Sim's lazy walk (exec).
+ * The host executor, which interprets the layout's node records, runs
+ * every level until a JIT unit is attached; attaching swaps in the
+ * unit's dense bodies and moves no value.  With a unit,
  * a sparse frame still drains a level through the executor's records
  * and escalates to the unit's body once the level's queue reaches
  * 1/kEscalateDiv of it, and its frames fall back to dense on the
@@ -85,7 +87,7 @@ struct KernelLayout
         uint64_t top;
     };
     /**
-     * A strict node for the host executor: a fused opcode (see
+     * A node for the host executor: a fused opcode (see
      * kernel_host.cpp) over word offsets.  `a`, `b` and `c` are
      * operand offsets or, per opcode, an immediate (a shift, a width)
      * or a side-table range (Concat parts, ROM words).  In the narrow
@@ -120,6 +122,8 @@ struct KernelLayout
         uint32_t word, level;
     };
 
+    /** Nets and state words as built, which units know; the nets
+     *  Netlist::compile appends later lie past both (extendLayout). */
     size_t net_count = 0;
     std::vector<uint32_t> off;          // per net: first state word
     std::vector<int32_t> width;         // per net: its bits
@@ -146,15 +150,23 @@ struct KernelLayout
     /** Some wire, enable, value or register spans several words. */
     bool wide_edge = false;
     /** Every strict node in order() order, so level l's k-th slot is
-     *  nodes[levelBegin()[l] + k]; their side tables; and the most
-     *  words any wide node writes. */
+     *  nodes[levelBegin()[l] + k], then every lazy node that computes;
+     *  their side tables; and the most words any wide node writes. */
     std::vector<Node> nodes;
+    std::vector<int32_t> node_of;       // per net: its record, or -1
     std::vector<Wide> wide;
     std::vector<Part> parts;
     std::vector<uint64_t> rom;          // entries at their node's width
     uint32_t max_words = 1;
 
     size_t levels() const { return level_size.size(); }
+    /** Words a context holds: state_words and the appended nets'. */
+    uint64_t contextWords() const
+    {
+        return off.size() > net_count
+            ? off.back() + kernelWords(width.back())
+            : state_words;
+    }
     /** Whether a unit's identity fields agree with this layout. */
     bool fits(const AnvilKernel &unit) const;
 };
@@ -167,11 +179,19 @@ struct KernelLayout
  * words.  A net's consumers are the strict nodes reading it (constant
  * operands excluded), each marked once in its level's bitmap.
  * The edge's tables leave out updates of unknown registers, which
- * fault host-side before the edge stages anything.  Each strict node
- * is lowered to one Node record with the same semantics as
- * rtl::applyBinop and its siblings over BitVec values.
+ * fault host-side before the edge stages anything.  Each node that
+ * computes, strict or lazy, is lowered to one Node record with the
+ * semantics of rtl::RefSim's BitVec operators.
  */
 KernelLayout kernelLayout(const Netlist &nl);
+
+/**
+ * Extend `L`, the layout of `nl`, by the nets nl.compile() appended
+ * since: each takes state words past the layout's and, when it
+ * computes, a record after the others.  net_count, state_words and
+ * every table a unit or the edge reads stay as built.
+ */
+void extendLayout(const Netlist &nl, KernelLayout &L);
 
 /**
  * The host executor's step for one of `L`'s node records: computes
@@ -304,10 +324,17 @@ class KernelHost : private AnvilFrame
      *  stops counting; a compiled unit never counts). */
     void countEvals(uint64_t *counts);
 
-    /** The state words (the layout's state_words of them); net n's
-     *  are at the layout's off[n].  Stable for the context's
-     *  lifetime. */
+    /** The state words (the layout's contextWords() of them); net
+     *  n's are at the layout's off[n].  Stable until grow(). */
     uint64_t *state() { return s; }
+
+    /** Take up the words of nets the layout gained since (zero); the
+     *  state words move. */
+    void grow();
+
+    /** Run net `net`'s record once over the state words (rtl::Sim's
+     *  lazy walk); returns whether its words moved. */
+    bool exec(NetId net);
 
     /** Queue the strict consumers of `net`, whose words the caller
      *  just wrote, for the next eval().  Pokes between evals

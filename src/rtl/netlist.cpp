@@ -11,23 +11,6 @@ namespace rtl {
 
 namespace {
 
-bool
-isCompute(Net::Kind k)
-{
-    switch (k) {
-      case Net::Kind::Copy:
-      case Net::Kind::Unop:
-      case Net::Kind::Binop:
-      case Net::Kind::Mux:
-      case Net::Kind::Slice:
-      case Net::Kind::Concat:
-      case Net::Kind::Rom:
-        return true;
-      default:
-        return false;
-    }
-}
-
 uint64_t
 maskFor(int width)
 {
@@ -111,7 +94,7 @@ Netlist::Netlist(const Module &top)
         add_lazy_root(p.value);
     }
 
-    _layout = std::make_shared<const KernelLayout>(kernelLayout(*this));
+    _layout = std::make_shared<KernelLayout>(kernelLayout(*this));
     _constructed = true;
 }
 
@@ -119,12 +102,13 @@ NetId
 Netlist::newNet(Net n)
 {
     finalizeNode(n);
-    if (_constructed)
-        n.lazy = true;   // appended nodes are outside the sweep order
+    n.lazy |= _constructed;   // appended nodes are outside the sweep order
     NetId id = static_cast<NetId>(_nets.size());
     _init.emplace_back(n.width);
     _names.emplace_back();
     _nets.push_back(std::move(n));
+    if (_constructed)
+        extendLayout(*this, *_layout);
     return id;
 }
 
@@ -132,7 +116,7 @@ void
 Netlist::finalizeNode(Net &n)
 {
     n.mask = maskFor(n.width);
-    if (!isCompute(n.kind) || n.width < 1 || n.width > 64) {
+    if (!n.computes() || n.width < 1 || n.width > 64) {
         n.fast = false;
         return;
     }
@@ -447,7 +431,7 @@ Netlist::levelize()
             n.level = std::max(n.level,
                                _nets[static_cast<size_t>(o)].level + 1);
         });
-        if (!n.lazy && isCompute(n.kind))
+        if (!n.lazy && n.computes())
             max_level = std::max(max_level, n.level);
     }
     for (size_t i = 0; i < count; i++)
@@ -470,7 +454,7 @@ Netlist::levelize()
 
     // The strict order by level, ties by id (a counting sort).
     auto strict = [this](size_t i) {
-        return !_nets[i].lazy && isCompute(_nets[i].kind);
+        return !_nets[i].lazy && _nets[i].computes();
     };
     _level_begin.assign(static_cast<size_t>(max_level) + 2, 0);
     for (size_t i = 0; i < count; i++)

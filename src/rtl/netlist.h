@@ -25,9 +25,10 @@
  * mux branch is legal).  Nodes on or downstream of a cycle or a bad
  * reference are therefore marked `lazy` and evaluated by a recursive
  * short-circuiting walk that reproduces the reference semantics
- * exactly, including "combinational loop through <name>" faults.
- * Lazy Copies are never collapsed, so a named wire on a cycle keeps
- * its own net and the walk's loop guard.
+ * exactly, including "combinational loop through <name>" faults; the
+ * walk runs each node's layout record, as the sweep does.  Lazy
+ * Copies are never collapsed, so a named wire on a cycle keeps its own
+ * net and the walk's loop guard.
  */
 
 #ifndef ANVIL_RTL_NETLIST_H
@@ -82,6 +83,13 @@ struct Net
     uint64_t mask = 1;                    // low-word mask, width <= 64
     std::vector<NetId> cargs;             // Concat operands, hi-first
     std::shared_ptr<const std::vector<BitVec>> rom;
+
+    /** Computes from operands: not a source, constant or BadRef. */
+    bool computes() const
+    {
+        return kind != Kind::Const && kind != Kind::Input &&
+            kind != Kind::Reg && kind != Kind::BadRef;
+    }
 };
 
 /** A named flattened signal (dotted instance path). */
@@ -184,15 +192,13 @@ class Netlist
     const std::vector<NetPrint> &prints() const { return _prints; }
 
     /**
-     * The packed state-word layout of the nets present at construction
-     * (rtl::kernelLayout, rtl/kernel_host.h), built once with the
-     * netlist so that every Sim, kernel and emitter on it shares one;
-     * nets compile() appends later lie past its net count.
+     * The packed state-word layout (rtl::kernelLayout,
+     * rtl/kernel_host.h), built once with the netlist so that every
+     * Sim, kernel and emitter on it shares one.  compile() extends it
+     * by each net it appends (rtl::extendLayout): state words past the
+     * built ones and a record, behind its net count.
      */
-    const std::shared_ptr<const KernelLayout> &layout() const
-    {
-        return _layout;
-    }
+    std::shared_ptr<const KernelLayout> layout() const { return _layout; }
 
     /** Follow child-output aliases from a scoped name to a flat one. */
     std::string resolveName(const std::string &scope,
@@ -200,7 +206,8 @@ class Netlist
 
     /**
      * Compile an expression in the given scope and return its node.
-     * Post-construction nodes are marked lazy (see class comment).
+     * Post-construction nodes are marked lazy (see class comment) and
+     * extend the layout.
      */
     NetId compile(const ExprPtr &e, const std::string &scope);
 
@@ -272,7 +279,7 @@ class Netlist
     std::vector<PendingWire> _pending_wires;
     std::vector<PendingUpdate> _pending_updates;
     std::vector<PendingPrint> _pending_prints;
-    std::shared_ptr<const KernelLayout> _layout;
+    std::shared_ptr<KernelLayout> _layout;
     bool _constructed = false;
 };
 

@@ -1,13 +1,63 @@
 #include "rtl/ref_interp.h"
 
-#include "rtl/interp.h"
-
 #include <stdexcept>
 
 #include "support/strings.h"
 
 namespace anvil {
 namespace rtl {
+
+BitVec
+applyUnop(Op op, const BitVec &a)
+{
+    switch (op) {
+      case Op::Not:
+        return ~a;
+      case Op::RedOr:
+        return BitVec(1, a.any() ? 1 : 0);
+      case Op::RedAnd:
+        return BitVec(1, a == BitVec::ones(a.width()) ? 1 : 0);
+      default:
+        throw std::logic_error("bad unary op");
+    }
+}
+
+BitVec
+applyBinop(Op op, const BitVec &a, const BitVec &b, int width)
+{
+    auto ra = a.resize(width);
+    auto rb = b.resize(width);
+    switch (op) {
+      case Op::And: return ra & rb;
+      case Op::Or: return ra | rb;
+      case Op::Xor: return ra ^ rb;
+      case Op::Add: return ra + rb;
+      case Op::Sub: return ra - rb;
+      case Op::Mul: return ra * rb;
+      case Op::Eq: return BitVec(1, a == b ? 1 : 0);
+      case Op::Ne: return BitVec(1, a != b ? 1 : 0);
+      case Op::Lt: return BitVec(1, a.ult(b) ? 1 : 0);
+      case Op::Le: return BitVec(1, a.ule(b) ? 1 : 0);
+      case Op::Gt: return BitVec(1, b.ult(a) ? 1 : 0);
+      case Op::Ge: return BitVec(1, b.ule(a) ? 1 : 0);
+      case Op::Shl: {
+        // A shift amount at or beyond the width clears the value;
+        // do not feed huge amounts into the word shifter.
+        uint64_t sh = rb.toUint64();
+        if (sh >= static_cast<uint64_t>(width))
+            return BitVec(width);
+        return ra << static_cast<int>(sh);
+      }
+      case Op::Shr: {
+        uint64_t sh = rb.toUint64();
+        if (sh >= static_cast<uint64_t>(width))
+            return BitVec(width);
+        return ra >> static_cast<int>(sh);
+      }
+      default:
+        throw std::logic_error("bad binary op");
+    }
+}
 
 RefSim::RefSim(std::shared_ptr<const Module> top)
     : _top(std::move(top))

@@ -124,6 +124,12 @@ class RefSim
     std::vector<std::string> _log;
 };
 
+/** Apply a binary operator to two values, at `width` bits. */
+BitVec applyBinop(Op op, const BitVec &a, const BitVec &b, int width);
+
+/** Apply a unary operator. */
+BitVec applyUnop(Op op, const BitVec &a);
+
 } // namespace rtl
 } // namespace anvil
 

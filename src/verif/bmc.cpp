@@ -70,7 +70,6 @@ boundedModelCheck(const std::shared_ptr<const rtl::Module> &top,
                   const BmcOptions &opts)
 {
     rtl::Sim sim(top);
-    sim.setSweepMode(opts.sweep_mode);
     if (opts.kernel.abi)
         sim.attachKernel(opts.kernel);
     std::vector<rtl::NetId> inputs;

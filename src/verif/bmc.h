@@ -69,12 +69,6 @@ struct BmcOptions
     uint64_t max_states = 200000;
     /** Bits per input sampled nondeterministically (the rest 0). */
     int input_bits_limit = 4;
-    /** Sweep strategy for the underlying simulator.  Both modes
-     *  explore identical state spaces (pinned by the differential
-     *  tests); Dirty is fastest, since each input combo of a loaded
-     *  state re-evaluates only the cones of the inputs it changed,
-     *  and Full is the force-dense reference. */
-    rtl::SweepMode sweep_mode = rtl::SweepMode::Dirty;
     /** Optional compiled kernel (codegen/jit.h) for the simulator.
      *  Attach failures fall back to the interpreter silently; the
      *  explored state space is identical either way. */

@@ -18,9 +18,9 @@
 #     (exit 0), and a mis-annotated listing2 is disproved (exit 1)
 #     with a counterexample VCD that --check-trace flags in turn,
 # 10. hostile inputs: number literals past 64 bits or outside their
-#     base and `cycle` counts past 65535 are diagnostics (exit 1), a
-#     VCD timestamp past 64 bits is a malformed dump (exit 3), and no
-#     input kills anvilc by a signal.
+#     base, `cycle` counts past 65535 and terms nested past 256
+#     levels are diagnostics (exit 1), a VCD timestamp past 64 bits is
+#     a malformed dump (exit 3), and no input kills anvilc by a signal.
 #
 # Usage: cli_trace_e2e.sh <path-to-anvilc> <repo-root>
 set -e
@@ -144,4 +144,33 @@ grep -q 'cycle count 2147483647 is out of range \[0, 65535\]' \
     cli_hostile.log
 expect_exit 3 "$DESIGN" --check-trace cli_bad_time.vcd
 expect_exit 3 "$DESIGN" --replay cli_bad_time.vcd
-echo "hostile literals and cycle counts exit 1, an overflowing timestamp exits 3"
+
+# Deep nesting: without the cap (kMaxTermDepth, src/lang/token.h),
+# each of these overflowed the stack of the parser or of a later pass.
+# One repeated piece per line keeps the diagnostic's source line short.
+# deep_source <prefix> <piece> <n> <core> <closer> writes a register
+# assignment of <prefix>, n copies of <piece>, <core>, and n of <closer>.
+deep_source() {
+    awk -v pre="$1" -v piece="$2" -v n="$3" -v core="$4" -v closer="$5" \
+        'BEGIN {
+            printf "proc p() { reg r : logic[8]; loop { %s\n", pre
+            for (i = 0; i < n; i++) print piece
+            print core
+            for (i = 0; closer != "" && i < n; i++) print closer
+            print ">> cycle 1 } }"
+        }'
+}
+deep_source 'set r :=' '(' 10000 1 ')' > cli_deep_parens.anvil
+deep_source 'set r := 1' '+ 1' 29999 '' '' > cli_deep_sum.anvil
+deep_source 'set r :=' '~' 30000 1 '' > cli_deep_not.anvil
+deep_source '' 'set r := 1 >>' 30000 'set r := 1' '' > cli_deep_waits.anvil
+# Wait(Set(n additions), Cycle) is n + 3 levels: one past the cap
+# fails, and exactly at it compiles.
+deep_source 'set r := 1' '+ 1' 254 '' '' > cli_deep_over.anvil
+deep_source 'set r := 1' '+ 1' 253 '' '' > cli_deep_cap.anvil
+for shape in parens sum not waits over; do
+    expect_exit 1 cli_deep_$shape.anvil
+    grep -q 'term nested deeper than 256 levels' cli_hostile.log
+done
+expect_exit 0 cli_deep_cap.anvil -o cli_deep_cap.sv
+echo "hostile literals, cycle counts and nesting exit 1, an overflowing timestamp exits 3"

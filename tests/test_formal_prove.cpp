@@ -21,7 +21,6 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
-#include <tuple>
 #include <string>
 #include <vector>
 
@@ -154,26 +153,21 @@ TEST(FormalProve, Listing2WideCounterExhaustsBmcButProves)
             EXPECT_NE(r, "cnt") << o.name << " cone contains " << r;
 }
 
-TEST(FormalProve, VerdictsIdenticalAcrossSweepModes)
+TEST(FormalProve, TlbUpdateAckWithinProves)
 {
-    std::vector<std::tuple<int, uint64_t, uint64_t>> runs;
-    for (rtl::SweepMode mode :
-         {rtl::SweepMode::Full, rtl::SweepMode::Dirty}) {
-        formal::ProveOptions opts;
-        opts.sweep_mode = mode;
-        Proven p = proveSource(designs::anvilTlbSource(), opts);
-        const ObligationOutcome *o =
-            outcomeOf(p.res, "io_upd", "ack-within");
-        ASSERT_NE(o, nullptr);
-        EXPECT_EQ(o->status, ObligationOutcome::Status::Proved)
-            << o->statusStr();
-        runs.push_back({o->k, o->base_states, o->steps});
-    }
-    // Same exploration, not just the same verdict.
-    EXPECT_EQ(runs[0], runs[1]);
+    Proven p = proveSource(designs::anvilTlbSource());
+    const ObligationOutcome *o = outcomeOf(p.res, "io_upd", "ack-within");
+    ASSERT_NE(o, nullptr);
+    EXPECT_EQ(o->status, ObligationOutcome::Status::Proved)
+        << o->statusStr();
+    // The exploration, not just the verdict: its depth and work
+    // counters are deterministic.
+    EXPECT_EQ(o->k, 4);
+    EXPECT_EQ(o->base_states, 13u);
+    EXPECT_EQ(o->steps, 9329u);
 }
 
-TEST(FormalProve, CexVcdByteStableAcrossSweepModes)
+TEST(FormalProve, CexVcdWrittenForViolation)
 {
     std::string src = designs::anvilListing2Source();
     size_t pos = src.find("@dyn#3");
@@ -188,24 +182,9 @@ TEST(FormalProve, CexVcdByteStableAcrossSweepModes)
             cex = &o;
     ASSERT_NE(cex, nullptr);
 
-    std::ostringstream full, dirty;
-    formal::writeCexVcd(p.inst, *cex, full, rtl::SweepMode::Full);
-    formal::writeCexVcd(p.inst, *cex, dirty, rtl::SweepMode::Dirty);
-    EXPECT_FALSE(full.str().empty());
-    EXPECT_EQ(full.str(), dirty.str());
-
-    // Violated verdict (and counterexample) reproduce under the
-    // dense sweep too.
-    formal::ProveOptions fopts;
-    fopts.sweep_mode = rtl::SweepMode::Full;
-    formal::ProveResult res2 = formal::prove(p.inst, fopts);
-    const ObligationOutcome *cex2 = nullptr;
-    for (const auto &o : res2.obligations)
-        if (o.status == ObligationOutcome::Status::Violated)
-            cex2 = &o;
-    ASSERT_NE(cex2, nullptr);
-    EXPECT_EQ(cex2->k, cex->k);
-    EXPECT_EQ(cex2->cex.size(), cex->cex.size());
+    std::ostringstream vcd;
+    formal::writeCexVcd(p.inst, *cex, vcd);
+    EXPECT_FALSE(vcd.str().empty());
 }
 
 /**

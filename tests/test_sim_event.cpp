@@ -616,7 +616,7 @@ TEST(SweepModes, SetAssocTlbHitsAfterFill)
     EXPECT_EQ(sim.peek("io_res_data").slice(32, 1).toUint64(), 0u);
 }
 
-TEST(SweepModes, BmcStatesIdenticalAcrossModes)
+TEST(SweepModes, BmcStatesIdenticalOnKernel)
 {
     auto m = std::make_shared<Module>();
     m->name = "cnt";
@@ -626,12 +626,8 @@ TEST(SweepModes, BmcStatesIdenticalAcrossModes)
 
     verif::BmcOptions base;
     base.max_depth = 12;
-    std::vector<verif::BmcResult> results;
-    for (SweepMode mode : {SweepMode::Full, SweepMode::Dirty}) {
-        verif::BmcOptions opts = base;
-        opts.sweep_mode = mode;
-        results.push_back(verif::boundedModelCheck(m, {a}, opts));
-    }
+    std::vector<verif::BmcResult> results = {
+        verif::boundedModelCheck(m, {a}, base)};
     if (haveJitCompiler()) {
         // Same exploration through the compiled kernel backend.  The
         // netlist build is deterministic, so a kernel compiled from a

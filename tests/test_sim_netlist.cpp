@@ -6,9 +6,9 @@
  * plus targeted regressions for child-output alias peeks, lazy
  * (cycle-tolerant) evaluation, and netlist structure, the host
  * executor's node records checked one by one against the BitVec
- * operators, the host's scheduling of a dense-only unit (an
- * in-process stand-in, so no compiler is needed), and renames, which
- * share their driver's net.
+ * operators on strict, lazy and appended nets, the host's scheduling
+ * of a dense-only unit (an in-process stand-in, so no compiler is
+ * needed), and renames, which share their driver's net.
  */
 
 #include <gtest/gtest.h>
@@ -337,11 +337,21 @@ TEST(SimNetlist, LevelizedOrderCoversStrictNodes)
 
 // --- Host executor ---------------------------------------------------
 
-/** One wire of the executor fixture and its BitVec reference. */
+/** One case of the executor fixture, its expression and its BitVec
+ *  reference. */
 struct ExecCase
 {
     std::string name;
+    ExprPtr expr;
     std::function<BitVec(const std::map<std::string, BitVec> &)> want;
+};
+
+/** Which nets carry the executor fixture's cases. */
+enum class ExecNets
+{
+    Strict,     // wires over the inputs: strict nets
+    Lazy,       // wires behind a mux-guarded self-loop per input
+    Appended,   // no wires: each expression goes through Sim::evalTop
 };
 
 /** An expression node of an explicit width (the builders pick their
@@ -360,32 +370,46 @@ sized(Expr::Kind kind, int width, std::vector<ExprPtr> args,
 }
 
 /**
- * Every Net::Kind and Op the executor lowers, as strict wires over the
- * inputs a<w>, b<w> and c<w> of widths 1, 63 and 64 (the narrow lane)
- * and 65, 128 and 200 (the wide lane), with node widths that truncate
- * and zero-extend, shift amounts at and past the width, slices below
- * bit 0 and past bit 64, concats across bit 64 and out-of-range ROM
- * addresses.  Each wire's value must equal the BitVec operators'
+ * Every Net::Kind and Op the executor lowers, over the inputs a<w>,
+ * b<w> and c<w> of widths 1, 63 and 64 (the narrow lane) and 65, 128
+ * and 200 (the wide lane), with node widths that truncate and
+ * zero-extend, shift amounts at and past the width, slices below bit 0
+ * and past bit 64, concats across bit 64 and out-of-range ROM
+ * addresses.  Each case's value must equal the BitVec operators'
  * (applyUnop, applyBinop, slice, concatHigh, resize) on the inputs.
+ * The cases are strict wires, lazy wires that read each input through
+ * l<p><w> = mux(1'b1, <p><w>, l<p><w>), or appended nets (ExecNets).
  */
 struct ExecFixture
 {
     std::shared_ptr<Module> mod = std::make_shared<Module>();
     std::vector<ExecCase> cases;
     std::vector<int> widths = {1, 63, 64, 65, 128, 200};
+    ExecNets nets;
 
-    ExecFixture()
+    explicit ExecFixture(ExecNets kind) : nets(kind)
     {
         mod->name = "exec";
         for (const char *p : {"a", "b", "c"})
-            for (int w : widths)
-                mod->input(p + std::to_string(w), w);
+            for (int w : widths) {
+                std::string name = p + std::to_string(w);
+                mod->input(name, w);
+                if (nets == ExecNets::Lazy)
+                    mod->wire("l" + name,
+                              sized(Expr::Kind::Mux, w,
+                                    {cst(1, 1), ref(name, w),
+                                     ref("l" + name, w)}));
+            }
         build();
     }
 
-    static ExprPtr in(const char *p, int w)
+    /** A read of input <p><w> at `width` bits (0: its own), through
+     *  its self-loop when the cases are lazy. */
+    ExprPtr in(const char *p, int w, int width = 0) const
     {
-        return ref(p + std::to_string(w), w);
+        std::string name = p + std::to_string(w);
+        return ref(nets == ExecNets::Lazy ? "l" + name : name,
+                   width ? width : w);
     }
     static const BitVec &val(const std::map<std::string, BitVec> &v,
                              const char *p, int w)
@@ -396,8 +420,9 @@ struct ExecFixture
              std::function<BitVec(const std::map<std::string, BitVec> &)>
                  want)
     {
-        mod->wire(name, e);
-        cases.push_back({name, std::move(want)});
+        if (nets != ExecNets::Appended)
+            mod->wire(name, e);
+        cases.push_back({name, std::move(e), std::move(want)});
     }
 
     void build()
@@ -418,7 +443,7 @@ struct ExecFixture
             for (int wn : widths)
                 add("cp_" + std::to_string(wa) + "_" +
                         std::to_string(wn),
-                    ref("a" + std::to_string(wa), wn),
+                    in("a", wa, wn),
                     [=](const auto &v) {
                         return val(v, "a", wa).resize(wn);
                     });
@@ -546,19 +571,31 @@ execInput(int width, int round, std::mt19937_64 &rng)
 }
 
 void
-expectExecutorMatches(SweepMode mode)
+expectExecutorMatches(SweepMode mode, ExecNets nets = ExecNets::Strict)
 {
-    ExecFixture fx;
+    ExecFixture fx(nets);
     Sim sim(fx.mod);
     sim.setSweepMode(mode);
-    // Every wire is a strict net on the executor, or the input it
-    // renames; wide cases take the wide lane.
+    // Every strict case is a strict net on the executor, or the input
+    // it renames; every lazy case is lazy; every appended case is an
+    // appended net or an input.  Wide cases take the wide lane.
     const Netlist &nl = sim.netlist();
+    size_t built = nl.layout()->net_count;
     size_t wide = 0;
     for (const ExecCase &c : fx.cases) {
-        const Net &n = nl.net(nl.signals().at(c.name).net);
-        ASSERT_FALSE(n.lazy) << c.name;
-        wide += n.kind != Net::Kind::Input && !n.fast;
+        NetId id = nets == ExecNets::Appended ? sim.topNet(c.expr)
+                                              : nl.signals().at(c.name).net;
+        const Net &n = nl.net(id);
+        bool input = n.kind == Net::Kind::Input;
+        switch (nets) {
+          case ExecNets::Strict: ASSERT_FALSE(n.lazy) << c.name; break;
+          case ExecNets::Lazy: ASSERT_TRUE(n.lazy) << c.name; break;
+          case ExecNets::Appended:
+            ASSERT_TRUE(input || (n.lazy && static_cast<size_t>(id) >= built))
+                << c.name;
+            break;
+        }
+        wide += !input && !n.fast;
     }
     EXPECT_GT(wide, fx.cases.size() / 3);
 
@@ -578,7 +615,8 @@ expectExecutorMatches(SweepMode mode)
             }
         for (const ExecCase &c : fx.cases) {
             BitVec want = c.want(vals);
-            BitVec got = sim.peek(c.name);
+            BitVec got = nets == ExecNets::Appended ? sim.evalTop(c.expr)
+                                                    : sim.peek(c.name);
             ASSERT_EQ(got.toHex(), want.resize(got.width()).toHex())
                 << c.name << " round " << round;
             ASSERT_EQ(got, want) << c.name << " round " << round;
@@ -595,6 +633,16 @@ TEST(HostExecutor, DenseBodiesMatchBitVecOperators)
 TEST(HostExecutor, SparseDrainsMatchBitVecOperators)
 {
     expectExecutorMatches(SweepMode::Dirty);
+}
+
+TEST(HostExecutor, LazyNetsMatchBitVecOperators)
+{
+    expectExecutorMatches(SweepMode::Dirty, ExecNets::Lazy);
+}
+
+TEST(HostExecutor, AppendedNetsMatchBitVecOperators)
+{
+    expectExecutorMatches(SweepMode::Dirty, ExecNets::Appended);
 }
 
 // --- A dense-only unit without a compiler ----------------------------
