@@ -62,8 +62,6 @@
  *                    the [trigger-K, trigger+post] window is dumped
  *                    as VCD (byte-compatible with --vcd, so
  *                    --replay / --check-trace consume it directly)
- *     --flight-pre <P>  override the pre-trigger context (default:
- *                    the --flight argument)
  *     --flight-post <Q> cycles captured after a trigger before the
  *                    dump flushes (default 8)
  *     --dump-on <t>  flight trigger (repeatable): VIOLATION (any
@@ -183,7 +181,6 @@ usage()
             "  --diff-trace <A> <B>  first divergence of two dumps\n"
             "  --flight <K>   flight recorder: keep the last K\n"
             "                 cycles; dump a VCD window on trigger\n"
-            "  --flight-pre <P>  pre-trigger context override\n"
             "  --flight-post <Q> post-trigger capture (default 8)\n"
             "  --dump-on <t>  flight trigger: VIOLATION (default)\n"
             "                 or cover:NAME (repeatable)\n"
@@ -259,7 +256,6 @@ struct SimOptions
     bool stats_json = false;     // --stats-json
 
     uint64_t flight = 0;         // --flight K (0: recorder off)
-    uint64_t flight_pre = 0;     // --flight-pre (0: use flight)
     uint64_t flight_post = 8;    // --flight-post
     std::vector<std::string> dump_on;   // --dump-on triggers
     std::string flight_out = "flight";  // --flight-out prefix
@@ -377,7 +373,7 @@ runSim(const rtl::ModulePtr &mod, const formal::ContractSet *typed,
     job.telemetry = so.telemetry();
     if (!job.telemetry)
         job.activity_window = 0;
-    job.flight_pre = so.flight_pre ? so.flight_pre : so.flight;
+    job.flight_pre = so.flight;
     job.flight_post = so.flight_post;
     job.flight_triggers = so.dump_on;
     job.flight_out = so.flight_out;
@@ -785,14 +781,6 @@ main(int argc, char **argv)
                 return kExitUsage;
             }
             so.flight = static_cast<uint64_t>(k);
-        } else if (arg == "--flight-pre" && i + 1 < argc) {
-            long p = atol(argv[++i]);
-            if (p < 1) {
-                fprintf(stderr, "anvilc: bad --flight-pre count\n");
-                return kExitUsage;
-            }
-            so.flight_pre = static_cast<uint64_t>(p);
-            flight_aux = true;
         } else if (arg == "--flight-post" && i + 1 < argc) {
             long q = atol(argv[++i]);
             if (q < 0) {
@@ -903,8 +891,8 @@ main(int argc, char **argv)
     }
     if (flight_aux && !so.flight) {
         fprintf(stderr,
-                "anvilc: --flight-pre/--flight-post/--dump-on/"
-                "--flight-out require --flight <K>\n");
+                "anvilc: --flight-post/--dump-on/--flight-out "
+                "require --flight <K>\n");
         return kExitUsage;
     }
     if (!so.events_path.empty() &&

@@ -8,22 +8,26 @@
  * The unit carries only design-specific code (see docs/compile.md):
  *  - a straight-line dense body per non-empty logic level, so each
  *    strict node is compiled exactly once;
- *  - the u64 fast lane lowered to native integer arithmetic, wide
- *    values to packed-word helper calls, which are emitted only when
- *    some node is wide;
+ *  - each node as its record in the layout (rtl::KernelLayout::nodes),
+ *    printed as a call to the record's step in rtl/word_ops.h with
+ *    literal operands (a narrow record's constants as values): the
+ *    same functions the host executor runs, embedded verbatim, the
+ *    wide lane only when some record is wide;
  *  - change-cutting at every store: an unchanged value is not
  *    appended to the changed list;
- *  - the design's ROMs as static tables;
+ *  - the layout's Concat-part, ROM and wide-shape tables, as far as
+ *    the unit's records read them;
  *  - state words addressed at the offsets of the netlist's layout
  *    (rtl::Netlist::layout), the one the host (rtl::KernelHost)
  *    allocates.
+ * The emitter holds no operator semantics of its own.
  * The level walk and its escalation rule, the sparse drains (the host
  * executor's node records), consumer queueing, the dense-fallback
  * hysteresis, pokes, statistics and the clock edge are precompiled
  * host code (rtl/kernel_host.h).
  *
  * The unit includes no headers and needs no runtime library; a unit
- * with a wide node may reference libc's mem*, which binds to the
+ * with a wide record may reference libc's mem*, which binds to the
  * loading process.  The dump compiles standalone
  * (`c++ -O2 -fPIC -shared -nostdlib`); the JIT (codegen/jit.h)
  * automates compile + dlopen + validation.
@@ -55,9 +59,12 @@ namespace codegen {
  * statistics and clock edge move to the host (rtl::KernelHost), and
  * the unit exports per-level dense and sparse function tables;
  * v8: ABI v6, dense-only units: the host drains sparse levels with
- * its executor and queues consumers, so the change hook only appends.
+ * its executor and queues consumers, so the change hook only appends;
+ * v9: one operator definition: each node is its layout record printed
+ * as a call to the record steps of rtl/word_ops.h, which the unit
+ * embeds verbatim, over the layout's side tables.
  */
-constexpr int kCppEmitterVersion = 8;
+constexpr int kCppEmitterVersion = 9;
 
 /**
  * Emit `nl` as a C++ kernel translation unit, at the offsets of

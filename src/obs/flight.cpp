@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <stdexcept>
 
 #include "obs/metrics.h"
 
@@ -13,27 +12,22 @@ FlightRecorder::FlightRecorder(rtl::Sim &sim, Options opts)
     : _sim(sim), _opts(std::move(opts))
 {
     const rtl::Netlist &nl = _sim.netlist();
-    std::vector<std::string> signals = _opts.signals;
-    if (signals.empty())
-        for (const auto &[name, sig] : nl.signals())
-            signals.push_back(name);
-
     _net_slot.assign(nl.nets().size(), -1);
     _net_mask.assign((nl.nets().size() + 63) / 64, 0);
-    for (const auto &name : signals) {
-        std::string flat = nl.resolveName("", name);
-        auto it = nl.signals().find(flat);
-        if (it == nl.signals().end())
-            throw std::invalid_argument("no such signal: " + name);
-        if (it->second.width < 1)
+    for (const auto &named : nl.signals()) {
+        // A parent's name for a child's output traces as the child's
+        // signal, as in VcdWriter.
+        std::string flat = nl.resolveName("", named.first);
+        const rtl::NetSignal &sig = nl.signals().at(flat);
+        if (sig.width < 1)
             continue;   // VCD cannot represent zero-width vars
         Traced t;
         t.name = flat;
         t.id = rtl::VcdWriter::idCode(_traced.size());
-        t.net = it->second.net;
-        t.width = it->second.width;
+        t.net = sig.net;
+        t.width = sig.width;
         t.words = (t.width + 63) / 64;
-        t.is_reg = it->second.kind == rtl::NetSignal::Kind::Reg;
+        t.is_reg = sig.kind == rtl::NetSignal::Kind::Reg;
         t.fed = !nl.net(t.net).lazy;
         HotSlot h;
         h.words = t.words;

@@ -55,9 +55,6 @@ class FlightRecorder : public Observer
         uint64_t pre = 64;
         /** Cycles captured after a trigger before the dump flushes. */
         uint64_t post = 8;
-        /** Signals to record (flat dotted names); empty records
-         *  every named signal, exactly like VcdWriter. */
-        std::vector<std::string> signals;
     };
 
     /** One flushed window dump. */
@@ -90,6 +87,8 @@ class FlightRecorder : public Observer
         std::function<std::string(const DumpInfo &info,
                                   const std::string &vcd)>;
 
+    /** A recorder of every named signal of `sim`, as rtl::VcdWriter
+     *  traces them. */
     explicit FlightRecorder(rtl::Sim &sim)
         : FlightRecorder(sim, Options())
     {

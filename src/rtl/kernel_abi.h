@@ -5,18 +5,20 @@
  * `anvilc --emit-cpp` (src/codegen/cpp_emitter.cpp) lowers the strict
  * combinational portion of a levelized rtl::Netlist to straight-line
  * C++: one dense body per non-empty logic level, each strict node
- * compiled exactly once.  Those bodies, the design's ROM tables and,
- * when some node is wide, the packed-word helpers are all the unit
- * carries; the JIT (src/codegen/jit.cpp) compiles it with the system
- * compiler and dlopens the result.  The generated file embeds its own
- * copy of the structs below so an --emit-cpp dump compiles standalone
+ * compiled exactly once, as a call to its layout record's step in
+ * rtl/word_ops.h.  Those bodies, the record steps (embedded verbatim;
+ * the wide lane only when some record is wide) and the layout's side
+ * tables are all the unit carries; the JIT (src/codegen/jit.cpp)
+ * compiles it with the system compiler and dlopens the result.  The
+ * generated file embeds its own copy of the structs below so an
+ * --emit-cpp dump compiles standalone
  * — the two copies are tied together by `abi_version`, and an attach
  * is additionally gated on `design_hash` (rtl::designHash),
  * `net_count`, `state_words` and `level_count`, so a stale object can
  * never be bound to the wrong netlist.
  *
  * Division of labour: the unit holds only what differs between
- * designs, the node arithmetic of its dense bodies.  Everything that
+ * designs, the record calls of its dense bodies.  Everything that
  * is the same for every design is precompiled host code
  * (rtl/kernel_host.h): rtl::KernelHost owns the context, the state
  * words at their per-net offsets, pokes, the occupancy bitmaps, the

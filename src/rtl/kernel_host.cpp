@@ -38,52 +38,11 @@ flipTo(uint64_t *d, const uint64_t *s, uint32_t n)
     return f;
 }
 
-/**
- * The executor's opcodes.  Each node kind has a narrow one (the node
- * and its operands fit a word; k masks the result) and a wide one at
- * + kWide (k indexes KernelLayout::wide).  Gt and Ge lower to Lt and
- * Le with their operands swapped, a narrow Slice to a shift by an
- * immediate or to zero.
- */
-enum XOp : uint8_t
-{
-    XCopy, XNot, XRedOr, XRedAnd, XAnd, XOr, XXor, XAdd, XSub, XMul,
-    XEq, XNe, XLt, XLe, XShl, XShr, XMux, XSlice, XCat, XRom,
-    kWide,
-    XNop = 2 * kWide,   // zero width: evaluated for the count only
-    XZero,              // a narrow Slice wholly outside its operand
-    XShrImm, XShlImm,   // a narrow Slice: b = the shift
-};
-
 /** The opcode of each rtl::Op, in its declaration order. */
 constexpr uint8_t kOpOf[] = {XNot, XRedOr, XRedAnd, XAnd, XOr, XXor,
                              XAdd, XSub,   XMul,    XEq,  XNe, XLt,
                              XLe,  XLt,    XLe,     XShl, XShr};
 static_assert(static_cast<size_t>(Op::Shr) + 1 == std::size(kOpOf));
-
-/**
- * Bits [p, p + 64) of the value at a, where bits outside [0, limit)
- * read as zero (limit is at most the value's width): the one word
- * reader behind the wide lane's copies, shifts, slices and concats,
- * with anvil::BitVec semantics.
- */
-inline uint64_t
-bitsAt(const uint64_t *a, uint64_t limit, int64_t p)
-{
-    int64_t left = static_cast<int64_t>(limit) - p;   // bits from p on
-    if (left <= 0 || p <= -64)
-        return 0;
-    uint64_t r;
-    if (p < 0) {
-        r = a[0] << -p;
-    } else {
-        uint64_t w = static_cast<uint64_t>(p) >> 6, sh = p & 63;
-        r = a[w] >> sh;
-        if (sh && w + 1 < kernelWords(static_cast<int>(limit)))
-            r |= a[w + 1] << (64 - sh);
-    }
-    return left < 64 ? r & ((1ull << left) - 1) : r;
-}
 
 /** ROM tables already in KernelLayout::rom, per (contents, width). */
 using RomTables = std::map<std::pair<const void *, int>, uint32_t>;
@@ -105,7 +64,7 @@ lowerNode(const Netlist &nl, KernelLayout &L, NetId id, RomTables &roms)
                            : static_cast<uint32_t>(std::max(
                                  nets[static_cast<size_t>(o)].width, 0));
     };
-    // ROM tables, one per (contents, width), like the emitter's.
+    // ROM tables, one per (contents, width), which units print too.
     auto romTable = [&](const Net &n) {
         auto key = std::make_pair(static_cast<const void *>(n.rom.get()),
                                   n.width);
@@ -190,177 +149,88 @@ queueConsumers(const KernelLayout &L, int32_t id, uint64_t *wbm,
     }
 }
 
-/** A wide-lane node: its words computed into t, then compared with
- *  and stored over its state words.  Returns whether they moved. */
+/** A narrow record of opcode Op: its state operands' words, or the
+ *  immediates stateArgs leaves, through narrowOp. */
+template <int Op>
+inline bool
+stepNarrow(uint64_t *s, const KernelLayout::Node &n)
+{
+    constexpr uint32_t st = stateArgs(Op);
+    return putWord(s + n.dst,
+                   narrowOp<Op>(st & 1 ? s[n.a] : n.a, st & 2 ? s[n.b] : n.b,
+                                st & 4 ? s[n.c] : n.c, n.k));
+}
+
+/** A wide record: its words computed into t, then stored over its
+ *  state words.  Returns whether they moved. */
 __attribute__((noinline)) bool
 stepWide(uint64_t *s, const KernelLayout::Node &n, const KernelLayout &L,
          uint64_t *t)
 {
-    const KernelLayout::Wide &x = L.wide[n.k];
-    uint32_t dw = kernelWords(static_cast<int>(x.bits));
-    uint32_t aw = kernelWords(static_cast<int>(x.abits));
-    uint32_t ow = std::max(aw, kernelWords(static_cast<int>(x.bbits)));
-    const uint64_t *a = s + n.a, *b = s + n.b;
-    // Word i of an operand, zero past its width.
-    auto A = [&](uint32_t i) { return bitsAt(a, x.abits, 64ll * i); };
-    auto B = [&](uint32_t i) { return bitsAt(b, x.bbits, 64ll * i); };
-    auto compare = [&] {   // a against b, unresized: -1, 0 or 1
-        for (uint32_t i = ow; i-- > 0;)
-            if (A(i) != B(i))
-                return A(i) < B(i) ? -1 : 1;
-        return 0;
-    };
-    auto any = [&] {
-        for (uint32_t i = 0; i < aw; i++)
-            if (a[i])
-                return true;
-        return false;
-    };
-    std::fill_n(t, dw, 0);
-    uint8_t op = static_cast<uint8_t>(n.op - kWide);
-    switch (op) {
-      case XRedOr: t[0] = any(); break;
-      case XRedAnd:
-        t[0] = 1;
-        for (uint32_t i = 0; i < aw; i++) {
-            uint64_t rest = x.abits - 64ull * i;
-            t[0] &= A(i) == (rest >= 64 ? ~0ull : (1ull << rest) - 1);
-        }
-        break;
-      case XEq: t[0] = compare() == 0; break;
-      case XNe: t[0] = compare() != 0; break;
-      case XLt: t[0] = compare() < 0; break;
-      case XLe: t[0] = compare() <= 0; break;
-      case XAdd:
-      case XSub: {
-        unsigned __int128 carry = op == XSub;
-        for (uint32_t i = 0; i < dw; i++) {
-            carry += A(i);
-            carry += op == XSub ? ~B(i) : B(i);
-            t[i] = static_cast<uint64_t>(carry);
-            carry >>= 64;
-        }
-        break;
-      }
-      case XMul:
-        for (uint32_t i = 0; i < dw; i++) {
-            unsigned __int128 carry = 0;
-            for (uint32_t j = 0; i + j < dw; j++) {
-                carry += static_cast<unsigned __int128>(A(i)) * B(j);
-                carry += t[i + j];
-                t[i + j] = static_cast<uint64_t>(carry);
-                carry >>= 64;
-            }
-        }
-        break;
-      case XRom:
-        if (a[0] < n.c)
-            std::copy_n(L.rom.data() + n.b + a[0] * dw, dw, t);
-        break;
-      default: {
-        // The rest move bits: each result word is read from an operand
-        // at a shifted position.  A shift amount is the low word of b
-        // resized to the node's width; at or past the width the result
-        // is zero.
-        uint64_t sh = bitsAt(b, std::min(x.bbits, x.bits), 0);
-        if ((op == XShl || op == XShr) && sh >= x.bits)
-            break;
-        bool sel = op == XMux && any();
-        for (uint32_t j = 0; j < dw; j++) {
-            int64_t p = 64ll * j;
-            switch (op) {
-              case XCopy: t[j] = A(j); break;
-              case XNot: t[j] = ~A(j); break;
-              case XAnd: t[j] = A(j) & B(j); break;
-              case XOr: t[j] = A(j) | B(j); break;
-              case XXor: t[j] = A(j) ^ B(j); break;
-              case XShl:
-                t[j] = bitsAt(a, x.abits, p - static_cast<int64_t>(sh));
-                break;
-              case XShr:
-                t[j] = bitsAt(a, std::min(x.abits, x.bits),
-                              p + static_cast<int64_t>(sh));
-                break;
-              case XMux:
-                t[j] = sel ? B(j) : bitsAt(s + n.c, x.cbits, p);
-                break;
-              case XSlice: t[j] = bitsAt(a, x.abits, p + x.lo); break;
-              case XCat:
-                for (uint32_t k = n.b; k < n.c; k++)
-                    t[j] |= bitsAt(s + L.parts[k].off, L.parts[k].bits,
-                                   p - L.parts[k].shift);
-                break;
-              default: break;
-            }
-        }
-      }
+    const XWide &x = L.wide[n.k];
+    const XPart *parts = L.parts.data();
+    switch (n.op - kWide) {
+      case XCopy: wideOp<XCopy>(t, s, n.a, n.b, n.c, x); break;
+      case XNot: wideOp<XNot>(t, s, n.a, n.b, n.c, x); break;
+      case XRedOr: wideOp<XRedOr>(t, s, n.a, n.b, n.c, x); break;
+      case XRedAnd: wideOp<XRedAnd>(t, s, n.a, n.b, n.c, x); break;
+      case XAnd: wideOp<XAnd>(t, s, n.a, n.b, n.c, x); break;
+      case XOr: wideOp<XOr>(t, s, n.a, n.b, n.c, x); break;
+      case XXor: wideOp<XXor>(t, s, n.a, n.b, n.c, x); break;
+      case XAdd: wideOp<XAdd>(t, s, n.a, n.b, n.c, x); break;
+      case XSub: wideOp<XSub>(t, s, n.a, n.b, n.c, x); break;
+      case XMul: wideOp<XMul>(t, s, n.a, n.b, n.c, x); break;
+      case XEq: wideOp<XEq>(t, s, n.a, n.b, n.c, x); break;
+      case XNe: wideOp<XNe>(t, s, n.a, n.b, n.c, x); break;
+      case XLt: wideOp<XLt>(t, s, n.a, n.b, n.c, x); break;
+      case XLe: wideOp<XLe>(t, s, n.a, n.b, n.c, x); break;
+      case XShl: wideOp<XShl>(t, s, n.a, n.b, n.c, x); break;
+      case XShr: wideOp<XShr>(t, s, n.a, n.b, n.c, x); break;
+      case XMux: wideOp<XMux>(t, s, n.a, n.b, n.c, x); break;
+      case XSlice: wideOp<XSlice>(t, s, n.a, n.b, n.c, x); break;
+      case XCat: wideCat(t, s, parts + n.b, parts + n.c, x); break;
+      default: wideRom(t, s + n.a, L.rom.data() + n.b, n.c, x); break;
     }
-    t[dw - 1] &= x.bits % 64 ? (1ull << (x.bits % 64)) - 1 : ~0ull;
-    uint64_t *d = s + n.dst;
-    if (std::equal(t, t + dw, d))
-        return false;
-    std::copy_n(t, dw, d);
-    return true;
+    return putWords(s + n.dst, t, kernelWords(x.bits));
 }
 
-/** One node: computes it and, when its words moved, stores them.
+/** One record: computes it and, when its words moved, stores them.
  *  Returns whether they moved. */
 inline bool
 stepNode(uint64_t *s, const KernelLayout::Node &n, const KernelLayout &L,
          uint64_t *tmp)
 {
-    uint64_t r;
-    const uint64_t k = n.k;
     switch (n.op) {
       case XNop: return false;
-      case XZero: r = 0; break;
-      case XCopy: r = s[n.a] & k; break;
-      case XNot: r = ~s[n.a] & k; break;
-      case XRedOr: r = s[n.a] != 0; break;
-      case XRedAnd: r = s[n.a] == k; break;
-      case XAnd: r = s[n.a] & s[n.b] & k; break;
-      case XOr: r = (s[n.a] | s[n.b]) & k; break;
-      case XXor: r = (s[n.a] ^ s[n.b]) & k; break;
-      case XAdd: r = ((s[n.a] & k) + (s[n.b] & k)) & k; break;
-      case XSub: r = ((s[n.a] & k) - (s[n.b] & k)) & k; break;
-      case XMul: r = ((s[n.a] & k) * (s[n.b] & k)) & k; break;
-      case XEq: r = s[n.a] == s[n.b]; break;
-      case XNe: r = s[n.a] != s[n.b]; break;
-      case XLt: r = s[n.a] < s[n.b]; break;
-      case XLe: r = s[n.a] <= s[n.b]; break;
-      case XShl: {
-        uint64_t sh = s[n.b] & k;
-        r = sh >= n.c ? 0 : ((s[n.a] & k) << sh) & k;
-        break;
-      }
-      case XShr: {
-        uint64_t sh = s[n.b] & k;
-        r = sh >= n.c ? 0 : (s[n.a] & k) >> sh;
-        break;
-      }
-      case XMux: r = (s[n.a] ? s[n.b] : s[n.c]) & k; break;
-      case XShrImm: r = (s[n.a] >> n.b) & k; break;
-      case XShlImm: r = (s[n.a] << n.b) & k; break;
-      case XCat: {
-        r = 0;
-        for (uint32_t p = n.b; p < n.c; p++)
-            r |= s[L.parts[p].off] << L.parts[p].shift;
-        r &= k;
-        break;
-      }
-      case XRom: {
-        uint64_t addr = s[n.a];
-        r = addr < n.c ? L.rom[n.b + addr] : 0;
-        break;
-      }
+      case XZero: return stepNarrow<XZero>(s, n);
+      case XCopy: return stepNarrow<XCopy>(s, n);
+      case XNot: return stepNarrow<XNot>(s, n);
+      case XRedOr: return stepNarrow<XRedOr>(s, n);
+      case XRedAnd: return stepNarrow<XRedAnd>(s, n);
+      case XAnd: return stepNarrow<XAnd>(s, n);
+      case XOr: return stepNarrow<XOr>(s, n);
+      case XXor: return stepNarrow<XXor>(s, n);
+      case XAdd: return stepNarrow<XAdd>(s, n);
+      case XSub: return stepNarrow<XSub>(s, n);
+      case XMul: return stepNarrow<XMul>(s, n);
+      case XEq: return stepNarrow<XEq>(s, n);
+      case XNe: return stepNarrow<XNe>(s, n);
+      case XLt: return stepNarrow<XLt>(s, n);
+      case XLe: return stepNarrow<XLe>(s, n);
+      case XShl: return stepNarrow<XShl>(s, n);
+      case XShr: return stepNarrow<XShr>(s, n);
+      case XMux: return stepNarrow<XMux>(s, n);
+      case XShrImm: return stepNarrow<XShrImm>(s, n);
+      case XShlImm: return stepNarrow<XShlImm>(s, n);
+      case XCat:
+        return putWord(s + n.dst, narrowCat(s, L.parts.data() + n.b,
+                                            L.parts.data() + n.c, n.k));
+      case XRom:
+        return putWord(s + n.dst,
+                       narrowRom(s[n.a], L.rom.data() + n.b, n.c));
       default:   // the wide lane
         return stepWide(s, n, L, tmp);
     }
-    uint64_t *d = s + n.dst;
-    if (*d == r)
-        return false;
-    *d = r;
-    return true;
 }
 
 } // namespace

@@ -12,8 +12,11 @@
  * offsets — and kernelLayout() is the one function that builds it.
  * Each rtl::Netlist builds its layout once (Netlist::layout()) and
  * extends it by the nets it appends later (extendLayout); the C++
- * emitter bakes its offsets into the node bodies and every Sim on the
- * netlist reads the same object, so the two cannot drift.
+ * emitter prints its strict records into the node bodies and every
+ * Sim on the netlist reads the same object, so the two cannot drift.
+ * What a record computes is defined once, in rtl/word_ops.h: the
+ * executor's step dispatches each record to those functions, and
+ * every JIT unit calls the same ones.
  *
  * KernelHost runs every rtl::Sim: it owns the state words, the
  * occupancy bitmaps and the frame the level functions see, takes
@@ -44,13 +47,11 @@
 namespace anvil {
 namespace rtl {
 
-/** Words a value of `width` bits takes in the state words:
- *  ceil(width/64), at least one. */
-inline uint32_t
-kernelWords(int width)
-{
-    return width <= 0 ? 1u : static_cast<uint32_t>((width + 63) / 64);
-}
+// The record opcodes and step functions (XOp, XPart, XWide,
+// kernelWords, ...), which JIT units embed as text.
+#define ANVIL_WORD_OPS(...) __VA_ARGS__
+#include "rtl/word_ops.h"
+#undef ANVIL_WORD_OPS
 
 /** How a netlist's values lie in packed state words, and its strict
  *  nodes as records over them (see kernelLayout). */
@@ -87,12 +88,12 @@ struct KernelLayout
         uint64_t top;
     };
     /**
-     * A node for the host executor: a fused opcode (see
-     * kernel_host.cpp) over word offsets.  `a`, `b` and `c` are
-     * operand offsets or, per opcode, an immediate (a shift, a width)
-     * or a side-table range (Concat parts, ROM words).  In the narrow
-     * lane (the node and its operands fit a word) `k` is the node's
-     * mask; in the wide lane it indexes `wide`.
+     * A node record: an XOp (rtl/word_ops.h) over word offsets.  `a`,
+     * `b` and `c` are operand offsets or, per opcode (stateArgs), an
+     * immediate (a shift, a width) or a side-table range (Concat
+     * parts, ROM words).  In the narrow lane (the node and its
+     * operands fit a word) `k` is the node's mask; in the wide lane
+     * it indexes `wide`.
      */
     struct Node
     {
@@ -100,19 +101,6 @@ struct KernelLayout
         NetId net;
         uint32_t dst, a, b, c;
         uint64_t k;
-    };
-    /** A wide-lane node's width, its operands' widths, and a
-     *  Slice's lo. */
-    struct Wide
-    {
-        uint32_t bits, abits, bbits, cbits;
-        int32_t lo;
-    };
-    /** A Concat operand: its first word and bits, shifted up by
-     *  `shift`. */
-    struct Part
-    {
-        uint32_t off, bits, shift;
     };
     /** A net's consumers in one bitmap word: their bits, the word,
      *  and the level that owns it. */
@@ -154,8 +142,8 @@ struct KernelLayout
      *  their side tables; and the most words any wide node writes. */
     std::vector<Node> nodes;
     std::vector<int32_t> node_of;       // per net: its record, or -1
-    std::vector<Wide> wide;
-    std::vector<Part> parts;
+    std::vector<XWide> wide;
+    std::vector<XPart> parts;
     std::vector<uint64_t> rom;          // entries at their node's width
     uint32_t max_words = 1;
 

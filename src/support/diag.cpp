@@ -1,5 +1,7 @@
 #include "support/diag.h"
 
+#include <algorithm>
+#include <cstring>
 #include <sstream>
 
 namespace anvil {
@@ -88,18 +90,24 @@ DiagEngine::renderOne(const Diagnostic &d) const
         os << _sourceName << ":" << d.loc.line << ":" << d.loc.col << ":\n";
         int idx = d.loc.line - 1;
         if (idx >= 0 && idx < static_cast<int>(_lines.size())) {
+            // A line longer than kEchoColumns is echoed as the window
+            // of that many columns around the column, "..." marking
+            // each cut, and its carets stop at the window's end.
             const std::string &line = _lines[idx];
-            os << d.loc.line << "| " << line << "\n";
+            size_t col = static_cast<size_t>(std::max(d.loc.col - 1, 0));
+            size_t from = 0, to = line.size();
+            if (line.size() > kEchoColumns) {
+                size_t half = kEchoColumns / 2;
+                from = std::min(col > half ? col - half : 0,
+                                line.size() - kEchoColumns);
+                to = from + kEchoColumns;
+            }
+            const char *head = from ? "..." : "";
+            os << d.loc.line << "| " << head << line.substr(from, to - from)
+               << (to < line.size() ? "..." : "") << "\n";
             std::string pad(std::to_string(d.loc.line).size(), ' ');
-            os << pad << "| ";
-            for (int i = 1; i < d.loc.col; i++)
-                os << ' ';
-            int span = static_cast<int>(line.size()) - d.loc.col + 1;
-            if (span < 1)
-                span = 1;
-            for (int i = 0; i < span; i++)
-                os << '^';
-            os << "\n";
+            os << pad << "| " << std::string(strlen(head) + col - from, ' ')
+               << std::string(to > col ? to - col : 1, '^') << "\n";
         }
     }
     return os.str();

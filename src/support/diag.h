@@ -65,6 +65,10 @@ class DiagEngine
     /** Render every diagnostic, with source excerpts when available. */
     std::string render() const;
 
+    /** Columns of a source line a diagnostic's excerpt shows at most:
+     *  a longer line is cut to that many around the column. */
+    static constexpr size_t kEchoColumns = 160;
+
     /** Render one diagnostic with its source excerpt. */
     std::string renderOne(const Diagnostic &d) const;
 

@@ -19,8 +19,9 @@
 #     with a counterexample VCD that --check-trace flags in turn,
 # 10. hostile inputs: number literals past 64 bits or outside their
 #     base, `cycle` counts past 65535 and terms nested past 256
-#     levels are diagnostics (exit 1), a VCD timestamp past 64 bits is
-#     a malformed dump (exit 3), and no input kills anvilc by a signal.
+#     levels are diagnostics (exit 1; one on a 420 KB line prints
+#     under 4 KB), a VCD timestamp past 64 bits is a malformed dump
+#     (exit 3), and no input kills anvilc by a signal.
 #
 # Usage: cli_trace_e2e.sh <path-to-anvilc> <repo-root>
 set -e
@@ -172,5 +173,12 @@ for shape in parens sum not waits over; do
     expect_exit 1 cli_deep_$shape.anvil
     grep -q 'term nested deeper than 256 levels' cli_hostile.log
 done
+# The chain of waits on one 420 KB line: the diagnostic shows a window
+# of the line around its column, not the whole line.
+{ deep_source '' 'set r := 1 >>' 30000 'set r := 1' '' | tr '\n' ' '; echo; } \
+    > cli_deep_line.anvil
+expect_exit 1 cli_deep_line.anvil
+grep -q 'term nested deeper than 256 levels' cli_hostile.log
+test "$(wc -c < cli_hostile.log)" -lt 4096
 expect_exit 0 cli_deep_cap.anvil -o cli_deep_cap.sv
 echo "hostile literals, cycle counts and nesting exit 1, an overflowing timestamp exits 3"

@@ -1,6 +1,7 @@
 // Generated by anvilc --emit-cpp; design 'ping_server'.
 // The dense level bodies of an AnvilKernel (see src/rtl/kernel_abi.h and
-// docs/compile.md), run by the host's rtl::KernelHost;
+// docs/compile.md), run by the host's rtl::KernelHost; each node calls
+// the step of its record in src/rtl/word_ops.h, embedded below.
 // compile with: c++ -O2 -fPIC -shared -nostdlib -o kernel.so <this file>
 // No headers and no runtime library.
 typedef __INT32_TYPE__ int32_t;
@@ -28,6 +29,8 @@ const AnvilKernel *anvil_kernel(void);
 
 namespace {
 
+// src/rtl/word_ops.h, narrow lane
+enum XOp { XCopy, XNot, XRedOr, XRedAnd, XAnd, XOr, XXor, XAdd, XSub, XMul, XEq, XNe, XLt, XLe, XShl, XShr, XMux, XSlice, XCat, XRom, kWide, XNop = 2 * kWide, XZero, XShrImm, XShlImm, kOpCount }; constexpr uint32_t stateArgs(int op) { int base = op < XNop ? op % kWide : op; return base == XMux ? 7u : base >= XAnd && base <= XShr ? 3u : base == XCat || base == XNop || base == XZero ? 0u : 1u; } struct XPart { uint32_t off, bits, shift; }; template <int Op> inline __attribute__((always_inline)) uint64_t narrowOp(uint64_t a, uint64_t b, uint64_t c, uint64_t k) { if constexpr (Op == XCopy) return a & k; else if constexpr (Op == XNot) return ~a & k; else if constexpr (Op == XRedOr) return a != 0; else if constexpr (Op == XRedAnd) return a == k; else if constexpr (Op == XAnd) return a & b & k; else if constexpr (Op == XOr) return (a | b) & k; else if constexpr (Op == XXor) return (a ^ b) & k; else if constexpr (Op == XAdd) return ((a & k) + (b & k)) & k; else if constexpr (Op == XSub) return ((a & k) - (b & k)) & k; else if constexpr (Op == XMul) return ((a & k) * (b & k)) & k; else if constexpr (Op == XEq) return a == b; else if constexpr (Op == XNe) return a != b; else if constexpr (Op == XLt) return a < b; else if constexpr (Op == XLe) return a <= b; else if constexpr (Op == XShl) return (b & k) >= c ? 0 : ((a & k) << (b & k)) & k; else if constexpr (Op == XShr) return (b & k) >= c ? 0 : (a & k) >> (b & k); else if constexpr (Op == XMux) return (a ? b : c) & k; else if constexpr (Op == XShrImm) return (a >> b) & k; else if constexpr (Op == XShlImm) return (a << b) & k; else return 0; } inline __attribute__((always_inline)) uint64_t narrowCat(const uint64_t *s, const XPart *p, const XPart *e, uint64_t k) { uint64_t r = 0; for (; p != e; p++) r |= s[p->off] << p->shift; return r & k; } inline __attribute__((always_inline)) uint64_t narrowRom(uint64_t addr, const uint64_t *rom, uint64_t n) { return addr < n ? rom[addr] : 0; } inline __attribute__((always_inline)) bool putWord(uint64_t *d, uint64_t r) { if (*d == r) return false; *d = r; return true; }
 
 static __attribute__((noinline)) void onChange(AnvilFrame *f, int32_t id)
 {
@@ -36,66 +39,66 @@ static __attribute__((noinline)) void onChange(AnvilFrame *f, int32_t id)
 
 static uint64_t lvl_d_1(AnvilFrame *f)
 {
-    uint64_t *s = f->s, ev = 0;
+    uint64_t *s = f->s;
     // n18 w1
-    { ev++; uint64_t r = ~s[4]; r &= 0x1ull; uint64_t *p = &s[18]; if (*p != r) { *p = r; onChange(f, 18); } }
+    { uint64_t r = narrowOp<XNot>(s[4], 0, 0, 0x1ull); if (s[18] != r) { s[18] = r; onChange(f, 18); } }
     // n22 w1
-    { ev++; uint64_t r = s[7] | s[6]; r &= 0x1ull; uint64_t *p = &s[22]; if (*p != r) { *p = r; onChange(f, 22); } }
+    { uint64_t r = narrowOp<XOr>(s[7], s[6], 0, 0x1ull); if (s[22] != r) { s[22] = r; onChange(f, 22); } }
     // n36 w8
-    { ev++; uint64_t r = (s[0] & 0xffull) + (0x1ull & 0xffull); r &= 0xffull; uint64_t *p = &s[36]; if (*p != r) { *p = r; onChange(f, 36); } }
-    return ev;
+    { uint64_t r = narrowOp<XAdd>(s[0], 0x1ull, 0, 0xffull); if (s[36] != r) { s[36] = r; onChange(f, 36); } }
+    return 3;
 }
 
 static uint64_t lvl_d_2(AnvilFrame *f)
 {
-    uint64_t *s = f->s, ev = 0;
+    uint64_t *s = f->s;
     // n19 w1 t0_ev0
-    { ev++; uint64_t r = s[18] | s[8]; r &= 0x1ull; uint64_t *p = &s[19]; if (*p != r) { *p = r; onChange(f, 19); } }
+    { uint64_t r = narrowOp<XOr>(s[18], s[8], 0, 0x1ull); if (s[19] != r) { s[19] = r; onChange(f, 19); } }
     // n23 w1 t0_ev3
-    { ev++; uint64_t r = s[22] & s[2]; r &= 0x1ull; uint64_t *p = &s[23]; if (*p != r) { *p = r; onChange(f, 23); } }
+    { uint64_t r = narrowOp<XAnd>(s[22], s[2], 0, 0x1ull); if (s[23] != r) { s[23] = r; onChange(f, 23); } }
     // n27 w8 io_pong_data
-    { ev++; uint64_t r = s[22] ? s[3] : 0x0ull; r &= 0xffull; uint64_t *p = &s[27]; if (*p != r) { *p = r; onChange(f, 27); } }
+    { uint64_t r = narrowOp<XMux>(s[22], s[3], 0x0ull, 0xffull); if (s[27] != r) { s[27] = r; onChange(f, 27); } }
     // n29 w1 io_pong_valid
-    { ev++; uint64_t r = 0x0ull | s[22]; r &= 0x1ull; uint64_t *p = &s[29]; if (*p != r) { *p = r; onChange(f, 29); } }
-    return ev;
+    { uint64_t r = narrowOp<XOr>(0x0ull, s[22], 0, 0x1ull); if (s[29] != r) { s[29] = r; onChange(f, 29); } }
+    return 4;
 }
 
 static uint64_t lvl_d_3(AnvilFrame *f)
 {
-    uint64_t *s = f->s, ev = 0;
+    uint64_t *s = f->s;
     // n20 w1
-    { ev++; uint64_t r = s[5] | s[19]; r &= 0x1ull; uint64_t *p = &s[20]; if (*p != r) { *p = r; onChange(f, 20); } }
+    { uint64_t r = narrowOp<XOr>(s[5], s[19], 0, 0x1ull); if (s[20] != r) { s[20] = r; onChange(f, 20); } }
     // n39 w1
-    { ev++; uint64_t r = ~s[23]; r &= 0x1ull; uint64_t *p = &s[39]; if (*p != r) { *p = r; onChange(f, 39); } }
-    return ev;
+    { uint64_t r = narrowOp<XNot>(s[23], 0, 0, 0x1ull); if (s[39] != r) { s[39] = r; onChange(f, 39); } }
+    return 2;
 }
 
 static uint64_t lvl_d_4(AnvilFrame *f)
 {
-    uint64_t *s = f->s, ev = 0;
+    uint64_t *s = f->s;
     // n21 w1 t0_ev1
-    { ev++; uint64_t r = s[20] & s[1]; r &= 0x1ull; uint64_t *p = &s[21]; if (*p != r) { *p = r; onChange(f, 21); } }
+    { uint64_t r = narrowOp<XAnd>(s[20], s[1], 0, 0x1ull); if (s[21] != r) { s[21] = r; onChange(f, 21); } }
     // n25 w1 io_ping_ack
-    { ev++; uint64_t r = 0x0ull | s[20]; r &= 0x1ull; uint64_t *p = &s[25]; if (*p != r) { *p = r; onChange(f, 25); } }
+    { uint64_t r = narrowOp<XOr>(0x0ull, s[20], 0, 0x1ull); if (s[25] != r) { s[25] = r; onChange(f, 25); } }
     // n40 w1
-    { ev++; uint64_t r = s[22] & s[39]; r &= 0x1ull; uint64_t *p = &s[40]; if (*p != r) { *p = r; onChange(f, 40); } }
-    return ev;
+    { uint64_t r = narrowOp<XAnd>(s[22], s[39], 0, 0x1ull); if (s[40] != r) { s[40] = r; onChange(f, 40); } }
+    return 3;
 }
 
 static uint64_t lvl_d_5(AnvilFrame *f)
 {
-    uint64_t *s = f->s, ev = 0;
+    uint64_t *s = f->s;
     // n33 w1
-    { ev++; uint64_t r = ~s[21]; r &= 0x1ull; uint64_t *p = &s[33]; if (*p != r) { *p = r; onChange(f, 33); } }
-    return ev;
+    { uint64_t r = narrowOp<XNot>(s[21], 0, 0, 0x1ull); if (s[33] != r) { s[33] = r; onChange(f, 33); } }
+    return 1;
 }
 
 static uint64_t lvl_d_6(AnvilFrame *f)
 {
-    uint64_t *s = f->s, ev = 0;
+    uint64_t *s = f->s;
     // n34 w1
-    { ev++; uint64_t r = s[20] & s[33]; r &= 0x1ull; uint64_t *p = &s[34]; if (*p != r) { *p = r; onChange(f, 34); } }
-    return ev;
+    { uint64_t r = narrowOp<XAnd>(s[20], s[33], 0, 0x1ull); if (s[34] != r) { s[34] = r; onChange(f, 34); } }
+    return 1;
 }
 
 static const AnvilLevelFn kDense[7] = {

@@ -2,8 +2,9 @@
  * @file
  * Compiled C++ backend: golden emitted-kernel snapshot for the
  * quickstart design, what the emitted unit leaves out (headers,
- * sparse drains, consumer tables, unused wide helpers, everything the
- * host runs), each strict node compiled exactly once in every design,
+ * sparse drains, consumer tables, the wide lane when no record is
+ * wide, everything the host runs), the record steps it embeds
+ * verbatim, each strict node compiled exactly once in every design,
  * JIT round-trip behaviour against the interpreter, kernel ABI
  * invariants, temp-dir handling (a missing $TMPDIR included), and the
  * no-compiler fallback path (a broken ANVIL_CXX must degrade to the
@@ -45,28 +46,13 @@ readFile(const std::string &path)
     return os.str();
 }
 
-/** Whether `unit` calls a wide helper: `w_` at the start of a word,
- *  one or more of [a-z_], then `(`. */
-bool
-callsWideHelper(const std::string &unit)
-{
-    auto word = [](char c) {
-        return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-            (c >= '0' && c <= '9') || c == '_';
-    };
-    for (size_t p = unit.find("w_"); p != std::string::npos;
-         p = unit.find("w_", p + 1)) {
-        if (p > 0 && word(unit[p - 1]))
-            continue;
-        size_t q = p + 2;
-        while (q < unit.size() &&
-               ((unit[q] >= 'a' && unit[q] <= 'z') || unit[q] == '_'))
-            q++;
-        if (q > p + 2 && q < unit.size() && unit[q] == '(')
-            return true;
-    }
-    return false;
-}
+/** rtl/word_ops.h as units embed it: its narrow lane, then its wide
+ *  lane. */
+const char *const kWordOps[] = {
+#define ANVIL_WORD_OPS(...) #__VA_ARGS__,
+#include "rtl/word_ops.h"
+#undef ANVIL_WORD_OPS
+};
 
 /** The quickstart module, compiled from the shipped example. */
 ModulePtr
@@ -129,11 +115,12 @@ TEST(CppEmitter, QuickstartUnitCarriesOnlyReachableCode)
     ASSERT_NE(mod, nullptr);
     Netlist nl(*mod);
     std::string unit = codegen::emitCppKernel(nl, "ping_server");
-    // No headers, and no wide lane: every quickstart node is <= 64
-    // bits wide, so no w_* helper is emitted.
+    // No headers, and only the narrow lane of the record steps: every
+    // quickstart node is <= 64 bits wide.
     EXPECT_EQ(unit.find("#include"), std::string::npos);
-    EXPECT_FALSE(callsWideHelper(unit));
-    EXPECT_EQ(unit.find("wmask"), std::string::npos);
+    EXPECT_NE(unit.find(kWordOps[0]), std::string::npos);
+    EXPECT_EQ(unit.find(kWordOps[1]), std::string::npos);
+    EXPECT_EQ(unit.find("wideOp<"), std::string::npos);
     // Dense bodies only: the host drains sparse levels through its
     // executor and queues consumers itself, so there is no drain, no
     // drain table and no consumer CSR.  The level walk, the context
@@ -194,11 +181,13 @@ TEST(CppEmitter, WideDesignCarriesWidePrelude)
     Netlist nl(*designs::buildAesBaseline());
     std::string unit = codegen::emitCppKernel(nl, "aes");
     EXPECT_EQ(unit.find("#include"), std::string::npos);
-    EXPECT_NE(unit.find("static inline uint64_t wmask("),
+    // Both lanes of the record steps, verbatim, and wide records
+    // printed as calls into the wide one over the layout's shapes.
+    EXPECT_NE(unit.find(kWordOps[0]), std::string::npos);
+    EXPECT_NE(unit.find(kWordOps[1]), std::string::npos);
+    EXPECT_NE(unit.find("static const XWide kWideShape["),
               std::string::npos);
-    EXPECT_NE(unit.find("static inline void w_store("),
-              std::string::npos);
-    EXPECT_TRUE(callsWideHelper(unit));
+    EXPECT_NE(unit.find("wideOp<"), std::string::npos);
     // aes has registers wider than 64 bits: the host edge keeps its
     // multi-word loops.
     EXPECT_TRUE(kernelLayout(nl).wide_edge);

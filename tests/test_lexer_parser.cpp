@@ -2,7 +2,8 @@
  * @file
  * Lexer and parser unit tests: token kinds, SystemVerilog-style sized
  * literals, channel/process/term structure, operator precedence,
- * error recovery, and out-of-range number literals.
+ * error recovery, out-of-range number literals, and the excerpt a
+ * diagnostic on a very long line prints.
  */
 
 #include <gtest/gtest.h>
@@ -99,6 +100,42 @@ TEST(Lexer, TracksLocations)
     EXPECT_EQ(toks[0].loc.line, 1);
     EXPECT_EQ(toks[1].loc.line, 2);
     EXPECT_EQ(toks[1].loc.col, 3);
+}
+
+TEST(DiagEngine, LongLineExcerptKeepsTheCaretOnItsColumn)
+{
+    // One 10,000-column line; the diagnostic points at its Z.  The
+    // excerpt is a window around the column, "..." at each cut, and
+    // the caret row starts under the Z.
+    for (int col : {1, 80, 5000, 9990, 10000}) {
+        std::string line(10000, 'a');
+        line[static_cast<size_t>(col - 1)] = 'Z';
+        DiagEngine d;
+        d.setSource("x\n" + line + "\ny\n", "long.anvil");
+        d.error("bad token", SrcLoc{2, col});
+        std::string out = d.render();
+        ASSERT_LT(out.size(), 3 * DiagEngine::kEchoColumns) << col;
+        std::vector<std::string> rows;
+        for (size_t at = 0, nl; (nl = out.find('\n', at)) != std::string::npos;
+             at = nl + 1)
+            rows.push_back(out.substr(at, nl - at));
+        ASSERT_EQ(rows.size(), 4u) << out;
+        EXPECT_EQ(rows[1], "long.anvil:2:" + std::to_string(col) + ":");
+        const std::string &echo = rows[2], &carets = rows[3];
+        size_t at = carets.find('^');
+        ASSERT_NE(at, std::string::npos) << col;
+        EXPECT_EQ(echo[at], 'Z') << col;
+        EXPECT_EQ(echo.compare(0, 3, "2| "), 0);
+        EXPECT_EQ(echo.compare(3, 3, "...") == 0, col > 80) << col;
+        EXPECT_EQ(echo.compare(echo.size() - 3, 3, "...") == 0, col < 9920)
+            << col;
+        // The carets run to the window's end.
+        EXPECT_EQ(carets.size(),
+                  echo.size() - (echo.compare(echo.size() - 3, 3, "...")
+                                     ? 0
+                                     : 3))
+            << col;
+    }
 }
 
 TEST(Parser, ChannelDefinition)

@@ -6,21 +6,24 @@
  * plus targeted regressions for child-output alias peeks, lazy
  * (cycle-tolerant) evaluation, and netlist structure, the host
  * executor's node records checked one by one against the BitVec
- * operators on strict, lazy and appended nets, the host's scheduling
- * of a dense-only unit (an in-process stand-in, so no compiler is
- * needed), and renames, which share their driver's net.
+ * operators on strict, lazy and appended nets and through a JIT unit,
+ * the host's scheduling of a dense-only unit (an in-process stand-in,
+ * so no compiler is needed), and renames, which share their driver's
+ * net.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
 #include <functional>
 #include <iterator>
 #include <map>
 #include <random>
 #include <utility>
 
+#include "codegen/jit.h"
 #include "designs/designs.h"
 #include "harness.h"
 #include "rtl/interp.h"
@@ -369,13 +372,42 @@ sized(Expr::Kind kind, int width, std::vector<ExprPtr> args,
     return e;
 }
 
+/** Input values for one round: random, small (shift amounts and ROM
+ *  addresses that land), a shift amount at a width boundary, all
+ *  ones, or zero. */
+BitVec
+execInput(int width, int round, std::mt19937_64 &rng)
+{
+    static const uint64_t edges[] = {0,  1,   2,   62,  63,  64, 65,
+                                     66, 127, 128, 129, 199, 200, 201};
+    switch (round % 5) {
+      case 0: {
+        BitVec v(width);
+        for (int k = 0; k < width; k++)
+            v.setBit(k, rng() & 1);
+        return v;
+      }
+      case 1:
+        return BitVec(width, rng() % 210);
+      case 2:
+        return BitVec(width, edges[rng() % std::size(edges)]);
+      case 3:
+        return BitVec::ones(width);
+      default:
+        return BitVec(width);
+    }
+}
+
 /**
  * Every Net::Kind and Op the executor lowers, over the inputs a<w>,
  * b<w> and c<w> of widths 1, 63 and 64 (the narrow lane) and 65, 128
  * and 200 (the wide lane), with node widths that truncate and
  * zero-extend, shift amounts at and past the width, slices below bit 0
  * and past bit 64, concats across bit 64 and out-of-range ROM
- * addresses.  Each case's value must equal the BitVec operators'
+ * addresses, plus constant operands: a constant b (shift amounts at
+ * and past the width among them), constant Mux arms and constant
+ * Concat parts of every width, which a unit prints as literals where
+ * they fit a word.  Each case's value must equal the BitVec operators'
  * (applyUnop, applyBinop, slice, concatHigh, resize) on the inputs.
  * The cases are strict wires, lazy wires that read each input through
  * l<p><w> = mux(1'b1, <p><w>, l<p><w>), or appended nets (ExecNets).
@@ -541,41 +573,124 @@ struct ExecFixture
                             ? (*rom)[addr].resize(wn)
                             : BitVec(wn);
                     });
+        buildConstants(binops);
+    }
+
+    /** The constant-operand cases, named k<index>. */
+    template <size_t N>
+    void buildConstants(const Op (&binops)[N])
+    {
+        std::mt19937_64 rng(11);
+        auto konst = [&](int w) {
+            return execInput(w, static_cast<int>(rng() % 5), rng);
+        };
+        auto name = [&] { return "k" + std::to_string(cases.size()); };
+        auto constB = [&](Op op, int wa, const BitVec &k, int wn) {
+            add(name(), sized(Expr::Kind::Binop, wn, {in("a", wa), cst(k)}, op),
+                [=](const auto &v) {
+                    return applyBinop(op, val(v, "a", wa), k, wn);
+                });
+        };
+        size_t nw = widths.size();
+        for (Op op : binops) {
+            bool cmp = op >= Op::Eq && op <= Op::Ge;
+            for (size_t ia = 0; ia < nw; ia++)
+                for (size_t in = 0; in < (cmp ? 1 : nw); in++)
+                    constB(op, widths[ia], konst(widths[(ia + in) % nw]),
+                           cmp ? 1 : widths[in]);
+        }
+        // Shift amounts one under, at and one past the node's width,
+        // the one at the width also as a wide constant.
+        for (Op op : {Op::Shl, Op::Shr})
+            for (int wa : widths)
+                for (int wn : widths)
+                    for (int d : {-1, 0, 1})
+                        constB(op, wa,
+                               BitVec(d ? 8 : 200,
+                                      static_cast<uint64_t>(wn + d)),
+                               wn);
+        for (int ws : {1, 65})
+            for (int wk : widths)
+                for (int wn : {1, 64, 65, 200}) {
+                    BitVec k = konst(wk);
+                    add(name(),
+                        sized(Expr::Kind::Mux, wn,
+                              {in("c", ws), in("a", wk), cst(k)}),
+                        [=](const auto &v) {
+                            return (val(v, "c", ws).any() ? val(v, "a", wk)
+                                                          : k)
+                                .resize(wn);
+                        });
+                    add(name(),
+                        sized(Expr::Kind::Mux, wn,
+                              {in("c", ws), cst(k), in("b", 63)}),
+                        [=](const auto &v) {
+                            return (val(v, "c", ws).any() ? k
+                                                          : val(v, "b", 63))
+                                .resize(wn);
+                        });
+                }
+        // Concats, hi part first: {k, a63} and {a1, k, b64}.
+        for (int wk : widths) {
+            BitVec k = konst(wk);
+            for (int wn : {wk + 63, 64, 65})
+                add(name(),
+                    sized(Expr::Kind::Concat, wn, {cst(k), in("a", 63)}),
+                    [=](const auto &v) {
+                        return val(v, "a", 63).concatHigh(k).resize(wn);
+                    });
+            for (int wn : {wk + 65, 64, 65})
+                add(name(),
+                    sized(Expr::Kind::Concat, wn,
+                          {in("a", 1), cst(k), in("b", 64)}),
+                    [=](const auto &v) {
+                        return val(v, "b", 64)
+                            .concatHigh(k)
+                            .concatHigh(val(v, "a", 1))
+                            .resize(wn);
+                    });
+        }
     }
 };
 
-/** Input values for one round: random, small (shift amounts and ROM
- *  addresses that land), a shift amount at a width boundary, all
- *  ones, or zero. */
-BitVec
-execInput(int width, int round, std::mt19937_64 &rng)
+/** Whether the JIT can build a unit here: a probe design compiles. */
+bool
+jitAvailable()
 {
-    static const uint64_t edges[] = {0,  1,   2,   62,  63,  64, 65,
-                                     66, 127, 128, 129, 199, 200, 201};
-    switch (round % 5) {
-      case 0: {
-        BitVec v(width);
-        for (int k = 0; k < width; k++)
-            v.setBit(k, rng() & 1);
-        return v;
-      }
-      case 1:
-        return BitVec(width, rng() % 210);
-      case 2:
-        return BitVec(width, edges[rng() % std::size(edges)]);
-      case 3:
-        return BitVec::ones(width);
-      default:
-        return BitVec(width);
-    }
+    static const bool have = [] {
+        auto m = std::make_shared<Module>();
+        m->name = "exec_jit_probe";
+        m->wire("y", m->input("a", 8) + cst(8, 1));
+        Sim probe(m);
+        codegen::JitOptions jo;
+        jo.opt_level = 1;
+        return codegen::jitCompileKernel(probe.netlist(), jo).kernel !=
+            nullptr;
+    }();
+    return have;
 }
 
+/** Check every case of the fixture on `nets` over 40 rounds; with
+ *  `compiled`, through a JIT unit of the netlist attached first. */
 void
-expectExecutorMatches(SweepMode mode, ExecNets nets = ExecNets::Strict)
+expectExecutorMatches(SweepMode mode, ExecNets nets = ExecNets::Strict,
+                      bool compiled = false)
 {
     ExecFixture fx(nets);
     Sim sim(fx.mod);
     sim.setSweepMode(mode);
+    if (compiled) {
+        codegen::JitOptions jo;
+        jo.opt_level = 1;
+        codegen::JitResult jr = codegen::jitCompileKernel(sim.netlist(), jo);
+        ASSERT_NE(jr.kernel, nullptr) << jr.error;
+        ASSERT_TRUE(sim.attachKernel(codegen::kernelRef(jr.kernel)));
+        std::printf("[ JIT      ] %zu cases, %zu strict nodes: %llu source "
+                    "bytes, %.0f ms\n",
+                    fx.cases.size(), sim.netlist().order().size(),
+                    static_cast<unsigned long long>(jr.source_bytes),
+                    jr.compile_ns / 1e6);
+    }
     // Every strict case is a strict net on the executor, or the input
     // it renames; every lazy case is lazy; every appended case is an
     // appended net or an input.  Wide cases take the wide lane.
@@ -623,6 +738,9 @@ expectExecutorMatches(SweepMode mode, ExecNets nets = ExecNets::Strict)
         }
         sim.step();
     }
+    if (compiled) {
+        EXPECT_EQ(sim.sweepStats().kernel_dense_frames, 40u);
+    }
 }
 
 TEST(HostExecutor, DenseBodiesMatchBitVecOperators)
@@ -643,6 +761,15 @@ TEST(HostExecutor, LazyNetsMatchBitVecOperators)
 TEST(HostExecutor, AppendedNetsMatchBitVecOperators)
 {
     expectExecutorMatches(SweepMode::Dirty, ExecNets::Appended);
+}
+
+/* The unit's dense bodies, forced every frame, against the same
+ * references: narrow constants are literals there. */
+TEST(HostExecutor, CompiledUnitMatchesBitVecOperators)
+{
+    if (!jitAvailable())
+        GTEST_SKIP() << "no system compiler available";
+    expectExecutorMatches(SweepMode::Full, ExecNets::Strict, true);
 }
 
 // --- A dense-only unit without a compiler ----------------------------
