@@ -324,7 +324,7 @@ printSweep(const obs::Merger &merger)
     // Always name the backend actually used: a silent JIT fallback
     // must be visible here, not just in stats-json.
     std::string backend = merger.totals().backend;
-    printf("sweep: mode=%s backend=%s threads=1 strict-nodes=%zu "
+    printf("sweep: mode=%s backend=%s strict-nodes=%zu "
            "evaluated/cycle avg=%.1f peak=%llu "
            "changed-nets/cycle avg=%.1f peak=%llu activity=%.1f%%\n",
            rtl::sweepModeName(ss.mode), backend.c_str(),

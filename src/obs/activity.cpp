@@ -18,16 +18,14 @@ void
 RollingActivity::onAttach(ChangeFeed &feed)
 {
     const rtl::Netlist &nl = feed.sim().netlist();
-    _net_slot.assign(nl.nets().size(), -1);
+    _index = NetIndex(nl);
     // One slot per named signal; duplicate nets (aliases) keep the
     // first name so a change counts once, under a stable label.
     for (const auto &[name, sig] : nl.signals()) {
         // Lazy nets never reach the fed frame.
-        if (nl.net(sig.net).lazy ||
-            _net_slot[static_cast<size_t>(sig.net)] >= 0)
+        if (nl.net(sig.net).lazy || _index.fed(sig.net))
             continue;
-        _net_slot[static_cast<size_t>(sig.net)] =
-            static_cast<int32_t>(_names.size());
+        _index.add(nl, sig.net, static_cast<uint32_t>(_names.size()));
         _names.push_back(name);
         _changes.push_back(0);
     }
@@ -50,13 +48,10 @@ RollingActivity::onCycle(rtl::Sim &, uint64_t cycle,
                          const std::vector<rtl::NetId> &changed)
 {
     uint64_t named = 0;
-    for (rtl::NetId id : changed) {
-        int32_t slot = _net_slot[static_cast<size_t>(id)];
-        if (slot < 0)
-            continue;
+    _index.forFed(changed, [this, &named](uint32_t slot) {
         named++;
-        _changes[static_cast<size_t>(slot)]++;
-    }
+        _changes[slot]++;
+    });
 
     _window_total += named - _ring[_ring_at];
     _ring[_ring_at] = named;

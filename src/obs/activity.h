@@ -77,7 +77,7 @@ class RollingActivity : public Observer
     uint64_t _peak_window = 0;
 
     // Whole-run per-net change totals, parallel name table.
-    std::vector<int32_t> _net_slot;      // net -> slot, or -1
+    NetIndex _index;                     // fed named nets, one slot each
     std::vector<std::string> _names;     // slot -> signal name
     std::vector<uint64_t> _changes;      // slot -> total changes
 };

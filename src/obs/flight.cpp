@@ -1,6 +1,7 @@
 #include "obs/flight.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 
 #include "obs/metrics.h"
@@ -9,58 +10,17 @@ namespace anvil {
 namespace obs {
 
 FlightRecorder::FlightRecorder(rtl::Sim &sim, Options opts)
-    : _sim(sim), _opts(std::move(opts))
+    : _opts(std::move(opts)), _sig(sim),
+      _base(_sig.lastWords().size(), 0)
 {
-    const rtl::Netlist &nl = _sim.netlist();
-    _net_slot.assign(nl.nets().size(), -1);
-    _net_mask.assign((nl.nets().size() + 63) / 64, 0);
-    for (const auto &named : nl.signals()) {
-        // A parent's name for a child's output traces as the child's
-        // signal, as in VcdWriter.
-        std::string flat = nl.resolveName("", named.first);
-        const rtl::NetSignal &sig = nl.signals().at(flat);
-        if (sig.width < 1)
-            continue;   // VCD cannot represent zero-width vars
-        Traced t;
-        t.name = flat;
-        t.id = rtl::VcdWriter::idCode(_traced.size());
-        t.net = sig.net;
-        t.width = sig.width;
-        t.words = (t.width + 63) / 64;
-        t.is_reg = sig.kind == rtl::NetSignal::Kind::Reg;
-        t.fed = !nl.net(t.net).lazy;
-        HotSlot h;
-        h.words = t.words;
-        h.net = t.net;
-        h.last = static_cast<uint32_t>(_last.size());
-        _last.resize(_last.size() + static_cast<size_t>(t.words));
-        if (t.fed) {
-            size_t ni = static_cast<size_t>(t.net);
-            h.dup_next = _net_slot[ni];
-            _net_slot[ni] = static_cast<int32_t>(_traced.size());
-            _net_mask[ni >> 6] |= uint64_t(1) << (ni & 63);
-        }
-        _hot.push_back(h);
-        _traced.push_back(std::move(t));
-    }
-    for (size_t slot = 0; slot < _traced.size(); slot++)
-        if (!_traced[slot].fed)
-            _unfed.push_back(slot);
-
-    _base.assign(_last.size(), 0);
-
     // The window spans at most pre + post + 1 cycles and records
     // exist only for cycles with changes, so this capacity guarantees
-    // eviction never touches a record inside an open window.
-    _ring.resize(static_cast<size_t>(_opts.pre + _opts.post + 2));
-
-    std::vector<rtl::VcdVarDecl> vars;
-    vars.reserve(_traced.size());
-    for (const Traced &t : _traced)
-        vars.push_back({t.name, t.id, t.width, t.is_reg});
-    std::ostringstream hdr;
-    rtl::writeVcdHeader(hdr, _sim.topName(), vars, "1ns");
-    _header = hdr.str();
+    // eviction never touches a record inside an open window.  The sum
+    // saturates: `--flight` and `--flight-post` each reach 2^63 - 1.
+    uint64_t span = _opts.pre + _opts.post;
+    _capacity = span < _opts.pre || span > SIZE_MAX - 2
+        ? SIZE_MAX
+        : static_cast<size_t>(span + 2);
 }
 
 FlightRecorder::~FlightRecorder() = default;
@@ -100,31 +60,27 @@ FlightRecorder::evictOldest()
     _count--;
 }
 
-void
-FlightRecorder::captureSlot(size_t slot, const uint64_t *w)
+bool
+FlightRecorder::captureSlot(uint32_t slot, const uint64_t *w)
 {
-    const HotSlot &h = _hot[slot];
-    uint64_t *last = _last.data() + h.last;
-    if (h.words == 1) {
-        // The narrow fast path: one compare, no loop.
-        if (w[0] == last[0])
-            return;
-        last[0] = w[0];
-    } else {
-        if (std::equal(w, w + h.words, last))
-            return;
-        std::copy_n(w, h.words, last);
-    }
+    if (!_sig.update(slot, w))
+        return false;
     if (!_cur) {
-        if (_count == _ring.size())
-            evictOldest();
+        if (_count == _ring.size()) {
+            if (_ring.size() < _capacity)
+                _ring.emplace_back();
+            else
+                evictOldest();
+        }
         _cur = &_ring[(_head + _count) % _ring.size()];
         _cur->cycle = _last_cycle;
         _count++;
     }
-    _cur->slots.push_back(static_cast<uint32_t>(slot));
-    _cur->words.insert(_cur->words.end(), w, w + h.words);
-    _captured_words += static_cast<uint64_t>(h.words);
+    uint32_t words = _sig.slot(slot).words;
+    _cur->slots.push_back(slot);
+    _cur->words.insert(_cur->words.end(), w, w + words);
+    _captured_words += words;
+    return true;
 }
 
 void
@@ -168,7 +124,7 @@ FlightRecorder::applyRec(const CycleRec &rec,
 {
     const uint64_t *w = rec.words.data();
     for (uint32_t slot : rec.slots) {
-        const HotSlot &h = _hot[slot];
+        const rtl::VcdSignals::Slot &h = _sig.slot(slot);
         std::copy_n(w, h.words, vals.data() + h.last);
         w += h.words;
     }
@@ -190,7 +146,7 @@ FlightRecorder::flushDump(uint64_t to)
     info.to = to;
 
     std::ostringstream os;
-    os << _header;
+    os << _sig.header();
 
     // Checkpoint at `from`: the base snapshot advanced through every
     // record at or before the window start — exactly the values a
@@ -203,33 +159,20 @@ FlightRecorder::flushDump(uint64_t to)
             break;
         applyRec(rec, vals);
     }
-    os << "#" << from << "\n$dumpvars\n";
-    for (size_t slot = 0; slot < _traced.size(); slot++)
-        rtl::writeVcdValue(os, _traced[slot].id, _traced[slot].width,
-                           vals.data() + _hot[slot].last);
-    os << "$end\n";
+    _sig.writeCheckpoint(os, from, vals.data());
 
-    // Per-cycle deltas through the end of the window.  Records hold
-    // capture (arrival) order; emission re-sorts each into
-    // declaration order, matching the writer — the sort runs only
-    // here, on a dump, never on the per-cycle hot path.
-    std::vector<std::pair<uint32_t, uint32_t>> order;
+    // Per-cycle deltas through the end of the window, through the
+    // writer's formatter, which sorts each record's capture order
+    // into declaration order: the sort runs here, on a dump, never
+    // on the per-cycle hot path.
+    std::vector<uint32_t> order;
     for (; i < _count; i++) {
         const CycleRec &rec = _ring[(_head + i) % _ring.size()];
         if (rec.cycle > to)
             break;
-        os << "#" << rec.cycle << "\n";
-        order.clear();
-        order.reserve(rec.slots.size());
-        uint32_t w = 0;
-        for (uint32_t slot : rec.slots) {
-            order.emplace_back(slot, w);
-            w += static_cast<uint32_t>(_traced[slot].words);
-        }
-        std::sort(order.begin(), order.end());
-        for (const auto &[slot, off] : order)
-            rtl::writeVcdValue(os, _traced[slot].id, _traced[slot].width,
-                               rec.words.data() + off);
+        applyRec(rec, vals);
+        order.assign(rec.slots.begin(), rec.slots.end());
+        _sig.writeChanges(os, rec.cycle, order, vals.data());
     }
 
     if (_sink)
@@ -243,15 +186,12 @@ FlightRecorder::onPrime(rtl::Sim &sim, uint64_t cycle)
 {
     beginCycle(cycle);
     // Full scan: first sample, skipped cycles, late pokes.  The
-    // change-compare against _last keeps the records minimal either
-    // way; the base snapshot (zeros before the first sample) covers
-    // whatever never changes.
-    for (size_t slot = 0; slot < _traced.size(); slot++) {
-        rtl::NetId net = _traced[slot].net;
-        captureSlot(slot, _traced[slot].fed ? sim.words(net).w
-                                            : sim.value(net).data());
-    }
-    _traced_changes += _traced.size();   // a rescan lists them all
+    // change-compare against the last captured words keeps the
+    // records minimal either way; the base snapshot (zeros before the
+    // first sample) covers whatever never changes.
+    for (uint32_t slot = 0; slot < _sig.size(); slot++)
+        captureSlot(slot, _sig.read(sim, slot));
+    _traced_changes += _sig.size();   // a rescan lists them all
     endCycle(cycle);
 }
 
@@ -260,29 +200,18 @@ FlightRecorder::onCycle(rtl::Sim &sim, uint64_t cycle,
                         const std::vector<rtl::NetId> &changed)
 {
     beginCycle(cycle);
-    // Mirror VcdWriter::onCycle's capture set: the traced subset of
-    // the fed frame plus every un-fed (lazy) slot re-read each
-    // cycle.  Capture order is arrival order — flushDump re-sorts
-    // each record into declaration order — and fed values come
-    // straight out of the frame's state words (sample() already
-    // swept), so the per-cycle cost is a compare + copy per
-    // actually-changed traced net.
-    for (rtl::NetId id : changed) {
-        size_t ni = static_cast<size_t>(id);
-        if (!((_net_mask[ni >> 6] >> (ni & 63)) & 1))
-            continue;
-        const uint64_t *w = sim.words(id).w;
-        for (int32_t slot = _net_slot[ni]; slot >= 0;
-             slot = _hot[static_cast<size_t>(slot)].dup_next) {
-            _traced_changes++;
-            captureSlot(static_cast<size_t>(slot), w);
-        }
-    }
-    for (size_t slot : _unfed) {
-        uint64_t before = _captured_words;
-        captureSlot(slot, sim.value(_traced[slot].net).data());
-        _traced_changes += _captured_words != before;
-    }
+    // The writer's capture set: the traced slots the fed frame feeds
+    // plus every lazy slot, re-read each cycle.  Capture order is
+    // arrival order, and fed values come straight out of the frame's
+    // state words (sample() already swept), so the per-cycle cost is
+    // a compare + copy per actually-changed traced net.
+    const NetIndex &index = _sig.index();
+    index.forFed(changed, [this, &sim](uint32_t slot) {
+        _traced_changes++;
+        captureSlot(slot, sim.words(_sig.slot(slot).net).w);
+    });
+    for (uint32_t slot : index.lazySlots())
+        _traced_changes += captureSlot(slot, _sig.read(sim, slot));
     endCycle(cycle);
 }
 

@@ -8,15 +8,17 @@
  * waveform context.  The FlightRecorder closes that gap with the
  * classic production-tracing pattern: it rides the shared
  * obs::ChangeFeed like any observer, but instead of formatting VCD
- * text it memcpy's each cycle's changed values into a fixed-size
+ * text it memcpy's each cycle's changed values into a bounded
  * ring (cost proportional to activity, no I/O, no string work).  On
  * a trigger — any monotonic counter that increased this cycle:
  * contract violations, scoreboard/assertion failures, a named cover
  * point — it keeps capturing for `post` more cycles and then
  * reconstructs the [trigger - pre, trigger + post] window as a
- * standard VCD dump, byte-compatible with what rtl::VcdWriter primed
- * at the window's first cycle would have written, so `--replay` and
- * `--check-trace` consume it unmodified.
+ * standard VCD dump.  The capture is an rtl::VcdSignals, the one
+ * rtl::VcdWriter holds (same selection, id-codes, change test and
+ * formatter), so a dump is the bytes a VcdWriter attached at the
+ * window's first cycle writes, and `--replay` and `--check-trace`
+ * consume it unmodified.
  *
  * Reconstruction works from a base snapshot plus the ring: evicting
  * a cycle record folds its deltas into the base, so the base always
@@ -26,7 +28,8 @@
  * extends); triggers after a dump flushes open a new window, so
  * distinct failures in one run produce distinct dumps.  A window
  * still open when the run ends is flushed by onFinish — a trigger on
- * the final cycle loses nothing.
+ * the final cycle loses nothing.  The ring grows on demand up to its
+ * pre + post + 2 records, so a run of N cycles holds at most N.
  */
 
 #ifndef ANVIL_OBS_FLIGHT_H
@@ -106,7 +109,7 @@ class FlightRecorder : public Observer
     size_t ringRecords() const { return _count; }
 
     /** hot counters for a metrics run: flight.dumps,
-     *  flight.ring_records, flight.capture_bytes. */
+     *  flight.ring_records, flight.capture_words. */
     void exportMetrics(MetricsRegistry &reg) const;
 
     /** Words copied into the ring, and the traced nets the feed
@@ -123,35 +126,10 @@ class FlightRecorder : public Observer
     const char *observerName() const override { return "flight"; }
 
   private:
-    /** One recorded signal; mirrors VcdWriter's selection exactly
-     *  (same id-codes, same dup chaining, same lazy handling) so the
-     *  reconstructed dumps are byte-compatible. */
-    struct Traced
-    {
-        std::string name;
-        std::string id;
-        rtl::NetId net;
-        int width;
-        int words;     // value words: (width + 63) / 64
-        bool is_reg;
-        bool fed;
-    };
-
-    /** Hot per-slot fields split out of the cold Traced so the
-     *  per-cycle walk touches 16 bytes per slot, not a ~100-byte
-     *  struct with strings. */
-    struct HotSlot
-    {
-        int32_t dup_next = -1;   // next traced slot on the same net
-        int32_t words = 1;       // == Traced::words
-        rtl::NetId net = rtl::kNoNet;
-        uint32_t last = 0;       // its words in _last
-    };
-
     /** One cycle's deltas: parallel slot/word arrays, values packed
-     *  back to back (each slot contributes its `words` words) in
-     *  capture order — flushDump re-sorts into declaration order, so
-     *  the hot path never sorts. */
+     *  back to back (each slot contributes its words) in capture
+     *  order — flushDump formats them in declaration order, so the
+     *  hot path never sorts. */
     struct CycleRec
     {
         uint64_t cycle = 0;
@@ -167,34 +145,26 @@ class FlightRecorder : public Observer
     };
 
     void beginCycle(uint64_t cycle);
-    void captureSlot(size_t slot, const uint64_t *w);
+    bool captureSlot(uint32_t slot, const uint64_t *w);
     void endCycle(uint64_t cycle);
     void pollTriggers(uint64_t cycle);
     void evictOldest();
     void applyRec(const CycleRec &rec, std::vector<uint64_t> &vals) const;
     void flushDump(uint64_t to);
 
-    rtl::Sim &_sim;
     Options _opts;
-    std::string _header;              // cached VCD header bytes
-    std::vector<Traced> _traced;
-    std::vector<HotSlot> _hot;        // parallel to _traced
-    std::vector<int32_t> _net_slot;   // net -> first traced slot or -1
-    /** One bit per net: is it traced?  The fed frame is mostly
-     *  unnamed internal nets; testing this L1-resident mask first
-     *  keeps them from dragging the int32 table into cache. */
-    std::vector<uint64_t> _net_mask;
-    std::vector<size_t> _unfed;       // lazy slots, re-read per cycle
-    /** Every slot's previously captured words, back to back
-     *  (HotSlot::last), so the per-cycle compare-and-copy runs on
-     *  words and never on BitVec. */
-    std::vector<uint64_t> _last;
-    /** The words before the oldest record, laid out like _last. */
+    /** Every named signal, with its last captured words. */
+    rtl::VcdSignals _sig;
+    /** The words before the oldest record, laid out like
+     *  _sig.lastWords(). */
     std::vector<uint64_t> _base;
 
     // Ring of cycle records, oldest at _head, recycled in place so
-    // the steady state allocates nothing.
+    // the steady state allocates nothing.  It grows to _capacity
+    // records before its first eviction, which leaves _head at 0
+    // until then.
     std::vector<CycleRec> _ring;
+    size_t _capacity = 0;
     size_t _head = 0;
     size_t _count = 0;
     CycleRec *_cur = nullptr;         // this cycle's record, once opened

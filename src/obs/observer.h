@@ -19,13 +19,14 @@
  *    that one list to every observer's onCycle(); otherwise (first
  *    sample, skipped cycles, late pokes) every observer gets a full
  *    onPrime() rescan;
- *  - each observer filters the frame through its own net->slot
- *    table, so any number of observers (or duplicate traces within
- *    one observer) ride one list with no per-observer copy;
- *  - lazy nets never reach onCycle: an observer decides from
- *    Net::lazy which of its nets are fed and re-reads the others
- *    itself each visit through Sim::value(), which keeps their
- *    on-demand fault semantics;
+ *  - each observer picks its slots out of the frame through its own
+ *    NetIndex (below), so any number of observers (or duplicate
+ *    traces within one observer) ride one list with no per-observer
+ *    copy;
+ *  - lazy nets never reach onCycle: the NetIndex keeps an observer's
+ *    slots on lazy nets apart, and the observer re-reads them itself
+ *    each visit through Sim::value(), which keeps their on-demand
+ *    fault semantics;
  *  - the hub sweeps the frame before any visit, so observers read
  *    fed nets straight from the state words (Sim::words).
  *
@@ -95,6 +96,90 @@ class Observer
     friend class ChangeFeed;
     ChangeFeed *_feed = nullptr;
     int32_t _index = -1;
+};
+
+/**
+ * An observer's frame filter: which of its slots the nets of the fed
+ * frame feed.  An observer numbers what it watches (its slots), adds
+ * each slot's net once, and on a visit picks its slots out of the
+ * frame with forFed() and re-reads lazySlots() itself.  It holds
+ *
+ *  - one bit per net, set where a fed net has a slot: most of the
+ *    frame is nets no slot watches, and this L1-resident mask
+ *    rejects them without touching the slot table;
+ *  - per net, its first slot, and per slot the next slot on the same
+ *    net: an alias next to its flat name, names that share a renamed
+ *    net, or a channel's valid and ack may all watch one net;
+ *  - the slots on lazy nets, or on no net at all (a name that did
+ *    not resolve), which the frame never carries: every visit
+ *    re-reads them.
+ *
+ * It is sized to the netlist when built and skips ids past that
+ * size: those are nets Sim::topNet appended later, which are always
+ * lazy.  Each observer builds its own; farm workers share one
+ * netlist, so an index is never cached on it.
+ */
+class NetIndex
+{
+  public:
+    NetIndex() = default;
+    /** An index over `nl`'s nets with no slot yet. */
+    explicit NetIndex(const rtl::Netlist &nl);
+
+    /**
+     * Watch `net` of `nl` from `slot`.  A lazy net, or kNoNet, puts
+     * the slot on the lazy list instead.  A net's slots are visited
+     * newest first.
+     */
+    void add(const rtl::Netlist &nl, rtl::NetId net, uint32_t slot);
+
+    /** Whether `net` has a slot and reaches it through the frame. */
+    bool fed(rtl::NetId net) const
+    {
+        size_t ni = static_cast<size_t>(net);
+        return ni < _first.size() &&
+            ((_mask[ni >> 6] >> (ni & 63)) & 1);
+    }
+
+    /** `net`'s current words: a fed net's from the state words, any
+     *  other's through Sim::value(), which keeps a lazy net's
+     *  on-demand faults. */
+    rtl::WordView read(rtl::Sim &sim, rtl::NetId net) const
+    {
+        if (fed(net))
+            return sim.words(net);
+        const BitVec &v = sim.value(net);
+        return {v.data(), v.width()};
+    }
+
+    /** Call f(slot) for every slot a net of `frame` feeds, in frame
+     *  order. */
+    template <typename F>
+    void forFed(const std::vector<rtl::NetId> &frame, F &&f) const
+    {
+        // Locals, so the stores f makes do not force the tables to be
+        // reloaded on every net (about 2x on an all-named frame).
+        const uint64_t *mask = _mask.data();
+        const int32_t *first = _first.data();
+        const int32_t *next = _next.data();
+        size_t nets = _first.size();
+        for (rtl::NetId id : frame) {
+            size_t ni = static_cast<size_t>(id);
+            if (ni >= nets || !((mask[ni >> 6] >> (ni & 63)) & 1))
+                continue;
+            for (int32_t s = first[ni]; s >= 0; s = next[s])
+                f(static_cast<uint32_t>(s));
+        }
+    }
+
+    /** The slots every visit re-reads, in the order added. */
+    const std::vector<uint32_t> &lazySlots() const { return _lazy; }
+
+  private:
+    std::vector<uint64_t> _mask;    // one bit per net: has a fed slot
+    std::vector<int32_t> _first;    // net -> its newest slot, or -1
+    std::vector<int32_t> _next;     // slot -> next slot on its net
+    std::vector<uint32_t> _lazy;    // slots re-read every visit
 };
 
 /** Per-observer visit accounting kept by the hub. */

@@ -28,9 +28,9 @@
  * Cost is therefore proportional to switching activity, not design
  * size.  When most of the design switches anyway, the sweep falls
  * back to whole dense levels on its own (see rollFrame);
- * SweepMode::Full forces that dense path every cycle and serves as
- * the reference the tests and benchmarks compare against.  Both modes
- * are bit-identical.
+ * SweepMode::Full forces that dense path every cycle.  Both modes are
+ * bit-identical; the reference they are tested against is
+ * rtl::RefSim.
  *
  * The per-cycle list of changed nets is exposed (changedNets), so
  * observers — VCD tracing, coverage toggle sampling, contract

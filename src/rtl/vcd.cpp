@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <map>
+#include <sstream>
 #include <stdexcept>
 
 namespace anvil {
@@ -99,132 +100,128 @@ VcdWriter::idCode(size_t index)
     return id;
 }
 
-VcdWriter::VcdWriter(Sim &sim, std::ostream &os,
-                     std::vector<std::string> signals)
-    : _sim(sim), _os(os)
+VcdSignals::VcdSignals(const Sim &sim, std::vector<std::string> signals)
+    : _index(sim.netlist())
 {
-    const Netlist &nl = _sim.netlist();
+    const Netlist &nl = sim.netlist();
     if (signals.empty())
         for (const auto &[name, sig] : nl.signals())
             signals.push_back(name);
 
-    _net_slot.assign(nl.nets().size(), -1);
     for (const auto &name : signals) {
         std::string flat = nl.resolveName("", name);
         auto it = nl.signals().find(flat);
         if (it == nl.signals().end())
             throw std::invalid_argument("no such signal: " + name);
+        const NetSignal &sig = it->second;
         // VCD has no representation for zero-width vars; skip them
         // rather than emit a malformed "$var wire 0" declaration.
-        if (it->second.width < 1)
+        if (sig.width < 1)
             continue;
-        Traced t;
-        t.name = flat;
-        t.id = idCode(_traced.size());
-        t.net = it->second.net;
-        t.width = it->second.width;
-        t.is_reg = it->second.kind == NetSignal::Kind::Reg;
-        t.fed = !nl.net(t.net).lazy;
-        t.words = static_cast<uint32_t>((t.width + 63) / 64);
-        t.last = static_cast<uint32_t>(_last.size());
-        _last.resize(_last.size() + t.words);
-        if (t.fed) {
-            // Duplicate traces of one net (an alias next to its flat
-            // name) chain off the net's single slot entry, and
-            // onCycle fans the one change out to the whole chain.
-            size_t ni = static_cast<size_t>(t.net);
-            t.dup_next = _net_slot[ni];
-            _net_slot[ni] = static_cast<int32_t>(_traced.size());
-        }
-        _traced.push_back(std::move(t));
+        Slot h;
+        h.net = sig.net;
+        h.words = kernelWords(sig.width);
+        h.last = static_cast<uint32_t>(_last.size());
+        _last.resize(_last.size() + h.words);
+        _index.add(nl, h.net, static_cast<uint32_t>(_slots.size()));
+        _slots.push_back(h);
+        _vars.push_back({flat, VcdWriter::idCode(_vars.size()),
+                         sig.width, sig.kind == NetSignal::Kind::Reg});
     }
 
-    std::vector<VcdVarDecl> vars;
-    vars.reserve(_traced.size());
-    for (const Traced &t : _traced)
-        vars.push_back({t.name, t.id, t.width, t.is_reg});
-    writeVcdHeader(_os, _sim.topName(), vars, "1ns");
+    std::ostringstream os;
+    writeVcdHeader(os, sim.topName(), _vars, "1ns");
+    _header = os.str();
+}
+
+void
+VcdSignals::writeSlot(std::ostream &os, uint32_t s,
+                      const uint64_t *vals) const
+{
+    writeVcdValue(os, _vars[s].id, _vars[s].width,
+                  vals + _slots[s].last);
+}
+
+void
+VcdSignals::writeCheckpoint(std::ostream &os, uint64_t cycle,
+                            const uint64_t *vals) const
+{
+    os << "#" << cycle << "\n$dumpvars\n";
+    for (uint32_t s = 0; s < _slots.size(); s++)
+        writeSlot(os, s, vals);
+    os << "$end\n";
+}
+
+void
+VcdSignals::writeChanges(std::ostream &os, uint64_t cycle,
+                         std::vector<uint32_t> &slots,
+                         const uint64_t *vals) const
+{
+    if (slots.empty())
+        return;
+    // Declaration order, whatever order the changes arrived in.
+    std::sort(slots.begin(), slots.end());
+    os << "#" << cycle << "\n";
+    for (uint32_t s : slots)
+        writeSlot(os, s, vals);
+}
+
+VcdWriter::VcdWriter(Sim &sim, std::ostream &os,
+                     std::vector<std::string> signals)
+    : _sim(sim), _os(os), _sig(sim, std::move(signals))
+{
+    _os << _sig.header();
 }
 
 VcdWriter::~VcdWriter() = default;
 
-const uint64_t *
-VcdWriter::read(const Traced &t)
+void
+VcdWriter::note(uint32_t s, const uint64_t *w)
 {
-    return t.fed ? _sim.words(t.net).w : _sim.value(t.net).data();
+    if (_sig.update(s, w))
+        _changed.push_back(s);
 }
 
 void
-VcdWriter::emitValue(const Traced &t, const uint64_t *w)
+VcdWriter::writeChanges(uint64_t cycle)
 {
-    writeVcdValue(_os, t.id, t.width, w);
-    std::copy_n(w, t.words, _last.data() + t.last);
-    _changes++;
-}
-
-void
-VcdWriter::sampleTraced(const Traced &t, bool &stamped)
-{
-    const uint64_t *w = read(t);
-    if (std::equal(w, w + t.words, _last.data() + t.last))
-        return;
-    if (!stamped) {
-        _os << "#" << _sim.cycle() << "\n";
-        stamped = true;
-    }
-    emitValue(t, w);
+    _sig.writeChanges(_os, cycle, _changed, _sig.lastWords().data());
+    _changes += _changed.size();
+    _changed.clear();
 }
 
 void
 VcdWriter::onPrime(Sim &sim, uint64_t cycle)
 {
-    (void)sim;
+    // Every traced net is re-read.  The first visit writes them all
+    // as the $dumpvars checkpoint; a rescan (skipped cycles, late
+    // pokes) writes the changed ones, exactly as the fast path would.
+    for (uint32_t s = 0; s < _sig.size(); s++)
+        note(s, _sig.read(sim, s));
     if (!_primed) {
-        _os << "#" << cycle << "\n$dumpvars\n";
-        for (const Traced &t : _traced)
-            emitValue(t, read(t));
-        _os << "$end\n";
+        _sig.writeCheckpoint(_os, cycle, _sig.lastWords().data());
+        _changes += _sig.size();
+        _changed.clear();
         _primed = true;
         return;
     }
-    // Rescan fallback (skipped cycles, late pokes): every traced net
-    // is re-read; the emitted bytes match the fast path exactly.
-    bool stamped = false;
-    for (const Traced &t : _traced)
-        sampleTraced(t, stamped);
+    writeChanges(cycle);
 }
 
 void
 VcdWriter::onCycle(Sim &sim, uint64_t cycle,
                    const std::vector<NetId> &changed)
 {
-    (void)sim;
-    (void)cycle;
-    // Only nets that changed since the previous sample are dumped; a
-    // cycle with no changes emits nothing at all.  `changed` is the
-    // fed frame, so the scan is proportional to activity; nets
-    // outside the feed (lazy cones) are re-read every visit.
-    bool stamped = false;
-    _scratch.clear();
-    for (NetId id : changed)
-        for (int32_t slot = _net_slot[static_cast<size_t>(id)];
-             slot >= 0;
-             slot = _traced[static_cast<size_t>(slot)].dup_next)
-            _scratch.push_back(static_cast<size_t>(slot));
-    // Emit in declaration order, exactly as the full scan would.
-    std::sort(_scratch.begin(), _scratch.end());
-    size_t next_unfed = 0;
-    for (size_t slot : _scratch) {
-        // Interleave un-fed nets to keep the order global.
-        for (; next_unfed < slot; next_unfed++)
-            if (!_traced[next_unfed].fed)
-                sampleTraced(_traced[next_unfed], stamped);
-        next_unfed = std::max(next_unfed, slot + 1);
-        sampleTraced(_traced[slot], stamped);
-    }
-    for (; next_unfed < _traced.size(); next_unfed++)
-        if (!_traced[next_unfed].fed)
-            sampleTraced(_traced[next_unfed], stamped);
+    // Only traced nets the fed frame lists can have changed, plus the
+    // lazy ones, which the frame never carries; a cycle with no
+    // changes writes nothing at all.
+    const obs::NetIndex &index = _sig.index();
+    index.forFed(changed, [this, &sim](uint32_t s) {
+        note(s, sim.words(_sig.slot(s).net).w);
+    });
+    for (uint32_t s : index.lazySlots())
+        note(s, _sig.read(sim, s));
+    writeChanges(cycle);
 }
 
 void

@@ -13,21 +13,23 @@
  * goldens.
  *
  * Sampling rides the unified obs::ChangeFeed: after the first full
- * checkpoint, a visit picks this writer's traced nets out of the fed
- * frame instead of rescanning every traced net, so the cost per
- * cycle is proportional to activity, and compares and formats them
- * from the state words (Sim::words).  Lazy nets (cyclic or ad-hoc
- * cones) are re-read every visit through Sim::value(), preserving
- * their on-demand fault semantics; priming and the rescan fallback
- * for skipped cycles or late pokes are the feed's job — the emitted
- * bytes are identical on either path.  Duplicate traces of one net
- * (an alias next to its flat name) chain off the net's one table
- * entry, so they ride the fast path too.
+ * checkpoint, a visit compares only the traced nets the fed frame
+ * lists, plus the lazy ones (cyclic or ad-hoc cones, re-read every
+ * visit through Sim::value(), which keeps their on-demand fault
+ * semantics), and sorts and formats only the ones that changed, so
+ * the cost per cycle is proportional to activity.  Priming and the
+ * rescan fallback for skipped cycles or late pokes are the feed's
+ * job; the emitted bytes are identical on either path.  The capture
+ * itself (selection, header, last-written words and formatter) is
+ * VcdSignals, which obs::FlightRecorder holds too, so a flight
+ * window dump is this writer's bytes by construction.
  */
 
 #ifndef ANVIL_RTL_VCD_H
 #define ANVIL_RTL_VCD_H
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -40,10 +42,8 @@ namespace anvil {
 namespace rtl {
 
 /**
- * One declared VCD variable.  The shared currency between the live
- * VcdWriter below and any other emitter that must produce
- * byte-compatible dumps (obs::FlightRecorder reconstructs trigger
- * windows through these same helpers).
+ * One declared VCD variable.  The shared currency between VcdSignals
+ * below and trace::Trace::writeVcd, which re-emits a loaded trace.
  */
 struct VcdVarDecl
 {
@@ -72,6 +72,94 @@ void writeVcdHeader(std::ostream &os, const std::string &top_scope,
  */
 void writeVcdValue(std::ostream &os, const std::string &id, int width,
                    const uint64_t *w);
+
+/**
+ * The VCD capture of a set of traced signals: what a dump declares
+ * and what it last wrote for each.  VcdWriter and
+ * obs::FlightRecorder each hold one.
+ *
+ *  - Selection: flat dotted names, child-output aliases resolved;
+ *    an empty list selects every named signal.  Zero-width signals
+ *    are skipped (VCD cannot declare them), and the rest get id-codes
+ *    in declaration order, one slot each.
+ *  - A frame filter over the slots' nets (obs::NetIndex).
+ *  - Each slot's last-written words, back to back, and the
+ *    compare-and-copy that keeps them (read, update).
+ *  - The formatter: the header, a $dumpvars checkpoint, and one
+ *    cycle's changes in declaration order.
+ */
+class VcdSignals
+{
+  public:
+    /** A slot's per-cycle fields, apart from its strings. */
+    struct Slot
+    {
+        NetId net;
+        uint32_t words;   // value words: (width + 63) / 64
+        uint32_t last;    // offset of its words in lastWords()
+    };
+
+    /** Throws std::invalid_argument for a name with no signal. */
+    VcdSignals(const Sim &sim, std::vector<std::string> signals = {});
+
+    size_t size() const { return _slots.size(); }
+    const Slot &slot(uint32_t s) const { return _slots[s]; }
+    const obs::NetIndex &index() const { return _index; }
+
+    /** The header bytes (writeVcdHeader with "1ns"). */
+    const std::string &header() const { return _header; }
+
+    /** Every slot's last words, laid out by Slot::last. */
+    const std::vector<uint64_t> &lastWords() const { return _last; }
+
+    /** Slot `s`'s current words (obs::NetIndex::read). */
+    const uint64_t *read(Sim &sim, uint32_t s) const
+    {
+        return _index.read(sim, _slots[s].net).w;
+    }
+
+    /** Copy `w` over slot `s`'s last words and return whether they
+     *  differed. */
+    bool update(uint32_t s, const uint64_t *w)
+    {
+        const Slot &h = _slots[s];
+        uint64_t *last = _last.data() + h.last;
+        if (h.words == 1) {
+            if (w[0] == last[0])
+                return false;
+            last[0] = w[0];
+            return true;
+        }
+        if (std::equal(w, w + h.words, last))
+            return false;
+        std::copy_n(w, h.words, last);
+        return true;
+    }
+
+    /** `#cycle`, `$dumpvars`, every slot's value from `vals` (laid
+     *  out like lastWords()), `$end`. */
+    void writeCheckpoint(std::ostream &os, uint64_t cycle,
+                         const uint64_t *vals) const;
+
+    /**
+     * One cycle's changes: sorts `slots` into declaration order and
+     * writes `#cycle` and each slot's value from `vals`; nothing when
+     * `slots` is empty.
+     */
+    void writeChanges(std::ostream &os, uint64_t cycle,
+                      std::vector<uint32_t> &slots,
+                      const uint64_t *vals) const;
+
+  private:
+    void writeSlot(std::ostream &os, uint32_t s,
+                   const uint64_t *vals) const;
+
+    std::vector<Slot> _slots;
+    std::vector<VcdVarDecl> _vars;   // parallel to _slots
+    obs::NetIndex _index;
+    std::string _header;
+    std::vector<uint64_t> _last;
+};
 
 /**
  * Streams a VCD dump of a simulation.
@@ -114,36 +202,13 @@ class VcdWriter : public obs::Observer
     const char *observerName() const override { return "vcd"; }
 
   private:
-    struct Traced
-    {
-        std::string name;   // flat dotted name
-        std::string id;     // VCD id-code
-        NetId net;
-        int width;
-        bool is_reg;
-        /** Rides the change feed; false for lazy nets, which are
-         *  re-read every visit. */
-        bool fed;
-        /** Next traced slot sharing this net, or -1: duplicate
-         *  traces chain off the net's one _net_slot entry. */
-        int32_t dup_next = -1;
-        uint32_t words;   // value words: (width + 63) / 64
-        uint32_t last;    // its previously written words in _last
-    };
-
-    /** The traced net's current words: fed nets from the state
-     *  words, lazy ones through Sim::value(). */
-    const uint64_t *read(const Traced &t);
-    void emitValue(const Traced &t, const uint64_t *w);
-    void sampleTraced(const Traced &t, bool &stamped);
+    void note(uint32_t s, const uint64_t *w);
+    void writeChanges(uint64_t cycle);
 
     Sim &_sim;
     std::ostream &_os;
-    std::vector<Traced> _traced;
-    std::vector<int32_t> _net_slot;   // net -> first traced slot or -1
-    /** Every slot's last written words, back to back (Traced::last). */
-    std::vector<uint64_t> _last;
-    std::vector<size_t> _scratch;     // changed traced indices
+    VcdSignals _sig;
+    std::vector<uint32_t> _changed;   // this visit's changed slots
     bool _primed = false;
     uint64_t _changes = 0;
     std::unique_ptr<obs::ChangeFeed> _own_feed;   // standalone mode

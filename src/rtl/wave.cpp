@@ -7,27 +7,19 @@ namespace anvil {
 namespace rtl {
 
 WaveRecorder::WaveRecorder(Sim &sim, std::vector<std::string> signals)
-    : _sim(sim), _samples(signals.size())
+    : _sim(sim), _index(sim.netlist()), _samples(signals.size())
 {
     const Netlist &nl = sim.netlist();
-    _net_slot.assign(nl.nets().size(), -1);
     for (auto &name : signals) {
         Rec r;
         r.name = std::move(name);
         std::string flat = nl.resolveName("", r.name);
         auto it = nl.signals().find(flat);
-        if (it != nl.signals().end()) {
+        if (it != nl.signals().end())
             r.net = it->second.net;
-            // Lazy nets are re-read directly every visit so their
-            // on-demand faults still fire; duplicate traces of one
-            // net chain off its single slot entry.
-            if (!nl.net(r.net).lazy) {
-                size_t ni = static_cast<size_t>(r.net);
-                r.dup_next = _net_slot[ni];
-                _net_slot[ni] = static_cast<int32_t>(_recs.size());
-                r.fed = true;
-            }
-        }
+        // Lazy nets and unresolved names are re-read directly every
+        // visit so their on-demand faults still fire.
+        _index.add(nl, r.net, static_cast<uint32_t>(_recs.size()));
         _recs.push_back(std::move(r));
     }
 }
@@ -65,14 +57,11 @@ WaveRecorder::onCycle(Sim &sim, uint64_t cycle,
 {
     (void)sim;
     (void)cycle;
-    for (NetId id : changed)
-        for (int32_t slot = _net_slot[static_cast<size_t>(id)];
-             slot >= 0;
-             slot = _recs[static_cast<size_t>(slot)].dup_next)
-            _recs[static_cast<size_t>(slot)].last = _sim.value(id);
-    for (auto &r : _recs)
-        if (!r.fed)
-            directRead(r);
+    _index.forFed(changed, [this](uint32_t slot) {
+        _recs[slot].last = _sim.value(_recs[slot].net);
+    });
+    for (uint32_t slot : _index.lazySlots())
+        directRead(_recs[slot]);
     commitRow();
 }
 

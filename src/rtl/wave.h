@@ -10,8 +10,8 @@
  * — the rest repeat their cached value.  Visits that skip cycles or
  * follow late pokes fall back to the feed's rescan, and lazy /
  * unresolved names are read directly every visit, preserving peek()'s
- * fault semantics exactly.  Duplicate traces of one net chain off
- * its one table entry.
+ * fault semantics exactly.  An obs::NetIndex picks the signals out
+ * of the frame, duplicate traces of one net included.
  */
 
 #ifndef ANVIL_RTL_WAVE_H
@@ -61,8 +61,6 @@ class WaveRecorder : public obs::Observer
     {
         std::string name;
         NetId net = kNoNet;   // kNoNet: unresolved, peek every visit
-        bool fed = false;     // covered by the change feed
-        int32_t dup_next = -1;   // next rec sharing this net, or -1
         BitVec last{1};
     };
 
@@ -71,8 +69,7 @@ class WaveRecorder : public obs::Observer
 
     Sim &_sim;
     std::vector<Rec> _recs;
-    /** net -> first _recs index tracing that net, or -1. */
-    std::vector<int32_t> _net_slot;
+    obs::NetIndex _index;   // slot: a _recs index
     std::vector<std::vector<BitVec>> _samples;
     std::unique_ptr<obs::ChangeFeed> _own_feed;   // standalone mode
 };

@@ -133,7 +133,7 @@ Coverage::addAssert(const std::string &name, rtl::ExprPtr enable,
 void
 Coverage::bindNetlist(const rtl::Netlist &nl)
 {
-    _net_slot.assign(nl.nets().size(), -1);
+    _index = obs::NetIndex(nl);
     for (const auto &[name, sig] : nl.signals()) {
         SignalCoverage sc;
         sc.name = name;
@@ -145,19 +145,8 @@ Coverage::bindNetlist(const rtl::Netlist &nl)
         sc.last.assign(wordsFor(sig.width), 0);
         // Lazy nets never appear on the change feed — they are
         // re-read every sample (value() keeps their fault
-        // semantics).  Everything else is change-fed; signals
-        // sharing a net (aliases) chain off its one table entry.
-        size_t slot = _signals.size();
-        if (nl.net(sig.net).lazy) {
-            _unfed_slots.push_back(slot);
-            _fed.push_back(0);
-            _dup_next.push_back(-1);
-        } else {
-            int32_t &head = _net_slot[static_cast<size_t>(sig.net)];
-            _fed.push_back(1);
-            _dup_next.push_back(head);
-            head = static_cast<int32_t>(slot);
-        }
+        // semantics).  Everything else is change-fed.
+        _index.add(nl, sig.net, static_cast<uint32_t>(_signals.size()));
         _signals.push_back(std::move(sc));
 
         if (sig.kind == rtl::NetSignal::Kind::Reg) {
@@ -179,14 +168,11 @@ Coverage::bindNetlist(const rtl::Netlist &nl)
 }
 
 void
-Coverage::sampleSlot(rtl::Sim &sim, size_t slot)
+Coverage::sampleSlot(rtl::Sim &sim, uint32_t slot)
 {
     SignalCoverage &sc = _signals[slot];
     size_t n = sc.rose.size();
-    // Outside the feed (a lazy net), value() keeps its on-demand
-    // fault semantics.
-    const uint64_t *v = _fed[slot] ? sim.words(sc.net).w
-                                   : sim.value(sc.net).data();
+    const uint64_t *v = _index.read(sim, sc.net).w;
     for (size_t w = 0; w < n; w++) {
         uint64_t cur = v[w];
         if (_samples > 0) {
@@ -239,7 +225,7 @@ Coverage::onPrime(rtl::Sim &sim, uint64_t cycle)
     // every register re-binned; sampleSlot's `_samples > 0` guard
     // makes the first visit a pure baseline capture with no edges
     // recorded.
-    for (size_t slot = 0; slot < _signals.size(); slot++)
+    for (uint32_t slot = 0; slot < _signals.size(); slot++)
         sampleSlot(sim, slot);
     sampleTail(sim);
 }
@@ -252,11 +238,9 @@ Coverage::onCycle(rtl::Sim &sim, uint64_t cycle,
     // A signal absent from the changed subset has the same value as
     // at the previous visit: it cannot contribute a new edge, and a
     // register among them stays in its open bin hold.
-    for (rtl::NetId id : changed)
-        for (int32_t slot = _net_slot[static_cast<size_t>(id)];
-             slot >= 0; slot = _dup_next[static_cast<size_t>(slot)])
-            sampleSlot(sim, static_cast<size_t>(slot));
-    for (size_t slot : _unfed_slots)
+    _index.forFed(changed,
+                  [this, &sim](uint32_t slot) { sampleSlot(sim, slot); });
+    for (uint32_t slot : _index.lazySlots())
         sampleSlot(sim, slot);
     sampleTail(sim);
 }

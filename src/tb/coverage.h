@@ -244,7 +244,7 @@ class Coverage : public obs::Observer
         uint64_t since = 0;
     };
 
-    void sampleSlot(rtl::Sim &sim, size_t slot);
+    void sampleSlot(rtl::Sim &sim, uint32_t slot);
     void sampleTail(rtl::Sim &sim);
     /** Re-bin register `reg` from its current value's folded words,
      *  closing its previous hold into the hits. */
@@ -255,11 +255,8 @@ class Coverage : public obs::Observer
     int _req_bins;
     bool _bound = false;
     uint64_t _samples = 0;
-    std::vector<int32_t> _net_slot;      // net -> first _signals slot
-    std::vector<int32_t> _dup_next;      // parallel to _signals
+    obs::NetIndex _index;                // slot: a _signals index
     std::vector<int32_t> _slot_reg;      // _signals slot -> reg or -1
-    std::vector<size_t> _unfed_slots;    // signals outside the feed
-    std::vector<uint8_t> _fed;           // per slot: read as words
     std::vector<SignalCoverage> _signals;
     /** Settled lazily by const readers, hence mutable. */
     mutable std::vector<RegBins> _reg_bins;

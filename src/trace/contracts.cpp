@@ -252,11 +252,9 @@ checkTrace(const std::vector<ContractSpec> &specs, const Trace &trace,
 
 ContractMonitor::ContractMonitor(std::vector<ContractSpec> specs,
                                  rtl::Sim &sim)
-    : tb::Monitor("contracts")
+    : tb::Monitor("contracts"), _index(sim.netlist())
 {
     const rtl::Netlist &nl = sim.netlist();
-    _feed_slot.assign(nl.nets().size(), -1);
-    _feed_mask.assign((nl.nets().size() + 63) / 64, 0);
     const auto &table = nl.signals();
     auto find = [&](const std::string &name) {
         auto it = table.find(name);
@@ -273,50 +271,24 @@ ContractMonitor::ContractMonitor(std::vector<ContractSpec> specs,
             throw std::invalid_argument(
                 "contract channel '" + s.channel +
                 "' has no valid/ack pair in the design");
-        size_t index = _bound.size();
-        bool has_lazy = false;
-        for (rtl::NetId id : {b.valid, b.ack, b.data}) {
-            if (id == rtl::kNoNet)
-                continue;
-            if (nl.net(id).lazy) {
-                // The whole channel drops to the every-visit list:
-                // value() keeps the lazy net's on-demand faults.
-                has_lazy = true;
-                continue;
-            }
-            size_t ni = static_cast<size_t>(id);
-            int32_t &slot = _feed_slot[ni];
-            if (slot < 0) {
-                slot = static_cast<int32_t>(_feed_lists.size());
-                _feed_lists.emplace_back();
-                _feed_mask[ni >> 6] |= uint64_t(1) << (ni & 63);
-            }
-            _feed_lists[static_cast<size_t>(slot)].push_back(index);
-        }
-        if (has_lazy)
-            _unfed_bounds.push_back(index);
-        b.fed = !has_lazy;
+        // A lazy net's slot re-reads the whole channel every visit.
+        uint32_t slot = 3 * static_cast<uint32_t>(_bound.size());
+        const rtl::NetId nets[3] = {b.valid, b.ack, b.data};
+        for (uint32_t k = 0; k < 3; k++)
+            if (nets[k] != rtl::kNoNet)
+                _index.add(nl, nets[k], slot + k);
         _bound.push_back(std::move(b));
     }
 }
 
-/** Re-read one channel's frame values from the simulation: a fed
- *  channel from its words, one with a lazy net through value(),
- *  which keeps its fault semantics. */
+/** Re-read one channel's frame values from the simulation. */
 void
 ContractMonitor::refresh(rtl::Sim &sim, Bound &b)
 {
-    if (!b.fed) {
-        b.valid_v = sim.value(b.valid).any();
-        b.ack_v = sim.value(b.ack).any();
-        if (b.data != rtl::kNoNet)
-            b.data_v = sim.value(b.data);
-        return;
-    }
-    b.valid_v = sim.words(b.valid).any();
-    b.ack_v = sim.words(b.ack).any();
+    b.valid_v = _index.read(sim, b.valid).any();
+    b.ack_v = _index.read(sim, b.ack).any();
     if (b.data != rtl::kNoNet) {
-        rtl::WordView d = sim.words(b.data);
+        rtl::WordView d = _index.read(sim, b.data);
         if (b.data_v.width() != d.width)
             b.data_v = BitVec(d.width);
         b.data_v.setWords(d.w, static_cast<int>(d.words()));
@@ -351,18 +323,13 @@ ContractMonitor::onCycle(rtl::Sim &sim, uint64_t cycle,
 {
     // Only channels whose nets actually changed are re-read; every
     // checker still ticks — ack-within deadlines advance even when
-    // nothing changes.  The mask rejects the unwatched nets, most of
-    // the frame, without touching the slot table.
-    for (rtl::NetId id : changed) {
-        size_t ni = static_cast<size_t>(id);
-        if (!((_feed_mask[ni >> 6] >> (ni & 63)) & 1))
-            continue;
-        size_t slot = static_cast<size_t>(_feed_slot[ni]);
-        for (size_t index : _feed_lists[slot])
-            refresh(sim, _bound[index]);
-    }
-    for (size_t index : _unfed_bounds)
-        refresh(sim, _bound[index]);
+    // nothing changes.
+    auto refreshSlot = [this, &sim](uint32_t slot) {
+        refresh(sim, _bound[slot / 3]);
+    };
+    _index.forFed(changed, refreshSlot);
+    for (uint32_t slot : _index.lazySlots())
+        refreshSlot(slot);
     tick(cycle);
 }
 

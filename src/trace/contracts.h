@@ -162,21 +162,14 @@ class ContractMonitor : public tb::Monitor, public obs::Observer
         rtl::NetId valid, ack, data;   // data may be kNoNet
         bool valid_v = false, ack_v = false;   // cached frame values
         BitVec data_v{1};
-        bool fed = true;   // no lazy net: read as words
     };
     void refresh(rtl::Sim &sim, Bound &b);
     void tick(uint64_t cycle);
 
     std::vector<Bound> _bound;
-    /** net -> slot into _feed_lists, flat (or -1): O(1) per changed
-     *  net on the fast path. */
-    std::vector<int32_t> _feed_slot;
-    /** One bit per net: set where _feed_slot has a slot. */
-    std::vector<uint64_t> _feed_mask;
-    /** Per fed net, the _bound indices whose channel reads it. */
-    std::vector<std::vector<size_t>> _feed_lists;
-    /** Bounds touching a lazy net: re-read every visit. */
-    std::vector<size_t> _unfed_bounds;
+    /** Slot 3b + k watches bound b's valid (k = 0), ack (1) or data
+     *  (2). */
+    obs::NetIndex _index;
     std::vector<ContractViolation> _violations;
 };
 

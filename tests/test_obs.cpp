@@ -2,7 +2,8 @@
  * @file
  * Unified observer framework and telemetry tests: one fed frame
  * shared by every observer, the rescan fallback on skipped
- * cycles and late pokes, standalone-vs-attached observer compat,
+ * cycles and late pokes (and its outputs equal the fast path's),
+ * standalone-vs-attached observer compat,
  * metrics JSON determinism at a fixed seed, Chrome-trace profile
  * well-formedness (parsed back with the in-tree JSON reader), and the
  * channel-slicing VCD plugin.
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "harness.h"
+#include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/observer.h"
 #include "obs/profiler.h"
@@ -26,6 +28,7 @@
 #include "support/json.h"
 #include "tb/coverage.h"
 #include "tb/testbench.h"
+#include "trace/contracts.h"
 #include "trace/vcd_reader.h"
 
 using namespace anvil;
@@ -336,6 +339,130 @@ TEST(ChangeFeed, StandaloneSampleConflictsWithAttach)
     obs::ChangeFeed feed(sim2);
     feed.attach(fed);
     EXPECT_THROW(fed.sample(), std::logic_error);
+}
+
+/**
+ * Two channels, one of them over lazy nets: `io_data` and `lzw` are
+ * lazy wires (an unresolved name on a mux's never-taken branch), so
+ * the `io` contract, the VCD writer, the flight recorder and coverage
+ * all re-read them every visit.  `rr` and `p_data` rename the
+ * register `r`, so three names share its net.
+ */
+rtl::ModulePtr
+lazyChannelModule()
+{
+    auto m = std::make_shared<rtl::Module>();
+    m->name = "lazy_chan";
+    rtl::ExprPtr a = m->input("a", 8);
+    m->input("io_valid", 1);
+    m->input("io_ack", 1);
+    m->input("p_ack", 1);
+    rtl::ExprPtr r = m->reg("r", 8);
+    m->update("r", rtl::cst(1, 1), r + a);
+    m->wire("rr", r);
+    m->wire("p_valid", rtl::slice(a, 0, 1));
+    m->wire("p_data", r);
+    m->wire("io_data", rtl::mux(rtl::cst(1, 1), a ^ r,
+                                rtl::ref("nosuch", 8)));
+    std::vector<rtl::ExprPtr> parts;
+    for (int i = 0; i < 13; i++)
+        parts.push_back(i % 2 ? r : a);
+    m->wire("lzw", rtl::mux(rtl::cst(1, 1), rtl::concat(parts),
+                            rtl::ref("nosuch", 104)));
+    return m;
+}
+
+/** What the change-fed observers made of one run. */
+struct ObservedRun
+{
+    std::string vcd;
+    std::vector<std::string> dumps;
+    std::string coverage;
+    std::vector<std::string> violations;
+    uint64_t primes = 0;
+};
+
+/**
+ * One stimulus under a VCD writer, a flight recorder triggered by
+ * contract violations, coverage and a contract monitor.  With
+ * `rescans`, every 7th sample is followed by a poke of `a` that is
+ * poked back before the step: nothing changes, but the next sample
+ * cannot trust the feed and primes every observer.
+ */
+ObservedRun
+observeLazyChannel(bool rescans)
+{
+    rtl::Sim sim(lazyChannelModule());
+    obs::ChangeFeed feed(sim);
+    trace::ContractMonitor monitor(
+        {trace::parseContractSpec("io: ack within 2, stable, hold"),
+         trace::parseContractSpec("p: ack within 3, stable, hold")},
+        sim);
+    feed.attach(monitor);
+    tb::Coverage cov;
+    cov.addCover("a_odd", rtl::slice(rtl::ref("a", 8), 0, 1));
+    feed.attach(cov);
+    std::ostringstream os;
+    rtl::VcdWriter vcd(sim, os);
+    feed.attach(vcd);
+    obs::FlightRecorder::Options fo;
+    fo.pre = 8;
+    fo.post = 2;
+    obs::FlightRecorder flight(sim, fo);
+    ObservedRun out;
+    flight.addTrigger("violation", [&monitor] {
+        return static_cast<uint64_t>(monitor.violations().size());
+    });
+    flight.setDumpSink([&out](const obs::FlightRecorder::DumpInfo &,
+                              const std::string &text) {
+        out.dumps.push_back(text);
+        return std::string();
+    });
+    feed.attach(flight);
+
+    for (uint64_t c = 0; c < 120; c++) {
+        uint64_t a = (c * 37 + 5) & 0xff;
+        sim.setInput("a", a);
+        sim.setInput("io_valid", c % 5 < 3);
+        sim.setInput("io_ack", c % 7 == 3);
+        sim.setInput("p_ack", c % 4 == 1);
+        feed.sample();
+        if (rescans && c % 7 == 6) {
+            sim.setInput("a", a ^ 1);
+            sim.setInput("a", a);
+        }
+        sim.step();
+    }
+    feed.finish();
+
+    out.vcd = os.str();
+    out.coverage = cov.summaryJson() + "\n" + cov.report();
+    for (const trace::ContractViolation &v : monitor.violations())
+        out.violations.push_back(std::to_string(v.cycle) + " " +
+                                 v.channel + " " + v.rule + " " +
+                                 v.message);
+    out.primes = feed.costs()[0].primes;
+    return out;
+}
+
+TEST(ChangeFeed, RescanMatchesFastPath)
+{
+    // A rescan re-reads every slot an observer's NetIndex holds; the
+    // fast path reads only the ones the frame feeds plus the lazy
+    // ones.  Both must write the same bytes and reach the same
+    // verdicts.  (RollingActivity is left out: a prime drops its
+    // open window by design.)
+    ObservedRun fast = observeLazyChannel(false);
+    ObservedRun mixed = observeLazyChannel(true);
+    EXPECT_EQ(fast.primes, 1u);
+    EXPECT_EQ(mixed.primes, 1u + 119u / 7u);
+
+    EXPECT_FALSE(fast.violations.empty());
+    EXPECT_FALSE(fast.dumps.empty());
+    EXPECT_EQ(fast.vcd, mixed.vcd);
+    EXPECT_EQ(fast.dumps, mixed.dumps);
+    EXPECT_EQ(fast.coverage, mixed.coverage);
+    EXPECT_EQ(fast.violations, mixed.violations);
 }
 
 // --- Metrics -------------------------------------------------------------

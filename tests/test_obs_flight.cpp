@@ -4,13 +4,16 @@
  * fills clips the window at the first captured cycle, a trigger on
  * the final cycle is flushed by onFinish, distinct triggers produce
  * distinct dumps, wrap-around keeps exactly the configured context,
- * and the reconstructed windows are byte-identical across sweep
- * modes (and the compiled backend) and byte-compatible with a
- * VcdWriter covering the same cycles.
+ * the ring grows only as far as the run needs, and every
+ * reconstructed window is byte for byte what a VcdWriter attached at
+ * its first cycle writes, the same across sweep modes (and the
+ * compiled backend).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -98,6 +101,7 @@ struct FlightRun
 {
     std::vector<obs::FlightRecorder::DumpInfo> dumps;
     std::vector<std::string> vcds;   // dump text, flush order
+    size_t ring_records = 0;         // retained when the run ended
 };
 
 FlightRun
@@ -138,6 +142,7 @@ runFlight(rtl::SweepMode mode, uint64_t cycles,
     }
     feed.finish();
     out.dumps = rec.dumps();
+    out.ring_records = rec.ringRecords();
     return out;
 }
 
@@ -156,6 +161,30 @@ fullVcd(uint64_t cycles)
         sim.step();
     }
     feed.finish();
+    return os.str();
+}
+
+/**
+ * What a VcdWriter writes on a second Sim under the same stimulus
+ * when attached to its feed at cycle `from` and stopped after
+ * sampling cycle `to`.
+ */
+std::string
+writerWindow(uint64_t from, uint64_t to)
+{
+    rtl::Sim sim(pingModule());
+    obs::ChangeFeed feed(sim);
+    std::ostringstream os;
+    std::unique_ptr<rtl::VcdWriter> vcd;
+    for (uint64_t c = 0; c <= to; c++) {
+        drive(sim, c);
+        if (c == from) {
+            vcd = std::make_unique<rtl::VcdWriter>(sim, os);
+            feed.attach(*vcd);
+        }
+        feed.sample();
+        sim.step();
+    }
     return os.str();
 }
 
@@ -260,6 +289,43 @@ TEST(FlightRecorder, WrapAroundKeepsExactlyTheConfiguredContext)
             EXPECT_EQ(wv->toHex(), fv->toHex())
                 << ws.name << " @" << t;
         }
+    }
+}
+
+TEST(FlightRecorder, DumpsAreTheWritersBytes)
+{
+    // One window clipped at cycle 0 and one long after the ring (22
+    // records) has wrapped: each dump is exactly what a VcdWriter
+    // writes over its window.
+    FlightRun fr = runFlight(rtl::SweepMode::Dirty, 400, {3, 300},
+                             opts(16, 4));
+    ASSERT_EQ(fr.dumps.size(), 2u);
+    EXPECT_EQ(fr.dumps[0].from, 0u);
+    EXPECT_EQ(fr.dumps[0].to, 7u);
+    EXPECT_EQ(fr.dumps[1].from, 284u);
+    EXPECT_EQ(fr.dumps[1].to, 304u);
+    EXPECT_EQ(fr.ring_records, 16u + 4u + 2u);
+    for (size_t i = 0; i < fr.dumps.size(); i++)
+        EXPECT_EQ(fr.vcds[i],
+                  writerWindow(fr.dumps[i].from, fr.dumps[i].to))
+            << "dump " << i;
+}
+
+TEST(FlightRecorder, RingGrowsOnDemand)
+{
+    // A capacity far past what memory holds costs only the records
+    // the run makes, and the dump is unchanged.  pre + post + 2
+    // saturates instead of wrapping to an empty ring.
+    const uint64_t huge = uint64_t(1) << 62;
+    for (obs::FlightRecorder::Options fo :
+         {opts(huge, 3), opts(INT64_MAX, INT64_MAX)}) {
+        FlightRun fr = runFlight(rtl::SweepMode::Dirty, 40, {30}, fo);
+        ASSERT_EQ(fr.dumps.size(), 1u);
+        EXPECT_EQ(fr.dumps[0].from, 0u);
+        EXPECT_LE(fr.ring_records, 40u);
+        EXPECT_GT(fr.ring_records, 20u);
+        EXPECT_EQ(fr.vcds[0],
+                  writerWindow(fr.dumps[0].from, fr.dumps[0].to));
     }
 }
 

@@ -261,13 +261,18 @@ TEST(TbVcd, ValueChangesMatchWaveRecorderSamples)
     std::ostringstream os;
     VcdWriter vcd(sim, os, sigs);
 
+    // Each cycle's peek is the truth both observers are held to, so a
+    // frame-filter fault the two share cannot cancel out.
     const int cycles = 60;
+    std::map<std::string, std::vector<BitVec>> peeked;
     for (int i = 0; i < cycles; i++) {
         sim.setInput("inp_enq_data", i * 2654435761u);
         sim.setInput("inp_enq_valid", i % 3 != 2 ? 1 : 0);
         sim.setInput("outp_deq_ack", i % 5 < 3 ? 1 : 0);
         wave.sample();
         vcd.sample();
+        for (const auto &sig : sigs)
+            peeked[sig].push_back(sim.peek(sig));
         sim.step();
     }
 
@@ -297,6 +302,8 @@ TEST(TbVcd, ValueChangesMatchWaveRecorderSamples)
                 ev++;
             }
             EXPECT_EQ(cur.toHex(), samples[c].toHex())
+                << sig << " @" << c;
+            EXPECT_EQ(samples[c].toHex(), peeked[sig][c].toHex())
                 << sig << " @" << c;
         }
     }
