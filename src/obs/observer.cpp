@@ -26,9 +26,7 @@ sampledVisit(uint64_t cycle)
 
 } // namespace
 
-NetIndex::NetIndex(const rtl::Netlist &nl)
-    : _mask((nl.nets().size() + 63) / 64, 0),
-      _first(nl.nets().size(), -1)
+NetIndex::NetIndex(const rtl::Netlist &nl) : _first(nl.nets().size(), -1)
 {
 }
 
@@ -44,7 +42,6 @@ NetIndex::add(const rtl::Netlist &nl, rtl::NetId net, uint32_t slot)
         _next.resize(slot + 1, -1);
     _next[slot] = _first[ni];
     _first[ni] = static_cast<int32_t>(slot);
-    _mask[ni >> 6] |= uint64_t(1) << (ni & 63);
 }
 
 Observer::~Observer()

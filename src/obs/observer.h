@@ -104,10 +104,8 @@ class Observer
  * each slot's net once, and on a visit picks its slots out of the
  * frame with forFed() and re-reads lazySlots() itself.  It holds
  *
- *  - one bit per net, set where a fed net has a slot: most of the
- *    frame is nets no slot watches, and this L1-resident mask
- *    rejects them without touching the slot table;
- *  - per net, its first slot, and per slot the next slot on the same
+ *  - per net, its first slot (-1 for a net no fed slot watches, which
+ *    is most of a frame), and per slot the next slot on the same
  *    net: an alias next to its flat name, names that share a renamed
  *    net, or a channel's valid and ack may all watch one net;
  *  - the slots on lazy nets, or on no net at all (a name that did
@@ -137,8 +135,7 @@ class NetIndex
     bool fed(rtl::NetId net) const
     {
         size_t ni = static_cast<size_t>(net);
-        return ni < _first.size() &&
-            ((_mask[ni >> 6] >> (ni & 63)) & 1);
+        return ni < _first.size() && _first[ni] >= 0;
     }
 
     /** `net`'s current words: a fed net's from the state words, any
@@ -146,10 +143,7 @@ class NetIndex
      *  on-demand faults. */
     rtl::WordView read(rtl::Sim &sim, rtl::NetId net) const
     {
-        if (fed(net))
-            return sim.words(net);
-        const BitVec &v = sim.value(net);
-        return {v.data(), v.width()};
+        return fed(net) ? sim.words(net) : sim.value(net);
     }
 
     /** Call f(slot) for every slot a net of `frame` feeds, in frame
@@ -159,13 +153,12 @@ class NetIndex
     {
         // Locals, so the stores f makes do not force the tables to be
         // reloaded on every net (about 2x on an all-named frame).
-        const uint64_t *mask = _mask.data();
         const int32_t *first = _first.data();
         const int32_t *next = _next.data();
         size_t nets = _first.size();
         for (rtl::NetId id : frame) {
             size_t ni = static_cast<size_t>(id);
-            if (ni >= nets || !((mask[ni >> 6] >> (ni & 63)) & 1))
+            if (ni >= nets)
                 continue;
             for (int32_t s = first[ni]; s >= 0; s = next[s])
                 f(static_cast<uint32_t>(s));
@@ -176,7 +169,6 @@ class NetIndex
     const std::vector<uint32_t> &lazySlots() const { return _lazy; }
 
   private:
-    std::vector<uint64_t> _mask;    // one bit per net: has a fed slot
     std::vector<int32_t> _first;    // net -> its newest slot, or -1
     std::vector<int32_t> _next;     // slot -> next slot on its net
     std::vector<uint32_t> _lazy;    // slots re-read every visit

@@ -31,17 +31,18 @@ storeChanged(const BitVec &v, uint64_t *w, uint32_t n)
     return moved;
 }
 
-/** The inverse: set a value from its words at w. */
-void
-loadWords(BitVec &v, const uint64_t *w)
-{
-    if (v.width() <= 64)
-        v.setUint64(w[0]);
-    else
-        v.setWords(w, v.words());
-}
-
 } // namespace
+
+BitVec
+wordValue(const WordView &v)
+{
+    BitVec b(v.width);
+    if (v.width <= 64)
+        b.setUint64(v.w[0]);
+    else
+        b.setWords(v.w, b.words());
+    return b;
+}
 
 const char *
 sweepModeName(SweepMode mode)
@@ -96,7 +97,8 @@ Sim::Sim(std::shared_ptr<const Module> top,
     for (NetId r : _nl.regs())
         _reg_off.push_back(_reg_off.back() +
                            static_cast<size_t>(
-                               _val[static_cast<size_t>(r)].words()));
+                               _nl.initValues()[static_cast<size_t>(r)]
+                                   .words()));
     _swept.resize(_layout.strict_nodes);
     _committed.resize(_nl.regs().size());
     _stats.strict_nodes = _layout.strict_nodes;
@@ -178,25 +180,6 @@ Sim::attachKernel(const KernelRef &kernel)
     return true;
 }
 
-/** Copy one net's words into its cached value. */
-void
-Sim::refresh(NetId id)
-{
-    size_t i = static_cast<size_t>(id);
-    _stale[i] = 0;
-    loadWords(_val[i], _words + _layout.off[i]);
-}
-
-/** A net's words as a fresh value, leaving the cache alone. */
-BitVec
-Sim::wordValue(NetId id) const
-{
-    size_t i = static_cast<size_t>(id);
-    BitVec v(_layout.width[i]);
-    loadWords(v, _words + _layout.off[i]);
-    return v;
-}
-
 NetId
 Sim::inputId(const std::string &name) const
 {
@@ -222,7 +205,6 @@ Sim::checkedInput(NetId id) const
 void
 Sim::pokeSource(NetId id)
 {
-    _stale[static_cast<size_t>(id)] = 1;
     recordChange(id);
     _host.poke(id);
     _poke_tick++;
@@ -312,10 +294,8 @@ Sim::evalLazy(NetId id)
         // counting was enabled (evalTop) are skipped.
         if (_eval_counting && i < _eval_count.size())
             _eval_count[i]++;
-        if (_host.exec(id)) {
-            _stale[i] = 1;
+        if (_host.exec(id))
             recordChange(id);
-        }
     }
 
     if (guard)
@@ -350,11 +330,8 @@ Sim::sweep()
     uint64_t n = 0;
     _frame_evals += _host.eval(_swept.data(), &n, full);
     _need_full = false;
-    for (uint64_t k = 0; k < n; k++) {
-        NetId id = _swept[static_cast<size_t>(k)];
-        _stale[static_cast<size_t>(id)] = 1;
-        recordChange(id);
-    }
+    for (uint64_t k = 0; k < n; k++)
+        recordChange(_swept[static_cast<size_t>(k)]);
     _dirty = false;
     if (jit)
         _stats.kernel_frames++;
@@ -404,9 +381,7 @@ Sim::peek(const std::string &name)
     const NetSignal *sig = findSignal(flat);
     if (!sig)
         throw std::invalid_argument("no such signal: " + flat);
-    sweep();
-    evalLazy(sig->net);
-    return valOf(sig->net);
+    return wordValue(value(sig->net));
 }
 
 void
@@ -438,7 +413,7 @@ Sim::logPrints()
         if (words(p.enable).any()) {
             std::string line = p.text;
             if (p.value != kNoNet)
-                line += " " + valOf(p.value).toHex();
+                line += " " + wordValue(words(p.value)).toHex();
             _log.push_back(line);
         }
     }
@@ -549,7 +524,7 @@ Sim::regValue(const std::string &flat_name) const
     const NetSignal *sig = findSignal(flat_name);
     if (!sig || sig->kind != NetSignal::Kind::Reg)
         throw std::invalid_argument("no such register: " + flat_name);
-    return wordValue(sig->net);
+    return wordValue(words(sig->net));
 }
 
 void
@@ -570,18 +545,18 @@ Sim::captureRegs() const
     std::vector<BitVec> vals;
     vals.reserve(_nl.regs().size());
     for (NetId r : _nl.regs())
-        vals.push_back(wordValue(r));
+        vals.push_back(wordValue(words(r)));
     return vals;
 }
 
-const BitVec &
+WordView
 Sim::value(NetId id)
 {
-    if (id < 0 || static_cast<size_t>(id) >= _val.size())
+    if (id < 0 || static_cast<size_t>(id) >= _lazy_gen.size())
         throw std::invalid_argument("no such net id");
     sweep();
     evalLazy(id);
-    return valOf(id);
+    return words(id);
 }
 
 std::vector<std::string>
@@ -596,20 +571,16 @@ Sim::inputNames() const
 
 /** Take up the nets the netlist holds beyond those already adopted
  *  (all of them on construction, appended ones after topNet): their
- *  words and cached values start at their initial values. */
+ *  words start at their initial values. */
 void
 Sim::adoptNets()
 {
     _host.grow();
     _words = _host.state();
     const auto &init = _nl.initValues();
-    size_t from = _val.size();
-    _val.insert(_val.end(), init.begin() + static_cast<std::ptrdiff_t>(from),
-                init.end());
-    for (size_t i = from; i < init.size(); i++)
+    size_t n = init.size();
+    for (size_t i = _lazy_gen.size(); i < n; i++)
         storeWords(init[i], _words + _layout.off[i]);
-    size_t n = _val.size();
-    _stale.resize(n, 0);
     _lazy_gen.resize(n, 0);
     _visiting.resize(n, 0);
     _change_mark.resize(n, 0);

@@ -36,8 +36,10 @@
  * observers — VCD tracing, coverage toggle sampling, contract
  * monitors — consume change events instead of rescanning the whole
  * net table every cycle, and read the changed values as words
- * (words()).  Values as BitVecs (value(), peek()) are copied out of
- * the words on demand and cached.
+ * (words()).  The state words are the only per-net store: value()
+ * returns a net's words too, and the few readers that want a BitVec
+ * (peek(), evalTop(), regValue(), prints) copy one out of them
+ * (wordValue()).
  *
  * Nets on or behind a combinational cycle or an unresolved reference,
  * and the nets topNet appends, are lazy: a recursive walk evaluates
@@ -166,6 +168,9 @@ struct WordView
         return false;
     }
 };
+
+/** A net's words copied into a BitVec of its width. */
+BitVec wordValue(const WordView &v);
 
 /**
  * Activity counters for the sweep, accumulated per committed cycle.
@@ -421,11 +426,12 @@ class Sim
     void nextRegs(uint64_t *out);
 
     /**
-     * Value of an interned node at the current cycle.  Sweeps if
+     * The words of an interned node at the current cycle.  Sweeps if
      * needed; lazy cones are evaluated on demand and fault exactly
-     * like peek.  The id-addressed access of coverage and VCD tracing.
+     * like peek.  Nothing is copied or cached: the view is valid as
+     * words()'s is, until the next poke, step() or appending topNet.
      */
-    const BitVec &value(NetId id);
+    WordView value(NetId id);
 
     /**
      * The words of a net in the current frame — no copy, no sweep, no
@@ -456,7 +462,7 @@ class Sim
     NetId topNet(const ExprPtr &e);
 
     /** Evaluate an expression in the top-level scope. */
-    BitVec evalTop(const ExprPtr &e) { return value(topNet(e)); }
+    BitVec evalTop(const ExprPtr &e) { return wordValue(value(topNet(e))); }
 
     /** The compiled netlist (inspection / cost analyses). */
     const Netlist &netlist() const { return _nl; }
@@ -483,8 +489,6 @@ class Sim
     void adoptNets();
     void recordChange(NetId id);
     void rollFrame();
-    void refresh(NetId id);
-    BitVec wordValue(NetId id) const;
     void checkGhostUpdates() const;
     void edge();
     void logPrints();
@@ -497,18 +501,6 @@ class Sim
     void endPhase(SimPhase phase, uint64_t cycle, bool timed,
                   uint64_t t0);
 
-    /**
-     * Current value of a net as a BitVec: its words, copied into the
-     * cache first when it is behind them.
-     */
-    const BitVec &valOf(NetId id)
-    {
-        size_t i = static_cast<size_t>(id);
-        if (_stale[i])
-            refresh(id);
-        return _val[i];
-    }
-
     std::shared_ptr<const Module> _top;
     /** Owned mutable netlist; null when riding a shared one. */
     std::shared_ptr<Netlist> _nl_own;
@@ -518,10 +510,6 @@ class Sim
     const KernelLayout &_layout;       // the netlist's state words
     KernelHost _host;                  // the state and the level walk
     uint64_t *_words;                  // _host.state()
-    /** Per net: a cache of its words, behind them where _stale is
-     *  set. */
-    std::vector<BitVec> _val;
-    std::vector<uint8_t> _stale;
     std::vector<size_t> _reg_off;      // packed word offset per reg,
                                        // plus the total
     std::vector<uint64_t> _lazy_gen;   // per-sweep memo for lazy nodes

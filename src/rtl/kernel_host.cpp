@@ -266,58 +266,42 @@ kernelLayout(const Netlist &nl)
     }
     L.state_words = words ? words : 1;
 
-    // Levels and dense within-level slots: the occupancy bitmaps carry
-    // slots, so a level's k-th node is its k-th record however net ids
-    // are scattered.
+    // Levels and their occupancy bitmap words.  order() is one id
+    // range, level by level, so a strict node's slot in its level's
+    // bitmap follows from its id and level: its k-th node is its k-th
+    // record.
     const auto &order = nl.order();
     const auto &lb = nl.levelBegin();
     size_t levels = nl.levelCount();
+    NetId first = order.empty() ? 0 : order[0];
     L.strict_nodes = order.size();
     L.level_size.resize(levels);
     L.bm_off.assign(levels + 1, 0);
-    struct Slot
-    {
-        uint32_t word, bit, level;
-    };
-    std::vector<Slot> slot(nets.size());
-    uint32_t bm = 0;
     for (size_t l = 0; l < levels; l++) {
-        size_t b = static_cast<size_t>(lb[l]);
-        size_t e = static_cast<size_t>(lb[l + 1]);
-        L.level_size[l] = static_cast<uint32_t>(e - b);
-        L.bm_off[l] = bm;
-        for (size_t i = b; i < e; i++) {
-            uint32_t k = static_cast<uint32_t>(i - b);
-            slot[static_cast<size_t>(order[i])] = {
-                bm + (k >> 6), k & 63, static_cast<uint32_t>(l)};
-        }
-        bm += static_cast<uint32_t>((e - b + 63) / 64);
+        L.level_size[l] = static_cast<uint32_t>(lb[l + 1] - lb[l]);
+        L.bm_off[l + 1] = L.bm_off[l] + (L.level_size[l] + 63) / 64;
     }
-    L.bm_off[levels] = bm;
 
     // Consumer marks from the netlist's fan-out CSR, which lists a
-    // strict node once per read and a node's reads of one net side by
-    // side (the repeats are dropped); constants are never poked.
+    // strict node once per read, in ascending id, so a net's marks
+    // come out in bitmap word order (repeat reads set a set bit);
+    // constants are never poked.
     const auto &fb = nl.fanoutBegin();
     const auto &fo = nl.fanout();
     L.mark_begin.reserve(nets.size() + 1);
     L.mark_begin.push_back(0);
-    std::vector<Slot> mine;
     for (size_t i = 0; i < nets.size(); i++) {
-        mine.clear();
-        for (int32_t k = fb[i]; k < fb[i + 1]; k++) {
+        for (int32_t k = fb[i];
+             k < fb[i + 1] && nets[i].kind != Net::Kind::Const; k++) {
             NetId c = fo[static_cast<size_t>(k)];
-            bool repeat = k > fb[i] && fo[static_cast<size_t>(k - 1)] == c;
-            if (nets[i].kind != Net::Kind::Const && !repeat)
-                mine.push_back(slot[static_cast<size_t>(c)]);
-        }
-        std::sort(mine.begin(), mine.end(), [](const Slot &x, const Slot &y) {
-            return x.word < y.word;
-        });
-        for (size_t k = 0; k < mine.size(); k++) {
-            if (k == 0 || mine[k].word != mine[k - 1].word)
-                L.marks.push_back({0, mine[k].word, mine[k].level});
-            L.marks.back().bits |= 1ull << mine[k].bit;
+            uint32_t level =
+                static_cast<uint32_t>(nets[static_cast<size_t>(c)].level);
+            uint32_t slot = static_cast<uint32_t>(c - first - lb[level]);
+            uint32_t word = L.bm_off[level] + (slot >> 6);
+            if (L.marks.size() == L.mark_begin.back() ||
+                L.marks.back().word != word)
+                L.marks.push_back({0, word, level});
+            L.marks.back().bits |= 1ull << (slot & 63);
         }
         L.mark_begin.push_back(static_cast<uint32_t>(L.marks.size()));
     }

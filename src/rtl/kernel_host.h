@@ -161,11 +161,12 @@ struct KernelLayout
 
 /**
  * The layout of `nl`'s state words.  Every net — sources, strict
- * nodes and lazy nodes — gets kernelWords(width) state words, in net
- * id order.  Level l's nodes are order()[levelBegin()[l] ..
- * levelBegin()[l + 1]), each at a dense slot in its level's bitmap
- * words.  A net's consumers are the strict nodes reading it (constant
- * operands excluded), each marked once in its level's bitmap.
+ * nodes and lazy nodes — gets kernelWords(width) state words where
+ * its id puts it, so each level's nodes own consecutive words.  Level
+ * l's nodes are order()[levelBegin()[l] .. levelBegin()[l + 1]), the
+ * k-th at slot k of its level's bitmap words.  A net's consumers are
+ * the strict nodes reading it (constant operands excluded), each
+ * marked once in its level's bitmap.
  * The edge's tables leave out updates of unknown registers, which
  * fault host-side before the edge stages anything.  Each node that
  * computes, strict or lazy, is lowered to one Node record with the

@@ -322,6 +322,19 @@ Netlist::compile(const ExprPtr &e, const std::string &scope)
 
 namespace {
 
+/** Visit every operand field of a node that names a net, by
+ *  reference, in forEachOperand's order. */
+template <typename F>
+void
+forEachOperandRef(Net &n, F f)
+{
+    for (NetId *o : {&n.a, &n.b, &n.c})
+        if (*o != kNoNet)
+            f(*o);
+    for (NetId &o : n.cargs)
+        f(o);
+}
+
 /**
  * The consumer edges of `nets` as a CSR built from their operands:
  * the nets i accepted by `keep` that read net o are
@@ -396,20 +409,14 @@ Netlist::levelize()
     // every reader is redirected to the operand and the Copy leaves
     // the sweep.  Kahn's order resolves an operand before its
     // readers, so chains collapse in the same pass that relevels.
-    // A collapsed Copy stays in nets() as an unread lazy node; its
-    // name moves to its target unless the target has one.
+    // A collapsed Copy's name moves to its target unless the target
+    // has one, and the Copy gets no id below.
     std::vector<NetId> alias(count);
     std::iota(alias.begin(), alias.end(), 0);
-    auto redirect = [&](NetId &o) {
-        if (o != kNoNet)
-            o = alias[static_cast<size_t>(o)];
-    };
     auto redirectOperands = [&](Net &n) {
-        redirect(n.a);
-        redirect(n.b);
-        redirect(n.c);
-        for (NetId &o : n.cargs)
-            redirect(o);
+        forEachOperandRef(n, [&](NetId &o) {
+            o = alias[static_cast<size_t>(o)];
+        });
     };
     int32_t max_level = 0;
     for (NetId id : queue) {
@@ -418,12 +425,10 @@ Netlist::levelize()
         if (!n.lazy && n.kind == Net::Kind::Copy &&
             _nets[static_cast<size_t>(n.a)].width == n.width) {
             alias[static_cast<size_t>(id)] = n.a;
-            n.lazy = true;
             std::string &to = _names[static_cast<size_t>(n.a)];
             std::string &from = _names[static_cast<size_t>(id)];
             if (to.empty())
                 to.swap(from);
-            from.clear();
             continue;
         }
         n.level = 0;
@@ -437,10 +442,66 @@ Netlist::levelize()
     for (size_t i = 0; i < count; i++)
         if (indeg[i] != 0)
             redirectOperands(_nets[i]);
+
+    // Number the nets that remain in evaluation order: sources and
+    // constants, then the strict order by level (ties by id, a
+    // counting sort), then the lazy nets, so order() is one id range
+    // and a level's nodes own consecutive state words.
+    auto kept = [&](size_t i) { return alias[i] == static_cast<NetId>(i); };
+    auto strict = [&](size_t i) {
+        return kept(i) && !_nets[i].lazy && _nets[i].computes();
+    };
+    std::vector<NetId> renum(count, kNoNet);
+    NetId next = 0;
+    for (size_t i = 0; i < count; i++)
+        if (!_nets[i].lazy && !_nets[i].computes())
+            renum[i] = next++;
+    _level_begin.assign(static_cast<size_t>(max_level) + 2, 0);
+    for (size_t i = 0; i < count; i++)
+        if (strict(i))
+            _level_begin[static_cast<size_t>(_nets[i].level) + 1]++;
+    for (size_t l = 1; l < _level_begin.size(); l++)
+        _level_begin[l] += _level_begin[l - 1];
+    std::vector<int32_t> cursor(_level_begin.begin(),
+                                _level_begin.end() - 1);
+    for (size_t i = 0; i < count; i++)
+        if (strict(i))
+            renum[i] = next + cursor[static_cast<size_t>(_nets[i].level)]++;
+    _order.resize(static_cast<size_t>(_level_begin.back()));
+    std::iota(_order.begin(), _order.end(), next);
+    next += static_cast<NetId>(_order.size());
+    for (size_t i = 0; i < count; i++)
+        if (kept(i) && _nets[i].lazy)
+            renum[i] = next++;
+
+    // Every reader follows: operands, names, initial values, and what
+    // was built before levelization (signals, wires, registers,
+    // updates, prints and the expression cache).
+    auto redirect = [&](NetId &o) {
+        if (o != kNoNet)
+            o = renum[static_cast<size_t>(alias[static_cast<size_t>(o)])];
+    };
+    std::vector<Net> nets(static_cast<size_t>(next));
+    std::vector<BitVec> init(static_cast<size_t>(next));
+    std::vector<std::string> names(static_cast<size_t>(next));
+    for (size_t i = 0; i < count; i++) {
+        if (renum[i] == kNoNet)
+            continue;
+        size_t to = static_cast<size_t>(renum[i]);
+        nets[to] = std::move(_nets[i]);
+        forEachOperandRef(nets[to], redirect);
+        init[to] = std::move(_init[i]);
+        names[to] = std::move(_names[i]);
+    }
+    _nets.swap(nets);
+    _init.swap(init);
+    _names.swap(names);
     for (auto &[name, sig] : _signals)
         redirect(sig.net);
     for (NetId &w : _wire_nets)
         redirect(w);
+    for (NetId &r : _regs)
+        redirect(r);
     for (auto &[key, id] : _expr_cache)
         redirect(id);
     for (NetUpdate &u : _updates) {
@@ -452,30 +513,15 @@ Netlist::levelize()
         redirect(p.value);
     }
 
-    // The strict order by level, ties by id (a counting sort).
-    auto strict = [this](size_t i) {
-        return !_nets[i].lazy && _nets[i].computes();
-    };
-    _level_begin.assign(static_cast<size_t>(max_level) + 2, 0);
-    for (size_t i = 0; i < count; i++)
-        if (strict(i))
-            _level_begin[static_cast<size_t>(_nets[i].level) + 1]++;
-    for (size_t l = 1; l < _level_begin.size(); l++)
-        _level_begin[l] += _level_begin[l - 1];
-    _order.resize(static_cast<size_t>(_level_begin.back()));
-    std::vector<int32_t> cursor(_level_begin.begin(),
-                                _level_begin.end() - 1);
-    for (size_t i = 0; i < count; i++)
-        if (strict(i))
-            _order[static_cast<size_t>(
-                cursor[static_cast<size_t>(_nets[i].level)]++)] =
-                static_cast<NetId>(i);
-
     // Fan-out CSR over strict consumers only: the edge list the
     // event-driven sweep follows when a net's value changes.  Lazy
     // nodes are evaluated by the recursive walk, which never consults
     // the dirty sets, so they are left out.
-    consumerCsr(_nets, strict, _fanout_begin, _fanout);
+    consumerCsr(_nets,
+                [this](size_t i) {
+                    return !_nets[i].lazy && _nets[i].computes();
+                },
+                _fanout_begin, _fanout);
 }
 
 const std::string &

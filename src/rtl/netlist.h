@@ -16,8 +16,14 @@
  * its operand's width is a rename, so levelization collapses it into
  * that operand — a strict node, a source or a constant: every reader,
  * update, print and signals() entry points at the operand, which takes
- * the wire's name unless it has one.  Several names can then share one
- * net, and a wire's net may be an input, a register or a constant.
+ * the wire's name unless it has one, and the Copy leaves the netlist.
+ * Several names can then share one net, and a wire's net may be an
+ * input, a register or a constant.
+ *
+ * Levelization then numbers the nets that remain in evaluation order:
+ * sources and constants first, then the strict nodes level by level
+ * (order() is one id range), then the lazy nets; the nets compile()
+ * appends later come last.  Every net is a value something reads.
  *
  * Structural cycles and unresolved references cannot always be
  * rejected eagerly: the reference interpreter only faults when an
@@ -130,6 +136,9 @@ class Netlist
   public:
     explicit Netlist(const Module &top);
 
+    /** Every net, in evaluation order (see the file comment): each is
+     *  read by a node, a signal, an update or a print, and no
+     *  collapsed rename keeps an id. */
     const std::vector<Net> &nets() const { return _nets; }
     const Net &net(NetId id) const
     {
@@ -139,7 +148,9 @@ class Netlist
     /** Initial value of every node (register init, zeros, consts). */
     const std::vector<BitVec> &initValues() const { return _init; }
 
-    /** Strict combinational nodes in evaluation order (no renames). */
+    /** Strict combinational nodes in evaluation order (no renames):
+     *  consecutive ids, the first right after the sources and
+     *  constants, ascending by level. */
     const std::vector<NetId> &order() const { return _order; }
 
     /** order()[level_begin[l] .. level_begin[l+1]) is level l. */

@@ -31,7 +31,8 @@ WaveRecorder::directRead(Rec &r)
 {
     // Unresolved names keep peek()'s error; resolved ones read the
     // interned value (identical result, no name lookup).
-    r.last = r.net == kNoNet ? _sim.peek(r.name) : _sim.value(r.net);
+    r.last = r.net == kNoNet ? _sim.peek(r.name)
+                             : wordValue(_sim.value(r.net));
 }
 
 void
@@ -58,7 +59,7 @@ WaveRecorder::onCycle(Sim &sim, uint64_t cycle,
     (void)sim;
     (void)cycle;
     _index.forFed(changed, [this](uint32_t slot) {
-        _recs[slot].last = _sim.value(_recs[slot].net);
+        _recs[slot].last = wordValue(_sim.words(_recs[slot].net));
     });
     for (uint32_t slot : _index.lazySlots())
         directRead(_recs[slot]);

@@ -20,6 +20,10 @@ using rtl::Op;
 
 // 22 nm-class model constants.
 constexpr double kUm2PerGe = 0.2;      // NAND2-equivalent footprint
+/** Every operator's area is a whole number of 1/500 um^2 (opGates'
+ *  counts times kUm2PerGe), so the logic's area is summed in those
+ *  units: exactly, whatever order the nets are numbered in. */
+constexpr double kAreaUnitsPerUm2 = 500;
 constexpr double kGePerFlopBit = 4.5;
 constexpr double kGateDelayPs = 15.0;
 constexpr double kClockOverheadPs = 55.0;  // setup + clk->q + skew
@@ -152,6 +156,8 @@ class Analyzer
             countArea(nl, id);
             worst = std::max(worst, depth(nl, id));
         }
+        _report.comb_area_um2 = static_cast<double>(_comb_units) /
+            kAreaUnitsPerUm2;
         for (const auto &u : nl.updates()) {
             // Enable gating adds a mux in front of the flop.
             _report.comb_area_um2 +=
@@ -241,7 +247,7 @@ class Analyzer
         // as the wire's Copy was.
         if (!_counted.insert(hashOf(nl, id)).second)
             return;
-        _report.comb_area_um2 += ge * kUm2PerGe;
+        _comb_units += std::llround(ge * kUm2PerGe * kAreaUnitsPerUm2);
     }
 
     double depth(const Netlist &nl, NetId id)
@@ -294,6 +300,7 @@ class Analyzer
     }
 
     SynthReport _report;
+    int64_t _comb_units = 0;   // counted logic, in 1/kAreaUnitsPerUm2
     std::vector<uint64_t> _hash;
     std::vector<uint8_t> _hash_done;
     std::vector<double> _depth;

@@ -58,7 +58,7 @@ ReplayMonitor::observe(rtl::Sim &sim, uint64_t cycle)
     _cursor.advanceTo(t);
     for (const auto &[idx, net] : _checked) {
         const BitVec &want = _cursor.value(idx);
-        const BitVec &got = sim.value(net);
+        BitVec got = rtl::wordValue(sim.value(net));
         _compared++;
         if (got != want)
             fail(cycle,

@@ -40,64 +40,64 @@ static __attribute__((noinline)) void onChange(AnvilFrame *f, int32_t id)
 static uint64_t lvl_d_1(AnvilFrame *f)
 {
     uint64_t *s = f->s;
-    // n18 w1
-    { uint64_t r = narrowOp<XNot>(s[4], 0, 0, 0x1ull); if (s[18] != r) { s[18] = r; onChange(f, 18); } }
-    // n22 w1
-    { uint64_t r = narrowOp<XOr>(s[7], s[6], 0, 0x1ull); if (s[22] != r) { s[22] = r; onChange(f, 22); } }
-    // n36 w8
-    { uint64_t r = narrowOp<XAdd>(s[0], 0x1ull, 0, 0xffull); if (s[36] != r) { s[36] = r; onChange(f, 36); } }
+    // n19 w1
+    { uint64_t r = narrowOp<XNot>(s[4], 0, 0, 0x1ull); if (s[19] != r) { s[19] = r; onChange(f, 19); } }
+    // n20 w1
+    { uint64_t r = narrowOp<XOr>(s[7], s[6], 0, 0x1ull); if (s[20] != r) { s[20] = r; onChange(f, 20); } }
+    // n21 w8
+    { uint64_t r = narrowOp<XAdd>(s[0], 0x1ull, 0, 0xffull); if (s[21] != r) { s[21] = r; onChange(f, 21); } }
     return 3;
 }
 
 static uint64_t lvl_d_2(AnvilFrame *f)
 {
     uint64_t *s = f->s;
-    // n19 w1 t0_ev0
-    { uint64_t r = narrowOp<XOr>(s[18], s[8], 0, 0x1ull); if (s[19] != r) { s[19] = r; onChange(f, 19); } }
+    // n22 w1 t0_ev0
+    { uint64_t r = narrowOp<XOr>(s[19], s[8], 0, 0x1ull); if (s[22] != r) { s[22] = r; onChange(f, 22); } }
     // n23 w1 t0_ev3
-    { uint64_t r = narrowOp<XAnd>(s[22], s[2], 0, 0x1ull); if (s[23] != r) { s[23] = r; onChange(f, 23); } }
-    // n27 w8 io_pong_data
-    { uint64_t r = narrowOp<XMux>(s[22], s[3], 0x0ull, 0xffull); if (s[27] != r) { s[27] = r; onChange(f, 27); } }
-    // n29 w1 io_pong_valid
-    { uint64_t r = narrowOp<XOr>(0x0ull, s[22], 0, 0x1ull); if (s[29] != r) { s[29] = r; onChange(f, 29); } }
+    { uint64_t r = narrowOp<XAnd>(s[20], s[2], 0, 0x1ull); if (s[23] != r) { s[23] = r; onChange(f, 23); } }
+    // n24 w8 io_pong_data
+    { uint64_t r = narrowOp<XMux>(s[20], s[3], 0x0ull, 0xffull); if (s[24] != r) { s[24] = r; onChange(f, 24); } }
+    // n25 w1 io_pong_valid
+    { uint64_t r = narrowOp<XOr>(0x0ull, s[20], 0, 0x1ull); if (s[25] != r) { s[25] = r; onChange(f, 25); } }
     return 4;
 }
 
 static uint64_t lvl_d_3(AnvilFrame *f)
 {
     uint64_t *s = f->s;
-    // n20 w1
-    { uint64_t r = narrowOp<XOr>(s[5], s[19], 0, 0x1ull); if (s[20] != r) { s[20] = r; onChange(f, 20); } }
-    // n39 w1
-    { uint64_t r = narrowOp<XNot>(s[23], 0, 0, 0x1ull); if (s[39] != r) { s[39] = r; onChange(f, 39); } }
+    // n26 w1
+    { uint64_t r = narrowOp<XOr>(s[5], s[22], 0, 0x1ull); if (s[26] != r) { s[26] = r; onChange(f, 26); } }
+    // n27 w1
+    { uint64_t r = narrowOp<XNot>(s[23], 0, 0, 0x1ull); if (s[27] != r) { s[27] = r; onChange(f, 27); } }
     return 2;
 }
 
 static uint64_t lvl_d_4(AnvilFrame *f)
 {
     uint64_t *s = f->s;
-    // n21 w1 t0_ev1
-    { uint64_t r = narrowOp<XAnd>(s[20], s[1], 0, 0x1ull); if (s[21] != r) { s[21] = r; onChange(f, 21); } }
-    // n25 w1 io_ping_ack
-    { uint64_t r = narrowOp<XOr>(0x0ull, s[20], 0, 0x1ull); if (s[25] != r) { s[25] = r; onChange(f, 25); } }
-    // n40 w1
-    { uint64_t r = narrowOp<XAnd>(s[22], s[39], 0, 0x1ull); if (s[40] != r) { s[40] = r; onChange(f, 40); } }
+    // n28 w1 t0_ev1
+    { uint64_t r = narrowOp<XAnd>(s[26], s[1], 0, 0x1ull); if (s[28] != r) { s[28] = r; onChange(f, 28); } }
+    // n29 w1 io_ping_ack
+    { uint64_t r = narrowOp<XOr>(0x0ull, s[26], 0, 0x1ull); if (s[29] != r) { s[29] = r; onChange(f, 29); } }
+    // n30 w1
+    { uint64_t r = narrowOp<XAnd>(s[20], s[27], 0, 0x1ull); if (s[30] != r) { s[30] = r; onChange(f, 30); } }
     return 3;
 }
 
 static uint64_t lvl_d_5(AnvilFrame *f)
 {
     uint64_t *s = f->s;
-    // n33 w1
-    { uint64_t r = narrowOp<XNot>(s[21], 0, 0, 0x1ull); if (s[33] != r) { s[33] = r; onChange(f, 33); } }
+    // n31 w1
+    { uint64_t r = narrowOp<XNot>(s[28], 0, 0, 0x1ull); if (s[31] != r) { s[31] = r; onChange(f, 31); } }
     return 1;
 }
 
 static uint64_t lvl_d_6(AnvilFrame *f)
 {
     uint64_t *s = f->s;
-    // n34 w1
-    { uint64_t r = narrowOp<XAnd>(s[20], s[33], 0, 0x1ull); if (s[34] != r) { s[34] = r; onChange(f, 34); } }
+    // n32 w1
+    { uint64_t r = narrowOp<XAnd>(s[26], s[31], 0, 0x1ull); if (s[32] != r) { s[32] = r; onChange(f, 32); } }
     return 1;
 }
 
@@ -107,7 +107,7 @@ static const AnvilLevelFn kDense[7] = {
 };
 
 static const AnvilKernel kKernel = {
-    6u, 42u, 0x3dcce34e29ebb5a3ull, 42ull,
+    6u, 33u, 0xf7cad46875daddd1ull, 33ull,
     7u, kDense,
 };
 

@@ -2,13 +2,16 @@
  * @file
  * Compiler-driver tests: spawn ordering and cycle detection,
  * hierarchy generation, diagnostics rendering, compile options,
- * whole-program simulation of spawned hierarchies, and a golden of
- * every shipped design's front-end output (regenerate with
- * ANVIL_REGEN_GOLDEN=1).
+ * whole-program simulation of spawned hierarchies, and goldens of
+ * every shipped design's front-end output and of a seeded full-stack
+ * simulation of it (regenerate with ANVIL_REGEN_GOLDEN=1).
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -16,7 +19,11 @@
 #include <sstream>
 
 #include "anvil/compiler.h"
+#include "anvil/sim_runner.h"
+#include "codegen/jit.h"
 #include "designs/designs.h"
+#include "formal/contracts.h"
+#include "obs/merge.h"
 #include "rtl/interp.h"
 
 #ifndef ANVIL_TEST_DIR
@@ -260,7 +267,11 @@ frontendDigest(const std::string &name, const std::string &src,
     return lines + tag + "sv " + fnv1a(out.systemverilog) + "\n";
 }
 
-TEST(Driver, FrontEndOutputMatchesGolden)
+/** The designs both goldens cover, as (name, source): the 15
+ *  src/designs Anvil sources, then examples/quickstart and
+ *  examples/listing2. */
+std::vector<std::pair<std::string, std::string>>
+goldenSources()
 {
     const std::pair<const char *, std::string (*)()> designs[] = {
         {"fifo", designs::anvilFifoSource},
@@ -282,19 +293,19 @@ TEST(Driver, FrontEndOutputMatchesGolden)
     std::vector<std::pair<std::string, std::string>> sources;
     for (const auto &[name, text] : designs)
         sources.emplace_back(name, text());
-    for (const char *ex : {"quickstart", "listing2"}) {
-        std::string src = readFile(std::string(ANVIL_TEST_DIR) +
-                                   "/../examples/" + ex + ".anvil");
-        ASSERT_FALSE(src.empty()) << ex;
-        sources.emplace_back(std::string("examples/") + ex, src);
-    }
-    std::string got;
-    for (const auto &[name, src] : sources)
-        for (bool optimize : {true, false})
-            got += frontendDigest(name, src, optimize);
+    for (const char *ex : {"quickstart", "listing2"})
+        sources.emplace_back(std::string("examples/") + ex,
+                             readFile(std::string(ANVIL_TEST_DIR) +
+                                      "/../examples/" + ex + ".anvil"));
+    return sources;
+}
 
-    std::string path =
-        std::string(ANVIL_TEST_DIR) + "/golden/frontend_digests.txt";
+/** Compare @p got with the golden file @p name, or rewrite the file
+ *  under ANVIL_REGEN_GOLDEN. */
+void
+expectGolden(const std::string &name, const std::string &got)
+{
+    std::string path = std::string(ANVIL_TEST_DIR) + "/golden/" + name;
     if (std::getenv("ANVIL_REGEN_GOLDEN")) {
         std::ofstream os(path);
         ASSERT_TRUE(os.good()) << path;
@@ -306,6 +317,180 @@ TEST(Driver, FrontEndOutputMatchesGolden)
         << "missing golden " << path
         << " (run with ANVIL_REGEN_GOLDEN=1 to create)";
     EXPECT_EQ(got, want);
+}
+
+TEST(Driver, FrontEndOutputMatchesGolden)
+{
+    std::string got;
+    for (const auto &[name, src] : goldenSources()) {
+        ASSERT_FALSE(src.empty()) << name;
+        for (bool optimize : {true, false})
+            got += frontendDigest(name, src, optimize);
+    }
+    expectGolden("frontend_digests.txt", got);
+}
+
+/** Cycles and seed of every sim-golden run. */
+constexpr uint64_t kGoldenCycles = 2000;
+constexpr uint64_t kGoldenSeed = 7;
+
+/** The event stream without its timer lines, with `wall_ns` zeroed
+ *  and the temporary directory @p tmp elided: everything in it that
+ *  is not wall-clock time or a random path. */
+std::string
+timerFreeEvents(const std::string &events, const std::string &tmp)
+{
+    std::istringstream in(events);
+    std::string out, line;
+    const std::string wall = "\"wall_ns\":";
+    while (std::getline(in, line)) {
+        if (line.find("\"e\":\"timer\"") != std::string::npos)
+            continue;
+        for (size_t at; (at = line.find(tmp)) != std::string::npos;)
+            line.replace(at, tmp.size(), "tmp");
+        size_t at = line.find(wall);
+        if (at != std::string::npos) {
+            size_t end = at + wall.size();
+            while (end < line.size() && isdigit(line[end]))
+                end++;
+            line.replace(at + wall.size(), end - at - wall.size(), "0");
+        }
+        out += line + "\n";
+    }
+    return out;
+}
+
+/**
+ * One line per artifact of a seeded kGoldenCycles run of @p src's top,
+ * with coverage, typed contracts, activity, the flight recorder and a
+ * VCD stream: digests of the VCD, the timer-free event stream, the
+ * merged coverage summary and report, the flight dumps, the violations
+ * (triage report and failure summary), the toggle count and the
+ * dprint log.  The log comes from a bare bench on the same seed and
+ * stimulus, since a job keeps its Sim to itself.  With @p kernel the
+ * job and the bench run on that compiled unit; the event stream then
+ * names another backend and its sweep counters differ, so only the
+ * backend-independent lines are comparable.
+ */
+std::string
+simDigest(const std::string &name, const std::string &src,
+          const rtl::KernelRef &kernel = {})
+{
+    CompileOutput out = compileAnvil(src, {.top = ""});
+    rtl::ModulePtr top = out.module(out.top);
+    if (!top)
+        return name + " no-module\n";
+    auto nl = std::make_shared<const rtl::Netlist>(*top);
+
+    std::string dir = ::testing::TempDir() + "anvil_sim_golden_XXXXXX";
+    if (!mkdtemp(dir.data()))
+        return name + " no-tempdir\n";
+    std::string prefix = dir + "/flight";
+    std::ostringstream vcd;
+    run::JobConfig jc;
+    jc.top = top;
+    jc.netlist = nl;
+    jc.seed = kGoldenSeed;
+    jc.cycles = kGoldenCycles;
+    jc.kernel = kernel;
+    jc.contracts = formal::checkableSpecs(
+        formal::inferContracts(out.program, out.top), *nl);
+    jc.coverage = true;
+    jc.flight_pre = 16;
+    jc.flight_out = prefix;
+    jc.telemetry = false;
+    jc.vcd = &vcd;
+    run::JobResult jr = run::runJob(jc);
+    if (kernel.abi &&
+        jr.events.find("\"backend\":\"compiled\"") == std::string::npos)
+        return name + " kernel-not-attached\n";
+
+    std::string dumps;
+    int n_dumps = 0;
+    for (;; n_dumps++) {
+        std::string path = prefix + "-" + std::to_string(n_dumps) + ".vcd";
+        std::string dump = readFile(path);
+        if (dump.empty())
+            break;
+        dumps += dump;
+        std::remove(path.c_str());
+    }
+    rmdir(dir.c_str());
+
+    obs::Merger merged;
+    merged.addStreamText(jr.events, name);
+    tb::Testbench bench(top, nl, kGoldenSeed);
+    if (kernel.abi)
+        bench.sim().attachKernel(kernel);
+    for (const std::string &in : bench.sim().inputNames())
+        bench.driveRandom(in);
+    bench.run(kGoldenCycles);
+    std::string log;
+    for (const std::string &line : bench.sim().log())
+        log += line + "\n";
+
+    std::string tag = name + " ";
+    return tag + "vcd " + fnv1a(vcd.str()) + "\n" + tag + "events " +
+        fnv1a(timerFreeEvents(jr.events, dir)) + "\n" + tag + "coverage " +
+        fnv1a(merged.coverage().summaryJson() + "\n" +
+              merged.coverage().report()) +
+        "\n" + tag + "flight " + std::to_string(n_dumps) + " " +
+        fnv1a(dumps) + "\n" + tag + "violations " +
+        fnv1a(merged.triageReport() + "\n" + jr.summary) + "\n" + tag +
+        "toggles " + std::to_string(jr.toggles) + "\n" + tag + "log " +
+        std::to_string(bench.sim().log().size()) + " " + fnv1a(log) + "\n";
+}
+
+/** simDigest's lines that no backend changes: all but the stream. */
+std::string
+backendFree(const std::string &digest)
+{
+    std::istringstream in(digest);
+    std::string out, line;
+    while (std::getline(in, line))
+        if (line.find(" events ") == std::string::npos)
+            out += line + "\n";
+    return out;
+}
+
+TEST(Driver, SimOutputMatchesGolden)
+{
+    std::string got;
+    for (const auto &[name, src] : goldenSources())
+        got += simDigest(name, src);
+    expectGolden("sim_digests.txt", got);
+}
+
+/** Both examples on the compiled backend match the interpreter's
+ *  golden.  Skips without a working compiler (ANVIL_CXX unset and
+ *  none found, or set to a broken one). */
+TEST(Driver, CompiledBackendMatchesSimGolden)
+{
+    std::string want = backendFree(readFile(
+        std::string(ANVIL_TEST_DIR) + "/golden/sim_digests.txt"));
+    ASSERT_FALSE(want.empty());
+    bool ran = false;
+    for (const auto &[name, src] : goldenSources()) {
+        if (name.rfind("examples/", 0) != 0)
+            continue;
+        CompileOutput out = compileAnvil(src, {.top = ""});
+        ASSERT_NE(out.module(out.top), nullptr) << name;
+        rtl::Netlist nl(*out.module(out.top));
+        codegen::JitOptions jo;
+        jo.opt_level = 1;
+        codegen::JitResult jit = codegen::jitCompileKernel(nl, jo);
+        if (!jit.kernel)
+            GTEST_SKIP() << "no JIT compiler: " << jit.error;
+        std::string digest =
+            simDigest(name, src, codegen::kernelRef(jit.kernel));
+        EXPECT_NE(digest.find(" events "), std::string::npos) << digest;
+        std::string got = backendFree(digest);
+        EXPECT_NE(want.find(got), std::string::npos)
+            << name << " on the compiled backend:\n"
+            << got;
+        ran = true;
+    }
+    EXPECT_TRUE(ran);
 }
 
 } // namespace

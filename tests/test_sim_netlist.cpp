@@ -988,6 +988,62 @@ TEST(DenseOnlyUnit, MatchesTheExecutorAndRefSim)
 // --- Renames -----------------------------------------------------------
 
 /**
+ * The net table holds values only, numbered in evaluation order: every
+ * net is read (an operand, a signal's net, or an update or print
+ * operand), sources and constants come first, then order() as one id
+ * range, then the lazy nets; regs() names the register signals' nets.
+ */
+void
+expectNetTable(const Netlist &nl, const std::string &name)
+{
+    const auto &nets = nl.nets();
+    std::vector<uint8_t> read(nets.size(), 0);
+    auto mark = [&](NetId o) {
+        if (o != kNoNet)
+            read[static_cast<size_t>(o)] = 1;
+    };
+    for (const Net &n : nets)
+        Netlist::forEachOperand(n, mark);
+    for (const auto &[s, sig] : nl.signals())
+        mark(sig.net);
+    for (const NetUpdate &u : nl.updates()) {
+        mark(u.enable);
+        mark(u.value);
+    }
+    for (const NetPrint &p : nl.prints()) {
+        mark(p.enable);
+        mark(p.value);
+    }
+    // regs(), listed before the renumbering, follows it: register i
+    // is the i-th register signal's net.
+    size_t ri = 0;
+    for (const auto &[s, sig] : nl.signals()) {
+        if (sig.kind == NetSignal::Kind::Reg) {
+            ASSERT_EQ(nl.regs().at(ri++), sig.net) << name << " " << s;
+        }
+    }
+    const auto &order = nl.order();
+    size_t first = 0;
+    while (first < nets.size() && !nets[first].lazy &&
+           !nets[first].computes())
+        first++;
+    for (size_t i = 0; i < nets.size(); i++) {
+        const Net &n = nets[i];
+        ASSERT_TRUE(read[i]) << name << " n" << i << " is read by nothing";
+        if (i < first)
+            continue;
+        if (i < first + order.size()) {
+            ASSERT_EQ(order[i - first], static_cast<NetId>(i))
+                << name << ": order() is not the ids after the sources";
+            ASSERT_TRUE(!n.lazy && n.computes()) << name << " n" << i;
+        } else {
+            ASSERT_TRUE(n.lazy) << name << " n" << i
+                                << " is neither in order() nor lazy";
+        }
+    }
+}
+
+/**
  * Every kind of rename in one module: a chain w3 = w2 = w1 = a & b,
  * two wires over one expression (p, q), wires renaming an input, a
  * register, a constant, a 100-bit input and a 100-bit net, and a named
@@ -1058,17 +1114,25 @@ TEST(Renames, CollapseIntoTheirDrivers)
         EXPECT_TRUE(n.lazy) << name;
         EXPECT_EQ(nl.nameOf(netOf(name)), name);
     }
-    // The order keeps no rename, and no strict node reads a lazy net
-    // (a collapsed Copy is one).
-    for (NetId id : nl.order()) {
-        const Net &n = nl.net(id);
-        EXPECT_FALSE(n.kind == Net::Kind::Copy &&
+    // A collapsed Copy has no id: no net anywhere is a strict rename,
+    // and no strict node reads a lazy net.
+    for (size_t i = 0; i < nl.nets().size(); i++) {
+        const Net &n = nl.nets()[i];
+        EXPECT_FALSE(!n.lazy && n.kind == Net::Kind::Copy &&
                      nl.net(n.a).width == n.width)
-            << "n" << id;
-        Netlist::forEachOperand(n, [&](NetId o) {
-            EXPECT_FALSE(nl.net(o).lazy) << "n" << id << " reads n" << o;
-        });
+            << "n" << i;
+        if (!n.lazy)
+            Netlist::forEachOperand(n, [&](NetId o) {
+                EXPECT_FALSE(nl.net(o).lazy) << "n" << i << " reads n" << o;
+            });
     }
+    expectNetTable(nl, "renames");
+    // Initial values move with their nets.
+    EXPECT_EQ(nl.initValues()[static_cast<size_t>(netOf("r"))].toUint64(),
+              3u);
+    EXPECT_EQ(nl.initValues()[static_cast<size_t>(netOf("ren_k"))]
+                  .toUint64(),
+              0x5au);
     // Updates and prints read the drivers too, so the edge refreshes
     // only the cycle's lazy nets: its two wires and r's next value.
     EXPECT_EQ(nl.lazyRoots().size(), 3u);
@@ -1214,6 +1278,7 @@ TEST(Renames, NoDesignKeepsARenameInTheSweep)
                          nl.net(n.a).width == n.width)
                 << name << " n" << id << " " << nl.nameOf(id);
         }
+        expectNetTable(nl, name);
     }
 }
 

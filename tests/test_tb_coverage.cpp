@@ -418,7 +418,8 @@ TEST(TbCoverage, RegisterBinCountsAreExactInATestbench)
                         sig.width < 4 ? 1u << sig.width : 16u, 0);
         size_t i = 0;
         for (NetId r : t.sim().netlist().regs()) {
-            want[i][refBin(t.sim().value(r), want[i].size())]++;
+            want[i][refBin(rtl::wordValue(t.sim().value(r)),
+                          want[i].size())]++;
             i++;
         }
     });
